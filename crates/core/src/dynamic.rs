@@ -11,7 +11,7 @@ use crate::incremental::{IncrementalConfig, IncrementalReallocator};
 use crate::stage2::mixed_cost_split;
 use crate::{lower_bound, McssError, McssInstance, SolveReport, Solver};
 use cloud_cost::{CostModel, FleetCostModel, Money};
-use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
+use pubsub_model::{Rate, SubscriberId, TopicId, Workload, WorkloadEdit, MAX_RATE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ impl WorkloadDelta {
 /// per epoch.
 ///
 /// Rates are multiplied by `exp(σ·N(0,1))` (mean-preserving in log space)
-/// and clamped to at least one event; each subscriber independently
+/// and clamped to `1..=MAX_RATE` events; each subscriber independently
 /// resubscribes one interest with probability `churn_prob` (dropping a
 /// current topic for a uniformly random other topic).
 #[derive(Clone, Copy, Debug)]
@@ -89,45 +89,38 @@ impl DriftModel {
             "churn must be a probability"
         );
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(epoch));
-        let mut delta = WorkloadDelta::default();
-        let rates: Vec<Rate> = workload
-            .rates()
-            .iter()
-            .enumerate()
-            .map(|(ti, r)| {
-                let noise = (self.rate_sigma * standard_normal(&mut rng)).exp();
-                let evolved = Rate::new(((r.get() as f64) * noise).round().max(1.0) as u64);
-                if evolved != *r {
-                    delta.changed_topics.push(TopicId::new(ti as u32));
-                }
-                evolved
-            })
-            .collect();
+        let mut edit = WorkloadEdit::from_workload(workload);
+        for (ti, r) in workload.rates().iter().enumerate() {
+            let noise = (self.rate_sigma * standard_normal(&mut rng)).exp();
+            let evolved = ((r.get() as f64) * noise)
+                .round()
+                .clamp(1.0, MAX_RATE as f64);
+            edit.rerate(TopicId::new(ti as u32), Rate::new(evolved as u64))
+                .expect("a drifted rate lies in 1..=MAX_RATE");
+        }
         let num_topics = workload.num_topics();
-        let interests: Vec<Vec<TopicId>> = workload
-            .subscribers()
-            .map(|v| {
-                let mut tv = workload.interests(v).to_vec();
-                if !tv.is_empty() && num_topics > 1 && rng.gen::<f64>() < self.churn_prob {
-                    let drop = rng.gen_range(0..tv.len());
-                    tv.swap_remove(drop);
-                    let add = TopicId::new(rng.gen_range(0..num_topics as u32));
-                    if !tv.contains(&add) {
-                        tv.push(add);
-                    }
-                    delta.changed_subscribers.push(v);
-                }
-                tv
-            })
-            .collect();
-        // The evolved workload is rebuilt against the previous one: the
-        // delta's changed subscribers (an over-approximation that never
-        // misses a change — exactly the `from_parts_evolved` contract)
-        // tell the model which rate-ranked rows to re-sort; every other
-        // row's ranked order is copied verbatim.
-        let evolved =
-            Workload::from_parts_evolved(workload, rates, interests, &delta.changed_subscribers);
-        (evolved, delta)
+        for v in workload.subscribers() {
+            let tv = workload.interests(v);
+            if !tv.is_empty() && num_topics > 1 && rng.gen::<f64>() < self.churn_prob {
+                // Swap one interest for a uniformly random topic (which
+                // may be the dropped one, or one already followed).
+                let dropped = tv[rng.gen_range(0..tv.len())];
+                let add = TopicId::new(rng.gen_range(0..num_topics as u32));
+                edit.unsubscribe(v, dropped);
+                edit.subscribe(v, add).expect("drift picks existing topics");
+            }
+        }
+        // The edit's change lists are the delta: a topic is listed iff its
+        // rate moved, a subscriber iff it churned (the unsubscribe always
+        // lands). The splice against `workload` copies every clean row.
+        let (evolved, changed_topics, changed_subscribers) = edit.commit(Some(workload));
+        (
+            evolved,
+            WorkloadDelta {
+                changed_topics,
+                changed_subscribers,
+            },
+        )
     }
 }
 

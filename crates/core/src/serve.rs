@@ -873,25 +873,6 @@ impl Snapshot {
         })
     }
 
-    /// Serializes the v3 snapshot: an `MCSSTOR1` container holding the
-    /// serve metadata plus every arena section verbatim.
-    fn to_store_bytes(&self) -> Vec<u8> {
-        let mut store = StoreBuilder::new();
-        store.u64s(
-            store_section::SERVE_META,
-            &[
-                self.last_seq,
-                self.epochs_applied,
-                self.tau.get(),
-                self.capacity.get(),
-            ],
-        );
-        mcss_store::write_workload_sections(&mut store, &self.workload);
-        crate::store::write_selection_sections(&mut store, &self.selection);
-        crate::store::write_ledger_sections(&mut store, &self.slots);
-        store.to_bytes()
-    }
-
     /// Deserializes a v3 (store-container) snapshot with zero derived-
     /// state rebuild.
     fn from_store_bytes(bytes: Vec<u8>, path: &Path) -> Result<Snapshot, ServeError> {
@@ -948,17 +929,16 @@ impl Snapshot {
         path: &Path,
         injector: Option<FaultInjector>,
     ) -> Result<(), ServeError> {
-        let bytes = self.to_store_bytes();
-        let tmp = path.with_extension("bin.tmp");
-        let mut file = FaultFile {
-            file: File::create(&tmp)?,
-            injector,
-        };
-        file.write_all(&bytes)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        Ok(())
+        SnapshotRef {
+            last_seq: self.last_seq,
+            epochs_applied: self.epochs_applied,
+            tau: self.tau,
+            capacity: self.capacity,
+            workload: &self.workload,
+            selection: &self.selection,
+            slots: &self.slots,
+        }
+        .write(path, injector)
     }
 
     /// Writes the snapshot in the *legacy* `MCSSNAP1` v2 layout
@@ -1030,6 +1010,55 @@ impl Snapshot {
             return Err(corrupt("checksum mismatch"));
         }
         Snapshot::decode_body(body, version).ok_or_else(|| corrupt("inconsistent body"))
+    }
+}
+
+/// A [`Snapshot`]'s contents by reference: the one encoder behind both
+/// [`Snapshot::write`] and the daemon's periodic snapshot, which encodes
+/// its live workload and selection without copying them.
+struct SnapshotRef<'a> {
+    last_seq: u64,
+    epochs_applied: u64,
+    tau: Rate,
+    capacity: Bandwidth,
+    workload: &'a Workload,
+    selection: &'a Selection,
+    slots: &'a [LedgerSlot],
+}
+
+impl SnapshotRef<'_> {
+    /// Serializes the v3 snapshot: an `MCSSTOR1` container holding the
+    /// serve metadata plus every arena section verbatim.
+    fn to_store_bytes(&self) -> Vec<u8> {
+        let mut store = StoreBuilder::new();
+        store.u64s(
+            store_section::SERVE_META,
+            &[
+                self.last_seq,
+                self.epochs_applied,
+                self.tau.get(),
+                self.capacity.get(),
+            ],
+        );
+        mcss_store::write_workload_sections(&mut store, self.workload);
+        crate::store::write_selection_sections(&mut store, self.selection);
+        crate::store::write_ledger_sections(&mut store, self.slots);
+        store.to_bytes()
+    }
+
+    /// [`Snapshot::write_with_faults`]: tmp file, sync, rename.
+    fn write(&self, path: &Path, injector: Option<FaultInjector>) -> Result<(), ServeError> {
+        let bytes = self.to_store_bytes();
+        let tmp = path.with_extension("bin.tmp");
+        let mut file = FaultFile {
+            file: File::create(&tmp)?,
+            injector,
+        };
+        file.write_all(&bytes)?;
+        file.sync_data()?;
+        drop(file);
+        fs::rename(&tmp, path)?;
+        Ok(())
     }
 }
 
@@ -1240,7 +1269,7 @@ pub struct Daemon {
     pending: u64,
     last_applied: u64,
     /// Buffered `VmFail`/`VmRecover` events of the open epoch — they
-    /// bypass the workload mirror and fold into the ledger at the next
+    /// bypass the workload edit and fold into the ledger at the next
     /// epoch close, after the drift step.
     fleet_ops: Vec<Event>,
     faults: Option<FaultInjector>,
@@ -1297,8 +1326,8 @@ impl Daemon {
     }
 
     /// Recovers a daemon from a state directory: loads the snapshot (if
-    /// one exists), rebuilds every derived structure from its primaries,
-    /// and replays the log suffix — re-applying an epoch at every
+    /// one exists), bases the workload edit on it by copying its interest
+    /// arenas, and replays the log suffix — re-applying an epoch at every
     /// `EpochMark` and leaving trailing events buffered, exactly as they
     /// were before the crash. `config` and the cost model must match the
     /// original run; `τ`/capacity mismatches are rejected against the
@@ -1436,7 +1465,7 @@ impl Daemon {
                 }
                 event => {
                     daemon
-                        .apply_to_mirror(event)
+                        .apply_to_edit(event)
                         .map_err(|e| ServeError::Corrupt {
                             path: daemon.dir.join(LOG_FILE),
                             detail: format!(
@@ -1480,7 +1509,7 @@ impl Daemon {
         Ok(())
     }
 
-    fn apply_to_mirror(&mut self, event: Event) -> Result<(), pubsub_model::WorkloadError> {
+    fn apply_to_edit(&mut self, event: Event) -> Result<(), pubsub_model::WorkloadError> {
         match event {
             Event::Rerate { topic, rate } => self.edit.rerate(topic, rate),
             Event::Subscribe { subscriber, topic } => self.edit.subscribe(subscriber, topic),
@@ -1489,7 +1518,7 @@ impl Daemon {
                 Ok(())
             }
             Event::EpochMark { .. } | Event::VmFail { .. } | Event::VmRecover { .. } => {
-                unreachable!("marks and fleet ops never reach the mirror")
+                unreachable!("marks and fleet ops never reach the edit")
             }
         }
     }
@@ -1500,9 +1529,11 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Rejected`] for an `EpochMark` (daemon-internal) or
-    /// an event the mirror rejects (unknown topic, zero rate — the event
-    /// is *not* logged); log-write and epoch-apply errors pass through.
+    /// [`ServeError::Rejected`] for an `EpochMark` (daemon-internal), a
+    /// `Rerate` whose pair cost `2·rate` exceeds the VM capacity, or an
+    /// event the workload edit rejects (unknown topic, zero rate) — a
+    /// rejected event is *not* logged; log-write and epoch-apply errors
+    /// pass through.
     pub fn submit(&mut self, event: Event) -> Result<Option<EpochStats>, ServeError> {
         match event {
             Event::EpochMark { .. } => {
@@ -1510,11 +1541,20 @@ impl Daemon {
                     "epoch marks are written by the daemon, not submitted".into(),
                 ));
             }
+            // A topic no VM can host would fail every later epoch, and
+            // every replay of this one: refuse it before it is logged.
+            Event::Rerate { topic, rate } if rate.pair_cost() > self.config.capacity => {
+                return Err(ServeError::Rejected(format!(
+                    "topic {topic} at {rate} fits no VM: its pair cost {} exceeds the capacity {}",
+                    rate.pair_cost(),
+                    self.config.capacity
+                )));
+            }
             // Fleet ops carry no workload change; they wait for the
             // epoch close, where the ledger validates the slot index.
             Event::VmFail { .. } | Event::VmRecover { .. } => self.fleet_ops.push(event),
             _ => self
-                .apply_to_mirror(event)
+                .apply_to_edit(event)
                 .map_err(|e| ServeError::Rejected(e.to_string()))?,
         }
         self.log.append(event)?;
@@ -1700,17 +1740,17 @@ impl Daemon {
             .realloc
             .checkpoint()
             .expect("an applied epoch implies a checkpoint");
-        let snapshot = Snapshot {
+        let snapshot = SnapshotRef {
             last_seq: self.last_applied,
             epochs_applied: self.epochs_applied,
             tau: self.config.tau,
             capacity,
-            workload: workload.as_ref().clone(),
-            selection: selection.clone(),
-            slots: ledger.snapshot_slots(),
+            workload,
+            selection,
+            slots: &ledger.snapshot_slots(),
         };
         let path = self.dir.join(SNAPSHOT_FILE);
-        snapshot.write_with_faults(&path, self.faults.clone())?;
+        snapshot.write(&path, self.faults.clone())?;
         Ok(path)
     }
 
@@ -2112,6 +2152,57 @@ mod tests {
         }
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn a_rerate_no_vm_can_host_is_rejected_before_logging() {
+        // Capacity 50 hosts topics up to rate 25 (pair cost 2·rate). A
+        // logged re-rate past that would fail every later tick and every
+        // resume with `InfeasibleTopic`, so `submit` must refuse it.
+        let dir = scratch("infeasible-rerate");
+        let config = ServeConfig::new(Rate::new(10), Bandwidth::new(50));
+        let mut daemon = Daemon::create(&dir, config, cost()).unwrap();
+        daemon
+            .submit(Event::Rerate {
+                topic: t(0),
+                rate: Rate::new(10),
+            })
+            .unwrap();
+        daemon
+            .submit(Event::Subscribe {
+                subscriber: v(0),
+                topic: t(0),
+            })
+            .unwrap();
+        daemon.tick().unwrap().expect("the bootstrap epoch applies");
+
+        for (topic, rate) in [(t(0), 40), (t(1), 26)] {
+            let rerate = Event::Rerate {
+                topic,
+                rate: Rate::new(rate),
+            };
+            let err = daemon.submit(rerate).unwrap_err();
+            assert!(matches!(err, ServeError::Rejected(_)), "{err}");
+        }
+        assert_eq!(
+            daemon.pending_events(),
+            0,
+            "rejected events are not buffered"
+        );
+        // A pair cost of exactly the capacity still fits.
+        daemon
+            .submit(Event::Rerate {
+                topic: t(0),
+                rate: Rate::new(25),
+            })
+            .unwrap();
+        daemon.tick().unwrap().expect("the re-rate epoch applies");
+        drop(daemon);
+
+        let resumed = Daemon::resume(&dir, config, cost()).unwrap();
+        assert_eq!(resumed.epochs_applied(), 2);
+        assert_eq!(resumed.workload().unwrap().rate(t(0)), Rate::new(25));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests over the full solver stack.
 
 use cloud_cost::{CostModel, Ec2CostModel, FleetCostModel, InstanceType, LinearCostModel, Money};
-use mcss_core::dynamic::DriftModel;
+use mcss_core::dynamic::{DriftModel, WorkloadDelta};
 use mcss_core::exact::ExactSolver;
 use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator};
 use mcss_core::reduction::{partition_to_dcss, subset_sum_partitionable};
@@ -18,6 +18,8 @@ use mcss_core::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Random workload: 1..=8 topics with rates 1..=30, 1..=8 subscribers
 /// with non-empty interests.
@@ -202,6 +204,43 @@ proptest! {
                     "epoch {}: incremental arena diverged from rebuild", epoch
                 );
             }
+        }
+    }
+
+    /// `DriftModel::evolve_tracked` builds exactly what the nested-row
+    /// reference `nested_evolve_tracked` builds: the same workload (all
+    /// six arenas) and the same delta, epoch after epoch, for any σ,
+    /// churn and seed — so every generated drift stream, and everything
+    /// solved from one, is the same whichever construction made it.
+    #[test]
+    fn evolve_tracked_matches_the_nested_rebuild(
+        (rates, interests) in (1usize..=20, 0usize..=60).prop_flat_map(|(nt, nv)| {
+            (vec(1u64..=50, nt), vec(vec(0..nt as u32, 0..=8), nv))
+        }),
+        sigma_pct in 0u64..150,
+        churn_pct in 0u64..=100,
+        seed in 0u64..1000,
+        epochs in 1u64..5,
+    ) {
+        let drift = DriftModel {
+            rate_sigma: sigma_pct as f64 / 100.0,
+            churn_prob: churn_pct as f64 / 100.0,
+            seed,
+        };
+        let mut w = Workload::from_parts(
+            rates.into_iter().map(Rate::new).collect(),
+            interests
+                .iter()
+                .map(|row| row.iter().map(|&t| TopicId::new(t)).collect())
+                .collect(),
+        );
+        for epoch in 0..epochs {
+            let (expected, expected_delta) = nested_evolve_tracked(&drift, &w, epoch);
+            let (next, delta) = drift.evolve_tracked(&w, epoch);
+            prop_assert_eq!(&next, &expected, "epoch {}", epoch);
+            prop_assert_eq!(&delta.changed_topics, &expected_delta.changed_topics);
+            prop_assert_eq!(&delta.changed_subscribers, &expected_delta.changed_subscribers);
+            w = next;
         }
     }
 
@@ -577,4 +616,54 @@ proptest! {
             w = drift.evolve(&w, epoch);
         }
     }
+}
+
+/// `DriftModel::evolve_tracked` built the direct way: the same RNG loop
+/// into a nested `Vec<Vec>` copy of every row, then
+/// `Workload::from_parts`. The reference the evolve property checks the
+/// `WorkloadEdit`-based construction against.
+fn nested_evolve_tracked(
+    drift: &DriftModel,
+    workload: &Workload,
+    epoch: u64,
+) -> (Workload, WorkloadDelta) {
+    let mut rng = StdRng::seed_from_u64(drift.seed.wrapping_add(epoch));
+    let mut delta = WorkloadDelta::default();
+    let rates: Vec<Rate> = workload
+        .rates()
+        .iter()
+        .enumerate()
+        .map(|(ti, r)| {
+            let noise = (drift.rate_sigma * standard_normal(&mut rng)).exp();
+            let evolved = Rate::new(((r.get() as f64) * noise).round().max(1.0) as u64);
+            if evolved != *r {
+                delta.changed_topics.push(TopicId::new(ti as u32));
+            }
+            evolved
+        })
+        .collect();
+    let num_topics = workload.num_topics();
+    let interests: Vec<Vec<TopicId>> = workload
+        .subscribers()
+        .map(|v| {
+            let mut tv = workload.interests(v).to_vec();
+            if !tv.is_empty() && num_topics > 1 && rng.gen::<f64>() < drift.churn_prob {
+                let drop = rng.gen_range(0..tv.len());
+                tv.swap_remove(drop);
+                let add = TopicId::new(rng.gen_range(0..num_topics as u32));
+                if !tv.contains(&add) {
+                    tv.push(add);
+                }
+                delta.changed_subscribers.push(v);
+            }
+            tv
+        })
+        .collect();
+    (Workload::from_parts(rates, interests), delta)
+}
+
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }

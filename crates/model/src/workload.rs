@@ -220,7 +220,7 @@ impl From<Workload> for WorkloadData {
 /// Stage-1 sweep consumes, so selectors never sort per subscriber. It is
 /// built in one counting-sort pass at construction (see
 /// [`Workload::ranked_interests`]) and maintained incrementally by
-/// [`Workload::from_parts_evolved`].
+/// [`WorkloadEdit::commit`](crate::WorkloadEdit::commit).
 ///
 /// See the [crate-level example](crate) for typical usage.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -373,9 +373,29 @@ impl Workload {
                 "follower arena references a subscriber id out of range",
             ));
         }
+        Ok(Workload::assemble(
+            rates,
+            interest_offsets,
+            interest_topics,
+            ranked_topics,
+            follower_offsets,
+            follower_ids,
+        ))
+    }
+
+    /// Wraps six consistent arenas, deriving the two cached totals. Every
+    /// constructor ends here; consistency is the caller's obligation.
+    pub(crate) fn assemble(
+        rates: Vec<Rate>,
+        interest_offsets: Vec<u32>,
+        interest_topics: Vec<TopicId>,
+        ranked_topics: Vec<TopicId>,
+        follower_offsets: Vec<u32>,
+        follower_ids: Vec<SubscriberId>,
+    ) -> Workload {
         let pair_count = interest_topics.len() as u64;
         let total_rate = rates.iter().copied().sum();
-        Ok(Workload {
+        Workload {
             rates,
             interest_offsets,
             interest_topics,
@@ -384,7 +404,7 @@ impl Workload {
             follower_ids,
             pair_count,
             total_rate,
-        })
+        }
     }
 
     /// Borrows all six raw arenas at once (primaries and derived
@@ -424,7 +444,7 @@ impl Workload {
     /// sort, and the rate-ranked arena by one global ranking plus a
     /// counting-sort scatter (no per-row sort). Primary arenas are shrunk
     /// to fit, so builder growth slack does not outlive construction.
-    fn from_csr_u32(
+    pub(crate) fn from_csr_u32(
         mut rates: Vec<Rate>,
         mut interest_offsets: Vec<u32>,
         mut interest_topics: Vec<TopicId>,
@@ -436,138 +456,16 @@ impl Workload {
         interest_topics.shrink_to_fit();
         let (follower_offsets, follower_ids) =
             transpose(rates.len(), &interest_offsets, &interest_topics);
-
-        // Rate-ranked arena: visit topics in one global (descending rate,
-        // ascending id) order and scatter through the follower rows —
-        // every interest row comes out in exactly that order, one O(|T|
-        // log |T|) ranking plus an O(P) pass instead of a sort per row.
-        let mut by_rate: Vec<u32> = (0..rates.len() as u32).collect();
-        by_rate.sort_unstable_by_key(|&t| (Reverse(rates[t as usize]), t));
-        let mut ranked_topics = vec![TopicId::new(0); interest_topics.len()];
-        let mut cursor: Vec<u32> = interest_offsets[..interest_offsets.len() - 1].to_vec();
-        for &ti in &by_rate {
-            let t = TopicId::new(ti);
-            for &v in &follower_ids
-                [follower_offsets[ti as usize] as usize..follower_offsets[ti as usize + 1] as usize]
-            {
-                ranked_topics[cursor[v.index()] as usize] = t;
-                cursor[v.index()] += 1;
-            }
-        }
-
-        let pair_count = interest_topics.len() as u64;
-        let total_rate = rates.iter().copied().sum();
-        Workload {
+        let ranked_topics =
+            rank_by_scatter(&rates, &interest_offsets, &follower_offsets, &follower_ids);
+        Workload::assemble(
             rates,
             interest_offsets,
             interest_topics,
             ranked_topics,
             follower_offsets,
             follower_ids,
-            pair_count,
-            total_rate,
-        }
-    }
-
-    /// Rebuilds a workload like [`Workload::from_parts`], but maintains
-    /// the rate-ranked arena *incrementally* against `prev`: rows listed
-    /// in `changed_subscribers` (plus rows that follow a re-rated topic,
-    /// plus rows beyond `prev`'s subscriber count) are re-sorted; every
-    /// other row's ranked order is provably unchanged — pairwise (rate,
-    /// id) comparisons only involve the row's own topics, none of which
-    /// were re-rated — and is copied verbatim from `prev`.
-    ///
-    /// `changed_subscribers` should list every subscriber whose interest
-    /// set differs from `prev`'s (the `WorkloadDelta` contract of the
-    /// drift sources that call this) and may over-approximate. The list
-    /// is a performance hint, not a correctness obligation: a copy is
-    /// taken only when the row's contents are verified equal to `prev`'s
-    /// and none of its topics were re-rated (re-rated topics are derived
-    /// here by comparing the rate tables), so a missed subscriber is
-    /// detected and re-sorted rather than silently served a stale row.
-    /// When the dirty set covers most of the workload (heavy rate drift
-    /// touches every follower), the per-row path loses to the global
-    /// counting-sort scatter and construction falls back to it.
-    pub fn from_parts_evolved(
-        prev: &Workload,
-        rates: Vec<Rate>,
-        interests: Vec<Vec<TopicId>>,
-        changed_subscribers: &[SubscriberId],
-    ) -> Workload {
-        let num_topics = rates.len();
-        let n = interests.len();
-
-        // Dirty rows: changed interests, followers of re-rated topics,
-        // and everything prev never saw.
-        let mut dirty = vec![false; n];
-        let mut dirty_count = 0usize;
-        let mut mark = |flag: &mut bool| {
-            if !*flag {
-                *flag = true;
-                dirty_count += 1;
-            }
-        };
-        for &v in changed_subscribers {
-            if v.index() < n {
-                mark(&mut dirty[v.index()]);
-            }
-        }
-        for flag in dirty.iter_mut().skip(prev.num_subscribers().min(n)) {
-            mark(flag);
-        }
-        // `zip` stops at the shorter rate table, i.e. the common topics.
-        for (ti, (old, new)) in prev.rates.iter().zip(rates.iter()).enumerate() {
-            if old != new {
-                for &v in prev.subscribers_of(TopicId::new(ti as u32)) {
-                    if v.index() < n {
-                        mark(&mut dirty[v.index()]);
-                    }
-                }
-            }
-        }
-
-        let (interest_offsets, interest_topics) = normalize_interests(num_topics, interests);
-
-        // Mostly-dirty epochs (heavy rate drift) re-sort almost every
-        // row anyway; the global scatter of `from_csr_u32` is cheaper
-        // there.
-        if dirty_count * 2 > n {
-            return Workload::from_csr_u32(rates, interest_offsets, interest_topics);
-        }
-        let (follower_offsets, follower_ids) =
-            transpose(num_topics, &interest_offsets, &interest_topics);
-
-        // Ranked arena: copy clean rows verbatim, comparator-sort the
-        // dirty ones (rows are short; the full-rebuild global scatter
-        // would touch every row). "Clean" is *verified*, not trusted:
-        // the equality check costs the same O(len) as the copy it
-        // guards, so an under-reported `changed_subscribers` degrades to
-        // a re-sort instead of a stale row.
-        let mut ranked_topics = vec![TopicId::new(0); interest_topics.len()];
-        for vi in 0..n {
-            let v = SubscriberId::new(vi as u32);
-            let span = interest_offsets[vi] as usize..interest_offsets[vi + 1] as usize;
-            let clean = !dirty[vi] && prev.interests(v) == &interest_topics[span.clone()];
-            if clean {
-                ranked_topics[span.clone()].copy_from_slice(prev.ranked_interests(v));
-            } else {
-                ranked_topics[span.clone()].copy_from_slice(&interest_topics[span.clone()]);
-                ranked_topics[span].sort_unstable_by_key(|&t| (Reverse(rates[t.index()]), t));
-            }
-        }
-
-        let pair_count = interest_topics.len() as u64;
-        let total_rate = rates.iter().copied().sum();
-        Workload {
-            rates,
-            interest_offsets,
-            interest_topics,
-            ranked_topics,
-            follower_offsets,
-            follower_ids,
-            pair_count,
-            total_rate,
-        }
+        )
     }
 
     /// Number of topics `|T|`.
@@ -763,7 +661,7 @@ fn normalize_interests(
 /// sort: one pass to size each follower row, a prefix sum for the
 /// offsets, one pass to scatter the ids. Rows come out sorted by
 /// subscriber id because subscribers are visited in ascending order.
-fn transpose(
+pub(crate) fn transpose(
     num_topics: usize,
     interest_offsets: &[u32],
     interest_topics: &[TopicId],
@@ -787,6 +685,33 @@ fn transpose(
         }
     }
     (follower_offsets, follower_ids)
+}
+
+/// Builds the rate-ranked arena (same row boundaries as
+/// `interest_offsets`): visit topics in one global (descending rate,
+/// ascending id) order and scatter through the follower rows — every
+/// interest row comes out in exactly that order, one O(|T| log |T|)
+/// ranking plus an O(P) pass instead of a sort per row.
+pub(crate) fn rank_by_scatter(
+    rates: &[Rate],
+    interest_offsets: &[u32],
+    follower_offsets: &[u32],
+    follower_ids: &[SubscriberId],
+) -> Vec<TopicId> {
+    let mut by_rate: Vec<u32> = (0..rates.len() as u32).collect();
+    by_rate.sort_unstable_by_key(|&t| (Reverse(rates[t as usize]), t));
+    let mut ranked_topics = vec![TopicId::new(0); follower_ids.len()];
+    let mut cursor: Vec<u32> = interest_offsets[..interest_offsets.len() - 1].to_vec();
+    for &ti in &by_rate {
+        let t = TopicId::new(ti);
+        for &v in &follower_ids
+            [follower_offsets[ti as usize] as usize..follower_offsets[ti as usize + 1] as usize]
+        {
+            ranked_topics[cursor[v.index()] as usize] = t;
+            cursor[v.index()] += 1;
+        }
+    }
+    ranked_topics
 }
 
 /// Incremental constructor for [`Workload`].
@@ -1069,85 +994,6 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         // Non-interests have none.
         assert_eq!(w.pair_index(SubscriberId::new(1), TopicId::new(0)), None);
-    }
-
-    #[test]
-    fn from_parts_evolved_matches_full_rebuild() {
-        let w = tiny();
-        // Re-rate topic 1 (10 → 50) and change subscriber 1's interests.
-        let rates = vec![Rate::new(20), Rate::new(50)];
-        let interests = vec![
-            vec![TopicId::new(0), TopicId::new(1)],
-            vec![TopicId::new(0)],
-            vec![TopicId::new(1), TopicId::new(0)],
-        ];
-        let evolved = Workload::from_parts_evolved(
-            &w,
-            rates.clone(),
-            interests.clone(),
-            &[SubscriberId::new(1)],
-        );
-        let rebuilt = Workload::from_parts(rates, interests);
-        assert_eq!(evolved.rates(), rebuilt.rates());
-        for v in rebuilt.subscribers() {
-            assert_eq!(evolved.interests(v), rebuilt.interests(v));
-            assert_eq!(evolved.ranked_interests(v), rebuilt.ranked_interests(v));
-        }
-        // Topic 1 now outranks topic 0 in every row containing both.
-        assert_eq!(
-            evolved.ranked_interests(SubscriberId::new(0)),
-            &[TopicId::new(1), TopicId::new(0)]
-        );
-    }
-
-    #[test]
-    fn from_parts_evolved_detects_unreported_same_length_change() {
-        // A subscriber swaps one topic for another of the same row length
-        // but is NOT listed in changed_subscribers: the equality check
-        // must catch it and re-sort rather than copy a stale ranked row.
-        let mut b = Workload::builder();
-        let t0 = b.add_topic(Rate::new(20)).unwrap();
-        let t1 = b.add_topic(Rate::new(10)).unwrap();
-        let t2 = b.add_topic(Rate::new(30)).unwrap();
-        b.add_subscriber([t0, t1]).unwrap();
-        b.add_subscriber([t1]).unwrap();
-        b.add_subscriber([t0]).unwrap();
-        b.add_subscriber([t1]).unwrap();
-        let w = b.build();
-        let rates = vec![Rate::new(20), Rate::new(10), Rate::new(30)];
-        // Subscriber 0 swaps t1 → t2; same length, nobody told us.
-        let interests = vec![vec![t0, t2], vec![t1], vec![t0], vec![t1]];
-        let evolved = Workload::from_parts_evolved(&w, rates.clone(), interests.clone(), &[]);
-        let rebuilt = Workload::from_parts(rates, interests);
-        for v in rebuilt.subscribers() {
-            assert_eq!(evolved.ranked_interests(v), rebuilt.ranked_interests(v));
-        }
-        assert_eq!(evolved.ranked_interests(SubscriberId::new(0)), &[t2, t0]);
-    }
-
-    #[test]
-    fn from_parts_evolved_handles_growth_and_shrink() {
-        let w = tiny();
-        // One more topic, one more subscriber, one fewer interest row
-        // untouched; new rows and re-rated followers must re-sort.
-        let rates = vec![Rate::new(20), Rate::new(10), Rate::new(99)];
-        let interests = vec![
-            vec![TopicId::new(0), TopicId::new(1)],
-            vec![TopicId::new(1)],
-            vec![TopicId::new(0), TopicId::new(1), TopicId::new(2)],
-            vec![TopicId::new(2), TopicId::new(1)],
-        ];
-        let evolved = Workload::from_parts_evolved(
-            &w,
-            rates.clone(),
-            interests.clone(),
-            &[SubscriberId::new(2)],
-        );
-        let rebuilt = Workload::from_parts(rates, interests);
-        for v in rebuilt.subscribers() {
-            assert_eq!(evolved.ranked_interests(v), rebuilt.ranked_interests(v));
-        }
-        assert_eq!(evolved.pair_count(), rebuilt.pair_count());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
+use pubsub_model::{Rate, SubscriberId, TopicId, Workload, WorkloadEdit, WorkloadError, MAX_RATE};
+use std::collections::BTreeSet;
 
 /// Strategy producing a raw (rates, interests) pair with `1..=max_t` topics
 /// and `0..=max_v` subscribers whose interests index into the topic range.
@@ -114,43 +115,76 @@ proptest! {
         }
     }
 
-    /// `from_parts_evolved` produces the same workload (including the
-    /// ranked arena) as a from-scratch rebuild, for any rate re-ranking
-    /// and any honestly-declared interest churn.
+    /// Every commit of a chained `WorkloadEdit` equals `from_parts` over a
+    /// naive `Vec<Vec>` model of the same op stream, with the model's
+    /// change lists and exact-capacity arenas — through new topics,
+    /// rank-reordering re-rates, subscriber-id gaps, duplicate and no-op
+    /// ops, a `from_workload` resume partway, and a `prev` that is not the
+    /// edit's base.
     #[test]
-    fn evolved_ranked_arena_matches_rebuild(
-        (rates, interests) in raw_workload(12, 12),
-        new_rates in vec(1u64..1000, 12),
-        changed in vec(0u8..2, 12),
+    fn chained_commits_match_a_naive_model(
+        initial_rates in vec(1u64..9, 1..8),
+        epochs in vec(vec((0u8..6, 0u32..64, 0u32..64), 0..40), 1..7),
+        resume_at in 0usize..8,
+        wrong_prev_at in 0usize..8,
     ) {
-        let w = build(&rates, &interests);
-        // Splice the new rates over the old table (same topic count) and
-        // churn the declared subscribers' interest sets.
-        let rates2: Vec<Rate> = w
-            .rates()
-            .iter()
-            .enumerate()
-            .map(|(ti, r)| if ti % 2 == 0 { Rate::new(new_rates[ti % new_rates.len()]) } else { *r })
-            .collect();
-        let mut interests2: Vec<Vec<TopicId>> =
-            w.subscribers().map(|v| w.interests(v).to_vec()).collect();
-        let mut declared: Vec<SubscriberId> = Vec::new();
-        for (vi, row) in interests2.iter_mut().enumerate() {
-            if changed.get(vi).copied().unwrap_or(0) == 1 {
-                row.reverse();
-                if !row.is_empty() && vi % 3 == 0 {
-                    row.pop();
-                }
-                declared.push(SubscriberId::new(vi as u32));
-            }
+        let mut edit = WorkloadEdit::new();
+        let mut model = Model::default();
+        for (ti, &r) in initial_rates.iter().enumerate() {
+            let op = Op::Rerate(TopicId::new(ti as u32), Rate::new(r));
+            prop_assert_eq!(op.apply(&mut edit), model.apply(op));
         }
-        let evolved =
-            Workload::from_parts_evolved(&w, rates2.clone(), interests2.clone(), &declared);
-        let rebuilt = Workload::from_parts(rates2, interests2);
-        prop_assert_eq!(evolved.pair_count(), rebuilt.pair_count());
-        for v in rebuilt.subscribers() {
-            prop_assert_eq!(evolved.interests(v), rebuilt.interests(v));
-            prop_assert_eq!(evolved.ranked_interests(v), rebuilt.ranked_interests(v));
+        let mut history: Vec<Workload> = Vec::new();
+        for (epoch, ops) in epochs.iter().enumerate() {
+            if epoch == resume_at {
+                if let Some(last) = history.last() {
+                    edit = WorkloadEdit::from_workload(last);
+                    prop_assert_eq!(edit.pending_changes(), (0, 0));
+                }
+            }
+            let mut last_op = None;
+            for &(kind, a, b) in ops {
+                let nt = model.rates.len() as u32;
+                let (v, t) = (SubscriberId::new(a % 26), TopicId::new(b % (nt + 1)));
+                let batch = match kind {
+                    0 => {
+                        let rate = match b % 10 {
+                            0 => 0,
+                            9 => MAX_RATE + 1,
+                            r => u64::from(r),
+                        };
+                        vec![Op::Rerate(TopicId::new(a % (nt + 2)), Rate::new(rate))]
+                    }
+                    1 | 2 => vec![Op::Subscribe(v, t)],
+                    3 => vec![Op::Unsubscribe(v, t)],
+                    4 => vec![Op::Subscribe(v, t), Op::Unsubscribe(v, t)],
+                    _ => last_op.into_iter().collect(),
+                };
+                for op in batch {
+                    prop_assert_eq!(op.apply(&mut edit), model.apply(op));
+                    last_op = Some(op);
+                }
+            }
+            prop_assert_eq!(edit.pending_changes(), std::mem::take(&mut model.pending));
+            // Commit against the last workload, or, at `wrong_prev_at`,
+            // against an older one the pending ops do not apply to.
+            let prev = match (epoch == wrong_prev_at, history.len()) {
+                (true, len) if len >= 2 => history.get(len - 2),
+                _ => history.last(),
+            };
+            let (w, topics, subs) = edit.commit(prev);
+            let expected = Workload::from_parts(model.rates.clone(), model.rows.clone());
+            prop_assert_eq!(&w, &expected);
+            prop_assert_eq!(topics, std::mem::take(&mut model.topics).into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(subs, std::mem::take(&mut model.subscribers).into_iter().collect::<Vec<_>>());
+            let (arenas, footprint) = (w.arenas(), w.footprint());
+            prop_assert_eq!(footprint.rates, std::mem::size_of_val(arenas.rates));
+            prop_assert_eq!(footprint.interest_offsets, std::mem::size_of_val(arenas.interest_offsets));
+            prop_assert_eq!(footprint.interest_topics, std::mem::size_of_val(arenas.interest_topics));
+            prop_assert_eq!(footprint.ranked_topics, std::mem::size_of_val(arenas.ranked_topics));
+            prop_assert_eq!(footprint.follower_offsets, std::mem::size_of_val(arenas.follower_offsets));
+            prop_assert_eq!(footprint.follower_ids, std::mem::size_of_val(arenas.follower_ids));
+            history.push(w);
         }
     }
 
@@ -178,4 +212,93 @@ fn subscriber_ids_are_insertion_ordered() {
             SubscriberId::new(2)
         ]
     );
+}
+
+/// One `WorkloadEdit` operation.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Rerate(TopicId, Rate),
+    Subscribe(SubscriberId, TopicId),
+    Unsubscribe(SubscriberId, TopicId),
+}
+
+impl Op {
+    fn apply(self, edit: &mut WorkloadEdit) -> Result<(), WorkloadError> {
+        match self {
+            Op::Rerate(t, rate) => edit.rerate(t, rate),
+            Op::Subscribe(v, t) => edit.subscribe(v, t),
+            Op::Unsubscribe(v, t) => {
+                edit.unsubscribe(v, t);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The documented `WorkloadEdit` contract over a nested `Vec<Vec>`: the
+/// oracle the differential commit test checks against.
+#[derive(Default)]
+struct Model {
+    rates: Vec<Rate>,
+    rows: Vec<Vec<TopicId>>,
+    topics: BTreeSet<TopicId>,
+    subscribers: BTreeSet<SubscriberId>,
+    /// State-changing ops since the last commit: (re-rates, pair edits).
+    pending: (usize, usize),
+}
+
+impl Model {
+    fn apply(&mut self, op: Op) -> Result<(), WorkloadError> {
+        let num_topics = self.rates.len();
+        match op {
+            Op::Rerate(_, rate) if rate.is_zero() => return Err(WorkloadError::ZeroEventRate),
+            Op::Rerate(_, rate) if rate.get() > MAX_RATE => {
+                return Err(WorkloadError::RateTooLarge { rate })
+            }
+            Op::Rerate(t, rate) => {
+                if t.index() > num_topics {
+                    return Err(WorkloadError::UnknownTopic {
+                        topic: t,
+                        num_topics,
+                    });
+                }
+                if t.index() == num_topics {
+                    self.rates.push(rate);
+                } else if self.rates[t.index()] != rate {
+                    self.rates[t.index()] = rate;
+                } else {
+                    return Ok(());
+                }
+                self.topics.insert(t);
+                self.pending.0 += 1;
+            }
+            Op::Subscribe(_, t) if t.index() >= num_topics => {
+                return Err(WorkloadError::UnknownTopic {
+                    topic: t,
+                    num_topics,
+                })
+            }
+            Op::Subscribe(v, t) => {
+                if v.index() >= self.rows.len() {
+                    self.rows.resize_with(v.index() + 1, Vec::new);
+                }
+                let row = &mut self.rows[v.index()];
+                if let Err(at) = row.binary_search(&t) {
+                    row.insert(at, t);
+                    self.subscribers.insert(v);
+                    self.pending.1 += 1;
+                }
+            }
+            Op::Unsubscribe(v, t) => {
+                if let Some(row) = self.rows.get_mut(v.index()) {
+                    if let Ok(at) = row.binary_search(&t) {
+                        row.remove(at);
+                        self.subscribers.insert(v);
+                        self.pending.1 += 1;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
