@@ -1,4 +1,5 @@
-//! Ablations for the design choices called out in DESIGN.md:
+//! Ablations for the design choices listed under "Deviations from the
+//! paper" in `docs/PAPER_MAP.md`, plus Stage-1 parallelism:
 //!
 //! * CBP's "expensive" ordering: pseudocode's total volume vs prose's raw
 //!   rate (Alg. 4 line 3);

@@ -123,9 +123,10 @@ pub fn legacy_group_by_topic(
         .collect()
 }
 
-/// One VM being filled by [`legacy_cbp_allocate`] — the same sorted-row
-/// state `CustomBinPacking` keeps internally, replicated here so the
-/// legacy packing loop stays decision-for-decision identical.
+/// One VM being filled by [`legacy_cbp_allocate`] — the layout
+/// `CustomBinPacking` used before it built rows in arrival order: rows
+/// kept sorted by topic id, each new topic placed by binary search and a
+/// `Vec::insert`. The packing decisions stay identical to today's CBP.
 #[derive(Default)]
 struct LegacyVm {
     rows: Vec<(TopicId, Vec<SubscriberId>)>,
@@ -565,17 +566,36 @@ fn diff_sorted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloud_cost::{LinearCostModel, Money};
+    use crate::scenario::Scenario;
+    use cloud_cost::{instances, LinearCostModel, Money};
     use mcss_core::dynamic::DriftModel;
     use mcss_core::incremental::IncrementalReallocator;
     use pubsub_model::Rate;
+
+    /// Runs the legacy and the arena cold solve on `inst` and asserts
+    /// they agree bit for bit; returns the allocation.
+    fn assert_same_cold_solve(
+        inst: &McssInstance,
+        cost: &dyn CostModel,
+        label: &str,
+    ) -> Allocation {
+        use mcss_core::stage1::{GreedySelectPairs, PairSelector};
+        let (legacy_sel, legacy_alloc) = legacy_solve(inst, cost).unwrap();
+        let arena_sel = GreedySelectPairs::new().select(inst).unwrap();
+        let arena_alloc = CustomBinPacking::new(CbpConfig::full())
+            .allocate(inst.workload(), &arena_sel, inst.capacity(), cost)
+            .unwrap();
+        assert_eq!(legacy_sel, arena_sel, "{label}: selections diverged");
+        assert_eq!(legacy_alloc, arena_alloc, "{label}: allocations diverged");
+        legacy_alloc.validate(inst.workload(), inst.tau()).unwrap();
+        legacy_alloc
+    }
 
     /// The legacy cold solve must agree with the arena pipeline bit for
     /// bit — selection *and* allocation — otherwise `fig_solve_speedup`
     /// compares different algorithms, not implementations.
     #[test]
     fn legacy_cold_solve_bit_identical_to_arena_path() {
-        use mcss_core::stage1::{GreedySelectPairs, PairSelector};
         let mut b = Workload::builder();
         let ts: Vec<TopicId> = [30u64, 18, 18, 12, 9, 6, 4, 4]
             .iter()
@@ -593,15 +613,42 @@ mod tests {
         let cost = LinearCostModel::new(Money::from_dollars(1), Money::from_micros(1));
         for tau in [10u64, 25, 60] {
             let inst = McssInstance::new(w.clone(), Rate::new(tau), Bandwidth::new(150)).unwrap();
-            let (legacy_sel, legacy_alloc) = legacy_solve(&inst, &cost).unwrap();
-            let arena_sel = GreedySelectPairs::new().select(&inst).unwrap();
-            let arena_alloc = CustomBinPacking::new(CbpConfig::full())
-                .allocate(inst.workload(), &arena_sel, inst.capacity(), &cost)
-                .unwrap();
-            assert_eq!(legacy_sel, arena_sel, "tau {tau}: selections diverged");
-            assert_eq!(legacy_alloc, arena_alloc, "tau {tau}: allocations diverged");
-            legacy_alloc.validate(inst.workload(), inst.tau()).unwrap();
+            assert_same_cold_solve(&inst, &cost, &format!("tau {tau}"));
         }
+
+        // Generated traces reach what the hand-built input never does:
+        // hundreds of rows per VM, and topics split across VMs.
+        let (mut most_rows, mut split_topics) = (0, 0);
+        for scenario in [
+            Scenario::twitter(2_000, 7),
+            Scenario::twitter(5_000, 7),
+            Scenario::spotify(2_000, 7),
+            Scenario::spotify(5_000, 7),
+        ] {
+            let cost = scenario.cost_model(instances::C3_LARGE);
+            for tau in [10u64, 100, 1000] {
+                let inst = scenario.instance(tau, instances::C3_LARGE).unwrap();
+                let label = format!(
+                    "{} {} subscribers, tau {tau}",
+                    scenario.name,
+                    inst.workload().num_subscribers()
+                );
+                let alloc = assert_same_cold_solve(&inst, &cost, &label);
+                let mut hosts = vec![0u32; inst.workload().num_topics()];
+                for vm in alloc.vms() {
+                    most_rows = most_rows.max(vm.topic_count());
+                    for p in vm.placements() {
+                        hosts[p.topic.index()] += 1;
+                    }
+                }
+                split_topics = split_topics.max(hosts.iter().filter(|&&n| n > 1).count());
+            }
+        }
+        assert!(
+            most_rows >= 200 && split_topics > 0,
+            "inputs too easy: {most_rows} rows on the fullest VM, \
+             at most {split_topics} split topics per solve"
+        );
     }
 
     /// The legacy baseline must agree with the new path — otherwise the

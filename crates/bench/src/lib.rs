@@ -8,8 +8,8 @@
 //!
 //! Scaling: experiments run on synthetic traces a few percent of the
 //! paper's size; per-VM capacity and the $/GB price are scale-compensated
-//! (see `DESIGN.md` §3) so VM counts and dollar figures are directly
-//! comparable to the paper's plots.
+//! (see "Deviations from the paper" in `docs/PAPER_MAP.md`) so VM counts and dollar
+//! figures are directly comparable to the paper's plots.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -100,7 +100,7 @@ pub trait CostModel: fmt::Debug + Send + Sync {
 /// ones: per-VM capacity shrinks by that factor while each transferred byte
 /// is priced up by it, so VM counts, total dollar costs, and the
 /// cost-model-driven decisions inside the solver all match the full-scale
-/// system. See `DESIGN.md` §3.
+/// system. See "Deviations from the paper" in `docs/PAPER_MAP.md`.
 ///
 /// ```
 /// use cloud_cost::{instances, CostModel, Ec2CostModel};
@@ -144,7 +144,7 @@ impl Ec2CostModel {
     /// *both* traces (Spotify: 9 × 10⁹ events / ~180 VMs; Twitter:
     /// 2.75 × 10¹⁰ / ~550) and twice that per c3.xlarge — so this is the
     /// capacity the authors' implementation effectively enforced. See
-    /// DESIGN.md §3.
+    /// "Deviations from the paper" in `docs/PAPER_MAP.md`.
     pub const PAPER_EFFECTIVE_EVENTS_PER_64MBPS: u64 = 50_000_000;
 
     /// The paper's configuration for a given instance type: 10-day window,

@@ -410,6 +410,13 @@ impl Allocation {
     /// recompute with no hashing pass. No constraint is checked here; call
     /// [`Allocation::validate`] afterwards.
     ///
+    /// Rows may come in any order, but each VM must list a topic at most
+    /// once. This is the one place Stage 2's output is ordered: each VM's
+    /// placements are sorted by topic and each placement's subscribers by
+    /// id. The topic-at-a-time packers (CBP, FFD, the mixed-fleet packer)
+    /// rely on it — they finish one topic before starting the next, append
+    /// rows in arrival order, and never sort while packing.
+    ///
     /// ```
     /// use mcss_core::Allocation;
     /// use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};

@@ -15,8 +15,8 @@ use pubsub_model::{Rate, SubscriberId, TopicId, WorkloadView};
 /// `1/(2·rem_v)` and beat any threshold-exceeding topic, whose ratio
 /// `1/(2·ev_t)` penalizes overshoot proportionally to its cost. Ties are
 /// broken towards the **largest** event rate (fills `rem_v` fastest; the
-/// paper leaves ties unspecified — see DESIGN.md), then the lowest topic
-/// id.
+/// paper leaves ties unspecified — see "Deviations from the paper" in
+/// `docs/PAPER_MAP.md`), then the lowest topic id.
 ///
 /// That closed form lets each subscriber be served with one descending
 /// sweep over its interests instead of re-scoring every topic per

@@ -14,8 +14,8 @@
 //! non-exceeders first (strictly the best class), then repeatedly compare
 //! the best fresh non-exceeder against the cheapest exceeder until
 //! satisfied. This is the paper's machinery taken one step further, kept
-//! as an explicitly-labelled extension (see DESIGN.md) and measured in the
-//! ablation bench.
+//! as an explicitly-labelled extension (see "Deviations from the paper"
+//! in `docs/PAPER_MAP.md`) and measured in the ablation bench.
 
 use super::PairSelector;
 use crate::{McssError, Selection, SelectionBuilder};

@@ -8,10 +8,70 @@
 //! choosing a smarter per-pair rule. They appear in the ablation bench and
 //! the Stage-2 comparison tests.
 
-use super::{Allocator, VmBuild};
+use super::Allocator;
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, WorkloadView};
+use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, WorkloadView};
+
+/// A VM being filled pair by pair: `(topic, subscribers)` rows kept
+/// sorted by topic id plus incrementally tracked bandwidth.
+///
+/// The pair-at-a-time packers (FFBP, BFBP, NFBP) place pairs
+/// subscriber-major, so topics interleave and a pair's topic may sit on
+/// any row; a binary search finds it. The topic-at-a-time packers use
+/// [`VmBuild`](super::VmBuild)'s O(1) last-row lookup instead.
+#[derive(Default)]
+pub(super) struct SortedVm {
+    rows: Vec<(TopicId, Vec<SubscriberId>)>,
+    used: Bandwidth,
+}
+
+impl SortedVm {
+    /// Free headroom `BC − bw_b`.
+    #[inline]
+    pub(super) fn free(&self, capacity: Bandwidth) -> Bandwidth {
+        capacity.saturating_sub(self.used)
+    }
+
+    /// Position of topic `t` in the sorted rows, if hosted.
+    #[inline]
+    fn row_pos(&self, t: TopicId) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&t, |&(tt, _)| tt)
+    }
+
+    /// Marginal cost of adding one pair of topic `t`: `2·ev_t` when the
+    /// topic is new to this VM (incoming stream + delivery), `ev_t`
+    /// otherwise.
+    #[inline]
+    pub(super) fn delta(&self, t: TopicId, rate: Rate) -> Bandwidth {
+        if self.row_pos(t).is_ok() {
+            rate.volume()
+        } else {
+            rate.pair_cost()
+        }
+    }
+
+    /// Adds a single pair, updating bandwidth. The caller must have
+    /// checked capacity via [`SortedVm::delta`].
+    pub(super) fn add_pair(&mut self, t: TopicId, rate: Rate, v: SubscriberId) {
+        match self.row_pos(t) {
+            Ok(pos) => {
+                self.used += rate.volume();
+                self.rows[pos].1.push(v);
+            }
+            Err(pos) => {
+                self.used += rate.pair_cost();
+                self.rows.insert(pos, (t, vec![v]));
+            }
+        }
+    }
+
+    /// Consumes the build, yielding the sorted rows for
+    /// [`Allocation::from_groups`].
+    pub(super) fn into_groups(self) -> Vec<(TopicId, Vec<SubscriberId>)> {
+        self.rows
+    }
+}
 
 /// Best-fit bin packing over individual pairs: each pair lands on the VM
 /// whose remaining headroom after placement would be smallest (the
@@ -41,7 +101,7 @@ impl Allocator for BestFitBinPacking {
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let mut vms: Vec<VmBuild> = Vec::new();
+        let mut vms: Vec<SortedVm> = Vec::new();
         for pair in selection.iter_pairs_in(view) {
             let rate = view.rate(pair.topic);
             if rate.pair_cost() > capacity {
@@ -65,14 +125,14 @@ impl Allocator for BestFitBinPacking {
             match best {
                 Some((_, i)) => vms[i].add_pair(pair.topic, rate, pair.subscriber),
                 None => {
-                    let mut vm = VmBuild::new();
+                    let mut vm = SortedVm::default();
                     vm.add_pair(pair.topic, rate, pair.subscriber);
                     vms.push(vm);
                 }
             }
         }
         Ok(Allocation::from_groups(
-            vms.into_iter().map(VmBuild::into_groups).collect(),
+            vms.into_iter().map(SortedVm::into_groups).collect(),
             view.workload(),
             capacity,
         ))
@@ -105,7 +165,7 @@ impl Allocator for NextFitBinPacking {
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let mut vms: Vec<VmBuild> = Vec::new();
+        let mut vms: Vec<SortedVm> = Vec::new();
         for pair in selection.iter_pairs_in(view) {
             let rate = view.rate(pair.topic);
             if rate.pair_cost() > capacity {
@@ -123,13 +183,13 @@ impl Allocator for NextFitBinPacking {
                 let vm = vms.last_mut().expect("checked non-empty");
                 vm.add_pair(pair.topic, rate, pair.subscriber);
             } else {
-                let mut vm = VmBuild::new();
+                let mut vm = SortedVm::default();
                 vm.add_pair(pair.topic, rate, pair.subscriber);
                 vms.push(vm);
             }
         }
         Ok(Allocation::from_groups(
-            vms.into_iter().map(VmBuild::into_groups).collect(),
+            vms.into_iter().map(SortedVm::into_groups).collect(),
             view.workload(),
             capacity,
         ))
@@ -161,6 +221,17 @@ mod tests {
 
     fn select_all(w: &Workload) -> Selection {
         Selection::from_per_subscriber(w.subscribers().map(|v| w.interests(v).to_vec()).collect())
+    }
+
+    #[test]
+    fn rows_stay_sorted_by_topic() {
+        let mut vm = SortedVm::default();
+        for i in [5u32, 1, 3, 0, 4] {
+            vm.add_pair(TopicId::new(i), Rate::new(2), SubscriberId::new(i));
+        }
+        let rows = vm.into_groups();
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(rows.len(), 5);
     }
 
     #[test]

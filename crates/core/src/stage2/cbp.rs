@@ -94,8 +94,13 @@ impl CbpConfig {
 /// optionally gated by the Alg. 7 cost comparison) and finally onto fresh
 /// VMs. Grouping keeps each topic on few VMs — each split VM costs one
 /// extra incoming stream — and drops the packing complexity from
-/// `O(|S|·|B|)` to roughly `O(|T| log |B| + |S|)`, the speedup of
-/// Figs. 6–7.
+/// `O(|S|·|B|)` to `O(|S| + |T| log |T| + k·|B|)`, the speedup of
+/// Figs. 6–7. A topic that fits whole on the newest VM appends one row
+/// (topic-at-a-time, so no VM ever searches or sorts its rows) and one
+/// heap entry; only the `k` topics that do not fit pay the `O(|B|)`
+/// Alg. 7 scan or first-fit sweep. The `|T| log |T|` term is the
+/// expensive-first order plus the per-VM row sort in
+/// [`Allocation::from_groups`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CustomBinPacking {
     config: CbpConfig,

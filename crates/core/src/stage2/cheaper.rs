@@ -20,7 +20,8 @@ use pubsub_model::{Bandwidth, Rate};
 ///
 /// Returns `true` when distributing is strictly cheaper (line 19; the
 /// paper's comparison reads a stale loop variable — we compare the
-/// completed estimates, see DESIGN.md).
+/// completed estimates, see "Deviations from the paper" in
+/// `docs/PAPER_MAP.md`).
 ///
 /// `free_capacities` is the per-VM headroom of the currently deployed VMs
 /// (order irrelevant), `current_bw` the running `Σ_b bw_b`.

@@ -1,6 +1,7 @@
 //! FFBinPacking — Alg. 3, the first-fit baseline for Stage 2.
 
-use super::{Allocator, VmBuild};
+use super::baselines::SortedVm;
+use super::Allocator;
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
 use pubsub_model::{Bandwidth, WorkloadView};
@@ -39,7 +40,7 @@ impl Allocator for FirstFitBinPacking {
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let mut vms: Vec<VmBuild> = Vec::new();
+        let mut vms: Vec<SortedVm> = Vec::new();
         for pair in selection.iter_pairs_in(view) {
             let rate = view.rate(pair.topic);
             if rate.pair_cost() > capacity {
@@ -55,14 +56,14 @@ impl Allocator for FirstFitBinPacking {
             match slot {
                 Some(i) => vms[i].add_pair(pair.topic, rate, pair.subscriber),
                 None => {
-                    let mut vm = VmBuild::new();
+                    let mut vm = SortedVm::default();
                     vm.add_pair(pair.topic, rate, pair.subscriber);
                     vms.push(vm);
                 }
             }
         }
         Ok(Allocation::from_groups(
-            vms.into_iter().map(VmBuild::into_groups).collect(),
+            vms.into_iter().map(SortedVm::into_groups).collect(),
             view.workload(),
             capacity,
         ))

@@ -19,8 +19,9 @@
 //!
 //! Both allocators maintain the exact marginal-cost invariant: placing a
 //! pair `(t, v)` on VM `b` consumes `2·ev_t` if `t` is new to `b`
-//! (incoming stream + delivery) and `ev_t` otherwise. See `DESIGN.md` for
-//! the deliberate deviations from the paper's (looser) pseudocode checks.
+//! (incoming stream + delivery) and `ev_t` otherwise. See
+//! "Deviations from the paper" in `docs/PAPER_MAP.md` for why this departs
+//! from the paper's (looser) pseudocode checks.
 
 mod baselines;
 mod cbp;

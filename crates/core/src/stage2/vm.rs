@@ -2,11 +2,21 @@
 
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId};
 
-/// A VM being filled by a Stage-2 allocator: `(topic, subscribers)` rows
-/// kept sorted by topic id plus incrementally tracked bandwidth. The row
-/// layout is exactly what [`Allocation::from_groups`](crate::Allocation)
-/// consumes, so finished builds move into an allocation without a
-/// conversion pass.
+/// A VM being filled by a topic-at-a-time Stage-2 allocator (CBP, FFD,
+/// the mixed-fleet packer): `(topic, subscribers)` rows in arrival order
+/// plus incrementally tracked bandwidth.
+///
+/// **Contract:** the packer finishes one topic before it starts the
+/// next, so a topic already hosted here is always the *last* row.
+/// [`VmBuild::delta`], [`VmBuild::add_pair`] and [`VmBuild::add_batch`]
+/// therefore look at the last row only — O(1) per call, with no search
+/// and no sorted insert — and debug builds assert on every new row that
+/// the topic is not hosted further up. Pair-at-a-time packers, whose
+/// topics interleave, use the baselines' sorted-row builder instead.
+///
+/// Nothing is sorted while packing:
+/// [`Allocation::from_groups`](crate::Allocation::from_groups) is the one
+/// place that orders the rows (placements by topic, subscribers by id).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VmBuild {
     rows: Vec<(TopicId, Vec<SubscriberId>)>,
@@ -33,18 +43,12 @@ impl VmBuild {
         capacity.saturating_sub(self.used)
     }
 
-    /// Position of topic `t` in the sorted rows, if hosted.
-    #[inline]
-    fn row_pos(&self, t: TopicId) -> Result<usize, usize> {
-        self.rows.binary_search_by_key(&t, |&(tt, _)| tt)
-    }
-
     /// Marginal cost of adding one pair of topic `t`: `2·ev_t` when the
     /// topic is new to this VM (incoming stream + delivery), `ev_t`
-    /// otherwise.
+    /// otherwise. By the contract, a hosted `t` is the last row.
     #[inline]
     pub(crate) fn delta(&self, t: TopicId, rate: Rate) -> Bandwidth {
-        if self.row_pos(t).is_ok() {
+        if self.rows.last().is_some_and(|&(last, _)| last == t) {
             rate.volume()
         } else {
             rate.pair_cost()
@@ -54,16 +58,7 @@ impl VmBuild {
     /// Adds a single pair, updating bandwidth. The caller must have
     /// checked capacity via [`VmBuild::delta`].
     pub(crate) fn add_pair(&mut self, t: TopicId, rate: Rate, v: SubscriberId) {
-        match self.row_pos(t) {
-            Ok(pos) => {
-                self.used += rate.volume();
-                self.rows[pos].1.push(v);
-            }
-            Err(pos) => {
-                self.used += rate.pair_cost();
-                self.rows.insert(pos, (t, vec![v]));
-            }
-        }
+        self.add_batch(t, rate, &[v]);
     }
 
     /// Adds several pairs of the same topic at once. Bandwidth grows by
@@ -73,20 +68,26 @@ impl VmBuild {
             return;
         }
         let n = vs.len() as u64;
-        match self.row_pos(t) {
-            Ok(pos) => {
+        match self.rows.last_mut() {
+            Some((last, row)) if *last == t => {
                 self.used += rate * n;
-                self.rows[pos].1.extend_from_slice(vs);
+                row.extend_from_slice(vs);
             }
-            Err(pos) => {
+            _ => {
+                debug_assert!(
+                    self.rows.iter().all(|&(u, _)| u != t),
+                    "topic {t} came back to a VM after another topic: \
+                     a VmBuild packer must finish one topic before the next"
+                );
                 self.used += rate * (n + 1);
-                self.rows.insert(pos, (t, vs.to_vec()));
+                self.rows.push((t, vs.to_vec()));
             }
         }
     }
 
-    /// Consumes the build, yielding the sorted rows for
-    /// [`Allocation::from_groups`](crate::Allocation).
+    /// Consumes the build, yielding its rows in arrival order for
+    /// [`Allocation::from_groups`](crate::Allocation::from_groups), which
+    /// sorts them.
     pub(crate) fn into_groups(self) -> Vec<(TopicId, Vec<SubscriberId>)> {
         self.rows
     }
@@ -130,14 +131,33 @@ mod tests {
     }
 
     #[test]
-    fn rows_stay_sorted_by_topic() {
+    fn rows_keep_arrival_order() {
+        // Topics arrive one at a time, out of id order; each row stays
+        // where it arrived and a topic's later pairs join its (last) row.
+        let rate = Rate::new(2);
         let mut vm = VmBuild::new();
         for i in [5u32, 1, 3, 0, 4] {
-            vm.add_pair(t(i), Rate::new(2), v(i));
+            vm.add_pair(t(i), rate, v(i));
+            vm.add_batch(t(i), rate, &[v(10 + i)]);
+            assert_eq!(vm.delta(t(i), rate), Bandwidth::new(2));
         }
+        assert_eq!(vm.used(), Bandwidth::new(5 * 3 * 2));
         let rows = vm.into_groups();
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(rows.len(), 5);
+        let topics: Vec<u32> = rows.iter().map(|(tt, _)| tt.raw()).collect();
+        assert_eq!(topics, [5, 1, 3, 0, 4]);
+        assert!(rows
+            .iter()
+            .all(|(tt, vs)| vs == &[v(tt.raw()), v(10 + tt.raw())]));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must finish one topic before the next")]
+    fn returning_topic_breaks_the_contract() {
+        let mut vm = VmBuild::new();
+        vm.add_pair(t(0), Rate::new(2), v(0));
+        vm.add_pair(t(1), Rate::new(2), v(1));
+        vm.add_pair(t(0), Rate::new(2), v(2));
     }
 
     #[test]

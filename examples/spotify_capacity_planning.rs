@@ -4,7 +4,8 @@
 //! Mirrors the paper's §IV framing: generate a Spotify-shaped trace, sweep
 //! τ ∈ {10, 100, 1000} over c3.large and c3.xlarge, and print the cost
 //! table a deployment engineer would use. Scaled to paper magnitudes via
-//! the volume-scale mechanism described in DESIGN.md §3.
+//! the volume-scale mechanism described under "Deviations from the paper"
+//! in `docs/PAPER_MAP.md`.
 //!
 //! Run with: `cargo run --release --example spotify_capacity_planning`
 
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cloud_cost::instances::C3_XLARGE,
     ] {
         // `paper_effective` uses the per-VM event budget implied by the
-        // paper's reported VM counts (see DESIGN.md §3), scaled to our
+        // paper's reported VM counts (see docs/PAPER_MAP.md), scaled to our
         // synthetic size so fleet sizes match the paper's figures.
         let cost = Ec2CostModel::paper_effective(instance_type)
             .with_volume_scale(SYNTH_SUBSCRIBERS as u64, PAPER_SUBSCRIBERS);

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut generator = TwitterLike::new(users, 20141030);
     // At this scaled-down size the fattest bot streams would exceed a
     // single scaled VM; rein the bot tail in (a scale artifact — at full
-    // scale every topic fits, see DESIGN.md §3).
+    // scale every topic fits, see docs/PAPER_MAP.md).
     generator.bot_rate_range = (1_000, 10_000);
     let workload = generator.generate();
     let stats = workload.stats();

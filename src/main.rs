@@ -76,7 +76,8 @@ SOLVE OPTIONS:
                          reproducible step for step)     [off]
   --store FILE           load the workload from an MCSSTOR1 store
                          instead of the positional trace path
-  --effective            use the figure-calibrated capacity (DESIGN.md §3)
+  --effective            use the figure-calibrated capacity (see
+                         docs/PAPER_MAP.md, \"Deviations from the paper\")
   --scale SYNTH/PAPER    volume-scale compensation ratio
   --simulate             replay the window through the broker simulation
 
@@ -2289,8 +2290,9 @@ mod tests {
         .unwrap();
         // A gentle scale ratio: at 300/4.9M the effective capacity would
         // shrink below a single loud topic's pair cost (the scale
-        // artifact DESIGN.md §3 describes — the Scenario harness clamps
-        // for that; the raw CLI intentionally does not).
+        // artifact described under "Deviations from the paper" in
+        // docs/PAPER_MAP.md — the Scenario harness clamps for that; the
+        // raw CLI intentionally does not).
         run(Command::Solve {
             source: WorkloadSource::Store(store.display().to_string()),
             tau: 50,

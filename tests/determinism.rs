@@ -89,3 +89,114 @@ fn simulation_is_deterministic_per_seed() {
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));
 }
+
+/// One line per packer run: VM count, total bandwidth, and a CRC32 over
+/// every VM's placements (topic, subscriber count, subscribers) plus, for
+/// a typed fleet, each VM's tier.
+fn packer_fingerprint(label: &str, allocation: &Allocation) -> String {
+    let mut bytes = Vec::new();
+    for (i, vm) in allocation.vms().iter().enumerate() {
+        bytes.extend_from_slice(&(vm.placements().len() as u32).to_le_bytes());
+        for p in vm.placements() {
+            bytes.extend_from_slice(&p.topic.raw().to_le_bytes());
+            bytes.extend_from_slice(&(p.subscribers.len() as u32).to_le_bytes());
+            for v in &p.subscribers {
+                bytes.extend_from_slice(&v.raw().to_le_bytes());
+            }
+        }
+        if let Some(typing) = allocation.typing() {
+            bytes.extend_from_slice(&typing.assignment()[i].to_le_bytes());
+        }
+    }
+    format!(
+        "{label}: vms={} bw={} crc={:08x}\n",
+        allocation.vm_count(),
+        allocation.total_bandwidth().get(),
+        mcss_store::crc32(&bytes)
+    )
+}
+
+/// Every Stage-2 packer on small generated traces, fingerprinted against
+/// `tests/golden/packers.txt`. The file pins each packer's output bit for
+/// bit, so a change to the packers' internals that alters any placement
+/// shows here. Regenerate (only for a deliberate packing change) with
+/// `MCSS_BLESS=1 cargo test --test determinism packers_match_golden`.
+#[test]
+fn packers_match_golden() {
+    use cloud_cost::instances::{C3_2XLARGE, C3_LARGE, C3_XLARGE};
+    use mcss::solver::stage1::{GreedySelectPairs, PairSelector};
+    use mcss::solver::stage2::{
+        Allocator, BestFitBinPacking, CbpConfig, CustomBinPacking, ExpensiveOrder, FfdBinPacking,
+        FirstFitBinPacking, MixedFleetPacker, NextFitBinPacking,
+    };
+
+    let packers: Vec<(&str, Box<dyn Allocator>)> = vec![
+        (
+            "cbp-grouping",
+            Box::new(CustomBinPacking::new(CbpConfig::grouping_only())),
+        ),
+        (
+            "cbp-expensive",
+            Box::new(CustomBinPacking::new(CbpConfig::expensive_first())),
+        ),
+        (
+            "cbp-most-free",
+            Box::new(CustomBinPacking::new(CbpConfig::most_free())),
+        ),
+        (
+            "cbp-full",
+            Box::new(CustomBinPacking::new(CbpConfig::full())),
+        ),
+        (
+            "cbp-full-rate",
+            Box::new(CustomBinPacking::new(CbpConfig {
+                expensive_order: ExpensiveOrder::Rate,
+                ..CbpConfig::full()
+            })),
+        ),
+        ("ffd", Box::new(FfdBinPacking::new())),
+        ("ffbp", Box::new(FirstFitBinPacking::new())),
+        ("bfbp", Box::new(BestFitBinPacking::new())),
+        ("nfbp", Box::new(NextFitBinPacking::new())),
+    ];
+    let mut out = String::new();
+    for scenario in [Scenario::spotify(2_000, 7), Scenario::twitter(2_000, 7)] {
+        let cost = scenario.cost_model(C3_LARGE);
+        let fleet = FleetCostModel::new(vec![
+            cost.clone(),
+            scenario.cost_model(C3_XLARGE),
+            scenario.cost_model(C3_2XLARGE),
+        ]);
+        for tau in [10u64, 100] {
+            let inst = scenario.instance(tau, C3_LARGE).unwrap();
+            let selection = GreedySelectPairs::new().select(&inst).unwrap();
+            let prefix = format!("{} tau={tau}", scenario.name);
+            for (name, packer) in &packers {
+                let allocation = packer
+                    .allocate(inst.workload(), &selection, inst.capacity(), &cost)
+                    .unwrap();
+                out.push_str(&packer_fingerprint(
+                    &format!("{prefix} {name}"),
+                    &allocation,
+                ));
+            }
+            let mixed = MixedFleetPacker::new()
+                .allocate(inst.workload(), &selection, &fleet)
+                .unwrap();
+            out.push_str(&packer_fingerprint(&format!("{prefix} mixed"), &mixed));
+        }
+    }
+
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/packers.txt");
+    if std::env::var_os("MCSS_BLESS").is_some() {
+        std::fs::write(golden, &out).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(golden)
+        .expect("tests/golden/packers.txt missing; regenerate with MCSS_BLESS=1");
+    assert_eq!(
+        out, want,
+        "packer output drifted from tests/golden/packers.txt; \
+         if the change is deliberate, regenerate with MCSS_BLESS=1"
+    );
+}
