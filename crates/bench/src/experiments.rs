@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The bar series of Figs. 2–3, in the paper's order.
 pub fn cost_metric_variants() -> Vec<(&'static str, SolverParams)> {
@@ -526,12 +526,12 @@ pub fn fig_churn_speedup(
 
 /// Serve-daemon experiment (extension, not a paper figure): streams the
 /// scenario's workload through the event-sourced [`Daemon`] — bootstrap
-/// batch plus `epochs` drift batches — measuring sustained submit
-/// throughput, p50/p99 epoch-apply latency, and crash-recovery time as
-/// the event log grows (pure log replay, plus one recovery from a
-/// snapshot). Every recovery is asserted bit-identical to the live
-/// daemon before it counts. Returns the human-readable report and the
-/// machine-readable JSON document (`BENCH_serve.json`).
+/// batch plus `epochs` drift batches — measuring sustained throughput
+/// over `submit` + `tick` alone, p50/p99 epoch-apply latency, and
+/// crash-recovery time as the event log grows (pure log replay, plus one
+/// recovery from a snapshot). Every recovery is asserted bit-identical
+/// to the live daemon before it counts. Returns the human-readable
+/// report and the machine-readable JSON document (`BENCH_serve.json`).
 pub fn fig_serve(
     scenario: &Scenario,
     instance: InstanceType,
@@ -587,7 +587,10 @@ pub fn fig_serve(
 
     let mut stats = Vec::new();
     let mut total_events = 0u64;
-    let started = Instant::now();
+    // The events/s window holds only `submit` + `tick`: generating the
+    // next batch and the recoveries (reported in their own rows) stay
+    // outside it.
+    let mut serving = Duration::ZERO;
     for batch in 0..epochs {
         let events = if batch == 0 {
             driver.initial_events()
@@ -595,17 +598,19 @@ pub fn fig_serve(
             driver.next_epoch_events()
         };
         total_events += events.len() as u64;
+        let started = Instant::now();
         for e in events {
             daemon.submit(e).expect("driver events are valid");
         }
-        if let Some(s) = daemon.tick().expect("epoch applies") {
+        let tick = daemon.tick().expect("epoch applies");
+        serving += started.elapsed();
+        if let Some(s) = tick {
             stats.push(s);
         }
         if measure_at.contains(&(batch + 1)) {
             recoveries.push(recover(&daemon, false));
         }
     }
-    let elapsed = started.elapsed();
     daemon.snapshot_now().expect("snapshot writes");
     recoveries.push(recover(&daemon, true));
 
@@ -621,7 +626,7 @@ pub fn fig_serve(
             apply_ms[(((apply_ms.len() - 1) as f64) * p).round() as usize]
         }
     };
-    let events_per_sec = total_events as f64 / elapsed.as_secs_f64().max(1e-9);
+    let events_per_sec = total_events as f64 / serving.as_secs_f64().max(1e-9);
 
     let mut out = String::new();
     let _ = writeln!(

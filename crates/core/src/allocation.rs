@@ -511,25 +511,18 @@ impl Allocation {
     /// the `max_b x_tvb` semantics of Eq. 3.
     ///
     /// Cross-VM dedup is one bit per workload interest pair, indexed
-    /// through [`Workload::pair_index`] — a flat bitmap over the interest
-    /// arena instead of a hash set per subscriber. Pairs outside the
-    /// interest relation (possible only on invalid input; `validate`
-    /// rejects them separately) fall back to a sorted list so they still
-    /// count exactly once.
+    /// through [`Workload::pair_index`]. Pairs outside the interest
+    /// relation (possible only on invalid input; `validate` rejects them
+    /// separately) fall back to a sorted list so they still count exactly
+    /// once.
     pub fn delivered_rates(&self, workload: &Workload) -> Vec<Rate> {
-        let mut seen = vec![false; workload.pair_count() as usize];
+        let mut delivery = Delivery::new(workload);
         let mut foreign: Vec<(SubscriberId, TopicId)> = Vec::new();
-        let mut delivered = vec![Rate::ZERO; workload.num_subscribers()];
         for vm in &self.vms {
             for p in vm.placements() {
                 for &v in &p.subscribers {
                     match workload.pair_index(v, p.topic) {
-                        Some(i) => {
-                            if !seen[i] {
-                                seen[i] = true;
-                                delivered[v.index()] += workload.rate(p.topic);
-                            }
-                        }
+                        Some(i) => delivery.credit(i, v, workload.rate(p.topic)),
                         None => foreign.push((v, p.topic)),
                     }
                 }
@@ -537,6 +530,7 @@ impl Allocation {
         }
         foreign.sort_unstable();
         foreign.dedup();
+        let mut delivered = delivery.rates;
         for (v, t) in foreign {
             delivered[v.index()] += workload.rate(t);
         }
@@ -544,21 +538,42 @@ impl Allocation {
     }
 
     /// Verifies every MCSS constraint (paper Eq. 2–3) plus internal
-    /// accounting:
+    /// accounting. VM by VM, in deployment order, it checks each row
+    /// (topic placement) in turn:
     ///
-    /// 1. each pair references a real interest (no foreign pairs);
-    /// 2. no pair is duplicated within a VM;
-    /// 3. recorded per-VM bandwidth equals the recomputed value;
-    /// 4. `bw_b ≤ BC` for every VM — each VM's *own tier* capacity on a
-    ///    typed (mixed-fleet) allocation, the shared capacity otherwise;
-    /// 5. every subscriber receives at least `τ_v`.
+    /// 1. the row's topic is not the previous row's topic
+    ///    ([`AllocationError::DuplicatePair`] naming the row's first
+    ///    subscriber);
+    /// 2. no subscriber repeats within the row (`DuplicatePair`);
+    /// 3. each of the row's pairs is a real interest
+    ///    ([`AllocationError::ForeignPair`]);
+    ///
+    /// and then the VM as a whole:
+    ///
+    /// 4. its recorded bandwidth equals the Eq. 2 value recomputed from
+    ///    its rows ([`AllocationError::BandwidthMismatch`]);
+    /// 5. `bw_b ≤ BC` — the VM's *own tier* capacity on a typed
+    ///    (mixed-fleet) allocation, the shared capacity otherwise
+    ///    ([`AllocationError::CapacityExceeded`]).
+    ///
+    /// After every VM passed, 6. every subscriber receives at least `τ_v`
+    /// ([`AllocationError::UnsatisfiedSubscriber`]).
+    ///
+    /// One sweep does it: each placed pair costs a single
+    /// [`Workload::pair_index`] search, which is the foreign-pair verdict,
+    /// the cross-VM dedupe bit and the delivered-rate credit at once. Only
+    /// the primary interest CSR and the rates are read, never the derived
+    /// arenas, so `validate` stays an oracle independent of them.
     ///
     /// # Errors
     ///
     /// Returns the first violation found, in the order above.
     pub fn validate(&self, workload: &Workload, tau: Rate) -> Result<(), AllocationError> {
+        let mut delivery = Delivery::new(workload);
         for (i, vm) in self.vms.iter().enumerate() {
             let mut prev: Option<TopicId> = None;
+            let mut actual = Bandwidth::ZERO;
+            let mut empty_rows = false;
             for p in vm.placements() {
                 if prev == Some(p.topic) {
                     return Err(AllocationError::DuplicatePair {
@@ -572,26 +587,51 @@ impl Allocation {
                     });
                 }
                 prev = Some(p.topic);
-                for pair in p.subscribers.windows(2) {
-                    if pair[0] == pair[1] {
-                        return Err(AllocationError::DuplicatePair {
-                            vm: i,
-                            topic: p.topic,
-                            subscriber: pair[0],
-                        });
-                    }
-                }
+                // A repeat anywhere in the row outranks a foreign pair
+                // earlier in it, so the foreign verdict waits for the row's
+                // end. `ev_t` is read only once a pair proved the topic real.
+                let mut last: Option<SubscriberId> = None;
+                let mut foreign: Option<SubscriberId> = None;
+                let mut rate: Option<Rate> = None;
                 for &v in &p.subscribers {
-                    if workload.interests(v).binary_search(&p.topic).is_err() {
-                        return Err(AllocationError::ForeignPair {
+                    if last == Some(v) {
+                        return Err(AllocationError::DuplicatePair {
                             vm: i,
                             topic: p.topic,
                             subscriber: v,
                         });
                     }
+                    last = Some(v);
+                    if foreign.is_some() {
+                        continue;
+                    }
+                    match workload.pair_index(v, p.topic) {
+                        Some(pair) => {
+                            let ev = *rate.get_or_insert_with(|| workload.rate(p.topic));
+                            delivery.credit(pair, v, ev);
+                        }
+                        None => foreign = Some(v),
+                    }
+                }
+                if let Some(v) = foreign {
+                    return Err(AllocationError::ForeignPair {
+                        vm: i,
+                        topic: p.topic,
+                        subscriber: v,
+                    });
+                }
+                match rate {
+                    Some(ev) => actual += ev * (p.subscribers.len() as u64 + 1),
+                    None => empty_rows = true,
                 }
             }
-            let actual = vm.outgoing_volume(workload) + vm.incoming_volume(workload);
+            if empty_rows {
+                // No pair vouches for an empty row's topic, so its rate is
+                // read only after every row of the VM passed.
+                for p in vm.placements().iter().filter(|p| p.subscribers.is_empty()) {
+                    actual += workload.rate(p.topic);
+                }
+            }
             if actual != vm.used() {
                 return Err(AllocationError::BandwidthMismatch {
                     vm: i,
@@ -608,18 +648,47 @@ impl Allocation {
                 });
             }
         }
-        let delivered = self.delivered_rates(workload);
         for v in workload.subscribers() {
             let required = workload.tau_v(v, tau);
-            if delivered[v.index()] < required {
+            let delivered = delivery.rates[v.index()];
+            if delivered < required {
                 return Err(AllocationError::UnsatisfiedSubscriber {
                     subscriber: v,
-                    delivered: delivered[v.index()],
+                    delivered,
                     required,
                 });
             }
         }
         Ok(())
+    }
+}
+
+/// Rate delivered per subscriber under Eq. 3's `max_b x_tvb`: an
+/// interest pair counts once however many VMs carry it. Dedupe is one bit
+/// per position of the interest arena ([`Workload::pair_index`]), a flat
+/// bitmap instead of a hash set per subscriber.
+struct Delivery {
+    seen: Vec<u64>,
+    rates: Vec<Rate>,
+}
+
+impl Delivery {
+    fn new(workload: &Workload) -> Delivery {
+        Delivery {
+            seen: vec![0; (workload.pair_count() as usize).div_ceil(64)],
+            rates: vec![Rate::ZERO; workload.num_subscribers()],
+        }
+    }
+
+    /// Credits `ev` to subscriber `v` unless interest pair `pair` (its
+    /// arena position) was credited before.
+    #[inline]
+    fn credit(&mut self, pair: usize, v: SubscriberId, ev: Rate) {
+        let (word, bit) = (pair / 64, 1u64 << (pair % 64));
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.rates[v.index()] += ev;
+        }
     }
 }
 
@@ -724,10 +793,14 @@ mod tests {
             .unwrap()
             .push(SubscriberId::new(0));
         let a = Allocation::from_tables(vec![t], &w, Bandwidth::new(100));
-        assert!(matches!(
+        assert_eq!(
             a.validate(&w, Rate::ZERO),
-            Err(AllocationError::DuplicatePair { .. })
-        ));
+            Err(AllocationError::DuplicatePair {
+                vm: 0,
+                topic: TopicId::new(1),
+                subscriber: SubscriberId::new(0),
+            })
+        );
     }
 
     #[test]
@@ -735,10 +808,430 @@ mod tests {
         let w = workload();
         // v1 never subscribed to t0.
         let a = Allocation::from_tables(vec![table(&[(0, &[1])])], &w, Bandwidth::new(100));
-        assert!(matches!(
+        assert_eq!(
             a.validate(&w, Rate::ZERO),
-            Err(AllocationError::ForeignPair { vm: 0, .. })
-        ));
+            Err(AllocationError::ForeignPair {
+                vm: 0,
+                topic: TopicId::new(0),
+                subscriber: SubscriberId::new(1),
+            })
+        );
+    }
+
+    /// A VM built field by field, bypassing `from_groups`' sort and
+    /// bandwidth recompute, so a test can plant any inconsistency.
+    fn vm(rows: &[(u32, &[u32])], used: u64) -> VmAllocation {
+        VmAllocation {
+            placements: rows
+                .iter()
+                .map(|&(t, vs)| TopicPlacement {
+                    topic: TopicId::new(t),
+                    subscribers: vs.iter().map(|&v| SubscriberId::new(v)).collect(),
+                })
+                .collect(),
+            used: Bandwidth::new(used),
+        }
+    }
+
+    #[test]
+    fn validate_catches_bandwidth_mismatch() {
+        let w = workload();
+        // (t1, {v0, v1}) costs 10·2 out + 10 in = 30, recorded as 31.
+        let a = Allocation::from_vm_allocations(vec![vm(&[(1, &[0, 1])], 31)], Bandwidth::new(100));
+        assert_eq!(
+            a.validate(&w, Rate::ZERO),
+            Err(AllocationError::BandwidthMismatch {
+                vm: 0,
+                recorded: Bandwidth::new(31),
+                actual: Bandwidth::new(30),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_catches_a_topic_placed_twice_on_one_vm() {
+        let w = workload();
+        // The error names the second row's first subscriber ...
+        let a = Allocation::from_vm_allocations(
+            vec![vm(&[(1, &[0]), (1, &[1])], 40)],
+            Bandwidth::new(100),
+        );
+        assert_eq!(
+            a.validate(&w, Rate::ZERO),
+            Err(AllocationError::DuplicatePair {
+                vm: 0,
+                topic: TopicId::new(1),
+                subscriber: SubscriberId::new(1),
+            })
+        );
+        // ... or subscriber 0 when that row is empty.
+        let a = Allocation::from_vm_allocations(
+            vec![vm(&[(0, &[0]), (1, &[0]), (1, &[])], 70)],
+            Bandwidth::new(100),
+        );
+        assert_eq!(
+            a.validate(&w, Rate::ZERO),
+            Err(AllocationError::DuplicatePair {
+                vm: 0,
+                topic: TopicId::new(1),
+                subscriber: SubscriberId::new(0),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_reports_the_first_violation_in_vm_order() {
+        // t0 (rate 20) is followed by v0 and v2, t1 (rate 10) by all three.
+        let w = Workload::from_parts(
+            vec![Rate::new(20), Rate::new(10)],
+            vec![
+                vec![TopicId::new(0), TopicId::new(1)],
+                vec![TopicId::new(1)],
+                vec![TopicId::new(0), TopicId::new(1)],
+            ],
+        );
+        let fleet =
+            |vms: Vec<VmAllocation>| Allocation::from_vm_allocations(vms, Bandwidth::new(60));
+        let valid = || vm(&[(1, &[0])], 20);
+        // VM 1 holds a foreign pair in its first row and a duplicate
+        // subscriber in its second; VM 2 misrecords its bandwidth; VM 3
+        // exceeds the capacity; nobody serves v1 its τ_v.
+        let mut vms = vec![
+            valid(),
+            vm(&[(0, &[1]), (1, &[2, 2])], 50),
+            vm(&[(1, &[1])], 25),
+            vm(&[(0, &[0, 2]), (1, &[2])], 80),
+        ];
+        let tau = Rate::new(10);
+        let error = |vms: &[VmAllocation]| fleet(vms.to_vec()).validate(&w, tau);
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::ForeignPair {
+                vm: 1,
+                topic: TopicId::new(0),
+                subscriber: SubscriberId::new(1),
+            })
+        );
+        // An empty row of an unknown topic has no pair to report, and does
+        // not stop the check of the rows after it.
+        vms[1] = vm(&[(7, &[]), (0, &[1])], 0);
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::ForeignPair {
+                vm: 1,
+                topic: TopicId::new(0),
+                subscriber: SubscriberId::new(1),
+            })
+        );
+        // Within one row, a duplicate subscriber outranks an earlier
+        // foreign one.
+        vms[1] = vm(&[(0, &[1, 2, 2])], 80);
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::DuplicatePair {
+                vm: 1,
+                topic: TopicId::new(0),
+                subscriber: SubscriberId::new(2),
+            })
+        );
+        vms[1] = valid();
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::BandwidthMismatch {
+                vm: 2,
+                recorded: Bandwidth::new(25),
+                actual: Bandwidth::new(20),
+            })
+        );
+        vms[2] = valid();
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::CapacityExceeded {
+                vm: 3,
+                used: Bandwidth::new(80),
+                capacity: Bandwidth::new(60),
+            })
+        );
+        vms[3] = valid();
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::UnsatisfiedSubscriber {
+                subscriber: SubscriberId::new(1),
+                delivered: Rate::ZERO,
+                required: Rate::new(10),
+            })
+        );
+        vms.push(vm(&[(1, &[1, 2])], 30));
+        vms.push(vm(&[(0, &[2])], 40));
+        assert_eq!(error(&vms), Ok(()));
+    }
+
+    /// `validate` as it stood before the one-sweep rewrite: a binary
+    /// search of the interest row per placed pair for the foreign check,
+    /// then a second `pair_index` search per pair for delivery. Kept as
+    /// the oracle the one-sweep version must match result for result.
+    fn validate_two_search(
+        a: &Allocation,
+        workload: &Workload,
+        tau: Rate,
+    ) -> Result<(), AllocationError> {
+        for (i, vm) in a.vms.iter().enumerate() {
+            let mut prev: Option<TopicId> = None;
+            for p in vm.placements() {
+                if prev == Some(p.topic) {
+                    return Err(AllocationError::DuplicatePair {
+                        vm: i,
+                        topic: p.topic,
+                        subscriber: p
+                            .subscribers
+                            .first()
+                            .copied()
+                            .unwrap_or(SubscriberId::new(0)),
+                    });
+                }
+                prev = Some(p.topic);
+                for pair in p.subscribers.windows(2) {
+                    if pair[0] == pair[1] {
+                        return Err(AllocationError::DuplicatePair {
+                            vm: i,
+                            topic: p.topic,
+                            subscriber: pair[0],
+                        });
+                    }
+                }
+                for &v in &p.subscribers {
+                    if workload.interests(v).binary_search(&p.topic).is_err() {
+                        return Err(AllocationError::ForeignPair {
+                            vm: i,
+                            topic: p.topic,
+                            subscriber: v,
+                        });
+                    }
+                }
+            }
+            let actual = vm.outgoing_volume(workload) + vm.incoming_volume(workload);
+            if actual != vm.used() {
+                return Err(AllocationError::BandwidthMismatch {
+                    vm: i,
+                    recorded: vm.used(),
+                    actual,
+                });
+            }
+            let vm_capacity = a.vm_capacity(i);
+            if vm.used() > vm_capacity {
+                return Err(AllocationError::CapacityExceeded {
+                    vm: i,
+                    used: vm.used(),
+                    capacity: vm_capacity,
+                });
+            }
+        }
+        let mut seen = vec![false; workload.pair_count() as usize];
+        let mut delivered = vec![Rate::ZERO; workload.num_subscribers()];
+        for vm in &a.vms {
+            for p in vm.placements() {
+                for &v in &p.subscribers {
+                    let i = workload
+                        .pair_index(v, p.topic)
+                        .expect("foreign pairs returned above");
+                    if !seen[i] {
+                        seen[i] = true;
+                        delivered[v.index()] += workload.rate(p.topic);
+                    }
+                }
+            }
+        }
+        for v in workload.subscribers() {
+            let required = workload.tau_v(v, tau);
+            if delivered[v.index()] < required {
+                return Err(AllocationError::UnsatisfiedSubscriber {
+                    subscriber: v,
+                    delivered: delivered[v.index()],
+                    required,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Number of mutation kinds [`mutated_case`] knows, the last being
+    /// "no mutation".
+    const MUTATIONS: u8 = 8;
+
+    /// A random small instance — workload, an allocation of a random
+    /// subset of its pairs over a few VMs (sometimes typed), and τ —
+    /// with one injected mutation:
+    ///
+    /// 0. a dropped pair;
+    /// 1. an added foreign pair;
+    /// 2. an out-of-range topic id;
+    /// 3. a duplicated subscriber;
+    /// 4. a duplicated topic row;
+    /// 5. a perturbed `used`;
+    /// 6. a shrunken (tier) capacity;
+    /// 7. none.
+    ///
+    /// A mutation with no target in the drawn instance is skipped.
+    fn mutated_case(seed: u64, mutation: u8) -> (Workload, Allocation, Rate) {
+        use cloud_cost::instances;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topics = rng.gen_range(1..6usize);
+        let rates = (0..topics)
+            .map(|_| Rate::new(rng.gen_range(1..50u64)))
+            .collect();
+        let interests = (0..rng.gen_range(1..8usize))
+            .map(|_| {
+                (0..topics as u32)
+                    .filter(|_| rng.gen_bool(0.6))
+                    .map(TopicId::new)
+                    .collect()
+            })
+            .collect();
+        let w = Workload::from_parts(rates, interests);
+        let vm_count = rng.gen_range(1..4usize);
+        let mut groups: Vec<BTreeMap<TopicId, Vec<SubscriberId>>> = vec![BTreeMap::new(); vm_count];
+        for t in w.topics() {
+            for &v in w.subscribers_of(t) {
+                if rng.gen_bool(0.85) {
+                    let b = rng.gen_range(0..vm_count);
+                    groups[b].entry(t).or_default().push(v);
+                }
+            }
+        }
+        let mut pick_row = |groups: &mut [BTreeMap<TopicId, Vec<SubscriberId>>]| {
+            let rows: Vec<(usize, TopicId)> = groups
+                .iter()
+                .enumerate()
+                .flat_map(|(b, g)| g.keys().map(move |&t| (b, t)))
+                .collect();
+            (!rows.is_empty()).then(|| rows[rng.gen_range(0..rows.len())])
+        };
+        match mutation {
+            0 => {
+                if let Some((b, t)) = pick_row(&mut groups) {
+                    let subs = groups[b].get_mut(&t).unwrap();
+                    subs.remove(seed as usize % subs.len());
+                }
+            }
+            1 => {
+                let foreign: Vec<(TopicId, SubscriberId)> = w
+                    .topics()
+                    .flat_map(|t| w.subscribers().map(move |v| (t, v)))
+                    .filter(|&(t, v)| w.pair_index(v, t).is_none())
+                    .collect();
+                if !foreign.is_empty() {
+                    let (t, v) = foreign[seed as usize % foreign.len()];
+                    groups[seed as usize % vm_count]
+                        .entry(t)
+                        .or_default()
+                        .push(v);
+                }
+            }
+            3 => {
+                if let Some((b, t)) = pick_row(&mut groups) {
+                    let subs = groups[b].get_mut(&t).unwrap();
+                    let v = subs[seed as usize % subs.len()];
+                    subs.push(v);
+                }
+            }
+            _ => {}
+        }
+        let groups = groups
+            .into_iter()
+            .map(|g| g.into_iter().collect())
+            .collect();
+        let mut a = Allocation::from_groups(groups, &w, Bandwidth::new(1));
+        let max_used = a
+            .vms
+            .iter()
+            .map(|vm| vm.used())
+            .max()
+            .unwrap_or(Bandwidth::ZERO);
+        a.capacity = max_used + Bandwidth::new(rng.gen_range(1..20u64));
+        if rng.gen_bool(0.3) {
+            let tiers = vec![
+                (instances::C3_LARGE, max_used + Bandwidth::new(1)),
+                (instances::C3_XLARGE, a.capacity),
+            ];
+            let assignment = (0..vm_count).map(|_| rng.gen_range(0..2u32)).collect();
+            a = a.with_typing(FleetTyping::new(tiers, assignment));
+        }
+        let rows: Vec<(usize, usize)> = a
+            .vms
+            .iter()
+            .enumerate()
+            .flat_map(|(b, vm)| (0..vm.placements.len()).map(move |j| (b, j)))
+            .collect();
+        let row = (!rows.is_empty()).then(|| rows[rng.gen_range(0..rows.len())]);
+        match (mutation, row) {
+            (2, Some((b, j))) if !a.vms[b].placements[j].subscribers.is_empty() => {
+                let t = topics as u32 + rng.gen_range(0..3u32);
+                a.vms[b].placements[j].topic = TopicId::new(t);
+            }
+            (4, Some((b, j))) => {
+                let copy = a.vms[b].placements[j].clone();
+                a.vms[b].placements.insert(j + 1, copy);
+            }
+            (5, Some((b, _))) => {
+                let delta = Bandwidth::new(rng.gen_range(1..5u64));
+                let used = &mut a.vms[b].used;
+                *used = if rng.gen_bool(0.5) && *used >= delta {
+                    *used - delta
+                } else {
+                    *used + delta
+                };
+            }
+            (6, _) => {
+                let shrunk = Bandwidth::new(rng.gen_range(1..=max_used.get().max(1)));
+                match a.typing.take() {
+                    Some(typing) => {
+                        let mut tiers = typing.tiers().to_vec();
+                        let tier = rng.gen_range(0..tiers.len());
+                        tiers[tier].1 = shrunk;
+                        a.typing = Some(FleetTyping::new(tiers, typing.assignment().to_vec()));
+                    }
+                    None => a.capacity = shrunk,
+                }
+            }
+            _ => {}
+        }
+        (w, a, Rate::new(rng.gen_range(0..60u64)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The one-sweep `validate` returns exactly the two-search
+        /// oracle's `Result` — the same variant, VM and payload.
+        #[test]
+        fn validate_matches_the_two_search_oracle(seed in 0u64..u64::MAX, mutation in 0u8..MUTATIONS) {
+            let (w, a, tau) = mutated_case(seed, mutation);
+            proptest::prop_assert_eq!(a.validate(&w, tau), validate_two_search(&a, &w, tau));
+        }
+    }
+
+    /// The mutations above reach every `AllocationError` variant and the
+    /// valid case, so the differential test is not vacuous.
+    #[test]
+    fn mutated_cases_reach_every_verdict() {
+        let mut reached = [false; 6];
+        for seed in 0..2_000u64 {
+            let (w, a, tau) = mutated_case(seed, (seed % u64::from(MUTATIONS)) as u8);
+            let verdict = match validate_two_search(&a, &w, tau) {
+                Ok(()) => 0,
+                Err(AllocationError::ForeignPair { .. }) => 1,
+                Err(AllocationError::DuplicatePair { .. }) => 2,
+                Err(AllocationError::BandwidthMismatch { .. }) => 3,
+                Err(AllocationError::CapacityExceeded { .. }) => 4,
+                Err(AllocationError::UnsatisfiedSubscriber { .. }) => 5,
+            };
+            reached[verdict] = true;
+        }
+        assert_eq!(reached, [true; 6]);
     }
 
     #[test]

@@ -873,15 +873,20 @@ impl Snapshot {
         })
     }
 
-    /// Deserializes a v3 (store-container) snapshot with zero derived-
-    /// state rebuild.
-    fn from_store_bytes(bytes: Vec<u8>, path: &Path) -> Result<Snapshot, ServeError> {
-        let as_corrupt = |e: StoreError| ServeError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("corrupted snapshot: {e}"),
+    /// Loads a v3 (store-container) snapshot with zero derived-state
+    /// rebuild, streaming each section through the store reader.
+    fn from_store(path: &Path) -> Result<Snapshot, ServeError> {
+        let as_corrupt = |e: StoreError| match e {
+            StoreError::Io(e) => ServeError::Io(e),
+            e => ServeError::Corrupt {
+                path: path.to_path_buf(),
+                detail: format!("corrupted snapshot: {e}"),
+            },
         };
-        let mut reader = StoreReader::from_bytes(bytes).map_err(as_corrupt)?;
-        let meta = reader.u64s(store_section::SERVE_META).map_err(as_corrupt)?;
+        let mut reader = StoreReader::open(path).map_err(as_corrupt)?;
+        let meta = reader
+            .read_u64s(store_section::SERVE_META)
+            .map_err(as_corrupt)?;
         let [last_seq, epochs_applied, tau, capacity] = meta[..] else {
             return Err(ServeError::Corrupt {
                 path: path.to_path_buf(),
@@ -892,8 +897,8 @@ impl Snapshot {
             });
         };
         let workload = mcss_store::read_workload_sections(&mut reader).map_err(as_corrupt)?;
-        let selection = crate::store::read_selection_sections(&reader).map_err(as_corrupt)?;
-        let slots = crate::store::read_ledger_sections(&reader).map_err(as_corrupt)?;
+        let selection = crate::store::read_selection_sections(&mut reader).map_err(as_corrupt)?;
+        let slots = crate::store::read_ledger_sections(&mut reader).map_err(as_corrupt)?;
         Ok(Snapshot {
             last_seq,
             epochs_applied,
@@ -985,10 +990,13 @@ impl Snapshot {
             path: path.to_path_buf(),
             detail: format!("corrupted snapshot: {detail}"),
         };
-        let bytes = fs::read(path)?;
-        if bytes.len() >= 8 && &bytes[..8] == mcss_store::MAGIC {
-            return Snapshot::from_store_bytes(bytes, path);
+        let mut file = File::open(path)?;
+        let mut bytes = Vec::new();
+        (&mut file).take(8).read_to_end(&mut bytes)?;
+        if bytes[..] == mcss_store::MAGIC[..] {
+            return Snapshot::from_store(path);
         }
+        file.read_to_end(&mut bytes)?;
         if bytes.len() < 24 || &bytes[..8] != SNAP_MAGIC {
             return Err(corrupt("not an mcss snapshot (bad magic)"));
         }

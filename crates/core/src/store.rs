@@ -34,10 +34,10 @@ pub fn write_selection_sections(store: &mut StoreBuilder, selection: &Selection)
 /// Container errors from the reader, or
 /// [`StoreError::SectionMalformed`] when the CSR is structurally
 /// inconsistent.
-pub fn read_selection_sections(store: &StoreReader) -> Result<Selection, StoreError> {
-    let offsets = store.u32s(section::SELECTION_OFFSETS)?;
+pub fn read_selection_sections(store: &mut StoreReader) -> Result<Selection, StoreError> {
+    let offsets = store.read_u32s(section::SELECTION_OFFSETS)?;
     let topics: Vec<TopicId> = store
-        .u32s(section::SELECTION_TOPICS)?
+        .read_u32s(section::SELECTION_TOPICS)?
         .into_iter()
         .map(TopicId::new)
         .collect();
@@ -92,18 +92,18 @@ pub fn write_ledger_sections(store: &mut StoreBuilder, slots: &[LedgerSlot]) {
 /// [`StoreError::SectionMalformed`] naming the first section whose
 /// contents are inconsistent (bad state byte, non-monotone row offsets,
 /// row counts that disagree with the arena lengths).
-pub fn read_ledger_sections(store: &StoreReader) -> Result<Vec<LedgerSlot>, StoreError> {
+pub fn read_ledger_sections(store: &mut StoreReader) -> Result<Vec<LedgerSlot>, StoreError> {
     const SLOT_BYTES: usize = 24;
-    let table = store.bytes(section::LEDGER_SLOTS)?;
+    let table = store.read_bytes(section::LEDGER_SLOTS)?;
     if table.len() % SLOT_BYTES != 0 {
         return Err(malformed(
             section::LEDGER_SLOTS,
             format!("{} bytes is not a whole number of slots", table.len()),
         ));
     }
-    let row_topics = store.u32s(section::LEDGER_ROW_TOPICS)?;
-    let row_offsets = store.u32s(section::LEDGER_ROW_OFFSETS)?;
-    let subscribers = store.u32s(section::LEDGER_SUBSCRIBERS)?;
+    let row_topics = store.read_u32s(section::LEDGER_ROW_TOPICS)?;
+    let row_offsets = store.read_u32s(section::LEDGER_ROW_OFFSETS)?;
+    let subscribers = store.read_u32s(section::LEDGER_SUBSCRIBERS)?;
     if row_offsets.len() != row_topics.len() + 1 {
         return Err(malformed(
             section::LEDGER_ROW_OFFSETS,

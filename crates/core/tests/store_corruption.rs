@@ -13,7 +13,7 @@ use mcss_core::serve::{
 };
 use mcss_store::{StoreReader, WorkloadStoreExt};
 use proptest::prelude::*;
-use pubsub_model::{Bandwidth, Rate, Workload};
+use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,7 +99,7 @@ fn flipping_any_section_byte_fails_closed_with_the_section_named() {
     let dir = scratch("snapshot-sweep");
     let path = daemon_snapshot(&dir);
     let pristine = std::fs::read(&path).unwrap();
-    let reader = StoreReader::from_bytes(pristine.clone()).unwrap();
+    let reader = StoreReader::open(&path).unwrap();
     let sections: Vec<_> = reader
         .sections()
         .iter()
@@ -139,7 +139,7 @@ fn workload_store_corruption_names_each_section() {
     let path = dir.join("workload.mcss");
     drifted_workload(7, 4).to_store(&path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
-    let reader = StoreReader::from_bytes(pristine.clone()).unwrap();
+    let reader = StoreReader::open(&path).unwrap();
     let sections: Vec<_> = reader
         .sections()
         .iter()
@@ -161,6 +161,65 @@ fn workload_store_corruption_names_each_section() {
             msg.contains(&format!("`{name}`")),
             "error for damaged section `{name}` must name it, got: {msg}"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Arena sections longer than two of the reader's 512 KiB chunks: the
+/// store round-trips bit-identically, and a byte flipped in the last
+/// chunk of each such section fails closed with that section named —
+/// the chained per-chunk checksum covers every chunk, not just the first.
+#[test]
+fn multi_chunk_sections_roundtrip_and_fail_closed() {
+    const CHUNK: u64 = 512 * 1024;
+    let topics = 4_000u32;
+    let rates = (0..topics)
+        .map(|t| Rate::new(1 + u64::from(t % 97)))
+        .collect();
+    let interests = (0..20_000u32)
+        .map(|v| {
+            let first = v.wrapping_mul(2_654_435_761) >> 8;
+            (0..16u32)
+                .map(|k| TopicId::new(first.wrapping_add(k * 251) % topics))
+                .collect()
+        })
+        .collect();
+    let workload = Workload::from_parts(rates, interests);
+    assert!(workload.pair_count() >= 300_000);
+
+    let dir = scratch("multi-chunk");
+    let path = dir.join("large.mcss");
+    workload.to_store(&path).unwrap();
+    let loaded = Workload::from_store(&path).unwrap();
+    assert_eq!(loaded, workload);
+    for v in workload.subscribers() {
+        assert_eq!(loaded.ranked_interests(v), workload.ranked_interests(v));
+    }
+
+    let pristine = std::fs::read(&path).unwrap();
+    let large: Vec<_> = StoreReader::open(&path)
+        .unwrap()
+        .sections()
+        .iter()
+        .filter(|s| s.len > 2 * CHUNK)
+        .map(|s| (s.name, s.offset, s.len))
+        .collect();
+    let names: Vec<_> = large.iter().map(|s| s.0).collect();
+    assert_eq!(names, ["interest-topics", "ranked-topics", "follower-ids"]);
+    for (name, offset, len) in large {
+        let last_chunk = offset + (len - 1) / CHUNK * CHUNK;
+        for target in [last_chunk, offset + len - 1] {
+            let mut damaged = pristine.clone();
+            damaged[target as usize] ^= 0x10;
+            std::fs::write(&path, &damaged).unwrap();
+            let msg = Workload::from_store(&path)
+                .expect_err(&format!("a flipped byte in `{name}` must not load"))
+                .to_string();
+            assert!(
+                msg.contains(&format!("`{name}`")) && msg.contains("CRC32"),
+                "damage in the last chunk of `{name}` must name it, got: {msg}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

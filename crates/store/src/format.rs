@@ -4,12 +4,14 @@
 //! The format is deliberately dumb: a 4096-byte header page (magic,
 //! version, section table) followed by each section's raw payload at a
 //! 4096-byte-aligned offset. Payloads are the in-memory arenas written
-//! little-endian, so loading is one `read` plus a CRC sweep plus a
-//! bounds-checked widening pass — no parsing, no per-row work.
+//! little-endian, so loading a section is a streamed read, a CRC sweep
+//! and a widening pass over the same warm chunk — no parsing, no per-row
+//! work.
 
+use crate::crc::{self, crc32};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic: the first eight bytes of every store.
@@ -86,204 +88,6 @@ pub fn section_name(id: u32) -> &'static str {
         section::SERVE_META => "serve-meta",
         _ => "unknown",
     }
-}
-
-// ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
-// ---------------------------------------------------------------------
-
-/// Sixteen derived tables for slicing-by-16: `CRC_TABLES[k][b]` is the
-/// CRC of byte `b` followed by `k` zero bytes, so sixteen independent
-/// lookups fold sixteen input bytes per iteration. `CRC_TABLES[0]` is
-/// the classic byte-at-a-time table.
-const CRC_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut i = 0;
-    while i < 256 {
-        let mut c = tables[0][i];
-        let mut k = 1;
-        while k < 16 {
-            c = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
-            tables[k][i] = c;
-            k += 1;
-        }
-        i += 1;
-    }
-    tables
-};
-
-/// One slicing-by-16 step: folds sixteen bytes of `chunk` into `c`.
-#[inline(always)]
-fn crc_step16(c: u32, chunk: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let a = u64::from_le_bytes(chunk[0..8].try_into().unwrap()) ^ u64::from(c);
-    let b = u64::from_le_bytes(chunk[8..16].try_into().unwrap());
-    t[15][(a & 0xFF) as usize]
-        ^ t[14][((a >> 8) & 0xFF) as usize]
-        ^ t[13][((a >> 16) & 0xFF) as usize]
-        ^ t[12][((a >> 24) & 0xFF) as usize]
-        ^ t[11][((a >> 32) & 0xFF) as usize]
-        ^ t[10][((a >> 40) & 0xFF) as usize]
-        ^ t[9][((a >> 48) & 0xFF) as usize]
-        ^ t[8][(a >> 56) as usize]
-        ^ t[7][(b & 0xFF) as usize]
-        ^ t[6][((b >> 8) & 0xFF) as usize]
-        ^ t[5][((b >> 16) & 0xFF) as usize]
-        ^ t[4][((b >> 24) & 0xFF) as usize]
-        ^ t[3][((b >> 32) & 0xFF) as usize]
-        ^ t[2][((b >> 40) & 0xFF) as usize]
-        ^ t[1][((b >> 48) & 0xFF) as usize]
-        ^ t[0][(b >> 56) as usize]
-}
-
-/// Raw (no pre/post inversion) single-chain CRC update over `bytes`.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(16);
-    for chunk in &mut chunks {
-        c = crc_step16(c, chunk);
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-// CRC32 is a linear code over GF(2): the CRC of `A || B` equals the CRC
-// of `A` advanced over `len(B)` zero bytes, XOR the raw CRC of `B`.
-// Advancing is multiplication by a 32×32 GF(2) matrix, so independent
-// chunk CRCs can be stitched together exactly — which lets the hot loop
-// run four independent lookup chains (the table walk is latency-bound,
-// not bandwidth-bound) and lets the streaming section loader checksum
-// bounded chunks without holding a whole section in memory.
-
-/// Matrix advancing a CRC over one zero *byte*, built by squaring the
-/// one-zero-bit operator three times (1 → 2 → 4 → 8 bits).
-const CRC_BYTE_OP: [u32; 32] = {
-    const fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
-        let mut sum = 0u32;
-        let mut i = 0;
-        while vec != 0 {
-            if vec & 1 != 0 {
-                sum ^= mat[i];
-            }
-            vec >>= 1;
-            i += 1;
-        }
-        sum
-    }
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320;
-    let mut i = 1;
-    while i < 32 {
-        odd[i] = 1 << (i - 1);
-        i += 1;
-    }
-    let mut k = 0;
-    while k < 3 {
-        let mut sq = [0u32; 32];
-        let mut j = 0;
-        while j < 32 {
-            sq[j] = times(&odd, odd[j]);
-            j += 1;
-        }
-        odd = sq;
-        k += 1;
-    }
-    odd
-};
-
-fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
-    let mut sum = 0u32;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-/// The GF(2) matrix advancing a CRC over `len` zero bytes
-/// ([`CRC_BYTE_OP`] raised to the `len`-th power by square-and-multiply).
-fn crc32_shift_op(len: u64) -> [u32; 32] {
-    let mut result = [0u32; 32];
-    for (i, r) in result.iter_mut().enumerate() {
-        *r = 1 << i; // identity
-    }
-    let mut base = CRC_BYTE_OP;
-    let mut n = len;
-    while n != 0 {
-        if n & 1 != 0 {
-            let mut next = [0u32; 32];
-            for (i, x) in next.iter_mut().enumerate() {
-                *x = gf2_times(&base, result[i]);
-            }
-            result = next;
-        }
-        n >>= 1;
-        if n != 0 {
-            let mut sq = [0u32; 32];
-            for (i, x) in sq.iter_mut().enumerate() {
-                *x = gf2_times(&base, base[i]);
-            }
-            base = sq;
-        }
-    }
-    result
-}
-
-/// Raw CRC update running four independent slicing-by-16 chains over
-/// quarters of `bytes`, stitched with the GF(2) shift operator. The
-/// single-chain loop is latency-bound on its table lookups; four chains
-/// overlap those latencies for ~2x throughput on the same tables.
-fn crc32_update_wide(init: u32, bytes: &[u8]) -> u32 {
-    let q = (bytes.len() / 4) & !15;
-    if q < 256 {
-        return crc32_update(init, bytes);
-    }
-    let (p0, rest) = bytes.split_at(q);
-    let (p1, rest) = rest.split_at(q);
-    let (p2, rest) = rest.split_at(q);
-    let (p3, tail) = rest.split_at(q);
-    let (mut c0, mut c1, mut c2, mut c3) = (init, 0u32, 0u32, 0u32);
-    for i in 0..q / 16 {
-        let o = i * 16;
-        c0 = crc_step16(c0, &p0[o..o + 16]);
-        c1 = crc_step16(c1, &p1[o..o + 16]);
-        c2 = crc_step16(c2, &p2[o..o + 16]);
-        c3 = crc_step16(c3, &p3[o..o + 16]);
-    }
-    let shift_q = crc32_shift_op(q as u64);
-    let mut c = gf2_times(&shift_q, c0) ^ c1;
-    c = gf2_times(&shift_q, c) ^ c2;
-    c = gf2_times(&shift_q, c) ^ c3;
-    crc32_update(c, tail)
-}
-
-/// CRC32 (IEEE 802.3, the zlib/PNG polynomial) over `bytes`. Runs four
-/// interleaved lookup chains (`crc32_update_wide`), sustaining
-/// multiple GB/s — the load-path CRC sweep over a store stays a small
-/// fraction of the one-read cold start even at a million subscribers.
-/// Identical values to the classic one-lookup-per-byte loop.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update_wide(!0, bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -573,43 +377,53 @@ fn validate_header(bytes: &[u8], actual_len: u64) -> Result<Vec<SectionInfo>, St
     Ok(sections)
 }
 
-/// A loaded store: the whole file in memory plus its validated section
-/// table. Opening performs header validation only; each section's
-/// payload CRC is checked on first access, so corruption is always
-/// attributed to a named section.
+/// Bytes streamed per `read` — large enough to amortize syscalls, small
+/// enough to stay cache-resident, so the checksum and the widening pass
+/// both read the kernel's copy out of L2 instead of sweeping the whole
+/// section through DRAM a second time.
+const STREAM_CHUNK: usize = 512 * 1024;
+
+/// A store opened for reading. Opening validates the header page against
+/// the file's on-disk length; each requested section is then streamed
+/// through a fixed cache-sized scratch buffer, checksummed chunk by chunk
+/// while the bytes are warm, and widened into the section's final `Vec`.
+/// Sections fail closed: a payload whose checksum mismatches is reported
+/// by name, and its data is never returned.
 #[derive(Debug)]
 pub struct StoreReader {
-    bytes: Vec<u8>,
+    file: File,
+    file_len: u64,
     sections: Vec<SectionInfo>,
+    scratch: Vec<u8>,
 }
 
 impl StoreReader {
-    /// Reads and validates a store file — one `read` syscall for the
-    /// whole file, then pure in-memory checks.
+    /// Opens a store and validates its header page: magic, version,
+    /// header checksum, and every table entry's bounds and alignment
+    /// against the file's length. No section payload is read yet.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] on filesystem failures, otherwise any header
-    /// validation error from [`StoreReader::from_bytes`].
-    pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        StoreReader::from_bytes(fs::read(path)?)
-    }
-
-    /// Validates an in-memory store image: magic, version, header
-    /// checksum, and every table entry's bounds and alignment.
-    ///
-    /// # Errors
-    ///
+    /// [`StoreError::Io`] on filesystem failures, otherwise
     /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`], or
     /// [`StoreError::HeaderCorrupt`] naming what is inconsistent.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<StoreReader, StoreError> {
-        let sections = validate_header(&bytes, bytes.len() as u64)?;
-        Ok(StoreReader { bytes, sections })
+    pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
+        let mut file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut header = vec![0u8; file_len.min(PAGE as u64) as usize];
+        file.read_exact(&mut header)?;
+        let sections = validate_header(&header, file_len)?;
+        Ok(StoreReader {
+            file,
+            file_len,
+            sections,
+            scratch: vec![0u8; STREAM_CHUNK],
+        })
     }
 
     /// Total file length in bytes.
     pub fn file_len(&self) -> u64 {
-        self.bytes.len() as u64
+        self.file_len
     }
 
     /// The validated section table, in file order.
@@ -617,157 +431,44 @@ impl StoreReader {
         &self.sections
     }
 
-    /// Whether the table lists section `id`.
-    pub fn has(&self, id: u32) -> bool {
-        self.sections.iter().any(|s| s.id == id)
-    }
-
-    /// A section's raw payload, CRC-verified.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::MissingSection`] when the table lacks `id`;
-    /// [`StoreError::SectionCrc`] naming the section when its payload
-    /// fails the checksum.
-    pub fn bytes(&self, id: u32) -> Result<&[u8], StoreError> {
-        let info = self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
-            StoreError::MissingSection {
-                section: section_name(id).to_string(),
-            }
-        })?;
-        let payload = &self.bytes[info.offset as usize..(info.offset + info.len) as usize];
-        if crc32(payload) != info.crc {
-            return Err(StoreError::SectionCrc {
-                section: info.name.to_string(),
-            });
-        }
-        Ok(payload)
-    }
-
-    /// A section decoded as little-endian u32s.
-    ///
-    /// # Errors
-    ///
-    /// As [`StoreReader::bytes`], plus [`StoreError::SectionMalformed`]
-    /// when the payload length is not a multiple of 4.
-    pub fn u32s(&self, id: u32) -> Result<Vec<u32>, StoreError> {
-        let payload = self.bytes(id)?;
-        if payload.len() % 4 != 0 {
-            return Err(StoreError::SectionMalformed {
-                section: section_name(id).to_string(),
-                detail: format!("{} bytes is not a whole number of u32s", payload.len()),
-            });
-        }
-        Ok(payload
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// A section decoded as little-endian u64s.
-    ///
-    /// # Errors
-    ///
-    /// As [`StoreReader::bytes`], plus [`StoreError::SectionMalformed`]
-    /// when the payload length is not a multiple of 8.
-    pub fn u64s(&self, id: u32) -> Result<Vec<u64>, StoreError> {
-        let payload = self.bytes(id)?;
-        if payload.len() % 8 != 0 {
-            return Err(StoreError::SectionMalformed {
-                section: section_name(id).to_string(),
-                detail: format!("{} bytes is not a whole number of u64s", payload.len()),
-            });
-        }
-        Ok(payload
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-/// Bytes streamed per `read` by [`StoreFile`] — large enough to
-/// amortize syscalls, small enough to stay cache-resident so the fused
-/// checksum-and-widen pass reads the kernel's copy out of L2 instead of
-/// sweeping the whole section through DRAM a second time.
-const STREAM_CHUNK: usize = 512 * 1024;
-
-/// A store opened for streaming section loads. Where [`StoreReader`]
-/// buffers the entire file, `StoreFile` reads the header page, then
-/// pulls each requested section through a fixed cache-sized scratch
-/// buffer, fusing the CRC sweep and the little-endian widening into one
-/// pass over warm bytes. On a memory-bandwidth-bound cold start this
-/// skips a whole-file DRAM round trip; per-chunk CRCs are stitched with
-/// the GF(2) shift operator so the verified value is identical to a
-/// single sweep. Sections still fail closed: a payload whose checksum
-/// mismatches is reported by name and its data is never returned.
-#[derive(Debug)]
-pub struct StoreFile {
-    file: File,
-    sections: Vec<SectionInfo>,
-    scratch: Vec<u8>,
-    /// [`CRC_BYTE_OP`]^`STREAM_CHUNK`, precomputed once: every full
-    /// chunk advances the running CRC by the same operator.
-    chunk_op: [u32; 32],
-}
-
-impl StoreFile {
-    /// Opens a store and validates its header page against the file's
-    /// on-disk length. No section payload is read yet.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failures, otherwise any header
-    /// validation error from [`StoreReader::from_bytes`].
-    pub fn open(path: &Path) -> Result<StoreFile, StoreError> {
-        let mut file = File::open(path)?;
-        let actual_len = file.metadata()?.len();
-        let mut header = vec![0u8; PAGE.min(actual_len as usize)];
-        io::Read::read_exact(&mut file, &mut header)?;
-        let sections = validate_header(&header, actual_len)?;
-        Ok(StoreFile {
-            file,
-            sections,
-            scratch: vec![0u8; STREAM_CHUNK],
-            chunk_op: crc32_shift_op(STREAM_CHUNK as u64),
-        })
-    }
-
-    /// The validated section table, in file order.
-    pub fn sections(&self) -> &[SectionInfo] {
-        &self.sections
-    }
-
-    /// Whether the table lists section `id`.
-    pub fn has(&self, id: u32) -> bool {
-        self.sections.iter().any(|s| s.id == id)
-    }
-
-    /// Streams section `id` through the scratch buffer, feeding each
-    /// chunk to `sink` while accumulating the payload CRC. `sink` output
-    /// must be discarded by the caller if this returns an error — the
-    /// checksum verdict only lands after the final chunk.
-    fn stream_section(&mut self, id: u32, mut sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
+    /// The table entry of section `id`, checking that its payload is a
+    /// whole number of `width`-byte elements.
+    fn entry(&self, id: u32, width: u64) -> Result<SectionInfo, StoreError> {
         let info = *self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
             StoreError::MissingSection {
                 section: section_name(id).to_string(),
             }
         })?;
-        io::Seek::seek(&mut self.file, io::SeekFrom::Start(info.offset))?;
-        let mut remaining = info.len as usize;
-        let mut acc = !0u32;
-        while remaining > 0 {
-            let n = remaining.min(STREAM_CHUNK);
-            let chunk = &mut self.scratch[..n];
-            io::Read::read_exact(&mut self.file, chunk)?;
-            acc = if n == STREAM_CHUNK {
-                gf2_times(&self.chunk_op, acc)
-            } else {
-                gf2_times(&crc32_shift_op(n as u64), acc)
-            } ^ crc32_update_wide(0, chunk);
-            sink(chunk);
-            remaining -= n;
+        if !info.len.is_multiple_of(width) {
+            return Err(StoreError::SectionMalformed {
+                section: info.name.to_string(),
+                detail: format!(
+                    "{} bytes is not a whole number of u{}s",
+                    info.len,
+                    width * 8
+                ),
+            });
         }
-        if !acc != info.crc {
+        Ok(info)
+    }
+
+    /// Streams section `info` through the scratch buffer, feeding each
+    /// chunk to `sink` while running the payload CRC. The caller must
+    /// discard what `sink` built if this returns an error: the checksum
+    /// verdict lands only after the final chunk.
+    fn stream(&mut self, info: SectionInfo, mut sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
+        self.file.seek(SeekFrom::Start(info.offset))?;
+        let mut remaining = info.len;
+        let mut state = !0u32;
+        while remaining > 0 {
+            let n = remaining.min(STREAM_CHUNK as u64) as usize;
+            let chunk = &mut self.scratch[..n];
+            self.file.read_exact(chunk)?;
+            state = crc::update(state, chunk);
+            sink(chunk);
+            remaining -= n as u64;
+        }
+        if !state != info.crc {
             return Err(StoreError::SectionCrc {
                 section: info.name.to_string(),
             });
@@ -775,17 +476,32 @@ impl StoreFile {
         Ok(())
     }
 
+    /// A section's raw payload, checksum-verified.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::MissingSection`] when the table lacks `id`;
+    /// [`StoreError::SectionCrc`] naming the section when its payload
+    /// fails the checksum; [`StoreError::Io`] on a failed read.
+    pub fn read_bytes(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
+        let info = self.entry(id, 1)?;
+        let mut out = Vec::with_capacity(info.len as usize);
+        self.stream(info, |chunk| out.extend_from_slice(chunk))?;
+        Ok(out)
+    }
+
     /// A section decoded as little-endian u32s, checksum-verified.
     ///
     /// # Errors
     ///
-    /// As [`StoreReader::u32s`]: missing section, CRC mismatch, or a
-    /// payload length that is not a multiple of 4.
+    /// As [`StoreReader::read_bytes`], plus
+    /// [`StoreError::SectionMalformed`] when the payload length is not a
+    /// multiple of 4.
     pub fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        let len = self.payload_len_checked(id, 4)?;
-        let mut out = Vec::with_capacity(len / 4);
+        let info = self.entry(id, 4)?;
+        let mut out = Vec::with_capacity(info.len as usize / 4);
         // STREAM_CHUNK is a multiple of 4, so no u32 straddles chunks.
-        self.stream_section(id, |chunk| {
+        self.stream(info, |chunk| {
             out.extend(
                 chunk
                     .chunks_exact(4)
@@ -799,12 +515,13 @@ impl StoreFile {
     ///
     /// # Errors
     ///
-    /// As [`StoreReader::u64s`]: missing section, CRC mismatch, or a
-    /// payload length that is not a multiple of 8.
+    /// As [`StoreReader::read_bytes`], plus
+    /// [`StoreError::SectionMalformed`] when the payload length is not a
+    /// multiple of 8.
     pub fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        let len = self.payload_len_checked(id, 8)?;
-        let mut out = Vec::with_capacity(len / 8);
-        self.stream_section(id, |chunk| {
+        let info = self.entry(id, 8)?;
+        let mut out = Vec::with_capacity(info.len as usize / 8);
+        self.stream(info, |chunk| {
             out.extend(
                 chunk
                     .chunks_exact(8)
@@ -812,102 +529,5 @@ impl StoreFile {
             );
         })?;
         Ok(out)
-    }
-
-    fn payload_len_checked(&self, id: u32, width: usize) -> Result<usize, StoreError> {
-        let info = self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
-            StoreError::MissingSection {
-                section: section_name(id).to_string(),
-            }
-        })?;
-        if !(info.len as usize).is_multiple_of(width) {
-            return Err(StoreError::SectionMalformed {
-                section: info.name.to_string(),
-                detail: format!(
-                    "{} bytes is not a whole number of u{}s",
-                    info.len,
-                    width * 8
-                ),
-            });
-        }
-        Ok(info.len as usize)
-    }
-}
-
-/// Checksum-verified, decoded section access — implemented by both the
-/// buffered [`StoreReader`] and the streaming [`StoreFile`], so codecs
-/// like `read_workload_sections` work against either. Methods take
-/// `&mut self` because the streaming reader advances a file cursor.
-pub trait ReadSections {
-    /// A section decoded as little-endian u32s, checksum-verified.
-    ///
-    /// # Errors
-    ///
-    /// Missing section, CRC mismatch (naming the section), or a payload
-    /// length that is not a multiple of 4.
-    fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError>;
-
-    /// A section decoded as little-endian u64s, checksum-verified.
-    ///
-    /// # Errors
-    ///
-    /// Missing section, CRC mismatch (naming the section), or a payload
-    /// length that is not a multiple of 8.
-    fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError>;
-}
-
-impl ReadSections for StoreReader {
-    fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        self.u32s(id)
-    }
-
-    fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        self.u64s(id)
-    }
-}
-
-impl ReadSections for StoreFile {
-    fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        StoreFile::read_u32s(self, id)
-    }
-
-    fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        StoreFile::read_u64s(self, id)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The classic one-lookup-per-byte loop, kept as the reference the
-    /// sliced implementation must agree with.
-    fn crc32_reference(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        !c
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The standard CRC-32/ISO-HDLC check vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn sliced_crc32_matches_byte_at_a_time_at_every_length() {
-        let data: Vec<u8> = (0..1024u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
-            .collect();
-        for len in 0..=data.len() {
-            assert_eq!(
-                crc32(&data[..len]),
-                crc32_reference(&data[..len]),
-                "sliced CRC diverged at length {len}"
-            );
-        }
     }
 }

@@ -7,8 +7,8 @@
 //! rebuild dominates cold start. This crate stores the arenas
 //! *themselves* — primaries and derived tables alike — as raw
 //! little-endian sections in one page-aligned, checksummed file, so a
-//! load is one `read`, a CRC sweep, and a bounds-checked widening pass:
-//! zero per-row work.
+//! load streams each section once, checksumming and widening each
+//! cache-warm chunk, then runs bounds scans: zero per-row work.
 //!
 //! Layout (field-by-field spec in `docs/STORE.md`):
 //!
@@ -20,20 +20,22 @@
 //! [`StoreError`]. Unknown section ids pass through readers untouched,
 //! so the format is forward-extensible without a version bump.
 //!
-//! The container ([`StoreBuilder`] / [`StoreReader`]) is generic; this
-//! crate also ships the workload codec ([`WorkloadStoreExt`]). The
-//! solver-side sections (Stage-1 selection, fleet ledger, serve
-//! metadata) are encoded by `mcss_core::store` on top of the same
-//! container.
+//! The container ([`StoreBuilder`] / [`StoreReader`]) is generic, and
+//! [`crc32`] is its one checksum; this crate also ships the workload
+//! codec ([`WorkloadStoreExt`]). The solver-side sections (Stage-1
+//! selection, fleet ledger, serve metadata) are encoded by
+//! `mcss_core::store` on top of the same container.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod crc;
 mod format;
 mod workload;
 
+pub use crc::crc32;
 pub use format::{
-    crc32, section, section_name, ReadSections, SectionInfo, StoreBuilder, StoreError, StoreFile,
-    StoreReader, MAGIC, MAX_SECTIONS, PAGE, VERSION,
+    section, section_name, SectionInfo, StoreBuilder, StoreError, StoreReader, MAGIC, MAX_SECTIONS,
+    PAGE, VERSION,
 };
 pub use workload::{read_workload_sections, write_workload_sections, WorkloadStoreExt};

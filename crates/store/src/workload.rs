@@ -1,7 +1,7 @@
 //! Workload sections: writing a [`Workload`]'s six arenas into a store
 //! and reassembling them with zero per-row work.
 
-use crate::format::{section, ReadSections, StoreBuilder, StoreError, StoreFile};
+use crate::format::{section, StoreBuilder, StoreError, StoreReader};
 use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
 use std::path::Path;
 
@@ -42,19 +42,17 @@ pub fn write_workload_sections(store: &mut StoreBuilder, workload: &Workload) {
     );
 }
 
-/// Reassembles a [`Workload`] from the seven workload sections: CRC
-/// verification, a widening pass per section, and the bounds scans of
-/// [`Workload::from_arenas`] — no transpose, no sorting, no ranking.
-/// Works against either reader; [`StoreFile`] streams each section
-/// through a cache-sized buffer, fusing checksum and widening into one
-/// pass over warm bytes.
+/// Reassembles a [`Workload`] from the seven workload sections: one
+/// streamed, checksummed widening pass per section, then the bounds
+/// scans of [`Workload::from_arenas`] — no transpose, no sorting, no
+/// ranking.
 ///
 /// # Errors
 ///
 /// Any container error from the reader; [`StoreError::SectionMalformed`]
 /// (naming the section) when the meta counts disagree with the arena
 /// lengths or the arenas fail the structural scans.
-pub fn read_workload_sections<S: ReadSections>(store: &mut S) -> Result<Workload, StoreError> {
+pub fn read_workload_sections(store: &mut StoreReader) -> Result<Workload, StoreError> {
     let meta = store.read_u64s(section::WORKLOAD_META)?;
     let [num_topics, num_subscribers] = meta[..] else {
         return Err(malformed(
@@ -156,6 +154,6 @@ impl WorkloadStoreExt for Workload {
     }
 
     fn from_store(path: &Path) -> Result<Workload, StoreError> {
-        read_workload_sections(&mut StoreFile::open(path)?)
+        read_workload_sections(&mut StoreReader::open(path)?)
     }
 }

@@ -95,7 +95,8 @@ proptest! {
         workload.to_store(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = cut_raw % bytes.len();
-        let err = StoreReader::from_bytes(bytes[..cut].to_vec()).unwrap_err();
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let err = StoreReader::open(&path).unwrap_err();
         prop_assert!(
             matches!(
                 err,
@@ -118,10 +119,21 @@ fn empty_workload_roundtrips() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Writes a store image to a fresh scratch file and opens it.
+fn open_image(tag: &str, image: &[u8]) -> (PathBuf, Result<StoreReader, StoreError>) {
+    let dir = scratch(tag);
+    let path = dir.join("image.mcss");
+    std::fs::write(&path, image).unwrap();
+    let reader = StoreReader::open(&path);
+    (dir, reader)
+}
+
 #[test]
 fn wrong_magic_is_rejected() {
-    let err = StoreReader::from_bytes(b"NOTASTOR".repeat(PAGE / 8)).unwrap_err();
+    let (dir, reader) = open_image("magic", &b"NOTASTOR".repeat(PAGE / 8));
+    let err = reader.unwrap_err();
     assert!(matches!(err, StoreError::BadMagic), "got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -137,7 +149,8 @@ fn future_version_is_rejected_by_number() {
     bytes[24..28].copy_from_slice(&[0; 4]);
     let reseal = crc32(&bytes[..PAGE]);
     bytes[24..28].copy_from_slice(&reseal.to_le_bytes());
-    let err = StoreReader::from_bytes(bytes).unwrap_err();
+    std::fs::write(&path, &bytes).unwrap();
+    let err = StoreReader::open(&path).unwrap_err();
     assert!(
         matches!(err, StoreError::UnsupportedVersion(99)),
         "got: {err}"
@@ -147,21 +160,23 @@ fn future_version_is_rejected_by_number() {
 
 #[test]
 fn missing_section_is_named() {
-    let store = StoreBuilder::new().to_bytes();
-    let reader = StoreReader::from_bytes(store).unwrap();
-    let err = reader.bytes(section::RATES).unwrap_err();
+    let (dir, reader) = open_image("missing", &StoreBuilder::new().to_bytes());
+    let err = reader.unwrap().read_bytes(section::RATES).unwrap_err();
     assert!(
         err.to_string().contains("`rates`"),
         "missing-section error must name the section: {err}"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn unknown_sections_are_preserved_for_future_writers() {
     let mut b = StoreBuilder::new();
     b.section(0x7F, vec![1, 2, 3]);
-    let reader = StoreReader::from_bytes(b.to_bytes()).unwrap();
+    let (dir, reader) = open_image("unknown", &b.to_bytes());
+    let mut reader = reader.unwrap();
     assert_eq!(reader.sections().len(), 1);
     assert_eq!(reader.sections()[0].name, "unknown");
-    assert_eq!(reader.bytes(0x7F).unwrap(), &[1, 2, 3]);
+    assert_eq!(reader.read_bytes(0x7F).unwrap(), [1, 2, 3]);
+    std::fs::remove_dir_all(&dir).ok();
 }
