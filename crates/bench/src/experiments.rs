@@ -8,7 +8,7 @@ use cloud_cost::{instances, Ec2CostModel, FleetCostModel, InstanceType};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
 use mcss_core::planner::plan_mixed;
-use mcss_core::serve::{Daemon, Driver, ServeConfig, Snapshot};
+use mcss_core::serve::{Daemon, Driver, ServeConfig};
 use mcss_core::stage1::{GreedySelectPairs, PairSelector, RandomSelectPairs};
 use mcss_core::stage2::{improve, Allocator, CbpConfig, CustomBinPacking, FirstFitBinPacking};
 use mcss_core::{
@@ -965,10 +965,9 @@ pub fn fig_solve_speedup(
 ///
 /// A serve-recovery coda on the *first* scenario replays a short
 /// daemon session, snapshots it, and times `Daemon::resume` from the
-/// store-format (v3) snapshot versus the same state re-written in the
-/// legacy `MCSSNAP1` layout, whose load pays the full derived-state
-/// rebuild. Returns the human-readable report and the machine-readable
-/// JSON document (`BENCH_store.json`).
+/// snapshot, asserting the recovered daemon bit-identical. Returns the
+/// human-readable report and the machine-readable JSON document
+/// (`BENCH_store.json`).
 pub fn fig_store_load(
     scenarios: &[&Scenario],
     instance: InstanceType,
@@ -1091,10 +1090,8 @@ pub fn fig_store_load(
     }
     let _ = writeln!(out, "{}", t.render());
 
-    // Serve-recovery coda: the satellite bugfix means `Daemon::resume`
-    // now loads the snapshot's derived sections instead of re-deriving
-    // them; the legacy layout is re-written over the same state so both
-    // timings recover the *identical* daemon.
+    // Serve-recovery coda: `Daemon::resume` loads the snapshot's derived
+    // sections instead of re-deriving them.
     let serve = scenarios.first().expect("at least one scenario");
     let serve_dir = dir.join("serve");
     let cost = serve.cost_model(instance);
@@ -1119,47 +1116,36 @@ pub fn fig_store_load(
         }
         daemon.tick().expect("epoch applies");
     }
-    let snap_path = daemon.snapshot_now().expect("snapshot writes");
+    daemon.snapshot_now().expect("snapshot writes");
 
-    let resume_ms = |label: &str| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let recovered =
-                Daemon::resume(&serve_dir, config, Box::new(serve.cost_model(instance)))
-                    .expect("recovery succeeds");
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(
-                recovered.allocation(),
-                daemon.allocation(),
-                "{label}: recovered fleet must be bit-identical"
-            );
-            assert_eq!(
-                recovered.selection(),
-                daemon.selection(),
-                "{label}: recovered selection must be bit-identical"
-            );
-            assert_eq!(
-                recovered.workload(),
-                daemon.workload(),
-                "{label}: recovered workload arenas must be bit-identical"
-            );
-        }
-        best
-    };
-    let store_ms = resume_ms("store snapshot");
-    let snap = Snapshot::load(&snap_path).expect("snapshot loads");
-    snap.write_legacy(&snap_path)
-        .expect("legacy snapshot writes");
-    let legacy_ms = resume_ms("legacy snapshot");
-    let recovery_speedup = legacy_ms / store_ms;
+    let mut store_ms = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let recovered = Daemon::resume(&serve_dir, config, Box::new(serve.cost_model(instance)))
+            .expect("recovery succeeds");
+        store_ms = store_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(
+            recovered.allocation(),
+            daemon.allocation(),
+            "recovered fleet must be bit-identical"
+        );
+        assert_eq!(
+            recovered.selection(),
+            daemon.selection(),
+            "recovered selection must be bit-identical"
+        );
+        assert_eq!(
+            recovered.workload(),
+            daemon.workload(),
+            "recovered workload arenas must be bit-identical"
+        );
+    }
 
     let _ = writeln!(
         out,
         "# serve recovery, {} trace, {} subscribers, bootstrap + 2 drift \
-         batches: resume from legacy MCSSNAP1 snapshot {legacy_ms:.2} ms vs \
-         MCSSTOR1 store snapshot {store_ms:.2} ms ({recovery_speedup:.2}x, \
-         best of {reps}; recovered daemons asserted bit-identical)",
+         batches: resume from the MCSSTOR1 store snapshot {store_ms:.2} ms \
+         (best of {reps}; recovered daemon asserted bit-identical)",
         serve.name,
         serve.workload.num_subscribers()
     );
@@ -1172,8 +1158,7 @@ pub fn fig_store_load(
         "{{\n  \"bench\": \"store_load\",\n  \"tau\": {tau},\n  \"reps\": {reps},\n  \
          \"unit\": \"ns_per_load\",\n  \"results\": [\n{}\n  ],\n  \
          \"serve_recovery\": {{\"trace\": \"{}\", \"subscribers\": {}, \
-         \"legacy_ms\": {legacy_ms:.3}, \"store_ms\": {store_ms:.3}, \
-         \"speedup\": {recovery_speedup:.2}}}\n}}\n",
+         \"store_ms\": {store_ms:.3}}}\n}}\n",
         json_rows.join(",\n"),
         serve.name,
         serve.workload.num_subscribers()
@@ -1848,7 +1833,7 @@ mod tests {
         assert!(json.contains("\"identical_workload\": true"));
         assert!(json.contains("\"store_ns_per_load\""));
         assert!(json.contains("\"serve_recovery\""));
-        assert!(json.contains("\"legacy_ms\""));
+        assert!(json.contains("\"store_ms\""));
     }
 
     #[test]

@@ -877,13 +877,25 @@ impl IncrementalReallocator {
         // Selected pairs the ledger does not host are repairs a crashed
         // process had deferred — rebuild the carry-over queue so
         // `repair_failures` resumes exactly where it stopped. Snapshots
-        // need no pending list of their own for this.
+        // need no pending list of their own for this. Each subscriber's
+        // hosted topics are stamped into a topic-indexed table, then its
+        // selection row is checked against the stamps, in row order.
+        let (offsets, hosted) = ledger.hosted_by_subscriber(num_subscribers);
+        let mut stamp = vec![0u32; rates.len()];
         let mut pending = Vec::new();
         for (vi, row) in selection.rows().enumerate() {
-            let v = SubscriberId::new(vi as u32);
+            let mark = vi as u32 + 1;
+            for t in &hosted[offsets[vi] as usize..offsets[vi + 1] as usize] {
+                // Grown, not clamped: a hosted topic past the rate table
+                // must still match a selected one.
+                if t.index() >= stamp.len() {
+                    stamp.resize(t.index() + 1, 0);
+                }
+                stamp[t.index()] = mark;
+            }
             for &t in row {
-                if !ledger.contains_pair(t, v) {
-                    pending.push((t, v));
+                if stamp.get(t.index()) != Some(&mark) {
+                    pending.push((t, SubscriberId::new(vi as u32)));
                 }
             }
         }
@@ -1676,37 +1688,90 @@ mod tests {
         assert!(!inc.recover_slot(999));
     }
 
-    #[test]
-    fn restore_rebuilds_the_carry_over_queue() {
-        // A crash between budgeted repair rounds must not lose the queue:
-        // restore() re-derives it as selection-minus-ledger.
-        let mut live = IncrementalReallocator::default();
-        let inst = instance(base_workload());
-        live.step(&inst, &cost()).unwrap();
-        live.repair_failures(&inst, &[0], SlaBudget::pairs(1))
-            .unwrap();
-        let queued = live.pending_repair_pairs();
-        assert!(queued > 0, "slot 0 should host more than one pair");
-
-        let mut restored = IncrementalReallocator::default();
-        {
-            let (selection, ledger, capacity) = live.checkpoint().unwrap();
-            restored.restore(
-                selection.clone(),
-                crate::FleetLedger::from_slots(ledger.snapshot_slots()),
-                capacity,
-                inst.workload().rates().to_vec(),
-                Rate::new(20),
-            );
+    /// `restore`'s carry-over queue against the per-pair sweep it
+    /// replaced: every selected pair, in selection order, that the
+    /// exported allocation does not place.
+    fn per_pair_queue(
+        selection: &Selection,
+        allocation: &Allocation,
+    ) -> Vec<(TopicId, SubscriberId)> {
+        let placed: std::collections::HashSet<(TopicId, SubscriberId)> = allocation
+            .vms()
+            .iter()
+            .flat_map(|vm| {
+                vm.placements()
+                    .iter()
+                    .flat_map(|p| p.subscribers.iter().map(move |&v| (p.topic, v)))
+            })
+            .collect();
+        let mut queue = Vec::new();
+        for (vi, row) in selection.rows().enumerate() {
+            let v = SubscriberId::new(vi as u32);
+            queue.extend(row.iter().map(|&t| (t, v)).filter(|p| !placed.contains(p)));
         }
-        assert_eq!(restored.pending_repair_pairs(), queued);
-        let a = live
-            .repair_failures(&inst, &[], SlaBudget::UNBOUNDED)
-            .unwrap();
-        let b = restored
-            .repair_failures(&inst, &[], SlaBudget::UNBOUNDED)
-            .unwrap();
-        assert!(a.drained && b.drained);
-        assert_eq!(a.allocation, b.allocation);
+        queue
+    }
+
+    #[test]
+    fn restore_queue_matches_the_per_pair_sweep_on_drill_states() {
+        // One popular topic spread over several VMs plus a tail of small
+        // topics; the drill fails every slot hosting the popular topic
+        // (and one more) under budgets that leave repairs deferred.
+        let mut b = Workload::builder();
+        let ts: Vec<TopicId> = [5u64, 9, 7, 4, 3, 6]
+            .iter()
+            .map(|&r| b.add_topic(Rate::new(r)).unwrap())
+            .collect();
+        for i in 0..48usize {
+            b.add_subscriber([ts[0], ts[1 + i % 5], ts[1 + (i * 7 + 2) % 5]])
+                .unwrap();
+        }
+        let inst = McssInstance::new(b.build(), Rate::new(14), Bandwidth::new(70)).unwrap();
+        for budget in [1u64, 3, 10, 25] {
+            let mut live = IncrementalReallocator::default();
+            live.step(&inst, &cost()).unwrap();
+            let slots = live.checkpoint().unwrap().1.snapshot_slots();
+            let mut kill: Vec<usize> = (0..slots.len())
+                .filter(|&k| slots[k].rows.iter().any(|(t, _)| *t == ts[0]))
+                .collect();
+            assert!(kill.len() >= 3, "the popular topic spans several VMs");
+            kill.push((0..slots.len()).find(|k| !kill.contains(k)).unwrap());
+            live.repair_failures(&inst, &kill, SlaBudget::pairs(budget))
+                .unwrap();
+            assert!(live.pending_repair_pairs() > 0, "budget {budget} defers");
+
+            for drained in 0..2 {
+                let (selection, ledger, capacity) = live.checkpoint().unwrap();
+                let want = per_pair_queue(selection, &ledger.to_allocation(capacity));
+                let mut restored = IncrementalReallocator::default();
+                restored.restore(
+                    selection.clone(),
+                    FleetLedger::from_slots(ledger.snapshot_slots()),
+                    capacity,
+                    inst.workload().rates().to_vec(),
+                    inst.tau(),
+                );
+                let got = &restored.previous.as_ref().unwrap().pending;
+                assert_eq!(*got, want, "budget {budget}, round {drained}");
+                let mut live_queue = live.previous.as_ref().unwrap().pending.clone();
+                live_queue.sort_unstable();
+                let mut sorted = want.clone();
+                sorted.sort_unstable();
+                assert_eq!(live_queue, sorted, "the same pairs wait");
+                // Drained, the restored allocator lands on the live fleet.
+                let a = live
+                    .clone()
+                    .repair_failures(&inst, &[], SlaBudget::UNBOUNDED)
+                    .unwrap();
+                let b = restored
+                    .repair_failures(&inst, &[], SlaBudget::UNBOUNDED)
+                    .unwrap();
+                assert!(a.drained && b.drained);
+                assert_eq!(a.allocation, b.allocation);
+                // One more budgeted round: a partly drained queue.
+                live.repair_failures(&inst, &[], SlaBudget::pairs(budget))
+                    .unwrap();
+            }
+        }
     }
 }

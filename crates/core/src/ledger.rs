@@ -940,21 +940,36 @@ impl FleetLedger {
         self.failed.iter().filter(|&&f| f).count()
     }
 
-    /// Whether the ledger currently hosts the pair `(t, v)` —
-    /// `O(hosts of t · log)` via the reverse index.
-    pub fn contains_pair(&self, t: TopicId, v: SubscriberId) -> bool {
-        if t.index() >= self.hosts.len() {
-            return false;
-        }
-        for hi in 0..self.host_count(t) {
-            let slot = self.host_at(t, hi);
-            if let Ok(pos) = self.rows[slot].binary_search_by_key(&t, |&(tt, _)| tt) {
-                if self.rows[slot][pos].1.binary_search(&v).is_ok() {
-                    return true;
+    /// The hosted pairs transposed to one CSR row per subscriber:
+    /// `offsets[v]..offsets[v + 1]` delimits the topics hosted for `v`
+    /// in `topics`, in slot order (a topic repeats if several slots host
+    /// the pair). A counting sort builds it in two sequential sweeps of
+    /// the slot rows. Subscribers at or past `num_subscribers` are left
+    /// out.
+    pub(crate) fn hosted_by_subscriber(&self, num_subscribers: usize) -> (Vec<u32>, Vec<TopicId>) {
+        let mut offsets = vec![0u32; num_subscribers + 1];
+        for (_, subs) in self.rows.iter().flatten() {
+            for v in subs {
+                if v.index() < num_subscribers {
+                    offsets[v.index() + 1] += 1;
                 }
             }
         }
-        false
+        for vi in 0..num_subscribers {
+            offsets[vi + 1] += offsets[vi];
+        }
+        let mut next = offsets.clone();
+        let mut topics = vec![TopicId::new(0); offsets[num_subscribers] as usize];
+        for (t, subs) in self.rows.iter().flatten() {
+            for v in subs {
+                if v.index() < num_subscribers {
+                    let at = &mut next[v.index()];
+                    topics[*at as usize] = *t;
+                    *at += 1;
+                }
+            }
+        }
+        (offsets, topics)
     }
 }
 
@@ -1353,20 +1368,25 @@ mod tests {
     }
 
     #[test]
-    fn contains_pair_tracks_placement() {
-        let w = workload(&[10, 5]);
+    fn hosted_by_subscriber_transposes_placement() {
+        let w = workload(&[10, 5, 2]);
         let cap = Bandwidth::new(100);
-        let mut ledger = ledger_with(vec![vec![(t(0), vec![v(0), v(1)])]], &w, cap);
-        assert!(ledger.contains_pair(t(0), v(0)));
-        assert!(!ledger.contains_pair(t(0), v(2)));
-        assert!(!ledger.contains_pair(t(1), v(0)), "unhosted topic");
-        ledger.remove_pair(t(0), v(0), Rate::new(10));
-        assert!(!ledger.contains_pair(t(0), v(0)));
-        ledger.fail_slots(&[0]);
-        assert!(
-            !ledger.contains_pair(t(0), v(1)),
-            "failed slots host nothing"
+        let mut ledger = ledger_with(
+            vec![
+                vec![(t(0), vec![v(0), v(1)]), (t(2), vec![v(1), v(3)])],
+                vec![(t(1), vec![v(0)]), (t(2), vec![v(0)])],
+            ],
+            &w,
+            cap,
         );
+        let (offsets, topics) = ledger.hosted_by_subscriber(3);
+        assert_eq!(offsets, [0, 3, 5, 5], "v(3) is past the range");
+        assert_eq!(topics, [t(0), t(1), t(2), t(0), t(2)], "slot order");
+        ledger.remove_pair(t(0), v(0), Rate::new(10));
+        ledger.fail_slots(&[0]);
+        let (offsets, topics) = ledger.hosted_by_subscriber(2);
+        assert_eq!(offsets, [0, 2, 2], "failed slots host nothing");
+        assert_eq!(topics, [t(1), t(2)]);
     }
 
     #[test]

@@ -29,16 +29,17 @@
 //!
 //! # Crash consistency
 //!
-//! Recovery ([`Daemon::resume`]) loads the latest snapshot (if any) and
-//! replays the log suffix past its sequence number, re-applying an
-//! epoch at every `EpochMark`. A store-format snapshot already holds
+//! Recovery ([`Daemon::resume`]) loads the latest snapshot (if any),
+//! then makes one verifying pass over the log through a fixed
+//! 1 MiB buffer: every record's checksum, decoding and sequence number
+//! is checked, but only the records past the snapshot's sequence number
+//! are kept and replayed, re-applying an epoch at every `EpochMark`
+//! (redo from the checkpoint, as in ARIES). A snapshot already holds
 //! every workload arena, so the daemon adopts it with zero rebuild —
 //! only the ledger heaps and reverse index ([`FleetLedger::from_slots`])
 //! and the re-allocator basis ([`IncrementalReallocator::restore`]) are
-//! reconstructed, both cheap and deterministic. Legacy snapshots
-//! rebuild the workload arenas once, on upcast inside
-//! [`Snapshot::load`]. Either way every derived structure is a
-//! deterministic function of the persisted state (the lazy heaps
+//! reconstructed, both cheap and deterministic. Every derived structure
+//! is a deterministic function of the persisted state (the lazy heaps
 //! tolerate stale entries but never require them), so the recovered
 //! daemon is **bit-identical** to one that never stopped: same
 //! selections, same placements, same future decisions. The crash-replay
@@ -46,9 +47,14 @@
 //! at an arbitrary event index and asserts exactly that — ranked and
 //! follower arenas included.
 //!
+//! A bad record past the snapshot is a torn tail and is truncated. A
+//! bad record the snapshot covers was fsynced before the snapshot
+//! existed, so it cannot be torn: recovery fails closed and leaves the
+//! log as it was.
+//!
 //! On-disk formats are documented field-by-field in `docs/SERVE.md`
-//! (event log, legacy snapshots) and `docs/STORE.md` (the store
-//! container snapshots use since format v3).
+//! (event log) and `docs/STORE.md` (the store container snapshots are
+//! written in).
 
 use crate::dynamic::{DriftModel, WorkloadDelta};
 use crate::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
@@ -71,20 +77,19 @@ pub const LOG_FILE: &str = "events.log";
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 const LOG_MAGIC: &[u8; 8] = b"MCSSLOG1";
-const SNAP_MAGIC: &[u8; 8] = b"MCSSNAP1";
-/// Current event-log format. Version 2 added the `VmFail`/`VmRecover`
-/// record kinds; version-1 logs upcast losslessly on open (their record
-/// layouts are a strict subset), after which the header is rewritten in
-/// place so the next append targets the current version.
+/// The event-log format this build reads and writes; any other version
+/// fails closed on open.
 const LOG_VERSION: u32 = 2;
-/// Newest *legacy* snapshot format (`MCSSNAP1`). Version 2 widened the
-/// per-slot tombstone byte into a state byte (0 = live, 1 = tombstoned,
-/// 2 = failed); version-1 snapshots upcast on load with `failed = false`
-/// everywhere. Format v3 abandoned this magic entirely: snapshots are
-/// now `MCSSTOR1` store containers (see [`Snapshot`] and
-/// `docs/STORE.md`), and [`Snapshot::load`] dispatches on the magic so
-/// v1/v2 files keep loading via the rebuild path.
-const SNAP_VERSION: u32 = 2;
+/// Log header: magic, then the format version.
+const LOG_HEADER: usize = 12;
+/// Record framing ahead of the payload: CRC32, then payload length.
+const RECORD_FRAME: usize = 8;
+/// Longest valid payload (a `Rerate`: sequence, kind, topic, rate). A
+/// longer length field can only belong to a damaged record.
+const MAX_PAYLOAD: usize = 8 + 1 + 4 + 8;
+/// The log scanner's one reused read buffer. Recovery streams the log
+/// through it, so its memory stays flat however long the log grows.
+const SCAN_BUFFER: usize = 1 << 20;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -149,11 +154,7 @@ impl From<McssError> for ServeError {
 // ---------------------------------------------------------------------
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), shared with the store
-// container so log records, legacy snapshots, and store sections all
-// checksum identically. The store's table-driven implementation replaced
-// the bitwise loop that used to live here — snapshots grew to tens of
-// megabytes at a million subscribers, where bitwise CRC alone costs
-// ~100 ms per write.
+// container so log records and snapshot sections checksum identically.
 use mcss_store::crc32;
 
 fn put_u32(buf: &mut Vec<u8>, x: u32) {
@@ -297,10 +298,6 @@ impl FaultFile {
         }
         self.file.sync_data()
     }
-
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.file.set_len(len)
-    }
 }
 
 impl std::io::Write for FaultFile {
@@ -323,12 +320,6 @@ impl std::io::Write for FaultFile {
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.file.flush()
-    }
-}
-
-impl Seek for FaultFile {
-    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        self.file.seek(pos)
     }
 }
 
@@ -462,6 +453,38 @@ pub struct SequencedEvent {
     pub event: Event,
 }
 
+/// What one verifying pass over the log found, beyond the records it
+/// kept (see [`EventLog::open_past`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct LogScan {
+    /// Records whose checksum, decoding and sequence number held.
+    verified: u64,
+    /// Bytes past the last valid record, cut off as a torn tail.
+    torn_bytes: u64,
+}
+
+/// Reads into `buf` until it is full or the file ends, returning the
+/// byte count.
+fn read_up_to(file: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match file.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+fn log_header() -> [u8; LOG_HEADER] {
+    let mut header = [0u8; LOG_HEADER];
+    header[..8].copy_from_slice(LOG_MAGIC);
+    header[8..].copy_from_slice(&LOG_VERSION.to_le_bytes());
+    header
+}
+
 /// Append-only, checksummed event log (module docs).
 ///
 /// Every record carries a CRC32 and a monotonic sequence number; replay
@@ -523,10 +546,7 @@ impl EventLog {
             file: File::create(path)?,
             injector,
         };
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(LOG_MAGIC);
-        put_u32(&mut header, LOG_VERSION);
-        file.write_all(&header)?;
+        file.write_all(&log_header())?;
         Ok(EventLog {
             writer: BufWriter::new(file),
             next_seq: 1,
@@ -535,14 +555,12 @@ impl EventLog {
 
     /// Opens an existing log, replaying every valid record. A torn or
     /// corrupt tail is truncated (replay keeps the valid prefix); the
-    /// returned log appends after the last valid record. Older log
-    /// versions upcast on open: v1 records decode unchanged under v2
-    /// (v2 only *added* record kinds), and the header is rewritten in
-    /// place so subsequent appends are v2 records in a v2 log.
+    /// returned log appends after the last valid record.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Corrupt`] if the header itself is invalid,
+    /// [`ServeError::Corrupt`] if the header itself is invalid (bad
+    /// magic, or a format version other than this build's),
     /// [`ServeError::Io`] on filesystem failures.
     pub fn open(path: &Path) -> Result<(EventLog, Vec<SequencedEvent>), ServeError> {
         EventLog::open_with_faults(path, None)
@@ -558,82 +576,129 @@ impl EventLog {
         path: &Path,
         injector: Option<FaultInjector>,
     ) -> Result<(EventLog, Vec<SequencedEvent>), ServeError> {
+        let (log, records, _) = EventLog::open_past(path, injector, 0)?;
+        Ok((log, records))
+    }
+
+    /// The one log reader: streams the file through a reused
+    /// [`SCAN_BUFFER`], verifies every record exactly once (checksum,
+    /// decoding, sequence continuity) and keeps only the records past
+    /// sequence number `after`.
+    ///
+    /// The first invalid record ends the valid prefix. If it lies past
+    /// `after` it is a torn tail: the file is truncated there. If
+    /// `after` covers it, it was fsynced before the snapshot taken at
+    /// `after` existed, so it cannot be torn: the call fails closed and
+    /// leaves the file as it was. An empty file (a crash before the
+    /// header reached the disk) starts a fresh log unless `after` says
+    /// records should be there.
+    fn open_past(
+        path: &Path,
+        injector: Option<FaultInjector>,
+        after: u64,
+    ) -> Result<(EventLog, Vec<SequencedEvent>, LogScan), ServeError> {
+        let corrupt = |detail: String| ServeError::Corrupt {
+            path: path.to_path_buf(),
+            detail,
+        };
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut file = FaultFile { file, injector };
-        if bytes.is_empty() {
-            // Crashed before the header hit the disk: start fresh.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            let mut header = Vec::with_capacity(12);
-            header.extend_from_slice(LOG_MAGIC);
-            put_u32(&mut header, LOG_VERSION);
-            file.write_all(&header)?;
-            return Ok((
-                EventLog {
-                    writer: BufWriter::new(file),
-                    next_seq: 1,
-                },
-                Vec::new(),
-            ));
-        }
-        if bytes.len() < 12 || &bytes[..8] != LOG_MAGIC {
-            return Err(ServeError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "not an mcss event log (bad magic)".into(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 0 || version > LOG_VERSION {
-            return Err(ServeError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "unsupported event log version {version} (this build reads up to {LOG_VERSION})"
-                ),
-            });
+        let file_len = file.metadata()?.len();
+        if file_len == 0 {
+            if after > 0 {
+                return Err(corrupt(format!(
+                    "event log is empty but the snapshot was taken at sequence {after}"
+                )));
+            }
+            let mut file = FaultFile { file, injector };
+            file.write_all(&log_header())?;
+            let log = EventLog {
+                writer: BufWriter::new(file),
+                next_seq: 1,
+            };
+            return Ok((log, Vec::new(), LogScan::default()));
         }
 
+        let mut buf = vec![0u8; SCAN_BUFFER];
+        let mut hi = read_up_to(&mut file, &mut buf)?;
+        let mut eof = hi < buf.len();
+        if hi < LOG_HEADER || buf[..8] != LOG_MAGIC[..] {
+            return Err(corrupt("not an mcss event log (bad magic)".into()));
+        }
+        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+        if version != LOG_VERSION {
+            return Err(corrupt(format!(
+                "unsupported event log version {version} (this build reads {LOG_VERSION})"
+            )));
+        }
+
+        // `buf[lo..hi]` is the unread window; `pos` is its file offset.
+        let mut lo = LOG_HEADER;
+        let mut pos = LOG_HEADER as u64;
         let mut records = Vec::new();
-        let mut pos = 12usize;
         let mut last_seq = 0u64;
-        loop {
-            let mut r = Reader::new(&bytes[pos..]);
-            let Some(crc) = r.u32() else { break };
-            let Some(len) = r.u32() else { break };
-            let Some(payload) = r.take(len as usize) else {
-                break;
+        let failure = loop {
+            if hi - lo < RECORD_FRAME + MAX_PAYLOAD && !eof {
+                buf.copy_within(lo..hi, 0);
+                hi -= lo;
+                lo = 0;
+                let read = read_up_to(&mut file, &mut buf[hi..])?;
+                eof = hi + read < buf.len();
+                hi += read;
+            }
+            let mut r = Reader::new(&buf[lo..hi]);
+            if r.remaining() == 0 {
+                break None;
+            }
+            let (Some(crc), Some(len)) = (r.u32(), r.u32()) else {
+                break Some("torn record frame".to_string());
+            };
+            let len = len as usize;
+            if len > MAX_PAYLOAD {
+                break Some(format!("payload length {len} exceeds the longest record"));
+            }
+            let Some(payload) = r.take(len) else {
+                break Some("torn payload".to_string());
             };
             if crc32(payload) != crc {
-                break;
+                break Some("checksum mismatch".to_string());
             }
             let Some((seq, event)) = Event::decode_payload(payload) else {
-                break;
+                break Some("undecodable payload".to_string());
             };
             if seq != last_seq + 1 {
-                break;
+                break Some(format!("sequence number {seq} out of order"));
             }
             last_seq = seq;
-            records.push(SequencedEvent { seq, event });
-            pos += 8 + len as usize;
+            if seq > after {
+                records.push(SequencedEvent { seq, event });
+            }
+            lo += RECORD_FRAME + len;
+            pos += (RECORD_FRAME + len) as u64;
+        };
+        if let Some(reason) = failure {
+            if last_seq < after {
+                return Err(corrupt(format!(
+                    "record {} at byte offset {pos} fails validation ({reason}) but the \
+                     snapshot taken at sequence {after} covers it; the log is left as it was",
+                    last_seq + 1
+                )));
+            }
         }
-        if version < LOG_VERSION {
-            // Upcast in place: future appends write current-version
-            // records, so the header must claim the current version.
-            file.seek(SeekFrom::Start(8))?;
-            file.write_all(&LOG_VERSION.to_le_bytes())?;
+        let torn_bytes = file_len.saturating_sub(pos);
+        if torn_bytes > 0 {
+            file.set_len(pos)?;
         }
-        if pos < bytes.len() {
-            file.set_len(pos as u64)?;
-        }
-        file.seek(SeekFrom::Start(pos as u64))?;
-        Ok((
-            EventLog {
-                writer: BufWriter::new(file),
-                next_seq: last_seq + 1,
-            },
-            records,
-        ))
+        file.seek(SeekFrom::Start(pos))?;
+        let log = EventLog {
+            writer: BufWriter::new(FaultFile { file, injector }),
+            next_seq: last_seq + 1,
+        };
+        let scan = LogScan {
+            // Valid sequence numbers run 1, 2, … without a gap.
+            verified: last_seq,
+            torn_bytes,
+        };
+        Ok((log, records, scan))
     }
 
     /// Appends one event, returning the sequence number it was assigned.
@@ -680,13 +745,11 @@ impl EventLog {
 /// A checksummed point-in-time capture of the daemon's state (module
 /// docs; on-disk layout in `docs/STORE.md` and `docs/SERVE.md`).
 ///
-/// Since format v3 a snapshot is an `MCSSTOR1` store container whose
-/// sections are the raw arenas — the full workload (primaries *and*
-/// derived tables), the Stage-1 selection CSR, and the ledger slot
-/// table — so [`Snapshot::load`] performs **zero rebuild**: no interest
-/// transpose, no rate ranking, just checksum sweeps and bounds checks.
-/// Legacy `MCSSNAP1` (v1/v2) snapshots, which stored primaries only,
-/// still load with the old rebuild path and are upcast transparently.
+/// A snapshot is an `MCSSTOR1` store container whose sections are the
+/// raw arenas — the full workload (primaries *and* derived tables), the
+/// Stage-1 selection CSR, and the ledger slot table — so
+/// [`Snapshot::load`] performs **zero rebuild**: no interest transpose,
+/// no rate ranking, just checksum sweeps and bounds checks.
 ///
 /// ```
 /// use mcss_core::serve::Snapshot;
@@ -736,146 +799,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The legacy `MCSSNAP1` body: primaries only (rates + interest
-    /// rows), derived from the workload arenas. Kept so
-    /// [`Snapshot::write_legacy`] can produce v1/v2 files for upcast
-    /// tests and before/after recovery benchmarks.
-    fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u64(&mut b, self.last_seq);
-        put_u64(&mut b, self.epochs_applied);
-        put_u64(&mut b, self.tau.get());
-        put_u64(&mut b, self.capacity.get());
-        let rates = self.workload.rates();
-        put_u32(&mut b, rates.len() as u32);
-        for r in rates {
-            put_u64(&mut b, r.get());
-        }
-        put_u32(&mut b, self.workload.num_subscribers() as u32);
-        for v in self.workload.subscribers() {
-            let row = self.workload.interests(v);
-            put_u32(&mut b, row.len() as u32);
-            for t in row {
-                put_u32(&mut b, t.index() as u32);
-            }
-        }
-        put_u32(&mut b, self.selection.num_subscribers() as u32);
-        for row in self.selection.rows() {
-            put_u32(&mut b, row.len() as u32);
-            for t in row {
-                put_u32(&mut b, t.index() as u32);
-            }
-        }
-        put_u32(&mut b, self.slots.len() as u32);
-        for slot in &self.slots {
-            // Slot-state byte (format v2): 0 live, 1 tombstoned, 2
-            // failed (failure implies tombstone).
-            b.push(if slot.failed {
-                2
-            } else {
-                u8::from(slot.tombstone)
-            });
-            put_u64(&mut b, slot.cap.get());
-            put_u64(&mut b, slot.used.get());
-            put_u32(&mut b, slot.rows.len() as u32);
-            for (t, subs) in &slot.rows {
-                put_u32(&mut b, t.index() as u32);
-                put_u32(&mut b, subs.len() as u32);
-                for v in subs {
-                    put_u32(&mut b, v.index() as u32);
-                }
-            }
-        }
-        b
-    }
-
-    fn decode_body(body: &[u8], version: u32) -> Option<Snapshot> {
-        let mut r = Reader::new(body);
-        let last_seq = r.u64()?;
-        let epochs_applied = r.u64()?;
-        let tau = Rate::new(r.u64()?);
-        let capacity = Bandwidth::new(r.u64()?);
-        let num_topics = r.u32()? as usize;
-        let mut rates = Vec::with_capacity(num_topics);
-        for _ in 0..num_topics {
-            rates.push(Rate::new(r.u64()?));
-        }
-        let num_subscribers = r.u32()? as usize;
-        let mut interests = Vec::with_capacity(num_subscribers);
-        for _ in 0..num_subscribers {
-            let len = r.u32()? as usize;
-            let mut row = Vec::with_capacity(len);
-            for _ in 0..len {
-                row.push(TopicId::new(r.u32()?));
-            }
-            interests.push(row);
-        }
-        let sel_rows = r.u32()? as usize;
-        let mut offsets = Vec::with_capacity(sel_rows + 1);
-        let mut topics = Vec::new();
-        offsets.push(0usize);
-        for _ in 0..sel_rows {
-            let len = r.u32()? as usize;
-            for _ in 0..len {
-                topics.push(TopicId::new(r.u32()?));
-            }
-            offsets.push(topics.len());
-        }
-        let selection = Selection::from_csr(offsets, topics);
-        let num_slots = r.u32()? as usize;
-        let mut slots = Vec::with_capacity(num_slots);
-        for _ in 0..num_slots {
-            // v1 stored a tombstone bool; v2 a three-valued state byte.
-            // A v1 snapshot predates VM failures, so `failed` upcasts
-            // to false.
-            let (tombstone, failed) = match (version, r.u8()?) {
-                (1, b) => (b != 0, false),
-                (_, 0) => (false, false),
-                (_, 1) => (true, false),
-                (_, 2) => (true, true),
-                _ => return None,
-            };
-            let cap = Bandwidth::new(r.u64()?);
-            let used = Bandwidth::new(r.u64()?);
-            let num_rows = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(num_rows);
-            for _ in 0..num_rows {
-                let t = TopicId::new(r.u32()?);
-                let len = r.u32()? as usize;
-                let mut subs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    subs.push(SubscriberId::new(r.u32()?));
-                }
-                rows.push((t, subs));
-            }
-            slots.push(LedgerSlot {
-                tombstone,
-                failed,
-                cap,
-                used,
-                rows,
-            });
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(Snapshot {
-            last_seq,
-            epochs_applied,
-            tau,
-            capacity,
-            // Legacy snapshots carry primaries only; the derived arenas
-            // (follower CSR, rate ranking) are rebuilt here, once, on
-            // upcast. Store-format snapshots skip this entirely.
-            workload: Workload::from_parts(rates, interests),
-            selection,
-            slots,
-        })
-    }
-
-    /// Loads a v3 (store-container) snapshot with zero derived-state
-    /// rebuild, streaming each section through the store reader.
-    fn from_store(path: &Path) -> Result<Snapshot, ServeError> {
+    /// Loads and validates a snapshot with zero derived-state rebuild,
+    /// streaming each section through the store reader.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Corrupt`] on bad magic, unsupported version,
+    /// checksum mismatch, or truncated/inconsistent contents — naming
+    /// the failing store section where one is attributable;
+    /// [`ServeError::Io`] on filesystem failures.
+    pub fn load(path: &Path) -> Result<Snapshot, ServeError> {
         let as_corrupt = |e: StoreError| match e {
             StoreError::Io(e) => ServeError::Io(e),
             e => ServeError::Corrupt {
@@ -945,80 +878,6 @@ impl Snapshot {
         }
         .write(path, injector)
     }
-
-    /// Writes the snapshot in the *legacy* `MCSSNAP1` v2 layout
-    /// (primaries only, single whole-body checksum), atomically like
-    /// [`Snapshot::write`]. Loading such a file pays the full derived-
-    /// state rebuild — exactly what pre-store daemons did — so this
-    /// exists for upcast tests and for benchmarking recovery before vs
-    /// after the store format (`fig_store_load`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::write`].
-    pub fn write_legacy(&self, path: &Path) -> Result<(), ServeError> {
-        let body = self.encode_body();
-        let mut bytes = Vec::with_capacity(24 + body.len());
-        bytes.extend_from_slice(SNAP_MAGIC);
-        put_u32(&mut bytes, SNAP_VERSION);
-        put_u32(&mut bytes, crc32(&body));
-        put_u64(&mut bytes, body.len() as u64);
-        bytes.extend_from_slice(&body);
-
-        let tmp = path.with_extension("bin.tmp");
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_data()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Loads and validates a snapshot, dispatching on the file magic:
-    /// `MCSSTOR1` containers (format v3) load with zero rebuild; legacy
-    /// `MCSSNAP1` files (v1/v2) decode the old primaries-only body and
-    /// rebuild derived state once, on upcast.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Corrupt`] on bad magic, unsupported version,
-    /// checksum mismatch, or truncated/inconsistent contents — naming
-    /// the failing store section where one is attributable;
-    /// [`ServeError::Io`] on filesystem failures.
-    pub fn load(path: &Path) -> Result<Snapshot, ServeError> {
-        let corrupt = |detail: &str| ServeError::Corrupt {
-            path: path.to_path_buf(),
-            detail: format!("corrupted snapshot: {detail}"),
-        };
-        let mut file = File::open(path)?;
-        let mut bytes = Vec::new();
-        (&mut file).take(8).read_to_end(&mut bytes)?;
-        if bytes[..] == mcss_store::MAGIC[..] {
-            return Snapshot::from_store(path);
-        }
-        file.read_to_end(&mut bytes)?;
-        if bytes.len() < 24 || &bytes[..8] != SNAP_MAGIC {
-            return Err(corrupt("not an mcss snapshot (bad magic)"));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 0 || version > SNAP_VERSION {
-            return Err(ServeError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "unsupported snapshot version {version} (this build reads up to {SNAP_VERSION})"
-                ),
-            });
-        }
-        let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let body_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let Some(body) = bytes.get(24..24 + body_len) else {
-            return Err(corrupt("truncated body"));
-        };
-        if crc32(body) != crc {
-            return Err(corrupt("checksum mismatch"));
-        }
-        Snapshot::decode_body(body, version).ok_or_else(|| corrupt("inconsistent body"))
-    }
 }
 
 /// A [`Snapshot`]'s contents by reference: the one encoder behind both
@@ -1035,7 +894,7 @@ struct SnapshotRef<'a> {
 }
 
 impl SnapshotRef<'_> {
-    /// Serializes the v3 snapshot: an `MCSSTOR1` container holding the
+    /// Serializes the snapshot: an `MCSSTOR1` container holding the
     /// serve metadata plus every arena section verbatim.
     fn to_store_bytes(&self) -> Vec<u8> {
         let mut store = StoreBuilder::new();
@@ -1229,6 +1088,22 @@ pub struct EpochStats {
     pub apply_time: Duration,
 }
 
+/// What [`Daemon::resume`] did, as counters. They are pure functions of
+/// the state directory — no timings — so two recoveries of the same
+/// directory report the same numbers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Log records whose checksum, decoding and sequence number were
+    /// verified, snapshot-covered ones included.
+    pub records_verified: u64,
+    /// Verified records past the snapshot, replayed into the daemon.
+    pub records_replayed: u64,
+    /// Epochs re-applied at the `EpochMark` records past the snapshot.
+    pub epochs_replayed: u64,
+    /// Bytes cut from the log's torn tail.
+    pub torn_bytes: u64,
+}
+
 /// The event-sourced serve loop (module docs).
 ///
 /// Build one with [`Daemon::create`] (fresh state directory) or
@@ -1281,6 +1156,8 @@ pub struct Daemon {
     /// epoch close, after the drift step.
     fleet_ops: Vec<Event>,
     faults: Option<FaultInjector>,
+    /// Set by [`Daemon::resume`].
+    recovery: Option<RecoveryStats>,
 }
 
 impl Daemon {
@@ -1330,21 +1207,24 @@ impl Daemon {
             last_applied: 0,
             fleet_ops: Vec::new(),
             faults,
+            recovery: None,
         })
     }
 
     /// Recovers a daemon from a state directory: loads the snapshot (if
     /// one exists), bases the workload edit on it by copying its interest
-    /// arenas, and replays the log suffix — re-applying an epoch at every
+    /// arenas, verifies the whole log in one streaming pass and replays
+    /// only the suffix past the snapshot — re-applying an epoch at every
     /// `EpochMark` and leaving trailing events buffered, exactly as they
     /// were before the crash. `config` and the cost model must match the
     /// original run; `τ`/capacity mismatches are rejected against the
-    /// snapshot.
+    /// snapshot. [`Daemon::recovery`] reports what the recovery did.
     ///
     /// # Errors
     ///
     /// [`ServeError::Corrupt`] for an invalid snapshot, an invalid log
-    /// header, or a log inconsistent with the snapshot;
+    /// header, a log inconsistent with the snapshot, or an invalid
+    /// record the snapshot covers (the log is then left untouched);
     /// [`ServeError::Rejected`] on config mismatch; [`ServeError::Solve`]
     /// if a replayed epoch fails to apply.
     pub fn resume(
@@ -1391,12 +1271,9 @@ impl Daemon {
                     config.capacity.get()
                 )));
             }
-            // Adopt the snapshot's workload as-is: a store-format (v3)
-            // snapshot carries every derived arena — follower CSR, rate
-            // ranking — so nothing is re-derived here. (Resume used to
-            // call `Workload::from_parts` and rebuild it all even when
-            // the snapshot was fresh; only legacy-snapshot upcasts pay
-            // that rebuild now, inside `Snapshot::load`.)
+            // Adopt the snapshot's workload as-is: the snapshot carries
+            // every derived arena — follower CSR, rate ranking — so
+            // nothing is re-derived here.
             let rates = snap.workload.rates().to_vec();
             let workload = Arc::new(snap.workload);
             edit = WorkloadEdit::from_workload(&workload);
@@ -1412,12 +1289,13 @@ impl Daemon {
             last_applied = snap.last_seq;
         }
 
-        let (log, records) = if log_path.exists() {
-            EventLog::open_with_faults(&log_path, faults.clone())?
+        let (log, records, scan) = if log_path.exists() {
+            EventLog::open_past(&log_path, faults.clone(), last_applied)?
         } else {
             (
                 EventLog::create_with_faults(&log_path, faults.clone())?,
                 Vec::new(),
+                LogScan::default(),
             )
         };
         if log.next_seq() <= last_applied {
@@ -1444,12 +1322,16 @@ impl Daemon {
             last_applied,
             fleet_ops: Vec::new(),
             faults,
+            recovery: None,
+        };
+        let mut recovery = RecoveryStats {
+            records_verified: scan.verified,
+            records_replayed: records.len() as u64,
+            epochs_replayed: 0,
+            torn_bytes: scan.torn_bytes,
         };
 
         for record in records {
-            if record.seq <= daemon.last_applied {
-                continue;
-            }
             match record.event {
                 Event::EpochMark { epoch } => {
                     if epoch != daemon.epochs_applied {
@@ -1466,6 +1348,7 @@ impl Daemon {
                     daemon.apply_epoch(events)?;
                     daemon.last_applied = record.seq;
                     daemon.epochs_applied += 1;
+                    recovery.epochs_replayed += 1;
                 }
                 event @ (Event::VmFail { .. } | Event::VmRecover { .. }) => {
                     daemon.fleet_ops.push(event);
@@ -1485,6 +1368,7 @@ impl Daemon {
                 }
             }
         }
+        daemon.recovery = Some(recovery);
         Ok(daemon)
     }
 
@@ -1772,6 +1656,12 @@ impl Daemon {
         self.pending
     }
 
+    /// What [`Daemon::resume`] did to build this daemon; `None` for a
+    /// daemon from [`Daemon::create`].
+    pub fn recovery(&self) -> Option<RecoveryStats> {
+        self.recovery
+    }
+
     /// Sequence number of the last applied `EpochMark` (0 before any).
     pub fn last_applied_seq(&self) -> u64 {
         self.last_applied
@@ -1968,77 +1858,278 @@ mod tests {
         SubscriberId::new(i)
     }
 
-    #[test]
-    fn log_round_trips_and_sequences() {
-        let dir = scratch("log-roundtrip");
-        let path = dir.join(LOG_FILE);
-        let events = [
-            Event::Rerate {
-                topic: t(3),
-                rate: Rate::new(77),
-            },
-            Event::Subscribe {
-                subscriber: v(9),
-                topic: t(3),
-            },
-            Event::Unsubscribe {
-                subscriber: v(9),
-                topic: t(3),
-            },
-            Event::EpochMark { epoch: 0 },
-        ];
-        let mut log = EventLog::create(&path).unwrap();
-        for (i, &e) in events.iter().enumerate() {
-            assert_eq!(log.append(e).unwrap(), i as u64 + 1);
+    /// The whole-buffer loop the log reader ran before the streaming
+    /// scanner: the records of the valid prefix and the byte offset
+    /// where that prefix ends.
+    fn reference_parse(bytes: &[u8]) -> (Vec<SequencedEvent>, usize) {
+        assert!(bytes.len() >= LOG_HEADER && bytes[..8] == LOG_MAGIC[..]);
+        let mut records = Vec::new();
+        let mut pos = LOG_HEADER;
+        let mut last_seq = 0u64;
+        loop {
+            let mut r = Reader::new(&bytes[pos..]);
+            let Some(crc) = r.u32() else { break };
+            let Some(len) = r.u32() else { break };
+            let Some(payload) = r.take(len as usize) else {
+                break;
+            };
+            if crc32(payload) != crc {
+                break;
+            }
+            let Some((seq, event)) = Event::decode_payload(payload) else {
+                break;
+            };
+            if seq != last_seq + 1 {
+                break;
+            }
+            last_seq = seq;
+            records.push(SequencedEvent { seq, event });
+            pos += 8 + len as usize;
+        }
+        (records, pos)
+    }
+
+    /// Writes `events` as a fresh log at `path` and returns its bytes.
+    fn write_log(path: &Path, events: &[Event]) -> Vec<u8> {
+        let mut log = EventLog::create(path).unwrap();
+        for &e in events {
+            log.append(e).unwrap();
         }
         log.sync().unwrap();
         drop(log);
+        fs::read(path).unwrap()
+    }
 
-        let (log, records) = EventLog::open(&path).unwrap();
-        assert_eq!(log.next_seq(), events.len() as u64 + 1);
-        assert_eq!(records.len(), events.len());
-        for (i, rec) in records.iter().enumerate() {
-            assert_eq!(rec.seq, i as u64 + 1);
-            assert_eq!(rec.event, events[i]);
+    /// Opens `bytes` as the log at `path`, keeping records past `after`,
+    /// and checks the scanner against [`reference_parse`]. If the valid
+    /// prefix ends on a bad record that `after` covers, the open must
+    /// fail closed naming that record and its byte offset, and leave the
+    /// file byte-identical. Otherwise it must return the reference's
+    /// records past `after` and the same next sequence number, and cut
+    /// the file back to the same valid prefix.
+    fn check_scan(path: &Path, bytes: &[u8], after: u64) {
+        fs::write(path, bytes).unwrap();
+        let (want, end) = reference_parse(bytes);
+        let valid = want.len() as u64;
+        if valid < after && end < bytes.len() {
+            let err = EventLog::open_past(path, None, after).unwrap_err();
+            assert!(matches!(err, ServeError::Corrupt { .. }), "{err}");
+            let named = format!("record {} at byte offset {end}", valid + 1);
+            assert!(err.to_string().contains(&named), "{err}");
+            assert_eq!(fs::read(path).unwrap(), bytes, "the log must be untouched");
+            return;
+        }
+        let (log, records, scan) = EventLog::open_past(path, None, after).unwrap();
+        let past: Vec<SequencedEvent> = want.iter().copied().filter(|r| r.seq > after).collect();
+        assert_eq!(records, past);
+        assert_eq!(log.next_seq(), valid + 1);
+        assert_eq!(
+            scan,
+            LogScan {
+                verified: valid,
+                torn_bytes: (bytes.len() - end) as u64,
+            }
+        );
+        drop(log);
+        assert_eq!(fs::read(path).unwrap(), bytes[..end]);
+    }
+
+    /// Event `i` of a mix of all six kinds, with its framed size: fleet
+    /// ops frame to 21 bytes, `Subscribe`, `Unsubscribe` and `EpochMark`
+    /// to 25, `Rerate` to 29.
+    fn sized_event(i: u32) -> (Event, usize) {
+        let (subscriber, topic) = (v(i), t(i / 2));
+        match i % 6 {
+            0 => (Event::VmFail { slot: i }, 21),
+            1 => (Event::Subscribe { subscriber, topic }, 25),
+            2 => (
+                Event::Rerate {
+                    topic,
+                    rate: Rate::new(u64::from(i) + 1),
+                },
+                29,
+            ),
+            3 => (Event::VmRecover { slot: i }, 21),
+            4 => (Event::Unsubscribe { subscriber, topic }, 25),
+            _ => (
+                Event::EpochMark {
+                    epoch: u64::from(i),
+                },
+                25,
+            ),
+        }
+    }
+
+    #[test]
+    fn scanner_matches_the_reference_on_a_log_larger_than_its_buffer() {
+        let dir = scratch("scan-large");
+        let path = dir.join(LOG_FILE);
+        // An irregular mix of the three record sizes, so records straddle
+        // the buffer's read boundaries at varying offsets.
+        let mut events = Vec::new();
+        let mut starts = Vec::new();
+        let mut end = LOG_HEADER;
+        let mut i = 0u32;
+        while end < 2 * SCAN_BUFFER + 4096 {
+            let (event, size) = sized_event(i.wrapping_mul(2_654_435_761) >> 7);
+            events.push(event);
+            starts.push(end);
+            end += size;
+            i += 1;
+        }
+        let bytes = write_log(&path, &events);
+        assert_eq!(bytes.len(), end, "record sizes are 21, 25 and 29 bytes");
+        // Every kind round-trips, numbered 1, 2, … in append order.
+        let (decoded, _) = reference_parse(&bytes);
+        assert!(decoded.iter().map(|r| r.event).eq(events.iter().copied()));
+        assert!(decoded.iter().map(|r| r.seq).eq(1..=events.len() as u64));
+        for boundary in [SCAN_BUFFER, 2 * SCAN_BUFFER] {
+            let at = starts.partition_point(|&s| s <= boundary) - 1;
+            assert!(
+                starts[at] < boundary,
+                "a record straddles offset {boundary}"
+            );
+        }
+        // A damaged record deep past the first buffer is found, and cut
+        // unless covered.
+        let mut damaged = bytes.clone();
+        damaged[starts[starts.len() * 3 / 4] + RECORD_FRAME + 2] ^= 0x01;
+        let n = events.len() as u64;
+        for after in [0, 1, n / 2, n - 1, n] {
+            check_scan(&path, &bytes, after);
+            check_scan(&path, &damaged, after);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn torn_tail_is_truncated_and_appends_continue() {
-        let dir = scratch("torn-tail");
+    fn scanner_cuts_a_torn_tail_at_every_byte_of_the_last_record() {
+        let dir = scratch("scan-torn");
         let path = dir.join(LOG_FILE);
-        let mut log = EventLog::create(&path).unwrap();
-        log.append(Event::Rerate {
-            topic: t(0),
-            rate: Rate::new(5),
-        })
-        .unwrap();
-        log.append(Event::EpochMark { epoch: 0 }).unwrap();
+        let events: Vec<Event> = (0..9).map(|i| sized_event(i).0).collect();
+        let bytes = write_log(&path, &events);
+        let last = bytes.len() - 29;
+        let n = events.len() as u64;
+        for cut in last..bytes.len() {
+            // A snapshot taken at the last record (`after == n`) covers
+            // it: torn, it cannot be, so the open fails closed.
+            for after in [0, n - 1, n] {
+                check_scan(&path, &bytes[..cut], after);
+            }
+        }
+        // Appends after the cut continue the sequence.
+        let (mut log, _) = EventLog::open(&path).unwrap();
+        assert_eq!(log.append(Event::EpochMark { epoch: 0 }).unwrap(), n);
         log.sync().unwrap();
         drop(log);
-
-        // Simulate a torn write: half a record of garbage at the tail.
-        let mut bytes = fs::read(&path).unwrap();
-        let full = bytes.len();
-        bytes.extend_from_slice(&[0xAB; 7]);
-        fs::write(&path, &bytes).unwrap();
-
-        let (mut log, records) = EventLog::open(&path).unwrap();
-        assert_eq!(records.len(), 2, "valid prefix survives");
-        assert_eq!(fs::metadata(&path).unwrap().len(), full as u64);
-        // Appending after recovery continues the sequence.
-        assert_eq!(
-            log.append(Event::Rerate {
-                topic: t(1),
-                rate: Rate::new(9),
-            })
-            .unwrap(),
-            3
-        );
-        log.sync().unwrap();
         let (_, records) = EventLog::open(&path).unwrap();
-        assert_eq!(records.len(), 3);
+        assert_eq!(records.len() as u64, n);
+        assert_eq!(records[n as usize - 1].event, Event::EpochMark { epoch: 0 });
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scanner_stops_at_a_corrupt_length_or_sequence() {
+        let dir = scratch("scan-corrupt");
+        let path = dir.join(LOG_FILE);
+        let events: Vec<Event> = (0..12).map(|i| sized_event(i).0).collect();
+        let bytes = write_log(&path, &events);
+        // Record 6 (1-based) starts after 5 records of 21, 25, 29, 21, 25 bytes.
+        let at = LOG_HEADER + 21 + 25 + 29 + 21 + 25;
+        for len in [0u32, 5, 16, 22, 1_000, u32::MAX] {
+            let mut damaged = bytes.clone();
+            damaged[at + 4..at + 8].copy_from_slice(&len.to_le_bytes());
+            for after in [0, 5, 6] {
+                check_scan(&path, &damaged, after);
+            }
+        }
+        // A record whose checksum holds but whose sequence number skips.
+        let mut skipped = bytes[..at].to_vec();
+        let mut payload = Vec::new();
+        Event::EpochMark { epoch: 0 }.encode_payload(7, &mut payload);
+        put_u32(&mut skipped, crc32(&payload));
+        put_u32(&mut skipped, payload.len() as u32);
+        skipped.extend_from_slice(&payload);
+        for after in [0, 5, 6] {
+            check_scan(&path, &skipped, after);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scanner_handles_empty_header_only_and_foreign_files() {
+        let dir = scratch("scan-edges");
+        let path = dir.join(LOG_FILE);
+        // Empty: a crash before the header reached the disk starts fresh,
+        // unless a snapshot says records should be there.
+        fs::write(&path, b"").unwrap();
+        assert!(EventLog::open_past(&path, None, 3).is_err());
+        assert!(fs::read(&path).unwrap().is_empty(), "left untouched");
+        let (log, records) = EventLog::open(&path).unwrap();
+        assert!(records.is_empty());
+        assert_eq!(log.next_seq(), 1);
+        drop(log);
+        assert_eq!(fs::read(&path).unwrap(), log_header());
+
+        // Header only: no records, nothing to cut.
+        check_scan(&path, &log_header(), 0);
+
+        // Foreign magic and other format versions fail closed, untouched.
+        for version in [1u32, 3, 99] {
+            let mut bytes = write_log(&path, &[Event::EpochMark { epoch: 0 }]);
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let err = EventLog::open(&path).unwrap_err();
+            let want = format!("unsupported event log version {version}");
+            assert!(err.to_string().contains(&want), "{err}");
+            assert_eq!(fs::read(&path).unwrap(), bytes);
+        }
+        fs::write(&path, b"MCSSNAP1\x02\0\0\0").unwrap();
+        let err = EventLog::open(&path).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_fails_closed_on_a_bad_record_the_snapshot_covers() {
+        let dir = scratch("covered-flip");
+        let config = ServeConfig::new(Rate::new(10), Bandwidth::new(100)).with_snapshot_every(1);
+        let mut daemon = Daemon::create(&dir, config, cost()).unwrap();
+        for i in 0..3 {
+            daemon
+                .submit(Event::Rerate {
+                    topic: t(i),
+                    rate: Rate::new(10),
+                })
+                .unwrap();
+            daemon
+                .submit(Event::Subscribe {
+                    subscriber: v(i),
+                    topic: t(i),
+                })
+                .unwrap();
+            daemon.tick().unwrap().expect("an epoch applies");
+        }
+        drop(daemon);
+        let path = dir.join(LOG_FILE);
+
+        // Flip a payload byte of record 2 (after one 29-byte record).
+        let at = LOG_HEADER + 29;
+        let mut flipped = fs::read(&path).unwrap();
+        flipped[at + RECORD_FRAME + 12] ^= 0x20;
+        fs::write(&path, &flipped).unwrap();
+        let err = Daemon::resume(&dir, config, cost()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("record 2 at byte offset {at}")),
+            "{err}"
+        );
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            flipped,
+            "the log must be untouched"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2082,6 +2173,14 @@ mod tests {
             err.to_string().contains("CRC32 check"),
             "corruption should be attributed to a section checksum: {err}"
         );
+
+        // A pre-store `MCSSNAP1` envelope has no reader: it fails closed.
+        let mut legacy = b"MCSSNAP1".to_vec();
+        legacy.extend_from_slice(&[2, 0, 0, 0]);
+        legacy.resize(4096, 0);
+        fs::write(&path, &legacy).unwrap();
+        let err = Snapshot::load(&path).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2210,98 +2309,6 @@ mod tests {
         let resumed = Daemon::resume(&dir, config, cost()).unwrap();
         assert_eq!(resumed.epochs_applied(), 2);
         assert_eq!(resumed.workload().unwrap().rate(t(0)), Rate::new(25));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_logs_upcast_in_place_on_open() {
-        let dir = scratch("v1-log-upcast");
-        let path = dir.join(LOG_FILE);
-        let mut log = EventLog::create(&path).unwrap();
-        log.append(Event::Rerate {
-            topic: t(0),
-            rate: Rate::new(5),
-        })
-        .unwrap();
-        log.append(Event::EpochMark { epoch: 0 }).unwrap();
-        log.sync().unwrap();
-        drop(log);
-        // Rewrite the header to claim version 1. The records themselves
-        // need no translation — v2 only added record kinds — so this is
-        // a faithful v1 log.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-
-        let (mut log, records) = EventLog::open(&path).unwrap();
-        assert_eq!(records.len(), 2, "v1 records decode under v2");
-        // Appends after the upcast may use the new record kinds.
-        log.append(Event::VmFail { slot: 0 }).unwrap();
-        log.sync().unwrap();
-        drop(log);
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            LOG_VERSION,
-            "header rewritten in place on open"
-        );
-        let (_, records) = EventLog::open(&path).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[2].event, Event::VmFail { slot: 0 });
-
-        // A log from the future must be refused, not misread.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        let err = EventLog::open(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported event log version 99"),
-            "unexpected error: {err}"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_snapshots_load_as_failure_free_v2() {
-        let dir = scratch("v1-snap-upcast");
-        let path = dir.join(SNAPSHOT_FILE);
-        let snapshot = Snapshot {
-            last_seq: 4,
-            epochs_applied: 2,
-            tau: Rate::new(10),
-            capacity: Bandwidth::new(50),
-            workload: Workload::from_parts(vec![Rate::new(10)], vec![vec![t(0)]]),
-            selection: Selection::from_csr(vec![0, 1], vec![t(0)]),
-            slots: vec![
-                LedgerSlot {
-                    tombstone: false,
-                    failed: false,
-                    cap: Bandwidth::new(50),
-                    used: Bandwidth::new(20),
-                    rows: vec![(t(0), vec![v(0)])],
-                },
-                LedgerSlot {
-                    tombstone: true,
-                    failed: false,
-                    cap: Bandwidth::new(50),
-                    used: Bandwidth::ZERO,
-                    rows: vec![],
-                },
-            ],
-        };
-        snapshot.write_legacy(&path).unwrap();
-        // With no failed slots the v2 body is byte-identical to the v1
-        // encoding (the slot-state byte equals the old tombstone byte),
-        // so rewriting the header version yields a genuine v1 snapshot.
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        let loaded = Snapshot::load(&path).unwrap();
-        assert_eq!(loaded.slots, snapshot.slots);
-        assert!(loaded.slots.iter().all(|s| !s.failed));
-        // The legacy body stored primaries only; the upcast rebuild must
-        // still land on bit-identical arenas.
-        assert_eq!(loaded.workload, snapshot.workload);
         fs::remove_dir_all(&dir).unwrap();
     }
 

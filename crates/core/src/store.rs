@@ -45,8 +45,8 @@ pub fn read_selection_sections(store: &mut StoreReader) -> Result<Selection, Sto
         .map_err(|detail| malformed(section::SELECTION_OFFSETS, detail))
 }
 
-/// Slot-state encoding shared with the legacy snapshot format: 0 live,
-/// 1 tombstoned, 2 failed (failure implies tombstone).
+/// Slot-state encoding: 0 live, 1 tombstoned, 2 failed (failure implies
+/// tombstone).
 fn slot_state(slot: &LedgerSlot) -> u32 {
     if slot.failed {
         2

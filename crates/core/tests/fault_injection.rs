@@ -12,7 +12,7 @@
 use cloud_cost::{CostModel, LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::{
-    Daemon, Driver, Event, FaultInjector, IoFault, ServeConfig, LOG_FILE, SNAPSHOT_FILE,
+    Daemon, Driver, Event, FaultInjector, IoFault, ServeConfig, Snapshot, LOG_FILE, SNAPSHOT_FILE,
 };
 use mcss_core::{Allocation, Selection};
 use proptest::prelude::*;
@@ -165,7 +165,10 @@ proptest! {
     /// snapshot of a completed run. Resume must either recover a valid
     /// prefix (finishing the stream then matches the reference exactly)
     /// or refuse with a clean diagnostic — never panic, never come back
-    /// with silently-wrong state.
+    /// with silently-wrong state. A flip in the log header or in a record
+    /// the snapshot covers must fail closed, name the record, and leave
+    /// `events.log` byte-identical: covered records were fsynced before
+    /// the snapshot existed, so they are never a torn tail to cut.
     #[test]
     fn bit_flips_recover_a_valid_prefix_or_fail_closed(
         seed in 0u64..1_000,
@@ -186,16 +189,38 @@ proptest! {
         let snap_path = dir.join(SNAPSHOT_FILE);
         let hit_snapshot = hit_snapshot_raw == 1;
         let path = if hit_snapshot && snap_path.exists() {
-            snap_path
+            snap_path.clone()
         } else {
             dir.join(LOG_FILE)
         };
         let mut bytes = std::fs::read(&path).unwrap();
         let at = flip_raw % bytes.len();
+        // The log record the flip lands in (0 = the header) and its byte
+        // offset, from the clean file's framing: a 12-byte header, then
+        // per record a CRC32, a payload length and the payload.
+        let hit_log = path == dir.join(LOG_FILE);
+        let (mut record, mut start) = (0u64, 12usize);
+        while hit_log && at >= start {
+            let len = u32::from_le_bytes(bytes[start + 4..start + 8].try_into().unwrap());
+            record += 1;
+            if at < start + 8 + len as usize {
+                break;
+            }
+            start += 8 + len as usize;
+        }
+        let covered = if hit_log && snap_path.exists() {
+            Snapshot::load(&snap_path).unwrap().last_seq
+        } else {
+            0
+        };
+        let must_fail_closed = hit_log && record <= covered;
         bytes[at] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
         match Daemon::resume(&dir, config, cost()) {
+            Ok(_) if must_fail_closed => {
+                prop_assert!(false, "resume accepted a flip in covered record {}", record);
+            }
             Ok(mut recovered) => {
                 // Valid-prefix recovery: the flip truncated the log at
                 // the damaged record (or landed in slack the decoder
@@ -213,6 +238,13 @@ proptest! {
             Err(err) => {
                 // Fail closed: a clean, printable diagnostic.
                 prop_assert!(!err.to_string().is_empty());
+                if must_fail_closed {
+                    prop_assert_eq!(&std::fs::read(&path).unwrap(), &bytes, "the log was touched");
+                    if record > 0 {
+                        let named = format!("record {record} at byte offset {start}");
+                        prop_assert!(err.to_string().contains(&named), "{}", err);
+                    }
+                }
             }
         }
 

@@ -10,7 +10,7 @@
 use cloud_cost::{CostModel, LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::Driver;
-use mcss_core::serve::{Daemon, Event, ServeConfig};
+use mcss_core::serve::{Daemon, Event, ServeConfig, Snapshot, SNAPSHOT_FILE};
 use proptest::prelude::*;
 use pubsub_model::{Bandwidth, Rate, Workload};
 use std::path::PathBuf;
@@ -134,6 +134,70 @@ proptest! {
         for t in lw.topics() {
             prop_assert_eq!(lw.subscribers_of(t), rw.subscribers_of(t));
         }
+
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    /// A stop after two snapshots, one more epoch, and a few events past
+    /// the last epoch mark. Resume keeps only the log records past the
+    /// snapshot's (nonzero) sequence number: it re-applies the one epoch
+    /// past the snapshot, re-buffers the trailing events, and finishing
+    /// the stream lands bit-identically.
+    #[test]
+    fn resume_past_the_last_snapshot_replays_only_the_suffix(
+        seed in 0u64..1_000,
+        watermark in 2u64..6,
+        tail_raw in 0u64..100_000,
+    ) {
+        let events = script(seed, 5);
+        let config = ServeConfig::new(Rate::new(15), Bandwidth::new(2_000))
+            .with_epoch_events(watermark)
+            .with_snapshot_every(2);
+        let tail = 1 + tail_raw % (watermark - 1);
+        let stop = (5 * watermark + tail) as usize;
+        prop_assert!(stop < events.len(), "the script outlasts the stop");
+
+        let dir_a = scratch("live-suffix");
+        let mut live = Daemon::create(&dir_a, config, cost()).unwrap();
+        for &e in &events {
+            live.submit(e).unwrap();
+        }
+        live.tick().unwrap();
+
+        // Snapshots at epochs 2 and 4, epoch 5 past them, then `tail`
+        // events of epoch 6. A clean stop flushes them to the log.
+        let dir_b = scratch("stopped-suffix");
+        let mut stopped = Daemon::create(&dir_b, config, cost()).unwrap();
+        for &e in &events[..stop] {
+            stopped.submit(e).unwrap();
+        }
+        prop_assert_eq!(stopped.epochs_applied(), 5);
+        prop_assert_eq!(stopped.pending_events(), tail);
+        drop(stopped);
+
+        let snapshot = Snapshot::load(&dir_b.join(SNAPSHOT_FILE)).unwrap();
+        prop_assert_eq!(snapshot.epochs_applied, 4);
+        prop_assert!(snapshot.last_seq > 0);
+        let mut recovered = Daemon::resume(&dir_b, config, cost()).unwrap();
+        let stats = recovered.recovery().unwrap();
+        // Every record is one submitted event or one epoch mark.
+        prop_assert_eq!(stats.records_verified, stop as u64 + 5);
+        prop_assert_eq!(stats.records_replayed, stats.records_verified - snapshot.last_seq);
+        prop_assert_eq!(stats.records_replayed, watermark + 1 + tail);
+        prop_assert_eq!(stats.epochs_replayed, 1);
+        prop_assert_eq!(stats.torn_bytes, 0);
+        prop_assert_eq!(recovered.epochs_applied(), 5);
+        prop_assert_eq!(recovered.pending_events(), tail);
+
+        for &e in &events[stop..] {
+            recovered.submit(e).unwrap();
+        }
+        recovered.tick().unwrap();
+        prop_assert_eq!(live.epochs_applied(), recovered.epochs_applied());
+        prop_assert_eq!(live.selection(), recovered.selection());
+        prop_assert_eq!(live.allocation(), recovered.allocation());
+        prop_assert_eq!(live.workload(), recovered.workload());
 
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();

@@ -1844,12 +1844,19 @@ fn run(command: Command) -> Result<(), String> {
                 Daemon::create(&state_dir, config, cost_box)
             }
             .map_err(|e| e.to_string())?;
-            if resume {
+            let recovery = daemon.recovery();
+            if let Some(r) = recovery {
                 println!(
-                    "recovered {} applied epochs, {} pending events from {}",
+                    "recovered {} applied epochs, {} pending events from {} \
+                     ({} log records verified, {} replayed past the snapshot, \
+                     {} epochs replayed, {} torn bytes truncated)",
                     daemon.epochs_applied(),
                     daemon.pending_events(),
-                    state_dir.display()
+                    state_dir.display(),
+                    r.records_verified,
+                    r.records_replayed,
+                    r.epochs_replayed,
+                    r.torn_bytes
                 );
             }
 
@@ -2023,13 +2030,22 @@ fn run(command: Command) -> Result<(), String> {
                     }
                 };
                 let compaction_moves: u64 = stats.iter().map(|s| s.compaction_moves).sum();
+                let recovery = recovery.map_or(String::new(), |r| {
+                    format!(
+                        ",\n  \"recovery\": {{\"records_verified\": {}, \
+                         \"records_replayed\": {}, \"epochs_replayed\": {}, \
+                         \"torn_bytes\": {}}}",
+                        r.records_verified, r.records_replayed, r.epochs_replayed, r.torn_bytes
+                    )
+                });
                 let json = format!(
                     "{{\n  \"trace\": \"{label}\",\n  \"subscribers\": {size},\n  \
                      \"epochs\": {},\n  \"events\": {total_events},\n  \
                      \"duration_s\": {:.3},\n  \"events_per_sec\": {events_per_sec:.1},\n  \
                      \"apply_ms_p50\": {:.3},\n  \"apply_ms_p99\": {:.3},\n  \
                      \"compaction_moves\": {compaction_moves},\n  \
-                     \"final_vms\": {},\n  \"final_cost\": \"{}\",\n  \"resumed\": {resume}\n}}\n",
+                     \"final_vms\": {},\n  \"final_cost\": \"{}\",\n  \
+                     \"resumed\": {resume}{recovery}\n}}\n",
                     stats.len(),
                     elapsed.as_secs_f64(),
                     pct(0.5),

@@ -824,15 +824,53 @@ fn serve_drill_schedule_kills_and_heals() {
         stderr(&out)
     );
 
-    // Plain resume over the drilled log must recover and continue.
+    // Plain resume over the drilled log must recover and continue. The
+    // first run snapshotted after every epoch, so the snapshot covers
+    // every record: recovery verifies them all and replays none.
+    let summary = dir.join("summary.json");
     let out = mcss(&[
-        "serve", "--trace", "spotify", "--size", "150", "--tau", "30", "--epochs", "4", "--resume",
-        "--dir", &state_str,
+        "serve",
+        "--trace",
+        "spotify",
+        "--size",
+        "150",
+        "--tau",
+        "30",
+        "--epochs",
+        "4",
+        "--resume",
+        "--dir",
+        &state_str,
+        "--summary",
+        &summary.display().to_string(),
     ]);
     assert!(
         out.status.success(),
         "resume over a drilled log failed: {}",
         stderr(&out)
     );
+    let text = stdout(&out);
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("recovered 3 applied epochs"))
+        .unwrap_or_else(|| panic!("no recovered line in: {text}"));
+    assert!(
+        line.contains(" 0 replayed past the snapshot, 0 epochs replayed, 0 torn bytes truncated)"),
+        "unexpected recovery counters: {line}"
+    );
+    let verified: u64 = line
+        .split('(')
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no verified count in: {line}"));
+    assert!(verified > 0, "{line}");
+    let json = std::fs::read_to_string(&summary).expect("summary written");
+    assert!(json.contains("\"resumed\": true"), "bad summary: {json}");
+    let want = format!(
+        "\"recovery\": {{\"records_verified\": {verified}, \"records_replayed\": 0, \
+         \"epochs_replayed\": 0, \"torn_bytes\": 0}}"
+    );
+    assert!(json.contains(&want), "bad summary: {json}");
     std::fs::remove_dir_all(&dir).ok();
 }
