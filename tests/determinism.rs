@@ -200,3 +200,164 @@ fn packers_match_golden() {
          if the change is deliberate, regenerate with MCSS_BLESS=1"
     );
 }
+
+/// The incremental repair path, fingerprinted against
+/// `tests/golden/repair.txt`, one line per epoch or repair round:
+/// - on Spotify- and Twitter-like traces at τ 100, an epoch-0 solve and
+///   12 delta-fed drift epochs whose rate drift evicts whole topic
+///   groups (so placement falls through to the most-free pass);
+/// - a two-VM failure drill under a 50-pair budget, drained to empty,
+///   then one compaction;
+/// - a typed (mixed-fleet) run over the same drift.
+///
+/// The file pins the ledger's placement decisions bit for bit.
+/// Regenerate (only for a deliberate placement change) with
+/// `MCSS_BLESS=1 cargo test --test determinism repair_matches_golden`.
+#[test]
+fn repair_matches_golden() {
+    use cloud_cost::instances::{C3_2XLARGE, C3_LARGE, C3_XLARGE};
+    use mcss::solver::dynamic::DriftModel;
+    use mcss::solver::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
+    use mcss::solver::SearchBudget;
+
+    let drift = DriftModel {
+        rate_sigma: 0.1,
+        churn_prob: 0.05,
+        seed: 3,
+    };
+    let tau = Rate::new(100);
+    let mut out = String::new();
+    let mut evicted = 0u64;
+    for scenario in [Scenario::spotify(2_000, 7), Scenario::twitter(2_000, 7)] {
+        let cost = scenario.cost_model(C3_LARGE);
+        let capacity = cost.capacity();
+        let mut inc = IncrementalReallocator::new(IncrementalConfig::default());
+        let mut workload = (*scenario.workload).clone();
+        let mut inst = McssInstance::new(workload.clone(), tau, capacity).unwrap();
+        let first = inc.step(&inst, &cost).unwrap();
+        out.push_str(&packer_fingerprint(
+            &format!("{} epoch=0", scenario.name),
+            &first.allocation,
+        ));
+        for epoch in 1..=12 {
+            let (next, delta) = drift.evolve_tracked(&workload, epoch);
+            workload = next;
+            inst = McssInstance::new(workload.clone(), tau, capacity).unwrap();
+            let step = inc.step_with_delta(&inst, &cost, &delta).unwrap();
+            step.allocation.validate(inst.workload(), tau).unwrap();
+            evicted += step.pairs_evicted;
+            out.push_str(&packer_fingerprint(
+                &format!(
+                    "{} epoch={epoch} placed={} removed={} evicted={} full={}",
+                    scenario.name,
+                    step.pairs_placed,
+                    step.pairs_removed,
+                    step.pairs_evicted,
+                    step.full_resolve
+                ),
+                &step.allocation,
+            ));
+        }
+
+        // Fail the two slots hosting the most pairs and drain their
+        // orphans.
+        let (_, ledger, _) = inc.checkpoint().unwrap();
+        let mut live: Vec<(usize, usize)> = ledger
+            .snapshot_slots()
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| !slot.tombstone)
+            .map(|(i, slot)| (slot.rows.iter().map(|(_, subs)| subs.len()).sum(), i))
+            .collect();
+        live.sort_unstable_by_key(|&(pairs, i)| (std::cmp::Reverse(pairs), i));
+        let live: Vec<usize> = live.iter().take(2).map(|&(_, i)| i).collect();
+        let mut failed = live.as_slice();
+        let mut round = 0;
+        loop {
+            let report = inc
+                .repair_failures(&inst, failed, SlaBudget::pairs(50))
+                .unwrap();
+            out.push_str(&packer_fingerprint(
+                &format!(
+                    "{} repair={round} failed={} orphaned={} replaced={} deferred={} starved={} shortfall={}",
+                    scenario.name,
+                    report.vms_failed,
+                    report.pairs_orphaned,
+                    report.pairs_replaced,
+                    report.pairs_deferred,
+                    report.starved.len(),
+                    report.shortfall
+                ),
+                &report.allocation,
+            ));
+            failed = &[];
+            round += 1;
+            if report.drained {
+                break;
+            }
+        }
+        assert!(round > 1, "the budget must defer part of the drill");
+        let (_, ledger, capacity) = inc.checkpoint().unwrap();
+        ledger
+            .to_allocation(capacity)
+            .validate(inst.workload(), tau)
+            .unwrap();
+        for &slot in &live {
+            assert!(inc.recover_slot(slot));
+        }
+        let compacted = inc
+            .compact(&inst, &cost, SearchBudget::steps(200))
+            .expect("nothing deferred, nothing down");
+        let (_, ledger, capacity) = inc.checkpoint().unwrap();
+        out.push_str(&packer_fingerprint(
+            &format!("{} compact steps={}", scenario.name, compacted.steps),
+            &ledger.to_allocation(capacity),
+        ));
+    }
+    assert!(
+        evicted > 0,
+        "the drift must evict, or the most-free pass goes untested"
+    );
+
+    // A typed fleet: per-slot tier capacities and cheapest-tier fresh VMs.
+    let scenario = Scenario::spotify(2_000, 7);
+    let fleet = FleetCostModel::new(vec![
+        scenario.cost_model(C3_LARGE),
+        scenario.cost_model(C3_XLARGE),
+        scenario.cost_model(C3_2XLARGE),
+    ]);
+    let cost = scenario.cost_model(C3_LARGE);
+    let mut inc =
+        IncrementalReallocator::new(IncrementalConfig::default()).with_fleet(fleet.clone());
+    let mut workload = (*scenario.workload).clone();
+    let inst = McssInstance::new(workload.clone(), tau, fleet.max_capacity()).unwrap();
+    let first = inc.step(&inst, &cost).unwrap();
+    out.push_str(&packer_fingerprint("typed epoch=0", &first.allocation));
+    for epoch in 1..=6 {
+        let (next, delta) = drift.evolve_tracked(&workload, epoch);
+        workload = next;
+        let inst = McssInstance::new(workload.clone(), tau, fleet.max_capacity()).unwrap();
+        let step = inc.step_with_delta(&inst, &cost, &delta).unwrap();
+        step.allocation.validate(inst.workload(), tau).unwrap();
+        out.push_str(&packer_fingerprint(
+            &format!(
+                "typed epoch={epoch} placed={} evicted={} full={}",
+                step.pairs_placed, step.pairs_evicted, step.full_resolve
+            ),
+            &step.allocation,
+        ));
+    }
+
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/repair.txt");
+    if std::env::var_os("MCSS_BLESS").is_some() {
+        std::fs::write(golden, &out).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(golden)
+        .expect("tests/golden/repair.txt missing; regenerate with MCSS_BLESS=1");
+    assert_eq!(
+        out, want,
+        "repair output drifted from tests/golden/repair.txt; \
+         if the change is deliberate, regenerate with MCSS_BLESS=1"
+    );
+}
