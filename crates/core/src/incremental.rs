@@ -22,7 +22,8 @@
 //!    VM fits again;
 //! 3. new and evicted pairs are placed topic-grouped — VMs already
 //!    hosting the topic first (no extra incoming stream), then the
-//!    most-free VM (a lazy heap), then fresh VMs;
+//!    most-free VM (an exact scan of the slots' headroom, so the ledger
+//!    keeps no placement history), then fresh VMs;
 //! 4. emptied VMs are released (their ledger slots are tombstoned and
 //!    reused), and if overall utilization drops below a configurable
 //!    floor the allocator falls back to a full CustomBinPacking re-solve
@@ -116,6 +117,28 @@ pub struct IncrementalOutcome {
     pub pairs_reused: u64,
     /// Whether the utilization floor forced a full re-solve.
     pub full_resolve: bool,
+}
+
+/// What one [`IncrementalReallocator::advance`] did, as counters (see
+/// [`IncrementalOutcome`] for their meaning).
+pub(crate) struct EpochStep {
+    pub(crate) pairs_placed: u64,
+    pub(crate) pairs_removed: u64,
+    pub(crate) pairs_evicted: u64,
+    pub(crate) pairs_reused: u64,
+    pub(crate) full_resolve: bool,
+    /// The packer's allocation after a full re-solve; `None` after a
+    /// repair, whose fleet lives only in the ledger.
+    packed: Option<Allocation>,
+}
+
+/// What one [`IncrementalReallocator::repair_round`] did, as counters
+/// (see [`RepairReport`] for their meaning).
+pub(crate) struct RepairRound {
+    pub(crate) vms_failed: usize,
+    invalid_slots: Vec<usize>,
+    pairs_orphaned: u64,
+    pub(crate) pairs_replaced: u64,
 }
 
 /// Per-epoch repair budget for [`IncrementalReallocator::repair_failures`]
@@ -301,7 +324,8 @@ impl IncrementalReallocator {
         instance: &McssInstance,
         cost: &dyn CostModel,
     ) -> Result<IncrementalOutcome, McssError> {
-        self.step_inner(instance, cost, None)
+        let step = self.advance(instance, cost, None)?;
+        Ok(self.outcome(step))
     }
 
     /// Like [`IncrementalReallocator::step`], but trusts the caller's
@@ -323,7 +347,29 @@ impl IncrementalReallocator {
         cost: &dyn CostModel,
         delta: &WorkloadDelta,
     ) -> Result<IncrementalOutcome, McssError> {
-        self.step_inner(instance, cost, Some(delta))
+        let step = self.advance(instance, cost, Some(delta))?;
+        Ok(self.outcome(step))
+    }
+
+    /// Builds a step's [`IncrementalOutcome`] from the remembered state:
+    /// the packer's allocation after a full re-solve, the ledger's export
+    /// after a repair.
+    fn outcome(&self, step: EpochStep) -> IncrementalOutcome {
+        let state = self
+            .previous
+            .as_ref()
+            .expect("a step leaves remembered state");
+        IncrementalOutcome {
+            allocation: step
+                .packed
+                .unwrap_or_else(|| state.ledger.to_allocation(state.capacity)),
+            selection: state.selection.clone(),
+            pairs_placed: step.pairs_placed,
+            pairs_removed: step.pairs_removed,
+            pairs_evicted: step.pairs_evicted,
+            pairs_reused: step.pairs_reused,
+            full_resolve: step.full_resolve,
+        }
     }
 
     /// Fails VMs and re-places their orphaned pairs within `budget`.
@@ -363,6 +409,66 @@ impl IncrementalReallocator {
         budget: SlaBudget,
     ) -> Result<RepairReport, McssError> {
         let started = Instant::now();
+        let round = self.repair_round(instance, failed_slots, budget, started)?;
+        let workload = instance.workload();
+        let prev = self
+            .previous
+            .as_ref()
+            .expect("a repair round leaves remembered state");
+
+        // Degraded-mode accounting: a waiting subscriber's delivered
+        // rate is its selection row minus whatever is still deferred.
+        let mut missing: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
+        for &(t, v) in &prev.pending {
+            *missing.entry(v.index()).or_insert(0) += workload.rate(t).get();
+        }
+        let mut waiting: Vec<(usize, u64)> = missing.into_iter().collect();
+        waiting.sort_unstable();
+        let mut starved: Vec<SubscriberId> = Vec::new();
+        let mut shortfall = 0u64;
+        for (vi, miss) in waiting {
+            let v = SubscriberId::new(vi as u32);
+            let row_sum: u64 = prev
+                .selection
+                .selected(v)
+                .iter()
+                .map(|&t| workload.rate(t).get())
+                .sum();
+            let target = instance.tau_v(v).get();
+            let delivered = row_sum.saturating_sub(miss);
+            if delivered < target {
+                starved.push(v);
+                shortfall += target - delivered;
+            }
+        }
+
+        let pairs_deferred = prev.pending.len() as u64;
+        Ok(RepairReport {
+            allocation: prev.ledger.to_allocation(prev.capacity),
+            vms_failed: round.vms_failed,
+            invalid_slots: round.invalid_slots,
+            pairs_orphaned: round.pairs_orphaned,
+            pairs_replaced: round.pairs_replaced,
+            pairs_deferred,
+            starved,
+            shortfall,
+            drained: pairs_deferred == 0,
+            elapsed: started.elapsed(),
+        })
+    }
+
+    /// The placement half of [`IncrementalReallocator::repair_failures`]:
+    /// fails the slots and re-places queued orphans within `budget`
+    /// (its deadline counted from `started`), returning counters only.
+    /// The serve daemon calls this directly, reading what is still
+    /// deferred from [`IncrementalReallocator::pending_repair_pairs`].
+    pub(crate) fn repair_round(
+        &mut self,
+        instance: &McssInstance,
+        failed_slots: &[usize],
+        budget: SlaBudget,
+        started: Instant,
+    ) -> Result<RepairRound, McssError> {
         let workload = instance.workload();
         let prev = self
             .previous
@@ -420,45 +526,11 @@ impl IncrementalReallocator {
             }
         }
         prev.pending = deferred;
-
-        // Degraded-mode accounting: a waiting subscriber's delivered
-        // rate is its selection row minus whatever is still deferred.
-        let mut missing: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-        for &(t, v) in &prev.pending {
-            *missing.entry(v.index()).or_insert(0) += workload.rate(t).get();
-        }
-        let mut waiting: Vec<(usize, u64)> = missing.into_iter().collect();
-        waiting.sort_unstable();
-        let mut starved: Vec<SubscriberId> = Vec::new();
-        let mut shortfall = 0u64;
-        for (vi, miss) in waiting {
-            let v = SubscriberId::new(vi as u32);
-            let row_sum: u64 = prev
-                .selection
-                .selected(v)
-                .iter()
-                .map(|&t| workload.rate(t).get())
-                .sum();
-            let target = instance.tau_v(v).get();
-            let delivered = row_sum.saturating_sub(miss);
-            if delivered < target {
-                starved.push(v);
-                shortfall += target - delivered;
-            }
-        }
-
-        let pairs_deferred = prev.pending.len() as u64;
-        Ok(RepairReport {
-            allocation: prev.ledger.to_allocation(capacity),
+        Ok(RepairRound {
             vms_failed,
             invalid_slots: failed.rejected,
             pairs_orphaned,
             pairs_replaced,
-            pairs_deferred,
-            starved,
-            shortfall,
-            drained: pairs_deferred == 0,
-            elapsed: started.elapsed(),
         })
     }
 
@@ -476,12 +548,19 @@ impl IncrementalReallocator {
         self.previous.as_ref().map_or(0, |s| s.pending.len() as u64)
     }
 
-    fn step_inner(
+    /// The epoch step behind [`IncrementalReallocator::step`] and
+    /// [`IncrementalReallocator::step_with_delta`]: repairs (or re-solves)
+    /// the remembered fleet and returns the epoch's counters, exporting
+    /// nothing. The new selection moves into the remembered state; a full
+    /// re-solve also hands back the packer's allocation. The serve daemon
+    /// calls this directly and reads the fleet's size and bandwidth from
+    /// the ledger's counters.
+    pub(crate) fn advance(
         &mut self,
         instance: &McssInstance,
         cost: &dyn CostModel,
         delta: Option<&WorkloadDelta>,
-    ) -> Result<IncrementalOutcome, McssError> {
+    ) -> Result<EpochStep, McssError> {
         let workload = instance.workload();
         let capacity = instance.capacity();
         let tau = instance.tau();
@@ -492,21 +571,20 @@ impl IncrementalReallocator {
             let allocation = self.full_allocate(instance, &selection, cost)?;
             let placed = selection.pair_count();
             self.remember(
-                selection.clone(),
+                selection,
                 &allocation,
                 workload,
                 tau,
                 capacity,
                 delta.is_none(),
             );
-            return Ok(IncrementalOutcome {
-                allocation,
-                selection,
+            return Ok(EpochStep {
                 pairs_placed: placed,
                 pairs_removed: 0,
                 pairs_evicted: 0,
                 pairs_reused: 0,
                 full_resolve: true,
+                packed: Some(allocation),
             });
         };
         let prev_n = prev.selection.num_subscribers();
@@ -723,25 +801,23 @@ impl IncrementalReallocator {
             let allocation = self.full_allocate(instance, &selection, cost)?;
             let placed = selection.pair_count();
             self.remember(
-                selection.clone(),
+                selection,
                 &allocation,
                 workload,
                 tau,
                 capacity,
                 delta.is_none(),
             );
-            return Ok(IncrementalOutcome {
-                allocation,
-                selection,
+            return Ok(EpochStep {
                 pairs_placed: placed,
                 pairs_removed,
                 pairs_evicted,
                 pairs_reused,
                 full_resolve: true,
+                packed: Some(allocation),
             });
         }
 
-        let allocation = prev.ledger.to_allocation(capacity);
         // Carry deferred repair pairs forward, dropping any the new
         // selection no longer wants (rows are small, so a linear
         // `contains` beats assuming a sort order they don't have).
@@ -749,7 +825,7 @@ impl IncrementalReallocator {
             t.index() < workload.num_topics() && v.index() < n && selection.selected(v).contains(&t)
         });
         self.previous = Some(State {
-            selection: selection.clone(),
+            selection,
             ledger: prev.ledger,
             capacity,
             pending,
@@ -764,14 +840,13 @@ impl IncrementalReallocator {
                 },
             }),
         });
-        Ok(IncrementalOutcome {
-            allocation,
-            selection,
+        Ok(EpochStep {
             pairs_placed,
             pairs_removed,
             pairs_evicted,
             pairs_reused,
             full_resolve: false,
+            packed: None,
         })
     }
 

@@ -14,10 +14,11 @@
 //!   only for topics whose rate actually changed;
 //! * a topic → hosting-VMs reverse index, so rate refreshes, removals and
 //!   co-host placement touch only the VMs that host the topic;
-//! * a lazy max-heap over VM headroom for "most-free VM" placement (stale
-//!   entries are discarded on pop, fresh ones pushed on every change);
+//! * "most-free VM" placement by an exact scan of the slots' headroom:
+//!   the fleet is tens of slots, so the scan costs less than keeping an
+//!   index in step with every usage change, and it holds no history;
 //! * tombstoned VM slots: released VMs keep their index (the reverse
-//!   index and heap stay valid) and are reused lowest-first by new VMs.
+//!   index stays valid) and are reused lowest-first by new VMs.
 //!
 //! The ledger is deliberately policy-free: eviction order and the
 //! three-pass placement (co-host → most-free → fresh VM) mirror the
@@ -30,7 +31,7 @@
 //! allocation (one with a [`FleetTyping`](crate::FleetTyping), as the
 //! mixed-fleet packer produces) remembers each VM's tier: overflow
 //! eviction and placement respect per-slot capacities, the most-free
-//! heap orders by *headroom* rather than raw usage (the two orders agree
+//! scan ranks by *headroom* rather than raw usage (the two orders agree
 //! on homogeneous fleets), fresh VMs pick the cheapest-density tier that
 //! holds the group whole (largest tier when none does), and
 //! [`FleetLedger::to_allocation`] re-attaches the typing. Untyped
@@ -49,10 +50,9 @@ type VmRows = Vec<(TopicId, Vec<SubscriberId>)>;
 /// Primary state of one VM slot, as exported by
 /// [`FleetLedger::snapshot_slots`] and consumed by
 /// [`FleetLedger::from_slots`]. Everything else the ledger keeps — the
-/// topic reverse index, the placement heaps, the usage aggregates — is
+/// topic reverse index, the slot-reuse heap, the usage aggregates — is
 /// derived from these fields on restore, and the rebuilt derived state
-/// is behaviourally identical to the incrementally-maintained one (the
-/// lazy heaps tolerate stale entries but never require them).
+/// is behaviourally identical to the incrementally-maintained one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerSlot {
     /// Whether the slot is tombstoned (released, awaiting reuse by a
@@ -142,10 +142,6 @@ pub struct FleetLedger {
     host_spill: Vec<Vec<u32>>,
     /// Recyclable `host_spill` indices (their lists are empty).
     spill_free: Vec<u32>,
-    /// Lazy "most-free VM" heap: `(free headroom at push time, slot)`.
-    /// An entry is valid iff the slot is live and its headroom still
-    /// matches; everything else is discarded on pop.
-    free_heap: BinaryHeap<(Bandwidth, usize)>,
     /// Tombstoned slots available for reuse, lowest index first.
     free_slots: BinaryHeap<Reverse<usize>>,
     /// Slots that may have become empty since the last release sweep.
@@ -192,7 +188,6 @@ impl FleetLedger {
             ledger.tombstone.push(false);
             ledger.failed.push(false);
             ledger.total_used += u128::from(vm.used().get());
-            ledger.free_heap.push((cap.saturating_sub(vm.used()), slot));
             if !ledger.rows[slot].is_empty() {
                 ledger.live += 1;
                 ledger.live_cap += u128::from(cap.get());
@@ -228,11 +223,10 @@ impl FleetLedger {
     }
 
     /// Rebuilds an (untyped) ledger from snapshotted slot state: the
-    /// reverse index, heaps and aggregate counters are reconstructed
-    /// from the rows. Restoring [`FleetLedger::snapshot_slots`] output
-    /// yields a ledger whose every future operation takes the same
-    /// decisions as the original — rebuilt heaps hold exactly the fresh
-    /// entries the lazy maintenance guarantees are present.
+    /// reverse index, the slot-reuse heap and the aggregate counters are
+    /// reconstructed from the rows. Restoring
+    /// [`FleetLedger::snapshot_slots`] output yields a ledger whose every
+    /// future operation takes the same decisions as the original.
     pub fn from_slots(slots: Vec<LedgerSlot>) -> FleetLedger {
         let mut ledger = FleetLedger::default();
         for (slot, s) in slots.into_iter().enumerate() {
@@ -253,7 +247,6 @@ impl FleetLedger {
                 ledger.free_slots.push(Reverse(slot));
             } else {
                 ledger.total_used += u128::from(s.used.get());
-                ledger.free_heap.push((s.cap.saturating_sub(s.used), slot));
                 if ledger.rows[slot].is_empty() {
                     ledger.maybe_empty.push(slot);
                 } else {
@@ -269,6 +262,13 @@ impl FleetLedger {
     /// Number of live (non-empty) VMs.
     pub fn vm_count(&self) -> usize {
         self.live
+    }
+
+    /// `Σ used` over live VMs: the fleet's Eq. 2 bandwidth, equal to the
+    /// exported allocation's [`Allocation::total_bandwidth`] without the
+    /// export.
+    pub fn total_bandwidth(&self) -> Bandwidth {
+        Bandwidth::new(u64::try_from(self.total_used).expect("fleet bandwidth fits in u64"))
     }
 
     /// `true` iff the ledger carries per-slot instance typing.
@@ -291,7 +291,6 @@ impl FleetLedger {
             + bytes(&self.hosts)
             + bytes(&self.maybe_empty)
             + bytes(&self.overflow_candidates)
-            + self.free_heap.capacity() * std::mem::size_of::<(Bandwidth, usize)>()
             + self.free_slots.capacity() * std::mem::size_of::<Reverse<usize>>();
         for vm in &self.rows {
             total += bytes(vm);
@@ -352,7 +351,6 @@ impl FleetLedger {
             if !self.tombstone[slot] && !self.rows[slot].is_empty() {
                 self.live_cap += u128::from(capacity.get());
             }
-            self.free_heap.push((self.slot_free(slot), slot));
         }
     }
 
@@ -507,7 +505,6 @@ impl FleetLedger {
             self.used[slot] = after;
             self.total_used =
                 self.total_used - u128::from(old_contrib.get()) + u128::from(new_contrib.get());
-            self.free_heap.push((self.slot_free(slot), slot));
             if new_rate > old_rate {
                 self.overflow_candidates.push(slot);
             }
@@ -528,7 +525,6 @@ impl FleetLedger {
                 let contrib = old_rate * (subs.len() as u64 + 1);
                 self.used[slot] = self.used[slot].saturating_sub(contrib);
                 self.total_used -= u128::from(contrib.get());
-                self.free_heap.push((self.slot_free(slot), slot));
                 if self.rows[slot].is_empty() {
                     self.mark_emptied(slot);
                 }
@@ -572,7 +568,6 @@ impl FleetLedger {
         }
         self.used[slot] = self.used[slot].saturating_sub(freed);
         self.total_used -= u128::from(freed.get());
-        self.free_heap.push((self.slot_free(slot), slot));
         true
     }
 
@@ -637,7 +632,6 @@ impl FleetLedger {
                 evicted += subs.len() as u64;
                 spill.extend(subs.into_iter().map(|v| (t, v)));
             }
-            self.free_heap.push((self.slot_free(slot), slot));
             if self.rows[slot].is_empty() {
                 self.mark_emptied(slot);
             }
@@ -646,8 +640,8 @@ impl FleetLedger {
     }
 
     /// Places one topic group from a subscriber slice: VMs already hosting the
-    /// topic first (marginal cost `ev` per pair), then most-free VMs via
-    /// the lazy heap (`(k+1)·ev`), then fresh VMs (tombstoned slots are
+    /// topic first (marginal cost `ev` per pair), then most-free VMs
+    /// (`(k+1)·ev`), then fresh VMs (tombstoned slots are
     /// reused lowest-first). `capacity` sizes fresh VMs on untyped
     /// fleets; typed fleets pick the cheapest-density tier that holds
     /// the remaining group whole (the largest tier when none does). The
@@ -690,22 +684,11 @@ impl FleetLedger {
             let added = rate * take as u64;
             self.used[slot] += added;
             self.total_used += u128::from(added.get());
-            self.free_heap.push((self.slot_free(slot), slot));
         }
 
-        // Pass 2: most-free live VM, lazily validated.
+        // Pass 2: the live VM with the most headroom.
         while !subs.is_empty() {
-            let slot = loop {
-                let Some(&(free, slot)) = self.free_heap.peek() else {
-                    break None;
-                };
-                if self.tombstone[slot] || self.slot_free(slot) != free {
-                    self.free_heap.pop(); // stale
-                    continue;
-                }
-                break Some(slot);
-            };
-            let Some(slot) = slot else {
+            let Some(slot) = self.most_free_slot() else {
                 break;
             };
             let free = self.slot_free(slot);
@@ -735,7 +718,6 @@ impl FleetLedger {
             let added = rate * (take as u64 + if hosted { 0 } else { 1 });
             self.used[slot] += added;
             self.total_used += u128::from(added.get());
-            self.free_heap.push((self.slot_free(slot), slot));
         }
 
         // Pass 3: fresh VMs.
@@ -780,9 +762,18 @@ impl FleetLedger {
             }
             self.host_insert(t, slot as u32);
             self.total_used += u128::from(used.get());
-            self.free_heap.push((self.slot_free(slot), slot));
             self.mark_live(slot);
         }
+    }
+
+    /// The non-tombstoned slot with the most free headroom, ties to the
+    /// higher slot. A scan, `O(slots)`: pass 2 of
+    /// [`FleetLedger::place_group`] runs at most a few hundred times per
+    /// epoch on fleets of tens of slots.
+    fn most_free_slot(&self) -> Option<usize> {
+        (0..self.rows.len())
+            .filter(|&slot| !self.tombstone[slot])
+            .max_by_key(|&slot| (self.slot_free(slot), slot))
     }
 
     /// The largest capacity a fresh VM could have: the biggest tier on a
@@ -855,7 +846,6 @@ impl FleetLedger {
             }
             self.used[slot] = used;
             self.total_used += u128::from(used.get());
-            self.free_heap.push((self.slot_free(slot), slot));
         }
     }
 
@@ -1246,7 +1236,7 @@ mod tests {
         assert_eq!(ledger.to_allocation(Bandwidth::new(64)), typed);
 
         // Place 8 more t0 pairs (rate 10): the small VM0 has free 18 but
-        // the most-free heap must rank VM1 (free 24) by *headroom*; the
+        // the most-free scan must rank VM1 (free 24) by *headroom*; the
         // co-host VM1 takes 2 (24/10), spill takes VM0's 18 → 1 pair,
         // fresh VMs host the rest on the cheapest tier that fits whole.
         let subs = (3..11).map(v).collect::<Vec<_>>();

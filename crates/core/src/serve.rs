@@ -21,9 +21,11 @@
 //!   close the epoch on a watermark ([`ServeConfig::with_epoch_events`])
 //!   or an external tick ([`Daemon::tick`]), fold the buffered
 //!   operations into a [`WorkloadDelta`] via
-//!   [`pubsub_model::WorkloadEdit`], and apply them through
-//!   [`IncrementalReallocator::step_with_delta`] so steady-state epoch
-//!   cost is O(Δ);
+//!   [`pubsub_model::WorkloadEdit`], and apply them through the
+//!   counter-only core of [`IncrementalReallocator::step_with_delta`],
+//!   so steady-state epoch cost is O(Δ): an epoch exports no fleet and
+//!   reads its VM count and bandwidth from the ledger's counters
+//!   ([`Daemon::allocation`] exports on demand);
 //! * [`Driver`] — feeds the log from [`DriftModel`], making
 //!   `mcss serve --trace spotify` self-exercising offline.
 //!
@@ -36,11 +38,11 @@
 //! are kept and replayed, re-applying an epoch at every `EpochMark`
 //! (redo from the checkpoint, as in ARIES). A snapshot already holds
 //! every workload arena, so the daemon adopts it with zero rebuild —
-//! only the ledger heaps and reverse index ([`FleetLedger::from_slots`])
-//! and the re-allocator basis ([`IncrementalReallocator::restore`]) are
-//! reconstructed, both cheap and deterministic. Every derived structure
-//! is a deterministic function of the persisted state (the lazy heaps
-//! tolerate stale entries but never require them), so the recovered
+//! only the ledger's reuse heap and reverse index
+//! ([`FleetLedger::from_slots`]) and the re-allocator basis
+//! ([`IncrementalReallocator::restore`]) are reconstructed, both cheap
+//! and deterministic. Every derived structure is a deterministic
+//! function of the persisted state, so the recovered
 //! daemon is **bit-identical** to one that never stopped: same
 //! selections, same placements, same future decisions. The crash-replay
 //! property test (`crates/core/tests/serve_replay.rs`) kills a daemon
@@ -1528,9 +1530,11 @@ impl Daemon {
         let workload = Arc::new(workload);
         let instance =
             McssInstance::new(Arc::clone(&workload), self.config.tau, self.config.capacity)?;
-        let outcome = self
+        // The counter-only step: the fleet stays in the ledger, whose
+        // counters the stats read below.
+        let step = self
             .realloc
-            .step_with_delta(&instance, self.cost.as_ref(), &delta)?;
+            .advance(&instance, self.cost.as_ref(), Some(&delta))?;
         self.prev = Some(workload);
 
         // Fold the epoch's fleet ops: fail + budgeted repair first (the
@@ -1545,28 +1549,22 @@ impl Daemon {
                 _ => unreachable!("only fleet ops are buffered"),
             }
         }
-        let mut allocation = outcome.allocation;
         let mut vms_failed = 0usize;
         let mut pairs_repaired = 0u64;
-        let mut repair_deferred = 0u64;
         if !fails.is_empty() || self.realloc.pending_repair_pairs() > 0 {
             let budget = SlaBudget {
                 max_pairs: self.config.repair_budget,
                 deadline: None, // deadlines would break crash replay
             };
-            let report = self.realloc.repair_failures(&instance, &fails, budget)?;
-            vms_failed = report.vms_failed;
-            pairs_repaired = report.pairs_replaced;
-            repair_deferred = report.pairs_deferred;
-            allocation = report.allocation;
+            let round = self
+                .realloc
+                .repair_round(&instance, &fails, budget, Instant::now())?;
+            vms_failed = round.vms_failed;
+            pairs_repaired = round.pairs_replaced;
         }
         for slot in recovers {
             self.realloc.recover_slot(slot);
         }
-
-        let mut vm_count = allocation.vm_count();
-        let mut fleet_cost =
-            self.cost.vm_cost(vm_count) + self.cost.bandwidth_cost(allocation.total_bandwidth());
 
         // Periodic compaction: a budgeted local-search pass over the
         // repaired fleet. Steps-only — deadlines would break crash
@@ -1583,32 +1581,32 @@ impl Daemon {
                 ) {
                     compaction_moves = report.steps;
                     compaction_saved = report.saved();
-                    if report.steps > 0 {
-                        let (_, ledger, _) = self
-                            .realloc
-                            .checkpoint()
-                            .expect("a compacted epoch implies a checkpoint");
-                        vm_count = ledger.vm_count();
-                        fleet_cost = report.final_cost;
-                    }
                 }
             }
         }
+
+        // The fleet's size and Eq. 2 bandwidth are ledger counters, kept
+        // exact through every repair, failure and compaction.
+        let (_, ledger, _) = self
+            .realloc
+            .checkpoint()
+            .expect("an applied epoch implies a checkpoint");
+        let vm_count = ledger.vm_count();
         Ok(EpochStats {
             epoch: self.epochs_applied,
             events_applied: events,
-            pairs_placed: outcome.pairs_placed,
-            pairs_removed: outcome.pairs_removed,
-            pairs_evicted: outcome.pairs_evicted,
-            pairs_reused: outcome.pairs_reused,
-            full_resolve: outcome.full_resolve,
+            pairs_placed: step.pairs_placed,
+            pairs_removed: step.pairs_removed,
+            pairs_evicted: step.pairs_evicted,
+            pairs_reused: step.pairs_reused,
+            full_resolve: step.full_resolve,
             vms_failed,
             pairs_repaired,
-            repair_deferred,
+            repair_deferred: self.realloc.pending_repair_pairs(),
             compaction_moves,
             compaction_saved,
             vm_count,
-            fleet_cost,
+            fleet_cost: self.cost.total_cost(vm_count, ledger.total_bandwidth()),
             apply_time: started.elapsed(),
         })
     }
@@ -2356,6 +2354,20 @@ mod tests {
 
     #[test]
     fn vm_failure_drill_repairs_within_budget_and_drains() {
+        // Every epoch's VM count and fleet cost come from ledger counters;
+        // they must equal an export of the fleet through failure, deferred
+        // repair and recovery epochs.
+        fn check(daemon: &Daemon, stats: EpochStats) -> EpochStats {
+            let fleet = daemon.allocation().expect("allocated");
+            assert_eq!(stats.vm_count, fleet.vm_count(), "epoch {}", stats.epoch);
+            assert_eq!(
+                stats.fleet_cost,
+                fleet.cost(cost().as_ref()),
+                "epoch {}",
+                stats.epoch
+            );
+            stats
+        }
         let dir = scratch("drill");
         let config = ServeConfig::new(Rate::new(15), Bandwidth::new(60))
             .with_snapshot_every(0)
@@ -2385,11 +2397,13 @@ mod tests {
         ] {
             daemon.submit(event).unwrap();
         }
-        daemon.tick().unwrap().expect("bootstrap epoch");
+        let stats = daemon.tick().unwrap().expect("bootstrap epoch");
+        check(&daemon, stats);
         let baseline = daemon.allocation().expect("allocated");
 
         daemon.submit(Event::VmFail { slot: 0 }).unwrap();
         let stats = daemon.tick().unwrap().expect("drill epoch");
+        let stats = check(&daemon, stats);
         assert_eq!(stats.vms_failed, 1);
         assert!(stats.pairs_repaired <= 1, "budget respected");
         assert!(stats.repair_deferred > 0, "budget of 1 must defer");
@@ -2399,6 +2413,7 @@ mod tests {
         let mut guard = 0;
         while daemon.pending_repairs() > 0 {
             let stats = daemon.tick().unwrap().expect("repair-only epoch");
+            let stats = check(&daemon, stats);
             assert!(stats.pairs_repaired <= 1, "budget respected while draining");
             guard += 1;
             assert!(guard < 16, "repair queue failed to drain");
@@ -2415,7 +2430,8 @@ mod tests {
 
         // Recovery returns the slot to the pool on the next epoch.
         daemon.submit(Event::VmRecover { slot: 0 }).unwrap();
-        daemon.tick().unwrap().expect("recovery epoch");
+        let stats = daemon.tick().unwrap().expect("recovery epoch");
+        check(&daemon, stats);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,8 +10,9 @@
 use cloud_cost::{CostModel, LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::Driver;
-use mcss_core::serve::{Daemon, Event, ServeConfig, Snapshot, SNAPSHOT_FILE};
+use mcss_core::serve::{Daemon, EpochStats, Event, ServeConfig, Snapshot, SNAPSHOT_FILE};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use pubsub_model::{Bandwidth, Rate, Workload};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,6 +67,92 @@ fn script(seed: u64, batches: usize) -> Vec<Event> {
     events
 }
 
+/// Checks one closed epoch: its stats read the VM count and fleet cost
+/// from ledger counters, which must equal an export of the fleet.
+fn check_stats(daemon: &Daemon, stats: Option<EpochStats>) -> Result<(), TestCaseError> {
+    if let Some(stats) = stats {
+        let fleet = daemon.allocation().unwrap();
+        prop_assert_eq!(stats.vm_count, fleet.vm_count(), "epoch {}", stats.epoch);
+        prop_assert_eq!(
+            stats.fleet_cost,
+            fleet.cost(cost().as_ref()),
+            "epoch {}",
+            stats.epoch
+        );
+    }
+    Ok(())
+}
+
+/// Submits every event, checking each epoch the watermark closes.
+fn submit_all(daemon: &mut Daemon, events: &[Event]) -> Result<(), TestCaseError> {
+    for &e in events {
+        let stats = daemon.submit(e).unwrap();
+        check_stats(daemon, stats)?;
+    }
+    Ok(())
+}
+
+/// Closes the current epoch, checking it.
+fn tick(daemon: &mut Daemon) -> Result<(), TestCaseError> {
+    let stats = daemon.tick().unwrap();
+    check_stats(daemon, stats)
+}
+
+/// The proptests' fleets are light enough that nearly every epoch falls
+/// below the compaction floor and re-solves. Here 400 subscribers keep
+/// about twenty VMs busy, so the drift epochs repair the ledger in place
+/// (removals, evictions, most-free and fresh-VM placement) between
+/// compaction passes, and each epoch's counters must equal an export.
+#[test]
+fn epoch_counters_equal_an_export_on_repair_epochs() {
+    let mut b = Workload::builder();
+    let ts: Vec<_> = (0..60u64)
+        .map(|i| b.add_topic(Rate::new(5 + i * 37 % 40)).unwrap())
+        .collect();
+    let mut x = 7u64;
+    for _ in 0..400 {
+        let mut row = Vec::new();
+        for _ in 0..3 + x % 4 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            row.push(ts[(x >> 33) as usize % ts.len()]);
+        }
+        row.sort_unstable();
+        row.dedup();
+        b.add_subscriber(row).unwrap();
+    }
+    let drift = DriftModel {
+        rate_sigma: 0.1,
+        churn_prob: 0.1,
+        seed: 5,
+    };
+    let mut driver = Driver::new(b.build(), drift);
+    let config = ServeConfig::new(Rate::new(40), Bandwidth::new(1_000))
+        .with_snapshot_every(0)
+        .with_compaction(3, 20);
+    let dir = scratch("repair-counters");
+    let mut daemon = Daemon::create(&dir, config, cost()).unwrap();
+    let mut repaired = 0;
+    let mut evicted = 0;
+    let mut batch = driver.initial_events();
+    for _ in 0..12 {
+        for &e in &batch {
+            assert!(daemon.submit(e).unwrap().is_none(), "no watermark is set");
+        }
+        let stats = daemon.tick().unwrap().expect("a batch closes an epoch");
+        check_stats(&daemon, Some(stats)).unwrap();
+        if !stats.full_resolve && stats.pairs_placed > 0 {
+            repaired += 1;
+        }
+        evicted += stats.pairs_evicted;
+        batch = driver.next_epoch_events();
+    }
+    assert!(repaired >= 6, "only {repaired} epochs repaired in place");
+    assert!(evicted > 0, "no epoch evicted, so pass 2 went untested");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     // Each case runs three daemons with real fsyncs; keep the count low
     // enough for CI while still sweeping kill points, watermarks, and
@@ -88,19 +175,15 @@ proptest! {
         // The uninterrupted reference run.
         let dir_a = scratch("live");
         let mut live = Daemon::create(&dir_a, config, cost()).unwrap();
-        for &e in &events {
-            live.submit(e).unwrap();
-        }
-        live.tick().unwrap();
+        submit_all(&mut live, &events)?;
+        tick(&mut live)?;
 
         // The crashed run: stop at `cut` and leak the daemon so its
         // BufWriter never flushes — everything buffered since the last
         // epoch fsync is lost, exactly like a kill -9.
         let dir_b = scratch("crash");
         let mut crashed = Daemon::create(&dir_b, config, cost()).unwrap();
-        for &e in &events[..cut] {
-            crashed.submit(e).unwrap();
-        }
+        submit_all(&mut crashed, &events[..cut])?;
         std::mem::forget(crashed);
 
         // Recover and finish the stream. The on-disk log always ends at
@@ -110,10 +193,8 @@ proptest! {
         let absorbed =
             (recovered.epochs_applied() * watermark + recovered.pending_events()) as usize;
         prop_assert!(absorbed <= cut, "recovery cannot invent events");
-        for &e in &events[absorbed..] {
-            recovered.submit(e).unwrap();
-        }
-        recovered.tick().unwrap();
+        submit_all(&mut recovered, &events[absorbed..])?;
+        tick(&mut recovered)?;
 
         // Bit-identical: epochs, selection, fleet, and workload arenas.
         prop_assert_eq!(live.epochs_applied(), recovered.epochs_applied());
@@ -160,18 +241,14 @@ proptest! {
 
         let dir_a = scratch("live-suffix");
         let mut live = Daemon::create(&dir_a, config, cost()).unwrap();
-        for &e in &events {
-            live.submit(e).unwrap();
-        }
-        live.tick().unwrap();
+        submit_all(&mut live, &events)?;
+        tick(&mut live)?;
 
         // Snapshots at epochs 2 and 4, epoch 5 past them, then `tail`
         // events of epoch 6. A clean stop flushes them to the log.
         let dir_b = scratch("stopped-suffix");
         let mut stopped = Daemon::create(&dir_b, config, cost()).unwrap();
-        for &e in &events[..stop] {
-            stopped.submit(e).unwrap();
-        }
+        submit_all(&mut stopped, &events[..stop])?;
         prop_assert_eq!(stopped.epochs_applied(), 5);
         prop_assert_eq!(stopped.pending_events(), tail);
         drop(stopped);
@@ -190,10 +267,8 @@ proptest! {
         prop_assert_eq!(recovered.epochs_applied(), 5);
         prop_assert_eq!(recovered.pending_events(), tail);
 
-        for &e in &events[stop..] {
-            recovered.submit(e).unwrap();
-        }
-        recovered.tick().unwrap();
+        submit_all(&mut recovered, &events[stop..])?;
+        tick(&mut recovered)?;
         prop_assert_eq!(live.epochs_applied(), recovered.epochs_applied());
         prop_assert_eq!(live.selection(), recovered.selection());
         prop_assert_eq!(live.allocation(), recovered.allocation());
@@ -224,25 +299,19 @@ proptest! {
 
         let dir_a = scratch("live-compact");
         let mut live = Daemon::create(&dir_a, config, cost()).unwrap();
-        for &e in &events {
-            live.submit(e).unwrap();
-        }
-        live.tick().unwrap();
+        submit_all(&mut live, &events)?;
+        tick(&mut live)?;
 
         let dir_b = scratch("crash-compact");
         let mut crashed = Daemon::create(&dir_b, config, cost()).unwrap();
-        for &e in &events[..cut] {
-            crashed.submit(e).unwrap();
-        }
+        submit_all(&mut crashed, &events[..cut])?;
         std::mem::forget(crashed);
 
         let mut recovered = Daemon::resume(&dir_b, config, cost()).unwrap();
         let absorbed = (recovered.epochs_applied() * 4 + recovered.pending_events()) as usize;
         prop_assert!(absorbed <= cut, "recovery cannot invent events");
-        for &e in &events[absorbed..] {
-            recovered.submit(e).unwrap();
-        }
-        recovered.tick().unwrap();
+        submit_all(&mut recovered, &events[absorbed..])?;
+        tick(&mut recovered)?;
 
         prop_assert_eq!(live.epochs_applied(), recovered.epochs_applied());
         prop_assert_eq!(live.selection(), recovered.selection());

@@ -42,6 +42,46 @@ fn incremental_tracks_a_drifting_spotify_trace() {
     assert!(total_churn > 0, "drift produced no churn at all");
 }
 
+/// A long-running re-rate loop must not accumulate ledger state. Every
+/// epoch re-rates every topic, so each VM's usage changes many times; the
+/// ledger's footprint after 150 epochs must stay within twice what it was
+/// after 10 (the fleet itself barely changes size under this drift).
+#[test]
+fn ledger_state_stays_bounded_over_rerate_epochs() {
+    let s = Scenario::spotify(2_000, 7);
+    let cost = s.cost_model(cloud_cost::instances::C3_LARGE);
+    let drift = DriftModel {
+        rate_sigma: 0.02,
+        churn_prob: 0.05,
+        seed: 8,
+    };
+    let mut inc = IncrementalReallocator::new(IncrementalConfig::default());
+    let mut workload = (*s.workload).clone();
+    let inst = McssInstance::new(workload.clone(), Rate::new(100), cost.capacity()).unwrap();
+    inc.step(&inst, &cost).unwrap();
+    let mut after_ten = 0;
+    for epoch in 1..=150 {
+        let (next, delta) = drift.evolve_tracked(&workload, epoch);
+        workload = next;
+        let inst = McssInstance::new(workload.clone(), Rate::new(100), cost.capacity()).unwrap();
+        inc.step_with_delta(&inst, &cost, &delta)
+            .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
+        if epoch == 10 {
+            after_ten = inc.checkpoint().unwrap().1.heap_bytes();
+        }
+    }
+    let (_, ledger, capacity) = inc.checkpoint().unwrap();
+    ledger
+        .to_allocation(capacity)
+        .validate(&workload, Rate::new(100))
+        .unwrap();
+    let last = ledger.heap_bytes();
+    assert!(
+        last <= 2 * after_ten,
+        "ledger grew from {after_ten} B after epoch 10 to {last} B after epoch 150"
+    );
+}
+
 #[test]
 fn fragile_vms_exist_and_failures_account_exactly() {
     let s = Scenario::twitter(1_500, 42);
