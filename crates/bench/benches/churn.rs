@@ -1,6 +1,7 @@
 //! Churn-path benchmark: one `IncrementalReallocator` epoch over a
-//! drifting trace-scale workload, the O(Δ) dirty path versus the
-//! full-reselect baseline, at 1% / 5% / 20% subscription churn.
+//! drifting trace-scale workload, the O(Δ) delta-fed step versus the
+//! pre-ledger implementation (`legacy-full`), at 1% / 5% / 20%
+//! subscription churn.
 //!
 //! Each measured iteration ping-pongs between two pre-drifted epochs (A→B
 //! then B→A), so every step repairs a real delta without cloning
@@ -16,7 +17,7 @@ use cloud_cost::instances;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcss_bench::legacy::LegacyReallocator;
 use mcss_bench::scenario::{env_size, Scenario};
-use mcss_core::dynamic::DriftModel;
+use mcss_core::dynamic::{DriftModel, WorkloadDelta};
 use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator};
 use mcss_core::McssInstance;
 use std::hint::black_box;
@@ -46,7 +47,8 @@ fn bench_churn(c: &mut Criterion) {
         let inst_a = McssInstance::new(wa, tau, capacity).expect("feasible epoch");
         let inst_b = McssInstance::new(wb, tau, capacity).expect("feasible epoch");
         let prime = |inc: &mut IncrementalReallocator| {
-            inc.step(&inst_a, &cost).expect("first epoch solves");
+            inc.step_with_delta(&inst_a, &cost, &WorkloadDelta::default())
+                .expect("first epoch solves");
         };
 
         // The pre-PR implementation, ported verbatim into `legacy.rs`.
@@ -56,29 +58,6 @@ fn bench_churn(c: &mut Criterion) {
             b.iter(|| {
                 black_box(old.step(&inst_b, &cost).expect("repairable"));
                 black_box(old.step(&inst_a, &cost).expect("repairable"));
-            })
-        });
-
-        // The new engine with dirty tracking off: full re-select every
-        // epoch, but CSR + ledger repair.
-        let mut full = IncrementalReallocator::new(IncrementalConfig {
-            dirty_tracking: false,
-            ..IncrementalConfig::default()
-        });
-        prime(&mut full);
-        group.bench_with_input(BenchmarkId::new("full-reselect", churn_pct), &(), |b, _| {
-            b.iter(|| {
-                black_box(full.step(&inst_b, &cost).expect("repairable"));
-                black_box(full.step(&inst_a, &cost).expect("repairable"));
-            })
-        });
-
-        let mut scan = IncrementalReallocator::default();
-        prime(&mut scan);
-        group.bench_with_input(BenchmarkId::new("dirty-scan", churn_pct), &(), |b, _| {
-            b.iter(|| {
-                black_box(scan.step(&inst_b, &cost).expect("repairable"));
-                black_box(scan.step(&inst_a, &cost).expect("repairable"));
             })
         });
 

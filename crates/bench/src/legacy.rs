@@ -568,7 +568,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use cloud_cost::{instances, LinearCostModel, Money};
-    use mcss_core::dynamic::DriftModel;
+    use mcss_core::dynamic::{DriftModel, WorkloadDelta};
     use mcss_core::incremental::IncrementalReallocator;
     use pubsub_model::Rate;
 
@@ -673,10 +673,11 @@ mod tests {
         };
         let mut legacy = LegacyReallocator::default();
         let mut new = IncrementalReallocator::default();
+        let mut delta = WorkloadDelta::default();
         for epoch in 0..5 {
             let inst = McssInstance::new(w.clone(), Rate::new(20), Bandwidth::new(120)).unwrap();
             let l = legacy.step(&inst, &cost).unwrap();
-            let n = new.step(&inst, &cost).unwrap();
+            let n = new.step_with_delta(&inst, &cost, &delta).unwrap();
             assert_eq!(l.selection, n.selection, "epoch {epoch}");
             l.allocation
                 .validate(inst.workload(), inst.tau())
@@ -684,7 +685,7 @@ mod tests {
             n.allocation
                 .validate(inst.workload(), inst.tau())
                 .unwrap_or_else(|e| panic!("new epoch {epoch}: {e}"));
-            w = drift.evolve(&w, epoch);
+            (w, delta) = drift.evolve_tracked(&w, epoch);
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use cloud_cost::instances;
 use mcss_bench::scenario::Scenario;
+use mcss_core::dynamic::WorkloadDelta;
 use mcss_core::incremental::IncrementalReallocator;
 use mcss_core::MemoryFootprint;
 
@@ -19,7 +20,8 @@ fn spotify_100k_bytes_per_subscriber() {
         .expect("feasible instance");
     let cost = scenario.cost_model(instances::C3_LARGE);
     let mut inc = IncrementalReallocator::default();
-    inc.step(&instance, &cost).expect("cold solve");
+    inc.step_with_delta(&instance, &cost, &WorkloadDelta::default())
+        .expect("cold solve");
     let (selection, ledger, _) = inc.checkpoint().expect("stepped");
     let fp = MemoryFootprint::measure(instance.workload(), Some(selection), Some(ledger));
     println!("{fp}");

@@ -4,8 +4,9 @@
 //! periodically to adapt to the changes in the event rates, new
 //! subscriptions, unsubscriptions, etc." and leave an online algorithm to
 //! future work. This module implements that periodic mode: a workload
-//! drift model and a re-provisioner that re-solves per epoch and tracks
-//! VM churn and cumulative spend.
+//! drift model, the [`WorkloadDelta`] record of what changed between two
+//! epochs, and a re-provisioner that re-solves (or repairs) per epoch and
+//! tracks VM churn and cumulative spend.
 
 use crate::incremental::{IncrementalConfig, IncrementalReallocator};
 use crate::stage2::mixed_cost_split;
@@ -22,9 +23,10 @@ use std::time::{Duration, Instant};
 ///
 /// Both lists may over-approximate (listing an unchanged topic or
 /// subscriber only costs a wasted re-check) but must never miss a change:
-/// every topic whose event rate differs and every subscriber whose
-/// interest set differs — including subscribers that only exist in the
-/// new workload — has to be listed.
+/// every topic both epochs have whose event rate differs and every
+/// subscriber both epochs have whose interest set differs has to be
+/// listed. Topics and subscribers only one epoch has need not be: the
+/// epoch step compares the counts itself.
 #[derive(Clone, Debug, Default)]
 pub struct WorkloadDelta {
     /// Topics whose event rate may have changed.
@@ -34,6 +36,31 @@ pub struct WorkloadDelta {
 }
 
 impl WorkloadDelta {
+    /// The exact delta from `old` to `new`, found by comparing them: every
+    /// topic both have whose rate differs and every subscriber both have
+    /// whose interest set differs, in ascending order. For callers that
+    /// hold two workloads and no drift source; it reads every interest
+    /// row, O(pairs), where a drift source's own record is O(Δ).
+    pub fn between(old: &Workload, new: &Workload) -> WorkloadDelta {
+        let changed_topics = old
+            .rates()
+            .iter()
+            .zip(new.rates())
+            .enumerate()
+            .filter(|(_, (a, b))| a != b)
+            .map(|(ti, _)| TopicId::new(ti as u32))
+            .collect();
+        let common = old.num_subscribers().min(new.num_subscribers());
+        let changed_subscribers = (0..common as u32)
+            .map(SubscriberId::new)
+            .filter(|&v| old.interests(v) != new.interests(v))
+            .collect();
+        WorkloadDelta {
+            changed_topics,
+            changed_subscribers,
+        }
+    }
+
     /// `true` when nothing changed.
     pub fn is_empty(&self) -> bool {
         self.changed_topics.is_empty() && self.changed_subscribers.is_empty()
@@ -58,20 +85,9 @@ pub struct DriftModel {
 }
 
 impl DriftModel {
-    /// Evolves a workload by one epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_sigma` is negative or `churn_prob` is outside
-    /// `[0, 1]`.
-    pub fn evolve(&self, workload: &Workload, epoch: u64) -> Workload {
-        self.evolve_tracked(workload, epoch).0
-    }
-
     /// Evolves a workload by one epoch and records what changed, so the
     /// incremental re-allocator can repair in O(Δ) without diffing the
-    /// workloads itself (see
-    /// [`IncrementalReallocator::step_with_delta`]).
+    /// workloads (see [`IncrementalReallocator::step_with_delta`]).
     ///
     /// The delta is exact on topics (a topic is listed iff its rounded
     /// rate differs) and a tight over-approximation on subscribers (a
@@ -213,7 +229,11 @@ impl Reprovisioner {
         self
     }
 
-    /// Solves the given epoch instance and accumulates statistics.
+    /// Solves the given epoch instance and accumulates statistics. The
+    /// incremental mode repairs the previous fleet against `delta`, what
+    /// changed since the previous step (see
+    /// [`IncrementalReallocator::step_with_delta`]); the from-scratch mode
+    /// ignores it.
     ///
     /// # Errors
     ///
@@ -222,22 +242,7 @@ impl Reprovisioner {
         &mut self,
         instance: &McssInstance,
         cost: &dyn CostModel,
-    ) -> Result<EpochReport, McssError> {
-        self.step_tracked(instance, cost, None)
-    }
-
-    /// Like [`Reprovisioner::step`], but hands a drift-source-provided
-    /// [`WorkloadDelta`] to the incremental mode so dirty detection skips
-    /// the workload scan entirely (ignored in from-scratch mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors; failed epochs do not advance the state.
-    pub fn step_tracked(
-        &mut self,
-        instance: &McssInstance,
-        cost: &dyn CostModel,
-        delta: Option<&WorkloadDelta>,
+        delta: &WorkloadDelta,
     ) -> Result<EpochReport, McssError> {
         let fleet = self.fleet.clone();
         let (allocation, report, pairs_reused, pairs_moved, full_resolve) =
@@ -266,10 +271,7 @@ impl Reprovisioner {
                 },
                 Some(inc) => {
                     let started = Instant::now();
-                    let out = match delta {
-                        Some(delta) => inc.step_with_delta(instance, cost, delta)?,
-                        None => inc.step(instance, cost)?,
-                    };
+                    let out = inc.step_with_delta(instance, cost, delta)?;
                     let elapsed = started.elapsed();
                     let report = priced_report(
                         instance,
@@ -399,10 +401,10 @@ mod tests {
             churn_prob: 0.5,
             seed: 11,
         };
-        let a = drift.evolve(&w, 4);
-        let b = drift.evolve(&w, 4);
+        let (a, _) = drift.evolve_tracked(&w, 4);
+        let (b, _) = drift.evolve_tracked(&w, 4);
         assert_eq!(a.rates(), b.rates());
-        let c = drift.evolve(&w, 5);
+        let (c, _) = drift.evolve_tracked(&w, 5);
         assert!(a.rates() != c.rates());
     }
 
@@ -414,7 +416,7 @@ mod tests {
             churn_prob: 1.0,
             seed: 7,
         };
-        let evolved = drift.evolve(&w, 0);
+        let (evolved, _) = drift.evolve_tracked(&w, 0);
         assert_eq!(evolved.num_topics(), w.num_topics());
         assert_eq!(evolved.num_subscribers(), w.num_subscribers());
         for t in evolved.topics() {
@@ -430,11 +432,41 @@ mod tests {
             churn_prob: 0.0,
             seed: 1,
         };
-        let evolved = drift.evolve(&w, 9);
+        let (evolved, delta) = drift.evolve_tracked(&w, 9);
         assert_eq!(evolved.rates(), w.rates());
         for v in w.subscribers() {
             assert_eq!(evolved.interests(v), w.interests(v));
         }
+        assert!(delta.is_empty());
+    }
+
+    #[test]
+    fn between_lists_exactly_what_differs() {
+        let w = base_workload();
+        let drift = DriftModel {
+            rate_sigma: 0.5,
+            churn_prob: 1.0,
+            seed: 4,
+        };
+        // The drift record is exact on topics and may over-list
+        // subscribers whose swap re-produced their interest set.
+        let (next, tracked) = drift.evolve_tracked(&w, 0);
+        let exact = WorkloadDelta::between(&w, &next);
+        assert_eq!(exact.changed_topics, tracked.changed_topics);
+        let moved: Vec<SubscriberId> = tracked
+            .changed_subscribers
+            .iter()
+            .copied()
+            .filter(|&v| w.interests(v) != next.interests(v))
+            .collect();
+        assert_eq!(exact.changed_subscribers, moved);
+        assert!(!exact.changed_topics.is_empty() && !moved.is_empty());
+        assert!(WorkloadDelta::between(&next, &next).is_empty());
+        // Topics and subscribers only one side has are not listed.
+        let shrunk = Workload::from_parts(w.rates()[..2].to_vec(), vec![vec![TopicId::new(0)]]);
+        let delta = WorkloadDelta::between(&w, &shrunk);
+        assert!(delta.changed_topics.is_empty());
+        assert_eq!(delta.changed_subscribers, vec![SubscriberId::new(0)]);
     }
 
     #[test]
@@ -447,14 +479,15 @@ mod tests {
         let cost = LinearCostModel::new(Money::from_dollars(1), Money::from_micros(1));
         let mut re = Reprovisioner::new(Solver::default());
         let mut w = base_workload();
+        let mut delta = WorkloadDelta::default();
         let mut last_cumulative = Money::ZERO;
         for epoch in 0..5 {
             let inst = McssInstance::new(w.clone(), Rate::new(15), Bandwidth::new(120)).unwrap();
-            let r = re.step(&inst, &cost).unwrap();
+            let r = re.step(&inst, &cost, &delta).unwrap();
             assert_eq!(r.epoch, epoch);
             assert!(r.cumulative_cost >= last_cumulative);
             last_cumulative = r.cumulative_cost;
-            w = drift.evolve(&w, epoch);
+            (w, delta) = drift.evolve_tracked(&w, epoch);
         }
         assert_eq!(re.epochs(), 5);
         assert_eq!(re.cumulative_cost(), last_cumulative);
@@ -465,7 +498,7 @@ mod tests {
         let cost = LinearCostModel::vm_only(Money::from_dollars(1));
         let mut re = Reprovisioner::new(Solver::default());
         let inst = McssInstance::new(base_workload(), Rate::new(10), Bandwidth::new(100)).unwrap();
-        let r = re.step(&inst, &cost).unwrap();
+        let r = re.step(&inst, &cost, &WorkloadDelta::default()).unwrap();
         assert_eq!(r.vm_delta, r.report.vm_count as i64);
     }
 }

@@ -9,11 +9,14 @@
 //! than the fleet:
 //!
 //! 1. Stage 1 re-runs `select_for_subscriber` only for *dirty*
-//!    subscribers — those whose interest set changed or who follow a
-//!    topic whose rate changed — and reuses the previous epoch's
-//!    selection rows verbatim for everyone else. The result is
-//!    bit-identical to a full re-selection (a clean subscriber's greedy
-//!    choice depends only on its own interests, their rates, and `τ`);
+//!    subscribers — those the caller's [`WorkloadDelta`] names as
+//!    changed, or who follow a topic it names as re-rated — and reuses
+//!    the previous epoch's selection rows verbatim for everyone else.
+//!    The result is bit-identical to a full re-selection (a clean
+//!    subscriber's greedy choice depends only on its own interests, their
+//!    rates, and `τ`). A re-selected row that names a topic no VM can
+//!    host fails the epoch before the ledger changes, so the remembered
+//!    state survives it;
 //! 2. dirty rows are diffed old-vs-new in place ([`crate::SelectionDiff`];
 //!    no clone, no sort): pairs that left the selection are removed from
 //!    the [`FleetLedger`], which finds the hosting VM through its topic
@@ -36,14 +39,13 @@
 use crate::dynamic::WorkloadDelta;
 use crate::ledger::FleetLedger;
 use crate::lower_bound::lower_bound;
-use crate::shard::{partition_subscriber_set, run_shards, ShardedSolver, ShardingConfig};
+use crate::shard::{partition_subscriber_set, run_shards, ShardingConfig};
 use crate::stage1::{select_for_subscriber_into, GreedySelectPairs, PairSelector};
 use crate::stage2::{
     improve, Allocator, CbpConfig, CustomBinPacking, ImproveReport, MixedFleetPacker, SearchBudget,
 };
 use crate::{
-    Allocation, McssError, McssInstance, Selection, SelectionBuilder, SelectionDiff, SolverParams,
-    TopicGroups,
+    Allocation, McssError, McssInstance, Selection, SelectionBuilder, SelectionDiff, TopicGroups,
 };
 use cloud_cost::{CostModel, FleetCostModel};
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadView};
@@ -55,17 +57,6 @@ pub struct IncrementalConfig {
     /// Utilization floor: when `Σ used / (|B| · BC)` falls below this
     /// after repair, a full re-solve replaces the repaired allocation.
     pub compaction_threshold: f64,
-    /// When set with `shards ≥ 2`, full re-solves (the first epoch and
-    /// compaction-triggered rebuilds) pack shard-parallel through
-    /// [`ShardedSolver`] instead of one monolithic CustomBinPacking run.
-    /// Repairs stay incremental either way — they touch only the pairs
-    /// that moved.
-    pub sharding: Option<ShardingConfig>,
-    /// When true (the default), Stage 1 re-selects only dirty subscribers
-    /// and reuses the previous rows for the rest. When false, every
-    /// subscriber is re-selected each epoch — the pre-ledger behaviour,
-    /// kept as the baseline the churn bench measures against.
-    pub dirty_tracking: bool,
     /// When set, epoch repairs re-select the dirty subscriber set
     /// shard-parallel: the dirty set is split with the same partitioners
     /// as full sharded solves, each shard re-selects on a scoped worker
@@ -81,8 +72,6 @@ impl Default for IncrementalConfig {
     fn default() -> Self {
         IncrementalConfig {
             compaction_threshold: 0.5,
-            sharding: None,
-            dirty_tracking: true,
             repair: None,
         }
     }
@@ -230,11 +219,12 @@ struct State {
     selection: Selection,
     ledger: FleetLedger,
     capacity: Bandwidth,
-    /// The workload and `τ` the selection was produced against — what
-    /// dirty detection deltas the new epoch against. Absent after
+    /// The rates, subscriber count and `τ` the selection was produced
+    /// against — what the next epoch's delta is applied to. Absent after
     /// [`IncrementalReallocator::adopt`] (the adopted allocation carries
-    /// no epoch context), in which case the next step treats every
-    /// subscriber as dirty and resyncs the ledger's usage counters.
+    /// no epoch context), in which case the next step ignores its delta,
+    /// treats every subscriber as dirty and resyncs the ledger's usage
+    /// counters.
     basis: Option<EpochBasis>,
     /// Selected pairs orphaned by VM failures that an exhausted
     /// [`SlaBudget`] deferred — drained by later
@@ -253,13 +243,6 @@ struct EpochBasis {
     /// The previous epoch's subscriber count.
     num_subscribers: usize,
     tau: Rate,
-    /// Full workload snapshot for scan-based dirty detection. Only kept
-    /// when the previous epoch was advanced without a caller-provided
-    /// delta: a delta names the changed subscribers itself, so interests
-    /// are never compared and the O(pairs) snapshot would be dead weight.
-    /// A scan-based [`IncrementalReallocator::step`] following a
-    /// delta-fed epoch conservatively treats every subscriber as dirty.
-    workload: Option<Workload>,
 }
 
 impl IncrementalReallocator {
@@ -273,25 +256,35 @@ impl IncrementalReallocator {
     }
 
     /// Switches the re-allocator to a heterogeneous fleet: full re-solves
-    /// pack through [`MixedFleetPacker`] (sharding is ignored in mixed
-    /// mode), repairs respect each VM's own tier capacity, and fresh VMs
-    /// pick the cheapest-density tier that holds their group. Epoch
-    /// instances must use [`FleetCostModel::max_capacity`] as their
-    /// capacity. Stage-1 selections are unaffected — they stay
-    /// bit-identical to the homogeneous run at the same `τ`.
+    /// pack through [`MixedFleetPacker`], repairs respect each VM's own
+    /// tier capacity, and fresh VMs pick the cheapest-density tier that
+    /// holds their group. Epoch instances must use
+    /// [`FleetCostModel::max_capacity`] as their capacity. Stage-1
+    /// selections are unaffected — they stay bit-identical to the
+    /// homogeneous run at the same `τ`.
     pub fn with_fleet(mut self, fleet: FleetCostModel) -> Self {
         self.fleet = Some(fleet);
         self
     }
 
     /// Repairs the previous allocation against the instance's current
-    /// workload (first call performs a full solve). The epoch's delta is
-    /// derived by scanning the new workload against the remembered one;
-    /// drift sources that already know what changed should call
-    /// [`IncrementalReallocator::step_with_delta`] instead.
+    /// workload, the one epoch step (the first call performs a full
+    /// solve). `delta` names what changed since the previous step — drift
+    /// sources such as
+    /// [`DriftModel::evolve_tracked`](crate::dynamic::DriftModel::evolve_tracked)
+    /// and the serve daemon's edit commit produce it, and callers holding
+    /// only two workloads use [`WorkloadDelta::between`]. It is ignored on
+    /// the first step and after [`IncrementalReallocator::adopt`], which
+    /// treat every subscriber as changed.
+    ///
+    /// The delta may over-approximate but must not miss a change: a
+    /// missed interest change leaves a stale selection row, and a missed
+    /// rate change leaves the fleet ledger's usage counters at the old
+    /// rate.
     ///
     /// ```
     /// use cloud_cost::{LinearCostModel, Money};
+    /// use mcss_core::dynamic::WorkloadDelta;
     /// use mcss_core::incremental::IncrementalReallocator;
     /// use mcss_core::McssInstance;
     /// use pubsub_model::{Bandwidth, Rate, Workload};
@@ -306,9 +299,10 @@ impl IncrementalReallocator {
     /// let cost = LinearCostModel::vm_only(Money::from_dollars(1));
     ///
     /// let mut inc = IncrementalReallocator::default();
-    /// let first = inc.step(&inst, &cost)?;   // epoch 0: full solve
+    /// let unchanged = WorkloadDelta::default();
+    /// let first = inc.step_with_delta(&inst, &cost, &unchanged)?; // epoch 0: full solve
     /// assert!(first.full_resolve);
-    /// let second = inc.step(&inst, &cost)?;  // unchanged epoch: nothing moves
+    /// let second = inc.step_with_delta(&inst, &cost, &unchanged)?; // nothing moves
     /// assert_eq!(second.pairs_placed + second.pairs_removed, 0);
     /// assert_eq!(second.pairs_reused, first.selection.pair_count());
     /// # Ok(())
@@ -318,36 +312,14 @@ impl IncrementalReallocator {
     /// # Errors
     ///
     /// [`McssError::InfeasibleTopic`] if a selected topic no longer fits
-    /// on any VM.
-    pub fn step(
-        &mut self,
-        instance: &McssInstance,
-        cost: &dyn CostModel,
-    ) -> Result<IncrementalOutcome, McssError> {
-        let step = self.advance(instance, cost, None)?;
-        Ok(self.outcome(step))
-    }
-
-    /// Like [`IncrementalReallocator::step`], but trusts the caller's
-    /// [`WorkloadDelta`] instead of scanning for changes — the fully O(Δ)
-    /// entry point for drift sources like
-    /// [`DriftModel::evolve_tracked`](crate::dynamic::DriftModel::evolve_tracked).
-    ///
-    /// The delta may over-approximate but must not miss a change;
-    /// a missed change produces a stale (though still capacity-feasible)
-    /// selection row.
-    ///
-    /// # Errors
-    ///
-    /// [`McssError::InfeasibleTopic`] if a selected topic no longer fits
-    /// on any VM.
+    /// on any VM. The failed epoch leaves the remembered state as it was.
     pub fn step_with_delta(
         &mut self,
         instance: &McssInstance,
         cost: &dyn CostModel,
         delta: &WorkloadDelta,
     ) -> Result<IncrementalOutcome, McssError> {
-        let step = self.advance(instance, cost, Some(delta))?;
+        let step = self.advance(instance, cost, delta)?;
         Ok(self.outcome(step))
     }
 
@@ -382,8 +354,9 @@ impl IncrementalReallocator {
     /// [`IncrementalReallocator::recover_slot`]. `instance` must describe
     /// the same workload, `τ`, and capacity as the last epoch step:
     /// repair re-places pairs, it does not absorb drift (that is what
-    /// [`IncrementalReallocator::step`] is for, and steps interleave
-    /// freely with repair rounds — deferred pairs survive them).
+    /// [`IncrementalReallocator::step_with_delta`] is for, and steps
+    /// interleave freely with repair rounds — deferred pairs survive
+    /// them).
     ///
     /// Orphans are re-grouped by topic and placed in ascending topic
     /// order through the same host-first/most-free/fresh-VM machinery as
@@ -473,7 +446,7 @@ impl IncrementalReallocator {
         let prev = self
             .previous
             .as_mut()
-            .expect("repair_failures requires a prior epoch: call step() first");
+            .expect("repair_failures requires a prior epoch: call step_with_delta() first");
         let capacity = prev.capacity;
 
         let failed = prev.ledger.fail_slots(failed_slots);
@@ -548,18 +521,17 @@ impl IncrementalReallocator {
         self.previous.as_ref().map_or(0, |s| s.pending.len() as u64)
     }
 
-    /// The epoch step behind [`IncrementalReallocator::step`] and
-    /// [`IncrementalReallocator::step_with_delta`]: repairs (or re-solves)
-    /// the remembered fleet and returns the epoch's counters, exporting
-    /// nothing. The new selection moves into the remembered state; a full
-    /// re-solve also hands back the packer's allocation. The serve daemon
-    /// calls this directly and reads the fleet's size and bandwidth from
-    /// the ledger's counters.
+    /// The epoch step behind [`IncrementalReallocator::step_with_delta`]:
+    /// repairs (or re-solves) the remembered fleet and returns the epoch's
+    /// counters, exporting nothing. The new selection moves into the
+    /// remembered state; a full re-solve also hands back the packer's
+    /// allocation. The serve daemon calls this directly and reads the
+    /// fleet's size and bandwidth from the ledger's counters.
     pub(crate) fn advance(
         &mut self,
         instance: &McssInstance,
         cost: &dyn CostModel,
-        delta: Option<&WorkloadDelta>,
+        delta: &WorkloadDelta,
     ) -> Result<EpochStep, McssError> {
         let workload = instance.workload();
         let capacity = instance.capacity();
@@ -570,14 +542,7 @@ impl IncrementalReallocator {
             let selection = GreedySelectPairs::new().select(instance)?;
             let allocation = self.full_allocate(instance, &selection, cost)?;
             let placed = selection.pair_count();
-            self.remember(
-                selection,
-                &allocation,
-                workload,
-                tau,
-                capacity,
-                delta.is_none(),
-            );
+            self.remember(selection, &allocation, workload, tau, capacity);
             return Ok(EpochStep {
                 pairs_placed: placed,
                 pairs_removed: 0,
@@ -588,7 +553,6 @@ impl IncrementalReallocator {
             });
         };
         let prev_n = prev.selection.num_subscribers();
-        let mut pending = std::mem::take(&mut prev.pending);
 
         // --- Dirty detection -------------------------------------------
         // A subscriber's greedy row depends only on its interest set, the
@@ -601,43 +565,21 @@ impl IncrementalReallocator {
             let old_rates = basis.rates.as_slice();
             let new_rates = workload.rates();
             let common = old_rates.len().min(new_rates.len());
-            match delta {
-                Some(delta) => {
-                    // Deduplicate: the delta contract allows repeats, but
-                    // `refresh_rate` is a re-base, not idempotent — each
-                    // topic must be applied exactly once.
-                    let mut topics: Vec<TopicId> = delta
-                        .changed_topics
-                        .iter()
-                        .copied()
-                        .filter(|t| {
-                            t.index() < common && old_rates[t.index()] != new_rates[t.index()]
-                        })
-                        .collect();
-                    topics.sort_unstable();
-                    topics.dedup();
-                    for t in topics {
-                        changed_rates.push((t, old_rates[t.index()], new_rates[t.index()]));
-                    }
-                }
-                None => {
-                    for ti in 0..common {
-                        if old_rates[ti] != new_rates[ti] {
-                            changed_rates.push((
-                                TopicId::new(ti as u32),
-                                old_rates[ti],
-                                new_rates[ti],
-                            ));
-                        }
-                    }
-                }
+            // Deduplicate: the delta contract allows repeats, but
+            // `refresh_rate` is a re-base, not idempotent — each topic
+            // must be applied exactly once.
+            let mut topics: Vec<TopicId> = delta
+                .changed_topics
+                .iter()
+                .copied()
+                .filter(|t| t.index() < common && old_rates[t.index()] != new_rates[t.index()])
+                .collect();
+            topics.sort_unstable();
+            topics.dedup();
+            for t in topics {
+                changed_rates.push((t, old_rates[t.index()], new_rates[t.index()]));
             }
-            // Scan-based detection needs the interest snapshot; without
-            // one (the previous epoch was delta-fed) stay all-dirty.
-            let can_track = self.config.dirty_tracking
-                && basis.tau == tau
-                && (delta.is_some() || basis.workload.is_some());
-            if can_track {
+            if basis.tau == tau {
                 dirty = vec![false; n];
                 // Followers of re-rated topics.
                 for &(t, _, _) in &changed_rates {
@@ -649,64 +591,19 @@ impl IncrementalReallocator {
                 }
                 // Changed interest sets, plus subscribers the old epoch
                 // never saw.
-                let basis_n = basis.num_subscribers;
-                for flag in dirty.iter_mut().skip(basis_n.min(n)) {
+                for flag in dirty.iter_mut().skip(basis.num_subscribers.min(n)) {
                     *flag = true;
                 }
-                match delta {
-                    Some(delta) => {
-                        for &v in &delta.changed_subscribers {
-                            if v.index() < n {
-                                dirty[v.index()] = true;
-                            }
-                        }
-                    }
-                    None => {
-                        let snapshot = basis.workload.as_ref().expect("checked by can_track");
-                        for (vi, flag) in dirty.iter_mut().enumerate().take(basis_n.min(n)) {
-                            if !*flag {
-                                let v = SubscriberId::new(vi as u32);
-                                if snapshot.interests(v) != workload.interests(v) {
-                                    *flag = true;
-                                }
-                            }
-                        }
+                for &v in &delta.changed_subscribers {
+                    if v.index() < n {
+                        dirty[v.index()] = true;
                     }
                 }
             }
-        }
-
-        // --- Ledger re-basing ------------------------------------------
-        prev.ledger.ensure_topics(workload.num_topics());
-        match &prev.basis {
-            Some(basis) => {
-                // Vanished topics lose their groups wholesale; the diff
-                // below re-reports their pairs as removed (no-ops).
-                for ti in workload.num_topics()..basis.rates.len() {
-                    prev.ledger
-                        .drop_topic(TopicId::new(ti as u32), basis.rates[ti]);
-                }
-                for &(t, old, new) in &changed_rates {
-                    prev.ledger.refresh_rate(t, old, new);
-                }
-            }
-            None => {
-                // Adopted fleet: no previous rates to delta against.
-                prev.ledger.drop_topics_at_or_above(workload.num_topics());
-                prev.ledger.recompute_used(workload);
-                prev.ledger.mark_all_for_overflow();
-            }
-        }
-        if capacity != prev.capacity {
-            // A typed ledger's capacities come from its tiers; untyped
-            // slots are re-sized to the new shared BC.
-            if !prev.ledger.is_typed() {
-                prev.ledger.reset_capacity(capacity);
-            }
-            prev.ledger.mark_all_for_overflow();
         }
 
         // --- Stage 1: re-select dirty rows, reuse the rest -------------
+        // Reads no ledger state, so it runs before the ledger changes.
         let mut pairs_reused = 0u64;
         let selection = match self.config.repair {
             Some(repair) => {
@@ -738,6 +635,59 @@ impl IncrementalReallocator {
                 &mut pairs_reused,
             ),
         };
+
+        // --- Feasibility, before the ledger changes --------------------
+        // A failed epoch keeps the remembered state. A clean row kept its
+        // topics and their rates, which fit last epoch, so only dirty rows
+        // can select a topic no VM hosts — unless the capacity changed.
+        let every_row = capacity != prev.capacity;
+        let infeasible = dirty
+            .iter()
+            .enumerate()
+            .filter(|&(_, &is_dirty)| is_dirty || every_row)
+            .flat_map(|(vi, _)| selection.selected(SubscriberId::new(vi as u32)))
+            .copied()
+            .filter(|&t| workload.rate(t).pair_cost() > capacity)
+            .min();
+        if let Some(topic) = infeasible {
+            self.previous = Some(prev);
+            return Err(McssError::InfeasibleTopic {
+                topic,
+                required: workload.rate(topic).pair_cost(),
+                capacity,
+            });
+        }
+        let mut pending = std::mem::take(&mut prev.pending);
+
+        // --- Ledger re-basing ------------------------------------------
+        prev.ledger.ensure_topics(workload.num_topics());
+        match &prev.basis {
+            Some(basis) => {
+                // Vanished topics lose their groups wholesale; the diff
+                // below re-reports their pairs as removed (no-ops).
+                for ti in workload.num_topics()..basis.rates.len() {
+                    prev.ledger
+                        .drop_topic(TopicId::new(ti as u32), basis.rates[ti]);
+                }
+                for &(t, old, new) in &changed_rates {
+                    prev.ledger.refresh_rate(t, old, new);
+                }
+            }
+            None => {
+                // Adopted fleet: no previous rates to delta against.
+                prev.ledger.drop_topics_at_or_above(workload.num_topics());
+                prev.ledger.recompute_used(workload);
+                prev.ledger.mark_all_for_overflow();
+            }
+        }
+        if capacity != prev.capacity {
+            // A typed ledger's capacities come from its tiers; untyped
+            // slots are re-sized to the new shared BC.
+            if !prev.ledger.is_typed() {
+                prev.ledger.reset_capacity(capacity);
+            }
+            prev.ledger.mark_all_for_overflow();
+        }
 
         // --- Diff dirty rows and repair the ledger ---------------------
         let mut removed: Vec<(TopicId, SubscriberId)> = Vec::new();
@@ -781,17 +731,14 @@ impl IncrementalReallocator {
 
         // Group the work by topic (counting-sort CSR inversion, ascending
         // topic order) and place: host VMs first, then most-free, then
-        // fresh VMs.
+        // fresh VMs. Every pair here is selected, so it fits one VM.
         let groups = TopicGroups::from_pairs(&to_place, workload.num_topics());
         for (topic, subs) in groups.iter() {
             let rate = workload.rate(topic);
-            if rate.pair_cost() > capacity {
-                return Err(McssError::InfeasibleTopic {
-                    topic,
-                    required: rate.pair_cost(),
-                    capacity,
-                });
-            }
+            debug_assert!(
+                rate.pair_cost() <= capacity,
+                "checked before the ledger changed"
+            );
             prev.ledger.place_group(topic, rate, subs, capacity);
         }
 
@@ -800,14 +747,7 @@ impl IncrementalReallocator {
         if prev.ledger.utilization() < self.config.compaction_threshold {
             let allocation = self.full_allocate(instance, &selection, cost)?;
             let placed = selection.pair_count();
-            self.remember(
-                selection,
-                &allocation,
-                workload,
-                tau,
-                capacity,
-                delta.is_none(),
-            );
+            self.remember(selection, &allocation, workload, tau, capacity);
             return Ok(EpochStep {
                 pairs_placed: placed,
                 pairs_removed,
@@ -833,11 +773,6 @@ impl IncrementalReallocator {
                 rates: workload.rates().to_vec(),
                 num_subscribers: n,
                 tau,
-                workload: if delta.is_some() {
-                    None
-                } else {
-                    Some(workload.clone())
-                },
             }),
         });
         Ok(EpochStep {
@@ -851,24 +786,16 @@ impl IncrementalReallocator {
     }
 
     /// Packs `selection` from scratch — mixed-fleet when a fleet is
-    /// configured, shard-parallel when the configuration asks for it,
-    /// monolithic CBP otherwise.
+    /// configured, CustomBinPacking otherwise.
     fn full_allocate(
         &self,
         instance: &McssInstance,
         selection: &Selection,
         cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        if let Some(fleet) = &self.fleet {
-            return MixedFleetPacker::new().allocate(instance.workload(), selection, fleet);
-        }
-        match self.config.sharding {
-            Some(sharding) if sharding.shards > 1 => {
-                let solver = ShardedSolver::new(SolverParams::default(), sharding);
-                let (allocation, _) = solver.allocate(instance, selection, cost)?;
-                Ok(allocation)
-            }
-            _ => CustomBinPacking::new(CbpConfig::full()).allocate(
+        match &self.fleet {
+            Some(fleet) => MixedFleetPacker::new().allocate(instance.workload(), selection, fleet),
+            None => CustomBinPacking::new(CbpConfig::full()).allocate(
                 instance.workload(),
                 selection,
                 instance.capacity(),
@@ -934,12 +861,8 @@ impl IncrementalReallocator {
     /// Rebuilds the remembered state from snapshot primaries — the
     /// restore half of [`IncrementalReallocator::checkpoint`]. `rates`
     /// and `tau` must describe the workload `selection` was produced
-    /// against; the next step then deltas against them exactly as if the
-    /// allocator had never stopped. The restored basis carries no
-    /// workload snapshot, so follow-up epochs must be delta-fed
-    /// ([`IncrementalReallocator::step_with_delta`]) for dirty tracking
-    /// to stay active — a scan-based step conservatively re-selects
-    /// everyone, exactly as after any other delta-fed epoch.
+    /// against; the next step then applies its delta to them exactly as
+    /// if the allocator had never stopped.
     pub fn restore(
         &mut self,
         selection: Selection,
@@ -983,20 +906,19 @@ impl IncrementalReallocator {
                 rates,
                 num_subscribers,
                 tau,
-                workload: None,
             }),
         });
     }
 
     /// Seeds the re-allocator's state from an externally produced
     /// allocation — e.g. a degraded fleet after broker failures, so the
-    /// next [`IncrementalReallocator::step`] re-places exactly the lost
-    /// pairs onto the surviving machines.
+    /// next [`IncrementalReallocator::step_with_delta`] re-places exactly
+    /// the lost pairs onto the surviving machines.
     ///
     /// `selection` must be the Stage-1 selection the allocation serves
     /// (possibly partially, after failures). The adopted state carries no
-    /// epoch basis, so the next step treats every subscriber as dirty and
-    /// resyncs the ledger before repairing.
+    /// epoch basis, so the next step ignores its delta, treats every
+    /// subscriber as dirty and resyncs the ledger before repairing.
     pub fn adopt(&mut self, selection: &Selection, allocation: &Allocation) {
         // Keep only the pairs that are actually placed: the next diff
         // then treats missing ones as "added" and re-places them.
@@ -1035,7 +957,6 @@ impl IncrementalReallocator {
         workload: &Workload,
         tau: Rate,
         capacity: Bandwidth,
-        keep_snapshot: bool,
     ) {
         self.previous = Some(State {
             selection,
@@ -1046,7 +967,6 @@ impl IncrementalReallocator {
                 rates: workload.rates().to_vec(),
                 num_subscribers: workload.num_subscribers(),
                 tau,
-                workload: keep_snapshot.then(|| workload.clone()),
             }),
         });
     }
@@ -1187,11 +1107,18 @@ mod tests {
         McssInstance::new(w, Rate::new(20), Bandwidth::new(120)).unwrap()
     }
 
+    /// Steps with an empty delta: a first step (which ignores its delta),
+    /// or an epoch whose workload did not change since the last step.
+    fn step_unchanged(inc: &mut IncrementalReallocator, inst: &McssInstance) -> IncrementalOutcome {
+        inc.step_with_delta(inst, &cost(), &WorkloadDelta::default())
+            .unwrap()
+    }
+
     #[test]
     fn first_step_is_full_solve() {
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        let out = inc.step(&inst, &cost()).unwrap();
+        let out = step_unchanged(&mut inc, &inst);
         assert!(out.full_resolve);
         assert_eq!(out.pairs_placed, out.allocation.pair_count());
         assert_eq!(out.pairs_reused, 0);
@@ -1204,8 +1131,8 @@ mod tests {
     fn unchanged_workload_moves_nothing_and_reuses_every_row() {
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        let first = inc.step(&inst, &cost()).unwrap();
-        let second = inc.step(&inst, &cost()).unwrap();
+        let first = step_unchanged(&mut inc, &inst);
+        let second = step_unchanged(&mut inc, &inst);
         assert!(!second.full_resolve);
         assert_eq!(second.pairs_placed, 0);
         assert_eq!(second.pairs_removed, 0);
@@ -1233,13 +1160,14 @@ mod tests {
         };
         let mut inc = IncrementalReallocator::default();
         let mut w = base_workload();
+        let mut delta = WorkloadDelta::default();
         for epoch in 0..8 {
             let inst = instance(w.clone());
-            let out = inc.step(&inst, &cost()).unwrap();
+            let out = inc.step_with_delta(&inst, &cost(), &delta).unwrap();
             out.allocation
                 .validate(inst.workload(), inst.tau())
                 .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
-            w = drift.evolve(&w, epoch);
+            (w, delta) = drift.evolve_tracked(&w, epoch);
         }
     }
 
@@ -1265,15 +1193,16 @@ mod tests {
                 ..IncrementalConfig::default()
             });
             let mut w = base_workload();
+            let mut delta = WorkloadDelta::default();
             for epoch in 0..6 {
                 let inst = instance(w.clone());
-                let s = seq.step(&inst, &cost()).unwrap();
-                let p = par.step(&inst, &cost()).unwrap();
+                let s = seq.step_with_delta(&inst, &cost(), &delta).unwrap();
+                let p = par.step_with_delta(&inst, &cost(), &delta).unwrap();
                 assert_eq!(p.selection, s.selection, "epoch {epoch} diverged");
                 assert_eq!(p.pairs_reused, s.pairs_reused, "epoch {epoch}");
                 assert_eq!(p.pairs_placed, s.pairs_placed, "epoch {epoch}");
                 p.allocation.validate(inst.workload(), inst.tau()).unwrap();
-                w = drift.evolve(&w, epoch);
+                (w, delta) = drift.evolve_tracked(&w, epoch);
             }
         }
     }
@@ -1290,37 +1219,33 @@ mod tests {
 
     #[test]
     fn dirty_path_matches_full_reselect_bitwise() {
-        // The headline O(Δ) guarantee: with dirty tracking on, the
-        // selection each epoch must be bit-identical to re-running GSP
-        // over everyone, whether the delta is scanned or caller-provided.
+        // The headline O(Δ) guarantee: the selection each epoch must be
+        // bit-identical to re-running GSP over everyone, whether the delta
+        // comes from comparing the workloads or from the drift source.
         let drift = DriftModel {
             rate_sigma: 0.3,
             churn_prob: 0.4,
             seed: 13,
         };
-        let mut scanned = IncrementalReallocator::default();
+        let mut compared = IncrementalReallocator::default();
         let mut delta_fed = IncrementalReallocator::default();
-        let mut full = IncrementalReallocator::new(IncrementalConfig {
-            dirty_tracking: false,
-            ..IncrementalConfig::default()
-        });
         let mut w = base_workload();
+        let mut last = w.clone();
         let mut delta = WorkloadDelta::default();
         for epoch in 0..6 {
             let inst = instance(w.clone());
             let fresh = GreedySelectPairs::new().select(&inst).unwrap();
-            let a = scanned.step(&inst, &cost()).unwrap();
+            let between = WorkloadDelta::between(&last, &w);
+            let a = compared.step_with_delta(&inst, &cost(), &between).unwrap();
             let b = delta_fed.step_with_delta(&inst, &cost(), &delta).unwrap();
-            let c = full.step(&inst, &cost()).unwrap();
-            assert_eq!(a.selection, fresh, "scanned diverged at epoch {epoch}");
+            assert_eq!(a.selection, fresh, "between-fed diverged at epoch {epoch}");
             assert_eq!(b.selection, fresh, "delta-fed diverged at epoch {epoch}");
-            assert_eq!(c.selection, fresh, "full diverged at epoch {epoch}");
-            assert_eq!(c.pairs_reused, 0, "full re-select must reuse nothing");
-            for out in [&a, &b, &c] {
+            for out in [&a, &b] {
                 out.allocation
                     .validate(inst.workload(), inst.tau())
                     .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
             }
+            last = w.clone();
             (w, delta) = drift.evolve_tracked(&w, epoch);
         }
     }
@@ -1332,7 +1257,7 @@ mod tests {
         // (validate cross-checks recorded vs recomputed bandwidth).
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        inc.step(&inst, &cost()).unwrap();
+        step_unchanged(&mut inc, &inst);
 
         let mut rates: Vec<Rate> = inst.workload().rates().to_vec();
         rates[1] = Rate::new(5); // 18 → 5, a decrease
@@ -1356,7 +1281,7 @@ mod tests {
     fn rate_spike_triggers_eviction_not_violation() {
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        inc.step(&inst, &cost()).unwrap();
+        step_unchanged(&mut inc, &inst);
 
         // Same interests, but topic 0's rate triples: VMs hosting it may
         // overflow and must shed load.
@@ -1368,8 +1293,9 @@ mod tests {
             .map(|v| inst.workload().interests(v).to_vec())
             .collect();
         let spiked = Workload::from_parts(rates, interests);
+        let delta = WorkloadDelta::between(inst.workload(), &spiked);
         let inst2 = instance(spiked);
-        let out = inc.step(&inst2, &cost()).unwrap();
+        let out = inc.step_with_delta(&inst2, &cost(), &delta).unwrap();
         out.allocation
             .validate(inst2.workload(), inst2.tau())
             .unwrap();
@@ -1379,27 +1305,59 @@ mod tests {
     }
 
     #[test]
-    fn sharded_full_resolve_matches_invariants() {
-        // With sharding configured, the first epoch and later repairs
-        // must still produce valid allocations.
-        let mut inc = IncrementalReallocator::new(IncrementalConfig {
-            sharding: Some(crate::ShardingConfig::new(2)),
-            ..IncrementalConfig::default()
-        });
-        let inst = instance(base_workload());
-        let first = inc.step(&inst, &cost()).unwrap();
-        assert!(first.full_resolve);
-        first
-            .allocation
-            .validate(inst.workload(), inst.tau())
-            .unwrap();
-        let second = inc.step(&inst, &cost()).unwrap();
-        assert!(!second.full_resolve);
-        assert_eq!(second.pairs_placed, 0);
-        second
-            .allocation
-            .validate(inst.workload(), inst.tau())
-            .unwrap();
+    fn failed_epoch_keeps_the_remembered_fleet() {
+        // Six subscribers follow topics 0 and 1 (rate 5 each) on VMs of
+        // 60; nobody follows topic 2, whose rate of 40 no VM can host.
+        let build = |rate0: u64, v0_moves_to_2: bool| {
+            let mut b = Workload::builder();
+            let ts: Vec<TopicId> = [rate0, 5, 40]
+                .iter()
+                .map(|&r| b.add_topic(Rate::new(r)).unwrap())
+                .collect();
+            for vi in 0..6 {
+                let row = if vi == 0 && v0_moves_to_2 {
+                    &ts[2..]
+                } else {
+                    &ts[..2]
+                };
+                b.add_subscriber(row.iter().copied()).unwrap();
+            }
+            b.build()
+        };
+        let mk =
+            |w, capacity| McssInstance::new(w, Rate::new(10), Bandwidth::new(capacity)).unwrap();
+        let base = mk(build(5, false), 60);
+        let infeasible = |topic, required, capacity| McssError::InfeasibleTopic {
+            topic: TopicId::new(topic),
+            required: Bandwidth::new(required),
+            capacity: Bandwidth::new(capacity),
+        };
+        // A re-rate, a move to an unchanged topic that only the churned
+        // row shows, and a capacity cut.
+        for (bad, want) in [
+            (mk(build(40, false), 60), infeasible(0, 80, 60)),
+            (mk(build(5, true), 60), infeasible(2, 80, 60)),
+            (mk(build(5, false), 8), infeasible(0, 10, 8)),
+        ] {
+            let mut inc = IncrementalReallocator::default();
+            let first = step_unchanged(&mut inc, &base);
+            assert_eq!(first.selection.pair_count(), 12);
+            let remembered = |inc: &IncrementalReallocator| {
+                let (selection, ledger, capacity) = inc.checkpoint().expect("stepped");
+                (selection.clone(), ledger.snapshot_slots(), capacity)
+            };
+            let kept = remembered(&inc);
+            let delta = WorkloadDelta::between(base.workload(), bad.workload());
+            let err = inc.step_with_delta(&bad, &cost(), &delta).unwrap_err();
+            assert_eq!(err, want);
+            assert_eq!(remembered(&inc), kept, "a failed epoch changed the state");
+            // Back on the workload the state was built on, the epoch
+            // repairs in place and moves nothing.
+            let delta = WorkloadDelta::between(bad.workload(), base.workload());
+            let back = inc.step_with_delta(&base, &cost(), &delta).unwrap();
+            assert!(!back.full_resolve, "{want}");
+            assert_eq!(back.pairs_placed, 0, "{want}");
+        }
     }
 
     #[test]
@@ -1411,7 +1369,7 @@ mod tests {
             ..IncrementalConfig::default()
         });
         let inst = instance(base_workload());
-        inc.step(&inst, &cost()).unwrap();
+        step_unchanged(&mut inc, &inst);
 
         let w = inst.workload();
         let rates: Vec<Rate> = w.rates().to_vec();
@@ -1421,8 +1379,9 @@ mod tests {
             tv.clear(); // only subscriber 0 remains interested
         }
         let shrunk = Workload::from_parts(rates, interests);
+        let delta = WorkloadDelta::between(w, &shrunk);
         let inst2 = instance(shrunk);
-        let out = inc.step(&inst2, &cost()).unwrap();
+        let out = inc.step_with_delta(&inst2, &cost(), &delta).unwrap();
         assert!(out.pairs_removed > 0);
         assert!(
             out.full_resolve,
@@ -1441,7 +1400,7 @@ mod tests {
         let mut inc = IncrementalReallocator::default();
         let w = base_workload();
         let inst = instance(w.clone());
-        let first = inc.step(&inst, &cost()).unwrap();
+        let first = step_unchanged(&mut inc, &inst);
 
         let rates: Vec<Rate> = w.rates().to_vec();
         let interests: Vec<Vec<TopicId>> = w
@@ -1450,8 +1409,9 @@ mod tests {
             .map(|v| w.interests(v).to_vec())
             .collect();
         let shrunk = Workload::from_parts(rates, interests);
+        let delta = WorkloadDelta::between(&w, &shrunk);
         let inst2 = instance(shrunk);
-        let out = inc.step(&inst2, &cost()).unwrap();
+        let out = inc.step_with_delta(&inst2, &cost(), &delta).unwrap();
         assert_eq!(out.selection.num_subscribers(), 2);
         assert!(out.pairs_removed > 0);
         assert_eq!(
@@ -1464,7 +1424,7 @@ mod tests {
             .unwrap();
 
         // And a third epoch on the shrunk workload is steady-state.
-        let third = inc.step(&inst2, &cost()).unwrap();
+        let third = step_unchanged(&mut inc, &inst2);
         assert_eq!(third.pairs_placed, 0);
         assert_eq!(third.pairs_removed, 0);
     }
@@ -1491,7 +1451,7 @@ mod tests {
             |w: Workload| McssInstance::new(w, Rate::new(100), Bandwidth::new(10_000)).unwrap();
         let inst = mk(w.clone());
         let mut inc = IncrementalReallocator::default();
-        let first = inc.step(&inst, &cost()).unwrap();
+        let first = step_unchanged(&mut inc, &inst);
         assert_eq!(first.allocation.pair_count(), 2 * subscribers as u64);
 
         // Everyone but the first 100 subscribers drops both interests.
@@ -1507,7 +1467,8 @@ mod tests {
             })
             .collect();
         let shrunk = mk(Workload::from_parts(rates, interests));
-        let out = inc.step(&shrunk, &cost()).unwrap();
+        let delta = WorkloadDelta::between(&w, shrunk.workload());
+        let out = inc.step_with_delta(&shrunk, &cost(), &delta).unwrap();
         assert_eq!(out.pairs_removed, 2 * (subscribers as u64 - 100));
         assert!(out.pairs_removed >= 9_800);
         out.allocation
@@ -1528,13 +1489,14 @@ mod tests {
         };
         let mut inc = IncrementalReallocator::default();
         let mut w = base_workload();
+        let mut delta = WorkloadDelta::default();
         let mut last: Option<(Money, Money)> = None;
         for epoch in 0..6 {
             let inst = instance(w.clone());
-            let out = inc.step(&inst, &cost()).unwrap();
+            let out = inc.step_with_delta(&inst, &cost(), &delta).unwrap();
             let fresh = crate::Solver::default().solve(&inst, &cost()).unwrap();
             last = Some((out.allocation.cost(&cost()), fresh.report.total_cost));
-            w = drift.evolve(&w, epoch);
+            (w, delta) = drift.evolve_tracked(&w, epoch);
         }
         let (incremental, fresh) = last.expect("ran epochs");
         assert!(
@@ -1563,13 +1525,14 @@ mod tests {
         let mut mixed = IncrementalReallocator::default().with_fleet(fleet.clone());
         let mut homog = IncrementalReallocator::default();
         let mut w = base_workload();
+        let mut delta = WorkloadDelta::default();
         for epoch in 0..6 {
             let mixed_inst =
                 McssInstance::new(w.clone(), Rate::new(20), fleet.max_capacity()).unwrap();
             let homog_inst =
                 McssInstance::new(w.clone(), Rate::new(20), Bandwidth::new(120)).unwrap();
-            let m = mixed.step(&mixed_inst, &cost()).unwrap();
-            let h = homog.step(&homog_inst, &cost()).unwrap();
+            let m = mixed.step_with_delta(&mixed_inst, &cost(), &delta).unwrap();
+            let h = homog.step_with_delta(&homog_inst, &cost(), &delta).unwrap();
             assert_eq!(
                 m.selection, h.selection,
                 "mixed fleet changed the selection at epoch {epoch}"
@@ -1581,7 +1544,7 @@ mod tests {
             for (i, vm) in m.allocation.vms().iter().enumerate() {
                 assert!(vm.used() <= typing.tier_of(i).1, "epoch {epoch}, vm {i}");
             }
-            w = drift.evolve(&w, epoch);
+            (w, delta) = drift.evolve_tracked(&w, epoch);
         }
     }
 
@@ -1633,7 +1596,7 @@ mod tests {
     fn adopt_replaces_exactly_the_missing_pairs() {
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        let deployed = inc.step(&inst, &cost()).unwrap();
+        let deployed = step_unchanged(&mut inc, &inst);
         assert!(deployed.allocation.vm_count() >= 1);
 
         // Drop the first VM (simulated failure) and adopt the remains.
@@ -1652,7 +1615,7 @@ mod tests {
         );
         let lost = deployed.allocation.pair_count() - degraded.pair_count();
         inc.adopt(&deployed.selection, &degraded);
-        let repaired = inc.step(&inst, &cost()).unwrap();
+        let repaired = step_unchanged(&mut inc, &inst);
         assert_eq!(
             repaired.pairs_placed, lost,
             "repair must re-place the lost pairs"
@@ -1667,7 +1630,7 @@ mod tests {
     fn drained_failure_repair_matches_fresh_solve_satisfaction() {
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        let first = inc.step(&inst, &cost()).unwrap();
+        let first = step_unchanged(&mut inc, &inst);
         let baseline = first.allocation.delivered_rates(inst.workload());
 
         let mut last = inc
@@ -1711,7 +1674,7 @@ mod tests {
             ..IncrementalConfig::default()
         });
         let inst = instance(base_workload());
-        let first = inc.step(&inst, &cost()).unwrap();
+        let first = step_unchanged(&mut inc, &inst);
         let baseline = first.allocation.delivered_rates(inst.workload());
         let vm_count = first.allocation.vm_count();
 
@@ -1731,7 +1694,7 @@ mod tests {
         // An ordinary epoch on the same workload neither loses nor
         // places the deferred pairs.
         let queued = inc.pending_repair_pairs();
-        let mid = inc.step(&inst, &cost()).unwrap();
+        let mid = step_unchanged(&mut inc, &inst);
         assert!(!mid.full_resolve);
         assert_eq!(mid.pairs_placed, 0);
         assert_eq!(inc.pending_repair_pairs(), queued);
@@ -1753,7 +1716,7 @@ mod tests {
     fn recover_slot_rejoins_the_reuse_pool_once() {
         let mut inc = IncrementalReallocator::default();
         let inst = instance(base_workload());
-        inc.step(&inst, &cost()).unwrap();
+        step_unchanged(&mut inc, &inst);
         let rep = inc
             .repair_failures(&inst, &[0], SlaBudget::UNBOUNDED)
             .unwrap();
@@ -1804,7 +1767,7 @@ mod tests {
         let inst = McssInstance::new(b.build(), Rate::new(14), Bandwidth::new(70)).unwrap();
         for budget in [1u64, 3, 10, 25] {
             let mut live = IncrementalReallocator::default();
-            live.step(&inst, &cost()).unwrap();
+            step_unchanged(&mut live, &inst);
             let slots = live.checkpoint().unwrap().1.snapshot_slots();
             let mut kill: Vec<usize> = (0..slots.len())
                 .filter(|&k| slots[k].rows.iter().any(|(t, _)| *t == ts[0]))

@@ -1534,7 +1534,7 @@ impl Daemon {
         // counters the stats read below.
         let step = self
             .realloc
-            .advance(&instance, self.cost.as_ref(), Some(&delta))?;
+            .advance(&instance, self.cost.as_ref(), &delta)?;
         self.prev = Some(workload);
 
         // Fold the epoch's fleet ops: fail + budgeted repair first (the

@@ -254,9 +254,12 @@ proptest! {
         // Re-use the first instance's capacity so epochs are comparable.
         let capacity = instances[0].capacity();
         let mut inc = IncrementalReallocator::default();
+        let mut last = instances[0].workload();
         for inst in &instances {
+            let delta = WorkloadDelta::between(last, inst.workload());
+            last = inst.workload();
             let inst = inst.with_capacity(capacity).unwrap();
-            let out = inc.step(&inst, &nocost()).unwrap();
+            let out = inc.step_with_delta(&inst, &nocost(), &delta).unwrap();
             out.allocation.validate(inst.workload(), inst.tau()).map_err(|e| {
                 TestCaseError::fail(format!("incremental epoch invalid: {e}"))
             })?;
@@ -264,9 +267,10 @@ proptest! {
     }
 
     /// Dirty-subscriber re-selection is bit-identical to a full GSP
-    /// re-selection across random drift sequences — for the self-scanned
-    /// delta, the drift-provided delta, and the full-reselect baseline —
-    /// and the repaired fleet stays valid either way.
+    /// re-selection across random drift sequences — for the delta
+    /// `WorkloadDelta::between` finds by comparing the workloads and for
+    /// the drift-provided one — and the repaired fleet stays valid either
+    /// way.
     #[test]
     fn dirty_reselection_bit_identical_across_drift(
         inst in arb_instance(),
@@ -280,30 +284,27 @@ proptest! {
             churn_prob: churn_pct as f64 / 100.0,
             seed,
         };
-        let mut scanned = IncrementalReallocator::default();
+        let mut compared = IncrementalReallocator::default();
         let mut delta_fed = IncrementalReallocator::default();
-        let mut full = IncrementalReallocator::new(IncrementalConfig {
-            dirty_tracking: false,
-            ..IncrementalConfig::default()
-        });
         let mut w = inst.workload().clone();
-        let mut delta = mcss_core::dynamic::WorkloadDelta::default();
+        let mut last = w.clone();
+        let mut delta = WorkloadDelta::default();
         // Headroom so drifted rates stay feasible for the capacity.
         let capacity = Bandwidth::new(inst.capacity().get().saturating_mul(8));
         for epoch in 0..epochs {
             let step = McssInstance::new(w.clone(), inst.tau(), capacity).unwrap();
             let fresh = GreedySelectPairs::new().select(&step).unwrap();
-            let a = scanned.step(&step, &nocost()).unwrap();
+            let between = WorkloadDelta::between(&last, &w);
+            let a = compared.step_with_delta(&step, &nocost(), &between).unwrap();
             let b = delta_fed.step_with_delta(&step, &nocost(), &delta).unwrap();
-            let c = full.step(&step, &nocost()).unwrap();
-            prop_assert_eq!(&a.selection, &fresh, "scanned diverged at epoch {}", epoch);
+            prop_assert_eq!(&a.selection, &fresh, "between-fed diverged at epoch {}", epoch);
             prop_assert_eq!(&b.selection, &fresh, "delta-fed diverged at epoch {}", epoch);
-            prop_assert_eq!(&c.selection, &fresh, "full diverged at epoch {}", epoch);
-            for out in [&a, &b, &c] {
+            for out in [&a, &b] {
                 out.allocation.validate(step.workload(), step.tau()).map_err(|e| {
                     TestCaseError::fail(format!("epoch {epoch} invalid: {e}"))
                 })?;
             }
+            last = w.clone();
             (w, delta) = drift.evolve_tracked(&w, epoch);
         }
     }
@@ -340,6 +341,8 @@ proptest! {
             ..IncrementalConfig::default()
         });
         let mut w = inst.workload().clone();
+        let mut last = w.clone();
+        let mut delta = WorkloadDelta::default();
         // Headroom so drifted rates stay feasible for the capacity.
         let capacity = Bandwidth::new(inst.capacity().get().saturating_mul(8));
         for epoch in 0..=epochs {
@@ -349,10 +352,12 @@ proptest! {
                     w.rates().to_vec(),
                     vec![Vec::new(); w.num_subscribers()],
                 );
+                delta = WorkloadDelta::between(&last, &w);
             }
+            last = w.clone();
             let step = McssInstance::new(w.clone(), inst.tau(), capacity).unwrap();
-            let s = seq.step(&step, &nocost()).unwrap();
-            let p = par.step(&step, &nocost()).unwrap();
+            let s = seq.step_with_delta(&step, &nocost(), &delta).unwrap();
+            let p = par.step_with_delta(&step, &nocost(), &delta).unwrap();
             prop_assert_eq!(
                 &p.selection, &s.selection,
                 "epoch {} diverged ({} shards, {:?})", epoch, shards, partitioner
@@ -362,7 +367,7 @@ proptest! {
                 TestCaseError::fail(format!("epoch {epoch} invalid: {e}"))
             })?;
             if epoch < epochs {
-                w = drift.evolve(&w, epoch);
+                (w, delta) = drift.evolve_tracked(&w, epoch);
             }
         }
     }
@@ -602,18 +607,19 @@ proptest! {
         let mut mixed = IncrementalReallocator::default().with_fleet(fleet.clone());
         let mut homog = IncrementalReallocator::default();
         let mut w = w;
+        let mut delta = WorkloadDelta::default();
         for epoch in 0..4 {
             let mixed_inst =
                 McssInstance::new(w.clone(), Rate::new(tau), fleet.max_capacity()).unwrap();
             let homog_inst =
                 McssInstance::new(w.clone(), Rate::new(tau), fleet.capacity(0)).unwrap();
-            let m = mixed.step(&mixed_inst, &nocost()).unwrap();
-            let h = homog.step(&homog_inst, &nocost()).unwrap();
+            let m = mixed.step_with_delta(&mixed_inst, &nocost(), &delta).unwrap();
+            let h = homog.step_with_delta(&homog_inst, &nocost(), &delta).unwrap();
             prop_assert_eq!(&m.selection, &h.selection, "selections diverged");
             m.allocation
                 .validate(mixed_inst.workload(), mixed_inst.tau())
                 .map_err(|e| TestCaseError::fail(format!("epoch {epoch}: {e}")))?;
-            w = drift.evolve(&w, epoch);
+            (w, delta) = drift.evolve_tracked(&w, epoch);
         }
     }
 }

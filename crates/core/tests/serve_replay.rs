@@ -69,7 +69,9 @@ fn script(seed: u64, batches: usize) -> Vec<Event> {
 
 /// Checks one closed epoch: its stats read the VM count and fleet cost
 /// from ledger counters, which must equal an export of the fleet.
-fn check_stats(daemon: &Daemon, stats: Option<EpochStats>) -> Result<(), TestCaseError> {
+/// Returns whether the epoch repaired the ledger in place and placed
+/// pairs.
+fn check_stats(daemon: &Daemon, stats: Option<EpochStats>) -> Result<bool, TestCaseError> {
     if let Some(stats) = stats {
         let fleet = daemon.allocation().unwrap();
         prop_assert_eq!(stats.vm_count, fleet.vm_count(), "epoch {}", stats.epoch);
@@ -80,31 +82,33 @@ fn check_stats(daemon: &Daemon, stats: Option<EpochStats>) -> Result<(), TestCas
             stats.epoch
         );
     }
-    Ok(())
+    Ok(stats.is_some_and(|s| !s.full_resolve && s.pairs_placed > 0))
 }
 
-/// Submits every event, checking each epoch the watermark closes.
-fn submit_all(daemon: &mut Daemon, events: &[Event]) -> Result<(), TestCaseError> {
+/// Submits every event, checking each epoch the watermark closes, and
+/// counts the epochs that repaired in place.
+fn submit_all(daemon: &mut Daemon, events: &[Event]) -> Result<usize, TestCaseError> {
+    let mut repaired = 0;
     for &e in events {
         let stats = daemon.submit(e).unwrap();
-        check_stats(daemon, stats)?;
+        repaired += usize::from(check_stats(daemon, stats)?);
     }
-    Ok(())
+    Ok(repaired)
 }
 
-/// Closes the current epoch, checking it.
-fn tick(daemon: &mut Daemon) -> Result<(), TestCaseError> {
+/// Closes the current epoch, checking it; `true` if it repaired in place.
+fn tick(daemon: &mut Daemon) -> Result<bool, TestCaseError> {
     let stats = daemon.tick().unwrap();
     check_stats(daemon, stats)
 }
 
-/// The proptests' fleets are light enough that nearly every epoch falls
-/// below the compaction floor and re-solves. Here 400 subscribers keep
-/// about twenty VMs busy, so the drift epochs repair the ledger in place
-/// (removals, evictions, most-free and fresh-VM placement) between
-/// compaction passes, and each epoch's counters must equal an export.
-#[test]
-fn epoch_counters_equal_an_export_on_repair_epochs() {
+/// A drift source heavy enough to repair in place. The proptests over
+/// `base_workload` are light enough that nearly every epoch falls below
+/// the compaction floor and re-solves; here 400 subscribers keep about
+/// twenty VMs busy (at τ 40 and capacity 1000), so drift epochs repair
+/// the ledger in place (removals, evictions, most-free and fresh-VM
+/// placement) between compaction passes.
+fn repair_driver() -> Driver {
     let mut b = Workload::builder();
     let ts: Vec<_> = (0..60u64)
         .map(|i| b.add_topic(Rate::new(5 + i * 37 % 40)).unwrap())
@@ -127,7 +131,14 @@ fn epoch_counters_equal_an_export_on_repair_epochs() {
         churn_prob: 0.1,
         seed: 5,
     };
-    let mut driver = Driver::new(b.build(), drift);
+    Driver::new(b.build(), drift)
+}
+
+/// Each epoch's counters must equal an export on in-place repair epochs
+/// too, not only on re-solves.
+#[test]
+fn epoch_counters_equal_an_export_on_repair_epochs() {
+    let mut driver = repair_driver();
     let config = ServeConfig::new(Rate::new(40), Bandwidth::new(1_000))
         .with_snapshot_every(0)
         .with_compaction(3, 20);
@@ -141,10 +152,7 @@ fn epoch_counters_equal_an_export_on_repair_epochs() {
             assert!(daemon.submit(e).unwrap().is_none(), "no watermark is set");
         }
         let stats = daemon.tick().unwrap().expect("a batch closes an epoch");
-        check_stats(&daemon, Some(stats)).unwrap();
-        if !stats.full_resolve && stats.pairs_placed > 0 {
-            repaired += 1;
-        }
+        repaired += usize::from(check_stats(&daemon, Some(stats)).unwrap());
         evicted += stats.pairs_evicted;
         batch = driver.next_epoch_events();
     }
@@ -316,6 +324,58 @@ proptest! {
         prop_assert_eq!(live.epochs_applied(), recovered.epochs_applied());
         prop_assert_eq!(live.selection(), recovered.selection());
         prop_assert_eq!(live.allocation(), recovered.allocation());
+
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
+    }
+}
+
+proptest! {
+    // Two daemons over ~3k events per case; six cases sweep kill points
+    // and snapshot cadences (0 = pure log replay). A block of its own,
+    // since a block takes one config.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The crash sweep on `repair_driver`'s workload, whose epochs repair
+    /// the ledger in place between compaction passes: a daemon killed at
+    /// any event resumes and finishes the stream bit-identically.
+    #[test]
+    fn crash_across_in_place_repair_epochs_recovers_bit_identically(
+        cut_raw in 0usize..100_000,
+        snap_every in 0u64..3,
+    ) {
+        let mut driver = repair_driver();
+        let mut events = driver.initial_events();
+        for _ in 0..12 {
+            events.extend(driver.next_epoch_events());
+        }
+        let cut = cut_raw % (events.len() + 1);
+        let config = ServeConfig::new(Rate::new(40), Bandwidth::new(1_000))
+            .with_epoch_events(150)
+            .with_snapshot_every(snap_every)
+            .with_compaction(3, 20);
+
+        let dir_a = scratch("live-repair");
+        let mut live = Daemon::create(&dir_a, config, cost()).unwrap();
+        let repaired = submit_all(&mut live, &events)? + usize::from(tick(&mut live)?);
+        prop_assert!(repaired >= 10, "only {} epochs repaired in place", repaired);
+
+        let dir_b = scratch("crash-repair");
+        let mut crashed = Daemon::create(&dir_b, config, cost()).unwrap();
+        submit_all(&mut crashed, &events[..cut])?;
+        std::mem::forget(crashed);
+
+        let mut recovered = Daemon::resume(&dir_b, config, cost()).unwrap();
+        let absorbed =
+            (recovered.epochs_applied() * 150 + recovered.pending_events()) as usize;
+        prop_assert!(absorbed <= cut, "recovery cannot invent events");
+        submit_all(&mut recovered, &events[absorbed..])?;
+        tick(&mut recovered)?;
+
+        prop_assert_eq!(live.epochs_applied(), recovered.epochs_applied());
+        prop_assert_eq!(live.selection(), recovered.selection());
+        prop_assert_eq!(live.allocation(), recovered.allocation());
+        prop_assert_eq!(live.workload(), recovered.workload());
 
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();

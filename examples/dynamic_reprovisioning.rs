@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example dynamic_reprovisioning`
 
 use mcss::prelude::*;
-use mcss::solver::dynamic::{DriftModel, Reprovisioner};
+use mcss::solver::dynamic::{DriftModel, Reprovisioner, WorkloadDelta};
 use mcss::traces::SpotifyLike;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,6 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 99,
     };
     let mut reprovisioner = Reprovisioner::new(Solver::default());
+    let mut delta = WorkloadDelta::default();
 
     println!(
         "{:>5} {:>6} {:>8} {:>12} {:>14}",
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for epoch in 0..12 {
         let inst = McssInstance::new(workload.clone(), Rate::new(100), cost.capacity())?;
-        let r = reprovisioner.step(&inst, &cost)?;
+        let r = reprovisioner.step(&inst, &cost, &delta)?;
         println!(
             "{:>5} {:>6} {:>+8} {:>12} {:>14}",
             r.epoch,
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.report.total_cost.to_string(),
             r.cumulative_cost.to_string(),
         );
-        workload = drift.evolve(&workload, epoch);
+        (workload, delta) = drift.evolve_tracked(&workload, epoch);
     }
     println!(
         "\n{} epochs, cumulative objective {} (each epoch re-priced as a full billing window)",

@@ -10,6 +10,7 @@
 
 use mcss::prelude::*;
 use mcss::sim::failure::{fail_vms, fragility_profile};
+use mcss::solver::dynamic::WorkloadDelta;
 use mcss::solver::incremental::{IncrementalConfig, IncrementalReallocator};
 use mcss::traces::SpotifyLike;
 
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compaction_threshold: 0.4,
         ..IncrementalConfig::default()
     });
-    let deployed = reallocator.step(&instance, &cost)?;
+    let deployed = reallocator.step_with_delta(&instance, &cost, &WorkloadDelta::default())?;
     println!(
         "deployed {} VMs for {} pairs ({} total)",
         deployed.allocation.vm_count(),
@@ -58,9 +59,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Repair: adopt the degraded fleet, then let the incremental
     // re-allocator re-place exactly the lost pairs onto survivors (and
-    // fresh VMs where needed).
+    // fresh VMs where needed). The workload did not change.
     reallocator.adopt(&deployed.selection, &impact.degraded);
-    let repaired = reallocator.step(&instance, &cost)?;
+    let repaired = reallocator.step_with_delta(&instance, &cost, &WorkloadDelta::default())?;
     repaired
         .allocation
         .validate(instance.workload(), instance.tau())?;

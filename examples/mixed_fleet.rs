@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example mixed_fleet`
 
 use mcss::prelude::*;
-use mcss::solver::dynamic::{DriftModel, Reprovisioner};
+use mcss::solver::dynamic::{DriftModel, Reprovisioner, WorkloadDelta};
 use mcss::solver::incremental::IncrementalConfig;
 use mcss::solver::planner::plan_mixed;
 use std::sync::Arc;
@@ -83,9 +83,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("fleet has tiers")
         .clone();
     let mut current = (*workload).clone();
+    let mut delta = WorkloadDelta::default();
     for epoch in 0..4 {
         let inst = McssInstance::new(current.clone(), tau, fleet.max_capacity())?;
-        let r = re.step(&inst, &lb_model)?;
+        let r = re.step(&inst, &lb_model, &delta)?;
         let mix = r
             .allocation
             .typing()
@@ -95,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "epoch {epoch}: {} VMs ({mix}), cost {}, moved {} pairs",
             r.report.vm_count, r.report.total_cost, r.pairs_moved
         );
-        current = drift.evolve(&current, epoch);
+        (current, delta) = drift.evolve_tracked(&current, epoch);
     }
     Ok(())
 }

@@ -1267,7 +1267,9 @@ fn run(command: Command) -> Result<(), String> {
             let inst = McssInstance::new(workload, Rate::new(tau), cost.capacity())
                 .map_err(|e| e.to_string())?;
             let mut realloc = IncrementalReallocator::new(IncrementalConfig::default());
-            let outcome = realloc.step(&inst, &cost).map_err(|e| e.to_string())?;
+            let outcome = realloc
+                .step_with_delta(&inst, &cost, &WorkloadDelta::default())
+                .map_err(|e| e.to_string())?;
             let baseline = outcome.allocation;
             let baseline_delivered = baseline.delivered_rates(inst.workload());
             let kills = resolve_kill(&kill, baseline.vm_count());
@@ -1661,12 +1663,12 @@ fn run(command: Command) -> Result<(), String> {
                 },
                 if mixed { ", mixed fleet" } else { "" }
             );
-            let mut delta: Option<WorkloadDelta> = None;
+            let mut delta = WorkloadDelta::default();
             for epoch in 0..epochs {
                 let inst = McssInstance::new(workload.clone(), Rate::new(tau), cost.capacity())
                     .map_err(|e| e.to_string())?;
                 let r = re
-                    .step_tracked(&inst, &cost, delta.as_ref())
+                    .step(&inst, &cost, &delta)
                     .map_err(|e| format!("epoch {epoch}: {e}"))?;
                 r.allocation
                     .validate(inst.workload(), inst.tau())
@@ -1696,9 +1698,7 @@ fn run(command: Command) -> Result<(), String> {
                 }
                 println!("{line}");
                 if epoch + 1 < epochs {
-                    let (next, d) = drift.evolve_tracked(&workload, epoch);
-                    workload = next;
-                    delta = Some(d);
+                    (workload, delta) = drift.evolve_tracked(&workload, epoch);
                 }
             }
             println!(

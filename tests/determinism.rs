@@ -216,7 +216,7 @@ fn packers_match_golden() {
 #[test]
 fn repair_matches_golden() {
     use cloud_cost::instances::{C3_2XLARGE, C3_LARGE, C3_XLARGE};
-    use mcss::solver::dynamic::DriftModel;
+    use mcss::solver::dynamic::{DriftModel, WorkloadDelta};
     use mcss::solver::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
     use mcss::solver::SearchBudget;
 
@@ -234,7 +234,9 @@ fn repair_matches_golden() {
         let mut inc = IncrementalReallocator::new(IncrementalConfig::default());
         let mut workload = (*scenario.workload).clone();
         let mut inst = McssInstance::new(workload.clone(), tau, capacity).unwrap();
-        let first = inc.step(&inst, &cost).unwrap();
+        let first = inc
+            .step_with_delta(&inst, &cost, &WorkloadDelta::default())
+            .unwrap();
         out.push_str(&packer_fingerprint(
             &format!("{} epoch=0", scenario.name),
             &first.allocation,
@@ -331,7 +333,9 @@ fn repair_matches_golden() {
         IncrementalReallocator::new(IncrementalConfig::default()).with_fleet(fleet.clone());
     let mut workload = (*scenario.workload).clone();
     let inst = McssInstance::new(workload.clone(), tau, fleet.max_capacity()).unwrap();
-    let first = inc.step(&inst, &cost).unwrap();
+    let first = inc
+        .step_with_delta(&inst, &cost, &WorkloadDelta::default())
+        .unwrap();
     out.push_str(&packer_fingerprint("typed epoch=0", &first.allocation));
     for epoch in 1..=6 {
         let (next, delta) = drift.evolve_tracked(&workload, epoch);

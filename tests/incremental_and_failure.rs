@@ -4,7 +4,7 @@
 
 use mcss::prelude::*;
 use mcss::sim::failure::{fail_vms, fragility_profile};
-use mcss::solver::dynamic::DriftModel;
+use mcss::solver::dynamic::{DriftModel, WorkloadDelta};
 use mcss::solver::ilp::{export_lp, IlpOptions};
 use mcss::solver::incremental::{IncrementalConfig, IncrementalReallocator};
 use mcss_bench::scenario::Scenario;
@@ -21,10 +21,11 @@ fn incremental_tracks_a_drifting_spotify_trace() {
     let mut inc = IncrementalReallocator::new(IncrementalConfig::default());
 
     let mut workload = (*s.workload).clone();
+    let mut delta = WorkloadDelta::default();
     let mut total_churn = 0u64;
     for epoch in 0..5 {
         let inst = McssInstance::new(workload.clone(), Rate::new(100), cost.capacity()).unwrap();
-        let out = inc.step(&inst, &cost).unwrap();
+        let out = inc.step_with_delta(&inst, &cost, &delta).unwrap();
         out.allocation
             .validate(inst.workload(), inst.tau())
             .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
@@ -36,7 +37,7 @@ fn incremental_tracks_a_drifting_spotify_trace() {
             );
             total_churn += out.pairs_placed;
         }
-        workload = drift.evolve(&workload, epoch);
+        (workload, delta) = drift.evolve_tracked(&workload, epoch);
     }
     // Mild drift should not force anywhere near full re-placement.
     assert!(total_churn > 0, "drift produced no churn at all");
@@ -58,7 +59,8 @@ fn ledger_state_stays_bounded_over_rerate_epochs() {
     let mut inc = IncrementalReallocator::new(IncrementalConfig::default());
     let mut workload = (*s.workload).clone();
     let inst = McssInstance::new(workload.clone(), Rate::new(100), cost.capacity()).unwrap();
-    inc.step(&inst, &cost).unwrap();
+    inc.step_with_delta(&inst, &cost, &WorkloadDelta::default())
+        .unwrap();
     let mut after_ten = 0;
     for epoch in 1..=150 {
         let (next, delta) = drift.evolve_tracked(&workload, epoch);
