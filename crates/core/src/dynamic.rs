@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 /// epoch step compares the counts itself.
 #[derive(Clone, Debug, Default)]
 pub struct WorkloadDelta {
-    /// Topics whose event rate may have changed.
+    /// Topics whose event rate may have changed. The epoch step does not
+    /// read it: it finds re-rated topics by comparing the rates it
+    /// remembers, O(topics).
     pub changed_topics: Vec<TopicId>,
     /// Subscribers whose interest set may have changed.
     pub changed_subscribers: Vec<SubscriberId>,
@@ -237,7 +239,9 @@ impl Reprovisioner {
     ///
     /// # Errors
     ///
-    /// Propagates solver errors; failed epochs do not advance the state.
+    /// Propagates solver errors; failed epochs do not advance the state,
+    /// and the incremental step after one re-selects every row whatever
+    /// its delta lists.
     pub fn step(
         &mut self,
         instance: &McssInstance,

@@ -10,8 +10,9 @@
 //!
 //! 1. Stage 1 re-runs `select_for_subscriber` only for *dirty*
 //!    subscribers — those the caller's [`WorkloadDelta`] names as
-//!    changed, or who follow a topic it names as re-rated — and reuses
-//!    the previous epoch's selection rows verbatim for everyone else.
+//!    changed, or who follow a topic whose rate differs from the one the
+//!    re-allocator remembers — and reuses the previous epoch's selection
+//!    rows verbatim for everyone else.
 //!    The result is bit-identical to a full re-selection (a clean
 //!    subscriber's greedy choice depends only on its own interests, their
 //!    rates, and `τ`). A re-selected row that names a topic no VM can
@@ -222,9 +223,10 @@ struct State {
     /// The rates, subscriber count and `τ` the selection was produced
     /// against — what the next epoch's delta is applied to. Absent after
     /// [`IncrementalReallocator::adopt`] (the adopted allocation carries
-    /// no epoch context), in which case the next step ignores its delta,
-    /// treats every subscriber as dirty and resyncs the ledger's usage
-    /// counters.
+    /// no epoch context) and after a failed step (the caller's next delta
+    /// starts from the failed epoch's workload), in which case the next
+    /// step ignores its delta, treats every subscriber as dirty and
+    /// resyncs the ledger's usage counters.
     basis: Option<EpochBasis>,
     /// Selected pairs orphaned by VM failures that an exhausted
     /// [`SlaBudget`] deferred — drained by later
@@ -238,7 +240,8 @@ struct State {
 #[derive(Clone, Debug)]
 struct EpochBasis {
     /// The previous epoch's event rates — what the ledger's used counters
-    /// are denominated in, needed to re-base them after rate changes.
+    /// are denominated in; compared with the new rates, they name the
+    /// re-rated topics whose counters must be re-based.
     rates: Vec<Rate>,
     /// The previous epoch's subscriber count.
     num_subscribers: usize,
@@ -274,13 +277,13 @@ impl IncrementalReallocator {
     /// [`DriftModel::evolve_tracked`](crate::dynamic::DriftModel::evolve_tracked)
     /// and the serve daemon's edit commit produce it, and callers holding
     /// only two workloads use [`WorkloadDelta::between`]. It is ignored on
-    /// the first step and after [`IncrementalReallocator::adopt`], which
-    /// treat every subscriber as changed.
+    /// the first step, after [`IncrementalReallocator::adopt`] and after a
+    /// failed step, which treat every subscriber as changed.
     ///
-    /// The delta may over-approximate but must not miss a change: a
-    /// missed interest change leaves a stale selection row, and a missed
-    /// rate change leaves the fleet ledger's usage counters at the old
-    /// rate.
+    /// The step reads the delta's subscribers; re-rated topics it finds
+    /// itself by comparing the rates it remembers, O(topics). The
+    /// subscriber list may over-approximate but must not miss a change: a
+    /// missed interest change leaves a stale selection row.
     ///
     /// ```
     /// use cloud_cost::{LinearCostModel, Money};
@@ -312,7 +315,9 @@ impl IncrementalReallocator {
     /// # Errors
     ///
     /// [`McssError::InfeasibleTopic`] if a selected topic no longer fits
-    /// on any VM. The failed epoch leaves the remembered state as it was.
+    /// on any VM. The failed epoch leaves the remembered fleet and
+    /// selection as they were; the next step re-selects every row, since
+    /// its delta is relative to a workload the state never reached.
     pub fn step_with_delta(
         &mut self,
         instance: &McssInstance,
@@ -558,27 +563,21 @@ impl IncrementalReallocator {
         // A subscriber's greedy row depends only on its interest set, the
         // rates of those topics, and τ; it must be re-selected iff any of
         // those changed. `changed_rates` additionally drives the ledger's
-        // used-counter refresh.
+        // used-counter refresh. It comes from the remembered rates, not
+        // the delta: one O(topics) compare, each topic once, and a delta
+        // that misses a re-rate cannot leave the counters at the old rate.
         let mut dirty = vec![true; n];
         let mut changed_rates: Vec<(TopicId, Rate, Rate)> = Vec::new();
         if let Some(basis) = &prev.basis {
-            let old_rates = basis.rates.as_slice();
-            let new_rates = workload.rates();
-            let common = old_rates.len().min(new_rates.len());
-            // Deduplicate: the delta contract allows repeats, but
-            // `refresh_rate` is a re-base, not idempotent — each topic
-            // must be applied exactly once.
-            let mut topics: Vec<TopicId> = delta
-                .changed_topics
-                .iter()
-                .copied()
-                .filter(|t| t.index() < common && old_rates[t.index()] != new_rates[t.index()])
-                .collect();
-            topics.sort_unstable();
-            topics.dedup();
-            for t in topics {
-                changed_rates.push((t, old_rates[t.index()], new_rates[t.index()]));
-            }
+            changed_rates.extend(
+                basis
+                    .rates
+                    .iter()
+                    .zip(workload.rates())
+                    .enumerate()
+                    .filter(|(_, (old, new))| old != new)
+                    .map(|(ti, (&old, &new))| (TopicId::new(ti as u32), old, new)),
+            );
             if basis.tau == tau {
                 dirty = vec![false; n];
                 // Followers of re-rated topics.
@@ -601,6 +600,11 @@ impl IncrementalReallocator {
                 }
             }
         }
+
+        // The topic → hosts index lives as long as the ledger; growing it
+        // before Stage 1's temporaries keeps it below them on the heap.
+        // New entries are empty, so the fleet itself does not change.
+        prev.ledger.ensure_topics(workload.num_topics());
 
         // --- Stage 1: re-select dirty rows, reuse the rest -------------
         // Reads no ledger state, so it runs before the ledger changes.
@@ -637,19 +641,29 @@ impl IncrementalReallocator {
         };
 
         // --- Feasibility, before the ledger changes --------------------
-        // A failed epoch keeps the remembered state. A clean row kept its
-        // topics and their rates, which fit last epoch, so only dirty rows
-        // can select a topic no VM hosts — unless the capacity changed.
-        let every_row = capacity != prev.capacity;
-        let infeasible = dirty
-            .iter()
-            .enumerate()
-            .filter(|&(_, &is_dirty)| is_dirty || every_row)
-            .flat_map(|(vi, _)| selection.selected(SubscriberId::new(vi as u32)))
-            .copied()
-            .filter(|&t| workload.rate(t).pair_cost() > capacity)
-            .min();
+        // A failed epoch keeps the remembered state. Only a topic no VM
+        // hosts can fail it; most workloads have none, and then no row is
+        // read. A clean row kept its topics and their rates, which fit
+        // last epoch, so only dirty rows can select one — unless the
+        // capacity changed.
+        let infeasible = if workload.rates().iter().all(|r| r.pair_cost() <= capacity) {
+            None
+        } else {
+            let every_row = capacity != prev.capacity;
+            dirty
+                .iter()
+                .enumerate()
+                .filter(|&(_, &is_dirty)| is_dirty || every_row)
+                .flat_map(|(vi, _)| selection.selected(SubscriberId::new(vi as u32)))
+                .copied()
+                .filter(|&t| workload.rate(t).pair_cost() > capacity)
+                .min()
+        };
         if let Some(topic) = infeasible {
+            // The caller's next delta is relative to this epoch's
+            // workload, which the remembered state never reached: without
+            // a basis the next step ignores it, as after `adopt`.
+            prev.basis = None;
             self.previous = Some(prev);
             return Err(McssError::InfeasibleTopic {
                 topic,
@@ -660,7 +674,6 @@ impl IncrementalReallocator {
         let mut pending = std::mem::take(&mut prev.pending);
 
         // --- Ledger re-basing ------------------------------------------
-        prev.ledger.ensure_topics(workload.num_topics());
         match &prev.basis {
             Some(basis) => {
                 // Vanished topics lose their groups wholesale; the diff
@@ -1251,14 +1264,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_delta_topics_rebase_counters_once() {
-        // WorkloadDelta allows over-approximation and repeats; a repeated
-        // topic must not re-base the ledger's used counters twice
-        // (validate cross-checks recorded vs recomputed bandwidth).
-        let mut inc = IncrementalReallocator::default();
+    fn rerates_rebase_counters_once_whatever_the_delta_lists() {
+        // The step finds re-rated topics from its remembered rates: a
+        // topic the delta repeats is re-based once, and one it misses is
+        // still re-based (validate cross-checks recorded vs recomputed
+        // bandwidth) and its followers re-selected.
         let inst = instance(base_workload());
-        step_unchanged(&mut inc, &inst);
-
         let mut rates: Vec<Rate> = inst.workload().rates().to_vec();
         rates[1] = Rate::new(5); // 18 → 5, a decrease
         let interests = inst
@@ -1267,14 +1278,20 @@ mod tests {
             .map(|v| inst.workload().interests(v).to_vec())
             .collect();
         let inst2 = instance(Workload::from_parts(rates, interests));
-        let delta = WorkloadDelta {
-            changed_topics: vec![TopicId::new(1), TopicId::new(1), TopicId::new(1)],
-            changed_subscribers: vec![SubscriberId::new(0), SubscriberId::new(0)],
-        };
-        let out = inc.step_with_delta(&inst2, &cost(), &delta).unwrap();
-        out.allocation
-            .validate(inst2.workload(), inst2.tau())
-            .unwrap();
+        let fresh = GreedySelectPairs::new().select(&inst2).unwrap();
+        for changed_topics in [vec![TopicId::new(1); 3], Vec::new()] {
+            let mut inc = IncrementalReallocator::default();
+            step_unchanged(&mut inc, &inst);
+            let delta = WorkloadDelta {
+                changed_topics,
+                changed_subscribers: vec![SubscriberId::new(0), SubscriberId::new(0)],
+            };
+            let out = inc.step_with_delta(&inst2, &cost(), &delta).unwrap();
+            assert_eq!(out.selection, fresh);
+            out.allocation
+                .validate(inst2.workload(), inst2.tau())
+                .unwrap();
+        }
     }
 
     #[test]
@@ -1358,6 +1375,48 @@ mod tests {
             assert!(!back.full_resolve, "{want}");
             assert_eq!(back.pairs_placed, 0, "{want}");
         }
+    }
+
+    #[test]
+    fn step_after_a_failed_epoch_takes_the_chained_delta() {
+        // The failed epoch re-rates topic 0 past what a VM of 60 hosts and
+        // drops it from subscriber 5; the next one puts the rate back and
+        // keeps the drop. A caller chaining deltas lists only topic 0, yet
+        // subscriber 5's row must lose topic 0 and the ledger its pair.
+        let inst = |rate0: u64| {
+            let mut b = Workload::builder();
+            let t0 = b.add_topic(Rate::new(rate0)).unwrap();
+            let t1 = b.add_topic(Rate::new(5)).unwrap();
+            for _ in 0..5 {
+                b.add_subscriber([t0, t1]).unwrap();
+            }
+            b.add_subscriber([t1]).unwrap();
+            McssInstance::new(b.build(), Rate::new(10), Bandwidth::new(60)).unwrap()
+        };
+        let base = McssInstance::new(
+            Workload::from_parts(
+                vec![Rate::new(5); 2],
+                vec![vec![TopicId::new(0), TopicId::new(1)]; 6],
+            ),
+            Rate::new(10),
+            Bandwidth::new(60),
+        )
+        .unwrap();
+        let (failed, next) = (inst(40), inst(5));
+        let mut inc = IncrementalReallocator::default();
+        step_unchanged(&mut inc, &base);
+        let delta = WorkloadDelta::between(base.workload(), failed.workload());
+        assert!(inc.step_with_delta(&failed, &cost(), &delta).is_err());
+        let delta = WorkloadDelta::between(failed.workload(), next.workload());
+        assert_eq!(delta.changed_topics, [TopicId::new(0)]);
+        assert!(delta.changed_subscribers.is_empty());
+        let out = inc.step_with_delta(&next, &cost(), &delta).unwrap();
+        let fresh = GreedySelectPairs::new().select(&next).unwrap();
+        assert_eq!(out.selection, fresh);
+        assert_eq!(fresh.pair_count(), 11);
+        out.allocation
+            .validate(next.workload(), next.tau())
+            .unwrap();
     }
 
     #[test]
