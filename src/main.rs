@@ -3093,4 +3093,356 @@ mod tests {
         .unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Per subcommand: its minimal valid argument list, then each of its
+    /// flags with the values to try after it (valid first, malformed
+    /// last; a switch lists none), then a flag only another subcommand
+    /// takes.
+    type Grammar = (
+        &'static str,
+        &'static [(&'static str, &'static [&'static str])],
+        &'static str,
+    );
+
+    const TAU: &[&str] = &["7", "0", "18446744073709551616", "x"];
+    const COUNT: &[&str] = &["3", "0", "18446744073709551616", "-1"];
+    const SEED: &[&str] = &["9", "0", "18446744073709551616", "x"];
+    const CHURN: &[&str] = &["0.25", "0", "1.5", "NaN", "x"];
+    const SIGMA: &[&str] = &["0.2", "0", "-0.1", "NaN", "x"];
+    const INSTANCE: &[&str] = &["c3.xlarge", "c3.2xlarge", "m1.tiny"];
+    const REFINE: &[&str] = &[
+        "500",
+        "100ms",
+        "2s",
+        "0",
+        "0ms",
+        "0s",
+        "18446744073709551616",
+        "fast",
+    ];
+    const SCALE: &[&str] = &["100/4900", "0/5", "5/0", "5", "5/x", "x/5"];
+    const PATH: &[&str] = &["w.mcss", ""];
+    const SIZE: &[&str] = &["500", "0", "1", "x"];
+    const SWITCH: &[&str] = &[];
+
+    const GRAMMAR: &[Grammar] = &[
+        (
+            "solve t.tsv --tau 10",
+            &[
+                ("--tau", TAU),
+                ("--instance", INSTANCE),
+                ("--selector", &["rsp", "shared", "optimal", "gsp", "magic"]),
+                ("--allocator", &["ffbp", "cbp", "magic"]),
+                ("--shards", COUNT),
+                ("--threads", COUNT),
+                ("--partitioner", &["hash", "topic", "magic"]),
+                ("--refine", REFINE),
+                ("--store", PATH),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+                ("--simulate", SWITCH),
+            ],
+            "--kill 0",
+        ),
+        (
+            "pack t.tsv --tau 10",
+            &[
+                ("--tau", TAU),
+                ("--instance", INSTANCE),
+                ("--refine", REFINE),
+                ("--mixed", SWITCH),
+                ("--export-lp", PATH),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+            ],
+            "--fresh",
+        ),
+        (
+            "plan t.tsv --tau 10",
+            &[
+                ("--tau", TAU),
+                ("--mixed", SWITCH),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+            ],
+            "--instance c3.large",
+        ),
+        (
+            "reprovision t.tsv --tau 10",
+            &[
+                ("--tau", TAU),
+                ("--epochs", COUNT),
+                ("--churn", CHURN),
+                ("--sigma", SIGMA),
+                ("--drift-seed", SEED),
+                ("--fresh", SWITCH),
+                ("--threads", COUNT),
+                ("--instance", INSTANCE),
+                ("--mixed", SWITCH),
+                ("--store", PATH),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+                ("--simulate", SWITCH),
+            ],
+            "--selector gsp",
+        ),
+        (
+            "serve --trace spotify",
+            &[
+                ("--trace", &["twitter", "spotify", "mastodon"]),
+                ("--store", PATH),
+                ("--size", SIZE),
+                ("--seed", SEED),
+                ("--tau", TAU),
+                ("--instance", INSTANCE),
+                ("--epochs", COUNT),
+                ("--epoch-events", COUNT),
+                ("--epoch-ms", COUNT),
+                ("--churn", CHURN),
+                ("--sigma", SIGMA),
+                ("--drift-seed", SEED),
+                ("--dir", PATH),
+                ("--snapshot-every", SEED),
+                ("--threads", COUNT),
+                ("--resume", SWITCH),
+                (
+                    "--drill",
+                    &[
+                        "5:20%;2:0-3",
+                        "2:0",
+                        "1:4294967295",
+                        "1:4294967296",
+                        "x:0",
+                        "1:",
+                        "nope",
+                    ],
+                ),
+                ("--repair-budget", COUNT),
+                ("--compact-every", COUNT),
+                ("--compact-steps", COUNT),
+                ("--sync-retries", &["2", "0", "4294967296", "x"]),
+                ("--retry-backoff-ms", SEED),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+                ("--summary", PATH),
+                ("--simulate", SWITCH),
+            ],
+            "--kill 0",
+        ),
+        (
+            "drill t.tsv --tau 10 --kill 0",
+            &[
+                ("--tau", TAU),
+                (
+                    "--kill",
+                    &[
+                        "0,3,9",
+                        "0-7",
+                        "1,4-6,9",
+                        "20%",
+                        "100%",
+                        "4294967295",
+                        "4294967296",
+                        "4294967296-4294967297",
+                        "0%",
+                        "150%",
+                        "x%",
+                        "5-3",
+                        "1-x",
+                        "",
+                        "a,b",
+                    ],
+                ),
+                ("--sla-pairs", COUNT),
+                ("--max-epochs", COUNT),
+                ("--instance", INSTANCE),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+            ],
+            "--simulate",
+        ),
+        (
+            "analyze t.tsv",
+            &[
+                ("--store", PATH),
+                ("--blast-radius", COUNT),
+                ("--tau", TAU),
+                ("--instance", INSTANCE),
+                ("--effective", SWITCH),
+                ("--scale", SCALE),
+            ],
+            "--simulate",
+        ),
+        (
+            "generate spotify",
+            &[
+                ("--size", SIZE),
+                ("--seed", SEED),
+                ("--out", &["x.tsv", ""]),
+            ],
+            "--tau 10",
+        ),
+        (
+            "ingest t.tsv --out w.mcss",
+            &[("--out", &["v.mcss", ""])],
+            "--tau 10",
+        ),
+    ];
+
+    /// Argument lists no flag-by-flag sweep produces: each cross-flag
+    /// rule, positionals out of place, and sources given twice or not
+    /// at all. Words are split at spaces; `""` is an empty argument.
+    const HAND_PICKED: &[&str] = &[
+        "",
+        "help",
+        "--help",
+        "-h",
+        "frobnicate",
+        "solve",
+        "solve t.tsv",
+        "solve --tau 10",
+        "solve --tau 10 t.tsv",
+        "solve --store w.mcss --tau 10",
+        "solve t.tsv --store w.mcss --tau 10",
+        "solve t.tsv --tau 10 --shards 4 --threads 2",
+        "solve t.tsv u.tsv --tau 10",
+        "solve t.tsv --tau 10 extra",
+        "solve t.tsv --tau --simulate",
+        "solve t.tsv --tau=10",
+        "solve t.tsv --tau 10 --effective=true",
+        "pack",
+        "pack t.tsv",
+        "pack --tau 10 t.tsv",
+        "pack t.tsv --tau 1 --mixed --export-lp p.lp",
+        "pack t.tsv --tau 1 --export-lp p.lp --mixed",
+        "plan",
+        "plan t.tsv",
+        "plan t.tsv u.tsv --tau 10",
+        "reprovision",
+        "reprovision t.tsv",
+        "reprovision --tau 10",
+        "reprovision --tau 10 t.tsv",
+        "reprovision --store w.mcss --tau 10",
+        "reprovision t.tsv --store w.mcss --tau 10",
+        "serve",
+        "serve t.tsv",
+        "serve --epochs 2",
+        "serve --store w.mcss --epochs 2",
+        "serve --store w.mcss --size 0",
+        "serve --trace spotify --store w.mcss",
+        "serve --trace --store",
+        "serve --trace spotify --drill \"\"",
+        "serve --trace spotify --drill 1:0;1:2",
+        "serve --trace twitter --size 0",
+        "serve --trace twitter --size 1",
+        "serve --trace twitter --size 2",
+        "serve --trace spotify --epoch-events 5 --epoch-ms 10",
+        "serve --trace spotify --resume",
+        "serve --trace spotify --resume --dir d",
+        "serve --trace spotify --resume --dir d --epoch-events 5",
+        "serve --trace spotify --resume --dir d --epoch-ms 5",
+        "serve --trace spotify --resume --dir d --drill 1:0",
+        "serve --trace spotify --compact-every 4 --compact-steps 128",
+        "serve --trace spotify --compact-steps 128 --compact-every 4",
+        "drill",
+        "drill t.tsv",
+        "drill t.tsv --kill 0",
+        "drill t.tsv --tau 5",
+        "drill --tau 5 --kill 0",
+        "drill t.tsv --tau 5 --kill --sla-pairs",
+        "analyze",
+        "analyze t.tsv --store --tau",
+        "analyze --tau 5 t.tsv",
+        "analyze --store w.mcss",
+        "analyze t.tsv --store w.mcss",
+        "analyze t.tsv --blast-radius 5 --tau 40",
+        "analyze t.tsv --tau 40 --blast-radius 5",
+        "generate",
+        "generate facebook",
+        "generate twitter",
+        "generate twitter --size 0",
+        "generate twitter --size 1",
+        "generate twitter --size 2",
+        "generate spotify --out --seed",
+        "generate spotify extra",
+        "ingest",
+        "ingest t.tsv",
+        "ingest --out w.mcss",
+        "ingest t.tsv --out w.mcss extra",
+    ];
+
+    /// The corpus of argument lists the parser golden file pins, each
+    /// with at most one invalid argument.
+    fn parse_corpus() -> Vec<Vec<&'static str>> {
+        let words = |line: &'static str| -> Vec<&'static str> {
+            line.split_whitespace()
+                .map(|w| if w == "\"\"" { "" } else { w })
+                .collect()
+        };
+        let mut corpus: Vec<Vec<&str>> = Vec::new();
+        for &(minimal, flags, foreign) in GRAMMAR {
+            let minimal = words(minimal);
+            let with = |extra: &[&'static str]| [&minimal[..], extra].concat();
+            corpus.push(minimal.clone());
+            for &(flag, values) in flags {
+                // Bare: a switch, or a value flag missing its value.
+                corpus.push(with(&[flag]));
+                for &value in values {
+                    corpus.push(with(&[flag, value]));
+                }
+                match *values {
+                    [] => corpus.push(with(&[flag, flag])),
+                    [first, .., last] => {
+                        // The last occurrence wins; every one is checked.
+                        corpus.push(with(&[flag, first, flag, values[1]]));
+                        corpus.push(with(&[flag, last, flag, first]));
+                    }
+                    [only] => corpus.push(with(&[flag, only, flag, only])),
+                }
+            }
+            corpus.push(with(&words(foreign)));
+            corpus.push(with(&["--frob"]));
+        }
+        corpus.extend(HAND_PICKED.iter().map(|&line| words(line)));
+        corpus
+    }
+
+    /// Pins the whole command-line grammar: every corpus argument list,
+    /// with the `Command` it parses to or the error it reports, against
+    /// `tests/golden/cli_parse.txt`. Regenerate (only for a deliberate
+    /// grammar change) with
+    /// `MCSS_BLESS=1 cargo test --bin mcss parse_args_matches_golden`.
+    #[test]
+    fn parse_args_matches_golden() {
+        let mut out = String::new();
+        for args in parse_corpus() {
+            let words: Vec<String> = args
+                .iter()
+                .map(|a| {
+                    if a.is_empty() || a.contains(|c: char| c.is_whitespace() || c == ';') {
+                        format!("{a:?}")
+                    } else {
+                        a.to_string()
+                    }
+                })
+                .collect();
+            let outcome = match parse(&args) {
+                Ok(cmd) => format!("ok {cmd:?}"),
+                Err(e) => format!("err {e}"),
+            };
+            out.push_str(&format!("mcss {} => {outcome}\n", words.join(" ")));
+        }
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/cli_parse.txt");
+        if std::env::var_os("MCSS_BLESS").is_some() {
+            std::fs::write(golden, &out).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(golden)
+            .expect("tests/golden/cli_parse.txt missing; regenerate with MCSS_BLESS=1");
+        assert_eq!(
+            out, want,
+            "the parsed grammar drifted from tests/golden/cli_parse.txt; \
+             if the change is deliberate, regenerate with MCSS_BLESS=1"
+        );
+    }
 }
