@@ -6,8 +6,10 @@
 //! mcss solve trace.tsv --tau 100 --instance c3.large --effective --simulate
 //! ```
 //!
-//! Argument parsing is hand-rolled (no CLI dependency) and unit-tested;
-//! see `mcss help` for the full grammar.
+//! Argument parsing is hand-rolled (no CLI dependency) and table-driven:
+//! each subcommand has one flag table, `Flags::parse` scans the
+//! arguments against it once, and typed getters build the `Command`.
+//! `tests/golden/cli_parse.txt` pins the grammar that `mcss help` documents.
 
 use cloud_cost::{instances, CostModel, Ec2CostModel, FleetCostModel, InstanceType};
 use mcss_core::dynamic::{DriftModel, Reprovisioner, WorkloadDelta};
@@ -25,10 +27,12 @@ use pubsub_sim::failure::{fail_vms, fragility_profile};
 use pubsub_sim::{SimConfig, Simulation};
 use pubsub_traces::io::{read_workload, write_workload};
 use pubsub_traces::{SpotifyLike, TwitterLike};
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -314,30 +318,6 @@ enum WorkloadSource {
     Store(String),
 }
 
-impl WorkloadSource {
-    /// Resolves the optional positional trace and the `--store` flag
-    /// into exactly one source, or explains what is missing.
-    fn resolve(trace: Option<String>, store: Option<String>, cmd: &str) -> Result<Self, String> {
-        match (trace, store) {
-            (Some(t), None) => Ok(WorkloadSource::Trace(t)),
-            (None, Some(s)) => Ok(WorkloadSource::Store(s)),
-            (Some(_), Some(_)) => Err(format!(
-                "{cmd} takes either a trace path or --store, not both"
-            )),
-            (None, None) => Err(format!("{cmd} needs a trace path or --store FILE")),
-        }
-    }
-}
-
-/// Consumes the optional positional path: present unless the argument
-/// list is exhausted or the next token is a flag.
-fn take_positional(it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>) -> Option<String> {
-    match it.peek() {
-        Some(arg) if !arg.starts_with("--") => Some(it.next().expect("peeked").clone()),
-        _ => None,
-    }
-}
-
 /// A parsed kill list: explicit VM indices or a share of the fleet.
 #[derive(Clone, Debug, PartialEq)]
 enum KillSpec {
@@ -347,6 +327,10 @@ enum KillSpec {
     /// (a correlated-rack / region-outage stand-in).
     Percent(u32),
 }
+
+/// The most slots one kill list may name. A list is expanded when it is
+/// parsed, and fleets here have tens to hundreds of VMs.
+const MAX_KILL_SLOTS: u64 = 65_536;
 
 fn parse_kill(spec: &str) -> Result<KillSpec, String> {
     if let Some(pct) = spec.strip_suffix('%') {
@@ -358,28 +342,29 @@ fn parse_kill(spec: &str) -> Result<KillSpec, String> {
         }
         return Ok(KillSpec::Percent(pct));
     }
+    // Indices parse as u32, the slot id type of the event log and the
+    // fleet ledger, so no index wraps onto another VM.
     let mut indices = Vec::new();
     for item in spec.split(',') {
-        if let Some((a, b)) = item.split_once('-') {
-            let a: usize = a
-                .parse()
-                .map_err(|e| format!("bad kill range {item:?}: {e}"))?;
-            let b: usize = b
-                .parse()
-                .map_err(|e| format!("bad kill range {item:?}: {e}"))?;
-            if a > b {
-                return Err(format!("kill range {item:?} runs backwards"));
-            }
-            indices.extend(a..=b);
-        } else {
-            indices.push(
-                item.parse()
-                    .map_err(|e| format!("bad kill index {item:?}: {e}"))?,
-            );
+        // A single index is the range from itself to itself.
+        let (a, b, form) = match item.split_once('-') {
+            Some((a, b)) => (a, b, "range"),
+            None => (item, item, "index"),
+        };
+        let end = |s: &str| -> Result<u32, String> {
+            s.parse()
+                .map_err(|e| format!("bad kill {form} {item:?}: {e}"))
+        };
+        let (a, b) = (end(a)?, end(b)?);
+        if a > b {
+            return Err(format!("kill range {item:?} runs backwards"));
         }
-    }
-    if indices.is_empty() {
-        return Err("empty kill list".into());
+        if indices.len() as u64 + u64::from(b - a) >= MAX_KILL_SLOTS {
+            return Err(format!(
+                "kill list {spec:?} names more than {MAX_KILL_SLOTS} slots"
+            ));
+        }
+        indices.extend((a..=b).map(|i| i as usize));
     }
     Ok(KillSpec::List(indices))
 }
@@ -419,665 +404,50 @@ fn parse_instance(name: &str) -> Result<InstanceType, String> {
         .ok_or_else(|| format!("unknown instance type {name:?}"))
 }
 
-fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "analyze" => {
-            let trace = take_positional(&mut it);
-            let mut store: Option<String> = None;
-            let mut blast_radius = None;
-            let mut tau = None;
-            let mut instance = instances::C3_LARGE;
-            let mut effective = false;
-            let mut scale = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--store" => {
-                        store = Some(
-                            it.next()
-                                .ok_or_else(|| "--store needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--blast-radius" => {
-                        let k: usize = next_num(&mut it, "--blast-radius")?;
-                        if k == 0 {
-                            return Err("--blast-radius must be at least 1".into());
-                        }
-                        blast_radius = Some(k);
-                    }
-                    "--tau" => tau = Some(next_num(&mut it, "--tau")?),
-                    "--instance" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--instance needs a name".to_string())?;
-                        instance = parse_instance(name)?;
-                    }
-                    "--effective" => effective = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    other => return Err(format!("unknown analyze flag {other:?}")),
-                }
-            }
-            if blast_radius.is_some() && tau.is_none() {
-                return Err("--blast-radius needs --tau (it solves the trace)".into());
-            }
-            let source = WorkloadSource::resolve(trace, store, "analyze")?;
-            Ok(Command::Analyze {
-                source,
-                blast_radius,
-                tau,
-                instance,
-                effective,
-                scale,
-            })
-        }
-        "drill" => {
-            let trace = it
-                .next()
-                .ok_or_else(|| "drill needs a trace path".to_string())?
-                .clone();
-            let mut tau: Option<u64> = None;
-            let mut kill: Option<KillSpec> = None;
-            let mut sla_pairs: Option<u64> = None;
-            let mut max_epochs = 64u64;
-            let mut instance = instances::C3_LARGE;
-            let mut effective = false;
-            let mut scale = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--tau" => tau = Some(next_num(&mut it, "--tau")?),
-                    "--kill" => {
-                        let spec = it.next().ok_or_else(|| "--kill needs a spec".to_string())?;
-                        kill = Some(parse_kill(spec)?);
-                    }
-                    "--sla-pairs" => {
-                        let pairs: u64 = next_num(&mut it, "--sla-pairs")?;
-                        if pairs == 0 {
-                            return Err(
-                                "--sla-pairs must be positive (omit it to drain unbounded)".into(),
-                            );
-                        }
-                        sla_pairs = Some(pairs);
-                    }
-                    "--max-epochs" => {
-                        max_epochs = next_num(&mut it, "--max-epochs")?;
-                        if max_epochs == 0 {
-                            return Err("--max-epochs must be at least 1".into());
-                        }
-                    }
-                    "--instance" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--instance needs a name".to_string())?;
-                        instance = parse_instance(name)?;
-                    }
-                    "--effective" => effective = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    other => return Err(format!("unknown drill flag {other:?}")),
-                }
-            }
-            let tau = tau.ok_or_else(|| "--tau is required".to_string())?;
-            let kill = kill.ok_or_else(|| "--kill is required".to_string())?;
-            Ok(Command::Drill {
-                trace,
-                tau,
-                kill,
-                sla_pairs,
-                max_epochs,
-                instance,
-                effective,
-                scale,
-            })
-        }
-        "generate" => {
-            let family = it
-                .next()
-                .ok_or_else(|| "generate needs a family: spotify | twitter".to_string())?
-                .clone();
-            if family != "spotify" && family != "twitter" {
-                return Err(format!("unknown trace family {family:?}"));
-            }
-            let mut size = 10_000usize;
-            let mut seed = 42u64;
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--size" => size = next_num(&mut it, "--size")?,
-                    "--seed" => seed = next_num(&mut it, "--seed")?,
-                    "--out" => {
-                        out = Some(
-                            it.next()
-                                .ok_or_else(|| "--out needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    other => return Err(format!("unknown generate flag {other:?}")),
-                }
-            }
-            Ok(Command::Generate {
-                family,
-                size,
-                seed,
-                out,
-            })
-        }
-        "ingest" => {
-            let trace = it
-                .next()
-                .ok_or_else(|| "ingest needs a trace path".to_string())?
-                .clone();
-            let mut out: Option<String> = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--out" => {
-                        out = Some(
-                            it.next()
-                                .ok_or_else(|| "--out needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    other => return Err(format!("unknown ingest flag {other:?}")),
-                }
-            }
-            let out = out.ok_or_else(|| "--out is required (the store path)".to_string())?;
-            Ok(Command::Ingest { trace, out })
-        }
-        "plan" => {
-            let trace = it
-                .next()
-                .ok_or_else(|| "plan needs a trace path".to_string())?
-                .clone();
-            let mut tau: Option<u64> = None;
-            let mut mixed = false;
-            let mut effective = false;
-            let mut scale = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--tau" => tau = Some(next_num(&mut it, "--tau")?),
-                    "--mixed" => mixed = true,
-                    "--effective" => effective = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    other => return Err(format!("unknown plan flag {other:?}")),
-                }
-            }
-            let tau = tau.ok_or_else(|| "--tau is required".to_string())?;
-            Ok(Command::Plan {
-                trace,
-                tau,
-                mixed,
-                effective,
-                scale,
-            })
-        }
-        "reprovision" => {
-            let trace = take_positional(&mut it);
-            let mut store: Option<String> = None;
-            let mut tau: Option<u64> = None;
-            let mut instance = instances::C3_LARGE;
-            let mut epochs = 5u64;
-            let mut churn = 0.1f64;
-            let mut sigma = 0.1f64;
-            let mut drift_seed = 42u64;
-            let mut fresh = false;
-            let mut threads = 1usize;
-            let mut mixed = false;
-            let mut effective = false;
-            let mut scale = None;
-            let mut simulate = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--mixed" => mixed = true,
-                    "--threads" => {
-                        threads = next_num(&mut it, "--threads")?;
-                        if threads == 0 {
-                            return Err("--threads must be at least 1".into());
-                        }
-                    }
-                    "--tau" => tau = Some(next_num(&mut it, "--tau")?),
-                    "--epochs" => {
-                        epochs = next_num(&mut it, "--epochs")?;
-                        if epochs == 0 {
-                            return Err("--epochs must be at least 1".into());
-                        }
-                    }
-                    "--churn" => {
-                        churn = next_num(&mut it, "--churn")?;
-                        if !(0.0..=1.0).contains(&churn) {
-                            return Err("--churn must be a probability in [0, 1]".into());
-                        }
-                    }
-                    "--sigma" => {
-                        sigma = next_num(&mut it, "--sigma")?;
-                        if sigma < 0.0 {
-                            return Err("--sigma must be non-negative".into());
-                        }
-                    }
-                    "--drift-seed" => drift_seed = next_num(&mut it, "--drift-seed")?,
-                    "--fresh" => fresh = true,
-                    "--instance" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--instance needs a name".to_string())?;
-                        instance = parse_instance(name)?;
-                    }
-                    "--store" => {
-                        store = Some(
-                            it.next()
-                                .ok_or_else(|| "--store needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--effective" => effective = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    "--simulate" => simulate = true,
-                    other => return Err(format!("unknown reprovision flag {other:?}")),
-                }
-            }
-            let tau = tau.ok_or_else(|| "--tau is required".to_string())?;
-            let source = WorkloadSource::resolve(trace, store, "reprovision")?;
-            Ok(Command::Reprovision {
-                source,
-                tau,
-                instance,
-                epochs,
-                churn,
-                sigma,
-                drift_seed,
-                fresh,
-                threads,
-                mixed,
-                effective,
-                scale,
-                simulate,
-            })
-        }
-        "solve" => {
-            let trace = take_positional(&mut it);
-            let mut store: Option<String> = None;
-            let mut tau: Option<u64> = None;
-            let mut instance = instances::C3_LARGE;
-            let mut selector = SelectorKind::Greedy;
-            let mut allocator = AllocatorKind::custom_full();
-            let mut shards = 1usize;
-            let mut threads = 0usize;
-            let mut partitioner = PartitionerKind::default();
-            let mut refine: Option<SearchBudget> = None;
-            let mut effective = false;
-            let mut scale = None;
-            let mut simulate = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--tau" => tau = Some(next_num(&mut it, "--tau")?),
-                    "--refine" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| "--refine needs a budget".to_string())?;
-                        refine = Some(parse_budget(spec)?);
-                    }
-                    "--shards" => {
-                        shards = next_num(&mut it, "--shards")?;
-                        if shards == 0 {
-                            return Err("--shards must be at least 1".into());
-                        }
-                    }
-                    "--threads" => {
-                        threads = next_num(&mut it, "--threads")?;
-                        if threads == 0 {
-                            return Err("--threads must be at least 1".into());
-                        }
-                    }
-                    "--partitioner" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--partitioner needs a name".to_string())?;
-                        partitioner = match name.as_str() {
-                            "topic" => PartitionerKind::TopicLocality,
-                            "hash" => PartitionerKind::Hash { seed: 42 },
-                            other => return Err(format!("unknown partitioner {other:?}")),
-                        };
-                    }
-                    "--instance" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--instance needs a name".to_string())?;
-                        instance = parse_instance(name)?;
-                    }
-                    "--selector" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--selector needs a name".to_string())?;
-                        selector = match name.as_str() {
-                            "gsp" => SelectorKind::Greedy,
-                            "rsp" => SelectorKind::Random { seed: 42 },
-                            "shared" => SelectorKind::SharedAware,
-                            "optimal" => SelectorKind::Optimal,
-                            other => return Err(format!("unknown selector {other:?}")),
-                        };
-                    }
-                    "--allocator" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--allocator needs a name".to_string())?;
-                        allocator = match name.as_str() {
-                            "cbp" => AllocatorKind::custom_full(),
-                            "ffbp" => AllocatorKind::FirstFit,
-                            other => return Err(format!("unknown allocator {other:?}")),
-                        };
-                    }
-                    "--store" => {
-                        store = Some(
-                            it.next()
-                                .ok_or_else(|| "--store needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--effective" => effective = true,
-                    "--simulate" => simulate = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    other => return Err(format!("unknown solve flag {other:?}")),
-                }
-            }
-            let tau = tau.ok_or_else(|| "--tau is required".to_string())?;
-            let source = WorkloadSource::resolve(trace, store, "solve")?;
-            Ok(Command::Solve {
-                source,
-                tau,
-                instance,
-                selector,
-                allocator,
-                shards,
-                threads,
-                partitioner,
-                refine,
-                effective,
-                scale,
-                simulate,
-            })
-        }
-        "pack" => {
-            let trace = it
-                .next()
-                .ok_or_else(|| "pack needs a trace path".to_string())?
-                .clone();
-            let mut tau: Option<u64> = None;
-            let mut instance = instances::C3_LARGE;
-            let mut mixed = false;
-            let mut refine = SearchBudget::UNBOUNDED;
-            let mut export_lp: Option<String> = None;
-            let mut effective = false;
-            let mut scale = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--tau" => tau = Some(next_num(&mut it, "--tau")?),
-                    "--instance" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--instance needs a name".to_string())?;
-                        instance = parse_instance(name)?;
-                    }
-                    "--mixed" => mixed = true,
-                    "--refine" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| "--refine needs a budget".to_string())?;
-                        refine = parse_budget(spec)?;
-                    }
-                    "--export-lp" => {
-                        export_lp = Some(
-                            it.next()
-                                .ok_or_else(|| "--export-lp needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--effective" => effective = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    other => return Err(format!("unknown pack flag {other:?}")),
-                }
-            }
-            let tau = tau.ok_or_else(|| "--tau is required".to_string())?;
-            if mixed && export_lp.is_some() {
-                return Err(
-                    "--export-lp cannot be combined with --mixed: the LP formulation is \
-                     homogeneous (one capacity for every candidate VM)"
-                        .into(),
-                );
-            }
-            Ok(Command::Pack {
-                trace,
-                tau,
-                instance,
-                mixed,
-                refine,
-                export_lp,
-                effective,
-                scale,
-            })
-        }
-        "serve" => {
-            let mut family: Option<String> = None;
-            let mut store: Option<String> = None;
-            let mut size = 2_000usize;
-            let mut seed = 42u64;
-            let mut tau = 100u64;
-            let mut instance = instances::C3_LARGE;
-            let mut epochs = 10u64;
-            let mut epoch_events: Option<u64> = None;
-            let mut epoch_ms: Option<u64> = None;
-            let mut churn = 0.1f64;
-            let mut sigma = 0.1f64;
-            let mut drift_seed = 42u64;
-            let mut dir: Option<String> = None;
-            let mut snapshot_every = 8u64;
-            let mut threads = 1usize;
-            let mut resume = false;
-            let mut drill: Vec<(u64, KillSpec)> = Vec::new();
-            let mut repair_budget: Option<u64> = None;
-            let mut compact_every: Option<u64> = None;
-            let mut compact_steps = 2_048u64;
-            let mut saw_compact_steps = false;
-            let mut sync_retries = 0u32;
-            let mut retry_backoff_ms = 0u64;
-            let mut effective = false;
-            let mut scale = None;
-            let mut summary: Option<String> = None;
-            let mut simulate = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--trace" => {
-                        let name = it.next().ok_or_else(|| {
-                            "--trace needs a family: spotify | twitter".to_string()
-                        })?;
-                        if name != "spotify" && name != "twitter" {
-                            return Err(format!("unknown trace family {name:?}"));
-                        }
-                        family = Some(name.clone());
-                    }
-                    "--store" => {
-                        store = Some(
-                            it.next()
-                                .ok_or_else(|| "--store needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--size" => size = next_num(&mut it, "--size")?,
-                    "--seed" => seed = next_num(&mut it, "--seed")?,
-                    "--tau" => tau = next_num(&mut it, "--tau")?,
-                    "--instance" => {
-                        let name = it
-                            .next()
-                            .ok_or_else(|| "--instance needs a name".to_string())?;
-                        instance = parse_instance(name)?;
-                    }
-                    "--epochs" => {
-                        epochs = next_num(&mut it, "--epochs")?;
-                        if epochs == 0 {
-                            return Err("--epochs must be at least 1".into());
-                        }
-                    }
-                    "--epoch-events" => {
-                        let events: u64 = next_num(&mut it, "--epoch-events")?;
-                        if events == 0 {
-                            return Err("--epoch-events must be positive".into());
-                        }
-                        epoch_events = Some(events);
-                    }
-                    "--epoch-ms" => {
-                        let ms: u64 = next_num(&mut it, "--epoch-ms")?;
-                        if ms == 0 {
-                            return Err("--epoch-ms must be positive".into());
-                        }
-                        epoch_ms = Some(ms);
-                    }
-                    "--churn" => {
-                        churn = next_num(&mut it, "--churn")?;
-                        if !(0.0..=1.0).contains(&churn) {
-                            return Err("--churn must be a probability in [0, 1]".into());
-                        }
-                    }
-                    "--sigma" => {
-                        sigma = next_num(&mut it, "--sigma")?;
-                        if sigma < 0.0 {
-                            return Err("--sigma must be non-negative".into());
-                        }
-                    }
-                    "--drift-seed" => drift_seed = next_num(&mut it, "--drift-seed")?,
-                    "--dir" => {
-                        dir = Some(
-                            it.next()
-                                .ok_or_else(|| "--dir needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--snapshot-every" => snapshot_every = next_num(&mut it, "--snapshot-every")?,
-                    "--threads" => {
-                        threads = next_num(&mut it, "--threads")?;
-                        if threads == 0 {
-                            return Err("--threads must be at least 1".into());
-                        }
-                    }
-                    "--resume" => resume = true,
-                    "--drill" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| "--drill needs a schedule spec".to_string())?;
-                        drill = parse_drill_schedule(spec)?;
-                    }
-                    "--repair-budget" => {
-                        let pairs: u64 = next_num(&mut it, "--repair-budget")?;
-                        if pairs == 0 {
-                            return Err(
-                                "--repair-budget must be positive (omit it to drain unbounded)"
-                                    .into(),
-                            );
-                        }
-                        repair_budget = Some(pairs);
-                    }
-                    "--compact-every" => {
-                        let every: u64 = next_num(&mut it, "--compact-every")?;
-                        if every == 0 {
-                            return Err(
-                                "--compact-every must be positive (omit it to disable compaction)"
-                                    .into(),
-                            );
-                        }
-                        compact_every = Some(every);
-                    }
-                    "--compact-steps" => {
-                        compact_steps = next_num(&mut it, "--compact-steps")?;
-                        if compact_steps == 0 {
-                            return Err("--compact-steps must be positive".into());
-                        }
-                        saw_compact_steps = true;
-                    }
-                    "--sync-retries" => sync_retries = next_num(&mut it, "--sync-retries")?,
-                    "--retry-backoff-ms" => {
-                        retry_backoff_ms = next_num(&mut it, "--retry-backoff-ms")?
-                    }
-                    "--effective" => effective = true,
-                    "--scale" => scale = Some(parse_scale(&mut it)?),
-                    "--summary" => {
-                        summary = Some(
-                            it.next()
-                                .ok_or_else(|| "--summary needs a path".to_string())?
-                                .clone(),
-                        )
-                    }
-                    "--simulate" => simulate = true,
-                    other => return Err(format!("unknown serve flag {other:?}")),
-                }
-            }
-            if family.is_some() && store.is_some() {
-                return Err(
-                    "--trace and --store are mutually exclusive (one initial workload)".into(),
-                );
-            }
-            if family.is_none() && store.is_none() {
-                return Err("--trace is required: spotify | twitter (or --store FILE)".into());
-            }
-            if epoch_events.is_some() && epoch_ms.is_some() {
-                return Err("--epoch-events and --epoch-ms are mutually exclusive".into());
-            }
-            if resume && epoch_ms.is_some() {
-                return Err(
-                    "--resume cannot replay wall-clock epochs; use --epoch-events or the \
-                     default one-epoch-per-batch mode"
-                        .into(),
-                );
-            }
-            if resume && dir.is_none() {
-                return Err("--resume needs --dir (the state directory to recover)".into());
-            }
-            if resume && !drill.is_empty() {
-                return Err(
-                    "--drill cannot be combined with --resume: the drill's failure events \
-                     are already in the recovered log"
-                        .into(),
-                );
-            }
-            if saw_compact_steps && compact_every.is_none() {
-                return Err("--compact-steps needs --compact-every".into());
-            }
-            Ok(Command::Serve {
-                family,
-                store,
-                size,
-                seed,
-                tau,
-                instance,
-                epochs,
-                epoch_events,
-                epoch_ms,
-                churn,
-                sigma,
-                drift_seed,
-                dir,
-                snapshot_every,
-                threads,
-                resume,
-                drill,
-                repair_budget,
-                compact_every,
-                compact_steps,
-                sync_retries,
-                retry_backoff_ms,
-                effective,
-                scale,
-                summary,
-                simulate,
-            })
-        }
-        other => Err(format!("unknown command {other:?}; try `mcss help`")),
+fn parse_family(name: &str) -> Result<String, String> {
+    match name {
+        "spotify" | "twitter" => Ok(name.to_string()),
+        other => Err(format!("unknown trace family {other:?}")),
     }
 }
 
-fn parse_scale<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<(u64, u64), String> {
-    let spec = it
-        .next()
-        .ok_or_else(|| "--scale needs SYNTH/PAPER".to_string())?;
+/// Rejects a size the family's generator cannot build: a Spotify-like
+/// trace needs one subscriber, a Twitter-like follow graph two users.
+fn check_size(family: &str, size: usize) -> Result<(), String> {
+    let least = if family == "spotify" { 1 } else { 2 };
+    if size < least {
+        return Err(format!("--size must be at least {least} for {family}"));
+    }
+    Ok(())
+}
+
+fn parse_selector(name: &str) -> Result<SelectorKind, String> {
+    match name {
+        "gsp" => Ok(SelectorKind::Greedy),
+        "rsp" => Ok(SelectorKind::Random { seed: 42 }),
+        "shared" => Ok(SelectorKind::SharedAware),
+        "optimal" => Ok(SelectorKind::Optimal),
+        other => Err(format!("unknown selector {other:?}")),
+    }
+}
+
+fn parse_allocator(name: &str) -> Result<AllocatorKind, String> {
+    match name {
+        "cbp" => Ok(AllocatorKind::custom_full()),
+        "ffbp" => Ok(AllocatorKind::FirstFit),
+        other => Err(format!("unknown allocator {other:?}")),
+    }
+}
+
+fn parse_partitioner(name: &str) -> Result<PartitionerKind, String> {
+    match name {
+        "topic" => Ok(PartitionerKind::TopicLocality),
+        "hash" => Ok(PartitionerKind::Hash { seed: 42 }),
+        other => Err(format!("unknown partitioner {other:?}")),
+    }
+}
+
+fn parse_scale(spec: &str) -> Result<(u64, u64), String> {
     let (a, b) = spec
         .split_once('/')
         .ok_or_else(|| format!("bad scale {spec:?}, want SYNTH/PAPER"))?;
@@ -1119,16 +489,506 @@ fn parse_budget(spec: &str) -> Result<SearchBudget, String> {
     Ok(SearchBudget::steps(steps))
 }
 
-fn next_num<'a, T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = &'a String>,
-    flag: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|e| format!("bad {flag} value {raw:?}: {e}"))
+/// One row of a subcommand's flag table: the flag, and the noun its
+/// `<flag> needs …` error uses, or `None` for a switch.
+type Flag = (&'static str, Option<&'static str>);
+
+const SOLVE_FLAGS: &[Flag] = &[
+    ("--tau", Some("a value")),
+    ("--instance", Some("a name")),
+    ("--selector", Some("a name")),
+    ("--allocator", Some("a name")),
+    ("--shards", Some("a value")),
+    ("--threads", Some("a value")),
+    ("--partitioner", Some("a name")),
+    ("--refine", Some("a budget")),
+    ("--store", Some("a path")),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+    ("--simulate", None),
+];
+
+const PACK_FLAGS: &[Flag] = &[
+    ("--tau", Some("a value")),
+    ("--instance", Some("a name")),
+    ("--refine", Some("a budget")),
+    ("--mixed", None),
+    ("--export-lp", Some("a path")),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+];
+
+const PLAN_FLAGS: &[Flag] = &[
+    ("--tau", Some("a value")),
+    ("--mixed", None),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+];
+
+const REPROVISION_FLAGS: &[Flag] = &[
+    ("--tau", Some("a value")),
+    ("--epochs", Some("a value")),
+    ("--churn", Some("a value")),
+    ("--sigma", Some("a value")),
+    ("--drift-seed", Some("a value")),
+    ("--fresh", None),
+    ("--threads", Some("a value")),
+    ("--instance", Some("a name")),
+    ("--mixed", None),
+    ("--store", Some("a path")),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+    ("--simulate", None),
+];
+
+const SERVE_FLAGS: &[Flag] = &[
+    ("--trace", Some("a family: spotify | twitter")),
+    ("--store", Some("a path")),
+    ("--size", Some("a value")),
+    ("--seed", Some("a value")),
+    ("--tau", Some("a value")),
+    ("--instance", Some("a name")),
+    ("--epochs", Some("a value")),
+    ("--epoch-events", Some("a value")),
+    ("--epoch-ms", Some("a value")),
+    ("--churn", Some("a value")),
+    ("--sigma", Some("a value")),
+    ("--drift-seed", Some("a value")),
+    ("--dir", Some("a path")),
+    ("--snapshot-every", Some("a value")),
+    ("--threads", Some("a value")),
+    ("--resume", None),
+    ("--drill", Some("a schedule spec")),
+    ("--repair-budget", Some("a value")),
+    ("--compact-every", Some("a value")),
+    ("--compact-steps", Some("a value")),
+    ("--sync-retries", Some("a value")),
+    ("--retry-backoff-ms", Some("a value")),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+    ("--summary", Some("a path")),
+    ("--simulate", None),
+];
+
+const DRILL_FLAGS: &[Flag] = &[
+    ("--tau", Some("a value")),
+    ("--kill", Some("a spec")),
+    ("--sla-pairs", Some("a value")),
+    ("--max-epochs", Some("a value")),
+    ("--instance", Some("a name")),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+];
+
+const ANALYZE_FLAGS: &[Flag] = &[
+    ("--store", Some("a path")),
+    ("--blast-radius", Some("a value")),
+    ("--tau", Some("a value")),
+    ("--instance", Some("a name")),
+    ("--effective", None),
+    ("--scale", Some("SYNTH/PAPER")),
+];
+
+const GENERATE_FLAGS: &[Flag] = &[
+    ("--size", Some("a value")),
+    ("--seed", Some("a value")),
+    ("--out", Some("a path")),
+];
+
+const INGEST_FLAGS: &[Flag] = &[("--out", Some("a path"))];
+
+/// How a subcommand takes its leading positional argument.
+#[derive(Clone, Copy)]
+enum Positional {
+    /// None: every argument is a flag or a flag's value.
+    Absent,
+    /// A trace path unless the first argument is a flag: the commands
+    /// that also take `--store`.
+    Optional,
+    /// Always the first argument; the text is the noun of the
+    /// `<cmd> needs …` error when there is none.
+    Required(&'static str),
+}
+
+/// A subcommand's arguments after one scan over its flag table: the
+/// positional, and each flag given, in order, with its value (empty for
+/// a switch). The getters read values back; every occurrence is checked
+/// and the last one wins.
+struct Flags<'a> {
+    positional: Option<&'a str>,
+    given: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Scans `args`: a token the table lacks is an unknown flag, and a
+    /// flag with a noun takes the next token as its value.
+    fn parse(
+        cmd: &str,
+        args: &'a [String],
+        positional: Positional,
+        table: &[Flag],
+    ) -> Result<Self, String> {
+        let (positional, rest) = match (positional, args.split_first()) {
+            (Positional::Required(_), Some((first, rest))) => (Some(first.as_str()), rest),
+            (Positional::Optional, Some((first, rest))) if !first.starts_with("--") => {
+                (Some(first.as_str()), rest)
+            }
+            (Positional::Required(noun), None) => return Err(format!("{cmd} needs {noun}")),
+            _ => (None, args),
+        };
+        let mut given = Vec::new();
+        let mut rest = rest.iter();
+        while let Some(token) = rest.next() {
+            let &(flag, noun) = table
+                .iter()
+                .find(|(flag, _)| flag == token)
+                .ok_or_else(|| format!("unknown {cmd} flag {token:?}"))?;
+            let value = match noun {
+                Some(noun) => rest.next().ok_or_else(|| format!("{flag} needs {noun}"))?,
+                None => "",
+            };
+            given.push((flag, value));
+        }
+        Ok(Flags { positional, given })
+    }
+
+    /// The required positional, which `parse` has checked is there.
+    fn first(&self) -> String {
+        self.positional
+            .expect("parse rejects a missing required positional")
+            .to_string()
+    }
+
+    /// The optional positional trace path or `--store`: exactly one.
+    fn source(&self, cmd: &str) -> Result<WorkloadSource, String> {
+        match (self.positional, self.text("--store")) {
+            (Some(t), None) => Ok(WorkloadSource::Trace(t.to_string())),
+            (None, Some(s)) => Ok(WorkloadSource::Store(s)),
+            (Some(_), Some(_)) => Err(format!(
+                "{cmd} takes either a trace path or --store, not both"
+            )),
+            (None, None) => Err(format!("{cmd} needs a trace path or --store FILE")),
+        }
+    }
+
+    /// Whether `flag` was given at all.
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|&(f, _)| f == flag)
+    }
+
+    /// The last value given for `flag`.
+    fn text(&self, flag: &str) -> Option<String> {
+        self.given
+            .iter()
+            .rev()
+            .find(|&&(f, _)| f == flag)
+            .map(|&(_, value)| value.to_string())
+    }
+
+    /// Every value given for `flag`, through `parse`; the last one kept.
+    fn parsed<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for &(f, value) in &self.given {
+            if f == flag {
+                last = Some(parse(value)?);
+            }
+        }
+        Ok(last)
+    }
+
+    /// A number that `bad` does not reject; if it does, the error reads
+    /// `<flag> <rule>`.
+    fn checked<T: FromStr<Err: Display>>(
+        &self,
+        flag: &str,
+        bad: impl Fn(&T) -> bool,
+        rule: &str,
+    ) -> Result<Option<T>, String> {
+        self.parsed(flag, |raw| {
+            let n: T = raw
+                .parse()
+                .map_err(|e| format!("bad {flag} value {raw:?}: {e}"))?;
+            if bad(&n) {
+                return Err(format!("{flag} {rule}"));
+            }
+            Ok(n)
+        })
+    }
+
+    fn num<T: FromStr<Err: Display>>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.checked(flag, |_| false, "")
+    }
+
+    /// A number other than zero, which reads `<flag> <rule>`.
+    fn nonzero<T: FromStr<Err: Display> + Default + PartialEq>(
+        &self,
+        flag: &str,
+        rule: &str,
+    ) -> Result<Option<T>, String> {
+        self.checked(flag, |n| *n == T::default(), rule)
+    }
+
+    fn tau(&self) -> Result<u64, String> {
+        self.num("--tau")?
+            .ok_or_else(|| "--tau is required".to_string())
+    }
+
+    fn instance(&self) -> Result<InstanceType, String> {
+        Ok(self
+            .parsed("--instance", parse_instance)?
+            .unwrap_or(instances::C3_LARGE))
+    }
+
+    fn scale(&self) -> Result<Option<(u64, u64)>, String> {
+        self.parsed("--scale", parse_scale)
+    }
+
+    fn churn(&self) -> Result<f64, String> {
+        let bad = |c: &f64| !(0.0..=1.0).contains(c);
+        let churn = self.checked("--churn", bad, "must be a probability in [0, 1]")?;
+        Ok(churn.unwrap_or(0.1))
+    }
+
+    fn sigma(&self) -> Result<f64, String> {
+        let sigma = self.checked("--sigma", |&s: &f64| s < 0.0, "must be non-negative")?;
+        Ok(sigma.unwrap_or(0.1))
+    }
+}
+
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let Some((cmd, args)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let cmd = cmd.as_str();
+    let trace_path = Positional::Required("a trace path");
+    match cmd {
+        "help" | "--help" | "-h" => Ok(Command::Help),
+        "analyze" => {
+            let f = Flags::parse(cmd, args, Positional::Optional, ANALYZE_FLAGS)?;
+            let analyze = Command::Analyze {
+                source: f.source(cmd)?,
+                blast_radius: f.nonzero("--blast-radius", "must be at least 1")?,
+                tau: f.num("--tau")?,
+                instance: f.instance()?,
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+            };
+            if f.has("--blast-radius") && !f.has("--tau") {
+                return Err("--blast-radius needs --tau (it solves the trace)".into());
+            }
+            Ok(analyze)
+        }
+        "drill" => {
+            let f = Flags::parse(cmd, args, trace_path, DRILL_FLAGS)?;
+            Ok(Command::Drill {
+                trace: f.first(),
+                tau: f.tau()?,
+                kill: f
+                    .parsed("--kill", parse_kill)?
+                    .ok_or_else(|| "--kill is required".to_string())?,
+                sla_pairs: f.nonzero(
+                    "--sla-pairs",
+                    "must be positive (omit it to drain unbounded)",
+                )?,
+                max_epochs: f
+                    .nonzero("--max-epochs", "must be at least 1")?
+                    .unwrap_or(64),
+                instance: f.instance()?,
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+            })
+        }
+        "generate" => {
+            let f = Flags::parse(
+                cmd,
+                args,
+                Positional::Required("a family: spotify | twitter"),
+                GENERATE_FLAGS,
+            )?;
+            let family = parse_family(&f.first())?;
+            let size = f.num("--size")?.unwrap_or(10_000);
+            check_size(&family, size)?;
+            Ok(Command::Generate {
+                family,
+                size,
+                seed: f.num("--seed")?.unwrap_or(42),
+                out: f.text("--out"),
+            })
+        }
+        "ingest" => {
+            let f = Flags::parse(cmd, args, trace_path, INGEST_FLAGS)?;
+            Ok(Command::Ingest {
+                trace: f.first(),
+                out: f
+                    .text("--out")
+                    .ok_or_else(|| "--out is required (the store path)".to_string())?,
+            })
+        }
+        "plan" => {
+            let f = Flags::parse(cmd, args, trace_path, PLAN_FLAGS)?;
+            Ok(Command::Plan {
+                trace: f.first(),
+                tau: f.tau()?,
+                mixed: f.has("--mixed"),
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+            })
+        }
+        "reprovision" => {
+            let f = Flags::parse(cmd, args, Positional::Optional, REPROVISION_FLAGS)?;
+            Ok(Command::Reprovision {
+                tau: f.tau()?,
+                source: f.source(cmd)?,
+                instance: f.instance()?,
+                epochs: f.nonzero("--epochs", "must be at least 1")?.unwrap_or(5),
+                churn: f.churn()?,
+                sigma: f.sigma()?,
+                drift_seed: f.num("--drift-seed")?.unwrap_or(42),
+                fresh: f.has("--fresh"),
+                threads: f.nonzero("--threads", "must be at least 1")?.unwrap_or(1),
+                mixed: f.has("--mixed"),
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+                simulate: f.has("--simulate"),
+            })
+        }
+        "solve" => {
+            let f = Flags::parse(cmd, args, Positional::Optional, SOLVE_FLAGS)?;
+            Ok(Command::Solve {
+                tau: f.tau()?,
+                source: f.source(cmd)?,
+                instance: f.instance()?,
+                selector: f
+                    .parsed("--selector", parse_selector)?
+                    .unwrap_or(SelectorKind::Greedy),
+                allocator: f
+                    .parsed("--allocator", parse_allocator)?
+                    .unwrap_or_else(AllocatorKind::custom_full),
+                shards: f.nonzero("--shards", "must be at least 1")?.unwrap_or(1),
+                threads: f.nonzero("--threads", "must be at least 1")?.unwrap_or(0),
+                partitioner: f
+                    .parsed("--partitioner", parse_partitioner)?
+                    .unwrap_or_default(),
+                refine: f.parsed("--refine", parse_budget)?,
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+                simulate: f.has("--simulate"),
+            })
+        }
+        "pack" => {
+            let f = Flags::parse(cmd, args, trace_path, PACK_FLAGS)?;
+            let pack = Command::Pack {
+                trace: f.first(),
+                tau: f.tau()?,
+                instance: f.instance()?,
+                mixed: f.has("--mixed"),
+                refine: f
+                    .parsed("--refine", parse_budget)?
+                    .unwrap_or(SearchBudget::UNBOUNDED),
+                export_lp: f.text("--export-lp"),
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+            };
+            if f.has("--mixed") && f.has("--export-lp") {
+                return Err(
+                    "--export-lp cannot be combined with --mixed: the LP formulation is \
+                     homogeneous (one capacity for every candidate VM)"
+                        .into(),
+                );
+            }
+            Ok(pack)
+        }
+        "serve" => {
+            let f = Flags::parse(cmd, args, Positional::Absent, SERVE_FLAGS)?;
+            let serve = Command::Serve {
+                family: f.parsed("--trace", parse_family)?,
+                store: f.text("--store"),
+                size: f.num("--size")?.unwrap_or(2_000),
+                seed: f.num("--seed")?.unwrap_or(42),
+                tau: f.num("--tau")?.unwrap_or(100),
+                instance: f.instance()?,
+                epochs: f.nonzero("--epochs", "must be at least 1")?.unwrap_or(10),
+                epoch_events: f.nonzero("--epoch-events", "must be positive")?,
+                epoch_ms: f.nonzero("--epoch-ms", "must be positive")?,
+                churn: f.churn()?,
+                sigma: f.sigma()?,
+                drift_seed: f.num("--drift-seed")?.unwrap_or(42),
+                dir: f.text("--dir"),
+                snapshot_every: f.num("--snapshot-every")?.unwrap_or(8),
+                threads: f.nonzero("--threads", "must be at least 1")?.unwrap_or(1),
+                resume: f.has("--resume"),
+                drill: f
+                    .parsed("--drill", parse_drill_schedule)?
+                    .unwrap_or_default(),
+                repair_budget: f.nonzero(
+                    "--repair-budget",
+                    "must be positive (omit it to drain unbounded)",
+                )?,
+                compact_every: f.nonzero(
+                    "--compact-every",
+                    "must be positive (omit it to disable compaction)",
+                )?,
+                compact_steps: f
+                    .nonzero("--compact-steps", "must be positive")?
+                    .unwrap_or(2_048),
+                sync_retries: f.num("--sync-retries")?.unwrap_or(0),
+                retry_backoff_ms: f.num("--retry-backoff-ms")?.unwrap_or(0),
+                effective: f.has("--effective"),
+                scale: f.scale()?,
+                summary: f.text("--summary"),
+                simulate: f.has("--simulate"),
+            };
+            // Every value parsed above, so a flag given is a field set.
+            let (trace, store) = (f.has("--trace"), f.has("--store"));
+            let resume = f.has("--resume");
+            if trace && store {
+                return Err(
+                    "--trace and --store are mutually exclusive (one initial workload)".into(),
+                );
+            }
+            if !trace && !store {
+                return Err("--trace is required: spotify | twitter (or --store FILE)".into());
+            }
+            if f.has("--epoch-events") && f.has("--epoch-ms") {
+                return Err("--epoch-events and --epoch-ms are mutually exclusive".into());
+            }
+            if resume && f.has("--epoch-ms") {
+                return Err(
+                    "--resume cannot replay wall-clock epochs; use --epoch-events or the \
+                     default one-epoch-per-batch mode"
+                        .into(),
+                );
+            }
+            if resume && !f.has("--dir") {
+                return Err("--resume needs --dir (the state directory to recover)".into());
+            }
+            if resume && f.has("--drill") {
+                return Err(
+                    "--drill cannot be combined with --resume: the drill's failure events \
+                     are already in the recovered log"
+                        .into(),
+                );
+            }
+            if f.has("--compact-steps") && !f.has("--compact-every") {
+                return Err("--compact-steps needs --compact-every".into());
+            }
+            // --store ignores --size, so only a generated trace checks it.
+            if let Command::Serve {
+                family: Some(family),
+                size,
+                ..
+            } = &serve
+            {
+                check_size(family, *size)?;
+            }
+            Ok(serve)
+        }
+        other => Err(format!("unknown command {other:?}; try `mcss help`")),
+    }
 }
 
 fn load_trace(path: &str) -> Result<Workload, String> {
@@ -1150,18 +1010,23 @@ fn load_source(source: &WorkloadSource) -> Result<Workload, String> {
 fn catalogue(effective: bool, scale: Option<(u64, u64)>) -> Vec<Ec2CostModel> {
     instances::ALL
         .iter()
-        .map(|&i| {
-            let mut cost = if effective {
-                Ec2CostModel::paper_effective(i)
-            } else {
-                Ec2CostModel::paper_default(i)
-            };
-            if let Some((synth, paper)) = scale {
-                cost = cost.with_volume_scale(synth, paper);
-            }
-            cost
-        })
+        .map(|&i| cost_model(i, effective, scale))
         .collect()
+}
+
+/// The paper's EC2 cost model for `instance` (§II, §IV-A): the default
+/// or the figure-calibrated (`--effective`) capacity, then the
+/// `--scale` volume compensation.
+fn cost_model(instance: InstanceType, effective: bool, scale: Option<(u64, u64)>) -> Ec2CostModel {
+    let cost = if effective {
+        Ec2CostModel::paper_effective(instance)
+    } else {
+        Ec2CostModel::paper_default(instance)
+    };
+    match scale {
+        Some((synth, paper)) => cost.with_volume_scale(synth, paper),
+        None => cost,
+    }
 }
 
 fn run(command: Command) -> Result<(), String> {
@@ -1212,14 +1077,7 @@ fn run(command: Command) -> Result<(), String> {
             }
             if let Some(k) = blast_radius {
                 let tau = tau.expect("parser enforces --tau with --blast-radius");
-                let mut cost = if effective {
-                    Ec2CostModel::paper_effective(instance)
-                } else {
-                    Ec2CostModel::paper_default(instance)
-                };
-                if let Some((synth, paper)) = scale {
-                    cost = cost.with_volume_scale(synth, paper);
-                }
+                let cost = cost_model(instance, effective, scale);
                 let inst = McssInstance::new(workload, Rate::new(tau), cost.capacity())
                     .map_err(|e| e.to_string())?;
                 let outcome = Solver::default()
@@ -1256,14 +1114,7 @@ fn run(command: Command) -> Result<(), String> {
             scale,
         } => {
             let workload = load_trace(&trace)?;
-            let mut cost = if effective {
-                Ec2CostModel::paper_effective(instance)
-            } else {
-                Ec2CostModel::paper_default(instance)
-            };
-            if let Some((synth, paper)) = scale {
-                cost = cost.with_volume_scale(synth, paper);
-            }
+            let cost = cost_model(instance, effective, scale);
             let inst = McssInstance::new(workload, Rate::new(tau), cost.capacity())
                 .map_err(|e| e.to_string())?;
             let mut realloc = IncrementalReallocator::new(IncrementalConfig::default());
@@ -1295,10 +1146,7 @@ fn run(command: Command) -> Result<(), String> {
             );
 
             // Repair under the SLA budget, epoch by epoch.
-            let budget = match sla_pairs {
-                Some(pairs) => SlaBudget::pairs(pairs),
-                None => SlaBudget::UNBOUNDED,
-            };
+            let budget = sla_pairs.map_or(SlaBudget::UNBOUNDED, SlaBudget::pairs);
             let mut fails: &[usize] = &kills;
             let mut epoch = 0u64;
             let healed = loop {
@@ -1510,24 +1358,21 @@ fn run(command: Command) -> Result<(), String> {
                 let fleet = FleetCostModel::new(catalogue(effective, scale));
                 let inst = McssInstance::new(workload, Rate::new(tau), fleet.max_capacity())
                     .map_err(|e| e.to_string())?;
-                let greedy = Solver::default()
-                    .solve_mixed(&inst, &fleet)
-                    .map_err(|e| e.to_string())?;
-                let refined = Solver::new(SolverParams::default().with_refinement(refine))
-                    .solve_mixed(&inst, &fleet)
+                let solve = |params| Solver::new(params).solve_mixed(&inst, &fleet);
+                let greedy = solve(SolverParams::default()).map_err(|e| e.to_string())?;
+                let refined = solve(SolverParams::default().with_refinement(refine))
                     .map_err(|e| e.to_string())?;
                 refined
                     .allocation
                     .validate(inst.workload(), inst.tau())
                     .map_err(|e| format!("internal error — invalid refined allocation: {e}"))?;
-                println!(
-                    "greedy (mixed):  {} ({} VMs: {})",
-                    greedy.report.total_cost, greedy.report.vm_count, greedy.report.mix
-                );
-                println!(
-                    "refined:         {} ({} VMs: {})",
-                    refined.report.total_cost, refined.report.vm_count, refined.report.mix
-                );
+                for (label, r) in [("greedy (mixed):", &greedy), ("refined:", &refined)] {
+                    let r = &r.report;
+                    println!(
+                        "{label:<17}{} ({} VMs: {})",
+                        r.total_cost, r.vm_count, r.mix
+                    );
+                }
                 println!(
                     "lower bound:     {} (gap {:.2}x)",
                     refined.report.lower_bound_cost,
@@ -1538,44 +1383,33 @@ fn run(command: Command) -> Result<(), String> {
                 }
                 return Ok(());
             }
-            let mut cost = if effective {
-                Ec2CostModel::paper_effective(instance)
-            } else {
-                Ec2CostModel::paper_default(instance)
-            };
-            if let Some((synth, paper)) = scale {
-                cost = cost.with_volume_scale(synth, paper);
-            }
+            let cost = cost_model(instance, effective, scale);
             let inst = McssInstance::new(workload, Rate::new(tau), cost.capacity())
                 .map_err(|e| e.to_string())?;
-            let greedy = Solver::default()
-                .solve(&inst, &cost)
-                .map_err(|e| e.to_string())?;
-            let ffd = Solver::new(SolverParams {
+            let solve = |params| {
+                Solver::new(params)
+                    .solve(&inst, &cost)
+                    .map_err(|e| e.to_string())
+            };
+            let greedy = solve(SolverParams::default())?;
+            let ffd = solve(SolverParams {
                 allocator: AllocatorKind::FirstFitDecreasing,
                 ..SolverParams::default()
-            })
-            .solve(&inst, &cost)
-            .map_err(|e| e.to_string())?;
-            let refined = Solver::new(SolverParams::default().with_refinement(refine))
-                .solve(&inst, &cost)
-                .map_err(|e| e.to_string())?;
+            })?;
+            let refined = solve(SolverParams::default().with_refinement(refine))?;
             refined
                 .allocation
                 .validate(inst.workload(), inst.tau())
                 .map_err(|e| format!("internal error — invalid refined allocation: {e}"))?;
-            println!(
-                "greedy (CBP):  {} ({} VMs, {} bandwidth)",
-                greedy.report.total_cost, greedy.report.vm_count, greedy.report.total_bandwidth
-            );
-            println!(
-                "FFD:           {} ({} VMs, {} bandwidth)",
-                ffd.report.total_cost, ffd.report.vm_count, ffd.report.total_bandwidth
-            );
-            println!(
-                "refined:       {} ({} VMs, {} bandwidth)",
-                refined.report.total_cost, refined.report.vm_count, refined.report.total_bandwidth
-            );
+            for (label, r) in [
+                ("greedy (CBP):", &greedy),
+                ("FFD:", &ffd),
+                ("refined:", &refined),
+            ] {
+                let r = &r.report;
+                let (cost, vms, bandwidth) = (r.total_cost, r.vm_count, r.total_bandwidth);
+                println!("{label:<15}{cost} ({vms} VMs, {bandwidth} bandwidth)");
+            }
             println!(
                 "lower bound:   {} ({} VMs, {} volume)",
                 refined.report.lower_bound_cost,
@@ -1625,17 +1459,7 @@ fn run(command: Command) -> Result<(), String> {
                     .max_by_key(|t| t.capacity())
                     .expect("catalogue is non-empty")
                     .clone(),
-                None => {
-                    let mut cost = if effective {
-                        Ec2CostModel::paper_effective(instance)
-                    } else {
-                        Ec2CostModel::paper_default(instance)
-                    };
-                    if let Some((synth, paper)) = scale {
-                        cost = cost.with_volume_scale(synth, paper);
-                    }
-                    cost
-                }
+                None => cost_model(instance, effective, scale),
             };
             let drift = DriftModel {
                 rate_sigma: sigma,
@@ -1723,14 +1547,7 @@ fn run(command: Command) -> Result<(), String> {
             simulate,
         } => {
             let workload = load_source(&source)?;
-            let mut cost = if effective {
-                Ec2CostModel::paper_effective(instance)
-            } else {
-                Ec2CostModel::paper_default(instance)
-            };
-            if let Some((synth, paper)) = scale {
-                cost = cost.with_volume_scale(synth, paper);
-            }
+            let cost = cost_model(instance, effective, scale);
             let mcss_instance = McssInstance::new(workload, Rate::new(tau), cost.capacity())
                 .map_err(|e| e.to_string())?;
             // --threads without sharding parallelizes Stage 1 in place
@@ -1772,15 +1589,7 @@ fn run(command: Command) -> Result<(), String> {
                     .run(mcss_instance.workload(), &outcome.allocation);
                 println!("\nsimulation:\n{report}");
                 let ok = report.all_satisfied(mcss_instance.workload(), mcss_instance.tau());
-                println!(
-                    "operational satisfaction: {}",
-                    if ok {
-                        "all subscribers satisfied"
-                    } else {
-                        "VIOLATED"
-                    }
-                );
-                let _ = cost.total_cost(outcome.report.vm_count, outcome.report.total_bandwidth);
+                println!("operational satisfaction: {}", verdict(ok));
             }
             Ok(())
         }
@@ -1812,14 +1621,7 @@ fn run(command: Command) -> Result<(), String> {
             summary,
             simulate,
         } => {
-            let mut cost = if effective {
-                Ec2CostModel::paper_effective(instance)
-            } else {
-                Ec2CostModel::paper_default(instance)
-            };
-            if let Some((synth, paper)) = scale {
-                cost = cost.with_volume_scale(synth, paper);
-            }
+            let cost = cost_model(instance, effective, scale);
             let capacity = cost.capacity();
             let state_dir = dir.map(PathBuf::from).unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("mcss-serve-{}", std::process::id()))
@@ -1907,6 +1709,14 @@ fn run(command: Command) -> Result<(), String> {
             };
 
             let mut stats: Vec<EpochStats> = Vec::new();
+            // Prints and keeps the epoch a call closed, if any; says
+            // whether one closed.
+            let mut record = |closed: Option<EpochStats>| {
+                let Some(s) = closed else { return false };
+                print_epoch(&s);
+                stats.push(s);
+                true
+            };
             let mut total_events = 0u64;
             let started = Instant::now();
             let mut last_tick = Instant::now();
@@ -1925,10 +1735,7 @@ fn run(command: Command) -> Result<(), String> {
                         continue;
                     }
                     total_events += 1;
-                    if let Some(s) = daemon.submit(event).map_err(|e| e.to_string())? {
-                        print_epoch(&s);
-                        stats.push(s);
-                    }
+                    record(daemon.submit(event).map_err(|e| e.to_string())?);
                 }
                 // Scheduled failure drills land after the batch's drift
                 // events, so the kill and its budgeted repair fold into
@@ -1942,49 +1749,33 @@ fn run(command: Command) -> Result<(), String> {
                     println!("drill at batch {batch_index}: killing VMs {kills:?}");
                     for slot in kills {
                         total_events += 1;
-                        if let Some(s) = daemon
-                            .submit(Event::VmFail { slot: slot as u32 })
-                            .map_err(|e| e.to_string())?
-                        {
-                            print_epoch(&s);
-                            stats.push(s);
-                        }
+                        let slot = u32::try_from(slot).expect("kill indices parse as u32 slot ids");
+                        record(
+                            daemon
+                                .submit(Event::VmFail { slot })
+                                .map_err(|e| e.to_string())?,
+                        );
                     }
                 }
                 match (epoch_events, epoch_ms) {
                     (Some(_), _) => {} // the watermark closes epochs
                     (None, Some(ms)) => {
                         if last_tick.elapsed().as_millis() as u64 >= ms {
-                            if let Some(s) = daemon.tick().map_err(|e| e.to_string())? {
-                                print_epoch(&s);
-                                stats.push(s);
-                            }
+                            record(daemon.tick().map_err(|e| e.to_string())?);
                             last_tick = Instant::now();
                         }
                     }
                     (None, None) => {
-                        if let Some(s) = daemon.tick().map_err(|e| e.to_string())? {
-                            print_epoch(&s);
-                            stats.push(s);
-                        }
+                        record(daemon.tick().map_err(|e| e.to_string())?);
                     }
                 }
             }
             // Flush whatever is still buffered in the final epoch.
-            if let Some(s) = daemon.tick().map_err(|e| e.to_string())? {
-                print_epoch(&s);
-                stats.push(s);
-            }
+            record(daemon.tick().map_err(|e| e.to_string())?);
             // A tight --repair-budget can leave orphans queued past the
             // last batch; keep closing repair-only epochs until healed.
-            while daemon.pending_repairs() > 0 {
-                match daemon.tick().map_err(|e| e.to_string())? {
-                    Some(s) => {
-                        print_epoch(&s);
-                        stats.push(s);
-                    }
-                    None => break,
-                }
+            while daemon.pending_repairs() > 0 && record(daemon.tick().map_err(|e| e.to_string())?)
+            {
             }
             let elapsed = started.elapsed();
 
@@ -1996,14 +1787,7 @@ fn run(command: Command) -> Result<(), String> {
                 if simulate {
                     let report = Simulation::new(SimConfig::default()).run(workload, &allocation);
                     let ok = report.all_satisfied(workload, Rate::new(tau));
-                    println!(
-                        "simulation: {}",
-                        if ok {
-                            "all subscribers satisfied"
-                        } else {
-                            "VIOLATED"
-                        }
-                    );
+                    println!("simulation: {}", verdict(ok));
                 }
             }
             let events_per_sec = total_events as f64 / elapsed.as_secs_f64().max(1e-9);
@@ -2061,6 +1845,16 @@ fn run(command: Command) -> Result<(), String> {
             }
             Ok(())
         }
+    }
+}
+
+/// The broker simulation's verdict on a fleet, as `solve` and `serve`
+/// print it.
+fn verdict(all_satisfied: bool) -> &'static str {
+    if all_satisfied {
+        "all subscribers satisfied"
+    } else {
+        "VIOLATED"
     }
 }
 
@@ -2881,6 +2675,64 @@ mod tests {
         assert_eq!(resolve_kill(&KillSpec::Percent(20), 3), vec![0]);
         assert_eq!(resolve_kill(&KillSpec::Percent(100), 2), vec![0, 1]);
         assert!(resolve_kill(&KillSpec::Percent(50), 0).is_empty());
+    }
+
+    #[test]
+    fn kill_lists_stay_within_slot_ids_and_the_slot_bound() {
+        // Slot ids are u32, so 2^32 is rejected rather than wrapped to 0.
+        assert_eq!(
+            parse_kill("4294967295").unwrap(),
+            KillSpec::List(vec![4_294_967_295])
+        );
+        assert!(parse_kill("4294967296")
+            .unwrap_err()
+            .contains("bad kill index"));
+        assert!(parse_kill("4294967290-4294967296")
+            .unwrap_err()
+            .contains("bad kill range"));
+        // A list names at most 65,536 slots, ranges and indices together.
+        assert_eq!(
+            parse_kill("0-65535").unwrap(),
+            KillSpec::List((0..=65_535).collect())
+        );
+        for spec in ["0-65536", "1-65536,0", "0-65535,7"] {
+            let err = parse_kill(spec).unwrap_err();
+            assert!(err.contains("more than 65536 slots"), "{spec}: {err}");
+        }
+    }
+
+    /// Every flag a subcommand's table parses starts one option line of
+    /// that subcommand's `HELP` section, and nothing else does.
+    #[test]
+    fn help_documents_exactly_the_flag_tables() {
+        let tables: [(&str, &[Flag]); 9] = [
+            ("SOLVE", SOLVE_FLAGS),
+            ("PACK", PACK_FLAGS),
+            ("PLAN", PLAN_FLAGS),
+            ("REPROVISION", REPROVISION_FLAGS),
+            ("SERVE", SERVE_FLAGS),
+            ("DRILL", DRILL_FLAGS),
+            ("ANALYZE", ANALYZE_FLAGS),
+            ("GENERATE", GENERATE_FLAGS),
+            ("INGEST", INGEST_FLAGS),
+        ];
+        let mut sections: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in HELP.lines() {
+            if let Some(heading) = line.strip_suffix(" OPTIONS:") {
+                sections.push((heading, Vec::new()));
+            } else if let (true, Some((_, flags))) = (line.starts_with("  --"), sections.last_mut())
+            {
+                flags.extend(line.split_whitespace().next());
+            }
+        }
+        let headings: Vec<&str> = sections.iter().map(|&(heading, _)| heading).collect();
+        assert_eq!(headings, tables.map(|(heading, _)| heading));
+        for ((heading, mut documented), (_, table)) in sections.into_iter().zip(tables) {
+            let mut parsed: Vec<&str> = table.iter().map(|&(flag, _)| flag).collect();
+            documented.sort_unstable();
+            parsed.sort_unstable();
+            assert_eq!(documented, parsed, "{heading} OPTIONS vs its flag table");
+        }
     }
 
     #[test]

@@ -882,3 +882,78 @@ fn serve_drill_schedule_kills_and_heals() {
     assert!(json.contains(&want), "bad summary: {json}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn generators_reject_sizes_they_cannot_build() {
+    // A Spotify-like trace needs one subscriber and a Twitter-like
+    // follow graph two users; smaller sizes are usage errors, not
+    // generator panics.
+    let dir = scratch("sizes");
+    let state = dir.join("state").display().to_string();
+    for args in [
+        &["generate", "spotify", "--size", "0"][..],
+        &["generate", "twitter", "--size", "1"],
+        &[
+            "serve", "--trace", "spotify", "--size", "0", "--dir", &state,
+        ],
+        &[
+            "serve", "--trace", "twitter", "--size", "1", "--dir", &state,
+        ],
+    ] {
+        let out = mcss(args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "mcss {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains("--size must be at least"),
+            "mcss {args:?}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn kill_indices_past_the_slot_ids_are_rejected() {
+    // Slot ids are u32: index 2^32 must not wrap around to VM 0.
+    let dir = scratch("kill-index");
+    let path = dir.join("trace.tsv").display().to_string();
+    let state = dir.join("state").display().to_string();
+    let out = mcss(&[
+        "generate", "spotify", "--size", "300", "--seed", "5", "--out", &path,
+    ]);
+    assert!(out.status.success(), "generate failed: {}", stderr(&out));
+    for args in [
+        &[
+            "serve",
+            "--trace",
+            "spotify",
+            "--size",
+            "300",
+            "--epochs",
+            "2",
+            "--drill",
+            "1:4294967296",
+            "--dir",
+            &state,
+        ][..],
+        &["drill", &path, "--tau", "50", "--kill", "4294967296"],
+    ] {
+        let out = mcss(args);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "mcss {args:?}: {}",
+            stdout(&out)
+        );
+        assert!(
+            stderr(&out).contains("bad kill index \"4294967296\""),
+            "mcss {args:?}: {}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
