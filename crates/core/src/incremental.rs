@@ -135,37 +135,24 @@ pub(crate) struct RepairRound {
 /// — the SLA knob: how much re-placement work one repair call may do
 /// before it yields and carries the remainder over to the next epoch.
 ///
-/// `None` in both fields (the [`SlaBudget::UNBOUNDED`] default) drains
-/// the whole orphan queue in one call.
+/// The budget counts pairs, never wall-clock time, so a replayed repair
+/// repeats its epochs exactly. `None` (the [`SlaBudget::UNBOUNDED`]
+/// default) drains the whole orphan queue in one call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlaBudget {
     /// Maximum topic-subscriber pairs re-placed per call.
     pub max_pairs: Option<u64>,
-    /// Wall-clock deadline per call, checked between placement chunks.
-    /// Non-deterministic by nature — replayable consumers (the serve
-    /// daemon's event log) must use `max_pairs` instead.
-    pub deadline: Option<Duration>,
 }
 
 impl SlaBudget {
     /// No limit: drain everything in one call.
-    pub const UNBOUNDED: SlaBudget = SlaBudget {
-        max_pairs: None,
-        deadline: None,
-    };
+    pub const UNBOUNDED: SlaBudget = SlaBudget { max_pairs: None };
 
     /// Budget of at most `max` pairs re-placed per call.
     pub fn pairs(max: u64) -> Self {
         SlaBudget {
             max_pairs: Some(max),
-            ..SlaBudget::UNBOUNDED
         }
-    }
-
-    /// Adds a wall-clock deadline to this budget.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 }
 
@@ -387,7 +374,7 @@ impl IncrementalReallocator {
         budget: SlaBudget,
     ) -> Result<RepairReport, McssError> {
         let started = Instant::now();
-        let round = self.repair_round(instance, failed_slots, budget, started)?;
+        let round = self.repair_round(instance, failed_slots, budget)?;
         let workload = instance.workload();
         let prev = self
             .previous
@@ -436,8 +423,8 @@ impl IncrementalReallocator {
     }
 
     /// The placement half of [`IncrementalReallocator::repair_failures`]:
-    /// fails the slots and re-places queued orphans within `budget`
-    /// (its deadline counted from `started`), returning counters only.
+    /// fails the slots and re-places queued orphans within `budget`,
+    /// returning counters only.
     /// The serve daemon calls this directly, reading what is still
     /// deferred from [`IncrementalReallocator::pending_repair_pairs`].
     pub(crate) fn repair_round(
@@ -445,7 +432,6 @@ impl IncrementalReallocator {
         instance: &McssInstance,
         failed_slots: &[usize],
         budget: SlaBudget,
-        started: Instant,
     ) -> Result<RepairRound, McssError> {
         let workload = instance.workload();
         let prev = self
@@ -479,28 +465,26 @@ impl IncrementalReallocator {
         }
 
         let mut pairs_left = budget.max_pairs.unwrap_or(u64::MAX);
-        let mut out_of_time = budget.deadline.is_some_and(|d| started.elapsed() >= d);
         let mut pairs_replaced = 0u64;
         let mut deferred: Vec<(TopicId, SubscriberId)> = Vec::new();
         for (topic, subs) in groups.iter() {
             let rate = workload.rate(topic);
             let mut rest = subs;
             while !rest.is_empty() {
-                if pairs_left == 0 || out_of_time {
+                if pairs_left == 0 {
                     deferred.extend(rest.iter().map(|&v| (topic, v)));
                     break;
                 }
-                // Chunked so a wall-clock deadline is honoured at a
-                // finer grain than whole topic groups.
+                // At most 1,024 pairs per call: on a typed fleet,
+                // `place_group` picks each fresh VM's tier from the pairs
+                // still pending in its call, so the chunk size shapes the
+                // tiers and is part of the placement.
                 let chunk = (rest.len() as u64).min(pairs_left).min(1024) as usize;
                 let (head, tail) = rest.split_at(chunk);
                 prev.ledger.place_group(topic, rate, head, capacity);
                 pairs_replaced += chunk as u64;
                 pairs_left -= chunk as u64;
                 rest = tail;
-                if let Some(deadline) = budget.deadline {
-                    out_of_time = started.elapsed() >= deadline;
-                }
             }
         }
         prev.pending = deferred;

@@ -966,12 +966,11 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Per-epoch SLA budget for VM-failure repair: at most this many
     /// orphaned pairs are re-placed per epoch close, the rest carry over.
-    /// `None` drains every orphan in the epoch it is noticed. Only a
-    /// pairs budget exists here — a wall-clock deadline would make
-    /// crash replay non-deterministic, so it is a CLI-drill-only knob
-    /// ([`crate::incremental::SlaBudget::deadline`]). This budget shapes
-    /// state evolution, so resume with the value the log was written
-    /// under (like `tau`, unlike `threads`).
+    /// `None` drains every orphan in the epoch it is noticed. It counts
+    /// pairs, never wall-clock time, so crash replay repeats it exactly
+    /// ([`crate::incremental::SlaBudget`]). This budget shapes state
+    /// evolution, so resume with the value the log was written under
+    /// (like `tau`, unlike `threads`).
     pub repair_budget: Option<u64>,
     /// Extra attempts after a failed epoch-boundary fsync before the
     /// error propagates; `0` fails fast. Runtime knob, like `threads`.
@@ -1554,11 +1553,8 @@ impl Daemon {
         if !fails.is_empty() || self.realloc.pending_repair_pairs() > 0 {
             let budget = SlaBudget {
                 max_pairs: self.config.repair_budget,
-                deadline: None, // deadlines would break crash replay
             };
-            let round = self
-                .realloc
-                .repair_round(&instance, &fails, budget, Instant::now())?;
+            let round = self.realloc.repair_round(&instance, &fails, budget)?;
             vms_failed = round.vms_failed;
             pairs_repaired = round.pairs_replaced;
         }
