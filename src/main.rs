@@ -841,6 +841,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         "reprovision" => {
             let f = Flags::parse(cmd, args, Positional::Optional, REPROVISION_FLAGS)?;
             Ok(Command::Reprovision {
+                // A missing --tau is reported before a missing trace.
                 tau: f.tau()?,
                 source: f.source(cmd)?,
                 instance: f.instance()?,
@@ -859,6 +860,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         "solve" => {
             let f = Flags::parse(cmd, args, Positional::Optional, SOLVE_FLAGS)?;
             Ok(Command::Solve {
+                // A missing --tau is reported before a missing trace.
                 tau: f.tau()?,
                 source: f.source(cmd)?,
                 instance: f.instance()?,
