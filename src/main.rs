@@ -1368,8 +1368,8 @@ fn run(command: Command) -> Result<(), String> {
                     .allocation
                     .validate(inst.workload(), inst.tau())
                     .map_err(|e| format!("internal error — invalid refined allocation: {e}"))?;
-                for (label, r) in [("greedy (mixed):", &greedy), ("refined:", &refined)] {
-                    let r = &r.report;
+                for (label, outcome) in [("greedy (mixed):", &greedy), ("refined:", &refined)] {
+                    let r = &outcome.report;
                     println!(
                         "{label:<17}{} ({} VMs: {})",
                         r.total_cost, r.vm_count, r.mix
@@ -1403,14 +1403,14 @@ fn run(command: Command) -> Result<(), String> {
                 .allocation
                 .validate(inst.workload(), inst.tau())
                 .map_err(|e| format!("internal error — invalid refined allocation: {e}"))?;
-            for (label, r) in [
+            for (label, outcome) in [
                 ("greedy (CBP):", &greedy),
                 ("FFD:", &ffd),
                 ("refined:", &refined),
             ] {
-                let r = &r.report;
-                let (cost, vms, bandwidth) = (r.total_cost, r.vm_count, r.total_bandwidth);
-                println!("{label:<15}{cost} ({vms} VMs, {bandwidth} bandwidth)");
+                let r = &outcome.report;
+                let (total, vms, bandwidth) = (r.total_cost, r.vm_count, r.total_bandwidth);
+                println!("{label:<15}{total} ({vms} VMs, {bandwidth} bandwidth)");
             }
             println!(
                 "lower bound:   {} ({} VMs, {} volume)",
