@@ -26,8 +26,8 @@ const FIGURES: &[&str] = &[
     "fig4_5",
     "fig6_7",
     "fig8_12",
+    "fig_ablation",
     "fig_sharded",
-    "fig_solve",
     "fig_churn",
     "fig_serve",
     "fig_failures",
@@ -176,6 +176,15 @@ fn main() -> ExitCode {
         );
     }
 
+    if wants("fig_ablation") {
+        let (ablation_text, ablation_json) =
+            experiments::fig_ablation(&[&spotify, &twitter], instances::C3_LARGE, 100, 5);
+        let mut ablation = String::from("== design ablation (Spotify + Twitter) ==\n");
+        ablation.push_str(&ablation_text);
+        save(dir, "ablation.txt", &ablation);
+        bench_writes_ok &= save_bench_json(Path::new("BENCH_ablation.json"), &ablation_json);
+    }
+
     if wants("fig_sharded") {
         let mut sharded = String::from("== sharded vs monolithic (Spotify) ==\n");
         sharded.push_str(&experiments::fig_sharded_speedup(
@@ -192,18 +201,9 @@ fn main() -> ExitCode {
         save(dir, "sharded_speedup.txt", &sharded);
     }
 
-    if wants("fig_solve") {
-        let (solve_text, solve_json) =
-            experiments::fig_solve_speedup(&[&spotify, &twitter], instances::C3_LARGE, 100, 5);
-        let mut solve = String::from("== cold solve: arena vs legacy (Spotify + Twitter) ==\n");
-        solve.push_str(&solve_text);
-        save(dir, "solve_speedup.txt", &solve);
-        bench_writes_ok &= save_bench_json(Path::new("BENCH_solve.json"), &solve_json);
-    }
-
     if wants("fig_churn") {
         // Scale-up case: a million-subscriber Spotify workload, 1% churn,
-        // with the shard-parallel repair column enabled.
+        // with the threaded repair column enabled.
         let churn_threads = env_size("MCSS_CHURN_THREADS", 4);
         let churn_xl = Scenario::spotify(env_size("MCSS_CHURN_XL_SUBS", 1_000_000), 20140113);
         let churn_cases = [
@@ -220,7 +220,7 @@ fn main() -> ExitCode {
         ];
         let (churn_text, churn_json) =
             experiments::fig_churn_speedup(&churn_cases, instances::C3_LARGE, 100, 6);
-        let mut churn = String::from("== churn-path repair vs full re-select (Spotify) ==\n");
+        let mut churn = String::from("== churn-path repair vs full solve (Spotify) ==\n");
         churn.push_str(&churn_text);
         save(dir, "churn_speedup.txt", &churn);
         bench_writes_ok &= save_bench_json(Path::new("BENCH_churn.json"), &churn_json);

@@ -9,11 +9,14 @@ use mcss_core::dynamic::{DriftModel, WorkloadDelta};
 use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
 use mcss_core::planner::plan_mixed;
 use mcss_core::serve::{Daemon, Driver, ServeConfig};
-use mcss_core::stage1::{GreedySelectPairs, PairSelector, RandomSelectPairs};
-use mcss_core::stage2::{improve, Allocator, CbpConfig, CustomBinPacking, FirstFitBinPacking};
+use mcss_core::stage1::{GreedySelectPairs, PairSelector, RandomSelectPairs, SharedAwareGreedy};
+use mcss_core::stage2::{
+    improve, Allocator, BestFitBinPacking, CbpConfig, CustomBinPacking, ExpensiveOrder,
+    FirstFitBinPacking, NextFitBinPacking,
+};
 use mcss_core::{
-    lower_bound, AllocatorKind, McssInstance, MemoryFootprint, PartitionerKind, SearchBudget,
-    SelectorKind, ShardingConfig, Solver, SolverParams,
+    lower_bound, Allocation, AllocatorKind, McssInstance, MemoryFootprint, PartitionerKind,
+    SearchBudget, Selection, SelectorKind, ShardingConfig, Solver, SolverParams,
 };
 use mcss_store::WorkloadStoreExt;
 use pubsub_model::{Bandwidth, Rate, Workload};
@@ -274,6 +277,176 @@ pub fn fig_stage2_runtime(scenario: &Scenario, instance: InstanceType, reps: u32
     out
 }
 
+/// Design ablation (extension, not a paper figure): the choices listed
+/// under "Deviations from the paper" in `docs/PAPER_MAP.md`, the
+/// bin-packing baselines, and Stage-1 threads, on each scenario at one τ.
+///
+/// * Stage 1: GSP on 1 and 2 threads, and [`SharedAwareGreedy`]. Each
+///   row times the selection, reports its outgoing volume, and packs it
+///   with the default CBP for its cost, VMs and bandwidth.
+/// * Stage 2, all packing the one-thread GSP selection: CBP with volume
+///   order (the default), with rate order, and with the exact new-VM
+///   estimate of Alg. 7; FFBP, NFBP and BFBP. Each row times the packing.
+///
+/// Rows give the min, median and max of `reps` timed runs. Every
+/// allocation is validated, and the 2-thread GSP selection is asserted
+/// equal to the 1-thread one. Returns the human-readable report and the
+/// machine-readable JSON document (`BENCH_ablation.json`), which records
+/// the core count and each trace's size.
+pub fn fig_ablation(
+    scenarios: &[&Scenario],
+    instance: InstanceType,
+    tau: u64,
+    reps: usize,
+) -> (String, String) {
+    assert!(reps > 0, "need at least one timed run");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# design ablation, {}, τ={tau}, min/median/max ms of {reps} runs, {cores} cores",
+        instance.name()
+    );
+    let mut t = Table::new(vec![
+        "trace".into(),
+        "stage".into(),
+        "variant".into(),
+        "cost $".into(),
+        "VMs".into(),
+        "bandwidth".into(),
+        "outgoing".into(),
+        "min ms".into(),
+        "median ms".into(),
+        "max ms".into(),
+    ]);
+    let mut json_rows: Vec<String> = Vec::new();
+    for scenario in scenarios {
+        let cost = scenario.cost_model(instance);
+        let inst = scenario.instance(tau, instance).expect("valid capacity");
+        let workload = inst.workload();
+        let pack = |packer: &dyn Allocator, selection: &Selection| {
+            packer
+                .allocate(workload, selection, inst.capacity(), &cost)
+                .expect("feasible scenario")
+        };
+        let mut row = |stage: u8,
+                       variant: &str,
+                       selection: &Selection,
+                       allocation: Allocation,
+                       ms: &[f64]| {
+            allocation
+                .validate(workload, inst.tau())
+                .unwrap_or_else(|e| panic!("{} {variant}: {e}", scenario.name));
+            let dollars = allocation.cost(&cost).as_dollars_f64();
+            let vms = allocation.vm_count();
+            let bandwidth = allocation.total_bandwidth().get();
+            let outgoing = selection.outgoing_volume(workload).get();
+            let (min, median, max) = (ms[0], ms[ms.len() / 2], ms[ms.len() - 1]);
+            t.row(vec![
+                scenario.name.to_string(),
+                stage.to_string(),
+                variant.to_string(),
+                format!("{dollars:.2}"),
+                vms.to_string(),
+                bandwidth.to_string(),
+                outgoing.to_string(),
+                format!("{min:.2}"),
+                format!("{median:.2}"),
+                format!("{max:.2}"),
+            ]);
+            json_rows.push(format!(
+                "    {{\"trace\": \"{}\", \"subscribers\": {}, \"topics\": {}, \
+                 \"interest_pairs\": {}, \"stage\": {stage}, \"variant\": \"{variant}\", \
+                 \"cost_usd\": {dollars:.2}, \"vms\": {vms}, \"bandwidth\": {bandwidth}, \
+                 \"outgoing_volume\": {outgoing}, \"ms_min\": {min:.3}, \
+                 \"ms_median\": {median:.3}, \"ms_max\": {max:.3}}}",
+                scenario.name,
+                workload.num_subscribers(),
+                workload.num_topics(),
+                workload.pair_count(),
+            ));
+        };
+
+        let default_cbp = CustomBinPacking::new(CbpConfig::full());
+        let selectors: [(&str, &dyn PairSelector); 3] = [
+            ("gsp-threads-1", &GreedySelectPairs::new()),
+            ("gsp-threads-2", &GreedySelectPairs::with_threads(2)),
+            ("shared-aware-gsp", &SharedAwareGreedy::new()),
+        ];
+        let mut gsp: Option<Selection> = None;
+        for (variant, selector) in selectors {
+            let (ms, selection) = time_runs(reps, || {
+                selector.select(&inst).expect("heuristics cannot fail")
+            });
+            if variant.starts_with("gsp") {
+                let first = gsp.get_or_insert_with(|| selection.clone());
+                assert_eq!(
+                    *first, selection,
+                    "{} {variant}: GSP threads diverged",
+                    scenario.name
+                );
+            }
+            row(1, variant, &selection, pack(&default_cbp, &selection), &ms);
+        }
+        let gsp = gsp.expect("the one-thread GSP row ran");
+
+        let packers: [(&str, &dyn Allocator); 6] = [
+            ("cbp-volume-order", &default_cbp),
+            (
+                "cbp-rate-order",
+                &CustomBinPacking::new(CbpConfig {
+                    expensive_order: ExpensiveOrder::Rate,
+                    ..CbpConfig::full()
+                }),
+            ),
+            (
+                "cbp-exact-vm-estimate",
+                &CustomBinPacking::new(CbpConfig {
+                    exact_new_vm_estimate: true,
+                    ..CbpConfig::full()
+                }),
+            ),
+            ("ffbp", &FirstFitBinPacking::new()),
+            ("nfbp", &NextFitBinPacking::new()),
+            ("bfbp", &BestFitBinPacking::new()),
+        ];
+        for (variant, packer) in packers {
+            let (ms, allocation) = time_runs(reps, || pack(packer, &gsp));
+            row(2, variant, &gsp, allocation, &ms);
+        }
+    }
+    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(
+        out,
+        "# stage 1 rows time the selection and pack it with default CBP; stage 2 rows \
+         time packing the one-thread GSP selection; every allocation validates and \
+         the GSP thread counts select identically"
+    );
+    let json = format!(
+        "{{\n  \"bench\": \"ablation\",\n  \"instance\": \"{}\",\n  \"tau\": {tau},\n  \
+         \"reps\": {reps},\n  \"cores\": {cores},\n  \"unit\": \"ms\",\n  \
+         \"results\": [\n{}\n  ]\n}}\n",
+        instance.name(),
+        json_rows.join(",\n")
+    );
+    (out, json)
+}
+
+/// Runs `run` `reps` times; returns the wall times in milliseconds,
+/// sorted ascending, and the last run's output.
+fn time_runs<T>(reps: usize, mut run: impl FnMut() -> T) -> (Vec<f64>, T) {
+    let mut ms = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let output = run();
+        ms.push(start.elapsed().as_secs_f64() * 1e3);
+        last = Some(output);
+    }
+    ms.sort_by(f64::total_cmp);
+    (ms, last.expect("reps > 0"))
+}
+
 /// Sharded-vs-monolithic comparison (extension, not a paper figure): the
 /// full GSP+CBP pipeline at 1/2/4/8 shards on one scenario, reporting
 /// wall-clock, cost delta, VM delta, and whether satisfaction matches the
@@ -346,29 +519,29 @@ pub fn fig_sharded_speedup(scenario: &Scenario, instance: InstanceType, tau: u64
 }
 
 /// One scale point of the churn experiment: a scenario, the churn levels
-/// (percent) to sweep at that scale, and the worker-thread count for the
-/// shard-parallel repair column (`1` skips the parallel run).
+/// (percent) to sweep at that scale, and the thread count for the
+/// threaded-repair column (`1` skips the threaded run).
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnCase<'a> {
     /// The workload to drift.
     pub scenario: &'a Scenario,
     /// Subscription-churn percentages to sweep (e.g. `&[1, 5, 20]`).
     pub churn_levels: &'a [u64],
-    /// Worker threads for the parallel-repair column.
+    /// Repair threads for the threaded-repair column.
     pub threads: usize,
 }
 
 /// Churn-path speedup experiment (extension, not a paper figure): the
-/// O(Δ) dirty-tracking epoch repair versus the pre-ledger implementation
-/// ([`crate::legacy::LegacyReallocator`], the "old full-reselect" path)
-/// over a drifting workload, across churn levels and workload scales.
-/// Cases with `threads > 1` additionally time the shard-parallel repair
-/// ([`IncrementalConfig::with_repair_threads`]).
+/// O(Δ) dirty-tracking epoch repair versus what the system does without
+/// it, a full [`Solver::solve`] (GSP + CBP + the Alg. 5 bound) every
+/// epoch, over a drifting workload, across churn levels and workload
+/// scales. Cases with `threads > 1` additionally time the threaded
+/// dirty re-selection ([`IncrementalConfig::with_repair_threads`]).
 ///
-/// Every epoch asserts the dirty paths' selections — single-threaded
-/// *and* parallel — are bit-identical to the baseline's and validates
-/// the repaired fleet, so the reported speedup is for *equivalent
-/// output*. Each row also records the resident bytes per subscriber
+/// Every epoch asserts that the dirty paths' selections, one-thread
+/// *and* threaded, are bit-identical to the full solve's and validates
+/// the repaired fleet, so the reported speedup is for the same Stage-1
+/// output. Each row also records the resident bytes per subscriber
 /// (workload arenas + previous selection + fleet ledger, measured by
 /// [`MemoryFootprint`]). Returns the human-readable report and a
 /// machine-readable JSON document (`BENCH_churn.json`).
@@ -381,13 +554,13 @@ pub fn fig_churn_speedup(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# churn-path repair, τ={tau}, {} epochs per level (Δ-MT = shard-parallel repair)",
+        "# churn-path repair, τ={tau}, {} epochs per level (Δ-MT = threaded repair)",
         epochs
     );
     let mut t = Table::new(vec![
         "subs".into(),
         "churn%".into(),
-        "full ns/epoch".into(),
+        "solve ns/epoch".into(),
         "Δ ns/epoch".into(),
         "Δ-MT ns/epoch".into(),
         "speedup".into(),
@@ -412,7 +585,7 @@ pub fn fig_churn_speedup(
                 churn_prob: churn_pct as f64 / 100.0,
                 seed: 97,
             };
-            let mut full = crate::legacy::LegacyReallocator::default();
+            let full = Solver::default();
             let mut dirty = IncrementalReallocator::default();
             let mut dirty_mt = (case.threads > 1).then(|| {
                 IncrementalReallocator::new(
@@ -422,7 +595,6 @@ pub fn fig_churn_speedup(
             let mut w = inst0.workload().clone();
             // Epoch 0 primes the re-allocators; it is not timed.
             let prime = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
-            full.step(&prime, &cost).expect("first epoch solves");
             dirty
                 .step_with_delta(&prime, &cost, &WorkloadDelta::default())
                 .expect("first epoch solves");
@@ -439,7 +611,7 @@ pub fn fig_churn_speedup(
                 w = next;
                 let step = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
                 let t0 = Instant::now();
-                let f = full.step(&step, &cost).expect("repairable");
+                let f = full.solve(&step, &cost).expect("feasible epoch");
                 full_ns += t0.elapsed().as_nanos();
                 let t1 = Instant::now();
                 let d = dirty
@@ -448,7 +620,7 @@ pub fn fig_churn_speedup(
                 dirty_ns += t1.elapsed().as_nanos();
                 assert_eq!(
                     d.selection, f.selection,
-                    "dirty path diverged from full re-selection"
+                    "dirty path diverged from the full solve's selection"
                 );
                 if let Some(mt) = dirty_mt.as_mut() {
                     let t2 = Instant::now();
@@ -458,7 +630,7 @@ pub fn fig_churn_speedup(
                     mt_ns += t2.elapsed().as_nanos();
                     assert_eq!(
                         m.selection, f.selection,
-                        "parallel repair diverged from full re-selection"
+                        "threaded repair diverged from the full solve's selection"
                     );
                 }
                 d.allocation
@@ -513,10 +685,11 @@ pub fn fig_churn_speedup(
     let _ = writeln!(out, "{}", t.render());
     let _ = writeln!(
         out,
-        "# all paths produce bit-identical selections and validated fleets; \
-         speedup is full-reselect ns/epoch over dirty-path ns/epoch \
-         (MT speedup: over the shard-parallel dirty path); B/sub counts \
-         resident workload arenas + selection + fleet ledger"
+        "# every epoch's dirty-path selections equal the full solve's and \
+         the repaired fleets validate; speedup is Solver::solve ns/epoch \
+         over dirty-path ns/epoch (MT speedup: over the threaded dirty \
+         path); B/sub counts resident workload arenas + selection + fleet \
+         ledger"
     );
     let json = format!(
         "{{\n  \"bench\": \"churn_epoch\",\n  \"tau\": {tau},\n  \
@@ -850,128 +1023,6 @@ pub fn fig_failure_drills(
          \"tau\": {tau},\n  \"fleet_vms\": {fleet},\n  \"results\": [\n{}\n  ]\n}}\n",
         scenario.name,
         scenario.workload.num_subscribers(),
-        json_rows.join(",\n")
-    );
-    (out, json)
-}
-
-/// Cold-solve speedup experiment (extension, not a paper figure): the
-/// sort-free arena pipeline (rate-ranked GSP sweep + `TopicGroups`
-/// counting-sort grouping into CBP) versus the preserved pre-arena path
-/// ([`crate::legacy::legacy_solve`]: a `sort_unstable_by` per subscriber
-/// and a `Vec` per topic), full Stage-1 → grouping → Stage-2 solves.
-///
-/// Every measured run asserts the two paths produce bit-identical
-/// selections **and** bit-identical allocations, so the reported speedup
-/// is for equivalent output. Returns the human-readable report and the
-/// machine-readable JSON document (`BENCH_solve.json`) with ns/solve per
-/// trace.
-pub fn fig_solve_speedup(
-    scenarios: &[&Scenario],
-    instance: InstanceType,
-    tau: u64,
-    reps: u32,
-) -> (String, String) {
-    assert!(reps > 0, "need at least one measured solve");
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cold solve, arena (sort-free) vs legacy (sort per subscriber), \
-         τ={tau}, {reps} solves per path"
-    );
-    let mut t = Table::new(vec![
-        "trace".into(),
-        "subs".into(),
-        "legacy ns/solve".into(),
-        "arena ns/solve".into(),
-        "speedup".into(),
-        "pairs".into(),
-        "VMs".into(),
-        "identical=".into(),
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for scenario in scenarios {
-        let cost = scenario.cost_model(instance);
-        let inst = scenario
-            .instance(tau, instance)
-            .expect("catalogued capacity is nonzero");
-        let selector = GreedySelectPairs::new();
-        let packer = CustomBinPacking::new(CbpConfig::full());
-
-        // One untimed warm-up per path primes allocator pools and caches.
-        let _ = crate::legacy::legacy_solve(&inst, &cost).expect("feasible scenario");
-        let _ = packer
-            .allocate(
-                inst.workload(),
-                &selector.select(&inst).expect("gsp"),
-                inst.capacity(),
-                &cost,
-            )
-            .expect("feasible scenario");
-
-        let (mut legacy_ns, mut arena_ns) = (0u128, 0u128);
-        let mut pairs = 0u64;
-        let mut vms = 0usize;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (legacy_sel, legacy_alloc) =
-                crate::legacy::legacy_solve(&inst, &cost).expect("feasible scenario");
-            legacy_ns += t0.elapsed().as_nanos();
-
-            let t1 = Instant::now();
-            let arena_sel = selector.select(&inst).expect("gsp");
-            let arena_alloc = packer
-                .allocate(inst.workload(), &arena_sel, inst.capacity(), &cost)
-                .expect("feasible scenario");
-            arena_ns += t1.elapsed().as_nanos();
-
-            // Equivalent output, asserted per run — divergence aborts the
-            // experiment, so a written report always means "identical".
-            assert_eq!(
-                arena_sel, legacy_sel,
-                "{}: arena selection diverged from the legacy path",
-                scenario.name
-            );
-            assert_eq!(
-                arena_alloc, legacy_alloc,
-                "{}: arena allocation diverged from the legacy path",
-                scenario.name
-            );
-            pairs = arena_sel.pair_count();
-            vms = arena_alloc.vm_count();
-        }
-        let legacy_per = (legacy_ns / u128::from(reps)).max(1);
-        let arena_per = (arena_ns / u128::from(reps)).max(1);
-        let speedup = legacy_per as f64 / arena_per as f64;
-        let subs = scenario.workload.num_subscribers();
-        t.row(vec![
-            scenario.name.to_string(),
-            subs.to_string(),
-            legacy_per.to_string(),
-            arena_per.to_string(),
-            format!("{speedup:.2}x"),
-            pairs.to_string(),
-            vms.to_string(),
-            // Asserted above: a run that diverges never reaches here.
-            "true".to_string(),
-        ]);
-        json_rows.push(format!(
-            "    {{\"trace\": \"{}\", \"subscribers\": {subs}, \
-             \"legacy_ns_per_solve\": {legacy_per}, \"arena_ns_per_solve\": {arena_per}, \
-             \"speedup\": {speedup:.2}, \"pairs\": {pairs}, \"fleet_vms\": {vms}, \
-             \"identical_output\": true}}",
-            scenario.name
-        ));
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "# both paths produce bit-identical selections and allocations \
-         (asserted per run); speedup is legacy ns/solve over arena ns/solve"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"cold_solve\",\n  \"tau\": {tau},\n  \"reps\": {reps},\n  \
-         \"unit\": \"ns_per_solve\",\n  \"results\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     (out, json)
@@ -1776,6 +1827,35 @@ mod tests {
     }
 
     #[test]
+    fn ablation_report_runs_on_small_scenarios() {
+        let spotify = Scenario::spotify(400, 9);
+        let twitter = Scenario::twitter(300, 9);
+        let (text, json) = fig_ablation(&[&spotify, &twitter], instances::C3_LARGE, 100, 3);
+        for variant in [
+            "gsp-threads-1",
+            "gsp-threads-2",
+            "shared-aware-gsp",
+            "cbp-volume-order",
+            "cbp-rate-order",
+            "cbp-exact-vm-estimate",
+            "ffbp",
+            "nfbp",
+            "bfbp",
+        ] {
+            assert!(text.contains(variant), "no {variant} row:\n{text}");
+            assert_eq!(
+                json.matches(&format!("\"variant\": \"{variant}\"")).count(),
+                2,
+                "one {variant} row per trace:\n{json}"
+            );
+        }
+        assert!(json.contains("\"bench\": \"ablation\""));
+        assert!(json.contains("\"cores\": "));
+        assert!(json.contains("\"subscribers\": 400"));
+        assert!(json.contains("\"ms_median\""));
+    }
+
+    #[test]
     fn sharded_speedup_report_runs_on_small_scenario() {
         let s = Scenario::spotify(600, 9);
         let text = fig_sharded_speedup(&s, instances::C3_LARGE, 50);
@@ -1830,20 +1910,6 @@ mod tests {
         assert!(json.contains("\"bench\": \"failure_drills\""));
         assert!(json.contains("\"epochs_to_drain\""));
         assert!(json.contains("\"delivered_identical\": true"));
-    }
-
-    #[test]
-    fn solve_speedup_report_runs_on_small_scenarios() {
-        let spotify = Scenario::spotify(400, 9);
-        let twitter = Scenario::twitter(300, 9);
-        let (text, json) = fig_solve_speedup(&[&spotify, &twitter], instances::C3_LARGE, 100, 2);
-        assert!(text.contains("legacy ns/solve"));
-        assert!(text.contains("spotify"));
-        assert!(text.contains("twitter"));
-        assert!(!text.contains("false"), "outputs diverged:\n{text}");
-        assert!(json.contains("\"bench\": \"cold_solve\""));
-        assert!(json.contains("\"identical_output\": true"));
-        assert!(json.contains("ns_per_solve"));
     }
 
     #[test]

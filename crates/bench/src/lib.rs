@@ -2,9 +2,10 @@
 //!
 //! Each paper figure has a regenerator in [`experiments`]; the binaries in
 //! `src/bin/` are thin wrappers so `run_all` can execute everything in one
-//! process and write `results/`. The Criterion benches under `benches/`
-//! cover the runtime figures (4–7) with statistical rigor; the experiment
-//! binaries print the same series as tables for quick inspection.
+//! process and write `results/`. `run_all` is the one timing harness: the
+//! runtime figures (4–7) and the extension figures, the latter also as
+//! machine-readable `BENCH_*.json` rows. [`legacy`] keeps the pre-arena
+//! cold solve as a test oracle.
 //!
 //! Scaling: experiments run on synthetic traces a few percent of the
 //! paper's size; per-VM capacity and the $/GB price are scale-compensated

@@ -18,9 +18,7 @@
 //!   the NP-hardness reduction (`C1(x) = x`, `C2 = 0`);
 //! * [`FleetCostModel`] — a heterogeneous catalogue of instance tiers
 //!   sharing one bandwidth price, ranked by cost density (extension: the
-//!   mixed-fleet scenario the solver's `MixedFleetPacker` consumes);
-//! * [`ReservedCostModel`] — fixed-duration (reserved) pricing wrapped
-//!   around the on-demand model.
+//!   mixed-fleet scenario the solver's `MixedFleetPacker` consumes).
 //!
 //! # Example
 //!
@@ -40,10 +38,8 @@ mod fleet;
 mod instance;
 mod money;
 mod pricing;
-mod reserved;
 
 pub use fleet::FleetCostModel;
 pub use instance::{instances, InstanceType};
 pub use money::Money;
 pub use pricing::{BillingWindow, CostModel, Ec2CostModel, LinearCostModel};
-pub use reserved::ReservedCostModel;

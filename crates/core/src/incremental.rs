@@ -40,8 +40,7 @@
 use crate::dynamic::WorkloadDelta;
 use crate::ledger::FleetLedger;
 use crate::lower_bound::lower_bound;
-use crate::shard::{partition_subscriber_set, run_shards, ShardingConfig};
-use crate::stage1::{select_for_subscriber_into, GreedySelectPairs, PairSelector};
+use crate::stage1::{build_in_ranges, select_for_subscriber_into, GreedySelectPairs, PairSelector};
 use crate::stage2::{
     improve, Allocator, CbpConfig, CustomBinPacking, ImproveReport, MixedFleetPacker, SearchBudget,
 };
@@ -50,6 +49,7 @@ use crate::{
 };
 use cloud_cost::{CostModel, FleetCostModel};
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadView};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Configuration for [`IncrementalReallocator`].
@@ -58,32 +58,29 @@ pub struct IncrementalConfig {
     /// Utilization floor: when `Σ used / (|B| · BC)` falls below this
     /// after repair, a full re-solve replaces the repaired allocation.
     pub compaction_threshold: f64,
-    /// When set, epoch repairs re-select the dirty subscriber set
-    /// shard-parallel: the dirty set is split with the same partitioners
-    /// as full sharded solves, each shard re-selects on a scoped worker
-    /// thread, and the shard rows merge with the reused clean rows in a
-    /// deterministic size → prefix-sum → scatter pass. Per-subscriber
-    /// greedy selection reads nothing outside the subscriber's own rows,
-    /// so the result is bit-identical to the sequential repair (asserted
-    /// in debug builds). `None` repairs on the calling thread.
-    pub repair: Option<ShardingConfig>,
+    /// Threads that re-select an epoch's dirty rows. The subscribers are
+    /// split into this many contiguous ranges, the first on the calling
+    /// thread and the rest on scoped threads. Per-subscriber greedy
+    /// selection reads nothing outside the subscriber's own rows, so the
+    /// selection is the same for every count. `1` (the default) spawns
+    /// nothing.
+    pub repair_threads: usize,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
         IncrementalConfig {
             compaction_threshold: 0.5,
-            repair: None,
+            repair_threads: 1,
         }
     }
 }
 
 impl IncrementalConfig {
-    /// Convenience for CLI-style thread counts: `threads > 1` turns on
-    /// shard-parallel repair with one shard per thread; `threads <= 1`
-    /// leaves repair on the calling thread.
+    /// Convenience for CLI-style thread counts: sets
+    /// [`IncrementalConfig::repair_threads`], reading `0` as `1`.
     pub fn with_repair_threads(mut self, threads: usize) -> Self {
-        self.repair = (threads > 1).then(|| ShardingConfig::new(threads));
+        self.repair_threads = threads.max(1);
         self
     }
 }
@@ -592,37 +589,13 @@ impl IncrementalReallocator {
 
         // --- Stage 1: re-select dirty rows, reuse the rest -------------
         // Reads no ledger state, so it runs before the ledger changes.
-        let mut pairs_reused = 0u64;
-        let selection = match self.config.repair {
-            Some(repair) => {
-                let merged = reselect_dirty_sharded(workload, &prev.selection, &dirty, tau, repair);
-                pairs_reused += merged.1;
-                #[cfg(debug_assertions)]
-                {
-                    let mut seq_reused = 0u64;
-                    let seq = reselect_dirty_sequential(
-                        workload.view(),
-                        &prev.selection,
-                        &dirty,
-                        tau,
-                        &mut seq_reused,
-                    );
-                    assert_eq!(
-                        seq, merged.0,
-                        "sharded repair diverged from sequential repair"
-                    );
-                    assert_eq!(seq_reused, merged.1);
-                }
-                merged.0
-            }
-            None => reselect_dirty_sequential(
-                workload.view(),
-                &prev.selection,
-                &dirty,
-                tau,
-                &mut pairs_reused,
-            ),
-        };
+        let view = workload.view();
+        let (selection, pairs_reused) = build_in_ranges(
+            n,
+            self.config.repair_threads,
+            prev.selection.pair_count() as usize,
+            |range, builder| reselect_dirty(view, &prev.selection, &dirty, tau, range, builder),
+        );
 
         // --- Feasibility, before the ledger changes --------------------
         // A failed epoch keeps the remembered state. Only a topic no VM
@@ -969,111 +942,35 @@ impl IncrementalReallocator {
     }
 }
 
-/// The sequential dirty loop: re-select dirty rows, block-copy runs of
-/// clean rows from the previous selection (a clean subscriber always has
-/// a previous row — dirty tracking marks everyone past the old
-/// subscriber count). Also the debug-build oracle the sharded repair is
-/// asserted against.
-fn reselect_dirty_sequential(
+/// The dirty loop over subscribers `range`: re-selects dirty rows and
+/// block-copies runs of clean rows from the previous selection (a clean
+/// subscriber always has a previous row — dirty tracking marks everyone
+/// past the old subscriber count). Returns the pairs copied.
+fn reselect_dirty(
     view: WorkloadView<'_>,
     prev: &Selection,
     dirty: &[bool],
     tau: Rate,
-    pairs_reused: &mut u64,
-) -> Selection {
-    let n = dirty.len();
-    let mut builder = SelectionBuilder::with_capacity(n, prev.pair_count() as usize);
-    let mut vi = 0usize;
-    while vi < n {
+    range: Range<usize>,
+    builder: &mut SelectionBuilder,
+) -> u64 {
+    let mut pairs_reused = 0u64;
+    let mut vi = range.start;
+    while vi < range.end {
         if dirty[vi] {
             let v = SubscriberId::new(vi as u32);
             builder.push_row_with(|row| select_for_subscriber_into(view, v, tau, row));
             vi += 1;
         } else {
-            let run_end = dirty[vi..].iter().position(|&d| d).map_or(n, |p| vi + p);
-            *pairs_reused += builder.push_rows_from(prev, vi..run_end);
+            let run_end = dirty[vi..range.end]
+                .iter()
+                .position(|&d| d)
+                .map_or(range.end, |p| vi + p);
+            pairs_reused += builder.push_rows_from(prev, vi..run_end);
             vi = run_end;
         }
     }
-    builder.build()
-}
-
-/// Shard-parallel epoch repair (Stage 1): partition the dirty set, run
-/// per-shard greedy re-selection on scoped worker threads, then merge
-/// the shard rows with the reused clean rows into one selection.
-///
-/// The merge mirrors [`ShardedSolver`]'s: a size pass writes every row's
-/// length at the slot its subscriber id dictates, a prefix sum turns
-/// lengths into offsets, and a scatter pass copies each shard row (and
-/// each clean run, as one block) into place. Every row lands at a
-/// position determined only by subscriber id, so the merged selection is
-/// bit-identical to the sequential repair no matter how the partitioner
-/// split the dirty set. Returns the selection and the reused pair count.
-fn reselect_dirty_sharded(
-    workload: &Workload,
-    prev: &Selection,
-    dirty: &[bool],
-    tau: Rate,
-    repair: ShardingConfig,
-) -> (Selection, u64) {
-    let n = dirty.len();
-    let view = workload.view();
-    let dirty_subs: Vec<SubscriberId> = dirty
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d)
-        .map(|(vi, _)| SubscriberId::new(vi as u32))
-        .collect();
-    let partition =
-        partition_subscriber_set(workload, &dirty_subs, repair.shards, repair.partitioner);
-    let shard_rows: Vec<Selection> = run_shards(&partition, repair.workers(), |members| {
-        let mut local = SelectionBuilder::with_capacity(members.len(), 0);
-        for &v in members {
-            local.push_row_with(|row| select_for_subscriber_into(view, v, tau, row));
-        }
-        Ok(local.build())
-    })
-    .expect("per-shard re-selection is infallible");
-
-    // Size pass: dirty rows from their shard, clean rows from `prev`.
-    let mut offsets = vec![0usize; n + 1];
-    for (members, rows) in partition.iter().zip(&shard_rows) {
-        for (local, &v) in members.iter().enumerate() {
-            offsets[v.index() + 1] = rows.selected(SubscriberId::new(local as u32)).len();
-        }
-    }
-    let mut pairs_reused = 0u64;
-    for (vi, &is_dirty) in dirty.iter().enumerate() {
-        if !is_dirty {
-            let len = prev.selected(SubscriberId::new(vi as u32)).len();
-            offsets[vi + 1] = len;
-            pairs_reused += len as u64;
-        }
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-
-    // Scatter pass: shard rows row-by-row, clean runs block-by-block.
-    let mut topics = vec![TopicId::new(0); offsets[n]];
-    for (members, rows) in partition.iter().zip(&shard_rows) {
-        for (local, &v) in members.iter().enumerate() {
-            let row = rows.selected(SubscriberId::new(local as u32));
-            topics[offsets[v.index()]..offsets[v.index()] + row.len()].copy_from_slice(row);
-        }
-    }
-    let mut vi = 0usize;
-    while vi < n {
-        if dirty[vi] {
-            vi += 1;
-            continue;
-        }
-        let run_end = dirty[vi..].iter().position(|&d| d).map_or(n, |p| vi + p);
-        let block = prev.rows_block(vi..run_end);
-        topics[offsets[vi]..offsets[vi] + block.len()].copy_from_slice(block);
-        vi = run_end;
-    }
-    (Selection::from_csr(offsets, topics), pairs_reused)
+    pairs_reused
 }
 
 #[cfg(test)]
@@ -1169,33 +1066,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_repair_matches_sequential_across_epochs() {
-        // Parallel epoch repair must be bit-identical to the sequential
-        // dirty loop every epoch (the step itself also asserts this in
-        // debug builds), for both partitioners and shard counts that
-        // exceed the dirty set.
-        for sharding in [
-            crate::ShardingConfig::new(2),
-            crate::ShardingConfig::new(7)
-                .with_partitioner(crate::PartitionerKind::Hash { seed: 11 }),
-        ] {
+    fn threaded_repair_matches_one_thread_across_epochs() {
+        // Ranged epoch repair must be bit-identical to the one-thread
+        // dirty loop every epoch, including thread counts that exceed
+        // the subscriber count.
+        for threads in [1, 2, 3, 7] {
             let drift = DriftModel {
                 rate_sigma: 0.0, // rate drift could outgrow the fixed capacity
                 churn_prob: 0.5,
                 seed: 29,
             };
             let mut seq = IncrementalReallocator::default();
-            let mut par = IncrementalReallocator::new(IncrementalConfig {
-                repair: Some(sharding),
-                ..IncrementalConfig::default()
-            });
+            let mut par = IncrementalReallocator::new(
+                IncrementalConfig::default().with_repair_threads(threads),
+            );
             let mut w = base_workload();
             let mut delta = WorkloadDelta::default();
             for epoch in 0..6 {
                 let inst = instance(w.clone());
                 let s = seq.step_with_delta(&inst, &cost(), &delta).unwrap();
                 let p = par.step_with_delta(&inst, &cost(), &delta).unwrap();
-                assert_eq!(p.selection, s.selection, "epoch {epoch} diverged");
+                assert_eq!(p.selection, s.selection, "epoch {epoch}, {threads} threads");
                 assert_eq!(p.pairs_reused, s.pairs_reused, "epoch {epoch}");
                 assert_eq!(p.pairs_placed, s.pairs_placed, "epoch {epoch}");
                 p.allocation.validate(inst.workload(), inst.tau()).unwrap();
@@ -1205,13 +1096,16 @@ mod tests {
     }
 
     #[test]
-    fn with_repair_threads_maps_thread_counts_to_configs() {
-        assert!(IncrementalConfig::default()
-            .with_repair_threads(1)
-            .repair
-            .is_none());
-        let cfg = IncrementalConfig::default().with_repair_threads(4);
-        assert_eq!(cfg.repair.map(|r| r.shards), Some(4));
+    fn with_repair_threads_reads_zero_as_one() {
+        let threads = |n| {
+            IncrementalConfig::default()
+                .with_repair_threads(n)
+                .repair_threads
+        };
+        assert_eq!(IncrementalConfig::default().repair_threads, 1);
+        assert_eq!(threads(0), 1);
+        assert_eq!(threads(1), 1);
+        assert_eq!(threads(4), 4);
     }
 
     #[test]

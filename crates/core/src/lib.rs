@@ -98,7 +98,7 @@ pub use pipeline::{
 pub use problem::McssInstance;
 pub use selection::{Selection, SelectionBuilder, SelectionDiff, TopicGroups};
 pub use shard::{
-    partition_subscriber_set, partition_subscribers, MergeStats, PartitionerKind, ShardedOutcome,
-    ShardedSolver, ShardingConfig,
+    partition_subscribers, MergeStats, PartitionerKind, ShardedOutcome, ShardedSolver,
+    ShardingConfig,
 };
 pub use stage2::{ImproveReport, SearchBudget};

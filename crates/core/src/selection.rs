@@ -160,12 +160,6 @@ impl Selection {
         (0..self.num_subscribers()).map(|vi| self.row(vi))
     }
 
-    /// The contiguous topic block backing rows `range` — lets the
-    /// shard-merge scatter copy a run of untouched rows as one memcpy.
-    pub(crate) fn rows_block(&self, range: std::ops::Range<usize>) -> &[TopicId] {
-        &self.topics[self.offsets[range.start] as usize..self.offsets[range.end] as usize]
-    }
-
     /// Total number of selected pairs `|S|`.
     pub fn pair_count(&self) -> u64 {
         self.topics.len() as u64

@@ -959,8 +959,9 @@ pub struct ServeConfig {
     /// Write a snapshot every this many applied epochs; `0` disables
     /// periodic snapshots ([`Daemon::snapshot_now`] still works).
     pub snapshot_every: u64,
-    /// Worker threads for shard-parallel epoch repair; `1` repairs on the
-    /// calling thread. The repaired selection is bit-identical either way,
+    /// Threads for the epoch's dirty re-selection
+    /// ([`IncrementalConfig::repair_threads`]); `1` runs it on the calling
+    /// thread. The repaired selection is bit-identical either way,
     /// so this is a runtime knob — it is not recorded in snapshots and may
     /// differ across [`Daemon::resume`] calls. Must be positive.
     pub threads: usize,
@@ -1675,6 +1676,14 @@ impl Daemon {
     /// The Stage-1 selection as of the last applied epoch.
     pub fn selection(&self) -> Option<&Selection> {
         self.realloc.checkpoint().map(|(s, _, _)| s)
+    }
+
+    /// Live VMs in the current fleet, read from the ledger's counter
+    /// without exporting the fleet; 0 before the first epoch.
+    pub fn vm_count(&self) -> usize {
+        self.realloc
+            .checkpoint()
+            .map_or(0, |(_, ledger, _)| ledger.vm_count())
     }
 
     /// The current fleet, exported from the ledger.
@@ -2428,6 +2437,57 @@ mod tests {
         daemon.submit(Event::VmRecover { slot: 0 }).unwrap();
         let stats = daemon.tick().unwrap().expect("recovery epoch");
         check(&daemon, stats);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn vm_count_matches_the_exported_fleet_through_failure_and_repair() {
+        let dir = scratch("vm-count");
+        let config = ServeConfig::new(Rate::new(15), Bandwidth::new(60))
+            .with_snapshot_every(0)
+            .with_repair_budget(1);
+        let mut daemon = Daemon::create(&dir, config, cost()).unwrap();
+        let exported = |d: &Daemon| d.allocation().map_or(0, |a| a.vm_count());
+        assert_eq!(daemon.vm_count(), 0);
+        assert_eq!(daemon.vm_count(), exported(&daemon));
+        let mut events = vec![
+            Event::Rerate {
+                topic: t(0),
+                rate: Rate::new(20),
+            },
+            Event::Rerate {
+                topic: t(1),
+                rate: Rate::new(12),
+            },
+        ];
+        events.extend((0..3).map(|i| Event::Subscribe {
+            subscriber: v(i),
+            topic: t(i / 2),
+        }));
+        for event in events {
+            daemon.submit(event).unwrap();
+        }
+        daemon.tick().unwrap().expect("bootstrap epoch");
+        assert!(daemon.vm_count() > 1);
+        assert_eq!(daemon.vm_count(), exported(&daemon));
+
+        // The failed VM leaves the count at once; the budget of one pair
+        // defers the rest of its repair to later epochs.
+        daemon.submit(Event::VmFail { slot: 0 }).unwrap();
+        daemon.tick().unwrap().expect("drill epoch");
+        assert!(daemon.pending_repairs() > 0);
+        assert_eq!(daemon.vm_count(), exported(&daemon));
+        for _ in 0..16 {
+            if daemon.pending_repairs() == 0 {
+                break;
+            }
+            daemon.tick().unwrap().expect("repair-only epoch");
+            assert_eq!(daemon.vm_count(), exported(&daemon));
+        }
+        assert_eq!(daemon.pending_repairs(), 0, "repair queue failed to drain");
+        daemon.submit(Event::VmRecover { slot: 0 }).unwrap();
+        daemon.tick().unwrap().expect("recovery epoch");
+        assert_eq!(daemon.vm_count(), exported(&daemon));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -138,36 +138,15 @@ pub fn partition_subscribers(
     shards: usize,
     partitioner: PartitionerKind,
 ) -> Vec<Vec<SubscriberId>> {
-    let all: Vec<SubscriberId> = workload.subscribers().collect();
-    partition_subscriber_set(workload, &all, shards, partitioner)
-}
-
-/// Partitions an arbitrary subscriber subset — e.g. one epoch's dirty
-/// set — into `shards` disjoint groups, each sorted by subscriber id,
-/// under the same strategies as [`partition_subscribers`]: a given
-/// subscriber hashes to the same shard whether the whole workload or
-/// only a subset is being split. Deterministic for a fixed strategy.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero (checked by callers via
-/// [`McssError::ZeroShards`]).
-pub fn partition_subscriber_set(
-    workload: &Workload,
-    subscribers: &[SubscriberId],
-    shards: usize,
-    partitioner: PartitionerKind,
-) -> Vec<Vec<SubscriberId>> {
     assert!(shards > 0, "shard count must be at least 1");
     let mut parts: Vec<Vec<SubscriberId>> = vec![Vec::new(); shards];
     if shards == 1 {
-        parts[0] = subscribers.to_vec();
-        parts[0].sort_unstable();
+        parts[0] = workload.subscribers().collect();
         return parts;
     }
     match partitioner {
         PartitionerKind::Hash { seed } => {
-            for &v in subscribers {
+            for v in workload.subscribers() {
                 let h = splitmix64(seed ^ u64::from(v.raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 parts[(h % shards as u64) as usize].push(v);
             }
@@ -178,9 +157,10 @@ pub fn partition_subscriber_set(
             // lookup. Anchor groups invert through the shared counting-
             // sort CSR (no hashing, no per-topic Vecs); anchorless
             // subscribers balance in afterwards.
-            let mut pairs: Vec<(TopicId, SubscriberId)> = Vec::with_capacity(subscribers.len());
+            let mut pairs: Vec<(TopicId, SubscriberId)> =
+                Vec::with_capacity(workload.num_subscribers());
             let mut anchorless: Vec<SubscriberId> = Vec::new();
-            for &v in subscribers {
+            for v in workload.subscribers() {
                 match workload.ranked_interests(v).first() {
                     Some(&t) => pairs.push((t, v)),
                     None => anchorless.push(v),
@@ -419,7 +399,7 @@ impl ShardedSolver {
 
 /// Runs `f` once per shard across `workers` scoped threads, preserving
 /// shard order in the result and reporting the first error in shard order.
-pub(crate) fn run_shards<T: Send>(
+fn run_shards<T: Send>(
     partition: &[Vec<SubscriberId>],
     workers: usize,
     f: impl Fn(&[SubscriberId]) -> Result<T, McssError> + Sync,

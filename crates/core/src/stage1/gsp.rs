@@ -3,6 +3,7 @@
 use super::PairSelector;
 use crate::{McssError, Selection, SelectionBuilder};
 use pubsub_model::{Rate, SubscriberId, TopicId, WorkloadView};
+use std::ops::Range;
 
 /// The paper's Stage-1 greedy (Alg. 2), selecting pairs per subscriber by
 /// maximum benefit-cost ratio (Alg. 1):
@@ -70,42 +71,61 @@ impl PairSelector for GreedySelectPairs {
 
     fn select_view(&self, view: WorkloadView<'_>, tau: Rate) -> Result<Selection, McssError> {
         let n = view.num_subscribers();
-
-        if self.threads <= 1 || n < 2 * self.threads {
-            let mut builder = SelectionBuilder::with_capacity(n, n);
-            for vi in 0..n {
+        let (selection, _) = build_in_ranges(n, self.threads, n, |range, builder| {
+            for vi in range {
                 let v = SubscriberId::new(vi as u32);
                 builder.push_row_with(|row| select_for_subscriber_into(view, v, tau, row));
             }
-            return Ok(builder.build());
-        }
-
-        // Each worker builds a CSR chunk for a contiguous subscriber
-        // range; the chunks are stitched back in order afterwards.
-        let chunk = n.div_ceil(self.threads);
-        let chunks = n.div_ceil(chunk);
-        let mut parts: Vec<Option<SelectionBuilder>> = Vec::new();
-        parts.resize_with(chunks, || None);
-        std::thread::scope(|scope| {
-            for (ci, slot) in parts.iter_mut().enumerate() {
-                let start = ci * chunk;
-                let end = (start + chunk).min(n);
-                scope.spawn(move || {
-                    let mut builder = SelectionBuilder::with_capacity(end - start, end - start);
-                    for vi in start..end {
-                        let v = SubscriberId::new(vi as u32);
-                        builder.push_row_with(|row| select_for_subscriber_into(view, v, tau, row));
-                    }
-                    *slot = Some(builder);
-                });
-            }
+            0
         });
-        let mut builder = SelectionBuilder::with_capacity(n, n);
-        for part in parts {
-            builder.append(part.expect("every chunk slot is filled"));
-        }
-        Ok(builder.build())
+        Ok(selection)
     }
+}
+
+/// Builds a selection over subscribers `0..n` from up to `threads`
+/// contiguous subscriber ranges. `fill` appends one range's rows, in
+/// order, to the builder it is given and returns a count; the counts are
+/// summed. Range 0 fills, on the calling thread, a builder with room for
+/// `n` rows and `pairs` topics; the other ranges fill their own builders
+/// on scoped threads, which are then appended to it in range order, so
+/// the selection is the same for every thread count. With one thread (or
+/// fewer than two subscribers) nothing is spawned and nothing is copied.
+pub(crate) fn build_in_ranges(
+    n: usize,
+    threads: usize,
+    pairs: usize,
+    fill: impl Fn(Range<usize>, &mut SelectionBuilder) -> u64 + Sync,
+) -> (Selection, u64) {
+    let ranges = threads.clamp(1, n.max(1));
+    let mut head = SelectionBuilder::with_capacity(n, pairs);
+    if ranges == 1 {
+        let count = fill(0..n, &mut head);
+        return (head.build(), count);
+    }
+    let chunk = n.div_ceil(ranges);
+    let fill = &fill;
+    std::thread::scope(|scope| {
+        let tails: Vec<_> = (chunk..n)
+            .step_by(chunk)
+            .map(|start| {
+                let range = start..(start + chunk).min(n);
+                scope.spawn(move || {
+                    let mut part = SelectionBuilder::with_capacity(range.len(), pairs / ranges);
+                    let count = fill(range, &mut part);
+                    (part, count)
+                })
+            })
+            .collect();
+        let mut count = fill(0..chunk, &mut head);
+        for tail in tails {
+            let (part, tail_count) = tail
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            head.append(part);
+            count += tail_count;
+        }
+        (head.build(), count)
+    })
 }
 
 /// One subscriber's greedy selection (Alg. 1 + Alg. 2 inner loop, via the
@@ -278,24 +298,31 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // A workload with enough subscribers to exercise chunking.
-        let rates: Vec<u64> = (1..=40).collect();
-        let mut b = Workload::builder();
-        for &r in &rates {
-            b.add_topic(Rate::new(r)).unwrap();
+        // Sizes cover an empty workload, fewer subscribers than threads,
+        // and ranges of unequal length.
+        for n in [0u32, 1, 3, 100] {
+            let mut b = Workload::builder();
+            for r in 1..=40 {
+                b.add_topic(Rate::new(r)).unwrap();
+            }
+            for vi in 0..n {
+                let tv: Vec<TopicId> = (0..40)
+                    .filter(|t| (t + vi) % 3 != 0)
+                    .map(TopicId::new)
+                    .collect();
+                b.add_subscriber(tv).unwrap();
+            }
+            let inst =
+                McssInstance::new(b.build(), Rate::new(50), Bandwidth::new(1 << 40)).unwrap();
+            let seq = GreedySelectPairs::new().select(&inst).unwrap();
+            assert_eq!(seq.num_subscribers(), n as usize);
+            for threads in [2, 3, 4, 7] {
+                let par = GreedySelectPairs::with_threads(threads)
+                    .select(&inst)
+                    .unwrap();
+                assert_eq!(seq, par, "{n} subscribers, {threads} threads");
+            }
         }
-        for vi in 0..100u32 {
-            let tv: Vec<TopicId> = (0..40)
-                .filter(|t| (t + vi) % 3 != 0)
-                .map(TopicId::new)
-                .collect();
-            b.add_subscriber(tv).unwrap();
-        }
-        let w = b.build();
-        let inst = McssInstance::new(w, Rate::new(50), Bandwidth::new(1 << 40)).unwrap();
-        let seq = GreedySelectPairs::new().select(&inst).unwrap();
-        let par = GreedySelectPairs::with_threads(4).select(&inst).unwrap();
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -21,8 +21,8 @@ mod optimal;
 mod rsp;
 mod shared;
 
-pub(crate) use gsp::select_for_subscriber_into;
 pub use gsp::GreedySelectPairs;
+pub(crate) use gsp::{build_in_ranges, select_for_subscriber_into};
 pub use optimal::OptimalSelectPairs;
 pub use rsp::RandomSelectPairs;
 pub use shared::SharedAwareGreedy;

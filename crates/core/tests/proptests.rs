@@ -309,11 +309,10 @@ proptest! {
         }
     }
 
-    /// Shard-parallel epoch repair is bit-identical to the sequential
-    /// dirty loop across random drift sequences × shard counts (1, 2, 4,
-    /// 7) × both partitioners, ending in a mass-unsubscribe epoch that
-    /// dirties every subscriber at once; the repaired fleet stays valid
-    /// throughout.
+    /// Ranged epoch repair is bit-identical to the one-thread dirty loop
+    /// across random drift sequences × thread counts (1, 2, 3, 7),
+    /// ending in a mass-unsubscribe epoch that dirties every subscriber
+    /// at once; the repaired fleet stays valid throughout.
     #[test]
     fn parallel_repair_bit_identical_across_drift(
         inst in arb_instance(),
@@ -321,25 +320,17 @@ proptest! {
         churn_pct in 0u64..80,
         seed in 0u64..1000,
         epochs in 2u64..5,
-        shards_idx in 0usize..4,
-        hash_partitioner in 0usize..2,
+        threads_idx in 0usize..4,
     ) {
-        let shards = [1usize, 2, 4, 7][shards_idx];
-        let partitioner = if hash_partitioner == 1 {
-            PartitionerKind::Hash { seed }
-        } else {
-            PartitionerKind::TopicLocality
-        };
+        let threads = [1usize, 2, 3, 7][threads_idx];
         let drift = DriftModel {
             rate_sigma: sigma_pct as f64 / 100.0,
             churn_prob: churn_pct as f64 / 100.0,
             seed,
         };
         let mut seq = IncrementalReallocator::default();
-        let mut par = IncrementalReallocator::new(IncrementalConfig {
-            repair: Some(ShardingConfig::new(shards).with_partitioner(partitioner)),
-            ..IncrementalConfig::default()
-        });
+        let mut par =
+            IncrementalReallocator::new(IncrementalConfig::default().with_repair_threads(threads));
         let mut w = inst.workload().clone();
         let mut last = w.clone();
         let mut delta = WorkloadDelta::default();
@@ -360,7 +351,7 @@ proptest! {
             let p = par.step_with_delta(&step, &nocost(), &delta).unwrap();
             prop_assert_eq!(
                 &p.selection, &s.selection,
-                "epoch {} diverged ({} shards, {:?})", epoch, shards, partitioner
+                "epoch {} diverged ({} threads)", epoch, threads
             );
             prop_assert_eq!(p.pairs_reused, s.pairs_reused, "epoch {}", epoch);
             p.allocation.validate(step.workload(), step.tau()).map_err(|e| {

@@ -114,7 +114,7 @@ REPROVISION OPTIONS:
   --drift-seed N         drift RNG seed                           [42]
   --fresh                re-solve from scratch each epoch instead of the
                          O(Δ) incremental repair
-  --threads N            worker threads for shard-parallel epoch repair
+  --threads N            threads for the epoch's dirty re-selection
                          (bit-identical selections)               [1]
   --instance NAME        c3.large | c3.xlarge | c3.2xlarge  [c3.large]
   --mixed                deploy on a heterogeneous fleet over the whole
@@ -146,7 +146,7 @@ SERVE OPTIONS:
   --dir PATH             state directory (event log + snapshots)
                          [fresh directory under the system tmpdir]
   --snapshot-every N     snapshot every N applied epochs (0 = never) [8]
-  --threads N            worker threads for shard-parallel epoch repair
+  --threads N            threads for the epoch's dirty re-selection
                          (bit-identical selections)               [1]
   --resume               recover from --dir (snapshot load + log
                          replay), then continue the stream
@@ -621,7 +621,8 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     /// Scans `args`: a token the table lacks is an unknown flag, and a
-    /// flag with a noun takes the next token as its value.
+    /// flag with a noun takes the next token as its value, which must
+    /// not itself start with `--`.
     fn parse(
         cmd: &str,
         args: &'a [String],
@@ -644,7 +645,10 @@ impl<'a> Flags<'a> {
                 .find(|(flag, _)| flag == token)
                 .ok_or_else(|| format!("unknown {cmd} flag {token:?}"))?;
             let value = match noun {
-                Some(noun) => rest.next().ok_or_else(|| format!("{flag} needs {noun}"))?,
+                Some(noun) => rest
+                    .next()
+                    .filter(|value| !value.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs {noun}"))?,
                 None => "",
             };
             given.push((flag, value));
@@ -754,7 +758,8 @@ impl<'a> Flags<'a> {
     }
 
     fn sigma(&self) -> Result<f64, String> {
-        let sigma = self.checked("--sigma", |&s: &f64| s < 0.0, "must be non-negative")?;
+        let bad = |s: &f64| !(s.is_finite() && *s >= 0.0);
+        let sigma = self.checked("--sigma", bad, "must be finite and non-negative")?;
         Ok(sigma.unwrap_or(0.1))
     }
 }
@@ -1746,8 +1751,7 @@ fn run(command: Command) -> Result<(), String> {
                     if *epoch_at != batch_index {
                         continue;
                     }
-                    let fleet = daemon.allocation().map(|a| a.vm_count()).unwrap_or(0);
-                    let kills = resolve_kill(spec, fleet);
+                    let kills = resolve_kill(spec, daemon.vm_count());
                     println!("drill at batch {batch_index}: killing VMs {kills:?}");
                     for slot in kills {
                         total_events += 1;
@@ -2417,7 +2421,15 @@ mod tests {
             .contains("--tau"));
         assert!(parse(&["reprovision", "t.tsv", "--tau", "1", "--epochs", "0"]).is_err());
         assert!(parse(&["reprovision", "t.tsv", "--tau", "1", "--churn", "1.5"]).is_err());
-        assert!(parse(&["reprovision", "t.tsv", "--tau", "1", "--sigma", "-0.1"]).is_err());
+        for sigma in ["-0.1", "NaN", "inf"] {
+            for args in [
+                &["reprovision", "t.tsv", "--tau", "1", "--sigma", sigma][..],
+                &["serve", "--trace", "spotify", "--sigma", sigma],
+            ] {
+                let err = parse(args).unwrap_err();
+                assert_eq!(err, "--sigma must be finite and non-negative", "{args:?}");
+            }
+        }
         assert!(parse(&["reprovision", "t.tsv", "--tau", "1", "--threads", "0"]).is_err());
     }
 

@@ -796,7 +796,7 @@ fn serve_drill_schedule_kills_and_heals() {
         "--epochs",
         "3",
         "--drill",
-        "1:0",
+        "1:0;2:50%",
         "--repair-budget",
         "10",
         "--snapshot-every",
@@ -811,8 +811,14 @@ fn serve_drill_schedule_kills_and_heals() {
     );
     let report = stdout(&out);
     assert!(
-        report.contains("drill at batch 1"),
+        report.contains("drill at batch 1: killing VMs [0]"),
         "no drill line in: {report}"
+    );
+    // A percentage kill share is resolved against the live fleet: half
+    // of this one-VM fleet, rounded up, is VM 0.
+    assert!(
+        report.contains("drill at batch 2: killing VMs [0]"),
+        "no percentage drill line in: {report}"
     );
     assert!(
         report.contains("VMs failed"),
@@ -833,8 +839,10 @@ fn serve_drill_schedule_kills_and_heals() {
     );
 
     // Plain resume over the drilled log must recover and continue. The
-    // first run snapshotted after every epoch, so the snapshot covers
-    // every record: recovery verifies them all and replays none.
+    // first run closed four epochs (the second drill left repairs that a
+    // repair-only epoch drained) and snapshotted after every one, so the
+    // snapshot covers every record: recovery verifies them all and
+    // replays none.
     let summary = dir.join("summary.json");
     let out = mcss(&[
         "serve",
@@ -845,7 +853,7 @@ fn serve_drill_schedule_kills_and_heals() {
         "--tau",
         "30",
         "--epochs",
-        "4",
+        "5",
         "--resume",
         "--dir",
         &state_str,
@@ -860,7 +868,7 @@ fn serve_drill_schedule_kills_and_heals() {
     let text = stdout(&out);
     let line = text
         .lines()
-        .find(|l| l.starts_with("recovered 3 applied epochs"))
+        .find(|l| l.starts_with("recovered 4 applied epochs"))
         .unwrap_or_else(|| panic!("no recovered line in: {text}"));
     assert!(
         line.contains(" 0 replayed past the snapshot, 0 epochs replayed, 0 torn bytes truncated)"),

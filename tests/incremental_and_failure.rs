@@ -136,21 +136,3 @@ fn ilp_export_scales_with_instance() {
     assert!(sat_rows > 0 && sat_rows <= inst.workload().num_subscribers());
     assert!(lp.ends_with("End\n"));
 }
-
-#[test]
-fn reserved_pricing_changes_the_vm_bandwidth_tradeoff() {
-    use cloud_cost::ReservedCostModel;
-    let s = Scenario::spotify(2_000, 44);
-    let on_demand = s.cost_model(cloud_cost::instances::C3_LARGE);
-    let reserved = ReservedCostModel::new(on_demand.clone(), Money::from_dollars(5), 0.5);
-    let inst = s.instance(100, cloud_cost::instances::C3_LARGE).unwrap();
-    let od = Solver::default().solve(&inst, &on_demand).unwrap();
-    let rs = Solver::default().solve(&inst, &reserved).unwrap();
-    // Same capacity, so the packing constraints are identical; costs and
-    // potentially decisions differ.
-    od.allocation.validate(inst.workload(), inst.tau()).unwrap();
-    rs.allocation.validate(inst.workload(), inst.tau()).unwrap();
-    // With a 50% rental discount the reserved bill per VM is lower here
-    // ($5 + $18 < $36), so the reserved total must come in below.
-    assert!(rs.report.total_cost < od.report.total_cost);
-}
