@@ -27,7 +27,6 @@ const FIGURES: &[&str] = &[
     "fig6_7",
     "fig8_12",
     "fig_ablation",
-    "fig_sharded",
     "fig_churn",
     "fig_serve",
     "fig_failures",
@@ -183,22 +182,6 @@ fn main() -> ExitCode {
         ablation.push_str(&ablation_text);
         save(dir, "ablation.txt", &ablation);
         bench_writes_ok &= save_bench_json(Path::new("BENCH_ablation.json"), &ablation_json);
-    }
-
-    if wants("fig_sharded") {
-        let mut sharded = String::from("== sharded vs monolithic (Spotify) ==\n");
-        sharded.push_str(&experiments::fig_sharded_speedup(
-            &spotify,
-            instances::C3_LARGE,
-            100,
-        ));
-        sharded.push_str("\n== sharded vs monolithic (Twitter) ==\n");
-        sharded.push_str(&experiments::fig_sharded_speedup(
-            &twitter,
-            instances::C3_LARGE,
-            100,
-        ));
-        save(dir, "sharded_speedup.txt", &sharded);
     }
 
     if wants("fig_churn") {

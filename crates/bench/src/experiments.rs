@@ -15,8 +15,8 @@ use mcss_core::stage2::{
     FirstFitBinPacking, NextFitBinPacking,
 };
 use mcss_core::{
-    lower_bound, Allocation, AllocatorKind, McssInstance, MemoryFootprint, PartitionerKind,
-    SearchBudget, Selection, SelectorKind, ShardingConfig, Solver, SolverParams,
+    lower_bound, Allocation, AllocatorKind, McssInstance, MemoryFootprint, SearchBudget, Selection,
+    SelectorKind, Solver, SolverParams,
 };
 use mcss_store::WorkloadStoreExt;
 use pubsub_model::{Bandwidth, Rate, Workload};
@@ -447,77 +447,6 @@ fn time_runs<T>(reps: usize, mut run: impl FnMut() -> T) -> (Vec<f64>, T) {
     (ms, last.expect("reps > 0"))
 }
 
-/// Sharded-vs-monolithic comparison (extension, not a paper figure): the
-/// full GSP+CBP pipeline at 1/2/4/8 shards on one scenario, reporting
-/// wall-clock, cost delta, VM delta, and whether satisfaction matches the
-/// monolithic solve exactly.
-pub fn fig_sharded_speedup(scenario: &Scenario, instance: InstanceType, tau: u64) -> String {
-    let cost = scenario.cost_model(instance);
-    let inst = scenario
-        .instance(tau, instance)
-        .expect("catalogued capacity is nonzero");
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# sharded solve, {} trace, {} subscribers, τ={tau}, {}",
-        scenario.name,
-        scenario.workload.num_subscribers(),
-        instance.name()
-    );
-    let mut t = Table::new(vec![
-        "shards".into(),
-        "total s".into(),
-        "stage1 s".into(),
-        "stage2 s".into(),
-        "speedup".into(),
-        "cost $".into(),
-        "Δcost%".into(),
-        "VMs".into(),
-        "satisfied=".into(),
-    ]);
-    let mono = Solver::default()
-        .solve(&inst, &cost)
-        .expect("feasible scenario");
-    let mono_delivered = mono.allocation.delivered_rates(inst.workload());
-    let mono_secs = mono.report.stage1_time.as_secs_f64() + mono.report.stage2_time.as_secs_f64();
-    let mono_cost = mono.report.total_cost.as_dollars_f64();
-    for shards in [1usize, 2, 4, 8] {
-        let params = SolverParams::default().with_sharding(
-            ShardingConfig::new(shards).with_partitioner(PartitionerKind::TopicLocality),
-        );
-        let outcome = Solver::new(params)
-            .solve(&inst, &cost)
-            .expect("feasible scenario");
-        outcome
-            .allocation
-            .validate(inst.workload(), inst.tau())
-            .expect("merged allocation must stay valid");
-        let secs =
-            outcome.report.stage1_time.as_secs_f64() + outcome.report.stage2_time.as_secs_f64();
-        let dollars = outcome.report.total_cost.as_dollars_f64();
-        let same_satisfaction =
-            outcome.allocation.delivered_rates(inst.workload()) == mono_delivered;
-        t.row(vec![
-            shards.to_string(),
-            format!("{secs:.4}"),
-            format!("{:.4}", outcome.report.stage1_time.as_secs_f64()),
-            format!("{:.4}", outcome.report.stage2_time.as_secs_f64()),
-            format!("{:.2}x", mono_secs / secs.max(1e-9)),
-            format!("{dollars:.2}"),
-            format!("{:+.2}", 100.0 * (dollars / mono_cost - 1.0)),
-            outcome.report.vm_count.to_string(),
-            same_satisfaction.to_string(),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "# speedup vs the monolithic run; Δcost% is replication overhead \
-         left after cross-shard topic-group compaction"
-    );
-    out
-}
-
 /// One scale point of the churn experiment: a scenario, the churn levels
 /// (percent) to sweep at that scale, and the thread count for the
 /// threaded-repair column (`1` skips the threaded run).
@@ -541,10 +470,12 @@ pub struct ChurnCase<'a> {
 /// Every epoch asserts that the dirty paths' selections, one-thread
 /// *and* threaded, are bit-identical to the full solve's and validates
 /// the repaired fleet, so the reported speedup is for the same Stage-1
-/// output. Each row also records the resident bytes per subscriber
-/// (workload arenas + previous selection + fleet ledger, measured by
-/// [`MemoryFootprint`]). Returns the human-readable report and a
-/// machine-readable JSON document (`BENCH_churn.json`).
+/// output. Every timed epoch is kept: rows give the min, median and max
+/// ns per epoch of each column, and the speedups divide medians. Each row
+/// also records the resident bytes per subscriber (workload arenas +
+/// previous selection + fleet ledger, measured by [`MemoryFootprint`]).
+/// Returns the human-readable report and a machine-readable JSON document
+/// (`BENCH_churn.json`).
 pub fn fig_churn_speedup(
     cases: &[ChurnCase<'_>],
     instance: InstanceType,
@@ -554,15 +485,15 @@ pub fn fig_churn_speedup(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# churn-path repair, τ={tau}, {} epochs per level (Δ-MT = threaded repair)",
-        epochs
+        "# churn-path repair, τ={tau}, min/median/max ms of {epochs} epochs per level \
+         (Δ-MT = threaded repair)"
     );
     let mut t = Table::new(vec![
         "subs".into(),
         "churn%".into(),
-        "solve ns/epoch".into(),
-        "Δ ns/epoch".into(),
-        "Δ-MT ns/epoch".into(),
+        "solve ms/epoch".into(),
+        "Δ ms/epoch".into(),
+        "Δ-MT ms/epoch".into(),
         "speedup".into(),
         "MT speedup".into(),
         "moved/epoch".into(),
@@ -603,7 +534,7 @@ pub fn fig_churn_speedup(
                     .expect("first epoch solves");
             }
 
-            let (mut full_ns, mut dirty_ns, mut mt_ns) = (0u128, 0u128, 0u128);
+            let (mut full_ns, mut dirty_ns, mut mt_ns) = (Vec::new(), Vec::new(), Vec::new());
             let (mut moved, mut reused) = (0u64, 0u64);
             let mut fleet = 0usize;
             for epoch in 0..epochs {
@@ -612,12 +543,12 @@ pub fn fig_churn_speedup(
                 let step = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
                 let t0 = Instant::now();
                 let f = full.solve(&step, &cost).expect("feasible epoch");
-                full_ns += t0.elapsed().as_nanos();
+                full_ns.push(t0.elapsed().as_nanos());
                 let t1 = Instant::now();
                 let d = dirty
                     .step_with_delta(&step, &cost, &delta)
                     .expect("repairable");
-                dirty_ns += t1.elapsed().as_nanos();
+                dirty_ns.push(t1.elapsed().as_nanos());
                 assert_eq!(
                     d.selection, f.selection,
                     "dirty path diverged from the full solve's selection"
@@ -627,7 +558,7 @@ pub fn fig_churn_speedup(
                     let m = mt
                         .step_with_delta(&step, &cost, &delta)
                         .expect("repairable");
-                    mt_ns += t2.elapsed().as_nanos();
+                    mt_ns.push(t2.elapsed().as_nanos());
                     assert_eq!(
                         m.selection, f.selection,
                         "threaded repair diverged from the full solve's selection"
@@ -643,23 +574,24 @@ pub fn fig_churn_speedup(
             let (sel, ledger, _) = dirty.checkpoint().expect("primed reallocator has state");
             let footprint = MemoryFootprint::measure(&w, Some(sel), Some(ledger));
             let bytes_per_sub = footprint.bytes_per_subscriber();
-            let full_per = full_ns / u128::from(epochs);
-            let dirty_per = (dirty_ns / u128::from(epochs)).max(1);
-            let mt_per = (mt_ns / u128::from(epochs)).max(1);
-            let speedup = full_per as f64 / dirty_per as f64;
-            let mt_speedup = full_per as f64 / mt_per as f64;
+            let full_per = EpochSpread::of(full_ns);
+            let dirty_per = EpochSpread::of(dirty_ns);
+            let speedup = full_per.median as f64 / dirty_per.median.max(1) as f64;
             let moved_per = moved / epochs;
             let reused_per = reused / epochs;
-            let mt_cols = if dirty_mt.is_some() {
-                (mt_per.to_string(), format!("{mt_speedup:.1}x"))
-            } else {
-                ("-".into(), "-".into())
+            let mt = dirty_mt.is_some().then(|| {
+                let mt_per = EpochSpread::of(mt_ns);
+                (mt_per, full_per.median as f64 / mt_per.median.max(1) as f64)
+            });
+            let mt_cols = match mt {
+                Some((mt_per, mt_speedup)) => (mt_per.ms(), format!("{mt_speedup:.1}x")),
+                None => ("-".into(), "-".into()),
             };
             t.row(vec![
                 subs.to_string(),
                 churn_pct.to_string(),
-                full_per.to_string(),
-                dirty_per.to_string(),
+                full_per.ms(),
+                dirty_per.ms(),
                 mt_cols.0,
                 format!("{speedup:.1}x"),
                 mt_cols.1,
@@ -667,18 +599,22 @@ pub fn fig_churn_speedup(
                 fleet.to_string(),
                 format!("{bytes_per_sub:.1}"),
             ]);
-            let mt_json = if dirty_mt.is_some() {
-                format!("\"delta_mt_ns_per_epoch\": {mt_per}, \"mt_speedup\": {mt_speedup:.2}, ")
-            } else {
-                String::new()
+            let mt_json = match mt {
+                Some((mt_per, mt_speedup)) => format!(
+                    "{}, \"mt_speedup\": {mt_speedup:.2}, ",
+                    mt_per.json("delta_mt")
+                ),
+                None => String::new(),
             };
             json_rows.push(format!(
                 "    {{\"trace\": \"{}\", \"subscribers\": {subs}, \"churn_pct\": {churn_pct}, \
-                 \"threads\": {}, \"full_ns_per_epoch\": {full_per}, \
-                 \"delta_ns_per_epoch\": {dirty_per}, {mt_json}\"speedup\": {speedup:.2}, \
+                 \"threads\": {}, {}, {}, {mt_json}\"speedup\": {speedup:.2}, \
                  \"pairs_moved_per_epoch\": {moved_per}, \"pairs_reused_per_epoch\": {reused_per}, \
                  \"fleet_vms\": {fleet}, \"bytes_per_subscriber\": {bytes_per_sub:.2}}}",
-                scenario.name, case.threads
+                scenario.name,
+                case.threads,
+                full_per.json("full"),
+                dirty_per.json("delta"),
             ));
         }
     }
@@ -686,10 +622,10 @@ pub fn fig_churn_speedup(
     let _ = writeln!(
         out,
         "# every epoch's dirty-path selections equal the full solve's and \
-         the repaired fleets validate; speedup is Solver::solve ns/epoch \
-         over dirty-path ns/epoch (MT speedup: over the threaded dirty \
-         path); B/sub counts resident workload arenas + selection + fleet \
-         ledger"
+         the repaired fleets validate; speedup is the median Solver::solve \
+         time per epoch over the median dirty-path time (MT speedup: over \
+         the threaded dirty path); B/sub counts resident workload arenas + \
+         selection + fleet ledger"
     );
     let json = format!(
         "{{\n  \"bench\": \"churn_epoch\",\n  \"tau\": {tau},\n  \
@@ -698,6 +634,47 @@ pub fn fig_churn_speedup(
         json_rows.join(",\n")
     );
     (out, json)
+}
+
+/// Min, median and max of one `fig_churn_speedup` column's per-epoch
+/// times, in ns. The median is the upper one for an even epoch count.
+#[derive(Clone, Copy)]
+struct EpochSpread {
+    min: u128,
+    median: u128,
+    max: u128,
+}
+
+impl EpochSpread {
+    fn of(mut ns: Vec<u128>) -> Self {
+        ns.sort_unstable();
+        EpochSpread {
+            min: ns[0],
+            median: ns[ns.len() / 2],
+            max: ns[ns.len() - 1],
+        }
+    }
+
+    /// `min/median/max` in ms, for the table.
+    fn ms(&self) -> String {
+        let ms = |ns: u128| ns as f64 / 1e6;
+        format!(
+            "{:.2}/{:.2}/{:.2}",
+            ms(self.min),
+            ms(self.median),
+            ms(self.max)
+        )
+    }
+
+    /// The `<column>_ns_per_epoch` JSON field (the median) with its
+    /// `_min` and `_max` beside it.
+    fn json(&self, column: &str) -> String {
+        format!(
+            "\"{column}_ns_per_epoch\": {}, \"{column}_ns_per_epoch_min\": {}, \
+             \"{column}_ns_per_epoch_max\": {}",
+            self.median, self.min, self.max
+        )
+    }
 }
 
 /// `Daemon::resume` calls per [`fig_serve`] recovery row. Single resumes of
@@ -1856,16 +1833,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_speedup_report_runs_on_small_scenario() {
-        let s = Scenario::spotify(600, 9);
-        let text = fig_sharded_speedup(&s, instances::C3_LARGE, 50);
-        assert!(text.contains("shards"));
-        assert!(text.contains("speedup"));
-        // Satisfaction must match monolithic on every row.
-        assert!(!text.contains("false"), "satisfaction diverged:\n{text}");
-    }
-
-    #[test]
     fn churn_speedup_report_runs_on_small_scenario() {
         let s = Scenario::spotify(500, 9);
         let cases = [ChurnCase {
@@ -1880,6 +1847,8 @@ mod tests {
         assert!(json.contains("\"churn_pct\": 20"));
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"delta_mt_ns_per_epoch\""));
+        assert!(json.contains("\"full_ns_per_epoch_min\""));
+        assert!(json.contains("\"delta_ns_per_epoch_max\""));
         assert!(json.contains("\"bytes_per_subscriber\""));
         assert!(json.contains("ns_per_epoch"));
     }

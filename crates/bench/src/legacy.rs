@@ -13,7 +13,7 @@
 use cloud_cost::CostModel;
 use mcss_core::stage2::cheaper_to_distribute;
 use mcss_core::{Allocation, McssError, McssInstance, Selection, SelectionBuilder};
-use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadView};
+use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -24,35 +24,35 @@ use std::collections::BinaryHeap;
 /// loop before the rate-ranked arena made the sweep sort-free.
 /// Bit-identical to `GreedySelectPairs` by construction.
 pub fn legacy_gsp_select(instance: &McssInstance) -> Selection {
-    let view = instance.workload().view();
+    let workload = instance.workload();
     let tau = instance.tau();
-    let n = view.num_subscribers();
+    let n = workload.num_subscribers();
     let mut builder = SelectionBuilder::with_capacity(n, n);
     let mut order: Vec<TopicId> = Vec::new();
     let mut chosen: Vec<bool> = Vec::new();
     for vi in 0..n {
         let v = SubscriberId::new(vi as u32);
         builder.push_row_with(|row| {
-            legacy_select_for_subscriber_into(view, v, tau, &mut order, &mut chosen, row)
+            legacy_select_for_subscriber_into(workload, v, tau, &mut order, &mut chosen, row)
         });
     }
     builder.build()
 }
 
 fn legacy_select_for_subscriber_into(
-    view: WorkloadView<'_>,
+    workload: &Workload,
     v: SubscriberId,
     tau: Rate,
     order: &mut Vec<TopicId>,
     chosen: &mut Vec<bool>,
     out: &mut Vec<TopicId>,
 ) {
-    let interests = view.interests(v);
+    let interests = workload.interests(v);
     if interests.is_empty() {
         return;
     }
-    let tau_v = view.tau_v(v, tau);
-    let total = view.subscriber_total_rate(v);
+    let tau_v = workload.tau_v(v, tau);
+    let total = workload.subscriber_total_rate(v);
     if total <= tau_v {
         out.extend_from_slice(interests);
         return;
@@ -61,7 +61,7 @@ fn legacy_select_for_subscriber_into(
     // The per-subscriber sort the arena path eliminated.
     order.clear();
     order.extend_from_slice(interests);
-    order.sort_unstable_by(|&a, &b| view.rate(b).cmp(&view.rate(a)).then(a.cmp(&b)));
+    order.sort_unstable_by(|&a, &b| workload.rate(b).cmp(&workload.rate(a)).then(a.cmp(&b)));
 
     chosen.clear();
     chosen.resize(order.len(), false);
@@ -70,7 +70,7 @@ fn legacy_select_for_subscriber_into(
         if rem.is_zero() {
             break;
         }
-        let ev = view.rate(t);
+        let ev = workload.rate(t);
         if ev <= rem {
             out.push(t);
             chosen[i] = true;
@@ -83,7 +83,7 @@ fn legacy_select_for_subscriber_into(
             .zip(chosen.iter())
             .filter(|(_, &c)| !c)
             .map(|(&t, _)| t)
-            .min_by_key(|&t| (view.rate(t), t))
+            .min_by_key(|&t| (workload.rate(t), t))
             .expect("total > tau_v guarantees an unchosen topic remains");
         out.push(cheapest_exceeder);
     }

@@ -42,9 +42,8 @@ use std::fmt;
 /// while the larger tiers remain available for topic groups that do not
 /// fit a small VM.
 ///
-/// Every tier must agree on the billing window, message size, transfer
-/// price, and volume scale, so `C2` (bandwidth cost) is a property of the
-/// fleet rather than of any one tier.
+/// Every tier must agree on the volume scale, so `C2` (bandwidth cost) is
+/// a property of the fleet rather than of any one tier.
 #[derive(Clone, Debug, Serialize)]
 pub struct FleetCostModel {
     tiers: Vec<Ec2CostModel>,
@@ -57,20 +56,14 @@ impl FleetCostModel {
     /// # Panics
     ///
     /// Panics if `tiers` is empty, if two tiers share an instance-type
-    /// name, or if the tiers disagree on window, message size, transfer
-    /// price, or volume scale.
+    /// name, or if the tiers disagree on the volume scale.
     pub fn new(mut tiers: Vec<Ec2CostModel>) -> Self {
         assert!(!tiers.is_empty(), "a fleet needs at least one tier");
-        let first = tiers[0].clone();
-        for tier in &tiers[1..] {
-            assert!(
-                tier.window() == first.window()
-                    && tier.message_bytes() == first.message_bytes()
-                    && tier.transfer_price() == first.transfer_price()
-                    && tier.volume_scale() == first.volume_scale(),
-                "fleet tiers must share window, message size, transfer price, and scale"
-            );
-        }
+        let scale = tiers[0].volume_scale();
+        assert!(
+            tiers.iter().all(|tier| tier.volume_scale() == scale),
+            "fleet tiers must share the volume scale"
+        );
         tiers.sort_by(|a, b| density_cmp(a, b).then(a.capacity().cmp(&b.capacity())));
         // Tier names must be unique fleet-wide (reports resolve tiers by
         // name), and the density sort can interleave duplicates — check
@@ -158,7 +151,8 @@ impl FleetCostModel {
     }
 
     /// `C2`: price of the fleet's aggregate event volume. All tiers share
-    /// one transfer price, so this is tier-independent.
+    /// the transfer price and the volume scale, so this is
+    /// tier-independent.
     pub fn bandwidth_cost(&self, volume: Bandwidth) -> Money {
         self.tiers[0].bandwidth_cost(volume)
     }

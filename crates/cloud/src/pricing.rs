@@ -116,9 +116,6 @@ pub trait CostModel: fmt::Debug + Send + Sync {
 #[derive(Clone, Debug, Serialize)]
 pub struct Ec2CostModel {
     instance: InstanceType,
-    window: BillingWindow,
-    message_bytes: u64,
-    transfer_per_gb: Money,
     /// One synthetic event represents `scale_paper / scale_synth` real events.
     scale_paper: u64,
     scale_synth: u64,
@@ -152,9 +149,6 @@ impl Ec2CostModel {
     pub fn paper_default(instance: InstanceType) -> Self {
         Ec2CostModel {
             instance,
-            window: BillingWindow::PAPER,
-            message_bytes: Self::PAPER_MESSAGE_BYTES,
-            transfer_per_gb: Self::PAPER_TRANSFER_PER_GB,
             scale_paper: 1,
             scale_synth: 1,
             capacity_events_override: None,
@@ -183,29 +177,6 @@ impl Ec2CostModel {
         self
     }
 
-    /// Replaces the billing window.
-    pub fn with_window(mut self, window: BillingWindow) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Replaces the per-event message size in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn with_message_bytes(mut self, bytes: u64) -> Self {
-        assert!(bytes > 0, "message size must be positive");
-        self.message_bytes = bytes;
-        self
-    }
-
-    /// Replaces the transfer price per GB.
-    pub fn with_transfer_price(mut self, per_gb: Money) -> Self {
-        self.transfer_per_gb = per_gb;
-        self
-    }
-
     /// Declares the experiment scale: the synthetic workload has
     /// `synthetic` subscribers standing in for `paper` real ones.
     ///
@@ -224,21 +195,6 @@ impl Ec2CostModel {
         self.instance
     }
 
-    /// The billing window.
-    pub fn window(&self) -> BillingWindow {
-        self.window
-    }
-
-    /// The per-event message size in bytes.
-    pub fn message_bytes(&self) -> u64 {
-        self.message_bytes
-    }
-
-    /// The transfer price per GB.
-    pub fn transfer_price(&self) -> Money {
-        self.transfer_per_gb
-    }
-
     /// The declared `(synthetic, paper)` volume scale (see
     /// [`Ec2CostModel::with_volume_scale`]); `(1, 1)` means full scale.
     pub fn volume_scale(&self) -> (u64, u64) {
@@ -255,7 +211,8 @@ impl Ec2CostModel {
         let events = match self.capacity_events_override {
             Some(e) => u128::from(e),
             None => {
-                self.instance.capacity_bytes(self.window.seconds()) / u128::from(self.message_bytes)
+                self.instance.capacity_bytes(BillingWindow::PAPER.seconds())
+                    / u128::from(Self::PAPER_MESSAGE_BYTES)
             }
         };
         let scaled = events * u128::from(self.scale_synth) / u128::from(self.scale_paper);
@@ -264,7 +221,9 @@ impl Ec2CostModel {
 
     /// Bytes represented by an event volume at full (paper) scale.
     pub fn volume_to_bytes(&self, volume: Bandwidth) -> u128 {
-        u128::from(volume.get()) * u128::from(self.message_bytes) * u128::from(self.scale_paper)
+        u128::from(volume.get())
+            * u128::from(Self::PAPER_MESSAGE_BYTES)
+            * u128::from(self.scale_paper)
             / u128::from(self.scale_synth)
     }
 
@@ -276,12 +235,11 @@ impl Ec2CostModel {
 
 impl CostModel for Ec2CostModel {
     fn vm_cost(&self, vms: usize) -> Money {
-        self.instance.hourly_price() * (vms as u64) * self.window.billed_hours()
+        self.instance.hourly_price() * (vms as u64) * BillingWindow::PAPER.billed_hours()
     }
 
     fn bandwidth_cost(&self, volume: Bandwidth) -> Money {
-        self.transfer_per_gb
-            .mul_ratio(self.volume_to_bytes(volume), 1_000_000_000)
+        Self::PAPER_TRANSFER_PER_GB.mul_ratio(self.volume_to_bytes(volume), 1_000_000_000)
     }
 }
 

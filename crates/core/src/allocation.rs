@@ -2,7 +2,6 @@
 
 use cloud_cost::{CostModel, FleetCostModel, InstanceType, Money};
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Per-VM instance typing of a heterogeneous fleet.
@@ -275,28 +274,6 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Assembles an allocation from per-VM topic→subscribers tables — the
-    /// hash-map twin of [`Allocation::from_groups`], kept for external
-    /// packers (and tests) that produce their own placements.
-    ///
-    /// Per-VM bandwidth is recomputed from the tables and placements are
-    /// sorted for deterministic output. No constraint is checked here;
-    /// call [`Allocation::validate`] afterwards.
-    pub fn from_tables(
-        tables: Vec<HashMap<TopicId, Vec<SubscriberId>>>,
-        workload: &Workload,
-        capacity: Bandwidth,
-    ) -> Allocation {
-        Allocation::from_groups(
-            tables
-                .into_iter()
-                .map(|table| table.into_iter().collect())
-                .collect(),
-            workload,
-            capacity,
-        )
-    }
-
     /// Wraps pre-assembled VMs without re-sorting or recomputing
     /// bandwidth (see [`VmAllocation::from_sorted_parts`]).
     pub(crate) fn from_vm_allocations(vms: Vec<VmAllocation>, capacity: Bandwidth) -> Allocation {
@@ -389,8 +366,9 @@ impl Allocation {
     }
 
     /// Consumes the allocation, yielding per-VM `(topic, subscribers)`
-    /// rows sorted by topic id (used by the sharded solver to merge shard
-    /// fleets without cloning or re-hashing the placement lists).
+    /// rows sorted by topic id (used by the anytime search and the
+    /// mixed-fleet re-typing to take the fleet over without cloning the
+    /// placement lists).
     pub(crate) fn into_vm_groups(self) -> Vec<Vec<(TopicId, Vec<SubscriberId>)>> {
         self.vms
             .into_iter()
@@ -404,9 +382,9 @@ impl Allocation {
     }
 
     /// Assembles an allocation from per-VM `(topic, subscribers)` rows —
-    /// the ledger-native constructor: the Stage-2 allocators, the sharded
-    /// merge, and the incremental [`FleetLedger`](crate::FleetLedger) all
-    /// keep their fleets in this layout, so assembly is a sort + bandwidth
+    /// the ledger-native constructor: the Stage-2 allocators and the
+    /// incremental [`FleetLedger`](crate::FleetLedger) both keep their
+    /// fleets in this layout, so assembly is a sort + bandwidth
     /// recompute with no hashing pass. No constraint is checked here; call
     /// [`Allocation::validate`] afterwards.
     ///
@@ -705,7 +683,8 @@ mod tests {
         b.build()
     }
 
-    fn table(entries: &[(u32, &[u32])]) -> HashMap<TopicId, Vec<SubscriberId>> {
+    /// One VM's `(topic, subscribers)` rows.
+    fn rows(entries: &[(u32, &[u32])]) -> Vec<(TopicId, Vec<SubscriberId>)> {
         entries
             .iter()
             .map(|&(t, vs)| {
@@ -722,8 +701,8 @@ mod tests {
         let w = workload();
         // One VM with both pairs of t1 and the single pair of t0:
         // outgoing 20+10+10 = 40, incoming 20+10 = 30, total 70.
-        let a = Allocation::from_tables(
-            vec![table(&[(0, &[0]), (1, &[0, 1])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(0, &[0]), (1, &[0, 1])])],
             &w,
             Bandwidth::new(100),
         );
@@ -738,8 +717,8 @@ mod tests {
     #[test]
     fn splitting_topic_doubles_incoming() {
         let w = workload();
-        let a = Allocation::from_tables(
-            vec![table(&[(1, &[0])]), table(&[(1, &[1])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(1, &[0])]), rows(&[(1, &[1])])],
             &w,
             Bandwidth::new(100),
         );
@@ -751,8 +730,8 @@ mod tests {
     #[test]
     fn validate_catches_capacity_violation() {
         let w = workload();
-        let a = Allocation::from_tables(
-            vec![table(&[(0, &[0]), (1, &[0, 1])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(0, &[0]), (1, &[0, 1])])],
             &w,
             Bandwidth::new(69),
         );
@@ -770,11 +749,8 @@ mod tests {
     fn validate_catches_starvation() {
         let w = workload();
         // Only v0 served; v1 needs 10 (τ_v = min(30, 10)).
-        let a = Allocation::from_tables(
-            vec![table(&[(0, &[0]), (1, &[0])])],
-            &w,
-            Bandwidth::new(100),
-        );
+        let a =
+            Allocation::from_groups(vec![rows(&[(0, &[0]), (1, &[0])])], &w, Bandwidth::new(100));
         assert_eq!(
             a.validate(&w, Rate::new(30)),
             Err(AllocationError::UnsatisfiedSubscriber {
@@ -788,11 +764,9 @@ mod tests {
     #[test]
     fn validate_catches_duplicate_subscriber() {
         let w = workload();
-        let mut t = table(&[(1, &[0])]);
-        t.get_mut(&TopicId::new(1))
-            .unwrap()
-            .push(SubscriberId::new(0));
-        let a = Allocation::from_tables(vec![t], &w, Bandwidth::new(100));
+        let mut vm0 = rows(&[(1, &[0])]);
+        vm0[0].1.push(SubscriberId::new(0));
+        let a = Allocation::from_groups(vec![vm0], &w, Bandwidth::new(100));
         assert_eq!(
             a.validate(&w, Rate::ZERO),
             Err(AllocationError::DuplicatePair {
@@ -807,7 +781,7 @@ mod tests {
     fn validate_catches_foreign_pair() {
         let w = workload();
         // v1 never subscribed to t0.
-        let a = Allocation::from_tables(vec![table(&[(0, &[1])])], &w, Bandwidth::new(100));
+        let a = Allocation::from_groups(vec![rows(&[(0, &[1])])], &w, Bandwidth::new(100));
         assert_eq!(
             a.validate(&w, Rate::ZERO),
             Err(AllocationError::ForeignPair {
@@ -1237,8 +1211,8 @@ mod tests {
     #[test]
     fn cross_vm_duplicates_count_once_for_delivery() {
         let w = workload();
-        let a = Allocation::from_tables(
-            vec![table(&[(1, &[1])]), table(&[(1, &[1])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(1, &[1])]), rows(&[(1, &[1])])],
             &w,
             Bandwidth::new(100),
         );
@@ -1252,8 +1226,8 @@ mod tests {
     fn cost_uses_model() {
         use cloud_cost::LinearCostModel;
         let w = workload();
-        let a = Allocation::from_tables(
-            vec![table(&[(1, &[0, 1])]), table(&[(0, &[0])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(1, &[0, 1])]), rows(&[(0, &[0])])],
             &w,
             Bandwidth::new(100),
         );
@@ -1269,8 +1243,8 @@ mod tests {
         use cloud_cost::instances;
         let w = workload();
         // VM0 uses 70 (needs the big tier), VM1 uses 20 (fits the small).
-        let a = Allocation::from_tables(
-            vec![table(&[(0, &[0]), (1, &[0, 1])]), table(&[(1, &[1])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(0, &[0]), (1, &[0, 1])]), rows(&[(1, &[1])])],
             &w,
             Bandwidth::new(100),
         );
@@ -1306,8 +1280,8 @@ mod tests {
     fn cost_on_fleet_prices_each_tier() {
         use cloud_cost::{instances, Ec2CostModel, FleetCostModel};
         let w = workload();
-        let a = Allocation::from_tables(
-            vec![table(&[(0, &[0]), (1, &[0, 1])]), table(&[(1, &[1])])],
+        let a = Allocation::from_groups(
+            vec![rows(&[(0, &[0]), (1, &[0, 1])]), rows(&[(1, &[1])])],
             &w,
             Bandwidth::new(100),
         );
@@ -1333,7 +1307,7 @@ mod tests {
     fn typing_length_mismatch_panics() {
         use cloud_cost::instances;
         let w = workload();
-        let a = Allocation::from_tables(vec![table(&[(1, &[0])])], &w, Bandwidth::new(100));
+        let a = Allocation::from_groups(vec![rows(&[(1, &[0])])], &w, Bandwidth::new(100));
         let _ = a.with_typing(FleetTyping::new(
             vec![(instances::C3_LARGE, Bandwidth::new(100))],
             vec![0, 0],
@@ -1345,7 +1319,7 @@ mod tests {
         let mut b = Workload::builder();
         b.add_topic(Rate::new(5)).unwrap();
         let w = b.build(); // no subscribers
-        let a = Allocation::from_tables(Vec::new(), &w, Bandwidth::new(10));
+        let a = Allocation::from_groups(Vec::new(), &w, Bandwidth::new(10));
         assert_eq!(a.vm_count(), 0);
         assert!(a.validate(&w, Rate::new(100)).is_ok());
     }

@@ -370,7 +370,6 @@ fn priced_report(
         vm_cost,
         bandwidth_cost,
         total_cost: vm_cost + bandwidth_cost,
-        shards: 1,
         lower_bound_vms: lb.vms,
         lower_bound_volume: lb.volume,
         lower_bound_cost: lb.cost(cost),

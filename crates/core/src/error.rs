@@ -8,8 +8,6 @@ use std::fmt;
 pub enum McssError {
     /// The per-VM bandwidth capacity was zero; no pair can ever be placed.
     ZeroCapacity,
-    /// A sharded solve was configured with zero shards.
-    ZeroShards,
     /// A selected topic cannot be placed on any VM: its single-pair cost
     /// `2·ev_t` (incoming + one outgoing stream) exceeds the capacity.
     InfeasibleTopic {
@@ -42,7 +40,6 @@ impl fmt::Display for McssError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             McssError::ZeroCapacity => write!(f, "per-VM bandwidth capacity must be positive"),
-            McssError::ZeroShards => write!(f, "shard count must be at least 1"),
             McssError::InfeasibleTopic {
                 topic,
                 required,

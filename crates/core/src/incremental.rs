@@ -48,7 +48,7 @@ use crate::{
     Allocation, McssError, McssInstance, Selection, SelectionBuilder, SelectionDiff, TopicGroups,
 };
 use cloud_cost::{CostModel, FleetCostModel};
-use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadView};
+use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -589,12 +589,11 @@ impl IncrementalReallocator {
 
         // --- Stage 1: re-select dirty rows, reuse the rest -------------
         // Reads no ledger state, so it runs before the ledger changes.
-        let view = workload.view();
         let (selection, pairs_reused) = build_in_ranges(
             n,
             self.config.repair_threads,
             prev.selection.pair_count() as usize,
-            |range, builder| reselect_dirty(view, &prev.selection, &dirty, tau, range, builder),
+            |range, builder| reselect_dirty(workload, &prev.selection, &dirty, tau, range, builder),
         );
 
         // --- Feasibility, before the ledger changes --------------------
@@ -947,7 +946,7 @@ impl IncrementalReallocator {
 /// subscriber always has a previous row — dirty tracking marks everyone
 /// past the old subscriber count). Returns the pairs copied.
 fn reselect_dirty(
-    view: WorkloadView<'_>,
+    workload: &Workload,
     prev: &Selection,
     dirty: &[bool],
     tau: Rate,
@@ -959,7 +958,7 @@ fn reselect_dirty(
     while vi < range.end {
         if dirty[vi] {
             let v = SubscriberId::new(vi as u32);
-            builder.push_row_with(|row| select_for_subscriber_into(view, v, tau, row));
+            builder.push_row_with(|row| select_for_subscriber_into(workload, v, tau, row));
             vi += 1;
         } else {
             let run_end = dirty[vi..range.end]

@@ -29,7 +29,6 @@
 //! | O(Δ) churn ledger (extension) | [`FleetLedger`] |
 //! | event-sourced serving + crash recovery (extension) | [`serve`] |
 //! | zero-rebuild single-file store (extension) | [`store`], `mcss_store` |
-//! | shard-parallel solving + fleet merge (extension) | [`ShardedSolver`], [`ShardingConfig`] |
 //! | Best-/Next-Fit baselines (extension) | [`stage2::BestFitBinPacking`], [`stage2::NextFitBinPacking`] |
 //! | heterogeneous (mixed) fleets (extension) | [`stage2::MixedFleetPacker`], [`FleetTyping`], [`Solver::solve_mixed`] |
 //! | instance-type planning (conclusion's "provisioning tool") | [`planner::plan_instance_type`], [`planner::plan_mixed`] |
@@ -81,7 +80,6 @@ mod problem;
 pub mod reduction;
 mod selection;
 pub mod serve;
-mod shard;
 pub mod stage1;
 pub mod stage2;
 pub mod store;
@@ -97,8 +95,4 @@ pub use pipeline::{
 };
 pub use problem::McssInstance;
 pub use selection::{Selection, SelectionBuilder, SelectionDiff, TopicGroups};
-pub use shard::{
-    partition_subscribers, MergeStats, PartitionerKind, ShardedOutcome, ShardedSolver,
-    ShardingConfig,
-};
 pub use stage2::{ImproveReport, SearchBudget};

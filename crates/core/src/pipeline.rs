@@ -1,6 +1,5 @@
 //! The end-to-end two-stage solver pipeline with timing and reporting.
 
-use crate::shard::{ShardedSolver, ShardingConfig};
 use crate::stage1::{
     GreedySelectPairs, OptimalSelectPairs, PairSelector, RandomSelectPairs, SharedAwareGreedy,
 };
@@ -94,19 +93,14 @@ impl AllocatorKind {
     }
 }
 
-/// Pipeline configuration: one selector, one allocator, and optionally a
-/// shard-parallel execution plan.
+/// Pipeline configuration: one selector, one allocator, and an optional
+/// refinement budget.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverParams {
     /// Stage-1 algorithm.
     pub selector: SelectorKind,
     /// Stage-2 algorithm.
     pub allocator: AllocatorKind,
-    /// When set with `shards ≥ 2`, the solve partitions subscribers and
-    /// runs both stages per shard in parallel (see
-    /// [`ShardedSolver`](crate::ShardedSolver)); `None` or one shard is
-    /// the classic monolithic pipeline.
-    pub sharding: Option<ShardingConfig>,
     /// When set, Stage 2's output is post-processed by the anytime
     /// improvement engine ([`stage2::improve`](crate::stage2::improve))
     /// under this budget, stopping early at the Alg. 5 lower-bound
@@ -115,12 +109,6 @@ pub struct SolverParams {
 }
 
 impl SolverParams {
-    /// Returns these parameters with a sharded execution plan.
-    pub fn with_sharding(mut self, sharding: ShardingConfig) -> Self {
-        self.sharding = Some(sharding);
-        self
-    }
-
     /// Returns these parameters with an anytime refinement budget.
     pub fn with_refinement(mut self, budget: SearchBudget) -> Self {
         self.refine = Some(budget);
@@ -129,13 +117,11 @@ impl SolverParams {
 }
 
 impl Default for SolverParams {
-    /// The paper's recommended combination: GSP + fully-optimized CBP,
-    /// monolithic.
+    /// The paper's recommended combination: GSP + fully-optimized CBP.
     fn default() -> Self {
         SolverParams {
             selector: SelectorKind::Greedy,
             allocator: AllocatorKind::custom_full(),
-            sharding: None,
             refine: None,
         }
     }
@@ -188,8 +174,6 @@ pub struct SolveReport {
     pub bandwidth_cost: Money,
     /// The objective `C1 + C2`.
     pub total_cost: Money,
-    /// Shards the solve ran over (1 = monolithic).
-    pub shards: usize,
     /// Alg. 5 bound on VMs.
     pub lower_bound_vms: u64,
     /// Alg. 5 bound on volume.
@@ -216,15 +200,7 @@ impl SolveReport {
 
 impl fmt::Display for SolveReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.shards > 1 {
-            writeln!(
-                f,
-                "pipeline:        {} + {} over {} shards",
-                self.selector, self.allocator, self.shards
-            )?;
-        } else {
-            writeln!(f, "pipeline:        {} + {}", self.selector, self.allocator)?;
-        }
+        writeln!(f, "pipeline:        {} + {}", self.selector, self.allocator)?;
         writeln!(f, "pairs selected:  {}", self.pairs_selected)?;
         writeln!(
             f,
@@ -360,10 +336,9 @@ impl Solver {
         self.params
     }
 
-    /// Runs Stage 1 then Stage 2 — monolithically, or shard-parallel when
-    /// [`SolverParams::sharding`] asks for two or more shards — validates
-    /// nothing (callers validate via [`Allocation::validate`]), and
-    /// reports metrics including the Alg. 5 lower bound.
+    /// Runs Stage 1 then Stage 2, validates nothing (callers validate via
+    /// [`Allocation::validate`]), and reports metrics including the Alg. 5
+    /// lower bound.
     ///
     /// ```
     /// use cloud_cost::{instances, Ec2CostModel};
@@ -387,22 +362,12 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Propagates selector and allocator errors ([`McssError`]);
-    /// [`McssError::ZeroShards`] if sharding is configured with zero
-    /// shards.
+    /// Propagates selector and allocator errors ([`McssError`]).
     pub fn solve(
         &self,
         instance: &McssInstance,
         cost: &dyn CostModel,
     ) -> Result<SolveOutcome, McssError> {
-        if let Some(sharding) = self.params.sharding {
-            if sharding.shards == 0 {
-                return Err(McssError::ZeroShards);
-            }
-            if sharding.shards > 1 {
-                return self.solve_sharded(instance, cost, sharding);
-            }
-        }
         let selector = self.params.selector.build();
         let allocator = self.params.allocator.build();
         let workload = instance.workload();
@@ -414,17 +379,35 @@ impl Solver {
         let t1 = Instant::now();
         let allocation = allocator.allocate(workload, &selection, instance.capacity(), cost)?;
         let stage2_time = t1.elapsed();
-        let (allocation, refinement) = self.maybe_refine(instance, cost, allocation);
+        let lb = lower_bound(workload, instance.tau(), instance.capacity());
+        let (allocation, refinement) = match self.params.refine {
+            Some(budget) => {
+                let (refined, report) = improve(allocation, workload, cost, lb.cost(cost), budget);
+                (refined, Some(report))
+            }
+            None => (allocation, None),
+        };
 
-        let report = self.report(
-            instance,
-            cost,
-            &selection,
-            &allocation,
-            1,
+        let total_bandwidth = allocation.total_bandwidth();
+        let vm_cost = cost.vm_cost(allocation.vm_count());
+        let bandwidth_cost = cost.bandwidth_cost(total_bandwidth);
+        let report = SolveReport {
+            selector: self.params.selector.name(),
+            allocator: self.params.allocator.name(),
+            pairs_selected: selection.pair_count(),
+            vm_count: allocation.vm_count(),
+            total_bandwidth,
+            outgoing: allocation.outgoing_volume(workload),
+            incoming: allocation.incoming_volume(workload),
+            vm_cost,
+            bandwidth_cost,
+            total_cost: vm_cost + bandwidth_cost,
+            lower_bound_vms: lb.vms,
+            lower_bound_volume: lb.volume,
+            lower_bound_cost: lb.cost(cost),
             stage1_time,
             stage2_time,
-        );
+        };
         Ok(SolveOutcome {
             allocation,
             selection,
@@ -433,31 +416,12 @@ impl Solver {
         })
     }
 
-    /// Applies the anytime improvement pass when
-    /// [`SolverParams::refine`] is set, with the Alg. 5 bound as the
-    /// stopping certificate.
-    fn maybe_refine(
-        &self,
-        instance: &McssInstance,
-        cost: &dyn CostModel,
-        allocation: Allocation,
-    ) -> (Allocation, Option<ImproveReport>) {
-        let Some(budget) = self.params.refine else {
-            return (allocation, None);
-        };
-        let workload = instance.workload();
-        let lb = lower_bound(workload, instance.tau(), instance.capacity());
-        let (refined, report) = improve(allocation, workload, cost, lb.cost(cost), budget);
-        (refined, Some(report))
-    }
-
     /// Runs Stage 1 with the configured selector, then packs onto a
     /// **heterogeneous fleet** through
     /// [`MixedFleetPacker`](crate::stage2::MixedFleetPacker). The
     /// instance's capacity should be [`FleetCostModel::max_capacity`]
-    /// (the fleet-wide feasibility bound); the allocator and sharding
-    /// parameters are ignored — mixed packing is monolithic and always
-    /// CBP-derived.
+    /// (the fleet-wide feasibility bound); the allocator parameter is
+    /// ignored — mixed packing is always CBP-derived.
     ///
     /// The returned fleet never costs more than the best homogeneous
     /// fleet over the same selection (the packer keeps a
@@ -550,67 +514,6 @@ impl Solver {
             report,
             refinement,
         })
-    }
-
-    fn solve_sharded(
-        &self,
-        instance: &McssInstance,
-        cost: &dyn CostModel,
-        sharding: ShardingConfig,
-    ) -> Result<SolveOutcome, McssError> {
-        let sharded = ShardedSolver::new(self.params, sharding).solve(instance, cost)?;
-        let (allocation, refinement) = self.maybe_refine(instance, cost, sharded.allocation);
-        let report = self.report(
-            instance,
-            cost,
-            &sharded.selection,
-            &allocation,
-            sharding.shards,
-            sharded.stage1_time,
-            sharded.stage2_time,
-        );
-        Ok(SolveOutcome {
-            allocation,
-            selection: sharded.selection,
-            report,
-            refinement,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        instance: &McssInstance,
-        cost: &dyn CostModel,
-        selection: &Selection,
-        allocation: &Allocation,
-        shards: usize,
-        stage1_time: Duration,
-        stage2_time: Duration,
-    ) -> SolveReport {
-        let workload = instance.workload();
-        let lb = lower_bound(workload, instance.tau(), instance.capacity());
-        let total_bandwidth = allocation.total_bandwidth();
-        let vm_cost = cost.vm_cost(allocation.vm_count());
-        let bandwidth_cost = cost.bandwidth_cost(total_bandwidth);
-        SolveReport {
-            selector: self.params.selector.name(),
-            allocator: self.params.allocator.name(),
-            pairs_selected: selection.pair_count(),
-            vm_count: allocation.vm_count(),
-            total_bandwidth,
-            outgoing: allocation.outgoing_volume(workload),
-            incoming: allocation.incoming_volume(workload),
-            vm_cost,
-            bandwidth_cost,
-            total_cost: vm_cost + bandwidth_cost,
-            shards,
-            lower_bound_vms: lb.vms,
-            lower_bound_volume: lb.volume,
-            lower_bound_cost: lb.cost(cost),
-            stage1_time,
-            stage2_time,
-        }
     }
 }
 

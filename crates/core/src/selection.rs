@@ -1,18 +1,11 @@
 //! The output of Stage 1: a set of topic-subscriber pairs.
 
-use pubsub_model::{Bandwidth, Pair, Rate, SubscriberId, TopicId, WorkloadView};
+use pubsub_model::{Bandwidth, Pair, Rate, SubscriberId, TopicId, Workload};
 
 /// A set `S` of topic-subscriber pairs chosen to satisfy every subscriber
 /// (the output of Stage 1, §III-A), stored as a CSR arena: one flat topic
-/// buffer plus per-subscriber row offsets, rows in selection order.
-///
-/// Subscriber indices are relative to the [`WorkloadView`] the selection
-/// was produced from: a selection over a full view uses arena ids, a
-/// selection over a shard's subset view uses view-local indices (the view
-/// maps them back via [`WorkloadView::global`]). Methods that need
-/// per-subscriber workload data therefore take the view — a plain
-/// `&Workload` coerces into its full view, so whole-workload callers are
-/// unaffected.
+/// buffer plus per-subscriber row offsets, rows in selection order. Row
+/// `v` belongs to the workload's subscriber `v`.
 ///
 /// ```
 /// use mcss_core::Selection;
@@ -133,8 +126,8 @@ impl Selection {
         SelectionBuilder::new()
     }
 
-    /// Number of subscribers covered (equals the view's subscriber count
-    /// for any selector output).
+    /// Number of subscribers covered (equals the workload's subscriber
+    /// count for any selector output).
     pub fn num_subscribers(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -175,8 +168,7 @@ impl Selection {
         bytes(&self.offsets) + bytes(&self.topics)
     }
 
-    /// Iterates all pairs in subscriber-major selection order, with
-    /// subscriber ids in this selection's own indexing.
+    /// Iterates all pairs in subscriber-major selection order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = Pair> + '_ {
         (0..self.num_subscribers()).flat_map(move |vi| {
             let v = SubscriberId::new(vi as u32);
@@ -184,22 +176,11 @@ impl Selection {
         })
     }
 
-    /// Iterates all pairs in subscriber-major selection order with
-    /// subscriber ids mapped through `view` to arena ids — what Stage-2
-    /// packers emit so shard allocations concatenate without translation.
-    pub fn iter_pairs_in<'s>(&'s self, view: WorkloadView<'s>) -> impl Iterator<Item = Pair> + 's {
-        (0..self.num_subscribers()).flat_map(move |vi| {
-            let v = view.global(SubscriberId::new(vi as u32));
-            self.row(vi).iter().map(move |&t| Pair::new(t, v))
-        })
-    }
-
     /// Total outgoing delivery volume `Σ_{(t,v)∈S} ev_t`.
-    pub fn outgoing_volume<'a>(&self, view: impl Into<WorkloadView<'a>>) -> Bandwidth {
-        let view = view.into();
+    pub fn outgoing_volume(&self, workload: &Workload) -> Bandwidth {
         let mut total = Bandwidth::ZERO;
         for &t in &self.topics {
-            total += view.rate(t);
+            total += workload.rate(t);
         }
         total
     }
@@ -207,55 +188,52 @@ impl Selection {
     /// The Stage-1 heuristic's bandwidth cost `Σ_{(t,v)∈S} 2·ev_t`
     /// (incoming + outgoing per pair; Alg. 1's cost notion, which charges
     /// the incoming stream once per pair rather than once per topic).
-    pub fn stage1_cost<'a>(&self, view: impl Into<WorkloadView<'a>>) -> Bandwidth {
-        let view = view.into();
+    pub fn stage1_cost(&self, workload: &Workload) -> Bandwidth {
         let mut total = Bandwidth::ZERO;
         for &t in &self.topics {
-            total += view.rate(t).pair_cost();
+            total += workload.rate(t).pair_cost();
         }
         total
     }
 
-    /// Rate delivered to subscriber `v` (in this selection's indexing)
-    /// under this selection (`Σ_{t : (t,v)∈S} ev_t`).
-    pub fn delivered_rate<'a>(&self, view: impl Into<WorkloadView<'a>>, v: SubscriberId) -> Rate {
-        let view = view.into();
-        self.row(v.index()).iter().map(|&t| view.rate(t)).sum()
+    /// Rate delivered to subscriber `v` under this selection
+    /// (`Σ_{t : (t,v)∈S} ev_t`).
+    pub fn delivered_rate(&self, workload: &Workload, v: SubscriberId) -> Rate {
+        self.row(v.index()).iter().map(|&t| workload.rate(t)).sum()
     }
 
     /// Checks the Stage-1 constraint `Σ_v f_v = |V|`: every subscriber of
-    /// the view receives at least `τ_v = min(τ, Σ_{t∈T_v} ev_t)`.
-    pub fn satisfies<'a>(&self, view: impl Into<WorkloadView<'a>>, tau: Rate) -> bool {
-        let view = view.into();
-        if self.num_subscribers() != view.num_subscribers() {
+    /// the workload receives at least `τ_v = min(τ, Σ_{t∈T_v} ev_t)`.
+    pub fn satisfies(&self, workload: &Workload, tau: Rate) -> bool {
+        if self.num_subscribers() != workload.num_subscribers() {
             return false;
         }
-        view.subscribers()
-            .all(|v| self.delivered_rate(view.workload(), v) >= view.tau_v(v, tau))
+        workload
+            .subscribers()
+            .all(|v| self.delivered_rate(workload, v) >= workload.tau_v(v, tau))
     }
 
     /// Groups the selected pairs by topic as a [`TopicGroups`] CSR
     /// inversion: `(t, subscribers of t in S)`, ordered by topic id, only
-    /// topics with at least one selected pair. Subscriber ids are mapped
-    /// through `view` to arena ids. This is the "grouping of pairs"
-    /// optimization (b) of §III-B, built by two counting-sort passes over
-    /// the selection arena — no hashing, no per-topic `Vec` allocation.
-    pub fn topic_groups<'a>(&self, view: impl Into<WorkloadView<'a>>) -> TopicGroups {
-        let view = view.into();
+    /// topics with at least one selected pair. This is the "grouping of
+    /// pairs" optimization (b) of §III-B, built by two counting-sort passes
+    /// over the selection arena — no hashing, no per-topic `Vec`
+    /// allocation.
+    pub fn topic_groups(&self, workload: &Workload) -> TopicGroups {
         // Pass 1: size each topic's group, then compact into the group
         // index (counts become write cursors).
-        let mut cursor = vec![0usize; view.num_topics()];
+        let mut cursor = vec![0usize; workload.num_topics()];
         for &t in &self.topics {
             cursor[t.index()] += 1;
         }
         let (topics, offsets) = compact_group_index(&mut cursor);
-        // Pass 2: scatter arena subscriber ids in row-major selection
-        // order, so each group lists its subscribers exactly as the
-        // selection visits them.
+        // Pass 2: scatter subscriber ids in row-major selection order, so
+        // each group lists its subscribers exactly as the selection visits
+        // them.
         let mut subscribers =
             vec![SubscriberId::new(0); *offsets.last().expect("leading 0") as usize];
         for (vi, tv) in self.rows().enumerate() {
-            let v = view.global(SubscriberId::new(vi as u32));
+            let v = SubscriberId::new(vi as u32);
             for &t in tv {
                 subscribers[cursor[t.index()]] = v;
                 cursor[t.index()] += 1;
@@ -267,28 +245,14 @@ impl Selection {
             subscribers,
         }
     }
-
-    /// [`Selection::topic_groups`] materialized as per-topic vectors —
-    /// the allocation-heavy shape, kept for callers that need owned
-    /// groups; hot paths consume the [`TopicGroups`] CSR directly.
-    pub fn group_by_topic<'a>(
-        &self,
-        view: impl Into<WorkloadView<'a>>,
-    ) -> Vec<(TopicId, Vec<SubscriberId>)> {
-        self.topic_groups(view)
-            .iter()
-            .map(|(t, vs)| (t, vs.to_vec()))
-            .collect()
-    }
 }
 
 /// CSR inversion of a pair list: subscribers grouped by topic, topics in
 /// ascending id order, one flat subscriber arena plus group offsets.
 ///
 /// This is the layout Stage-2 packers and the incremental repairer walk:
-/// `group_by_topic`'s per-topic `Vec`s and the repairer's
-/// `HashMap<TopicId, Vec<SubscriberId>>` both collapse into two
-/// counting-sort passes and three flat buffers.
+/// two counting-sort passes and three flat buffers, with no per-topic
+/// `Vec` and no hashing.
 ///
 /// ```
 /// use mcss_core::{Selection, TopicGroups};
@@ -428,12 +392,12 @@ impl TopicGroups {
     /// (`ev_t · |pairs|`), ties by ascending topic id — CBP optimization
     /// (c)'s processing order, shared by every packer that consumes the
     /// CSR directly.
-    pub fn order_by_total_volume(&self, view: WorkloadView<'_>) -> Vec<u32> {
+    pub fn order_by_total_volume(&self, workload: &Workload) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.len() as u32).collect();
         order.sort_by_key(|&g| {
             let g = g as usize;
             std::cmp::Reverse(
-                u128::from(view.rate(self.topic(g)).get()) * self.subscribers(g).len() as u128,
+                u128::from(workload.rate(self.topic(g)).get()) * self.subscribers(g).len() as u128,
             )
         });
         order
@@ -662,7 +626,6 @@ impl SelectionDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_model::Workload;
 
     fn workload() -> Workload {
         let mut b = Workload::builder();
@@ -716,21 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_by_topic() {
-        let w = workload();
-        let s = Selection::from_per_subscriber(vec![vec![t(2), t(1)], vec![t(1)]]);
-        let groups = s.group_by_topic(&w);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, t(1));
-        assert_eq!(
-            groups[0].1,
-            vec![SubscriberId::new(0), SubscriberId::new(1)]
-        );
-        assert_eq!(groups[1].0, t(2));
-        assert_eq!(groups[1].1, vec![SubscriberId::new(0)]);
-    }
-
-    #[test]
     fn topic_groups_inversion_matches_grouping() {
         let w = workload();
         let s = Selection::from_per_subscriber(vec![vec![t(2), t(1)], vec![t(1)]]);
@@ -744,13 +692,6 @@ mod tests {
         );
         assert_eq!(groups.topic(1), t(2));
         assert_eq!(groups.subscribers(1), &[SubscriberId::new(0)]);
-        // The owned wrapper agrees element for element.
-        let owned = s.group_by_topic(&w);
-        assert_eq!(owned.len(), groups.len());
-        for ((ot, ovs), (gt, gvs)) in owned.iter().zip(groups.iter()) {
-            assert_eq!(*ot, gt);
-            assert_eq!(ovs.as_slice(), gvs);
-        }
     }
 
     #[test]
@@ -796,21 +737,6 @@ mod tests {
         let s = Selection::from_per_subscriber(vec![vec![t(1)], vec![]]);
         assert_eq!(s.delivered_rate(&w, SubscriberId::new(0)), Rate::new(10));
         assert_eq!(s.delivered_rate(&w, SubscriberId::new(1)), Rate::ZERO);
-    }
-
-    #[test]
-    fn subset_view_selection_maps_to_arena_ids() {
-        let w = workload();
-        let shard = [SubscriberId::new(1)];
-        let view = w.subset_view(&shard);
-        // Local subscriber 0 is arena subscriber 1.
-        let s = Selection::from_per_subscriber(vec![vec![t(1), t(2)]]);
-        assert!(s.satisfies(view, Rate::new(15)));
-        assert!(!s.satisfies(&w, Rate::new(15)), "length mismatch vs full");
-        let pairs: Vec<Pair> = s.iter_pairs_in(view).collect();
-        assert_eq!(pairs[0], Pair::new(t(1), SubscriberId::new(1)));
-        let groups = s.group_by_topic(view);
-        assert_eq!(groups[0].1, vec![SubscriberId::new(1)]);
     }
 
     #[test]

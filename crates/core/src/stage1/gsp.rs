@@ -1,8 +1,8 @@
 //! GreedySelectPairs — Alg. 1 and Alg. 2 of the paper.
 
 use super::PairSelector;
-use crate::{McssError, Selection, SelectionBuilder};
-use pubsub_model::{Rate, SubscriberId, TopicId, WorkloadView};
+use crate::{McssError, McssInstance, Selection, SelectionBuilder};
+use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
 use std::ops::Range;
 
 /// The paper's Stage-1 greedy (Alg. 2), selecting pairs per subscriber by
@@ -28,7 +28,7 @@ use std::ops::Range;
 /// the same set as the literal greedy under our tie-break.
 ///
 /// The sweep is **sort-free**: it walks the workload's rate-ranked
-/// interest arena ([`WorkloadView::ranked_interests`]), which stores every
+/// interest arena ([`Workload::ranked_interests`]), which stores every
 /// row pre-sorted in exactly the (descending rate, ascending id) order the
 /// greedy needs, and tracks the cheapest skipped exceeder inline — no
 /// per-subscriber `sort_unstable`, no scratch buffers, no chosen bitmap.
@@ -69,12 +69,13 @@ impl PairSelector for GreedySelectPairs {
         "GSP"
     }
 
-    fn select_view(&self, view: WorkloadView<'_>, tau: Rate) -> Result<Selection, McssError> {
-        let n = view.num_subscribers();
+    fn select(&self, instance: &McssInstance) -> Result<Selection, McssError> {
+        let (workload, tau) = (instance.workload(), instance.tau());
+        let n = workload.num_subscribers();
         let (selection, _) = build_in_ranges(n, self.threads, n, |range, builder| {
             for vi in range {
                 let v = SubscriberId::new(vi as u32);
-                builder.push_row_with(|row| select_for_subscriber_into(view, v, tau, row));
+                builder.push_row_with(|row| select_for_subscriber_into(workload, v, tau, row));
             }
             0
         });
@@ -130,7 +131,7 @@ pub(crate) fn build_in_ranges(
 
 /// One subscriber's greedy selection (Alg. 1 + Alg. 2 inner loop, via the
 /// descending sweep described on [`GreedySelectPairs`]), appended to
-/// `out`. `v` is in the view's local numbering.
+/// `out`.
 ///
 /// Pure linear sweep over the rate-ranked interest arena: topics that fit
 /// the remaining need are taken in place; skipped topics only ever get
@@ -139,20 +140,20 @@ pub(crate) fn build_in_ranges(
 /// strict improvement wins, which preserves the lowest-id tie-break
 /// because equal-rate topics arrive in ascending id order).
 pub(crate) fn select_for_subscriber_into(
-    view: WorkloadView<'_>,
+    workload: &Workload,
     v: SubscriberId,
     tau: Rate,
     out: &mut Vec<TopicId>,
 ) {
-    let ranked = view.ranked_interests(v);
+    let ranked = workload.ranked_interests(v);
     if ranked.is_empty() {
         return;
     }
-    let tau_v = view.tau_v(v, tau);
-    let total = view.subscriber_total_rate(v);
+    let tau_v = workload.tau_v(v, tau);
+    let total = workload.subscriber_total_rate(v);
     if total <= tau_v {
         // τ_v = min(τ, total): everything is needed.
-        out.extend_from_slice(view.interests(v));
+        out.extend_from_slice(workload.interests(v));
         return;
     }
 
@@ -162,7 +163,7 @@ pub(crate) fn select_for_subscriber_into(
         if rem.is_zero() {
             break;
         }
-        let ev = view.rate(t);
+        let ev = workload.rate(t);
         if ev <= rem {
             out.push(t);
             rem = rem.saturating_sub(ev);

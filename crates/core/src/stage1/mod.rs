@@ -28,36 +28,21 @@ pub use rsp::RandomSelectPairs;
 pub use shared::SharedAwareGreedy;
 
 use crate::{McssError, McssInstance, Selection};
-use pubsub_model::{Rate, WorkloadView};
 
 /// A Stage-1 algorithm: chooses the pair set `S`.
-///
-/// Implementations operate on a [`WorkloadView`] so the same code serves
-/// both monolithic solves (the full view) and per-shard solves (a
-/// zero-copy subscriber subset). The returned [`Selection`] is indexed in
-/// the view's local subscriber numbering.
 pub trait PairSelector: std::fmt::Debug {
     /// Short name used in reports and experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Selects pairs satisfying every subscriber visible through `view`
-    /// at threshold `tau`.
+    /// Selects pairs satisfying every subscriber of the instance's
+    /// workload at its threshold `τ`.
     ///
     /// # Errors
     ///
     /// Implementations with resource budgets (the optimal DP) return an
     /// [`McssError`] when the instance exceeds them; the heuristics never
     /// fail.
-    fn select_view(&self, view: WorkloadView<'_>, tau: Rate) -> Result<Selection, McssError>;
-
-    /// Convenience wrapper: selects over the instance's full workload.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PairSelector::select_view`] errors.
-    fn select(&self, instance: &McssInstance) -> Result<Selection, McssError> {
-        self.select_view(instance.workload().view(), instance.tau())
-    }
+    fn select(&self, instance: &McssInstance) -> Result<Selection, McssError>;
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! greedy between the lower bound and the true Stage-1 optimum.
 
 use super::PairSelector;
-use crate::{McssError, Selection, SelectionBuilder};
-use pubsub_model::{Rate, SubscriberId, TopicId, WorkloadView};
+use crate::{McssError, McssInstance, Selection, SelectionBuilder};
+use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
 
 /// Exact Stage-1 selector (per-subscriber covering knapsack).
 ///
@@ -50,11 +50,12 @@ impl PairSelector for OptimalSelectPairs {
         "OPT1"
     }
 
-    fn select_view(&self, view: WorkloadView<'_>, tau: Rate) -> Result<Selection, McssError> {
+    fn select(&self, instance: &McssInstance) -> Result<Selection, McssError> {
+        let (workload, tau) = (instance.workload(), instance.tau());
         // Pre-flight the budget across all subscribers.
         let mut cells: u64 = 0;
-        for v in view.subscribers() {
-            let tau_v = view.tau_v(v, tau);
+        for v in workload.subscribers() {
+            let tau_v = workload.tau_v(v, tau);
             cells = cells.saturating_add(tau_v.get());
             if cells > self.budget {
                 return Err(McssError::TooLargeForOptimalSelection {
@@ -63,9 +64,9 @@ impl PairSelector for OptimalSelectPairs {
                 });
             }
         }
-        let mut builder = SelectionBuilder::with_capacity(view.num_subscribers(), 0);
-        for v in view.subscribers() {
-            builder.push_row(optimal_for_subscriber(view, v, tau));
+        let mut builder = SelectionBuilder::with_capacity(workload.num_subscribers(), 0);
+        for v in workload.subscribers() {
+            builder.push_row(optimal_for_subscriber(workload, v, tau));
         }
         Ok(builder.build())
     }
@@ -73,13 +74,13 @@ impl PairSelector for OptimalSelectPairs {
 
 /// Covering knapsack for one subscriber: minimize the selected total rate
 /// subject to `total ≥ τ_v`.
-fn optimal_for_subscriber(view: WorkloadView<'_>, v: SubscriberId, tau: Rate) -> Vec<TopicId> {
-    let interests = view.interests(v);
+fn optimal_for_subscriber(workload: &Workload, v: SubscriberId, tau: Rate) -> Vec<TopicId> {
+    let interests = workload.interests(v);
     if interests.is_empty() {
         return Vec::new();
     }
-    let tau_v = view.tau_v(v, tau).get();
-    let total = view.subscriber_total_rate(v).get();
+    let tau_v = workload.tau_v(v, tau).get();
+    let total = workload.subscriber_total_rate(v).get();
     if total <= tau_v {
         return interests.to_vec();
     }
@@ -99,7 +100,7 @@ fn optimal_for_subscriber(view: WorkloadView<'_>, v: SubscriberId, tau: Rate) ->
     let mut best: Option<(u64, usize, usize)> = None;
 
     for (i, &t) in interests.iter().enumerate() {
-        let ev = view.rate(t).get();
+        let ev = workload.rate(t).get();
         // Descending sums: classic 0/1 knapsack order.
         for s in (0..target).rev() {
             if !reachable[s] {
@@ -125,7 +126,7 @@ fn optimal_for_subscriber(view: WorkloadView<'_>, v: SubscriberId, tau: Rate) ->
     while s > 0 {
         let i = filler[s] as usize;
         chosen.push(interests[i]);
-        s -= view.rate(interests[i]).get() as usize;
+        s -= workload.rate(interests[i]).get() as usize;
     }
     chosen
 }

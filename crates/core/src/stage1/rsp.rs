@@ -1,8 +1,8 @@
 //! RandomSelectPairs — Alg. 6, the naive Stage-1 baseline.
 
 use super::PairSelector;
-use crate::{McssError, Selection, SelectionBuilder};
-use pubsub_model::{Rate, TopicId, WorkloadView};
+use crate::{McssError, McssInstance, Selection, SelectionBuilder};
+use pubsub_model::{Rate, TopicId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,14 +31,15 @@ impl PairSelector for RandomSelectPairs {
         "RSP"
     }
 
-    fn select_view(&self, view: WorkloadView<'_>, tau: Rate) -> Result<Selection, McssError> {
+    fn select(&self, instance: &McssInstance) -> Result<Selection, McssError> {
+        let (workload, tau) = (instance.workload(), instance.tau());
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut builder = SelectionBuilder::with_capacity(view.num_subscribers(), 0);
+        let mut builder = SelectionBuilder::with_capacity(workload.num_subscribers(), 0);
         let mut order: Vec<TopicId> = Vec::new();
-        for v in view.subscribers() {
-            let tau_v = view.tau_v(v, tau);
+        for v in workload.subscribers() {
+            let tau_v = workload.tau_v(v, tau);
             order.clear();
-            order.extend_from_slice(view.ranked_interests(v));
+            order.extend_from_slice(workload.ranked_interests(v));
             shuffle(&mut order, &mut rng);
             builder.push_row_with(|row| {
                 let mut delivered = Rate::ZERO;
@@ -46,7 +47,7 @@ impl PairSelector for RandomSelectPairs {
                     if delivered >= tau_v {
                         break;
                     }
-                    delivered += view.rate(t);
+                    delivered += workload.rate(t);
                     row.push(t);
                 }
             });

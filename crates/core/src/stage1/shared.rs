@@ -18,8 +18,8 @@
 //! in `docs/PAPER_MAP.md`) and measured in the ablation bench.
 
 use super::PairSelector;
-use crate::{McssError, Selection, SelectionBuilder};
-use pubsub_model::{Rate, SubscriberId, TopicId, WorkloadView};
+use crate::{McssError, McssInstance, Selection, SelectionBuilder};
+use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
 
 /// Greedy Stage-1 selector that charges shared incoming streams once.
 #[derive(Clone, Copy, Debug, Default)]
@@ -37,11 +37,12 @@ impl PairSelector for SharedAwareGreedy {
         "GSP-shared"
     }
 
-    fn select_view(&self, view: WorkloadView<'_>, tau: Rate) -> Result<Selection, McssError> {
-        let mut in_solution = vec![false; view.num_topics()];
-        let mut builder = SelectionBuilder::with_capacity(view.num_subscribers(), 0);
-        for v in view.subscribers() {
-            let chosen = select_one(view, v, tau, &in_solution);
+    fn select(&self, instance: &McssInstance) -> Result<Selection, McssError> {
+        let (workload, tau) = (instance.workload(), instance.tau());
+        let mut in_solution = vec![false; workload.num_topics()];
+        let mut builder = SelectionBuilder::with_capacity(workload.num_subscribers(), 0);
+        for v in workload.subscribers() {
+            let chosen = select_one(workload, v, tau, &in_solution);
             for &t in &chosen {
                 in_solution[t.index()] = true;
             }
@@ -64,24 +65,24 @@ enum Class {
 
 /// Selection for one subscriber given the set of topics already in `S`.
 fn select_one(
-    view: WorkloadView<'_>,
+    workload: &Workload,
     v: SubscriberId,
     tau: Rate,
     in_solution: &[bool],
 ) -> Vec<TopicId> {
-    let interests = view.interests(v);
+    let interests = workload.interests(v);
     if interests.is_empty() {
         return Vec::new();
     }
-    let tau_v = view.tau_v(v, tau);
-    if view.subscriber_total_rate(v) <= tau_v {
+    let tau_v = workload.tau_v(v, tau);
+    if workload.subscriber_total_rate(v) <= tau_v {
         return interests.to_vec();
     }
 
     // Split interests into shared (already in S) and fresh. The ranked
     // arena is already in (descending rate, ascending id) order, so the
     // partition preserves it — no sort.
-    let ranked = view.ranked_interests(v);
+    let ranked = workload.ranked_interests(v);
     let shared: Vec<TopicId> = ranked
         .iter()
         .copied()
@@ -104,7 +105,7 @@ fn select_one(
         if rem.is_zero() {
             break;
         }
-        let ev = view.rate(t);
+        let ev = workload.rate(t);
         if ev <= rem {
             selected.push(t);
             shared_taken[i] = true;
@@ -123,7 +124,7 @@ fn select_one(
         // Largest fresh non-exceeder: rem only shrinks, so items skipped
         // for exceeding once exceed forever and the pointer is monotone.
         while fresh_ptr < fresh.len()
-            && (fresh_taken[fresh_ptr] || view.rate(fresh[fresh_ptr]) > rem)
+            && (fresh_taken[fresh_ptr] || workload.rate(fresh[fresh_ptr]) > rem)
         {
             fresh_ptr += 1;
         }
@@ -141,7 +142,7 @@ fn select_one(
         // `[0, p)` of the current rem. Items taken in earlier rounds (as
         // non-exceeders of a larger rem) may have drifted into the prefix,
         // so skip taken entries.
-        let p = fresh.partition_point(|&t| view.rate(t) > rem);
+        let p = fresh.partition_point(|&t| workload.rate(t) > rem);
         let fresh_exc: Option<TopicId> = fresh[..p]
             .iter()
             .zip(&fresh_taken[..p])
@@ -159,10 +160,14 @@ fn select_one(
             consider(2 * u128::from(rem.get()), Class::FreshNonExceeder, t);
         }
         if let Some(t) = shared_exc {
-            consider(u128::from(view.rate(t).get()), Class::SharedExceeder, t);
+            consider(u128::from(workload.rate(t).get()), Class::SharedExceeder, t);
         }
         if let Some(t) = fresh_exc {
-            consider(2 * u128::from(view.rate(t).get()), Class::FreshExceeder, t);
+            consider(
+                2 * u128::from(workload.rate(t).get()),
+                Class::FreshExceeder,
+                t,
+            );
         }
 
         let (_, class, t) = best.expect("total > tau_v guarantees an unselected candidate exists");
@@ -170,7 +175,7 @@ fn select_one(
         match class {
             Class::FreshNonExceeder => {
                 fresh_taken[fresh_ptr] = true;
-                rem = rem.saturating_sub(view.rate(t));
+                rem = rem.saturating_sub(workload.rate(t));
             }
             // Exceeders overshoot the remaining need: done.
             Class::SharedExceeder | Class::FreshExceeder => break,

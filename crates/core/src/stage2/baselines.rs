@@ -11,7 +11,7 @@
 use super::Allocator;
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, WorkloadView};
+use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};
 
 /// A VM being filled pair by pair: `(topic, subscribers)` rows kept
 /// sorted by topic id plus incrementally tracked bandwidth.
@@ -94,16 +94,16 @@ impl Allocator for BestFitBinPacking {
         "BFBP"
     }
 
-    fn allocate_view(
+    fn allocate(
         &self,
-        view: WorkloadView<'_>,
+        workload: &Workload,
         selection: &Selection,
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
         let mut vms: Vec<SortedVm> = Vec::new();
-        for pair in selection.iter_pairs_in(view) {
-            let rate = view.rate(pair.topic);
+        for pair in selection.iter_pairs() {
+            let rate = workload.rate(pair.topic);
             if rate.pair_cost() > capacity {
                 return Err(McssError::InfeasibleTopic {
                     topic: pair.topic,
@@ -133,7 +133,7 @@ impl Allocator for BestFitBinPacking {
         }
         Ok(Allocation::from_groups(
             vms.into_iter().map(SortedVm::into_groups).collect(),
-            view.workload(),
+            workload,
             capacity,
         ))
     }
@@ -158,16 +158,16 @@ impl Allocator for NextFitBinPacking {
         "NFBP"
     }
 
-    fn allocate_view(
+    fn allocate(
         &self,
-        view: WorkloadView<'_>,
+        workload: &Workload,
         selection: &Selection,
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
         let mut vms: Vec<SortedVm> = Vec::new();
-        for pair in selection.iter_pairs_in(view) {
-            let rate = view.rate(pair.topic);
+        for pair in selection.iter_pairs() {
+            let rate = workload.rate(pair.topic);
             if rate.pair_cost() > capacity {
                 return Err(McssError::InfeasibleTopic {
                     topic: pair.topic,
@@ -190,7 +190,7 @@ impl Allocator for NextFitBinPacking {
         }
         Ok(Allocation::from_groups(
             vms.into_iter().map(SortedVm::into_groups).collect(),
-            view.workload(),
+            workload,
             capacity,
         ))
     }

@@ -3,7 +3,7 @@
 use super::{cheaper_to_distribute, Allocator, VmBuild};
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, SubscriberId, WorkloadView};
+use pubsub_model::{Bandwidth, SubscriberId, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -123,9 +123,9 @@ impl Allocator for CustomBinPacking {
         "CBP"
     }
 
-    fn allocate_view(
+    fn allocate(
         &self,
-        view: WorkloadView<'_>,
+        workload: &Workload,
         selection: &Selection,
         capacity: Bandwidth,
         cost: &dyn CostModel,
@@ -133,15 +133,15 @@ impl Allocator for CustomBinPacking {
         let cfg = self.config;
         // CSR inversion (no hashing, no per-topic Vecs); the processing
         // order is a cached index permutation over the groups.
-        let groups = selection.topic_groups(view);
+        let groups = selection.topic_groups(workload);
         // Decreasing key, ties by ascending topic id (the sorts are
         // stable over the id-ordered groups).
         let order: Vec<u32> = match (cfg.expensive_topic_first, cfg.expensive_order) {
             (false, _) => (0..groups.len() as u32).collect(),
-            (true, ExpensiveOrder::TotalVolume) => groups.order_by_total_volume(view),
+            (true, ExpensiveOrder::TotalVolume) => groups.order_by_total_volume(workload),
             (true, ExpensiveOrder::Rate) => {
                 let mut order: Vec<u32> = (0..groups.len() as u32).collect();
-                order.sort_by_key(|&g| Reverse(view.rate(groups.topic(g as usize))));
+                order.sort_by_key(|&g| Reverse(workload.rate(groups.topic(g as usize))));
                 order
             }
         };
@@ -155,7 +155,7 @@ impl Allocator for CustomBinPacking {
         for &g in &order {
             let topic = groups.topic(g as usize);
             let subscribers = groups.subscribers(g as usize);
-            let rate = view.rate(topic);
+            let rate = workload.rate(topic);
             if rate.pair_cost() > capacity {
                 return Err(McssError::InfeasibleTopic {
                     topic,
@@ -253,7 +253,7 @@ impl Allocator for CustomBinPacking {
 
         Ok(Allocation::from_groups(
             vms.into_iter().map(VmBuild::into_groups).collect(),
-            view.workload(),
+            workload,
             capacity,
         ))
     }

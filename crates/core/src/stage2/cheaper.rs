@@ -135,7 +135,7 @@ mod tests {
         // over many existing VMs multiplies incoming streams, so fresh
         // VMs are cheaper.
         let pricey_bw = LinearCostModel::new(Money::ZERO, Money::from_dollars(1));
-        // 9 pairs, rate 10; headroom shards of 30 take 2 pairs each →
+        // 9 pairs, rate 10; VMs with 30 of headroom take 2 pairs each →
         // 5 VMs × incoming vs 1 new VM of capacity 200 taking all 9 with
         // one incoming stream.
         let frees = [Bandwidth::new(30); 5];

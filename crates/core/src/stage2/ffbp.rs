@@ -4,7 +4,7 @@ use super::baselines::SortedVm;
 use super::Allocator;
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, WorkloadView};
+use pubsub_model::{Bandwidth, Workload};
 
 /// First-fit bin packing over individual pairs (Alg. 3).
 ///
@@ -33,16 +33,16 @@ impl Allocator for FirstFitBinPacking {
         "FFBP"
     }
 
-    fn allocate_view(
+    fn allocate(
         &self,
-        view: WorkloadView<'_>,
+        workload: &Workload,
         selection: &Selection,
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
         let mut vms: Vec<SortedVm> = Vec::new();
-        for pair in selection.iter_pairs_in(view) {
-            let rate = view.rate(pair.topic);
+        for pair in selection.iter_pairs() {
+            let rate = workload.rate(pair.topic);
             if rate.pair_cost() > capacity {
                 return Err(McssError::InfeasibleTopic {
                     topic: pair.topic,
@@ -64,7 +64,7 @@ impl Allocator for FirstFitBinPacking {
         }
         Ok(Allocation::from_groups(
             vms.into_iter().map(SortedVm::into_groups).collect(),
-            view.workload(),
+            workload,
             capacity,
         ))
     }

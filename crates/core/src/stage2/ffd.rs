@@ -11,7 +11,7 @@
 use super::{Allocator, VmBuild};
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, WorkloadView};
+use pubsub_model::{Bandwidth, Workload};
 use std::cmp::Reverse;
 
 /// First-fit-decreasing over whole topic groups.
@@ -41,18 +41,18 @@ impl Allocator for FfdBinPacking {
         "FFD"
     }
 
-    fn allocate_view(
+    fn allocate(
         &self,
-        view: WorkloadView<'_>,
+        workload: &Workload,
         selection: &Selection,
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let groups = selection.topic_groups(view);
+        let groups = selection.topic_groups(workload);
         // Largest whole-group cost first; ascending topic id on ties.
         let mut order: Vec<usize> = (0..groups.len()).collect();
         order.sort_unstable_by_key(|&g| {
-            let rate = view.rate(groups.topic(g));
+            let rate = workload.rate(groups.topic(g));
             (
                 Reverse(u128::from(rate.get()) * (groups.subscribers(g).len() as u128 + 1)),
                 groups.topic(g),
@@ -62,7 +62,7 @@ impl Allocator for FfdBinPacking {
         let mut vms: Vec<VmBuild> = Vec::new();
         for g in order {
             let topic = groups.topic(g);
-            let rate = view.rate(topic);
+            let rate = workload.rate(topic);
             if rate.pair_cost() > capacity {
                 return Err(McssError::InfeasibleTopic {
                     topic,
@@ -101,7 +101,7 @@ impl Allocator for FfdBinPacking {
         }
         Ok(Allocation::from_groups(
             vms.into_iter().map(VmBuild::into_groups).collect(),
-            view.workload(),
+            workload,
             capacity,
         ))
     }

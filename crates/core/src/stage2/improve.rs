@@ -6,14 +6,13 @@
 //! [`SearchBudget`] runs out, or no move improves:
 //!
 //! * **group re-home** — a topic split across VMs loses one incoming
-//!   stream when its smallest group moves to a co-host with room (the
-//!   same move the shard merge's phase 1 applies);
+//!   stream when its smallest group moves to a co-host with room;
 //! * **pairwise group swap** — two VMs that both host topics `t` and `u`
 //!   exchange whole groups, saving both incoming streams even when
 //!   neither single re-home fits on its own;
 //! * **under-full VM dissolution** — relocate *every* group of a light
-//!   VM (co-hosts preferred) and release it, exactly the shard merge's
-//!   phase 2 generalized to per-VM tier capacities;
+//!   VM (co-hosts preferred) and release it, checked against each VM's
+//!   own tier capacity;
 //! * **tier re-type** (mixed fleets) — re-run the mixed packer's
 //!   downsize rule per VM after loads shrank.
 //!
@@ -38,18 +37,17 @@ use std::time::{Duration, Instant};
 
 /// One VM of a fleet under search: `(topic, subscribers)` rows sorted by
 /// topic id — the same layout `Allocation` placements use, so fleets move
-/// in and out of the search without re-hashing. Shared with the shard
-/// merge in [`crate::shard`].
-pub(crate) type VmGroups = Vec<(TopicId, Vec<SubscriberId>)>;
+/// in and out of the search without re-hashing.
+type VmGroups = Vec<(TopicId, Vec<SubscriberId>)>;
 
 /// Position of topic `t` in a VM's sorted rows, if hosted.
 #[inline]
-pub(crate) fn group_pos(vm: &VmGroups, t: TopicId) -> Option<usize> {
+fn group_pos(vm: &VmGroups, t: TopicId) -> Option<usize> {
     vm.binary_search_by_key(&t, |&(tt, _)| tt).ok()
 }
 
 /// Recomputes a VM's bandwidth (Eq. 2) under current rates.
-pub(crate) fn vm_usage(vm: &VmGroups, workload: &Workload) -> Bandwidth {
+fn vm_usage(vm: &VmGroups, workload: &Workload) -> Bandwidth {
     let mut total = Bandwidth::ZERO;
     for (t, subs) in vm {
         total += workload.rate(*t) * (subs.len() as u64 + 1);
@@ -507,8 +505,8 @@ impl<'a> Search<'a> {
     /// Phase-2 dissolution under per-VM capacities: lightest candidates
     /// first, plan a home for every group (co-hosts save an incoming
     /// stream, any other VM is bandwidth-neutral), commit only when the
-    /// whole VM empties. Same candidate discipline as the shard merge:
-    /// ≤ 75% utilization, the 16 lightest, stop after 4 consecutive
+    /// whole VM empties. Candidates are the VMs at ≤ 75% utilization,
+    /// the 16 lightest of them, and the pass stops after 4 consecutive
     /// infeasible plans.
     fn dissolve_pass(&mut self) -> bool {
         let mut host_index = self.host_index();

@@ -64,7 +64,7 @@
 use super::{Allocator, CbpConfig, CustomBinPacking, VmBuild};
 use crate::{Allocation, FleetTyping, McssError, Selection, TopicGroups};
 use cloud_cost::{FleetCostModel, Money};
-use pubsub_model::{Bandwidth, SubscriberId, TopicId, Workload, WorkloadView};
+use pubsub_model::{Bandwidth, SubscriberId, TopicId, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -92,8 +92,8 @@ impl MixedFleetPacker {
         MixedFleetPacker
     }
 
-    /// Packs every pair of a whole-workload `selection` onto a mixed
-    /// fleet drawn from `fleet`'s tiers.
+    /// Packs every pair of `selection`, a selection over `workload`, onto
+    /// a mixed fleet drawn from `fleet`'s tiers.
     ///
     /// # Errors
     ///
@@ -105,32 +105,15 @@ impl MixedFleetPacker {
         selection: &Selection,
         fleet: &FleetCostModel,
     ) -> Result<Allocation, McssError> {
-        self.allocate_view(workload.view(), selection, fleet)
-    }
-
-    /// View-based twin of [`MixedFleetPacker::allocate`]: `selection` is
-    /// indexed in the view's local numbering, the output carries arena
-    /// subscriber ids (the same contract as
-    /// [`Allocator::allocate_view`](super::Allocator::allocate_view)).
-    ///
-    /// # Errors
-    ///
-    /// [`McssError::InfeasibleTopic`] if a selected topic fits no tier.
-    pub fn allocate_view(
-        &self,
-        view: WorkloadView<'_>,
-        selection: &Selection,
-        fleet: &FleetCostModel,
-    ) -> Result<Allocation, McssError> {
         let max_capacity = fleet.max_capacity();
-        let groups = selection.topic_groups(view);
+        let groups = selection.topic_groups(workload);
         // CBP optimization (c): most expensive (total remaining volume)
         // topic first — large groups grab whole VMs before the tail
         // fragments the pools. A cached index permutation; the CSR itself
         // stays topic-ordered.
-        let order = groups.order_by_total_volume(view);
+        let order = groups.order_by_total_volume(workload);
         for (topic, _) in groups.iter() {
-            let required = view.rate(topic).pair_cost();
+            let required = workload.rate(topic).pair_cost();
             if required > max_capacity {
                 return Err(McssError::InfeasibleTopic {
                     topic,
@@ -140,7 +123,7 @@ impl MixedFleetPacker {
             }
         }
 
-        let mut best = self.pack_density_first(view, &groups, &order, fleet);
+        let mut best = self.pack_density_first(workload, &groups, &order, fleet);
         let mut best_cost = best.cost_on_fleet(fleet);
 
         // Homogeneous fallback candidates: the paper's CBP at each tier
@@ -151,17 +134,17 @@ impl MixedFleetPacker {
             let capacity = fleet.capacity(tier);
             if groups
                 .iter()
-                .any(|(t, _)| view.rate(t).pair_cost() > capacity)
+                .any(|(t, _)| workload.rate(t).pair_cost() > capacity)
             {
                 continue;
             }
-            let homogeneous = CustomBinPacking::new(CbpConfig::full()).allocate_view(
-                view,
+            let homogeneous = CustomBinPacking::new(CbpConfig::full()).allocate(
+                workload,
                 selection,
                 capacity,
                 fleet.tier(tier),
             )?;
-            let candidate = retype_downsized(homogeneous, tier, fleet, view.workload());
+            let candidate = retype_downsized(homogeneous, tier, fleet, workload);
             let cost = candidate.cost_on_fleet(fleet);
             if cost < best_cost {
                 best = candidate;
@@ -176,7 +159,7 @@ impl MixedFleetPacker {
     /// first).
     fn pack_density_first(
         &self,
-        view: WorkloadView<'_>,
+        workload: &Workload,
         groups: &TopicGroups,
         order: &[u32],
         fleet: &FleetCostModel,
@@ -198,7 +181,7 @@ impl MixedFleetPacker {
         for &g in order {
             let topic = groups.topic(g as usize);
             let subscribers = groups.subscribers(g as usize);
-            let rate = view.rate(topic);
+            let rate = workload.rate(topic);
             let whole = u128::from(rate.get()) * (subscribers.len() as u128 + 1);
             // Cheapest-density tier that holds the group whole; groups too
             // large for every tier split across the largest tier's VMs.
@@ -264,7 +247,7 @@ impl MixedFleetPacker {
                 vm_groups.push(vm.into_groups());
             }
         }
-        Allocation::from_groups(vm_groups, view.workload(), fleet.max_capacity())
+        Allocation::from_groups(vm_groups, workload, fleet.max_capacity())
             .with_typing(typing_for(fleet, assignment))
     }
 }

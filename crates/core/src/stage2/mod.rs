@@ -40,27 +40,19 @@ pub use ffd::FfdBinPacking;
 pub use improve::{improve, improve_mixed, ImproveReport, SearchBudget};
 pub use mixed::{mixed_cost_split, MixedFleetPacker};
 
-pub(crate) use improve::{group_pos, vm_usage, VmGroups};
 pub(crate) use vm::VmBuild;
 
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, Workload, WorkloadView};
+use pubsub_model::{Bandwidth, Workload};
 
 /// A Stage-2 algorithm: packs a selection onto VMs.
-///
-/// Implementations operate on a [`WorkloadView`]: the `selection` is
-/// indexed in the view's local subscriber numbering (as produced by
-/// [`PairSelector::select_view`](crate::stage1::PairSelector::select_view)
-/// over the same view), while the emitted [`Allocation`] always carries
-/// arena subscriber ids — which is what lets per-shard fleets be
-/// concatenated and validated against the full workload.
 pub trait Allocator: std::fmt::Debug {
     /// Short name used in reports and experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Packs every pair of `selection` (view-local indexing) onto VMs of
-    /// the given capacity, emitting arena subscriber ids.
+    /// Packs every pair of `selection`, a selection over `workload`, onto
+    /// VMs of the given capacity.
     ///
     /// The cost model is consulted only by allocators with cost-driven
     /// decisions (CBP optimization (e)); others ignore it.
@@ -69,28 +61,13 @@ pub trait Allocator: std::fmt::Debug {
     ///
     /// [`McssError::InfeasibleTopic`] if a selected topic cannot fit on an
     /// empty VM (`2·ev_t > BC`).
-    fn allocate_view(
-        &self,
-        view: WorkloadView<'_>,
-        selection: &Selection,
-        capacity: Bandwidth,
-        cost: &dyn CostModel,
-    ) -> Result<Allocation, McssError>;
-
-    /// Convenience wrapper: packs a whole-workload selection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Allocator::allocate_view`] errors.
     fn allocate(
         &self,
         workload: &Workload,
         selection: &Selection,
         capacity: Bandwidth,
         cost: &dyn CostModel,
-    ) -> Result<Allocation, McssError> {
-        self.allocate_view(workload.view(), selection, capacity, cost)
-    }
+    ) -> Result<Allocation, McssError>;
 }
 
 #[cfg(test)]

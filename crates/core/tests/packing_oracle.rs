@@ -268,57 +268,6 @@ proptest! {
     }
 }
 
-/// Refinement after the shard-merge path: at every shard count the
-/// refined solve is bit-reproducible run to run, never worse than the
-/// unrefined solve at the same shard count, and still valid. (Different
-/// shard counts may start from different merged packings; determinism
-/// is per-configuration.)
-#[test]
-fn refinement_is_deterministic_at_every_shard_count() {
-    let mut b = Workload::builder();
-    let ts: Vec<TopicId> = (0..24)
-        .map(|i| b.add_topic(Rate::new(3 + (i * 7) % 29)).unwrap())
-        .collect();
-    for v in 0..60u32 {
-        let first = (v as usize * 5) % ts.len();
-        let picks: Vec<TopicId> = (0..(1 + v % 4) as usize)
-            .map(|k| ts[(first + k * 3) % ts.len()])
-            .collect();
-        b.add_subscriber(picks).unwrap();
-    }
-    let inst = McssInstance::new(b.build(), Rate::new(25), Bandwidth::new(120)).unwrap();
-    let cost = nocost();
-
-    for shards in [1usize, 2, 4] {
-        let params = SolverParams::default().with_refinement(SearchBudget::UNBOUNDED);
-        let params = if shards > 1 {
-            SolverParams {
-                sharding: Some(mcss_core::ShardingConfig::new(shards)),
-                ..params
-            }
-        } else {
-            params
-        };
-        let plain = Solver::new(SolverParams {
-            refine: None,
-            ..params
-        })
-        .solve(&inst, &cost)
-        .unwrap();
-        let a = Solver::new(params).solve(&inst, &cost).unwrap();
-        let b2 = Solver::new(params).solve(&inst, &cost).unwrap();
-        assert_eq!(
-            a.allocation, b2.allocation,
-            "refined solve not reproducible at {shards} shards"
-        );
-        assert!(
-            a.report.total_cost <= plain.report.total_cost,
-            "refinement regressed cost at {shards} shards"
-        );
-        a.allocation.validate(inst.workload(), inst.tau()).unwrap();
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

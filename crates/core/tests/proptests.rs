@@ -12,9 +12,7 @@ use mcss_core::stage2::{
     Allocator, BestFitBinPacking, CbpConfig, CustomBinPacking, FirstFitBinPacking,
     MixedFleetPacker, NextFitBinPacking,
 };
-use mcss_core::{
-    lower_bound, McssInstance, PartitionerKind, ShardedSolver, ShardingConfig, Solver, SolverParams,
-};
+use mcss_core::{lower_bound, McssInstance};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
@@ -361,71 +359,6 @@ proptest! {
                 (w, delta) = drift.evolve_tracked(&w, epoch);
             }
         }
-    }
-
-    /// A sharded solve is feasible (no VM over capacity, no pair lost or
-    /// forged) and satisfies exactly the same per-subscriber thresholds
-    /// as the monolithic solve, for both partitioners and any shard
-    /// count — including more shards than subscribers.
-    #[test]
-    fn sharded_solve_feasible_and_satisfaction_identical(
-        inst in arb_instance(),
-        shards in 1usize..=12,
-        seed in 0u64..50,
-    ) {
-        let w = inst.workload();
-        let mono = Solver::default().solve(&inst, &nocost()).unwrap();
-        for partitioner in [PartitionerKind::Hash { seed }, PartitionerKind::TopicLocality] {
-            let sharding = ShardingConfig::new(shards).with_partitioner(partitioner);
-            let out = ShardedSolver::new(SolverParams::default(), sharding)
-                .solve(&inst, &nocost())
-                .unwrap();
-            // Feasibility: the merged allocation passes the full MCSS
-            // validator (capacity, duplicates, foreign pairs, τ_v).
-            out.allocation.validate(w, inst.tau()).map_err(|e| {
-                TestCaseError::fail(format!("{shards} shards ({partitioner:?}) invalid: {e}"))
-            })?;
-            // Satisfaction identical to monolithic: GSP is
-            // per-subscriber independent, so the merged selection *is*
-            // the monolithic selection and every subscriber receives the
-            // same delivered rate.
-            prop_assert_eq!(&out.selection, &mono.selection, "{:?}", partitioner);
-            prop_assert_eq!(
-                out.allocation.delivered_rates(w),
-                mono.allocation.delivered_rates(w),
-                "{:?}", partitioner
-            );
-            prop_assert_eq!(out.allocation.pair_count(), mono.allocation.pair_count());
-        }
-    }
-
-    /// A sharded solve is deterministic for a fixed partitioner seed and
-    /// thread count.
-    #[test]
-    fn sharded_solve_deterministic(inst in arb_instance(), seed in 0u64..50) {
-        let sharding = ShardingConfig::new(4)
-            .with_threads(3)
-            .with_partitioner(PartitionerKind::Hash { seed });
-        let solver = ShardedSolver::new(SolverParams::default(), sharding);
-        let a = solver.solve(&inst, &nocost()).unwrap();
-        let b = solver.solve(&inst, &nocost()).unwrap();
-        prop_assert_eq!(a.selection, b.selection);
-        prop_assert_eq!(a.allocation, b.allocation);
-        prop_assert_eq!(a.merge, b.merge);
-    }
-
-    /// The merge's topic-group compaction never increases cost: the
-    /// sharded total bandwidth stays within the shard fleets' combined
-    /// bandwidth, and the lower bound still holds.
-    #[test]
-    fn sharded_solve_respects_lower_bound(inst in arb_instance(), shards in 2usize..=6) {
-        let w = inst.workload();
-        let lb = lower_bound(w, inst.tau(), inst.capacity());
-        let out = ShardedSolver::new(SolverParams::default(), ShardingConfig::new(shards))
-            .solve(&inst, &nocost())
-            .unwrap();
-        prop_assert!(out.allocation.total_bandwidth() >= lb.volume);
-        prop_assert!(out.allocation.vm_count() as u64 >= lb.vms);
     }
 
     /// Determinism: identical inputs give identical outputs for the whole

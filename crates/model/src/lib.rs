@@ -12,8 +12,6 @@
 //! * [`Workload`] — an immutable instance of `(T, V, ev, Int)` with the
 //!   derived subscriber sets `V_t`, built through [`WorkloadBuilder`] and
 //!   stored as flat CSR (compressed sparse row) adjacency arenas;
-//! * [`WorkloadView`] — a zero-copy, possibly subscriber-restricted window
-//!   over a workload's arenas, the unit sharded solvers operate on;
 //! * [`WorkloadStats`] — summary statistics used by trace analysis and the
 //!   experiment harness.
 //!
@@ -47,14 +45,12 @@ mod edit;
 mod ids;
 mod stats;
 mod units;
-mod view;
 mod workload;
 
 pub use edit::WorkloadEdit;
 pub use ids::{Pair, SubscriberId, TopicId};
 pub use stats::WorkloadStats;
 pub use units::{Bandwidth, Rate, MAX_RATE};
-pub use view::WorkloadView;
 pub use workload::{
     ValidationIssue, Workload, WorkloadArenas, WorkloadBuilder, WorkloadError, WorkloadFootprint,
 };

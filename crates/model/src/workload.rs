@@ -210,9 +210,8 @@ impl From<Workload> for WorkloadData {
 ///
 /// Both adjacencies are held in CSR (compressed sparse row) form: one flat
 /// id arena plus an offset array per direction. A workload with millions
-/// of pairs is therefore a handful of allocations, slices cheaply into
-/// [`WorkloadView`](crate::WorkloadView) subsets without copying, and
-/// walks contiguously in the solver hot loops.
+/// of pairs is therefore a handful of allocations and walks contiguously
+/// in the solver hot loops.
 ///
 /// A third arena, the **rate-ranked interest arena**, shares the interest
 /// row boundaries but stores each subscriber's interests pre-sorted by

@@ -255,14 +255,10 @@ mod tests {
         let t0 = b.add_topic(Rate::new(10)).unwrap();
         b.add_subscriber([t0]).unwrap();
         let w = b.build();
-        use std::collections::HashMap;
-        let table = |vs: &[u32]| -> HashMap<TopicId, Vec<SubscriberId>> {
-            [(t0, vs.iter().map(|&v| SubscriberId::new(v)).collect())]
-                .into_iter()
-                .collect()
+        let rows = |vs: &[u32]| -> Vec<(TopicId, Vec<SubscriberId>)> {
+            vec![(t0, vs.iter().map(|&v| SubscriberId::new(v)).collect())]
         };
-        let alloc =
-            Allocation::from_tables(vec![table(&[0]), table(&[0])], &w, Bandwidth::new(100));
+        let alloc = Allocation::from_groups(vec![rows(&[0]), rows(&[0])], &w, Bandwidth::new(100));
         let report = Simulation::new(SimConfig::default()).run(&w, &alloc);
         assert_eq!(report.delivered_events[0], 10); // unique
         assert_eq!(report.delivered_copies[0], 20); // both replicas
@@ -285,7 +281,6 @@ mod tests {
     fn mixed_fleet_meters_use_each_tier_capacity() {
         use cloud_cost::instances;
         use mcss_core::FleetTyping;
-        use std::collections::HashMap;
         // Two VMs: t0 (rate 20, one pair → 40 units) on a big tier, t1
         // (rate 10, one pair → 20 units) on a small one.
         let mut b = Workload::builder();
@@ -293,23 +288,18 @@ mod tests {
         let t1 = b.add_topic(Rate::new(10)).unwrap();
         b.add_subscriber([t0, t1]).unwrap();
         let w = b.build();
-        let table = |t: TopicId, vs: &[u32]| -> HashMap<TopicId, Vec<SubscriberId>> {
-            [(t, vs.iter().map(|&v| SubscriberId::new(v)).collect())]
-                .into_iter()
-                .collect()
+        let rows = |t: TopicId, vs: &[u32]| -> Vec<(TopicId, Vec<SubscriberId>)> {
+            vec![(t, vs.iter().map(|&v| SubscriberId::new(v)).collect())]
         };
-        let alloc = Allocation::from_tables(
-            vec![table(t0, &[0]), table(t1, &[0])],
-            &w,
-            Bandwidth::new(50),
-        )
-        .with_typing(FleetTyping::new(
-            vec![
-                (instances::C3_LARGE, Bandwidth::new(25)),
-                (instances::C3_XLARGE, Bandwidth::new(50)),
-            ],
-            vec![1, 0],
-        ));
+        let alloc =
+            Allocation::from_groups(vec![rows(t0, &[0]), rows(t1, &[0])], &w, Bandwidth::new(50))
+                .with_typing(FleetTyping::new(
+                    vec![
+                        (instances::C3_LARGE, Bandwidth::new(25)),
+                        (instances::C3_XLARGE, Bandwidth::new(50)),
+                    ],
+                    vec![1, 0],
+                ));
         let report = Simulation::new(SimConfig::default()).run(&w, &alloc);
         assert_eq!(report.vms[0].capacity_events, 50);
         assert_eq!(report.vms[1].capacity_events, 25);
@@ -324,7 +314,7 @@ mod tests {
         b.add_topic(Rate::new(5)).unwrap();
         b.add_subscriber([]).unwrap();
         let w = b.build();
-        let alloc = Allocation::from_tables(Vec::new(), &w, Bandwidth::new(10));
+        let alloc = Allocation::from_groups(Vec::new(), &w, Bandwidth::new(10));
         let report = Simulation::new(SimConfig::default()).run(&w, &alloc);
         assert_eq!(report.published_events, 0);
         assert_eq!(report.total_bandwidth_events(), 0);

@@ -10,7 +10,6 @@
 
 use mcss_core::{Allocation, McssInstance};
 use pubsub_model::{Rate, SubscriberId, TopicId};
-use std::collections::HashMap;
 
 /// The effect of removing a set of VMs from an allocation.
 #[derive(Clone, Debug)]
@@ -57,12 +56,12 @@ pub fn fail_vms(
             invalid.push(i);
         }
     }
-    let mut tables: Vec<HashMap<TopicId, Vec<SubscriberId>>> = Vec::new();
+    let mut kept_rows: Vec<Vec<(TopicId, Vec<SubscriberId>)>> = Vec::new();
     let mut pairs_lost = 0;
     let mut volume_lost = 0;
     for (vm, &kept) in allocation.vms().iter().zip(&keep) {
         if kept {
-            tables.push(
+            kept_rows.push(
                 vm.placements()
                     .iter()
                     .map(|p| (p.topic, p.subscribers.clone()))
@@ -73,7 +72,7 @@ pub fn fail_vms(
             volume_lost += vm.used().get();
         }
     }
-    let degraded = Allocation::from_tables(tables, workload, allocation.capacity());
+    let degraded = Allocation::from_groups(kept_rows, workload, allocation.capacity());
     let delivered = degraded.delivered_rates(workload);
     let starved = workload
         .subscribers()

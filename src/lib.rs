@@ -26,8 +26,7 @@ pub mod prelude {
     };
     pub use mcss_core::{
         Allocation, AllocatorKind, FleetTyping, LowerBound, McssInstance, MixedSolveOutcome,
-        PartitionerKind, SelectorKind, ShardedSolver, ShardingConfig, SolveReport, Solver,
-        SolverParams,
+        SelectorKind, SolveReport, Solver, SolverParams,
     };
     pub use pubsub_model::{Bandwidth, Pair, Rate, SubscriberId, TopicId, Workload};
     pub use pubsub_sim::{SimConfig, Simulation};

@@ -17,10 +17,7 @@ use mcss_core::ilp::{export_lp, IlpOptions};
 use mcss_core::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
 use mcss_core::planner::{plan_instance_type, plan_mixed};
 use mcss_core::serve::{Daemon, Driver, EpochStats, Event, ServeConfig};
-use mcss_core::{
-    AllocatorKind, McssInstance, PartitionerKind, SearchBudget, SelectorKind, ShardingConfig,
-    Solver, SolverParams,
-};
+use mcss_core::{AllocatorKind, McssInstance, SearchBudget, SelectorKind, Solver, SolverParams};
 use mcss_store::{StoreReader, WorkloadStoreExt};
 use pubsub_model::{Rate, Workload};
 use pubsub_sim::failure::{fail_vms, fragility_profile};
@@ -70,10 +67,7 @@ SOLVE OPTIONS:
   --instance NAME        c3.large | c3.xlarge | c3.2xlarge  [c3.large]
   --selector NAME        gsp | rsp | shared | optimal       [gsp]
   --allocator NAME       cbp | ffbp                         [cbp]
-  --shards N             partition subscribers and solve shard-parallel [1]
-  --threads N            worker threads (shard solves, or parallel GSP
-                         when --shards is 1)                 [shards]
-  --partitioner NAME     topic | hash                        [topic]
+  --threads N            GSP threads (needs --selector gsp)  [1]
   --refine BUDGET        post-process the packing with the anytime local
                          search: \"500\" caps moves, \"100ms\"/\"2s\" caps
                          wall-clock (wall-clock runs are not
@@ -208,9 +202,7 @@ enum Command {
         instance: InstanceType,
         selector: SelectorKind,
         allocator: AllocatorKind,
-        shards: usize,
         threads: usize,
-        partitioner: PartitionerKind,
         refine: Option<SearchBudget>,
         effective: bool,
         scale: Option<(u64, u64)>,
@@ -439,14 +431,6 @@ fn parse_allocator(name: &str) -> Result<AllocatorKind, String> {
     }
 }
 
-fn parse_partitioner(name: &str) -> Result<PartitionerKind, String> {
-    match name {
-        "topic" => Ok(PartitionerKind::TopicLocality),
-        "hash" => Ok(PartitionerKind::Hash { seed: 42 }),
-        other => Err(format!("unknown partitioner {other:?}")),
-    }
-}
-
 fn parse_scale(spec: &str) -> Result<(u64, u64), String> {
     let (a, b) = spec
         .split_once('/')
@@ -498,9 +482,7 @@ const SOLVE_FLAGS: &[Flag] = &[
     ("--instance", Some("a name")),
     ("--selector", Some("a name")),
     ("--allocator", Some("a name")),
-    ("--shards", Some("a value")),
     ("--threads", Some("a value")),
-    ("--partitioner", Some("a name")),
     ("--refine", Some("a budget")),
     ("--store", Some("a path")),
     ("--effective", None),
@@ -864,7 +846,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "solve" => {
             let f = Flags::parse(cmd, args, Positional::Optional, SOLVE_FLAGS)?;
-            Ok(Command::Solve {
+            let solve = Command::Solve {
                 // A missing --tau is reported before a missing trace.
                 tau: f.tau()?,
                 source: f.source(cmd)?,
@@ -875,16 +857,19 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 allocator: f
                     .parsed("--allocator", parse_allocator)?
                     .unwrap_or_else(AllocatorKind::custom_full),
-                shards: f.nonzero("--shards", "must be at least 1")?.unwrap_or(1),
                 threads: f.nonzero("--threads", "must be at least 1")?.unwrap_or(0),
-                partitioner: f
-                    .parsed("--partitioner", parse_partitioner)?
-                    .unwrap_or_default(),
                 refine: f.parsed("--refine", parse_budget)?,
                 effective: f.has("--effective"),
                 scale: f.scale()?,
                 simulate: f.has("--simulate"),
-            })
+            };
+            // Only GSP has a threaded variant.
+            if matches!(solve, Command::Solve { selector, threads, .. }
+                if threads > 1 && selector != SelectorKind::Greedy)
+            {
+                return Err("--threads needs --selector gsp".into());
+            }
+            Ok(solve)
         }
         "pack" => {
             let f = Flags::parse(cmd, args, trace_path, PACK_FLAGS)?;
@@ -1545,9 +1530,7 @@ fn run(command: Command) -> Result<(), String> {
             instance,
             selector,
             allocator,
-            shards,
             threads,
-            partitioner,
             refine,
             effective,
             scale,
@@ -1557,23 +1540,15 @@ fn run(command: Command) -> Result<(), String> {
             let cost = cost_model(instance, effective, scale);
             let mcss_instance = McssInstance::new(workload, Rate::new(tau), cost.capacity())
                 .map_err(|e| e.to_string())?;
-            // --threads without sharding parallelizes Stage 1 in place
-            // (only the greedy selector has a parallel variant).
-            let selector = match (shards, threads, selector) {
-                (0 | 1, t, SelectorKind::Greedy) if t > 1 => {
-                    SelectorKind::GreedyParallel { threads: t }
-                }
-                (_, _, s) => s,
+            // The parser admits --threads above 1 only with GSP.
+            let selector = if threads > 1 {
+                SelectorKind::GreedyParallel { threads }
+            } else {
+                selector
             };
-            let sharding = (shards > 1).then(|| {
-                ShardingConfig::new(shards)
-                    .with_threads(threads)
-                    .with_partitioner(partitioner)
-            });
             let solver = Solver::new(SolverParams {
                 selector,
                 allocator,
-                sharding,
                 refine,
             });
             let outcome = solver
@@ -2115,25 +2090,22 @@ mod tests {
             instance: instances::C3_LARGE,
             selector: SelectorKind::Greedy,
             allocator: AllocatorKind::custom_full(),
-            shards: 1,
             threads: 0,
-            partitioner: PartitionerKind::default(),
             refine: None,
             effective: true,
             scale: Some((300, 100_000)),
             simulate: true,
         })
         .unwrap();
-        // The same trace again, shard-parallel, and ranked by the planner.
+        // The same trace again, on two GSP threads with refinement, and
+        // ranked by the planner.
         run(Command::Solve {
             source: WorkloadSource::Trace(path.display().to_string()),
             tau: 50,
             instance: instances::C3_LARGE,
             selector: SelectorKind::Greedy,
             allocator: AllocatorKind::custom_full(),
-            shards: 4,
             threads: 2,
-            partitioner: PartitionerKind::Hash { seed: 42 },
             refine: Some(SearchBudget::steps(256)),
             effective: true,
             scale: Some((300, 100_000)),
@@ -2160,37 +2132,32 @@ mod tests {
     }
 
     #[test]
-    fn shard_flags_parse_and_validate() {
-        let cmd = parse(&[
-            "solve",
-            "t.tsv",
-            "--tau",
-            "10",
-            "--shards",
-            "4",
-            "--threads",
-            "2",
-            "--partitioner",
-            "hash",
-        ])
-        .unwrap();
-        match cmd {
+    fn solve_threads_need_the_greedy_selector() {
+        let solve = |extra: &[&str]| parse(&[&["solve", "t.tsv", "--tau", "10"], extra].concat());
+        match solve(&["--threads", "4"]).unwrap() {
             Command::Solve {
-                shards,
-                threads,
-                partitioner,
-                ..
+                selector, threads, ..
             } => {
-                assert_eq!(shards, 4);
-                assert_eq!(threads, 2);
-                assert_eq!(partitioner, PartitionerKind::Hash { seed: 42 });
+                assert_eq!(selector, SelectorKind::Greedy);
+                assert_eq!(threads, 4);
             }
             other => panic!("parsed {other:?}"),
         }
-        let err = parse(&["solve", "t.tsv", "--tau", "10", "--shards", "0"]).unwrap_err();
-        assert!(err.contains("--shards"), "unexpected: {err}");
-        assert!(parse(&["solve", "t.tsv", "--tau", "10", "--threads", "0"]).is_err());
-        assert!(parse(&["solve", "t.tsv", "--tau", "10", "--partitioner", "magic"]).is_err());
+        for selector in ["rsp", "shared", "optimal"] {
+            for args in [
+                ["--selector", selector, "--threads", "2"],
+                ["--threads", "2", "--selector", selector],
+            ] {
+                assert_eq!(
+                    solve(&args).unwrap_err(),
+                    "--threads needs --selector gsp",
+                    "{args:?}"
+                );
+            }
+            assert!(solve(&["--selector", selector, "--threads", "1"]).is_ok());
+        }
+        assert!(solve(&["--selector", "gsp", "--threads", "2"]).is_ok());
+        assert!(solve(&["--threads", "0"]).is_err());
     }
 
     #[test]
@@ -2999,9 +2966,7 @@ mod tests {
                 ("--instance", INSTANCE),
                 ("--selector", &["rsp", "shared", "optimal", "gsp", "magic"]),
                 ("--allocator", &["ffbp", "cbp", "magic"]),
-                ("--shards", COUNT),
                 ("--threads", COUNT),
-                ("--partitioner", &["hash", "topic", "magic"]),
                 ("--refine", REFINE),
                 ("--store", PATH),
                 ("--effective", SWITCH),
@@ -3170,7 +3135,9 @@ mod tests {
         "solve --tau 10 t.tsv",
         "solve --store w.mcss --tau 10",
         "solve t.tsv --store w.mcss --tau 10",
-        "solve t.tsv --tau 10 --shards 4 --threads 2",
+        "solve t.tsv --tau 10 --selector rsp --threads 4",
+        "solve t.tsv --tau 10 --threads 4 --selector optimal",
+        "solve t.tsv --tau 10 --selector shared --threads 1",
         "solve t.tsv u.tsv --tau 10",
         "solve t.tsv --tau 10 extra",
         "solve t.tsv --tau --simulate",

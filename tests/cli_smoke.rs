@@ -136,9 +136,9 @@ fn solve_reports_on_a_tiny_trace() {
 }
 
 #[test]
-fn solve_with_shards_reports_sharded_pipeline() {
-    let dir = scratch("shards");
-    let path = dir.join("shards.tsv");
+fn solve_with_threads_runs_parallel_gsp() {
+    let dir = scratch("threads");
+    let path = dir.join("threads.tsv");
     let path_str = path.display().to_string();
 
     let out = mcss(&[
@@ -146,47 +146,29 @@ fn solve_with_shards_reports_sharded_pipeline() {
     ]);
     assert!(out.status.success(), "generate failed: {}", stderr(&out));
 
-    for partitioner in ["topic", "hash"] {
-        let out = mcss(&[
-            "solve",
-            &path_str,
-            "--tau",
-            "50",
-            "--shards",
-            "4",
-            "--threads",
-            "2",
-            "--partitioner",
-            partitioner,
-        ]);
-        assert!(
-            out.status.success(),
-            "sharded solve ({partitioner}) failed: {}",
-            stderr(&out)
-        );
-        let report = stdout(&out);
-        assert!(
-            report.contains("over 4 shards"),
-            "report does not mention shards: {report}"
-        );
-    }
-
-    // --threads alone drives the parallel Stage-1 path.
+    // --threads drives the parallel Stage-1 path.
     let out = mcss(&["solve", &path_str, "--tau", "50", "--threads", "3"]);
     assert!(out.status.success(), "threaded solve: {}", stderr(&out));
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn solve_rejects_zero_shards() {
-    let out = mcss(&["solve", "t.tsv", "--tau", "10", "--shards", "0"]);
-    assert!(!out.status.success());
+    // Only GSP has a parallel variant; another selector is a usage error.
+    let out = mcss(&[
+        "solve",
+        &path_str,
+        "--tau",
+        "50",
+        "--selector",
+        "rsp",
+        "--threads",
+        "3",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
     assert!(
-        stderr(&out).contains("--shards must be at least 1"),
+        stderr(&out).contains("--threads needs --selector gsp"),
         "unexpected stderr: {}",
         stderr(&out)
     );
+
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -60,12 +60,6 @@ fn all_pipelines() -> Vec<SolverParams> {
             allocator: AllocatorKind::custom_full(),
             ..SolverParams::default()
         },
-        SolverParams::default().with_sharding(ShardingConfig::new(4)),
-        SolverParams::default().with_sharding(
-            ShardingConfig::new(8)
-                .with_threads(4)
-                .with_partitioner(PartitionerKind::Hash { seed: 11 }),
-        ),
     ]
 }
 
@@ -180,86 +174,6 @@ fn gsp_selects_less_volume_than_rsp() {
         gsp.selection.outgoing_volume(inst.workload())
             <= rsp.selection.outgoing_volume(inst.workload()),
         "greedy selected more volume than random"
-    );
-}
-
-/// The sharding acceptance bar at trace scale: on a ≥100k-subscriber
-/// generated trace, a 4-shard solve must be measurably faster than the
-/// monolithic solve, keep total cost within 5%, and deliver identical
-/// per-subscriber satisfaction. Heavy (≈100k subscribers), so ignored by
-/// default — run with `cargo test --release -- --ignored sharded_faster`.
-#[test]
-#[ignore = "trace-scale benchmark; run explicitly with --ignored"]
-fn sharded_faster_same_satisfaction_at_trace_scale() {
-    let s = Scenario::spotify(100_000, 20140113);
-    let inst = s.instance(100, cloud_cost::instances::C3_LARGE).unwrap();
-    let cost = s.cost_model(cloud_cost::instances::C3_LARGE);
-
-    // `SolveReport` times are the parallel critical path for a sharded
-    // run (slowest shard, plus the merge in stage 2). On a host with ≥ 4
-    // cores real wall-clock is asserted directly as well; on core-starved
-    // CI runners we pin one worker thread so the per-shard measurements
-    // stay clean (no time-slicing noise) and assert on the critical
-    // path, which is what a 4-core host would observe.
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let worker_threads = cores.min(4);
-    let time_of = |r: &SolveReport| r.stage1_time + r.stage2_time;
-    // Best-of-3 for both metrics, to damp scheduler noise.
-    let timed = |solver: Solver| {
-        let mut best_wall = f64::INFINITY;
-        let mut best: Option<mcss::solver::SolveOutcome> = None;
-        for _ in 0..3 {
-            let started = std::time::Instant::now();
-            let outcome = solver.solve(&inst, &cost).unwrap();
-            best_wall = best_wall.min(started.elapsed().as_secs_f64());
-            if best
-                .as_ref()
-                .is_none_or(|b| time_of(&outcome.report) < time_of(&b.report))
-            {
-                best = Some(outcome);
-            }
-        }
-        (best.expect("three runs"), best_wall)
-    };
-    let (mono, mono_wall) = timed(Solver::default());
-    let params =
-        SolverParams::default().with_sharding(ShardingConfig::new(4).with_threads(worker_threads));
-    let (sharded, sharded_wall) = timed(Solver::new(params));
-
-    sharded
-        .allocation
-        .validate(inst.workload(), inst.tau())
-        .unwrap();
-    let mono_t = time_of(&mono.report).as_secs_f64();
-    let shard_t = time_of(&sharded.report).as_secs_f64();
-    assert!(
-        shard_t < mono_t,
-        "4 shards ({shard_t:.3}s) not faster than monolithic ({mono_t:.3}s) on the critical path"
-    );
-    if cores >= 4 {
-        assert!(
-            sharded_wall < mono_wall,
-            "4 shards ({sharded_wall:.3}s) not wall-clock faster than monolithic \
-             ({mono_wall:.3}s) on a {cores}-core host"
-        );
-    }
-    let mono_cost = mono.report.total_cost.micros() as f64;
-    let shard_cost = sharded.report.total_cost.micros() as f64;
-    assert!(
-        shard_cost <= mono_cost * 1.05,
-        "sharded cost {shard_cost} beyond 5% of monolithic {mono_cost}"
-    );
-    assert_eq!(
-        sharded.allocation.delivered_rates(inst.workload()),
-        mono.allocation.delivered_rates(inst.workload()),
-        "satisfaction diverged"
-    );
-    eprintln!(
-        "monolithic {mono_t:.3}s vs 4 shards {shard_t:.3}s ({:.2}x); cost {:+.2}%",
-        mono_t / shard_t,
-        100.0 * (shard_cost / mono_cost - 1.0)
     );
 }
 

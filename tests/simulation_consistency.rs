@@ -72,48 +72,6 @@ fn poisson_schedule_stays_satisfied_with_headroom() {
     assert!((0.8..1.2).contains(&ratio), "egress ratio {ratio}");
 }
 
-/// A merged shard-parallel allocation must route exactly like a
-/// monolithic one: the discrete-event replay agrees with the analytic
-/// model per VM and leaves nobody starved.
-#[test]
-fn sharded_allocation_routes_exactly_in_simulation() {
-    let s = Scenario::spotify(1_500, 31);
-    let inst = s.instance(50, cloud_cost::instances::C3_LARGE).unwrap();
-    let cost = s.cost_model(cloud_cost::instances::C3_LARGE);
-    for partitioner in [
-        PartitionerKind::TopicLocality,
-        PartitionerKind::Hash { seed: 7 },
-    ] {
-        let params = SolverParams::default()
-            .with_sharding(ShardingConfig::new(4).with_partitioner(partitioner));
-        let outcome = Solver::new(params).solve(&inst, &cost).unwrap();
-        assert_eq!(outcome.report.shards, 4);
-        outcome
-            .allocation
-            .validate(inst.workload(), inst.tau())
-            .unwrap();
-        let report =
-            Simulation::new(SimConfig::default()).run(inst.workload(), &outcome.allocation);
-        assert_eq!(
-            report.total_bandwidth_events(),
-            outcome.allocation.total_bandwidth().get(),
-            "simulated traffic diverged from the merged allocation ({partitioner:?})"
-        );
-        for (i, (meter, vm)) in report.vms.iter().zip(outcome.allocation.vms()).enumerate() {
-            assert_eq!(
-                meter.total_events(),
-                vm.used().get(),
-                "vm{i} traffic diverged ({partitioner:?})"
-            );
-        }
-        assert_eq!(
-            report.unsatisfied_count(inst.workload(), inst.tau()),
-            0,
-            "{partitioner:?}"
-        );
-    }
-}
-
 #[test]
 fn naive_and_paper_pipelines_both_satisfy_operationally() {
     let s = Scenario::twitter(800, 34);
