@@ -19,7 +19,7 @@ use mcss_core::{
     SelectorKind, Solver, SolverParams,
 };
 use mcss_store::WorkloadStoreExt;
-use pubsub_model::{Bandwidth, Rate, Workload};
+use pubsub_model::{Bandwidth, Rate, Workload, WorkloadEdit};
 use pubsub_traces::io::{read_workload, write_workload};
 use pubsub_traces::{analysis, TwitterLike};
 use std::fmt::Write as _;
@@ -465,7 +465,10 @@ pub struct ChurnCase<'a> {
 /// it, a full [`Solver::solve`] (GSP + CBP + the Alg. 5 bound) every
 /// epoch, over a drifting workload, across churn levels and workload
 /// scales. Cases with `threads > 1` additionally time the threaded
-/// dirty re-selection ([`IncrementalConfig::with_repair_threads`]).
+/// dirty re-selection ([`IncrementalConfig::with_repair_threads`]). The
+/// drift feeds one [`WorkloadEdit`] kept across the epochs, as the serve
+/// daemon keeps its own, and its in-place commit, which both paths need,
+/// is timed in a column of its own.
 ///
 /// Every epoch asserts that the dirty paths' selections, one-thread
 /// *and* threaded, are bit-identical to the full solve's and validates
@@ -491,6 +494,7 @@ pub fn fig_churn_speedup(
     let mut t = Table::new(vec![
         "subs".into(),
         "churn%".into(),
+        "commit ms/epoch".into(),
         "solve ms/epoch".into(),
         "Δ ms/epoch".into(),
         "Δ-MT ms/epoch".into(),
@@ -523,9 +527,10 @@ pub fn fig_churn_speedup(
                     IncrementalConfig::default().with_repair_threads(case.threads),
                 )
             });
-            let mut w = inst0.workload().clone();
+            let mut edit = WorkloadEdit::from_workload(inst0.workload().clone());
             // Epoch 0 primes the re-allocators; it is not timed.
-            let prime = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
+            let prime =
+                McssInstance::new(Arc::clone(edit.base()), tau_rate, capacity).expect("feasible");
             dirty
                 .step_with_delta(&prime, &cost, &WorkloadDelta::default())
                 .expect("first epoch solves");
@@ -533,14 +538,24 @@ pub fn fig_churn_speedup(
                 mt.step_with_delta(&prime, &cost, &WorkloadDelta::default())
                     .expect("first epoch solves");
             }
+            drop(prime);
 
-            let (mut full_ns, mut dirty_ns, mut mt_ns) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut commit_ns, mut full_ns) = (Vec::new(), Vec::new());
+            let (mut dirty_ns, mut mt_ns) = (Vec::new(), Vec::new());
             let (mut moved, mut reused) = (0u64, 0u64);
             let mut fleet = 0usize;
             for epoch in 0..epochs {
-                let (next, delta) = drift.evolve_tracked(&w, epoch);
-                w = next;
-                let step = McssInstance::new(w.clone(), tau_rate, capacity).expect("feasible");
+                drift.evolve_edit(&mut edit, epoch);
+                let tc = Instant::now();
+                let (w, changed_topics, changed_subscribers) = edit.commit_shared();
+                commit_ns.push(tc.elapsed().as_nanos());
+                let delta = WorkloadDelta {
+                    changed_topics,
+                    changed_subscribers,
+                };
+                // The epoch's only other handle to the workload, dropped
+                // before the next commit so that commit stays in place.
+                let step = McssInstance::new(w, tau_rate, capacity).expect("feasible");
                 let t0 = Instant::now();
                 let f = full.solve(&step, &cost).expect("feasible epoch");
                 full_ns.push(t0.elapsed().as_nanos());
@@ -572,8 +587,9 @@ pub fn fig_churn_speedup(
                 fleet = d.allocation.vm_count();
             }
             let (sel, ledger, _) = dirty.checkpoint().expect("primed reallocator has state");
-            let footprint = MemoryFootprint::measure(&w, Some(sel), Some(ledger));
+            let footprint = MemoryFootprint::measure(edit.base(), Some(sel), Some(ledger));
             let bytes_per_sub = footprint.bytes_per_subscriber();
+            let commit_per = EpochSpread::of(commit_ns);
             let full_per = EpochSpread::of(full_ns);
             let dirty_per = EpochSpread::of(dirty_ns);
             let speedup = full_per.median as f64 / dirty_per.median.max(1) as f64;
@@ -590,6 +606,7 @@ pub fn fig_churn_speedup(
             t.row(vec![
                 subs.to_string(),
                 churn_pct.to_string(),
+                commit_per.ms(),
                 full_per.ms(),
                 dirty_per.ms(),
                 mt_cols.0,
@@ -608,11 +625,12 @@ pub fn fig_churn_speedup(
             };
             json_rows.push(format!(
                 "    {{\"trace\": \"{}\", \"subscribers\": {subs}, \"churn_pct\": {churn_pct}, \
-                 \"threads\": {}, {}, {}, {mt_json}\"speedup\": {speedup:.2}, \
+                 \"threads\": {}, {}, {}, {}, {mt_json}\"speedup\": {speedup:.2}, \
                  \"pairs_moved_per_epoch\": {moved_per}, \"pairs_reused_per_epoch\": {reused_per}, \
                  \"fleet_vms\": {fleet}, \"bytes_per_subscriber\": {bytes_per_sub:.2}}}",
                 scenario.name,
                 case.threads,
+                commit_per.json("commit"),
                 full_per.json("full"),
                 dirty_per.json("delta"),
             ));
@@ -622,7 +640,8 @@ pub fn fig_churn_speedup(
     let _ = writeln!(
         out,
         "# every epoch's dirty-path selections equal the full solve's and \
-         the repaired fleets validate; speedup is the median Solver::solve \
+         the repaired fleets validate; commit is the in-place WorkloadEdit \
+         commit both paths start from; speedup is the median Solver::solve \
          time per epoch over the median dirty-path time (MT speedup: over \
          the threaded dirty path); B/sub counts resident workload arenas + \
          selection + fleet ledger"
@@ -1848,6 +1867,7 @@ mod tests {
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"delta_mt_ns_per_epoch\""));
         assert!(json.contains("\"full_ns_per_epoch_min\""));
+        assert!(json.contains("\"commit_ns_per_epoch\""));
         assert!(json.contains("\"delta_ns_per_epoch_max\""));
         assert!(json.contains("\"bytes_per_subscriber\""));
         assert!(json.contains("ns_per_epoch"));

@@ -15,6 +15,7 @@ use cloud_cost::{CostModel, FleetCostModel, Money};
 use pubsub_model::{Rate, SubscriberId, TopicId, Workload, WorkloadEdit, MAX_RATE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What changed between two workload epochs — the churn record a drift
@@ -96,18 +97,50 @@ impl DriftModel {
     /// subscriber is listed iff the churn branch fired, which can
     /// occasionally re-produce the same interest set).
     ///
+    /// The evolved workload starts as one copy of `workload`, which
+    /// [`DriftModel::evolve_edit`] and the commit then edit in place; a
+    /// caller that keeps a [`WorkloadEdit`] across epochs skips the copy.
+    ///
     /// # Panics
     ///
     /// Panics if `rate_sigma` is negative or `churn_prob` is outside
     /// `[0, 1]`.
     pub fn evolve_tracked(&self, workload: &Workload, epoch: u64) -> (Workload, WorkloadDelta) {
+        let mut edit = WorkloadEdit::from_workload(workload.clone());
+        self.evolve_edit(&mut edit, epoch);
+        let (evolved, changed_topics, changed_subscribers) = edit.commit_shared();
+        drop(edit);
+        let evolved =
+            Arc::into_inner(evolved).expect("the dropped edit held the only other handle");
+        (
+            evolved,
+            WorkloadDelta {
+                changed_topics,
+                changed_subscribers,
+            },
+        )
+    }
+
+    /// Feeds one epoch of drift into `edit` as operations on its base
+    /// workload: a `rerate` of every topic, then an `unsubscribe` and a
+    /// `subscribe` per churning subscriber. The edit's change lists, once
+    /// committed, are the delta [`DriftModel::evolve_tracked`] returns: a
+    /// topic is listed iff its rate moved, a subscriber iff it churned
+    /// (the unsubscribe always lands).
+    ///
+    /// # Panics
+    ///
+    /// As [`DriftModel::evolve_tracked`].
+    pub fn evolve_edit(&self, edit: &mut WorkloadEdit, epoch: u64) {
         assert!(self.rate_sigma >= 0.0, "sigma must be non-negative");
         assert!(
             (0.0..=1.0).contains(&self.churn_prob),
             "churn must be a probability"
         );
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(epoch));
-        let mut edit = WorkloadEdit::from_workload(workload);
+        // A second handle for reading while the edit takes operations;
+        // dropped before the caller commits.
+        let workload = Arc::clone(edit.base());
         for (ti, r) in workload.rates().iter().enumerate() {
             let noise = (self.rate_sigma * standard_normal(&mut rng)).exp();
             let evolved = ((r.get() as f64) * noise)
@@ -128,17 +161,6 @@ impl DriftModel {
                 edit.subscribe(v, add).expect("drift picks existing topics");
             }
         }
-        // The edit's change lists are the delta: a topic is listed iff its
-        // rate moved, a subscriber iff it churned (the unsubscribe always
-        // lands). The splice against `workload` copies every clean row.
-        let (evolved, changed_topics, changed_subscribers) = edit.commit(Some(workload));
-        (
-            evolved,
-            WorkloadDelta {
-                changed_topics,
-                changed_subscribers,
-            },
-        )
     }
 }
 

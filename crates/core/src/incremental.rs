@@ -15,8 +15,11 @@
 //!    rows verbatim for everyone else.
 //!    The result is bit-identical to a full re-selection (a clean
 //!    subscriber's greedy choice depends only on its own interests, their
-//!    rates, and `τ`). A re-selected row that names a topic no VM can
-//!    host fails the epoch before the ledger changes, so the remembered
+//!    rates, and `τ`). When at most half the rows are dirty, the
+//!    re-selected rows go into a side selection that is spliced into the
+//!    remembered one in place, so clean rows are not even copied. A
+//!    re-selected row that names a topic no VM can host fails the epoch
+//!    before the ledger or the selection changes, so the remembered
 //!    state survives it;
 //! 2. dirty rows are diffed old-vs-new in place ([`crate::SelectionDiff`];
 //!    no clone, no sort): pairs that left the selection are removed from
@@ -509,9 +512,9 @@ impl IncrementalReallocator {
 
     /// The epoch step behind [`IncrementalReallocator::step_with_delta`]:
     /// repairs (or re-solves) the remembered fleet and returns the epoch's
-    /// counters, exporting nothing. The new selection moves into the
-    /// remembered state; a full re-solve also hands back the packer's
-    /// allocation. The serve daemon calls this directly and reads the
+    /// counters, exporting nothing. The new selection replaces the
+    /// remembered one, or on a sparse epoch is spliced into it; a full
+    /// re-solve also hands back the packer's allocation. The serve daemon calls this directly and reads the
     /// fleet's size and bandwidth from the ledger's counters.
     pub(crate) fn advance(
         &mut self,
@@ -547,7 +550,6 @@ impl IncrementalReallocator {
         // used-counter refresh. It comes from the remembered rates, not
         // the delta: one O(topics) compare, each topic once, and a delta
         // that misses a re-rate cannot leave the counters at the old rate.
-        let mut dirty = vec![true; n];
         let mut changed_rates: Vec<(TopicId, Rate, Rate)> = Vec::new();
         if let Some(basis) = &prev.basis {
             changed_rates.extend(
@@ -559,28 +561,14 @@ impl IncrementalReallocator {
                     .filter(|(_, (old, new))| old != new)
                     .map(|(ti, (&old, &new))| (TopicId::new(ti as u32), old, new)),
             );
-            if basis.tau == tau {
-                dirty = vec![false; n];
-                // Followers of re-rated topics.
-                for &(t, _, _) in &changed_rates {
-                    for &v in workload.subscribers_of(t) {
-                        if v.index() < n {
-                            dirty[v.index()] = true;
-                        }
-                    }
-                }
-                // Changed interest sets, plus subscribers the old epoch
-                // never saw.
-                for flag in dirty.iter_mut().skip(basis.num_subscribers.min(n)) {
-                    *flag = true;
-                }
-                for &v in &delta.changed_subscribers {
-                    if v.index() < n {
-                        dirty[v.index()] = true;
-                    }
-                }
-            }
         }
+        // Ascending subscriber ids.
+        let dirty: Vec<u32> = match &prev.basis {
+            Some(basis) if basis.tau == tau => {
+                dirty_rows(workload, delta, basis.num_subscribers, &changed_rates)
+            }
+            _ => (0..n as u32).collect(),
+        };
 
         // The topic → hosts index lives as long as the ledger; growing it
         // before Stage 1's temporaries keeps it below them on the heap.
@@ -588,13 +576,50 @@ impl IncrementalReallocator {
         prev.ledger.ensure_topics(workload.num_topics());
 
         // --- Stage 1: re-select dirty rows, reuse the rest -------------
-        // Reads no ledger state, so it runs before the ledger changes.
-        let (selection, pairs_reused) = build_in_ranges(
-            n,
-            self.config.repair_threads,
-            prev.selection.pair_count() as usize,
-            |range, builder| reselect_dirty(workload, &prev.selection, &dirty, tau, range, builder),
-        );
+        // Reads no ledger state, so it runs before the ledger changes. A
+        // sparse epoch re-selects its dirty rows into a side selection,
+        // spliced into the remembered one once the epoch can no longer
+        // fail. A dense one (more than half the rows dirty, or fewer
+        // subscribers than before) builds a new selection, copying the
+        // clean runs.
+        let threads = self.config.repair_threads;
+        let stage1 = if n >= prev_n && dirty.len() * 2 <= n {
+            // Room for the dirty rows' previous lengths; new rows get the
+            // mean.
+            let mean = (prev.selection.pair_count() as usize).div_ceil(prev_n.max(1));
+            let pairs = dirty
+                .iter()
+                .map(|&vi| match vi as usize {
+                    vi if vi < prev_n => {
+                        prev.selection.selected(SubscriberId::new(vi as u32)).len()
+                    }
+                    _ => mean,
+                })
+                .sum();
+            let (side, _) = build_in_ranges(dirty.len(), threads, pairs, |range, builder| {
+                for &vi in &dirty[range] {
+                    let v = SubscriberId::new(vi);
+                    builder.push_row_with(|row| select_for_subscriber_into(workload, v, tau, row));
+                }
+                0
+            });
+            Stage1::Side(side)
+        } else {
+            let (selection, reused) = build_in_ranges(
+                n,
+                threads,
+                prev.selection.pair_count() as usize,
+                |range, builder| {
+                    reselect_dirty(workload, &prev.selection, &dirty, tau, range, builder)
+                },
+            );
+            Stage1::Full(selection, reused)
+        };
+        // The epoch's row for dirty row `j`, subscriber `vi`.
+        let new_row = |j: usize, vi: u32| match &stage1 {
+            Stage1::Side(side) => side.selected(SubscriberId::new(j as u32)),
+            Stage1::Full(selection, _) => selection.selected(SubscriberId::new(vi)),
+        };
 
         // --- Feasibility, before the ledger changes --------------------
         // A failed epoch keeps the remembered state. Only a topic no VM
@@ -602,17 +627,25 @@ impl IncrementalReallocator {
         // read. A clean row kept its topics and their rates, which fit
         // last epoch, so only dirty rows can select one — unless the
         // capacity changed.
+        let too_big = |t: &TopicId| workload.rate(*t).pair_cost() > capacity;
         let infeasible = if workload.rates().iter().all(|r| r.pair_cost() <= capacity) {
             None
+        } else if capacity != prev.capacity {
+            (0..n as u32)
+                .flat_map(|vi| match dirty.binary_search(&vi) {
+                    Ok(j) => new_row(j, vi),
+                    Err(_) => prev.selection.selected(SubscriberId::new(vi)),
+                })
+                .copied()
+                .filter(too_big)
+                .min()
         } else {
-            let every_row = capacity != prev.capacity;
             dirty
                 .iter()
                 .enumerate()
-                .filter(|&(_, &is_dirty)| is_dirty || every_row)
-                .flat_map(|(vi, _)| selection.selected(SubscriberId::new(vi as u32)))
+                .flat_map(|(j, &vi)| new_row(j, vi))
                 .copied()
-                .filter(|&t| workload.rate(t).pair_cost() > capacity)
+                .filter(too_big)
                 .min()
         };
         if let Some(topic) = infeasible {
@@ -658,23 +691,20 @@ impl IncrementalReallocator {
             prev.ledger.mark_all_for_overflow();
         }
 
-        // --- Diff dirty rows and repair the ledger ---------------------
+        // --- Diff dirty rows, splice, and repair the ledger ------------
         let mut removed: Vec<(TopicId, SubscriberId)> = Vec::new();
         let mut to_place: Vec<(TopicId, SubscriberId)> = Vec::new();
         let mut differ = SelectionDiff::new();
-        for (vi, &is_dirty) in dirty.iter().enumerate() {
-            if !is_dirty {
-                continue;
-            }
-            let v = SubscriberId::new(vi as u32);
-            let old_row: &[TopicId] = if vi < prev_n {
+        for (j, &vi) in dirty.iter().enumerate() {
+            let v = SubscriberId::new(vi);
+            let old_row: &[TopicId] = if (vi as usize) < prev_n {
                 prev.selection.selected(v)
             } else {
                 &[]
             };
             differ.diff_rows(
                 old_row,
-                selection.selected(v),
+                new_row(j, vi),
                 |t| removed.push((t, v)),
                 |t| to_place.push((t, v)),
             );
@@ -686,6 +716,16 @@ impl IncrementalReallocator {
                 removed.push((t, v));
             }
         }
+        let pairs_reused = match stage1 {
+            Stage1::Side(side) => {
+                prev.selection.splice_rows(&dirty, &side, n);
+                prev.selection.pair_count() - side.pair_count()
+            }
+            Stage1::Full(selection, reused) => {
+                prev.selection = selection;
+                reused
+            }
+        };
         let pairs_removed = removed.len() as u64;
         for &(t, v) in &removed {
             if t.index() < workload.num_topics() {
@@ -714,9 +754,9 @@ impl IncrementalReallocator {
         // Release empty VMs and check the compaction floor.
         prev.ledger.release_empty();
         if prev.ledger.utilization() < self.config.compaction_threshold {
-            let allocation = self.full_allocate(instance, &selection, cost)?;
-            let placed = selection.pair_count();
-            self.remember(selection, &allocation, workload, tau, capacity);
+            let allocation = self.full_allocate(instance, &prev.selection, cost)?;
+            let placed = prev.selection.pair_count();
+            self.remember(prev.selection, &allocation, workload, tau, capacity);
             return Ok(EpochStep {
                 pairs_placed: placed,
                 pairs_removed,
@@ -731,10 +771,12 @@ impl IncrementalReallocator {
         // selection no longer wants (rows are small, so a linear
         // `contains` beats assuming a sort order they don't have).
         pending.retain(|&(t, v)| {
-            t.index() < workload.num_topics() && v.index() < n && selection.selected(v).contains(&t)
+            t.index() < workload.num_topics()
+                && v.index() < n
+                && prev.selection.selected(v).contains(&t)
         });
         self.previous = Some(State {
-            selection,
+            selection: prev.selection,
             ledger: prev.ledger,
             capacity,
             pending,
@@ -941,34 +983,80 @@ impl IncrementalReallocator {
     }
 }
 
-/// The dirty loop over subscribers `range`: re-selects dirty rows and
-/// block-copies runs of clean rows from the previous selection (a clean
-/// subscriber always has a previous row — dirty tracking marks everyone
-/// past the old subscriber count). Returns the pairs copied.
+/// What an epoch's Stage 1 produced: the re-selected dirty rows alone,
+/// or the whole new selection with the pairs its clean runs copied.
+enum Stage1 {
+    Side(Selection),
+    Full(Selection, u64),
+}
+
+/// The rows an epoch must re-select, ascending: the delta's changed
+/// subscribers, those the previous epoch never saw (from `known` on) and
+/// the followers of re-rated topics. Without re-rates the list is sorted;
+/// a re-rate can dirty any share of the rows, so those epochs gather them
+/// through an n-sized mark table.
+fn dirty_rows(
+    workload: &Workload,
+    delta: &WorkloadDelta,
+    known: usize,
+    changed_rates: &[(TopicId, Rate, Rate)],
+) -> Vec<u32> {
+    let n = workload.num_subscribers();
+    let mut rows: Vec<u32> = delta
+        .changed_subscribers
+        .iter()
+        .map(|v| v.raw())
+        .filter(|&vi| (vi as usize) < n)
+        .collect();
+    rows.extend(known.min(n) as u32..n as u32);
+    if changed_rates.is_empty() {
+        rows.sort_unstable();
+        rows.dedup();
+        return rows;
+    }
+    let mut marked = vec![false; n];
+    for &vi in &rows {
+        marked[vi as usize] = true;
+    }
+    for &(t, _, _) in changed_rates {
+        for v in workload.subscribers_of(t) {
+            marked[v.index()] = true;
+        }
+    }
+    (0..n as u32).filter(|&vi| marked[vi as usize]).collect()
+}
+
+/// The dense dirty loop over subscribers `range`: re-selects the `dirty`
+/// rows (ascending) and block-copies the runs of clean rows between them
+/// from the previous selection (a clean subscriber always has a previous
+/// row — dirty tracking lists everyone past the old subscriber count).
+/// Returns the pairs copied.
 fn reselect_dirty(
     workload: &Workload,
     prev: &Selection,
-    dirty: &[bool],
+    dirty: &[u32],
     tau: Rate,
     range: Range<usize>,
     builder: &mut SelectionBuilder,
 ) -> u64 {
     let mut pairs_reused = 0u64;
-    let mut vi = range.start;
-    while vi < range.end {
-        if dirty[vi] {
-            let v = SubscriberId::new(vi as u32);
-            builder.push_row_with(|row| select_for_subscriber_into(workload, v, tau, row));
-            vi += 1;
-        } else {
-            let run_end = dirty[vi..range.end]
-                .iter()
-                .position(|&d| d)
-                .map_or(range.end, |p| vi + p);
-            pairs_reused += builder.push_rows_from(prev, vi..run_end);
-            vi = run_end;
+    let mut copy_clean = |rows: Range<usize>, builder: &mut SelectionBuilder| {
+        if !rows.is_empty() {
+            pairs_reused += builder.push_rows_from(prev, rows);
         }
+    };
+    let first = dirty.partition_point(|&vi| (vi as usize) < range.start);
+    let mut next = range.start;
+    for &vi in dirty[first..]
+        .iter()
+        .take_while(|&&vi| (vi as usize) < range.end)
+    {
+        copy_clean(next..vi as usize, builder);
+        let v = SubscriberId::new(vi);
+        builder.push_row_with(|row| select_for_subscriber_into(workload, v, tau, row));
+        next = vi as usize + 1;
     }
+    copy_clean(next..range.end, builder);
     pairs_reused
 }
 

@@ -1,6 +1,8 @@
 //! The output of Stage 1: a set of topic-subscriber pairs.
 
+use pubsub_model::csr::{shift_offsets, splice_in_place};
 use pubsub_model::{Bandwidth, Pair, Rate, SubscriberId, TopicId, Workload};
+use std::ops::Range;
 
 /// A set `S` of topic-subscriber pairs chosen to satisfy every subscriber
 /// (the output of Stage 1, §III-A), stored as a CSR arena: one flat topic
@@ -119,6 +121,40 @@ impl Selection {
             return Err("selection offsets must be monotone".into());
         }
         Ok(Selection { offsets, topics })
+    }
+
+    /// Replaces rows `rows` (ascending) with the rows of `side`, in
+    /// order, where they lie ([`pubsub_model::csr`]): only the runs
+    /// between replaced rows whose position changes move. The selection
+    /// grows to `n` rows; rows past its end append, and unlisted ones
+    /// among them come into being empty.
+    pub(crate) fn splice_rows(&mut self, rows: &[u32], side: &Selection, n: usize) {
+        debug_assert_eq!(rows.len(), side.num_subscribers());
+        let end = self.topics.len();
+        let edits: Vec<(Range<usize>, usize)> = rows
+            .iter()
+            .enumerate()
+            .map(|(j, &vi)| {
+                let vi = vi as usize;
+                let old = match self.offsets.get(vi + 1) {
+                    Some(&hi) => self.offsets[vi] as usize..hi as usize,
+                    None => end..end,
+                };
+                (old, side.row(j).len())
+            })
+            .collect();
+        splice_in_place(&mut self.topics, &edits, |j, slot| {
+            slot.copy_from_slice(side.row(j));
+        });
+        assert!(
+            self.topics.len() <= u32::MAX as usize,
+            "selection exceeds u32::MAX pairs"
+        );
+        let deltas = rows
+            .iter()
+            .zip(&edits)
+            .map(|(&vi, (old, len))| (vi as usize, *len as isize - old.len() as isize));
+        shift_offsets(&mut self.offsets, n, deltas);
     }
 
     /// Starts an empty row-by-row builder.
@@ -492,14 +528,6 @@ impl SelectionBuilder {
         self.offsets.push(end);
     }
 
-    /// Appends the next subscriber's row by copying a slice (the verbatim
-    /// row-reuse fast path of the incremental re-allocator).
-    pub fn push_row_slice(&mut self, row: &[TopicId]) {
-        self.topics.extend_from_slice(row);
-        let end = self.end_offset();
-        self.offsets.push(end);
-    }
-
     /// Appends the next subscriber's row by letting `fill` write directly
     /// into the topic arena (everything it pushes becomes the row).
     pub fn push_row_with(&mut self, fill: impl FnOnce(&mut Vec<TopicId>)) {
@@ -759,7 +787,7 @@ mod tests {
         let mut left = SelectionBuilder::new();
         left.push_row([t(0), t(1)]);
         let mut right = SelectionBuilder::new();
-        right.push_row_slice(&[t(2)]);
+        right.push_row([t(2)]);
         right.push_row([]);
         let mut all = SelectionBuilder::new();
         all.append(left);
@@ -769,6 +797,24 @@ mod tests {
         assert_eq!(
             s,
             Selection::from_per_subscriber(vec![vec![t(0), t(1)], vec![t(2)], vec![]])
+        );
+    }
+
+    #[test]
+    fn splice_rows_replaces_and_appends_in_place() {
+        let mut s = Selection::from_per_subscriber(vec![vec![t(0)], vec![t(1), t(2)], vec![t(3)]]);
+        let side = Selection::from_per_subscriber(vec![vec![], vec![t(5), t(6)], vec![t(7)]]);
+        // Row 0 empties, row 2 grows, row 4 appends past an empty row 3.
+        s.splice_rows(&[0, 2, 4], &side, 5);
+        assert_eq!(
+            s,
+            Selection::from_per_subscriber(vec![
+                vec![],
+                vec![t(1), t(2)],
+                vec![t(5), t(6)],
+                vec![],
+                vec![t(7)],
+            ])
         );
     }
 

@@ -159,12 +159,34 @@ impl From<McssError> for ServeError {
 // container so log records and snapshot sections checksum identically.
 use mcss_store::crc32;
 
-fn put_u32(buf: &mut Vec<u8>, x: u32) {
-    buf.extend_from_slice(&x.to_le_bytes());
+/// One framed log record — CRC32 and length of the payload, then the
+/// payload — encoded into a stack buffer that fits the longest record, so
+/// appending an event allocates nothing.
+struct Record {
+    buf: [u8; RECORD_FRAME + MAX_PAYLOAD],
+    len: usize,
 }
 
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
+impl Record {
+    fn put_u8(&mut self, x: u8) {
+        self.buf[self.len] = x;
+        self.len += 1;
+    }
+
+    fn put_u32(&mut self, x: u32) {
+        self.buf[self.len..self.len + 4].copy_from_slice(&x.to_le_bytes());
+        self.len += 4;
+    }
+
+    fn put_u64(&mut self, x: u64) {
+        self.buf[self.len..self.len + 8].copy_from_slice(&x.to_le_bytes());
+        self.len += 8;
+    }
+
+    /// The encoded record.
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -385,37 +407,47 @@ const KIND_VM_FAIL: u8 = 4;
 const KIND_VM_RECOVER: u8 = 5;
 
 impl Event {
-    fn encode_payload(self, seq: u64, buf: &mut Vec<u8>) {
-        put_u64(buf, seq);
+    /// The event's log record with sequence number `seq`.
+    fn record(self, seq: u64) -> Record {
+        let mut r = Record {
+            buf: [0; RECORD_FRAME + MAX_PAYLOAD],
+            len: RECORD_FRAME,
+        };
+        r.put_u64(seq);
         match self {
             Event::Rerate { topic, rate } => {
-                buf.push(KIND_RERATE);
-                put_u32(buf, topic.index() as u32);
-                put_u64(buf, rate.get());
+                r.put_u8(KIND_RERATE);
+                r.put_u32(topic.index() as u32);
+                r.put_u64(rate.get());
             }
             Event::Subscribe { subscriber, topic } => {
-                buf.push(KIND_SUBSCRIBE);
-                put_u32(buf, subscriber.index() as u32);
-                put_u32(buf, topic.index() as u32);
+                r.put_u8(KIND_SUBSCRIBE);
+                r.put_u32(subscriber.index() as u32);
+                r.put_u32(topic.index() as u32);
             }
             Event::Unsubscribe { subscriber, topic } => {
-                buf.push(KIND_UNSUBSCRIBE);
-                put_u32(buf, subscriber.index() as u32);
-                put_u32(buf, topic.index() as u32);
+                r.put_u8(KIND_UNSUBSCRIBE);
+                r.put_u32(subscriber.index() as u32);
+                r.put_u32(topic.index() as u32);
             }
             Event::EpochMark { epoch } => {
-                buf.push(KIND_EPOCH_MARK);
-                put_u64(buf, epoch);
+                r.put_u8(KIND_EPOCH_MARK);
+                r.put_u64(epoch);
             }
             Event::VmFail { slot } => {
-                buf.push(KIND_VM_FAIL);
-                put_u32(buf, slot);
+                r.put_u8(KIND_VM_FAIL);
+                r.put_u32(slot);
             }
             Event::VmRecover { slot } => {
-                buf.push(KIND_VM_RECOVER);
-                put_u32(buf, slot);
+                r.put_u8(KIND_VM_RECOVER);
+                r.put_u32(slot);
             }
         }
+        let payload = RECORD_FRAME..r.len;
+        let crc = crc32(&r.buf[payload.clone()]);
+        r.buf[..4].copy_from_slice(&crc.to_le_bytes());
+        r.buf[4..RECORD_FRAME].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        r
     }
 
     fn decode_payload(payload: &[u8]) -> Option<(u64, Event)> {
@@ -704,7 +736,8 @@ impl EventLog {
     }
 
     /// Appends one event, returning the sequence number it was assigned.
-    /// Writes are buffered; call [`EventLog::sync`] to make them
+    /// Writes are buffered, and the record is encoded on the stack, so an
+    /// append allocates nothing; call [`EventLog::sync`] to make them
     /// durable (the daemon does so at every epoch boundary).
     ///
     /// # Errors
@@ -712,13 +745,7 @@ impl EventLog {
     /// Any [`ServeError::Io`] from the buffered write.
     pub fn append(&mut self, event: Event) -> Result<u64, ServeError> {
         let seq = self.next_seq;
-        let mut payload = Vec::with_capacity(24);
-        event.encode_payload(seq, &mut payload);
-        let mut record = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut record, crc32(&payload));
-        put_u32(&mut record, payload.len() as u32);
-        record.extend_from_slice(&payload);
-        self.writer.write_all(&record)?;
+        self.writer.write_all(event.record(seq).bytes())?;
         self.next_seq = seq + 1;
         Ok(seq)
     }
@@ -1147,8 +1174,10 @@ pub struct Daemon {
     config: ServeConfig,
     cost: Box<dyn CostModel>,
     log: EventLog,
+    /// The workload edit, whose base is the workload as of the last
+    /// applied epoch. The daemon holds no other handle to it across an
+    /// epoch, so each commit edits it in place.
     edit: WorkloadEdit,
-    prev: Option<Arc<Workload>>,
     realloc: IncrementalReallocator,
     epochs_applied: u64,
     pending: u64,
@@ -1200,7 +1229,6 @@ impl Daemon {
             cost,
             log,
             edit: WorkloadEdit::new(),
-            prev: None,
             realloc: IncrementalReallocator::new(
                 IncrementalConfig::default().with_repair_threads(config.threads),
             ),
@@ -1214,8 +1242,8 @@ impl Daemon {
     }
 
     /// Recovers a daemon from a state directory: loads the snapshot (if
-    /// one exists), bases the workload edit on it by copying its interest
-    /// arenas, verifies the whole log in one streaming pass and replays
+    /// one exists), hands its workload to the workload edit as the base,
+    /// verifies the whole log in one streaming pass and replays
     /// only the suffix past the snapshot — re-applying an epoch at every
     /// `EpochMark` and leaving trailing events buffered, exactly as they
     /// were before the crash. `config` and the cost model must match the
@@ -1255,7 +1283,6 @@ impl Daemon {
         let log_path = dir.join(LOG_FILE);
 
         let mut edit = WorkloadEdit::new();
-        let mut prev = None;
         let mut realloc = IncrementalReallocator::new(
             IncrementalConfig::default().with_repair_threads(config.threads),
         );
@@ -1275,10 +1302,9 @@ impl Daemon {
             }
             // Adopt the snapshot's workload as-is: the snapshot carries
             // every derived arena — follower CSR, rate ranking — so
-            // nothing is re-derived here.
+            // nothing is re-derived here, and the edit edits it in place.
             let rates = snap.workload.rates().to_vec();
-            let workload = Arc::new(snap.workload);
-            edit = WorkloadEdit::from_workload(&workload);
+            edit = WorkloadEdit::from_workload(snap.workload);
             realloc.restore(
                 snap.selection,
                 FleetLedger::from_slots(snap.slots),
@@ -1286,7 +1312,6 @@ impl Daemon {
                 rates,
                 config.tau,
             );
-            prev = Some(workload);
             epochs_applied = snap.epochs_applied;
             last_applied = snap.last_seq;
         }
@@ -1317,7 +1342,6 @@ impl Daemon {
             cost,
             log,
             edit,
-            prev,
             realloc,
             epochs_applied,
             pending: 0,
@@ -1521,21 +1545,26 @@ impl Daemon {
 
     fn apply_epoch(&mut self, events: u64) -> Result<EpochStats, ServeError> {
         let started = Instant::now();
-        let (workload, changed_topics, changed_subscribers) =
-            self.edit.commit(self.prev.as_deref());
+        // A second handle alive here would make the commit copy the whole
+        // workload instead of editing it in place.
+        debug_assert_eq!(
+            Arc::strong_count(self.edit.base()),
+            1,
+            "only the edit may hold the workload across epochs"
+        );
+        let (workload, changed_topics, changed_subscribers) = self.edit.commit_shared();
         let delta = WorkloadDelta {
             changed_topics,
             changed_subscribers,
         };
-        let workload = Arc::new(workload);
-        let instance =
-            McssInstance::new(Arc::clone(&workload), self.config.tau, self.config.capacity)?;
+        // The instance's handle drops when this epoch closes, before the
+        // next commit.
+        let instance = McssInstance::new(workload, self.config.tau, self.config.capacity)?;
         // The counter-only step: the fleet stays in the ledger, whose
         // counters the stats read below.
         let step = self
             .realloc
             .advance(&instance, self.cost.as_ref(), &delta)?;
-        self.prev = Some(workload);
 
         // Fold the epoch's fleet ops: fail + budgeted repair first (the
         // repair also drains any carry-over from earlier epochs), then
@@ -1620,13 +1649,12 @@ impl Daemon {
     }
 
     fn write_snapshot(&mut self) -> Result<PathBuf, ServeError> {
-        let workload = self.prev.as_ref().ok_or_else(|| {
-            ServeError::Rejected("nothing to snapshot before the first epoch".into())
-        })?;
-        let (selection, ledger, capacity) = self
-            .realloc
-            .checkpoint()
-            .expect("an applied epoch implies a checkpoint");
+        let Some((selection, ledger, capacity)) = self.realloc.checkpoint() else {
+            return Err(ServeError::Rejected(
+                "nothing to snapshot before the first epoch".into(),
+            ));
+        };
+        let workload = &**self.edit.base();
         let snapshot = SnapshotRef {
             last_seq: self.last_applied,
             epochs_applied: self.epochs_applied,
@@ -1668,9 +1696,10 @@ impl Daemon {
         self.realloc.pending_repair_pairs()
     }
 
-    /// The workload as of the last applied epoch.
+    /// The workload as of the last applied epoch; `None` before the
+    /// first.
     pub fn workload(&self) -> Option<&Workload> {
-        self.prev.as_deref()
+        self.realloc.checkpoint().map(|_| &**self.edit.base())
     }
 
     /// The Stage-1 selection as of the last applied epoch.
@@ -2048,11 +2077,7 @@ mod tests {
         }
         // A record whose checksum holds but whose sequence number skips.
         let mut skipped = bytes[..at].to_vec();
-        let mut payload = Vec::new();
-        Event::EpochMark { epoch: 0 }.encode_payload(7, &mut payload);
-        put_u32(&mut skipped, crc32(&payload));
-        put_u32(&mut skipped, payload.len() as u32);
-        skipped.extend_from_slice(&payload);
+        skipped.extend_from_slice(Event::EpochMark { epoch: 0 }.record(7).bytes());
         for after in [0, 5, 6] {
             check_scan(&path, &skipped, after);
         }

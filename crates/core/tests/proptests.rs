@@ -15,9 +15,10 @@ use mcss_core::stage2::{
 use mcss_core::{lower_bound, McssInstance};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
+use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadEdit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Random workload: 1..=8 topics with rates 1..=30, 1..=8 subscribers
 /// with non-empty interests.
@@ -358,6 +359,52 @@ proptest! {
             if epoch < epochs {
                 (w, delta) = drift.evolve_tracked(&w, epoch);
             }
+        }
+    }
+
+    /// Epochs that re-select at most half the rows splice them into the
+    /// remembered selection in place. Over stable-rate drift with sparse
+    /// churn through one long-lived edit, plus a halved topic rate and an
+    /// appended subscriber each epoch, every epoch's selection equals a
+    /// fresh GSP selection at every thread count, and the fleet stays
+    /// valid.
+    #[test]
+    fn sparse_epochs_match_fresh_selection(
+        inst in arb_instance(),
+        churn_pct in 0u64..30,
+        seed in 0u64..1000,
+        epochs in 2u64..7,
+        threads_idx in 0usize..4,
+    ) {
+        let threads = [1usize, 2, 3, 7][threads_idx];
+        let drift = DriftModel {
+            rate_sigma: 0.0,
+            churn_prob: churn_pct as f64 / 100.0,
+            seed,
+        };
+        let mut inc =
+            IncrementalReallocator::new(IncrementalConfig::default().with_repair_threads(threads));
+        let mut edit = WorkloadEdit::from_workload(inst.workload().clone());
+        let mut delta = WorkloadDelta::default();
+        for epoch in 0..epochs {
+            let step = McssInstance::new(Arc::clone(edit.base()), inst.tau(), inst.capacity())
+                .unwrap();
+            let fresh = GreedySelectPairs::new().select(&step).unwrap();
+            let out = inc.step_with_delta(&step, &nocost(), &delta).unwrap();
+            prop_assert_eq!(&out.selection, &fresh, "epoch {} diverged ({} threads)", epoch, threads);
+            out.allocation.validate(step.workload(), step.tau()).map_err(|e| {
+                TestCaseError::fail(format!("epoch {epoch} invalid: {e}"))
+            })?;
+            drop(step);
+
+            drift.evolve_edit(&mut edit, epoch);
+            let t = TopicId::new((epoch % edit.num_topics() as u64) as u32);
+            let halved = Rate::new((edit.base().rate(t).get() / 2).max(1));
+            edit.rerate(t, halved).unwrap();
+            let newcomer = SubscriberId::new(edit.num_subscribers() as u32);
+            edit.subscribe(newcomer, t).unwrap();
+            let (_, changed_topics, changed_subscribers) = edit.commit_shared();
+            delta = WorkloadDelta { changed_topics, changed_subscribers };
         }
     }
 

@@ -2,38 +2,45 @@
 //! operations into per-epoch [`Workload`]s plus exact change lists.
 //!
 //! The solver side of the repository consumes *immutable* workloads —
-//! CSR arenas built once per epoch — while an event-sourced daemon
-//! receives a stream of individual operations. [`WorkloadEdit`] bridges
-//! the two. It keeps the last committed rate table and interest CSR as
-//! its *base*, and gives each subscriber an operation changes a
-//! copy-on-write row in one flat arena, found in O(1) through a
-//! per-subscriber slot table. [`WorkloadEdit::commit`] emits the epoch's
-//! workload together with the exact sets of changed topics and
+//! CSR arenas — while an event-sourced daemon receives a stream of
+//! individual operations. [`WorkloadEdit`] bridges the two. Its *base* is
+//! the last committed workload itself, held as an `Arc<Workload>`, and
+//! each subscriber an operation changes gets a copy-on-write row in one
+//! flat arena, found in O(1) through a per-subscriber slot table.
+//! [`WorkloadEdit::commit_shared`] edits the base into the epoch's
+//! workload and returns it with the exact sets of changed topics and
 //! subscribers.
 //!
 //! # Cost model
 //!
 //! An operation costs a binary search in its subscriber's row, plus a
 //! copy of that row the first time the epoch changes it. With Δ the
-//! epoch's changed subscribers and pairs, a commit against the previous
-//! epoch's workload is one splice pass over its arenas: **O(Δ log Δ)
-//! work** — sorting the change lists, re-ranking the changed rows and
-//! merging the follower rows of the topics whose subscriber set changed —
-//! **plus O(pairs) memcpy** of the clean runs between them, their offsets
-//! shifted. Rows that follow a re-rated topic are re-ranked too; when
-//! they and the changed rows make up more than half the workload, the
+//! epoch's changed subscribers and pairs, a commit edits the base's
+//! arenas where they lie, through [`crate::csr`]: **O(Δ log Δ) work** —
+//! sorting the change lists, rewriting and re-ranking the changed
+//! interest rows, one insert or removal per changed pair in the follower
+//! arena — **plus the runs that move**: the items between two edits
+//! move, one memmove per run, only where the edits before them changed
+//! the arena's length, and offsets shift likewise. No arena is copied
+//! whole. Rows that follow a re-rated topic are re-ranked in place; when
+//! they and the changed rows make up more than half the subscribers, the
 //! ranked arena comes from the global counting-sort scatter instead.
 //!
-//! The splice trusts `prev` only after a memcmp shows its rates and
-//! interest arenas are the edit's base. Any other `prev`, or none,
-//! rebuilds the derived arenas from scratch: a wrong `prev` costs time,
-//! never correctness.
+//! **Rebuild.** When more than half the subscribers changed (a bootstrap
+//! batch), the commit splices the interest rows and rebuilds the derived
+//! arenas from them by counting sort, as a fresh workload is built.
+//!
+//! **Copy-on-write.** The commit edits the base through `Arc::make_mut`.
+//! If another handle to the base is alive, the base is copied first and
+//! that handle keeps its workload: the commit then costs O(pairs) again,
+//! never correctness. Callers that want O(Δ) commits drop their handles
+//! to the last commit's workload before the next one.
 
 use crate::ids::{SubscriberId, TopicId};
 use crate::units::{Rate, MAX_RATE};
-use crate::workload::{rank_by_scatter, Workload, WorkloadError};
-use std::cmp::Reverse;
+use crate::workload::{Workload, WorkloadError};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The slot of a subscriber whose row is still the base's.
 const CLEAN: u32 = u32::MAX;
@@ -61,14 +68,15 @@ struct Span {
 /// let mut edit = WorkloadEdit::new();
 /// edit.rerate(TopicId::new(0), Rate::new(20))?; // introduces topic 0
 /// edit.subscribe(SubscriberId::new(0), TopicId::new(0))?;
-/// let (w, topics, subs) = edit.commit(None);
+/// let (w, topics, subs) = edit.commit_shared();
 /// assert_eq!(w.pair_count(), 1);
 /// assert_eq!(topics, vec![TopicId::new(0)]);
 /// assert_eq!(subs, vec![SubscriberId::new(0)]);
+/// drop(w); // the edit's base is unshared again: the next commit is O(Δ)
 ///
-/// // The next epoch splices the last: clean rows copy verbatim.
+/// // The next epoch edits the last in place.
 /// edit.subscribe(SubscriberId::new(1), TopicId::new(0))?;
-/// let (w2, _, subs) = edit.commit(Some(&w));
+/// let (w2, _, subs) = edit.commit_shared();
 /// assert_eq!(w2.pair_count(), 2);
 /// assert_eq!(subs, vec![SubscriberId::new(1)]);
 /// # Ok(())
@@ -76,13 +84,9 @@ struct Span {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WorkloadEdit {
-    /// Event rates as of the last commit.
-    base_rates: Vec<Rate>,
-    /// Interest CSR offsets as of the last commit.
-    base_offsets: Vec<u32>,
-    /// Interest CSR topics as of the last commit.
-    base_topics: Vec<TopicId>,
-    /// Current event rates: the base plus this epoch's re-rates and new
+    /// The last committed workload, which pending operations apply to.
+    base: Arc<Workload>,
+    /// Current event rates: the base's plus this epoch's re-rates and new
     /// topics.
     rates: Vec<Rate>,
     /// Per current subscriber, the index in `spans` of its working row,
@@ -100,18 +104,7 @@ pub struct WorkloadEdit {
 
 impl Default for WorkloadEdit {
     fn default() -> WorkloadEdit {
-        WorkloadEdit {
-            base_rates: Vec::new(),
-            base_offsets: vec![0],
-            base_topics: Vec::new(),
-            rates: Vec::new(),
-            slots: Vec::new(),
-            spans: Vec::new(),
-            cow: Vec::new(),
-            pairs: 0,
-            changed_topics: Vec::new(),
-            changed_subscribers: Vec::new(),
-        }
+        WorkloadEdit::from_workload(Workload::builder().build())
     }
 }
 
@@ -122,19 +115,27 @@ impl WorkloadEdit {
     }
 
     /// An edit based on an existing workload with no pending changes —
-    /// the starting point when resuming from a snapshot. Copies the rate
-    /// table and interest arenas verbatim.
-    pub fn from_workload(workload: &Workload) -> WorkloadEdit {
-        let arenas = workload.arenas();
+    /// the starting point when resuming from a snapshot. The workload
+    /// becomes the base as it is; only its rate table is copied.
+    pub fn from_workload(workload: impl Into<Arc<Workload>>) -> WorkloadEdit {
+        let base: Arc<Workload> = workload.into();
         WorkloadEdit {
-            base_rates: arenas.rates.to_vec(),
-            base_offsets: arenas.interest_offsets.to_vec(),
-            base_topics: arenas.interest_topics.to_vec(),
-            rates: arenas.rates.to_vec(),
-            slots: vec![CLEAN; workload.num_subscribers()],
-            pairs: arenas.interest_topics.len(),
-            ..WorkloadEdit::default()
+            rates: base.rates().to_vec(),
+            slots: vec![CLEAN; base.num_subscribers()],
+            spans: Vec::new(),
+            cow: Vec::new(),
+            pairs: base.pair_count() as usize,
+            changed_topics: Vec::new(),
+            changed_subscribers: Vec::new(),
+            base,
         }
+    }
+
+    /// The last committed workload (the one [`WorkloadEdit::from_workload`]
+    /// was given, before the first commit), which pending operations
+    /// apply to.
+    pub fn base(&self) -> &Arc<Workload> {
+        &self.base
     }
 
     /// Number of topics the edit currently knows.
@@ -255,16 +256,13 @@ impl WorkloadEdit {
         (self.changed_topics.len(), self.changed_subscribers.len())
     }
 
-    /// Builds the epoch's workload and returns it with the deduplicated,
-    /// ascending lists of changed topics and subscribers, clearing the
-    /// pending-change state; the committed workload becomes the edit's
-    /// new base. With `prev` the previous commit's workload, the derived
-    /// arenas splice from it (module docs); otherwise they are rebuilt.
-    /// Either path yields bit-identical arenas.
-    pub fn commit(
-        &mut self,
-        prev: Option<&Workload>,
-    ) -> (Workload, Vec<TopicId>, Vec<SubscriberId>) {
+    /// Commits the pending operations: edits the base into the epoch's
+    /// workload (module docs) and returns a handle to it with the
+    /// deduplicated, ascending lists of changed topics and subscribers,
+    /// clearing the pending-change state. The committed workload is the
+    /// edit's new base; drop the returned handle before the next commit,
+    /// or that commit copies the base first.
+    pub fn commit_shared(&mut self) -> (Arc<Workload>, Vec<TopicId>, Vec<SubscriberId>) {
         let mut topics = std::mem::take(&mut self.changed_topics);
         topics.sort_unstable();
         topics.dedup();
@@ -273,30 +271,15 @@ impl WorkloadEdit {
         subs.sort_unstable();
         subs.dedup();
 
-        let base = prev.filter(|prev| {
-            let arenas = prev.arenas();
-            arenas.rates == self.base_rates.as_slice()
-                && arenas.interest_offsets == self.base_offsets.as_slice()
-                && arenas.interest_topics == self.base_topics.as_slice()
-        });
-        let (offsets, interests) = splice(
-            self.slots.len(),
-            self.pairs,
-            &self.base_offsets,
-            &self.base_topics,
-            subs.iter().map(|v| v.index()),
-            |vi, out| out.extend_from_slice(self.row(vi)),
-        );
-        self.base_offsets.clone_from(&offsets);
-        self.base_topics.clone_from(&interests);
-        let workload = match base {
-            Some(prev) => {
-                splice_derived(prev, self.rates.clone(), &topics, &subs, offsets, interests)
-            }
-            None => Workload::from_csr_u32(self.rates.clone(), offsets, interests),
-        };
+        let n = self.slots.len();
+        let working = self.working_rows(&subs);
+        let row = |j: usize| &self.cow[working[j].clone()];
+        if subs.len() * 2 > n {
+            Workload::rebuild_rows(&mut self.base, self.rates.clone(), &subs, n, row);
+        } else {
+            Arc::make_mut(&mut self.base).edit_rows(&self.rates, &topics, &subs, n, row);
+        }
 
-        self.base_rates.clone_from(&self.rates);
         for v in &subs {
             self.slots[v.index()] = CLEAN;
         }
@@ -306,15 +289,26 @@ impl WorkloadEdit {
         self.spans.shrink_to(rows);
         self.cow.clear();
         self.cow.shrink_to(used);
-        (workload, topics, subs)
+        (Arc::clone(&self.base), topics, subs)
+    }
+
+    /// [`WorkloadEdit::commit_shared`], returning a copy of the committed
+    /// workload. `_prev` is not read: the edit holds the workload its
+    /// operations apply to. The copy costs O(pairs); callers that keep
+    /// the edit across epochs use [`WorkloadEdit::commit_shared`].
+    pub fn commit(
+        &mut self,
+        _prev: Option<&Workload>,
+    ) -> (Workload, Vec<TopicId>, Vec<SubscriberId>) {
+        let (workload, topics, subs) = self.commit_shared();
+        (Workload::clone(&workload), topics, subs)
     }
 
     /// Subscriber `vi`'s current interest row, sorted (empty for an
     /// unknown subscriber).
     fn row(&self, vi: usize) -> &[TopicId] {
         match self.slots.get(vi) {
-            None => &[],
-            Some(&CLEAN) => &self.base_topics[self.base_range(vi)],
+            None | Some(&CLEAN) => base_row(&self.base, vi),
             Some(&slot) => {
                 let span = self.spans[slot as usize];
                 &self.cow[span.start..span.start + span.len]
@@ -322,21 +316,24 @@ impl WorkloadEdit {
         }
     }
 
-    /// Where subscriber `vi`'s base row lies in `base_topics`.
-    fn base_range(&self, vi: usize) -> Range<usize> {
-        match self.base_offsets.get(vi + 1) {
-            Some(&end) => self.base_offsets[vi] as usize..end as usize,
-            None => 0..0,
-        }
+    /// Where the working rows of `subs` (each must have one) lie in the
+    /// copy-on-write arena.
+    fn working_rows(&self, subs: &[SubscriberId]) -> Vec<Range<usize>> {
+        subs.iter()
+            .map(|v| {
+                let span = self.spans[self.slots[v.index()] as usize];
+                span.start..span.start + span.len
+            })
+            .collect()
     }
 
     /// The index in `spans` of subscriber `vi`'s working row, copying its
     /// base row into the arena on the epoch's first change.
     fn writable(&mut self, vi: usize) -> usize {
         if self.slots[vi] == CLEAN {
-            let base = self.base_range(vi);
+            let base = base_row(&self.base, vi);
             let start = self.cow.len();
-            self.cow.extend_from_slice(&self.base_topics[base.clone()]);
+            self.cow.extend_from_slice(base);
             self.slots[vi] = self.spans.len() as u32;
             self.spans.push(Span {
                 start,
@@ -348,174 +345,13 @@ impl WorkloadEdit {
     }
 }
 
-/// Builds an `n`-row CSR arena of exact length `len` from an older one
-/// (`src_offsets`, `src`; at most `n` rows) in one pass: each run of rows
-/// between consecutive `dirty` rows (ascending, below `n`) is one memcpy
-/// of `src` with its offsets shifted, rows past `src`'s end are empty,
-/// and `write_row` appends each dirty row.
-fn splice<T: Copy>(
-    n: usize,
-    len: usize,
-    src_offsets: &[u32],
-    src: &[T],
-    dirty: impl Iterator<Item = usize>,
-    mut write_row: impl FnMut(usize, &mut Vec<T>),
-) -> (Vec<u32>, Vec<T>) {
-    let src_rows = src_offsets.len() - 1;
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut items = Vec::with_capacity(len);
-    offsets.push(0u32);
-    let copy_clean = |from: usize, to: usize, offsets: &mut Vec<u32>, items: &mut Vec<T>| {
-        let mid = to.min(src_rows).max(from);
-        if from < mid {
-            let lo = src_offsets[from];
-            let shift = (items.len() as u32).wrapping_sub(lo);
-            items.extend_from_slice(&src[lo as usize..src_offsets[mid] as usize]);
-            offsets.extend(
-                src_offsets[from + 1..=mid]
-                    .iter()
-                    .map(|&o| o.wrapping_add(shift)),
-            );
-        }
-        offsets.resize(offsets.len() + (to - mid), items.len() as u32);
-    };
-    let mut next = 0;
-    for row in dirty {
-        copy_clean(next, row, &mut offsets, &mut items);
-        write_row(row, &mut items);
-        offsets.push(items.len() as u32);
-        next = row + 1;
-    }
-    copy_clean(next, n, &mut offsets, &mut items);
-    debug_assert_eq!(items.len(), len);
-    (offsets, items)
-}
-
-/// The workload with interest CSR (`offsets`, `interests`) whose ranked
-/// and follower arenas splice from `prev`, the workload the edit's pending
-/// changes apply to: `topics` and `subs` are the commit's change lists.
-fn splice_derived(
-    prev: &Workload,
-    rates: Vec<Rate>,
-    topics: &[TopicId],
-    subs: &[SubscriberId],
-    offsets: Vec<u32>,
-    interests: Vec<TopicId>,
-) -> Workload {
-    let old = prev.arenas();
-    let n = offsets.len() - 1;
-    let row = |vi: usize| &interests[offsets[vi] as usize..offsets[vi + 1] as usize];
-
-    // Follower arena: the changed pairs, grouped by topic, merge into
-    // their topics' old rows; every other row copies.
-    let mut changes: Vec<(TopicId, SubscriberId, bool)> = Vec::new();
-    for &v in subs {
-        let before: &[TopicId] = if v.index() < prev.num_subscribers() {
-            prev.interests(v)
-        } else {
-            &[]
-        };
-        let after = row(v.index());
-        let (mut i, mut j) = (0, 0);
-        while i < before.len() || j < after.len() {
-            if j == after.len() || (i < before.len() && before[i] < after[j]) {
-                changes.push((before[i], v, false));
-                i += 1;
-            } else if i == before.len() || after[j] < before[i] {
-                changes.push((after[j], v, true));
-                j += 1;
-            } else {
-                (i, j) = (i + 1, j + 1);
-            }
-        }
-    }
-    changes.sort_unstable();
-    let mut rest = changes.as_slice();
-    let (follower_offsets, follower_ids) = splice(
-        rates.len(),
-        interests.len(),
-        old.follower_offsets,
-        old.follower_ids,
-        changes
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|group| group[0].0.index()),
-        |ti, out| {
-            let (group, tail) = rest.split_at(rest.partition_point(|c| c.0.index() == ti));
-            rest = tail;
-            let old_row: &[SubscriberId] = if ti < old.rates.len() {
-                prev.subscribers_of(TopicId::new(ti as u32))
-            } else {
-                &[]
-            };
-            let mut i = 0;
-            for &(_, v, added) in group {
-                let keep = old_row[i..].partition_point(|&u| u < v);
-                out.extend_from_slice(&old_row[i..i + keep]);
-                i += keep;
-                if added {
-                    out.push(v);
-                } else {
-                    i += 1; // old_row[i] == v leaves the row
-                }
-            }
-            out.extend_from_slice(&old_row[i..]);
-        },
-    );
-
-    // Ranked arena: changed rows and the followers of re-rated topics
-    // re-rank; clean runs copy. Mostly-dirty epochs use the scatter.
-    let mut dirty: Vec<usize> = subs.iter().map(|v| v.index()).collect();
-    let rerated: Vec<TopicId> = topics
-        .iter()
-        .copied()
-        .filter(|t| t.index() < old.rates.len() && old.rates[t.index()] != rates[t.index()])
-        .collect();
-    if !rerated.is_empty() {
-        let mut marked = vec![false; n];
-        for &vi in &dirty {
-            marked[vi] = true;
-        }
-        for t in rerated {
-            for &v in prev.subscribers_of(t) {
-                if !std::mem::replace(&mut marked[v.index()], true) {
-                    dirty.push(v.index());
-                }
-            }
-            if dirty.len() * 2 > n {
-                break;
-            }
-        }
-    }
-    let ranked_topics = if dirty.len() * 2 > n {
-        rank_by_scatter(&rates, &offsets, &follower_offsets, &follower_ids)
+/// Subscriber `vi`'s row in `base` (empty past its subscribers).
+fn base_row(base: &Workload, vi: usize) -> &[TopicId] {
+    if vi < base.num_subscribers() {
+        base.interests(SubscriberId::new(vi as u32))
     } else {
-        dirty.sort_unstable();
-        let old_rows = old.interest_offsets.len() - 1;
-        let mut ranked = Vec::with_capacity(interests.len());
-        let mut next = 0;
-        for vi in dirty.into_iter().chain([n]) {
-            let (lo, hi) = (next.min(old_rows), vi.min(old_rows));
-            if lo < hi {
-                let src = old.interest_offsets[lo] as usize..old.interest_offsets[hi] as usize;
-                ranked.extend_from_slice(&old.ranked_topics[src]);
-            }
-            if vi < n {
-                let start = ranked.len();
-                ranked.extend_from_slice(row(vi));
-                ranked[start..].sort_unstable_by_key(|&t| (Reverse(rates[t.index()]), t));
-            }
-            next = vi + 1;
-        }
-        ranked
-    };
-    Workload::assemble(
-        rates,
-        offsets,
-        interests,
-        ranked_topics,
-        follower_offsets,
-        follower_ids,
-    )
+        &[]
+    }
 }
 
 #[cfg(test)]
@@ -628,13 +464,43 @@ mod tests {
         b.add_subscriber([t1]).unwrap();
         let w = b.build();
 
-        let mut edit = WorkloadEdit::from_workload(&w);
+        let mut edit = WorkloadEdit::from_workload(w.clone());
         assert_eq!(edit.pending_changes(), (0, 0));
         let (rebuilt, topics, subs) = edit.commit(None);
         assert!(topics.is_empty() && subs.is_empty());
-        assert_eq!(rebuilt.rates(), w.rates());
-        for vi in w.subscribers() {
-            assert_eq!(rebuilt.interests(vi), w.interests(vi));
+        assert_eq!(rebuilt, w);
+    }
+
+    #[test]
+    fn a_commit_while_the_base_is_shared_copies_it_first() {
+        let mut edit = WorkloadEdit::new();
+        for i in 0..4u32 {
+            edit.rerate(t(i), Rate::new(10 + u64::from(i))).unwrap();
         }
+        for vi in 0..8u32 {
+            edit.subscribe(v(vi), t(vi % 4)).unwrap();
+        }
+        let (first, _, _) = edit.commit_shared();
+        let snapshot = Workload::clone(&first);
+
+        // `first` still shares the base: this commit must leave it alone.
+        edit.unsubscribe(v(2), t(2));
+        edit.subscribe(v(2), t(3)).unwrap();
+        edit.rerate(t(1), Rate::new(40)).unwrap();
+        let (second, _, subs) = edit.commit_shared();
+        assert_eq!(subs, vec![v(2)], "one changed row takes the in-place path");
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(*first, snapshot);
+        assert_eq!(second.interests(v(2)), &[t(3)]);
+        assert_eq!(second.rate(t(1)), Rate::new(40));
+        assert_eq!(second.subscribers_of(t(2)), &[v(6)]);
+
+        // Unshared, the next commit edits the base where it lies.
+        drop((first, second));
+        let before = Arc::as_ptr(edit.base());
+        edit.subscribe(v(3), t(0)).unwrap();
+        let (third, _, _) = edit.commit_shared();
+        assert_eq!(Arc::as_ptr(&third), before);
+        assert_eq!(third.ranked_interests(v(3)), &[t(3), t(0)]);
     }
 }

@@ -21,7 +21,9 @@ use std::fmt;
 /// assert_eq!(t.index(), 7);
 /// assert_eq!(format!("{t}"), "t7");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
+)]
 #[serde(transparent)]
 pub struct TopicId(u32);
 
@@ -59,7 +61,9 @@ impl fmt::Display for TopicId {
 /// assert_eq!(v.index(), 3);
 /// assert_eq!(format!("{v}"), "v3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
+)]
 #[serde(transparent)]
 pub struct SubscriberId(u32);
 

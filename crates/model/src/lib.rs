@@ -13,7 +13,10 @@
 //!   derived subscriber sets `V_t`, built through [`WorkloadBuilder`] and
 //!   stored as flat CSR (compressed sparse row) adjacency arenas;
 //! * [`WorkloadStats`] — summary statistics used by trace analysis and the
-//!   experiment harness.
+//!   experiment harness;
+//! * [`WorkloadEdit`] — folds subscribe/unsubscribe/re-rate operations into
+//!   per-epoch workloads, editing the CSR arenas in place through the
+//!   [`csr`] primitives.
 //!
 //! # Example
 //!
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod csr;
 mod edit;
 mod ids;
 mod stats;

@@ -1,9 +1,12 @@
 //! The pub/sub workload instance `(T, V, ev, Int)` and its builder.
 
+use crate::csr::{shift_offsets, splice_in_place};
 use crate::{Bandwidth, Rate, SubscriberId, TopicId, MAX_RATE};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Errors raised while constructing a [`Workload`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -218,8 +221,8 @@ impl From<Workload> for WorkloadData {
 /// (descending `ev_t`, ascending topic id) — the order every greedy
 /// Stage-1 sweep consumes, so selectors never sort per subscriber. It is
 /// built in one counting-sort pass at construction (see
-/// [`Workload::ranked_interests`]) and maintained incrementally by
-/// [`WorkloadEdit::commit`](crate::WorkloadEdit::commit).
+/// [`Workload::ranked_interests`]) and edited in place by
+/// [`WorkloadEdit::commit_shared`](crate::WorkloadEdit::commit_shared).
 ///
 /// See the [crate-level example](crate) for typical usage.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -404,6 +407,164 @@ impl Workload {
             pair_count,
             total_rate,
         }
+    }
+
+    /// Edits the workload in place into the next epoch's — the in-place
+    /// commit of [`WorkloadEdit`](crate::WorkloadEdit), whose module docs
+    /// give its cost. `rates` is the new rate table (this one's topics,
+    /// some re-rated, then any new ones) and `topics` (ascending) lists
+    /// every topic whose rate may differ; `subs` (ascending) are the
+    /// subscribers whose interest rows change, `row(j)` the new sorted row
+    /// of `subs[j]`; the table grows to `n` subscribers.
+    pub(crate) fn edit_rows<'a>(
+        &mut self,
+        rates: &[Rate],
+        topics: &[TopicId],
+        subs: &[SubscriberId],
+        n: usize,
+        row: impl Fn(usize) -> &'a [TopicId],
+    ) {
+        // Read the old rows before they change: each changed pair becomes
+        // one insert or one removal at its place in the follower arena.
+        let old_topics = self.num_topics();
+        let mut changes: Vec<(TopicId, SubscriberId, bool)> = Vec::new();
+        for (j, &v) in subs.iter().enumerate() {
+            let before = if v.index() < self.num_subscribers() {
+                self.interests(v)
+            } else {
+                &[]
+            };
+            let after = row(j);
+            let (mut i, mut k) = (0, 0);
+            while i < before.len() || k < after.len() {
+                if k == after.len() || (i < before.len() && before[i] < after[k]) {
+                    changes.push((before[i], v, false));
+                    i += 1;
+                } else if i == before.len() || after[k] < before[i] {
+                    changes.push((after[k], v, true));
+                    k += 1;
+                } else {
+                    (i, k) = (i + 1, k + 1);
+                }
+            }
+        }
+        changes.sort_unstable();
+        let follower_edits: Vec<(Range<usize>, usize)> = changes
+            .iter()
+            .map(|&(t, v, added)| {
+                let at = if t.index() < old_topics {
+                    self.follower_offsets[t.index()] as usize
+                        + self.subscribers_of(t).partition_point(|&u| u < v)
+                } else {
+                    self.follower_ids.len()
+                };
+                if added {
+                    (at..at, 1)
+                } else {
+                    (at..at + 1, 0)
+                }
+            })
+            .collect();
+        let rerated: Vec<TopicId> = topics
+            .iter()
+            .copied()
+            .filter(|t| t.index() < old_topics && self.rates[t.index()] != rates[t.index()])
+            .collect();
+
+        // Rates: re-rated topics in place, new topics appended.
+        for t in topics.iter().take_while(|t| t.index() < old_topics) {
+            let (old, new) = (self.rates[t.index()], rates[t.index()]);
+            self.total_rate = self.total_rate - old + new;
+            self.rates[t.index()] = new;
+        }
+        let fresh = &rates[old_topics..];
+        self.total_rate += fresh.iter().copied().sum();
+        self.rates.reserve_exact(fresh.len());
+        self.rates.extend_from_slice(fresh);
+
+        splice_in_place(&mut self.follower_ids, &follower_edits, |j, slot| {
+            slot.fill(changes[j].1);
+        });
+        let topic_deltas = changes.chunk_by(|a, b| a.0 == b.0).map(|group| {
+            let added = group.iter().filter(|c| c.2).count() as isize;
+            (group[0].0.index(), 2 * added - group.len() as isize)
+        });
+        shift_offsets(&mut self.follower_offsets, rates.len(), topic_deltas);
+
+        let row_edits = splice_rows(
+            &mut self.interest_offsets,
+            &mut self.interest_topics,
+            n,
+            subs,
+            &row,
+        );
+        self.pair_count = self.interest_topics.len() as u64;
+
+        // Ranked arena: the changed rows re-rank as they are spliced in,
+        // then the other followers of re-rated topics re-rank where they
+        // lie. Mostly-dirty epochs use the scatter.
+        let rank =
+            |row: &mut [TopicId]| row.sort_unstable_by_key(|&t| (Reverse(rates[t.index()]), t));
+        let mut rerank: Vec<usize> = Vec::new();
+        if !rerated.is_empty() {
+            let mut marked = vec![false; n];
+            for v in subs {
+                marked[v.index()] = true;
+            }
+            for &t in &rerated {
+                for &v in self.subscribers_of(t) {
+                    if !std::mem::replace(&mut marked[v.index()], true) {
+                        rerank.push(v.index());
+                    }
+                }
+                if (subs.len() + rerank.len()) * 2 > n {
+                    break;
+                }
+            }
+        }
+        if (subs.len() + rerank.len()) * 2 > n {
+            drop(std::mem::take(&mut self.ranked_topics));
+            self.ranked_topics = rank_by_scatter(
+                &self.rates,
+                &self.interest_offsets,
+                &self.follower_offsets,
+                &self.follower_ids,
+            );
+        } else {
+            splice_in_place(&mut self.ranked_topics, &row_edits, |j, slot| {
+                slot.copy_from_slice(row(j));
+                rank(slot);
+            });
+            for vi in rerank {
+                let span =
+                    self.interest_offsets[vi] as usize..self.interest_offsets[vi + 1] as usize;
+                rank(&mut self.ranked_topics[span]);
+            }
+        }
+    }
+
+    /// Replaces `base` with the next epoch's workload — the rebuild commit
+    /// of [`WorkloadEdit`](crate::WorkloadEdit): interest rows `subs`
+    /// (ascending) become `row(j)` and the table grows to `n`
+    /// subscribers, in place when `base` is unshared, and the derived
+    /// arenas are rebuilt by counting sort against `rates`.
+    pub(crate) fn rebuild_rows<'a>(
+        base: &mut Arc<Workload>,
+        rates: Vec<Rate>,
+        subs: &[SubscriberId],
+        n: usize,
+        row: impl Fn(usize) -> &'a [TopicId],
+    ) {
+        // Only the interest CSR survives (copied if the base is shared).
+        let (mut offsets, mut interests) = match Arc::get_mut(base) {
+            Some(w) => (
+                std::mem::take(&mut w.interest_offsets),
+                std::mem::take(&mut w.interest_topics),
+            ),
+            None => (base.interest_offsets.clone(), base.interest_topics.clone()),
+        };
+        splice_rows(&mut offsets, &mut interests, n, subs, &row);
+        *base = Arc::new(Workload::from_csr_u32(rates, offsets, interests));
     }
 
     /// Borrows all six raw arenas at once (primaries and derived
@@ -619,6 +780,38 @@ impl Workload {
     }
 }
 
+/// Replaces rows `subs` (ascending) of an interest CSR (`offsets`,
+/// `items`) with `row(j)` in place, growing the table to `n` rows; a row
+/// past the table appends. Returns the arena edits made, which the ranked
+/// arena shares.
+fn splice_rows<'a>(
+    offsets: &mut Vec<u32>,
+    items: &mut Vec<TopicId>,
+    n: usize,
+    subs: &[SubscriberId],
+    row: &impl Fn(usize) -> &'a [TopicId],
+) -> Vec<(Range<usize>, usize)> {
+    let end = items.len();
+    let edits: Vec<(Range<usize>, usize)> = subs
+        .iter()
+        .enumerate()
+        .map(|(j, v)| {
+            let old = match offsets.get(v.index() + 1) {
+                Some(&hi) => offsets[v.index()] as usize..hi as usize,
+                None => end..end,
+            };
+            (old, row(j).len())
+        })
+        .collect();
+    splice_in_place(items, &edits, |j, slot| slot.copy_from_slice(row(j)));
+    let deltas = subs
+        .iter()
+        .zip(&edits)
+        .map(|(v, (old, len))| (v.index(), *len as isize - old.len() as isize));
+    shift_offsets(offsets, n, deltas);
+    edits
+}
+
 /// Packs a machine-word offset table to u32, rejecting (never truncating)
 /// tables whose arena would be unaddressable by u32 offsets.
 fn shrink_offsets(offsets: Vec<usize>) -> Result<Vec<u32>, WorkloadError> {
@@ -691,7 +884,7 @@ pub(crate) fn transpose(
 /// ascending id) order and scatter through the follower rows — every
 /// interest row comes out in exactly that order, one O(|T| log |T|)
 /// ranking plus an O(P) pass instead of a sort per row.
-pub(crate) fn rank_by_scatter(
+fn rank_by_scatter(
     rates: &[Rate],
     interest_offsets: &[u32],
     follower_offsets: &[u32],
