@@ -365,3 +365,128 @@ fn repair_matches_golden() {
          if the change is deliberate, regenerate with MCSS_BLESS=1"
     );
 }
+
+/// A store file's layout: its length, header CRC and a CRC over every
+/// byte (inter-section padding included), then one line per section
+/// with its id, offset, length and payload CRC.
+fn store_fingerprint(label: &str, path: &std::path::Path) -> String {
+    let bytes = std::fs::read(path).unwrap();
+    let header_crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
+    let mut out = format!(
+        "{label}: len={} header_crc={header_crc:08x} file_crc={:08x}\n",
+        bytes.len(),
+        mcss_store::crc32(&bytes)
+    );
+    for s in mcss_store::StoreReader::open(path).unwrap().sections() {
+        out.push_str(&format!(
+            "  {} id={:#04x} offset={} len={} crc={:08x}\n",
+            s.name, s.id, s.offset, s.len, s.crc
+        ));
+    }
+    out
+}
+
+/// The bytes every store writer puts on disk, fingerprinted against
+/// `tests/golden/store_bytes.txt`:
+/// - a serve daemon's snapshot after a bootstrap and three drift epochs
+///   of a 2k- and of an 8k-subscriber Spotify-like trace, with one slot
+///   failed (and left down) and another failed then recovered, so its
+///   slot table holds live, failed and tombstoned slots;
+/// - `Snapshot::write` of a hand-built snapshot with an empty ledger;
+/// - `to_store` of the 2k trace.
+///
+/// The file pins the on-disk format byte for byte. Regenerate (only
+/// for a deliberate format change) with
+/// `MCSS_BLESS=1 cargo test --test determinism store_bytes_match_golden`.
+#[test]
+fn store_bytes_match_golden() {
+    use cloud_cost::instances::C3_LARGE;
+    use mcss::solver::dynamic::DriftModel;
+    use mcss::solver::serve::{Daemon, Driver, Event, ServeConfig, Snapshot};
+    use mcss::solver::Selection;
+    use mcss_store::WorkloadStoreExt;
+
+    let dir = std::env::temp_dir().join(format!("mcss-store-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut out = String::new();
+    // At 8k subscribers the arena sections outgrow a 64 KiB write buffer.
+    for subscribers in [2_000, 8_000] {
+        let scenario = Scenario::spotify(subscribers, 7);
+        let cost = scenario.cost_model(C3_LARGE);
+        let config = ServeConfig::new(Rate::new(100), cost.capacity()).with_snapshot_every(0);
+        let serve_dir = dir.join(format!("serve-{subscribers}"));
+        let mut daemon = Daemon::create(&serve_dir, config, Box::new(cost)).unwrap();
+        let drift = DriftModel {
+            rate_sigma: 0.1,
+            churn_prob: 0.05,
+            seed: 3,
+        };
+        let mut driver = Driver::new((*scenario.workload).clone(), drift);
+        let mut batches = vec![driver.initial_events()];
+        for _ in 0..3 {
+            batches.push(driver.next_epoch_events());
+        }
+        batches.push(vec![Event::VmFail { slot: 0 }, Event::VmFail { slot: 1 }]);
+        batches.push(vec![Event::VmRecover { slot: 1 }]);
+        for batch in batches {
+            for event in batch {
+                daemon.submit(event).unwrap();
+            }
+            daemon.tick().unwrap().expect("a non-empty epoch closes");
+        }
+        let snapshot = daemon.snapshot_now().unwrap();
+        let slots = Snapshot::load(&snapshot).unwrap().slots;
+        assert!(slots[0].failed, "slot 0 stays failed");
+        assert!(
+            slots[1].tombstone && !slots[1].failed,
+            "slot 1 is a tombstone"
+        );
+        assert!(slots.iter().any(|s| !s.tombstone), "live slots remain");
+        out.push_str(&store_fingerprint(
+            &format!("daemon snapshot, {subscribers} subscribers"),
+            &snapshot,
+        ));
+    }
+
+    let path = dir.join("hand-built.bin");
+    Snapshot {
+        last_seq: 3,
+        epochs_applied: 1,
+        tau: Rate::new(10),
+        capacity: Bandwidth::new(50),
+        workload: Workload::from_parts(
+            vec![Rate::new(10), Rate::new(4)],
+            vec![
+                vec![TopicId::new(0)],
+                vec![TopicId::new(0), TopicId::new(1)],
+            ],
+        ),
+        selection: Selection::from_csr(vec![0, 1, 2], vec![TopicId::new(0), TopicId::new(1)]),
+        slots: Vec::new(),
+    }
+    .write(&path)
+    .unwrap();
+    out.push_str(&store_fingerprint("hand-built snapshot", &path));
+
+    let path = dir.join("workload.mcss");
+    Scenario::spotify(2_000, 7)
+        .workload
+        .to_store(&path)
+        .unwrap();
+    out.push_str(&store_fingerprint("workload store", &path));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/store_bytes.txt");
+    if std::env::var_os("MCSS_BLESS").is_some() {
+        std::fs::write(golden, &out).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(golden)
+        .expect("tests/golden/store_bytes.txt missing; regenerate with MCSS_BLESS=1");
+    assert_eq!(
+        out, want,
+        "store bytes drifted from tests/golden/store_bytes.txt; \
+         if the change is deliberate, regenerate with MCSS_BLESS=1"
+    );
+}
