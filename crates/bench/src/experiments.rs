@@ -696,21 +696,22 @@ impl EpochSpread {
     }
 }
 
-/// `Daemon::resume` calls per [`fig_serve`] recovery row. Single resumes of
-/// the same state spread more than 2× on a shared host, so each row
-/// reports the median with the min and max.
+/// `Daemon::resume` calls per [`fig_serve`] recovery row, and timed
+/// snapshot writes. Single resumes of the same state spread more than 2×
+/// on a shared host, so each row reports the median with the min and max.
 const RECOVERY_REPEATS: usize = 5;
 
 /// Serve-daemon experiment (extension, not a paper figure): streams the
 /// scenario's workload through the event-sourced [`Daemon`] — bootstrap
 /// batch plus `epochs` drift batches — measuring sustained throughput
-/// over `submit` + `tick` alone, p50/p99 epoch-apply latency, and
-/// crash-recovery time as the event log grows (pure log replay, plus one
-/// recovery from a snapshot). Each recovery row resumes five times and
-/// reports the median with the min and max; every resume is asserted
-/// bit-identical to the live daemon before it counts. Returns the
-/// human-readable report and the machine-readable JSON document
-/// (`BENCH_serve.json`).
+/// over `submit` + `tick` alone, p50/p99 epoch-apply latency, the time
+/// and size of a snapshot write of the final state, and crash-recovery
+/// time as the event log grows (pure log replay, plus one recovery from
+/// that snapshot). The snapshot is written five times and each recovery
+/// row resumes five times, each reporting the median with the min and
+/// max; every resume is asserted bit-identical to the live daemon before
+/// it counts. Returns the human-readable report and the machine-readable
+/// JSON document (`BENCH_serve.json`).
 pub fn fig_serve(
     scenario: &Scenario,
     instance: InstanceType,
@@ -791,7 +792,21 @@ pub fn fig_serve(
             recoveries.push(recover(&daemon, false));
         }
     }
-    daemon.snapshot_now().expect("snapshot writes");
+    // Every write captures the same final state over the last one.
+    let mut snapshot_ms = Vec::with_capacity(RECOVERY_REPEATS);
+    let mut snapshot_bytes = 0;
+    for _ in 0..RECOVERY_REPEATS {
+        let t0 = Instant::now();
+        let path = daemon.snapshot_now().expect("snapshot writes");
+        snapshot_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        snapshot_bytes = std::fs::metadata(path).expect("snapshot exists").len();
+    }
+    snapshot_ms.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+    let (snap_median, snap_min, snap_max) = (
+        snapshot_ms[snapshot_ms.len() / 2],
+        snapshot_ms[0],
+        snapshot_ms[snapshot_ms.len() - 1],
+    );
     recoveries.push(recover(&daemon, true));
 
     let mut apply_ms: Vec<f64> = stats
@@ -823,6 +838,11 @@ pub fn fig_serve(
         stats.len(),
         pct(0.5),
         pct(0.99)
+    );
+    let _ = writeln!(
+        out,
+        "snapshot write: {snapshot_bytes} bytes, {snap_median:.2} ms median of \
+         {RECOVERY_REPEATS} (min {snap_min:.2}, max {snap_max:.2})"
     );
     let mut t = Table::new(vec![
         "epochs".into(),
@@ -861,7 +881,9 @@ pub fn fig_serve(
         "{{\n  \"bench\": \"serve_daemon\",\n  \"trace\": \"{}\",\n  \"subscribers\": {},\n  \
          \"tau\": {tau},\n  \"epochs\": {},\n  \"events\": {total_events},\n  \
          \"events_per_sec\": {events_per_sec:.1},\n  \"apply_ms_p50\": {:.3},\n  \
-         \"apply_ms_p99\": {:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
+         \"apply_ms_p99\": {:.3},\n  \"snapshot_bytes\": {snapshot_bytes},\n  \
+         \"snapshot_ms\": {snap_median:.3},\n  \"snapshot_ms_min\": {snap_min:.3},\n  \
+         \"snapshot_ms_max\": {snap_max:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
         scenario.name,
         scenario.workload.num_subscribers(),
         stats.len(),
@@ -1882,6 +1904,14 @@ mod tests {
         assert!(text.contains("yes"), "no snapshot recovery row:\n{text}");
         assert!(json.contains("\"bench\": \"serve_daemon\""));
         assert!(json.contains("\"apply_ms_p99\""));
+        assert!(text.contains("snapshot write"), "no snapshot line:\n{text}");
+        for key in ["snapshot_ms", "snapshot_ms_min", "snapshot_ms_max"] {
+            assert!(json.contains(&format!("\"{key}\": ")), "no {key}:\n{json}");
+        }
+        assert!(
+            !json.contains("\"snapshot_bytes\": 0,"),
+            "empty snapshot:\n{json}"
+        );
         assert!(json.contains("\"snapshot\": true"));
         assert!(json.contains("\"recovery_ms\""));
         assert!(json.contains("\"recovery_ms_max\""));

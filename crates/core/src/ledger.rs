@@ -47,7 +47,7 @@ use std::collections::BinaryHeap;
 /// subscribers sorted by id.
 type VmRows = Vec<(TopicId, Vec<SubscriberId>)>;
 
-/// Primary state of one VM slot, as exported by
+/// Primary state of one VM slot, owned: exported by
 /// [`FleetLedger::snapshot_slots`] and consumed by
 /// [`FleetLedger::from_slots`]. Everything else the ledger keeps — the
 /// topic reverse index, the slot-reuse heap, the usage aggregates — is
@@ -70,6 +70,37 @@ pub struct LedgerSlot {
     pub used: Bandwidth,
     /// `(topic, subscribers)` rows, topics ascending, subscribers sorted.
     pub rows: Vec<(TopicId, Vec<SubscriberId>)>,
+}
+
+impl LedgerSlot {
+    /// This slot by reference, as a snapshot encodes it.
+    pub fn view(&self) -> SlotView<'_> {
+        SlotView {
+            tombstone: self.tombstone,
+            failed: self.failed,
+            cap: self.cap,
+            used: self.used,
+            rows: &self.rows,
+        }
+    }
+}
+
+/// Primary state of one VM slot by reference — what a snapshot encodes.
+/// A live ledger lends one per slot ([`FleetLedger::slot_views`]) and an
+/// owned [`LedgerSlot`] lends its own ([`LedgerSlot::view`]), so a
+/// snapshot is encoded from either without copying a row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlotView<'a> {
+    /// Whether the slot is tombstoned (see [`LedgerSlot::tombstone`]).
+    pub tombstone: bool,
+    /// Whether the slot is quarantined (see [`LedgerSlot::failed`]).
+    pub failed: bool,
+    /// The slot's capacity.
+    pub cap: Bandwidth,
+    /// Recorded bandwidth usage.
+    pub used: Bandwidth,
+    /// `(topic, subscribers)` rows, topics ascending, subscribers sorted.
+    pub rows: &'a [(TopicId, Vec<SubscriberId>)],
 }
 
 /// Outcome of [`FleetLedger::fail_slots`]: the topic groups orphaned by
@@ -199,25 +230,42 @@ impl FleetLedger {
         ledger
     }
 
-    /// Exports every slot's primary state — including tombstones — for
-    /// an on-disk snapshot (see [`crate::serve`]). The inverse,
-    /// [`FleetLedger::from_slots`], rebuilds a ledger whose future
-    /// behaviour is bit-identical to this one's.
+    /// Lends every slot's primary state — including tombstones — in slot
+    /// order, for an on-disk snapshot (see [`crate::serve`]) encoded
+    /// straight from the live ledger.
     ///
     /// # Panics
     ///
     /// Panics on typed (mixed-fleet) ledgers: the serve layer that
     /// snapshots ledgers is homogeneous-only and a silent typing loss
     /// would corrupt capacities on restore.
-    pub fn snapshot_slots(&self) -> Vec<LedgerSlot> {
+    pub fn slot_views(&self) -> impl ExactSizeIterator<Item = SlotView<'_>> + Clone {
         assert!(self.typing.is_none(), "typed ledgers cannot be snapshotted");
-        (0..self.rows.len())
+        (0..self.rows.len()).map(|slot| SlotView {
+            tombstone: self.tombstone[slot],
+            failed: self.failed[slot],
+            cap: self.cap[slot],
+            used: self.used[slot],
+            rows: &self.rows[slot],
+        })
+    }
+
+    /// Copies every slot's primary state out of the ledger
+    /// ([`FleetLedger::slot_views`], owned). The inverse,
+    /// [`FleetLedger::from_slots`], rebuilds a ledger whose future
+    /// behaviour is bit-identical to this one's.
+    ///
+    /// # Panics
+    ///
+    /// As [`FleetLedger::slot_views`].
+    pub fn snapshot_slots(&self) -> Vec<LedgerSlot> {
+        self.slot_views()
             .map(|slot| LedgerSlot {
-                tombstone: self.tombstone[slot],
-                failed: self.failed[slot],
-                cap: self.cap[slot],
-                used: self.used[slot],
-                rows: self.rows[slot].clone(),
+                tombstone: slot.tombstone,
+                failed: slot.failed,
+                cap: slot.cap,
+                used: slot.used,
+                rows: slot.rows.to_vec(),
             })
             .collect()
     }

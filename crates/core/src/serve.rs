@@ -60,11 +60,11 @@
 
 use crate::dynamic::{DriftModel, WorkloadDelta};
 use crate::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
-use crate::ledger::{FleetLedger, LedgerSlot};
+use crate::ledger::{FleetLedger, LedgerSlot, SlotView};
 use crate::stage2::SearchBudget;
 use crate::{Allocation, McssError, McssInstance, Selection};
 use cloud_cost::{CostModel, Money};
-use mcss_store::{section as store_section, StoreBuilder, StoreError, StoreReader};
+use mcss_store::{section as store_section, SectionSink, StoreError, StoreReader, StoreWriter};
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadEdit};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -298,8 +298,8 @@ impl FaultInjector {
     }
 }
 
-/// A [`File`] wrapper that consults a [`FaultInjector`] on every write
-/// and sync. With no injector it is a zero-overhead passthrough — the
+/// A [`File`] wrapper that consults a [`FaultInjector`] on every write,
+/// seek and sync. With no injector it is a zero-overhead passthrough — the
 /// production [`EventLog`] always runs through this type so the faulted
 /// and unfaulted paths cannot drift apart.
 #[derive(Debug)]
@@ -344,6 +344,20 @@ impl std::io::Write for FaultFile {
 
     fn flush(&mut self) -> std::io::Result<()> {
         self.file.flush()
+    }
+}
+
+impl Seek for FaultFile {
+    /// Moves the write position (the store writer seeks back to write
+    /// its header page last). A dead device fails here as it fails every
+    /// write.
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        if let Some(inj) = &self.injector {
+            if inj.state.lock().unwrap().dead {
+                return Err(FaultInjector::injected("device failed"));
+            }
+        }
+        self.file.seek(pos)
     }
 }
 
@@ -872,9 +886,10 @@ impl Snapshot {
         })
     }
 
-    /// Writes the snapshot atomically: the encoded, checksummed bytes go
-    /// to `<path>.tmp`, which is fsynced and renamed over `path` — a
-    /// crash mid-write leaves the previous snapshot intact.
+    /// Writes the snapshot atomically: the sections stream to
+    /// `<path>.tmp`, which is fsynced and renamed over `path`, and then
+    /// the directory is fsynced — a crash mid-write leaves the previous
+    /// snapshot intact.
     ///
     /// # Errors
     ///
@@ -903,57 +918,51 @@ impl Snapshot {
             capacity: self.capacity,
             workload: &self.workload,
             selection: &self.selection,
-            slots: &self.slots,
+            slots: self.slots.iter().map(LedgerSlot::view),
         }
         .write(path, injector)
     }
 }
 
 /// A [`Snapshot`]'s contents by reference: the one encoder behind both
-/// [`Snapshot::write`] and the daemon's periodic snapshot, which encodes
-/// its live workload and selection without copying them.
-struct SnapshotRef<'a> {
+/// [`Snapshot::write`] and the daemon's periodic snapshot, which streams
+/// its live workload, selection and ledger without copying them.
+struct SnapshotRef<'a, S> {
     last_seq: u64,
     epochs_applied: u64,
     tau: Rate,
     capacity: Bandwidth,
     workload: &'a Workload,
     selection: &'a Selection,
-    slots: &'a [LedgerSlot],
+    /// The ledger's slots in slot order, walked once per ledger section.
+    slots: S,
 }
 
-impl SnapshotRef<'_> {
-    /// Serializes the snapshot: an `MCSSTOR1` container holding the
-    /// serve metadata plus every arena section verbatim.
-    fn to_store_bytes(&self) -> Vec<u8> {
-        let mut store = StoreBuilder::new();
-        store.u64s(
-            store_section::SERVE_META,
-            &[
-                self.last_seq,
-                self.epochs_applied,
-                self.tau.get(),
-                self.capacity.get(),
-            ],
-        );
-        mcss_store::write_workload_sections(&mut store, self.workload);
-        crate::store::write_selection_sections(&mut store, self.selection);
-        crate::store::write_ledger_sections(&mut store, self.slots);
-        store.to_bytes()
-    }
-
-    /// [`Snapshot::write_with_faults`]: tmp file, sync, rename.
-    fn write(&self, path: &Path, injector: Option<FaultInjector>) -> Result<(), ServeError> {
-        let bytes = self.to_store_bytes();
+impl<'a, S: Iterator<Item = SlotView<'a>> + Clone> SnapshotRef<'a, S> {
+    /// [`Snapshot::write_with_faults`]: the serve metadata and every
+    /// arena section stream to the tmp file through one fixed buffer,
+    /// the header page goes last, then sync, rename and directory sync.
+    fn write(self, path: &Path, injector: Option<FaultInjector>) -> Result<(), ServeError> {
         let tmp = path.with_extension("bin.tmp");
-        let mut file = FaultFile {
+        let mut store = StoreWriter::new(FaultFile {
             file: File::create(&tmp)?,
             injector,
-        };
-        file.write_all(&bytes)?;
+        })?;
+        let meta = [
+            self.last_seq,
+            self.epochs_applied,
+            self.tau.get(),
+            self.capacity.get(),
+        ];
+        store.put_section(store_section::SERVE_META, &meta, |v| v.to_le_bytes())?;
+        mcss_store::write_workload_sections(&mut store, self.workload)?;
+        crate::store::write_selection_sections(&mut store, self.selection)?;
+        crate::store::write_ledger_sections(&mut store, self.slots)?;
+        let file = store.finish()?;
         file.sync_data()?;
         drop(file);
         fs::rename(&tmp, path)?;
+        mcss_store::sync_parent(path)?;
         Ok(())
     }
 }
@@ -1222,7 +1231,9 @@ impl Daemon {
     ) -> Result<Daemon, ServeError> {
         Daemon::check_config(&config)?;
         fs::create_dir_all(dir)?;
-        let log = EventLog::create_with_faults(&dir.join(LOG_FILE), faults.clone())?;
+        let log_path = dir.join(LOG_FILE);
+        let log = EventLog::create_with_faults(&log_path, faults.clone())?;
+        mcss_store::sync_parent(&log_path)?;
         Ok(Daemon {
             dir: dir.to_path_buf(),
             config,
@@ -1319,11 +1330,9 @@ impl Daemon {
         let (log, records, scan) = if log_path.exists() {
             EventLog::open_past(&log_path, faults.clone(), last_applied)?
         } else {
-            (
-                EventLog::create_with_faults(&log_path, faults.clone())?,
-                Vec::new(),
-                LogScan::default(),
-            )
+            let log = EventLog::create_with_faults(&log_path, faults.clone())?;
+            mcss_store::sync_parent(&log_path)?;
+            (log, Vec::new(), LogScan::default())
         };
         if log.next_seq() <= last_applied {
             return Err(ServeError::Corrupt {
@@ -1654,18 +1663,17 @@ impl Daemon {
                 "nothing to snapshot before the first epoch".into(),
             ));
         };
-        let workload = &**self.edit.base();
-        let snapshot = SnapshotRef {
+        let path = self.dir.join(SNAPSHOT_FILE);
+        SnapshotRef {
             last_seq: self.last_applied,
             epochs_applied: self.epochs_applied,
             tau: self.config.tau,
             capacity,
-            workload,
+            workload: self.edit.base(),
             selection,
-            slots: &ledger.snapshot_slots(),
-        };
-        let path = self.dir.join(SNAPSHOT_FILE);
-        snapshot.write(&path, self.faults.clone())?;
+            slots: ledger.slot_views(),
+        }
+        .write(&path, self.faults.clone())?;
         Ok(path)
     }
 

@@ -1,13 +1,15 @@
 //! Solver-side section codecs for the `MCSSTOR1` store: the Stage-1
-//! [`Selection`] CSR and the [`crate::FleetLedger`] slot table (as
-//! [`LedgerSlot`] rows). The container itself — header, section table,
-//! checksums, atomic writes — lives in the [`mcss_store`] crate; this
-//! module only maps solver types onto sections, so daemon snapshots and
-//! ad-hoc tools share one on-disk vocabulary (`docs/STORE.md`).
+//! [`Selection`] CSR and the [`crate::FleetLedger`] slot table, written
+//! from borrowed [`SlotView`]s and read back as [`LedgerSlot`] rows. The
+//! container itself — header, section table, checksums, atomic writes —
+//! lives in the [`mcss_store`] crate; this module only maps solver types
+//! onto sections, so daemon snapshots and ad-hoc tools share one on-disk
+//! vocabulary (`docs/STORE.md`).
 
-use crate::{LedgerSlot, Selection};
-use mcss_store::{section, section_name, StoreBuilder, StoreError, StoreReader};
+use crate::{LedgerSlot, Selection, SlotView};
+use mcss_store::{section, section_name, SectionSink, StoreError, StoreReader};
 use pubsub_model::{Bandwidth, SubscriberId, TopicId};
+use std::io;
 
 fn malformed(section_id: u32, detail: impl Into<String>) -> StoreError {
     StoreError::SectionMalformed {
@@ -16,15 +18,19 @@ fn malformed(section_id: u32, detail: impl Into<String>) -> StoreError {
     }
 }
 
-/// Appends the two selection sections (CSR offsets + flat topic arena),
-/// written verbatim from the in-memory packed representation.
-pub fn write_selection_sections(store: &mut StoreBuilder, selection: &Selection) {
+/// Writes the two selection sections (CSR offsets + flat topic arena)
+/// verbatim from the in-memory packed representation.
+///
+/// # Errors
+///
+/// An I/O error from a streaming sink.
+pub fn write_selection_sections<S: SectionSink>(
+    store: &mut S,
+    selection: &Selection,
+) -> io::Result<()> {
     let (offsets, topics) = selection.raw_csr();
-    store.u32s(section::SELECTION_OFFSETS, offsets);
-    store.u32s(
-        section::SELECTION_TOPICS,
-        &topics.iter().map(|t| t.raw()).collect::<Vec<_>>(),
-    );
+    store.put_section(section::SELECTION_OFFSETS, offsets, |o| o.to_le_bytes())?;
+    store.put_section(section::SELECTION_TOPICS, topics, |t| t.raw().to_le_bytes())
 }
 
 /// Reassembles a [`Selection`] from its two sections.
@@ -47,7 +53,7 @@ pub fn read_selection_sections(store: &mut StoreReader) -> Result<Selection, Sto
 
 /// Slot-state encoding: 0 live, 1 tombstoned, 2 failed (failure implies
 /// tombstone).
-fn slot_state(slot: &LedgerSlot) -> u32 {
+fn slot_state(slot: &SlotView<'_>) -> u32 {
     if slot.failed {
         2
     } else {
@@ -55,32 +61,51 @@ fn slot_state(slot: &LedgerSlot) -> u32 {
     }
 }
 
-/// Appends the four fleet-ledger sections: a fixed-width slot table
-/// (`cap`, `used`, state, row count — two u64s + two u32s per slot) and
-/// a three-arena CSR of the placement rows (one topic id per row, row
-/// offsets into the flat subscriber arena).
-pub fn write_ledger_sections(store: &mut StoreBuilder, slots: &[LedgerSlot]) {
-    let total_rows: usize = slots.iter().map(|s| s.rows.len()).sum();
-    let mut table = Vec::with_capacity(slots.len() * 24);
-    let mut row_topics = Vec::with_capacity(total_rows);
-    let mut row_offsets = Vec::with_capacity(total_rows + 1);
-    let mut subscribers = Vec::new();
-    row_offsets.push(0u32);
+/// Writes the four fleet-ledger sections from borrowed slots, in four
+/// passes over them: a fixed-width slot table (`cap`, `used`, state, row
+/// count — two u64s + two u32s per slot), then a three-arena CSR of the
+/// placement rows (one topic id per row, running row offsets into the
+/// flat subscriber arena, the subscribers).
+///
+/// # Errors
+///
+/// An I/O error from a streaming sink.
+pub fn write_ledger_sections<'a, S: SectionSink>(
+    store: &mut S,
+    slots: impl Iterator<Item = SlotView<'a>> + Clone,
+) -> io::Result<()> {
+    store.begin(section::LEDGER_SLOTS)?;
+    for slot in slots.clone() {
+        let mut record = [0u8; 24];
+        record[0..8].copy_from_slice(&slot.cap.get().to_le_bytes());
+        record[8..16].copy_from_slice(&slot.used.get().to_le_bytes());
+        record[16..20].copy_from_slice(&slot_state(&slot).to_le_bytes());
+        record[20..24].copy_from_slice(&(slot.rows.len() as u32).to_le_bytes());
+        store.put(&[record], |r| *r)?;
+    }
+    store.end()?;
+    store.begin(section::LEDGER_ROW_TOPICS)?;
+    for slot in slots.clone() {
+        store.put(slot.rows, |(topic, _)| topic.raw().to_le_bytes())?;
+    }
+    store.end()?;
+    store.begin(section::LEDGER_ROW_OFFSETS)?;
+    store.put(&[0u32], |o| o.to_le_bytes())?;
+    let mut offset = 0u32;
+    for slot in slots.clone() {
+        store.put(slot.rows, |(_, subs)| {
+            offset += subs.len() as u32;
+            offset.to_le_bytes()
+        })?;
+    }
+    store.end()?;
+    store.begin(section::LEDGER_SUBSCRIBERS)?;
     for slot in slots {
-        table.extend_from_slice(&slot.cap.get().to_le_bytes());
-        table.extend_from_slice(&slot.used.get().to_le_bytes());
-        table.extend_from_slice(&slot_state(slot).to_le_bytes());
-        table.extend_from_slice(&(slot.rows.len() as u32).to_le_bytes());
-        for (topic, subs) in &slot.rows {
-            row_topics.push(topic.raw());
-            subscribers.extend(subs.iter().map(|v| v.raw()));
-            row_offsets.push(subscribers.len() as u32);
+        for (_, subs) in slot.rows {
+            store.put(subs, |v| v.raw().to_le_bytes())?;
         }
     }
-    store.section(section::LEDGER_SLOTS, table);
-    store.u32s(section::LEDGER_ROW_TOPICS, &row_topics);
-    store.u32s(section::LEDGER_ROW_OFFSETS, &row_offsets);
-    store.u32s(section::LEDGER_SUBSCRIBERS, &subscribers);
+    store.end()
 }
 
 /// Reassembles the slot table written by [`write_ledger_sections`],

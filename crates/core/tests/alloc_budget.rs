@@ -1,6 +1,6 @@
-//! Heap allocations on the serve daemon's event path, counted by a
-//! counting global allocator. The binary holds this one test, so no other
-//! test's allocations reach the counter.
+//! Heap allocations on the serve daemon's event path and in its snapshot
+//! write, counted by a counting global allocator. The binary holds this
+//! one test, so no other test's allocations reach the counters.
 
 use cloud_cost::{LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
@@ -9,27 +9,41 @@ use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation and reallocation, then defers to the system
-/// allocator.
+/// Counts every allocation and reallocation and the bytes each asks
+/// for, then defers to the system allocator.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+/// `(allocations, bytes)` counted so far.
+fn counters() -> (u64, u64) {
+    (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,7 +71,7 @@ fn workload() -> Workload {
 }
 
 #[test]
-fn submitting_an_epoch_allocates_far_less_than_once_per_event() {
+fn submits_and_snapshots_allocate_a_bounded_amount() {
     const EVENTS: usize = 2_000;
     let dir = std::env::temp_dir().join(format!("mcss-alloc-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -88,18 +102,35 @@ fn submitting_an_epoch_allocates_far_less_than_once_per_event() {
         daemon.tick().unwrap().expect("a non-empty epoch closes");
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (before, _) = counters();
     for &event in &measured[..EVENTS] {
         daemon.submit(event).unwrap();
     }
-    let submit = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let submit = counters().0 - before;
+    let (before, _) = counters();
     daemon.tick().unwrap().expect("a non-empty epoch closes");
-    let tick = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let tick = counters().0 - before;
     println!("{EVENTS} submitted events: {submit} allocations; their epoch close: {tick}");
     assert!(
         submit * 20 < EVENTS as u64,
         "{submit} allocations for {EVENTS} submitted events"
+    );
+
+    // A snapshot streams the live state through one fixed buffer: its
+    // allocations are a constant, not a function of the slots, rows or
+    // sections it writes, and its bytes stay well under the file's.
+    let (before, before_bytes) = counters();
+    let path = daemon.snapshot_now().unwrap();
+    let (after, after_bytes) = counters();
+    let (snapshot, snapshot_bytes) = (after - before, after_bytes - before_bytes);
+    let file_len = std::fs::metadata(&path).unwrap().len();
+    println!(
+        "snapshot_now, a {file_len}-byte file: {snapshot} allocations, {snapshot_bytes} bytes"
+    );
+    assert!(snapshot <= 16, "{snapshot} allocations for one snapshot");
+    assert!(
+        snapshot_bytes * 4 < file_len,
+        "{snapshot_bytes} bytes allocated for a {file_len}-byte snapshot"
     );
     drop(daemon);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -170,18 +170,102 @@ impl From<io::Error> for StoreError {
 // Writing
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Encodes the header page into `page`, exactly [`PAGE`] zeroed bytes:
+/// magic, version, section count, file length and the section table,
+/// then the CRC32 of the whole page taken with its own field still zero.
+/// The one header encoder behind [`StoreBuilder`] and [`StoreWriter`].
+fn encode_header(page: &mut [u8], sections: &[SectionInfo], file_len: u64) {
+    page[..8].copy_from_slice(MAGIC);
+    page[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    page[12..16].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+    page[16..24].copy_from_slice(&file_len.to_le_bytes());
+    // page[24..28] is the header CRC, patched below; page[28..32] reserved.
+    for (i, s) in sections.iter().enumerate() {
+        let e = TABLE_START + i * ENTRY_BYTES;
+        page[e..e + 4].copy_from_slice(&s.id.to_le_bytes());
+        page[e + 8..e + 16].copy_from_slice(&s.offset.to_le_bytes());
+        page[e + 16..e + 24].copy_from_slice(&s.len.to_le_bytes());
+        page[e + 24..e + 28].copy_from_slice(&s.crc.to_le_bytes());
+    }
+    let header_crc = crc32(page);
+    page[24..28].copy_from_slice(&header_crc.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Panics unless section `id` may join a table holding `ids`: a
+/// duplicate id or a table past [`MAX_SECTIONS`] is a writer bug, not a
+/// runtime condition.
+fn admit_section(id: u32, mut ids: impl ExactSizeIterator<Item = u32>) {
+    let count = ids.len();
+    assert!(
+        ids.all(|other| other != id),
+        "duplicate store section id {id:#x} ({})",
+        section_name(id)
+    );
+    assert!(
+        count < MAX_SECTIONS,
+        "store exceeds {MAX_SECTIONS} sections"
+    );
 }
 
-/// Assembles a store: accumulate sections, then serialize with
-/// [`StoreBuilder::to_bytes`] or write atomically with
-/// [`StoreBuilder::write`]. Sections land in the file in insertion
-/// order, each at the next 4096-byte boundary.
+/// Fsyncs the directory that holds `path`, so an entry created or
+/// renamed there survives a power loss: POSIX makes a directory entry
+/// durable only once its directory is synced.
+///
+/// # Errors
+///
+/// Any I/O error from opening or syncing the directory.
+pub fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Where section encoders write: [`StoreBuilder`] keeps each section in
+/// memory, [`StoreWriter`] streams it to a file. An encoder written
+/// against this trait lays down the same bytes through either, so each
+/// section layout (workload, selection, ledger, serve metadata) is
+/// defined once. Errors are I/O errors from a streaming sink.
+pub trait SectionSink {
+    /// Opens section `id` at the next page boundary.
+    ///
+    /// # Panics
+    ///
+    /// On a duplicate id or a table past [`MAX_SECTIONS`] — writer bugs,
+    /// not runtime conditions.
+    fn begin(&mut self, id: u32) -> io::Result<()>;
+
+    /// Appends `values` to the open section, each as the `N` bytes
+    /// `encode` returns.
+    fn put<T, const N: usize>(
+        &mut self,
+        values: &[T],
+        encode: impl FnMut(&T) -> [u8; N],
+    ) -> io::Result<()>;
+
+    /// Closes the open section, fixing its length and CRC32.
+    fn end(&mut self) -> io::Result<()>;
+
+    /// A whole section in one call: [`begin`](SectionSink::begin), one
+    /// [`put`](SectionSink::put), then [`end`](SectionSink::end).
+    fn put_section<T, const N: usize>(
+        &mut self,
+        id: u32,
+        values: &[T],
+        encode: impl FnMut(&T) -> [u8; N],
+    ) -> io::Result<()> {
+        self.begin(id)?;
+        self.put(values, encode)?;
+        self.end()
+    }
+}
+
+/// Assembles a store in memory, one byte buffer per section, then
+/// serializes it with [`StoreBuilder::to_bytes`] or writes it atomically
+/// with [`StoreBuilder::write`]. Sections land in the file in insertion
+/// order, each at the next 4096-byte boundary. [`StoreWriter`] writes
+/// the same bytes without holding them.
 #[derive(Debug, Default)]
 pub struct StoreBuilder {
     sections: Vec<(u32, Vec<u8>)>,
@@ -200,35 +284,9 @@ impl StoreBuilder {
     /// Panics on a duplicate section id or when the table would exceed
     /// [`MAX_SECTIONS`] — both are writer bugs, not runtime conditions.
     pub fn section(&mut self, id: u32, bytes: Vec<u8>) -> &mut StoreBuilder {
-        assert!(
-            self.sections.iter().all(|&(other, _)| other != id),
-            "duplicate store section id {id:#x} ({})",
-            section_name(id)
-        );
-        assert!(
-            self.sections.len() < MAX_SECTIONS,
-            "store exceeds {MAX_SECTIONS} sections"
-        );
+        admit_section(id, self.sections.iter().map(|&(other, _)| other));
         self.sections.push((id, bytes));
         self
-    }
-
-    /// Adds a section of little-endian u32s.
-    pub fn u32s(&mut self, id: u32, values: &[u32]) -> &mut StoreBuilder {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for &v in values {
-            put_u32(&mut bytes, v);
-        }
-        self.section(id, bytes)
-    }
-
-    /// Adds a section of little-endian u64s.
-    pub fn u64s(&mut self, id: u32, values: &[u64]) -> &mut StoreBuilder {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for &v in values {
-            put_u64(&mut bytes, v);
-        }
-        self.section(id, bytes)
     }
 
     /// Serializes the container: header page, then each payload at the
@@ -236,34 +294,26 @@ impl StoreBuilder {
     /// covered by any checksum — never read back); the file ends exactly
     /// at the last payload byte, and the header records that length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload_at = Vec::with_capacity(self.sections.len());
-        let mut cursor = PAGE;
-        for (_, bytes) in &self.sections {
-            cursor = cursor.next_multiple_of(PAGE);
-            payload_at.push(cursor);
-            cursor += bytes.len();
+        let mut table = Vec::with_capacity(self.sections.len());
+        let mut cursor = PAGE as u64;
+        for (id, bytes) in &self.sections {
+            cursor = cursor.next_multiple_of(PAGE as u64);
+            table.push(SectionInfo {
+                id: *id,
+                name: section_name(*id),
+                offset: cursor,
+                len: bytes.len() as u64,
+                crc: crc32(bytes),
+            });
+            cursor += bytes.len() as u64;
         }
-        let file_len = cursor;
+        let file_len = cursor as usize;
 
         let mut out = vec![0u8; PAGE];
         out.reserve(file_len - PAGE);
-        out[..8].copy_from_slice(MAGIC);
-        out[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        out[12..16].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        out[16..24].copy_from_slice(&(file_len as u64).to_le_bytes());
-        // out[24..28] is the header CRC, patched below; out[28..32] reserved.
-        for (i, ((id, bytes), &offset)) in self.sections.iter().zip(&payload_at).enumerate() {
-            let e = TABLE_START + i * ENTRY_BYTES;
-            out[e..e + 4].copy_from_slice(&id.to_le_bytes());
-            out[e + 8..e + 16].copy_from_slice(&(offset as u64).to_le_bytes());
-            out[e + 16..e + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
-            out[e + 24..e + 28].copy_from_slice(&crc32(bytes).to_le_bytes());
-        }
-        let header_crc = crc32(&out[..PAGE]);
-        out[24..28].copy_from_slice(&header_crc.to_le_bytes());
-
-        for ((_, bytes), &offset) in self.sections.iter().zip(&payload_at) {
-            out.resize(offset, 0);
+        encode_header(&mut out, &table, cursor);
+        for ((_, bytes), info) in self.sections.iter().zip(&table) {
+            out.resize(info.offset as usize, 0);
             out.extend_from_slice(bytes);
         }
         debug_assert_eq!(out.len(), file_len);
@@ -271,8 +321,9 @@ impl StoreBuilder {
     }
 
     /// Writes the store atomically: bytes go to `<path>.tmp`, which is
-    /// fsynced and renamed over `path`, so a crash mid-write leaves any
-    /// previous store intact.
+    /// fsynced and renamed over `path`, and then the directory is
+    /// fsynced, so a crash mid-write leaves any previous store intact
+    /// and a finished write survives a power loss.
     ///
     /// # Errors
     ///
@@ -285,6 +336,219 @@ impl StoreBuilder {
         file.sync_data()?;
         drop(file);
         fs::rename(&tmp, path)?;
+        sync_parent(path)?;
+        Ok(())
+    }
+}
+
+impl SectionSink for StoreBuilder {
+    fn begin(&mut self, id: u32) -> io::Result<()> {
+        self.section(id, Vec::new());
+        Ok(())
+    }
+
+    fn put<T, const N: usize>(
+        &mut self,
+        values: &[T],
+        mut encode: impl FnMut(&T) -> [u8; N],
+    ) -> io::Result<()> {
+        let (_, bytes) = self.sections.last_mut().expect("no section is open");
+        bytes.reserve(values.len() * N);
+        for v in values {
+            bytes.extend_from_slice(&encode(v));
+        }
+        Ok(())
+    }
+
+    fn end(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Bytes a [`StoreWriter`] buffers between writes: each `write` call
+/// hands the kernel this much, and the section CRC folds over the chunk
+/// while it is still cache-warm.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// The section a [`StoreWriter`] is filling.
+#[derive(Debug)]
+struct OpenSection {
+    id: u32,
+    /// File offset of the payload's first byte.
+    offset: u64,
+    /// Running CRC state over the payload bytes folded so far.
+    crc: u32,
+    /// Buffer index of the first payload byte not yet folded.
+    unfolded: usize,
+}
+
+/// Streams a store to `out` through one fixed 64 KiB buffer, so neither
+/// a section nor the file image is ever held whole. It reserves the
+/// header page, writes each section at the next page boundary,
+/// converting typed arenas into the buffer a chunk at a time, and folds
+/// each section's CRC32 as the buffer flushes. [`StoreWriter::finish`]
+/// then seeks back and writes the header page last. The bytes are
+/// exactly those [`StoreBuilder::to_bytes`] lays out for the same
+/// sections.
+///
+/// ```
+/// use mcss_store::{SectionSink, StoreBuilder, StoreWriter};
+/// use std::io::Cursor;
+///
+/// # fn main() -> std::io::Result<()> {
+/// let values = [7u32, 8, 9];
+/// let mut writer = StoreWriter::new(Cursor::new(Vec::new()))?;
+/// writer.put_section(0x40, &values, |v| v.to_le_bytes())?;
+/// let streamed = writer.finish()?.into_inner();
+///
+/// let mut builder = StoreBuilder::new();
+/// builder.put_section(0x40, &values, |v| v.to_le_bytes())?;
+/// assert_eq!(streamed, builder.to_bytes());
+/// # Ok(())
+/// # }
+/// ```
+pub struct StoreWriter<W: Write + Seek> {
+    out: W,
+    buf: Box<[u8]>,
+    /// Bytes of `buf` filled.
+    len: usize,
+    /// File offset of `buf[0]`: everything before it has been written.
+    flushed: u64,
+    sections: Vec<SectionInfo>,
+    open: Option<OpenSection>,
+}
+
+impl<W: Write + Seek> fmt::Debug for StoreWriter<W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StoreWriter")
+            .field("cursor", &self.cursor())
+            .field("sections", &self.sections)
+            .field("open", &self.open)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<W: Write + Seek> StoreWriter<W> {
+    /// A writer over `out`, positioned past the header page it reserves.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from seeking `out`.
+    pub fn new(mut out: W) -> io::Result<StoreWriter<W>> {
+        out.seek(SeekFrom::Start(PAGE as u64))?;
+        Ok(StoreWriter {
+            out,
+            buf: vec![0; WRITE_CHUNK].into_boxed_slice(),
+            len: 0,
+            flushed: PAGE as u64,
+            sections: Vec::with_capacity(16),
+            open: None,
+        })
+    }
+
+    /// File offset of the next byte.
+    fn cursor(&self) -> u64 {
+        self.flushed + self.len as u64
+    }
+
+    /// Folds the open section's unfolded bytes into its CRC, then writes
+    /// the buffer out.
+    fn flush(&mut self) -> io::Result<()> {
+        if let Some(open) = &mut self.open {
+            open.crc = crc::update(open.crc, &self.buf[open.unfolded..self.len]);
+            open.unfolded = 0;
+        }
+        self.out.write_all(&self.buf[..self.len])?;
+        self.flushed += self.len as u64;
+        self.len = 0;
+        Ok(())
+    }
+
+    /// Writes the last buffered bytes, then the header page at offset 0
+    /// — section table, file length and header CRC — and hands back the
+    /// sink for the caller to sync. The file ends at the last payload
+    /// byte.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from writing or seeking `out`.
+    ///
+    /// # Panics
+    ///
+    /// If a section is still open.
+    pub fn finish(mut self) -> io::Result<W> {
+        assert!(self.open.is_none(), "a store section is still open");
+        self.flush()?;
+        let page = &mut self.buf[..PAGE];
+        page.fill(0);
+        encode_header(page, &self.sections, self.flushed);
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(page)?;
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
+
+impl<W: Write + Seek> SectionSink for StoreWriter<W> {
+    fn begin(&mut self, id: u32) -> io::Result<()> {
+        assert!(self.open.is_none(), "a store section is still open");
+        admit_section(id, self.sections.iter().map(|s| s.id));
+        // Zero padding up to the page boundary, outside every CRC.
+        let mut pad = (self.cursor().next_multiple_of(PAGE as u64) - self.cursor()) as usize;
+        while pad > 0 {
+            if self.len == WRITE_CHUNK {
+                self.flush()?;
+            }
+            let n = pad.min(WRITE_CHUNK - self.len);
+            self.buf[self.len..self.len + n].fill(0);
+            self.len += n;
+            pad -= n;
+        }
+        self.open = Some(OpenSection {
+            id,
+            offset: self.cursor(),
+            crc: !0,
+            unfolded: self.len,
+        });
+        Ok(())
+    }
+
+    fn put<T, const N: usize>(
+        &mut self,
+        mut values: &[T],
+        mut encode: impl FnMut(&T) -> [u8; N],
+    ) -> io::Result<()> {
+        const { assert!(N > 0 && N <= WRITE_CHUNK) };
+        assert!(self.open.is_some(), "no store section is open");
+        while !values.is_empty() {
+            let room = (WRITE_CHUNK - self.len) / N;
+            if room == 0 {
+                self.flush()?;
+                continue;
+            }
+            // Convert as many values as fit in one tight loop, with no
+            // flush check per value.
+            let (now, rest) = values.split_at(room.min(values.len()));
+            let end = self.len + now.len() * N;
+            for (dst, v) in self.buf[self.len..end].chunks_exact_mut(N).zip(now) {
+                dst.copy_from_slice(&encode(v));
+            }
+            self.len = end;
+            values = rest;
+        }
+        Ok(())
+    }
+
+    fn end(&mut self) -> io::Result<()> {
+        let open = self.open.take().expect("no store section is open");
+        let crc = crc::update(open.crc, &self.buf[open.unfolded..self.len]);
+        self.sections.push(SectionInfo {
+            id: open.id,
+            name: section_name(open.id),
+            offset: open.offset,
+            len: self.cursor() - open.offset,
+            crc: !crc,
+        });
         Ok(())
     }
 }
@@ -529,5 +793,57 @@ impl StoreReader {
             );
         })?;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::Cursor;
+
+    /// Payload lengths around the writer's buffer size as well as small
+    /// and multi-buffer ones, so sections and padding straddle flushes.
+    fn arb_len() -> impl Strategy<Value = usize> {
+        (0usize..3, 0usize..3 * WRITE_CHUNK).prop_map(|(kind, raw)| match kind {
+            0 => raw % 300,
+            1 => WRITE_CHUNK - 5_000 + raw % 10_000,
+            _ => raw,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Streamed through `put` in pieces of 1-, 4- and 24-byte
+        /// elements, any run of sections comes out byte-identical to the
+        /// in-memory builder's image.
+        #[test]
+        fn streamed_bytes_equal_the_builders(
+            sections in proptest::collection::vec((arb_len(), 0usize..3, 1usize..4, 0u8..=255), 0..6),
+        ) {
+            let mut builder = StoreBuilder::new();
+            let mut writer = StoreWriter::new(Cursor::new(Vec::new())).unwrap();
+            for (i, &(len, width, pieces, seed)) in sections.iter().enumerate() {
+                let width = [1, 4, 24][width];
+                let payload: Vec<u8> = (0..len - len % width)
+                    .map(|k| (k as u8).wrapping_mul(31) ^ seed)
+                    .collect();
+                let id = 0x40 + i as u32;
+                builder.section(id, payload.clone());
+                writer.begin(id).unwrap();
+                let piece = payload.len().div_ceil(pieces).next_multiple_of(width).max(width);
+                for part in payload.chunks(piece) {
+                    match width {
+                        1 => writer.put(part, |&b| [b]).unwrap(),
+                        4 => writer.put(part.as_chunks::<4>().0, |c| *c).unwrap(),
+                        _ => writer.put(part.as_chunks::<24>().0, |c| *c).unwrap(),
+                    }
+                }
+                writer.end().unwrap();
+            }
+            let streamed = writer.finish().unwrap().into_inner();
+            prop_assert!(streamed == builder.to_bytes(), "streamed image differs");
+        }
     }
 }

@@ -20,11 +20,14 @@
 //! [`StoreError`]. Unknown section ids pass through readers untouched,
 //! so the format is forward-extensible without a version bump.
 //!
-//! The container ([`StoreBuilder`] / [`StoreReader`]) is generic, and
-//! [`crc32`] is its one checksum; this crate also ships the workload
-//! codec ([`WorkloadStoreExt`]). The solver-side sections (Stage-1
-//! selection, fleet ledger, serve metadata) are encoded by
-//! `mcss_core::store` on top of the same container.
+//! The container is generic: section encoders write to a [`SectionSink`]
+//! — [`StoreBuilder`], which holds each section in memory, or
+//! [`StoreWriter`], which streams them through one fixed buffer — and
+//! [`StoreReader`] reads them back, with [`crc32`] as the one checksum.
+//! This crate also ships the workload codec ([`WorkloadStoreExt`]). The
+//! solver-side sections (Stage-1 selection, fleet ledger, serve
+//! metadata) are encoded by `mcss_core::store` on top of the same
+//! container.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +38,7 @@ mod workload;
 
 pub use crc::crc32;
 pub use format::{
-    section, section_name, SectionInfo, StoreBuilder, StoreError, StoreReader, MAGIC, MAX_SECTIONS,
-    PAGE, VERSION,
+    section, section_name, sync_parent, SectionInfo, SectionSink, StoreBuilder, StoreError,
+    StoreReader, StoreWriter, MAGIC, MAX_SECTIONS, PAGE, VERSION,
 };
 pub use workload::{read_workload_sections, write_workload_sections, WorkloadStoreExt};

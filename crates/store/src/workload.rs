@@ -1,8 +1,9 @@
 //! Workload sections: writing a [`Workload`]'s six arenas into a store
 //! and reassembling them with zero per-row work.
 
-use crate::format::{section, StoreBuilder, StoreError, StoreReader};
+use crate::format::{section, SectionSink, StoreBuilder, StoreError, StoreReader};
 use pubsub_model::{Rate, SubscriberId, TopicId, Workload};
+use std::io;
 use std::path::Path;
 
 fn malformed(section_id: u32, detail: impl Into<String>) -> StoreError {
@@ -12,34 +13,38 @@ fn malformed(section_id: u32, detail: impl Into<String>) -> StoreError {
     }
 }
 
-/// Appends the seven workload sections (meta + six arenas) to `store`.
+/// Writes the seven workload sections (meta + six arenas) to `store`.
 /// The arenas are written verbatim from [`Workload::arenas`], so the
 /// payload bytes *are* the in-memory representation (little-endian).
-pub fn write_workload_sections(store: &mut StoreBuilder, workload: &Workload) {
+/// This list is the workload layout of both `to_store` and the serve
+/// daemon's snapshots.
+///
+/// # Errors
+///
+/// An I/O error from a streaming sink.
+pub fn write_workload_sections<S: SectionSink>(
+    store: &mut S,
+    workload: &Workload,
+) -> io::Result<()> {
     let a = workload.arenas();
-    store.u64s(
-        section::WORKLOAD_META,
-        &[a.rates.len() as u64, (a.interest_offsets.len() - 1) as u64],
-    );
-    let rates: Vec<u64> = a.rates.iter().map(|r| r.get()).collect();
-    store.u64s(section::RATES, &rates);
-    store.u32s(section::INTEREST_OFFSETS, a.interest_offsets);
-    store.u32s(
-        section::INTEREST_TOPICS,
-        &a.interest_topics
-            .iter()
-            .map(|t| t.raw())
-            .collect::<Vec<_>>(),
-    );
-    store.u32s(
-        section::RANKED_TOPICS,
-        &a.ranked_topics.iter().map(|t| t.raw()).collect::<Vec<_>>(),
-    );
-    store.u32s(section::FOLLOWER_OFFSETS, a.follower_offsets);
-    store.u32s(
-        section::FOLLOWER_IDS,
-        &a.follower_ids.iter().map(|v| v.raw()).collect::<Vec<_>>(),
-    );
+    let shape = [a.rates.len() as u64, (a.interest_offsets.len() - 1) as u64];
+    store.put_section(section::WORKLOAD_META, &shape, |n| n.to_le_bytes())?;
+    store.put_section(section::RATES, a.rates, |r| r.get().to_le_bytes())?;
+    store.put_section(section::INTEREST_OFFSETS, a.interest_offsets, |o| {
+        o.to_le_bytes()
+    })?;
+    store.put_section(section::INTEREST_TOPICS, a.interest_topics, |t| {
+        t.raw().to_le_bytes()
+    })?;
+    store.put_section(section::RANKED_TOPICS, a.ranked_topics, |t| {
+        t.raw().to_le_bytes()
+    })?;
+    store.put_section(section::FOLLOWER_OFFSETS, a.follower_offsets, |o| {
+        o.to_le_bytes()
+    })?;
+    store.put_section(section::FOLLOWER_IDS, a.follower_ids, |v| {
+        v.raw().to_le_bytes()
+    })
 }
 
 /// Reassembles a [`Workload`] from the seven workload sections: one
@@ -149,7 +154,7 @@ pub trait WorkloadStoreExt: Sized {
 impl WorkloadStoreExt for Workload {
     fn to_store(&self, path: &Path) -> Result<(), StoreError> {
         let mut store = StoreBuilder::new();
-        write_workload_sections(&mut store, self);
+        write_workload_sections(&mut store, self)?;
         store.write(path)
     }
 
