@@ -488,31 +488,23 @@ impl Allocation {
     /// (contrary to our packers' behaviour) it appears on several VMs —
     /// the `max_b x_tvb` semantics of Eq. 3.
     ///
-    /// Cross-VM dedup is one bit per workload interest pair, indexed
-    /// through [`Workload::pair_index`]. Pairs outside the interest
-    /// relation (possible only on invalid input; `validate` rejects them
-    /// separately) fall back to a sorted list so they still count exactly
-    /// once.
+    /// It reads the placed pairs transposed by subscriber, as
+    /// [`Allocation::validate`]'s verdict pass does. Pairs outside the
+    /// interest relation (possible only on invalid input; `validate`
+    /// rejects them) count once too. A pair whose subscriber id is not in
+    /// the workload is skipped: there is no subscriber to credit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a placement names a topic the workload does not have, or
+    /// if the allocation places more than `u32::MAX` pairs.
     pub fn delivered_rates(&self, workload: &Workload) -> Vec<Rate> {
-        let mut delivery = Delivery::new(workload);
-        let mut foreign: Vec<(SubscriberId, TopicId)> = Vec::new();
-        for vm in &self.vms {
-            for p in vm.placements() {
-                for &v in &p.subscribers {
-                    match workload.pair_index(v, p.topic) {
-                        Some(i) => delivery.credit(i, v, workload.rate(p.topic)),
-                        None => foreign.push((v, p.topic)),
-                    }
-                }
-            }
-        }
-        foreign.sort_unstable();
-        foreign.dedup();
-        let mut delivered = delivery.rates;
-        for (v, t) in foreign {
-            delivered[v.index()] += workload.rate(t);
-        }
-        delivered
+        let mut placed = PlacedBySubscriber::new(self, workload)
+            .expect("an allocation places at most u32::MAX pairs");
+        workload
+            .subscribers()
+            .map(|v| placed.distinct(v).map(|t| workload.rate(t)).sum())
+            .collect()
     }
 
     /// Verifies every MCSS constraint (paper Eq. 2–3) plus internal
@@ -523,8 +515,8 @@ impl Allocation {
     ///    ([`AllocationError::DuplicatePair`] naming the row's first
     ///    subscriber);
     /// 2. no subscriber repeats within the row (`DuplicatePair`);
-    /// 3. each of the row's pairs is a real interest
-    ///    ([`AllocationError::ForeignPair`]);
+    /// 3. each of the row's pairs is a real interest of a subscriber the
+    ///    workload has ([`AllocationError::ForeignPair`]);
     ///
     /// and then the VM as a whole:
     ///
@@ -537,16 +529,84 @@ impl Allocation {
     /// After every VM passed, 6. every subscriber receives at least `τ_v`
     /// ([`AllocationError::UnsatisfiedSubscriber`]).
     ///
-    /// One sweep does it: each placed pair costs a single
-    /// [`Workload::pair_index`] search, which is the foreign-pair verdict,
-    /// the cross-VM dedupe bit and the delivered-rate credit at once. Only
-    /// the primary interest CSR and the rates are read, never the derived
-    /// arenas, so `validate` stays an oracle independent of them.
+    /// A verdict pass decides whether all six hold. It checks each VM's
+    /// rows and bandwidth, then transposes the placed pairs by subscriber
+    /// (a count, a prefix sum and a scatter) and walks the subscribers in
+    /// id order. Each subscriber's placed topics are searched in its
+    /// interest row, which the walk reads in arena order; a per-topic mark
+    /// credits each distinct pair once. The row's rates are summed for
+    /// `τ_v` only when the delivered rate is below `τ` and some interest
+    /// is still undelivered. Only when a check fails does `validate`
+    /// re-run the checks as a sweep in the order above, one
+    /// [`Workload::pair_index`] search per placed pair, to name the first
+    /// violation. Both passes read only the primary interest CSR and the
+    /// rates, never the derived arenas, so `validate` stays an oracle
+    /// independent of them.
     ///
     /// # Errors
     ///
     /// Returns the first violation found, in the order above.
     pub fn validate(&self, workload: &Workload, tau: Rate) -> Result<(), AllocationError> {
+        if self.holds(workload, tau) {
+            return Ok(());
+        }
+        self.first_violation(workload, tau)
+    }
+
+    /// Calls `f` with every placed pair, VM by VM and row by row.
+    fn for_each_pair(&self, mut f: impl FnMut(SubscriberId, TopicId)) {
+        for vm in &self.vms {
+            for p in &vm.placements {
+                for &v in &p.subscribers {
+                    f(v, p.topic);
+                }
+            }
+        }
+    }
+
+    /// The verdict pass of [`Allocation::validate`]: whether every check
+    /// holds, without naming a violation.
+    fn holds(&self, workload: &Workload, tau: Rate) -> bool {
+        for (i, vm) in self.vms.iter().enumerate() {
+            let mut prev: Option<TopicId> = None;
+            let mut actual = Bandwidth::ZERO;
+            for p in vm.placements() {
+                if prev == Some(p.topic)
+                    || p.topic.index() >= workload.num_topics()
+                    || p.subscribers.windows(2).any(|w| w[0] == w[1])
+                {
+                    return false;
+                }
+                prev = Some(p.topic);
+                actual += workload.rate(p.topic) * (p.subscribers.len() as u64 + 1);
+            }
+            if actual != vm.used() || vm.used() > self.vm_capacity(i) {
+                return false;
+            }
+        }
+        let Some(mut placed) = PlacedBySubscriber::new(self, workload) else {
+            return false;
+        };
+        placed.every_subscriber_known
+            && workload.subscribers().all(|v| {
+                let interests = workload.interests(v);
+                let (mut delivered, mut distinct) = (Rate::ZERO, 0);
+                for t in placed.distinct(v) {
+                    if interests.binary_search(&t).is_err() {
+                        return false;
+                    }
+                    delivered += workload.rate(t);
+                    distinct += 1;
+                }
+                delivered >= tau
+                    || distinct == interests.len()
+                    || delivered >= workload.tau_v(v, tau)
+            })
+    }
+
+    /// The sweep of [`Allocation::validate`]: the checks in their
+    /// documented order, returning the first violation.
+    fn first_violation(&self, workload: &Workload, tau: Rate) -> Result<(), AllocationError> {
         let mut delivery = Delivery::new(workload);
         for (i, vm) in self.vms.iter().enumerate() {
             let mut prev: Option<TopicId> = None;
@@ -583,7 +643,12 @@ impl Allocation {
                     if foreign.is_some() {
                         continue;
                     }
-                    match workload.pair_index(v, p.topic) {
+                    let pair = if v.index() < workload.num_subscribers() {
+                        workload.pair_index(v, p.topic)
+                    } else {
+                        None
+                    };
+                    match pair {
                         Some(pair) => {
                             let ev = *rate.get_or_insert_with(|| workload.rate(p.topic));
                             delivery.credit(pair, v, ev);
@@ -638,6 +703,74 @@ impl Allocation {
             }
         }
         Ok(())
+    }
+}
+
+/// The placed pairs transposed by subscriber: row `v` holds the topic of
+/// every pair placed for `v`, repeats included, in VM order reversed. The
+/// offset table is the scatter's cursor, so the transpose is two `u32`
+/// buffers.
+struct PlacedBySubscriber {
+    /// Row `v` is `topics[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    topics: Vec<TopicId>,
+    /// Per topic, one more than the last subscriber whose row met it, so
+    /// a repeat within a row is seen without clearing between rows.
+    marks: Vec<u32>,
+    /// Whether every placed pair names a subscriber of the workload; the
+    /// others are left out.
+    every_subscriber_known: bool,
+}
+
+impl PlacedBySubscriber {
+    /// Transposes `allocation`'s pairs over `workload`'s subscribers, or
+    /// `None` past `u32::MAX` pairs.
+    fn new(allocation: &Allocation, workload: &Workload) -> Option<PlacedBySubscriber> {
+        let n = workload.num_subscribers();
+        // Count each row into `offsets[v]`; the running sum then leaves
+        // each row's end there, and the scatter steps it back to the start.
+        let mut offsets = vec![0u32; n + 1];
+        let mut known = 0u64;
+        allocation.for_each_pair(|v, _| {
+            if let Some(count) = offsets[..n].get_mut(v.index()) {
+                *count += 1;
+                known += 1;
+            }
+        });
+        let total = u32::try_from(known).ok()?;
+        let mut end = 0u32;
+        for offset in &mut offsets[..n] {
+            end += *offset;
+            *offset = end;
+        }
+        offsets[n] = total;
+        let mut topics = vec![TopicId::new(0); total as usize];
+        allocation.for_each_pair(|v, t| {
+            if let Some(cursor) = offsets[..n].get_mut(v.index()) {
+                *cursor -= 1;
+                topics[*cursor as usize] = t;
+            }
+        });
+        Some(PlacedBySubscriber {
+            offsets,
+            topics,
+            marks: vec![0; workload.num_topics()],
+            every_subscriber_known: known == allocation.pair_count(),
+        })
+    }
+
+    /// The distinct topics placed for `v`. A row may be visited once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a topic past the workload's.
+    fn distinct(&mut self, v: SubscriberId) -> impl Iterator<Item = TopicId> + '_ {
+        let row = self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize;
+        let (marks, mark) = (&mut self.marks, v.raw() + 1);
+        self.topics[row]
+            .iter()
+            .copied()
+            .filter(move |t| std::mem::replace(&mut marks[t.index()], mark) != mark)
     }
 }
 
@@ -974,7 +1107,9 @@ mod tests {
                     }
                 }
                 for &v in &p.subscribers {
-                    if workload.interests(v).binary_search(&p.topic).is_err() {
+                    if v.index() >= workload.num_subscribers()
+                        || workload.interests(v).binary_search(&p.topic).is_err()
+                    {
                         return Err(AllocationError::ForeignPair {
                             vm: i,
                             topic: p.topic,
@@ -1030,11 +1165,12 @@ mod tests {
 
     /// Number of mutation kinds [`mutated_case`] knows, the last being
     /// "no mutation".
-    const MUTATIONS: u8 = 8;
+    const MUTATIONS: u8 = 10;
 
-    /// A random small instance — workload, an allocation of a random
-    /// subset of its pairs over a few VMs (sometimes typed), and τ —
-    /// with one injected mutation:
+    /// A random small instance — workload (a fifth of its rates zero), an
+    /// allocation of a random subset of its pairs over a few VMs
+    /// (sometimes typed), and τ (zero, past every row's total, or drawn)
+    /// — with one injected mutation:
     ///
     /// 0. a dropped pair;
     /// 1. an added foreign pair;
@@ -1043,7 +1179,9 @@ mod tests {
     /// 4. a duplicated topic row;
     /// 5. a perturbed `used`;
     /// 6. a shrunken (tier) capacity;
-    /// 7. none.
+    /// 7. a pair naming a subscriber the workload does not have;
+    /// 8. one pair placed on two VMs;
+    /// 9. none.
     ///
     /// A mutation with no target in the drawn instance is skipped.
     fn mutated_case(seed: u64, mutation: u8) -> (Workload, Allocation, Rate) {
@@ -1055,7 +1193,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let topics = rng.gen_range(1..6usize);
         let rates = (0..topics)
-            .map(|_| Rate::new(rng.gen_range(1..50u64)))
+            .map(|_| match rng.gen_bool(0.2) {
+                true => Rate::ZERO,
+                false => Rate::new(rng.gen_range(1..50u64)),
+            })
             .collect();
         let interests = (0..rng.gen_range(1..8usize))
             .map(|_| {
@@ -1112,6 +1253,25 @@ mod tests {
                     subs.push(v);
                 }
             }
+            7 => {
+                let t = TopicId::new((seed % topics as u64) as u32);
+                let v = w.num_subscribers() as u32 + rng.gen_range(0..3u32);
+                groups[seed as usize % vm_count]
+                    .entry(t)
+                    .or_default()
+                    .push(SubscriberId::new(v));
+            }
+            8 => {
+                if let Some((b, t)) = pick_row(&mut groups) {
+                    let subs = &groups[b][&t];
+                    let v = subs[seed as usize % subs.len()];
+                    if groups.len() == 1 {
+                        groups.push(BTreeMap::new());
+                    }
+                    let other = (b + 1) % groups.len();
+                    groups[other].entry(t).or_default().push(v);
+                }
+            }
             _ => {}
         }
         let groups = groups
@@ -1131,7 +1291,7 @@ mod tests {
                 (instances::C3_LARGE, max_used + Bandwidth::new(1)),
                 (instances::C3_XLARGE, a.capacity),
             ];
-            let assignment = (0..vm_count).map(|_| rng.gen_range(0..2u32)).collect();
+            let assignment = (0..a.vm_count()).map(|_| rng.gen_range(0..2u32)).collect();
             a = a.with_typing(FleetTyping::new(tiers, assignment));
         }
         let rows: Vec<(usize, usize)> = a
@@ -1173,18 +1333,26 @@ mod tests {
             }
             _ => {}
         }
-        (w, a, Rate::new(rng.gen_range(0..60u64)))
+        let tau = match rng.gen_range(0..4u32) {
+            0 => Rate::ZERO,
+            1 => w.total_rate() + Rate::new(1),
+            _ => Rate::new(rng.gen_range(0..60u64)),
+        };
+        (w, a, tau)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// The one-sweep `validate` returns exactly the two-search
-        /// oracle's `Result` — the same variant, VM and payload.
+        /// `validate` returns exactly the two-search oracle's `Result` —
+        /// the same variant, VM and payload — and its verdict pass alone
+        /// passes exactly the allocations the oracle passes.
         #[test]
         fn validate_matches_the_two_search_oracle(seed in 0u64..u64::MAX, mutation in 0u8..MUTATIONS) {
             let (w, a, tau) = mutated_case(seed, mutation);
-            proptest::prop_assert_eq!(a.validate(&w, tau), validate_two_search(&a, &w, tau));
+            let oracle = validate_two_search(&a, &w, tau);
+            proptest::prop_assert_eq!(a.holds(&w, tau), oracle.is_ok());
+            proptest::prop_assert_eq!(a.validate(&w, tau), oracle);
         }
     }
 
@@ -1206,6 +1374,53 @@ mod tests {
             reached[verdict] = true;
         }
         assert_eq!(reached, [true; 6]);
+    }
+
+    /// `delivered_rates` equals Eq. 3 counted over a set of the placed
+    /// pairs: each distinct pair once, foreign pairs included, pairs of
+    /// unknown subscribers left out.
+    #[test]
+    fn delivered_rates_count_each_distinct_pair_once() {
+        use std::collections::BTreeSet;
+        for seed in 0..2_000u64 {
+            let mutation = (seed % u64::from(MUTATIONS)) as u8;
+            if mutation == 2 {
+                continue; // an out-of-range topic has no rate to deliver
+            }
+            let (w, a, _) = mutated_case(seed, mutation);
+            let pairs: BTreeSet<(SubscriberId, TopicId)> = a
+                .vms
+                .iter()
+                .flat_map(|vm| &vm.placements)
+                .flat_map(|p| p.subscribers.iter().map(move |&v| (v, p.topic)))
+                .filter(|&(v, _)| v.index() < w.num_subscribers())
+                .collect();
+            let mut expected = vec![Rate::ZERO; w.num_subscribers()];
+            for (v, t) in pairs {
+                expected[v.index()] += w.rate(t);
+            }
+            assert_eq!(a.delivered_rates(&w), expected, "seed {seed}");
+        }
+    }
+
+    /// A placement may name a subscriber id past the workload's; that is
+    /// a foreign pair, not a panic.
+    #[test]
+    fn an_unknown_subscriber_is_a_foreign_pair() {
+        let mut b = Workload::builder();
+        let t = b.add_topic(Rate::new(10)).unwrap();
+        b.add_subscriber([t]).unwrap();
+        let w = b.build();
+        let a = Allocation::from_groups(vec![rows(&[(0, &[0, 1])])], &w, Bandwidth::new(100));
+        assert_eq!(
+            a.validate(&w, Rate::new(10)),
+            Err(AllocationError::ForeignPair {
+                vm: 0,
+                topic: TopicId::new(0),
+                subscriber: SubscriberId::new(1),
+            })
+        );
+        assert_eq!(a.delivered_rates(&w), vec![Rate::new(10)]);
     }
 
     #[test]

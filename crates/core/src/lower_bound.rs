@@ -51,6 +51,12 @@ impl LowerBound {
 ///
 /// Subscribers without interests need nothing and contribute nothing.
 ///
+/// Like GSP, the bound reads the workload's rate-ranked interest arena
+/// ([`Workload::ranked_interests`]): `τ_v` comes from
+/// [`Workload::ranked_sum_past`], which stops once the row's sum passes
+/// `τ`, and the row's smallest rate is its last topic's. It allocates
+/// nothing.
+///
 /// # Panics
 ///
 /// Panics if `capacity` is zero.
@@ -74,17 +80,11 @@ pub fn lower_bound(workload: &Workload, tau: Rate, capacity: Bandwidth) -> Lower
     assert!(!capacity.is_zero(), "capacity must be positive");
     let mut volume = Bandwidth::ZERO;
     for v in workload.subscribers() {
-        let interests = workload.interests(v);
-        if interests.is_empty() {
+        let Some(&smallest) = workload.ranked_interests(v).last() else {
             continue;
-        }
-        let tau_v = workload.tau_v(v, tau);
-        let min_rate = interests
-            .iter()
-            .map(|&t| workload.rate(t))
-            .min()
-            .expect("non-empty interests");
-        volume += tau_v.max(min_rate);
+        };
+        let tau_v = workload.ranked_sum_past(v, tau).min(tau);
+        volume += tau_v.max(workload.rate(smallest));
     }
     LowerBound {
         volume,
@@ -99,6 +99,7 @@ mod tests {
     use crate::stage2::{Allocator, CbpConfig, CustomBinPacking, FirstFitBinPacking};
     use crate::McssInstance;
     use cloud_cost::{LinearCostModel, Money};
+    use proptest::strategy::Strategy;
     use pubsub_model::TopicId;
 
     fn workload(rates: &[u64], interests: &[&[u32]]) -> Workload {
@@ -147,6 +148,51 @@ mod tests {
         let lb = lower_bound(&b.build(), Rate::new(10), Bandwidth::new(10));
         assert_eq!(lb.volume, Bandwidth::ZERO);
         assert_eq!(lb.vms, 0);
+    }
+
+    /// Alg. 5 as it reads, over the primary interest rows: one pass sums
+    /// the row for `τ_v`, another takes its smallest rate. Kept as the
+    /// oracle for the ranked walk of [`lower_bound`].
+    fn two_pass_bound(workload: &Workload, tau: Rate, capacity: Bandwidth) -> LowerBound {
+        let mut volume = Bandwidth::ZERO;
+        for v in workload.subscribers() {
+            let interests = workload.interests(v);
+            let Some(min_rate) = interests.iter().map(|&t| workload.rate(t)).min() else {
+                continue;
+            };
+            volume += workload.tau_v(v, tau).max(min_rate);
+        }
+        LowerBound {
+            volume,
+            vms: volume.div_ceil_by(capacity),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The ranked walk gives the two-pass bound, with zero-rate topics
+        /// (a third of the draws), empty rows, and τ from 0 to past every
+        /// row's total.
+        #[test]
+        fn ranked_bound_matches_the_two_pass_formula(
+            rates in proptest::collection::vec((0u64..60).prop_map(|r| r.saturating_sub(20)), 1..8),
+            rows in proptest::collection::vec(proptest::collection::vec(0u32..8, 0..7), 0..12),
+            tau in 0u64..300,
+            capacity in 1u64..200,
+        ) {
+            let w = Workload::from_parts(
+                rates.into_iter().map(Rate::new).collect(),
+                rows.into_iter()
+                    .map(|row| row.into_iter().map(TopicId::new).collect())
+                    .collect(),
+            );
+            let (tau, capacity) = (Rate::new(tau), Bandwidth::new(capacity));
+            proptest::prop_assert_eq!(
+                lower_bound(&w, tau, capacity),
+                two_pass_bound(&w, tau, capacity)
+            );
+        }
     }
 
     #[test]

@@ -1200,6 +1200,17 @@ pub struct Daemon {
     recovery: Option<RecoveryStats>,
 }
 
+/// Creates the state directory if it is missing, and then fsyncs its
+/// parent so the new entry survives a power loss with the log it will
+/// hold.
+fn create_state_dir(dir: &Path) -> std::io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    fs::create_dir_all(dir)?;
+    mcss_store::sync_parent(dir)
+}
+
 impl Daemon {
     /// Starts a daemon with a fresh state directory (created if needed;
     /// an existing log is truncated).
@@ -1230,7 +1241,7 @@ impl Daemon {
         faults: Option<FaultInjector>,
     ) -> Result<Daemon, ServeError> {
         Daemon::check_config(&config)?;
-        fs::create_dir_all(dir)?;
+        create_state_dir(dir)?;
         let log_path = dir.join(LOG_FILE);
         let log = EventLog::create_with_faults(&log_path, faults.clone())?;
         mcss_store::sync_parent(&log_path)?;
@@ -1289,7 +1300,7 @@ impl Daemon {
         faults: Option<FaultInjector>,
     ) -> Result<Daemon, ServeError> {
         Daemon::check_config(&config)?;
-        fs::create_dir_all(dir)?;
+        create_state_dir(dir)?;
         let snap_path = dir.join(SNAPSHOT_FILE);
         let log_path = dir.join(LOG_FILE);
 

@@ -139,27 +139,26 @@ pub(crate) fn build_in_ranges(
 /// pick when the sweep ends short — is tracked in one register (first
 /// strict improvement wins, which preserves the lowest-id tie-break
 /// because equal-rate topics arrive in ascending id order).
+///
+/// A row whose total is at most `τ` is selected whole, in topic-id order.
+/// Whether it is comes from [`Workload::ranked_sum_past`], which stops
+/// once the ranked row's sum passes `τ` instead of summing the whole row.
 pub(crate) fn select_for_subscriber_into(
     workload: &Workload,
     v: SubscriberId,
     tau: Rate,
     out: &mut Vec<TopicId>,
 ) {
-    let ranked = workload.ranked_interests(v);
-    if ranked.is_empty() {
-        return;
-    }
-    let tau_v = workload.tau_v(v, tau);
-    let total = workload.subscriber_total_rate(v);
-    if total <= tau_v {
-        // τ_v = min(τ, total): everything is needed.
+    if workload.ranked_sum_past(v, tau) <= tau {
+        // τ_v = min(τ, total) = total: everything is needed.
         out.extend_from_slice(workload.interests(v));
         return;
     }
 
-    let mut rem = tau_v;
+    // The total passes τ, so τ_v = τ.
+    let mut rem = tau;
     let mut cheapest_skipped: Option<(Rate, TopicId)> = None;
-    for &t in ranked {
+    for &t in workload.ranked_interests(v) {
         if rem.is_zero() {
             break;
         }
@@ -175,7 +174,7 @@ pub(crate) fn select_for_subscriber_into(
         // Every skipped topic exceeds the remaining need; the best ratio
         // 1/(2·ev_t) belongs to the smallest rate, ties to the lowest id.
         let (_, exceeder) =
-            cheapest_skipped.expect("total > tau_v guarantees a skipped topic remains");
+            cheapest_skipped.expect("a total above tau guarantees a skipped topic remains");
         out.push(exceeder);
     }
 }
@@ -240,6 +239,30 @@ mod tests {
         let sel = s.selected(SubscriberId::new(0));
         let rates: Vec<u64> = sel.iter().map(|&t| w.rate(t).get()).collect();
         assert_eq!(rates, vec![7, 3]);
+    }
+
+    /// A row whose total is at most τ, equal to it included, is selected
+    /// whole in topic-id order; a row past τ is swept in ranked order.
+    /// The literal-greedy test below compares only sets, so this pins the
+    /// order.
+    #[test]
+    fn a_row_totalling_tau_is_selected_whole_in_id_order() {
+        let v = SubscriberId::new(0);
+        let ids = |ts: &[u32]| ts.iter().map(|&t| TopicId::new(t)).collect::<Vec<_>>();
+        // Ranked order t1 (5), t0 (3), t2 (2); total 10.
+        let w = build(&[3, 5, 2], &[&[0, 1, 2]]);
+        assert_eq!(select(&w, 10).selected(v), ids(&[0, 1, 2]));
+        assert_eq!(select(&w, 11).selected(v), ids(&[0, 1, 2]));
+        // τ = 9: t1 and t0 fit (rem 1), then the cheapest exceeder t2.
+        assert_eq!(select(&w, 9).selected(v), ids(&[1, 0, 2]));
+        // Zero-rate topics never pass τ = 0, so an all-zero row is taken
+        // whole; with a positive rate in it, nothing is needed.
+        let zero = |rates: Vec<u64>| {
+            let row = ids(&[1, 0]);
+            Workload::from_parts(rates.into_iter().map(Rate::new).collect(), vec![row])
+        };
+        assert_eq!(select(&zero(vec![0, 0]), 0).selected(v), ids(&[0, 1]));
+        assert_eq!(select(&zero(vec![0, 4]), 0).selected(v), ids(&[]));
     }
 
     #[test]

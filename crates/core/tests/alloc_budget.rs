@@ -1,10 +1,12 @@
-//! Heap allocations on the serve daemon's event path and in its snapshot
-//! write, counted by a counting global allocator. The binary holds this
-//! one test, so no other test's allocations reach the counters.
+//! Heap allocations of a cold plan, of the serve daemon's event path and
+//! of its snapshot write, counted by a counting global allocator. The
+//! binary holds this one test, so no other test's allocations reach the
+//! counters.
 
 use cloud_cost::{LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::{Daemon, Driver, ServeConfig};
+use mcss_core::{lower_bound, McssInstance, Solver};
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,8 +73,36 @@ fn workload() -> Workload {
 }
 
 #[test]
-fn submits_and_snapshots_allocate_a_bounded_amount() {
+fn plans_submits_and_snapshots_allocate_a_bounded_amount() {
     const EVENTS: usize = 2_000;
+    let (tau, capacity) = (Rate::new(20), Bandwidth::new(4_000));
+    let cost = LinearCostModel::vm_only(Money::from_dollars(1));
+
+    // A cold plan, layer by layer. The bound allocates nothing, and
+    // validating a valid plan allocates a constant (its transpose and
+    // marks), whatever the plan's VMs, rows and pairs.
+    let instance = McssInstance::new(workload(), tau, capacity).unwrap();
+    let (before, _) = counters();
+    let outcome = Solver::default().solve(&instance, &cost).unwrap();
+    let solve = counters().0 - before;
+    let (before, _) = counters();
+    let bound = lower_bound(instance.workload(), tau, capacity);
+    let bound_allocations = counters().0 - before;
+    let (before, _) = counters();
+    let valid = outcome.allocation.validate(instance.workload(), tau);
+    let validate = counters().0 - before;
+    println!(
+        "cold plan of {} pairs on {} VMs: Solver::solve {solve} allocations, \
+         lower_bound {bound_allocations}, validate {validate}",
+        outcome.allocation.pair_count(),
+        outcome.allocation.vm_count()
+    );
+    assert_eq!(valid, Ok(()));
+    assert_eq!(bound.volume, outcome.report.lower_bound_volume);
+    assert_eq!(bound_allocations, 0, "lower_bound allocated");
+    assert!(validate <= 8, "{validate} allocations to validate one plan");
+    drop((instance, outcome));
+
     let dir = std::env::temp_dir().join(format!("mcss-alloc-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     // Stable rates and 12% churn: each churned subscriber emits an
@@ -83,9 +113,8 @@ fn submits_and_snapshots_allocate_a_bounded_amount() {
         seed: 5,
     };
     let mut driver = Driver::new(workload(), drift);
-    let config = ServeConfig::new(Rate::new(20), Bandwidth::new(4_000));
-    let cost = Box::new(LinearCostModel::vm_only(Money::from_dollars(1)));
-    let mut daemon = Daemon::create(&dir, config, cost).unwrap();
+    let config = ServeConfig::new(tau, capacity);
+    let mut daemon = Daemon::create(&dir, config, Box::new(cost)).unwrap();
 
     // Warm up: the bootstrap epoch and two drift epochs size the edit's
     // working rows and the log's write buffer.

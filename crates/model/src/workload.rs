@@ -740,6 +740,27 @@ impl Workload {
         self.subscriber_total_rate(v).min(tau)
     }
 
+    /// `v`'s rate-ranked row summed until the sum passes `tau`: the row's
+    /// total when that is at most `tau`, otherwise the first prefix sum
+    /// above `tau`. So it exceeds `tau` exactly when the total does, and
+    /// its minimum with `tau` is `τ_v`. The row runs from the largest
+    /// rate down, so the walk stops after as few topics as any order
+    /// allows, where [`Workload::tau_v`] sums the whole row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range for this workload.
+    pub fn ranked_sum_past(&self, v: SubscriberId, tau: Rate) -> Rate {
+        let mut sum = Rate::ZERO;
+        for &t in self.ranked_interests(v) {
+            sum += self.rate(t);
+            if sum > tau {
+                break;
+            }
+        }
+        sum
+    }
+
     /// Total *outgoing* delivery volume if every pair were served:
     /// `Σ_v Σ_{t∈T_v} ev_t`.
     pub fn full_outgoing_volume(&self) -> Bandwidth {
@@ -1092,6 +1113,23 @@ mod tests {
         assert_eq!(w.tau_v(v0, Rate::new(25)), Rate::new(25));
         let v1 = SubscriberId::new(1);
         assert_eq!(w.tau_v(v1, Rate::new(100)), Rate::new(10));
+    }
+
+    #[test]
+    fn ranked_sum_stops_at_the_first_prefix_past_tau() {
+        let w = tiny();
+        let v0 = SubscriberId::new(0); // ranked row: t0 (20), t1 (10)
+        assert_eq!(w.ranked_sum_past(v0, Rate::new(100)), Rate::new(30));
+        // A total equal to τ has not passed it.
+        assert_eq!(w.ranked_sum_past(v0, Rate::new(30)), Rate::new(30));
+        assert_eq!(w.ranked_sum_past(v0, Rate::new(25)), Rate::new(30));
+        assert_eq!(w.ranked_sum_past(v0, Rate::new(19)), Rate::new(20));
+        assert_eq!(w.ranked_sum_past(v0, Rate::ZERO), Rate::new(20));
+        let empty = Workload::from_parts(vec![Rate::new(5)], vec![vec![]]);
+        assert_eq!(
+            empty.ranked_sum_past(SubscriberId::new(0), Rate::ZERO),
+            Rate::ZERO
+        );
     }
 
     #[test]

@@ -82,6 +82,11 @@ proptest! {
             prop_assert!(tv_lo <= tv_hi);
             prop_assert!(tv_hi <= total);
             prop_assert_eq!(tv_hi, total.min(Rate::new(hi)));
+            // The ranked walk that stops past τ gives the same τ_v and
+            // passes τ exactly when the whole row does.
+            let past = w.ranked_sum_past(v, Rate::new(hi));
+            prop_assert_eq!(past.min(Rate::new(hi)), tv_hi);
+            prop_assert_eq!(past > Rate::new(hi), total > Rate::new(hi));
         }
     }
 
