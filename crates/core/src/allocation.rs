@@ -537,15 +537,22 @@ impl Allocation {
     /// credits each distinct pair once. The row's rates are summed for
     /// `τ_v` only when the delivered rate is below `τ` and some interest
     /// is still undelivered. Only when a check fails does `validate`
-    /// re-run the checks as a sweep in the order above, one
-    /// [`Workload::pair_index`] search per placed pair, to name the first
-    /// violation. Both passes read only the primary interest CSR and the
-    /// rates, never the derived arenas, so `validate` stays an oracle
-    /// independent of them.
+    /// re-run the checks as a sweep in the order above to name the first
+    /// violation: one interest-row search per placed pair for step 3, and
+    /// the delivered rates of [`Allocation::delivered_rates`], read from
+    /// the same transpose, for step 6. The two passes share each row and
+    /// VM rule of steps 1, 2, 4 and 5. Both read only the primary
+    /// interest CSR and the rates, never the derived arenas, so `validate`
+    /// stays an oracle independent of them.
     ///
     /// # Errors
     ///
     /// Returns the first violation found, in the order above.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the allocation places more than `u32::MAX` pairs and
+    /// passes steps 1–5, since the transpose indexes its pairs with `u32`.
     pub fn validate(&self, workload: &Workload, tau: Rate) -> Result<(), AllocationError> {
         if self.holds(workload, tau) {
             return Ok(());
@@ -571,16 +578,15 @@ impl Allocation {
             let mut prev: Option<TopicId> = None;
             let mut actual = Bandwidth::ZERO;
             for p in vm.placements() {
-                if prev == Some(p.topic)
-                    || p.topic.index() >= workload.num_topics()
-                    || p.subscribers.windows(2).any(|w| w[0] == w[1])
-                {
+                // A topic past the workload's fails step 3, which the walk
+                // below checks; rejecting it here lets the rate be read.
+                if p.topic.index() >= workload.num_topics() || row_error(i, prev, p).is_some() {
                     return false;
                 }
                 prev = Some(p.topic);
                 actual += workload.rate(p.topic) * (p.subscribers.len() as u64 + 1);
             }
-            if actual != vm.used() || vm.used() > self.vm_capacity(i) {
+            if self.vm_error(i, actual).is_some() {
                 return false;
             }
         }
@@ -607,103 +613,92 @@ impl Allocation {
     /// The sweep of [`Allocation::validate`]: the checks in their
     /// documented order, returning the first violation.
     fn first_violation(&self, workload: &Workload, tau: Rate) -> Result<(), AllocationError> {
-        let mut delivery = Delivery::new(workload);
         for (i, vm) in self.vms.iter().enumerate() {
             let mut prev: Option<TopicId> = None;
             let mut actual = Bandwidth::ZERO;
             let mut empty_rows = false;
             for p in vm.placements() {
-                if prev == Some(p.topic) {
-                    return Err(AllocationError::DuplicatePair {
-                        vm: i,
-                        topic: p.topic,
-                        subscriber: p
-                            .subscribers
-                            .first()
-                            .copied()
-                            .unwrap_or(SubscriberId::new(0)),
-                    });
+                if let Some(error) = row_error(i, prev, p) {
+                    return Err(error);
                 }
                 prev = Some(p.topic);
-                // A repeat anywhere in the row outranks a foreign pair
-                // earlier in it, so the foreign verdict waits for the row's
-                // end. `ev_t` is read only once a pair proved the topic real.
-                let mut last: Option<SubscriberId> = None;
-                let mut foreign: Option<SubscriberId> = None;
-                let mut rate: Option<Rate> = None;
-                for &v in &p.subscribers {
-                    if last == Some(v) {
-                        return Err(AllocationError::DuplicatePair {
-                            vm: i,
-                            topic: p.topic,
-                            subscriber: v,
-                        });
-                    }
-                    last = Some(v);
-                    if foreign.is_some() {
-                        continue;
-                    }
-                    let pair = if v.index() < workload.num_subscribers() {
-                        workload.pair_index(v, p.topic)
-                    } else {
-                        None
-                    };
-                    match pair {
-                        Some(pair) => {
-                            let ev = *rate.get_or_insert_with(|| workload.rate(p.topic));
-                            delivery.credit(pair, v, ev);
-                        }
-                        None => foreign = Some(v),
-                    }
-                }
-                if let Some(v) = foreign {
+                let foreign = p.subscribers.iter().find(|&&v| {
+                    v.index() >= workload.num_subscribers()
+                        || workload.interests(v).binary_search(&p.topic).is_err()
+                });
+                if let Some(&v) = foreign {
                     return Err(AllocationError::ForeignPair {
                         vm: i,
                         topic: p.topic,
                         subscriber: v,
                     });
                 }
-                match rate {
-                    Some(ev) => actual += ev * (p.subscribers.len() as u64 + 1),
-                    None => empty_rows = true,
+                // A pair has now proved the topic real; an empty row's rate
+                // is read only after every row of the VM passed.
+                match p.subscribers.len() {
+                    0 => empty_rows = true,
+                    len => actual += workload.rate(p.topic) * (len as u64 + 1),
                 }
             }
             if empty_rows {
-                // No pair vouches for an empty row's topic, so its rate is
-                // read only after every row of the VM passed.
                 for p in vm.placements().iter().filter(|p| p.subscribers.is_empty()) {
                     actual += workload.rate(p.topic);
                 }
             }
-            if actual != vm.used() {
-                return Err(AllocationError::BandwidthMismatch {
-                    vm: i,
-                    recorded: vm.used(),
-                    actual,
-                });
-            }
-            let vm_capacity = self.vm_capacity(i);
-            if vm.used() > vm_capacity {
-                return Err(AllocationError::CapacityExceeded {
-                    vm: i,
-                    used: vm.used(),
-                    capacity: vm_capacity,
-                });
+            if let Some(error) = self.vm_error(i, actual) {
+                return Err(error);
             }
         }
+        let delivered = self.delivered_rates(workload);
         for v in workload.subscribers() {
             let required = workload.tau_v(v, tau);
-            let delivered = delivery.rates[v.index()];
-            if delivered < required {
+            if delivered[v.index()] < required {
                 return Err(AllocationError::UnsatisfiedSubscriber {
                     subscriber: v,
-                    delivered,
+                    delivered: delivered[v.index()],
                     required,
                 });
             }
         }
         Ok(())
     }
+
+    /// Steps 4–5 of [`Allocation::validate`] for VM `i`, whose rows
+    /// total `actual` under Eq. 2.
+    fn vm_error(&self, i: usize, actual: Bandwidth) -> Option<AllocationError> {
+        let used = self.vms[i].used();
+        if actual != used {
+            return Some(AllocationError::BandwidthMismatch {
+                vm: i,
+                recorded: used,
+                actual,
+            });
+        }
+        let capacity = self.vm_capacity(i);
+        (used > capacity).then_some(AllocationError::CapacityExceeded {
+            vm: i,
+            used,
+            capacity,
+        })
+    }
+}
+
+/// Steps 1–2 of [`Allocation::validate`] for row `p` of VM `vm`, whose
+/// previous row placed `prev`.
+fn row_error(vm: usize, prev: Option<TopicId>, p: &TopicPlacement) -> Option<AllocationError> {
+    let duplicate = |subscriber| AllocationError::DuplicatePair {
+        vm,
+        topic: p.topic,
+        subscriber,
+    };
+    if prev == Some(p.topic) {
+        let first = p.subscribers.first().copied();
+        return Some(duplicate(first.unwrap_or(SubscriberId::new(0))));
+    }
+    p.subscribers
+        .windows(2)
+        .find(|pair| pair[0] == pair[1])
+        .map(|pair| duplicate(pair[0]))
 }
 
 /// The placed pairs transposed by subscriber: row `v` holds the topic of
@@ -771,35 +766,6 @@ impl PlacedBySubscriber {
             .iter()
             .copied()
             .filter(move |t| std::mem::replace(&mut marks[t.index()], mark) != mark)
-    }
-}
-
-/// Rate delivered per subscriber under Eq. 3's `max_b x_tvb`: an
-/// interest pair counts once however many VMs carry it. Dedupe is one bit
-/// per position of the interest arena ([`Workload::pair_index`]), a flat
-/// bitmap instead of a hash set per subscriber.
-struct Delivery {
-    seen: Vec<u64>,
-    rates: Vec<Rate>,
-}
-
-impl Delivery {
-    fn new(workload: &Workload) -> Delivery {
-        Delivery {
-            seen: vec![0; (workload.pair_count() as usize).div_ceil(64)],
-            rates: vec![Rate::ZERO; workload.num_subscribers()],
-        }
-    }
-
-    /// Credits `ev` to subscriber `v` unless interest pair `pair` (its
-    /// arena position) was credited before.
-    #[inline]
-    fn credit(&mut self, pair: usize, v: SubscriberId, ev: Rate) {
-        let (word, bit) = (pair / 64, 1u64 << (pair % 64));
-        if self.seen[word] & bit == 0 {
-            self.seen[word] |= bit;
-            self.rates[v.index()] += ev;
-        }
     }
 }
 
@@ -1076,7 +1042,7 @@ mod tests {
     /// `validate` as it stood before the one-sweep rewrite: a binary
     /// search of the interest row per placed pair for the foreign check,
     /// then a second `pair_index` search per pair for delivery. Kept as
-    /// the oracle the one-sweep version must match result for result.
+    /// the oracle `validate` must match result for result.
     fn validate_two_search(
         a: &Allocation,
         workload: &Workload,

@@ -1200,15 +1200,23 @@ pub struct Daemon {
     recovery: Option<RecoveryStats>,
 }
 
-/// Creates the state directory if it is missing, and then fsyncs its
-/// parent so the new entry survives a power loss with the log it will
-/// hold.
+/// Creates the state directory if it is missing, and then fsyncs the
+/// parent of each level it made, so the new entries survive a power loss
+/// with the log the directory will hold.
 fn create_state_dir(dir: &Path) -> std::io::Result<()> {
     if dir.is_dir() {
         return Ok(());
     }
+    // The levels `create_dir_all` makes, `dir` first.
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|level| !level.as_os_str().is_empty() && !level.exists())
+        .collect();
     fs::create_dir_all(dir)?;
-    mcss_store::sync_parent(dir)
+    for level in missing.iter().rev() {
+        mcss_store::sync_parent(level)?;
+    }
+    Ok(())
 }
 
 impl Daemon {
@@ -1938,6 +1946,22 @@ mod tests {
             pos += 8 + len as usize;
         }
         (records, pos)
+    }
+
+    /// A state directory several missing levels deep is created (each
+    /// new level's parent synced), creating it again leaves it be, and a
+    /// file in its place is an error.
+    #[test]
+    fn a_state_dir_is_created_through_missing_levels() {
+        let root = scratch("nested-state");
+        let dir = root.join("a").join("b").join("state");
+        create_state_dir(&dir).unwrap();
+        assert!(dir.is_dir());
+        create_state_dir(&dir).unwrap();
+        let file = root.join("file");
+        fs::write(&file, b"").unwrap();
+        assert!(create_state_dir(&file).is_err());
+        fs::remove_dir_all(&root).unwrap();
     }
 
     /// Writes `events` as a fresh log at `path` and returns its bytes.
