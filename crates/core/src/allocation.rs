@@ -216,6 +216,16 @@ pub enum AllocationError {
         /// The subscriber that never subscribed to it.
         subscriber: SubscriberId,
     },
+    /// A row without pairs names a topic the workload does not have. (A
+    /// row with pairs and such a topic is a [`ForeignPair`].)
+    ///
+    /// [`ForeignPair`]: AllocationError::ForeignPair
+    UnknownTopic {
+        /// Index of the offending VM.
+        vm: usize,
+        /// The topic placed.
+        topic: TopicId,
+    },
 }
 
 impl fmt::Display for AllocationError {
@@ -254,6 +264,9 @@ impl fmt::Display for AllocationError {
                 subscriber,
             } => {
                 write!(f, "vm {vm} serves ({topic}, {subscriber}) but {subscriber} never subscribed to {topic}")
+            }
+            AllocationError::UnknownTopic { vm, topic } => {
+                write!(f, "vm {vm} hosts {topic}, which the workload does not have")
             }
         }
     }
@@ -516,7 +529,9 @@ impl Allocation {
     ///    subscriber);
     /// 2. no subscriber repeats within the row (`DuplicatePair`);
     /// 3. each of the row's pairs is a real interest of a subscriber the
-    ///    workload has ([`AllocationError::ForeignPair`]);
+    ///    workload has ([`AllocationError::ForeignPair`]), and a row
+    ///    without pairs names a topic the workload has
+    ///    ([`AllocationError::UnknownTopic`]);
     ///
     /// and then the VM as a whole:
     ///
@@ -616,7 +631,6 @@ impl Allocation {
         for (i, vm) in self.vms.iter().enumerate() {
             let mut prev: Option<TopicId> = None;
             let mut actual = Bandwidth::ZERO;
-            let mut empty_rows = false;
             for p in vm.placements() {
                 if let Some(error) = row_error(i, prev, p) {
                     return Err(error);
@@ -633,17 +647,13 @@ impl Allocation {
                         subscriber: v,
                     });
                 }
-                // A pair has now proved the topic real; an empty row's rate
-                // is read only after every row of the VM passed.
-                match p.subscribers.len() {
-                    0 => empty_rows = true,
-                    len => actual += workload.rate(p.topic) * (len as u64 + 1),
+                if p.topic.index() >= workload.num_topics() {
+                    return Err(AllocationError::UnknownTopic {
+                        vm: i,
+                        topic: p.topic,
+                    });
                 }
-            }
-            if empty_rows {
-                for p in vm.placements().iter().filter(|p| p.subscribers.is_empty()) {
-                    actual += workload.rate(p.topic);
-                }
+                actual += workload.rate(p.topic) * (p.subscribers.len() as u64 + 1);
             }
             if let Some(error) = self.vm_error(i, actual) {
                 return Err(error);
@@ -985,15 +995,23 @@ mod tests {
                 subscriber: SubscriberId::new(1),
             })
         );
-        // An empty row of an unknown topic has no pair to report, and does
-        // not stop the check of the rows after it.
-        vms[1] = vm(&[(7, &[]), (0, &[1])], 0);
+        // An empty row of an unknown topic fails step 3 in its turn: after
+        // an earlier row's foreign pair, before a later one's.
+        vms[1] = vm(&[(0, &[1]), (7, &[])], 0);
         assert_eq!(
             error(&vms),
             Err(AllocationError::ForeignPair {
                 vm: 1,
                 topic: TopicId::new(0),
                 subscriber: SubscriberId::new(1),
+            })
+        );
+        vms[1] = vm(&[(7, &[]), (0, &[1])], 0);
+        assert_eq!(
+            error(&vms),
+            Err(AllocationError::UnknownTopic {
+                vm: 1,
+                topic: TopicId::new(7),
             })
         );
         // Within one row, a duplicate subscriber outranks an earlier
@@ -1083,6 +1101,12 @@ mod tests {
                         });
                     }
                 }
+                if p.subscribers.is_empty() && p.topic.index() >= workload.num_topics() {
+                    return Err(AllocationError::UnknownTopic {
+                        vm: i,
+                        topic: p.topic,
+                    });
+                }
             }
             let actual = vm.outgoing_volume(workload) + vm.incoming_volume(workload);
             if actual != vm.used() {
@@ -1131,7 +1155,7 @@ mod tests {
 
     /// Number of mutation kinds [`mutated_case`] knows, the last being
     /// "no mutation".
-    const MUTATIONS: u8 = 10;
+    const MUTATIONS: u8 = 11;
 
     /// A random small instance — workload (a fifth of its rates zero), an
     /// allocation of a random subset of its pairs over a few VMs
@@ -1147,7 +1171,8 @@ mod tests {
     /// 6. a shrunken (tier) capacity;
     /// 7. a pair naming a subscriber the workload does not have;
     /// 8. one pair placed on two VMs;
-    /// 9. none.
+    /// 9. an empty row naming a topic past the workload's;
+    /// 10. none.
     ///
     /// A mutation with no target in the drawn instance is skipped.
     fn mutated_case(seed: u64, mutation: u8) -> (Workload, Allocation, Rate) {
@@ -1285,6 +1310,15 @@ mod tests {
                     *used + delta
                 };
             }
+            (9, Some((b, j))) => {
+                let unknown = TopicPlacement {
+                    topic: TopicId::new(topics as u32 + rng.gen_range(0..3u32)),
+                    subscribers: Vec::new(),
+                };
+                a.vms[b]
+                    .placements
+                    .insert(j + usize::from(rng.gen_bool(0.5)), unknown);
+            }
             (6, _) => {
                 let shrunk = Bandwidth::new(rng.gen_range(1..=max_used.get().max(1)));
                 match a.typing.take() {
@@ -1326,7 +1360,7 @@ mod tests {
     /// valid case, so the differential test is not vacuous.
     #[test]
     fn mutated_cases_reach_every_verdict() {
-        let mut reached = [false; 6];
+        let mut reached = [false; 7];
         for seed in 0..2_000u64 {
             let (w, a, tau) = mutated_case(seed, (seed % u64::from(MUTATIONS)) as u8);
             let verdict = match validate_two_search(&a, &w, tau) {
@@ -1336,10 +1370,11 @@ mod tests {
                 Err(AllocationError::BandwidthMismatch { .. }) => 3,
                 Err(AllocationError::CapacityExceeded { .. }) => 4,
                 Err(AllocationError::UnsatisfiedSubscriber { .. }) => 5,
+                Err(AllocationError::UnknownTopic { .. }) => 6,
             };
             reached[verdict] = true;
         }
-        assert_eq!(reached, [true; 6]);
+        assert_eq!(reached, [true; 7]);
     }
 
     /// `delivered_rates` equals Eq. 3 counted over a set of the placed
@@ -1367,6 +1402,25 @@ mod tests {
             }
             assert_eq!(a.delivered_rates(&w), expected, "seed {seed}");
         }
+    }
+
+    /// An empty row naming a topic past the workload's is reported, not a
+    /// panic: the sweep once read its rate after the verdict pass had
+    /// rejected it.
+    #[test]
+    fn an_empty_row_of_an_unknown_topic_is_reported() {
+        let w = workload();
+        let a = Allocation::from_vm_allocations(vec![vm(&[(7, &[])], 0)], Bandwidth::new(100));
+        let error = AllocationError::UnknownTopic {
+            vm: 0,
+            topic: TopicId::new(7),
+        };
+        assert_eq!(a.validate(&w, Rate::ZERO), Err(error));
+        assert_eq!(validate_two_search(&a, &w, Rate::ZERO), Err(error));
+        assert_eq!(
+            error.to_string(),
+            "vm 0 hosts t7, which the workload does not have"
+        );
     }
 
     /// A placement may name a subscriber id past the workload's; that is

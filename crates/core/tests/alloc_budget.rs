@@ -1,12 +1,13 @@
-//! Heap allocations of a cold plan, of the serve daemon's event path and
-//! of its snapshot write, counted by a counting global allocator. The
-//! binary holds this one test, so no other test's allocations reach the
-//! counters.
+//! Heap allocations of a cold store load, a cold plan, the serve
+//! daemon's event path and its snapshot write, counted by a counting
+//! global allocator. The binary holds this one test, so no other test's
+//! allocations reach the counters.
 
 use cloud_cost::{LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::{Daemon, Driver, ServeConfig};
 use mcss_core::{lower_bound, McssInstance, Solver};
+use mcss_store::WorkloadStoreExt;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,10 +74,33 @@ fn workload() -> Workload {
 }
 
 #[test]
-fn plans_submits_and_snapshots_allocate_a_bounded_amount() {
+fn loads_plans_submits_and_snapshots_allocate_a_bounded_amount() {
     const EVENTS: usize = 2_000;
     let (tau, capacity) = (Rate::new(20), Bandwidth::new(4_000));
     let cost = LinearCostModel::vm_only(Money::from_dollars(1));
+    let dir = std::env::temp_dir().join(format!("mcss-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // A cold store load reads each section straight into its arena: one
+    // allocation per section plus the header's, and no buffer beside
+    // them, so it allocates fewer bytes than the file holds.
+    let store = dir.join("workload.mcss");
+    let written = workload();
+    written.to_store(&store).unwrap();
+    let (before, before_bytes) = counters();
+    let loaded = Workload::from_store(&store).unwrap();
+    let (after, after_bytes) = counters();
+    let (load, load_bytes) = (after - before, after_bytes - before_bytes);
+    let store_len = std::fs::metadata(&store).unwrap().len();
+    println!("from_store, a {store_len}-byte store: {load} allocations, {load_bytes} bytes");
+    assert_eq!(loaded, written);
+    assert!(load <= 12, "{load} allocations for one store load");
+    assert!(
+        load_bytes < store_len,
+        "{load_bytes} bytes allocated to load a {store_len}-byte store"
+    );
+    drop((written, loaded));
 
     // A cold plan, layer by layer. The bound allocates nothing, and
     // validating a valid plan allocates a constant (its transpose and
@@ -103,8 +127,6 @@ fn plans_submits_and_snapshots_allocate_a_bounded_amount() {
     assert!(validate <= 8, "{validate} allocations to validate one plan");
     drop((instance, outcome));
 
-    let dir = std::env::temp_dir().join(format!("mcss-alloc-budget-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     // Stable rates and 12% churn: each churned subscriber emits an
     // unsubscribe and a subscribe, ~2,400 events per epoch.
     let drift = DriftModel {
@@ -114,7 +136,7 @@ fn plans_submits_and_snapshots_allocate_a_bounded_amount() {
     };
     let mut driver = Driver::new(workload(), drift);
     let config = ServeConfig::new(tau, capacity);
-    let mut daemon = Daemon::create(&dir, config, Box::new(cost)).unwrap();
+    let mut daemon = Daemon::create(&dir.join("state"), config, Box::new(cost)).unwrap();
 
     // Warm up: the bootstrap epoch and two drift epochs size the edit's
     // working rows and the log's write buffer.

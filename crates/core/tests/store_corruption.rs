@@ -11,7 +11,7 @@ use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::{
     Daemon, Driver, FaultInjector, IoFault, ServeConfig, Snapshot, SNAPSHOT_FILE,
 };
-use mcss_store::{StoreReader, WorkloadStoreExt};
+use mcss_store::{section, StoreBuilder, StoreReader, WorkloadStoreExt};
 use proptest::prelude::*;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 use std::path::{Path, PathBuf};
@@ -221,6 +221,35 @@ fn multi_chunk_sections_roundtrip_and_fail_closed() {
             );
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot whose checksums all hold but whose follower arena names
+/// subscriber `|V|`, one past the last, fails to load naming the section:
+/// the reader range-checks every id arena as it reads it.
+#[test]
+fn snapshot_with_an_id_at_its_bound_fails_closed() {
+    let dir = scratch("snapshot-bound");
+    let path = daemon_snapshot(&dir);
+    let subscribers = Snapshot::load(&path).unwrap().workload.num_subscribers() as u32;
+    let mut reader = StoreReader::open(&path).unwrap();
+    let table = reader.sections().to_vec();
+    let mut rebuilt = StoreBuilder::new();
+    for info in table {
+        let mut bytes = reader.read_bytes(info.id).unwrap();
+        if info.id == section::FOLLOWER_IDS {
+            bytes[..4].copy_from_slice(&subscribers.to_le_bytes());
+        }
+        rebuilt.section(info.id, bytes);
+    }
+    rebuilt.write(&path).unwrap();
+    let msg = Snapshot::load(&path)
+        .expect_err("a follower id at the subscriber count must not load")
+        .to_string();
+    assert!(
+        msg.contains("`follower-ids` is malformed: element 0 is id"),
+        "got: {msg}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -33,8 +33,8 @@ pub enum WorkloadError {
     /// packed u32 CSR offsets cannot address.
     TooManyPairs,
     /// A raw arena handed to [`Workload::from_arenas`] is structurally
-    /// inconsistent (offsets not monotone, ids out of range, mismatched
-    /// lengths). The message names the failing arena.
+    /// inconsistent (offsets not monotone, mismatched lengths). The
+    /// message names the failing arena.
     MalformedArenas(&'static str),
 }
 
@@ -275,24 +275,30 @@ impl Workload {
     /// Reassembles a workload from *all six* raw arenas — primaries and
     /// derived tables alike — exactly as exposed by
     /// [`Workload::arenas`]. Unlike [`Workload::from_parts`] this never
-    /// transposes, sorts, or ranks anything: the cost is a handful of
-    /// O(|T| + |V| + P) bounds scans (offset monotonicity, id ranges)
-    /// plus an O(|T|) total-rate sum, so loading a million-subscriber
-    /// workload from an arena-preserving store is memory-bandwidth
-    /// bound, not rebuild bound.
+    /// transposes, sorts, or ranks anything: it checks the shapes in
+    /// O(1) (arena lengths, entity counts) and the offset tables in
+    /// O(|T| + |V|) (each climbs from 0 to its arena's length), then sums
+    /// the O(|T|) total rate. Nothing here reads the O(pairs) id arenas,
+    /// so loading a million-subscriber workload from an arena-preserving
+    /// store costs the store's own read and nothing more.
     ///
-    /// The scans guarantee memory safety (every accessor index stays in
-    /// bounds); *semantic* consistency — rows sorted and deduplicated,
-    /// the follower CSR being the true transpose, the ranked arena's
-    /// rate order — is the writer's contract, normally guarded by the
-    /// store's per-section checksums.
+    /// The caller vouches for the id ranges: every interest and ranked
+    /// topic id below the rate count, every follower id below the
+    /// subscriber count. `mcss_store`, the one caller, checks them chunk
+    /// by chunk as it reads each arena; debug builds check them again
+    /// here. An id out of range is never undefined behaviour, but later
+    /// lookups with it panic. *Semantic* consistency — rows sorted and
+    /// deduplicated, the follower CSR being the true transpose, the
+    /// ranked arena's rate order — is the writer's contract, normally
+    /// guarded by the store's per-section checksums.
     ///
     /// # Errors
     ///
     /// [`WorkloadError::MalformedArenas`] naming the inconsistent arena
-    /// when offsets are not monotone from 0 to the payload length, the
-    /// ranked arena's length differs from the interest arena's, an id is
-    /// out of range, or the pair count exceeds the packed u32 limit.
+    /// when offsets are not monotone from 0 to the payload length or an
+    /// arena's length disagrees with another's;
+    /// [`WorkloadError::TooManyPairs`] or
+    /// [`WorkloadError::TooManyEntities`] past the packed u32 limits.
     pub fn from_arenas(
         rates: Vec<Rate>,
         interest_offsets: Vec<u32>,
@@ -356,25 +362,19 @@ impl Workload {
                 "follower arena must hold exactly one id per interest pair",
             ));
         }
-        // Range checks as max-folds instead of early-exit `any` scans:
-        // the reduction vectorizes, and on valid data (the only hot
-        // case — every store load) both forms scan the full arena.
-        let num_topics = rates.len() as u32;
-        let max_topic = |ids: &[TopicId]| ids.iter().map(|t| t.raw()).max();
-        if max_topic(&interest_topics).is_some_and(|m| m >= num_topics)
-            || max_topic(&ranked_topics).is_some_and(|m| m >= num_topics)
-        {
-            return Err(WorkloadError::MalformedArenas(
-                "interest/ranked arenas reference a topic id out of range",
-            ));
-        }
-        let num_subscribers = (interest_offsets.len() - 1) as u32;
-        let max_follower = follower_ids.iter().map(|v| v.raw()).max();
-        if max_follower.is_some_and(|m| m >= num_subscribers) {
-            return Err(WorkloadError::MalformedArenas(
-                "follower arena references a subscriber id out of range",
-            ));
-        }
+        debug_assert!(
+            interest_topics
+                .iter()
+                .chain(&ranked_topics)
+                .all(|t| t.index() < rates.len()),
+            "interest/ranked arenas reference a topic id out of range"
+        );
+        debug_assert!(
+            follower_ids
+                .iter()
+                .all(|v| v.index() < interest_offsets.len() - 1),
+            "follower arena references a subscriber id out of range"
+        );
         Ok(Workload::assemble(
             rates,
             interest_offsets,

@@ -4,14 +4,17 @@
 //! The format is deliberately dumb: a 4096-byte header page (magic,
 //! version, section table) followed by each section's raw payload at a
 //! 4096-byte-aligned offset. Payloads are the in-memory arenas written
-//! little-endian, so loading a section is a streamed read, a CRC sweep
-//! and a widening pass over the same warm chunk — no parsing, no per-row
-//! work.
+//! little-endian, so loading a section is a positional read straight
+//! into its final `Vec`, a chunk at a time, with the CRC sweep (and, for
+//! an id arena, the range check) run over each chunk while it is still
+//! in cache — no parsing, no per-row work, no second pass.
 
 use crate::crc::{self, crc32};
+use crate::range;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::mem::MaybeUninit;
 use std::path::Path;
 
 /// File magic: the first eight bytes of every store.
@@ -641,24 +644,96 @@ fn validate_header(bytes: &[u8], actual_len: u64) -> Result<Vec<SectionInfo>, St
     Ok(sections)
 }
 
-/// Bytes streamed per `read` — large enough to amortize syscalls, small
-/// enough to stay cache-resident, so the checksum and the widening pass
-/// both read the kernel's copy out of L2 instead of sweeping the whole
-/// section through DRAM a second time.
-const STREAM_CHUNK: usize = 512 * 1024;
+/// Bytes read per positional read: large enough to amortize syscalls,
+/// small enough to stay in L2, so the checksum and the range check read
+/// each chunk from cache right after it lands instead of sweeping the
+/// whole section through DRAM a second time.
+const READ_CHUNK: usize = 512 * 1024;
+
+/// Element types a section decodes into.
+///
+/// # Safety
+///
+/// Implementors are primitive integers: every bit pattern is a value and
+/// there is no padding, so file bytes may land in a `Vec` of them as is.
+unsafe trait Word: Copy {}
+
+// SAFETY: primitive integers.
+unsafe impl Word for u8 {}
+
+// SAFETY: primitive integers.
+unsafe impl Word for u32 {}
+
+// SAFETY: primitive integers.
+unsafe impl Word for u64 {}
+
+/// Fills `buf` with the file's bytes from `offset` on and returns them,
+/// now initialized. `pread` writes into the uninitialized buffer, which
+/// std has no stable way to do; `off_t` is 64 bits on every 64-bit unix.
+#[cfg(all(unix, target_pointer_width = "64"))]
+fn read_exact_at<'a>(
+    file: &File,
+    buf: &'a mut [MaybeUninit<u8>],
+    offset: u64,
+) -> io::Result<&'a mut [u8]> {
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn pread(fd: c_int, buf: *mut c_void, count: usize, offset: i64) -> isize;
+    }
+    let mut filled = 0;
+    while filled < buf.len() {
+        let at = i64::try_from(offset + filled as u64)
+            .map_err(|_| io::Error::from(io::ErrorKind::InvalidInput))?;
+        let rest = &mut buf[filled..];
+        // SAFETY: `rest` is valid for writes of `rest.len()` bytes, and
+        // `pread` writes at most that many.
+        let read = unsafe { pread(file.as_raw_fd(), rest.as_mut_ptr().cast(), rest.len(), at) };
+        match read {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n if n > 0 => filled += n as usize,
+            _ => {
+                let e = io::Error::last_os_error();
+                if e.kind() != io::ErrorKind::Interrupted {
+                    return Err(e);
+                }
+            }
+        }
+    }
+    // SAFETY: the loop above initialized every byte of `buf`.
+    Ok(unsafe { &mut *(buf as *mut [MaybeUninit<u8>] as *mut [u8]) })
+}
+
+/// Fills `buf` with the file's bytes from `offset` on and returns them:
+/// the portable form, which zeroes the chunk before reading into it.
+#[cfg(not(all(unix, target_pointer_width = "64")))]
+fn read_exact_at<'a>(
+    mut file: &File,
+    buf: &'a mut [MaybeUninit<u8>],
+    offset: u64,
+) -> io::Result<&'a mut [u8]> {
+    for byte in buf.iter_mut() {
+        byte.write(0);
+    }
+    // SAFETY: every byte was just written.
+    let buf = unsafe { &mut *(buf as *mut [MaybeUninit<u8>] as *mut [u8]) };
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)?;
+    Ok(buf)
+}
 
 /// A store opened for reading. Opening validates the header page against
-/// the file's on-disk length; each requested section is then streamed
-/// through a fixed cache-sized scratch buffer, checksummed chunk by chunk
-/// while the bytes are warm, and widened into the section's final `Vec`.
-/// Sections fail closed: a payload whose checksum mismatches is reported
-/// by name, and its data is never returned.
+/// the file's on-disk length. Each requested section is then read once,
+/// straight into its final `Vec` in cache-sized chunks, and every chunk
+/// is checksummed (and, for [`StoreReader::read_ids`], range-checked)
+/// right after it lands, while it is still in cache. Sections fail
+/// closed: a payload whose checksum mismatches, or whose ids overrun
+/// their bound, is reported by name, and its data is never returned.
 #[derive(Debug)]
 pub struct StoreReader {
     file: File,
     file_len: u64,
     sections: Vec<SectionInfo>,
-    scratch: Vec<u8>,
 }
 
 impl StoreReader {
@@ -681,7 +756,6 @@ impl StoreReader {
             file,
             file_len,
             sections,
-            scratch: vec![0u8; STREAM_CHUNK],
         })
     }
 
@@ -716,28 +790,52 @@ impl StoreReader {
         Ok(info)
     }
 
-    /// Streams section `info` through the scratch buffer, feeding each
-    /// chunk to `sink` while running the payload CRC. The caller must
-    /// discard what `sink` built if this returns an error: the checksum
-    /// verdict lands only after the final chunk.
-    fn stream(&mut self, info: SectionInfo, mut sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
-        self.file.seek(SeekFrom::Start(info.offset))?;
-        let mut remaining = info.len;
+    /// Reads section `id` as little-endian `T`s: one exact-capacity `Vec`
+    /// whose spare capacity fills [`READ_CHUNK`] bytes at a time. Each
+    /// chunk is folded into the payload CRC as it lands (then byte-swapped
+    /// on a big-endian target), the `Vec`'s length grows over it, and
+    /// `landed` sees it with the index of its first element. The checksum
+    /// verdict comes after the last chunk.
+    fn read_words<T: Word>(
+        &mut self,
+        id: u32,
+        mut landed: impl FnMut(usize, &[T]),
+    ) -> Result<Vec<T>, StoreError> {
+        let width = std::mem::size_of::<T>();
+        let info = self.entry(id, width as u64)?;
+        let len =
+            usize::try_from(info.len / width as u64).map_err(|_| StoreError::SectionMalformed {
+                section: info.name.to_string(),
+                detail: format!("{} bytes do not fit this target's memory", info.len),
+            })?;
+        let mut out: Vec<T> = Vec::with_capacity(len);
         let mut state = !0u32;
-        while remaining > 0 {
-            let n = remaining.min(STREAM_CHUNK as u64) as usize;
-            let chunk = &mut self.scratch[..n];
-            self.file.read_exact(chunk)?;
-            state = crc::update(state, chunk);
-            sink(chunk);
-            remaining -= n as u64;
+        while out.len() < len {
+            let start = out.len();
+            let n = (READ_CHUNK / width).min(len - start);
+            let spare = out.spare_capacity_mut()[..n].as_mut_ptr();
+            // SAFETY: `n` spare elements are `n * width` bytes of the
+            // `Vec`'s buffer, and `MaybeUninit<u8>` may hold any byte.
+            let spare = unsafe { std::slice::from_raw_parts_mut(spare.cast(), n * width) };
+            let offset = info.offset + (start * width) as u64;
+            let bytes = read_exact_at(&self.file, spare, offset)?;
+            state = crc::update(state, bytes);
+            if cfg!(target_endian = "big") {
+                for word in bytes.chunks_exact_mut(width) {
+                    word.reverse();
+                }
+            }
+            // SAFETY: the read initialized these `n` elements, and `T` is a
+            // primitive integer, for which any bytes are a value.
+            unsafe { out.set_len(start + n) };
+            landed(start, &out[start..]);
         }
         if !state != info.crc {
             return Err(StoreError::SectionCrc {
                 section: info.name.to_string(),
             });
         }
-        Ok(())
+        Ok(out)
     }
 
     /// A section's raw payload, checksum-verified.
@@ -748,10 +846,7 @@ impl StoreReader {
     /// [`StoreError::SectionCrc`] naming the section when its payload
     /// fails the checksum; [`StoreError::Io`] on a failed read.
     pub fn read_bytes(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        let info = self.entry(id, 1)?;
-        let mut out = Vec::with_capacity(info.len as usize);
-        self.stream(info, |chunk| out.extend_from_slice(chunk))?;
-        Ok(out)
+        self.read_words(id, |_, _: &[u8]| {})
     }
 
     /// A section decoded as little-endian u32s, checksum-verified.
@@ -762,17 +857,37 @@ impl StoreReader {
     /// [`StoreError::SectionMalformed`] when the payload length is not a
     /// multiple of 4.
     pub fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        let info = self.entry(id, 4)?;
-        let mut out = Vec::with_capacity(info.len as usize / 4);
-        // STREAM_CHUNK is a multiple of 4, so no u32 straddles chunks.
-        self.stream(info, |chunk| {
-            out.extend(
-                chunk
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().unwrap())),
-            );
+        self.read_words(id, |_, _: &[u32]| {})
+    }
+
+    /// A section of little-endian u32 ids, each below `bound`, checksum-
+    /// and range-checked. The range check folds each chunk's maximum
+    /// while the chunk is in cache, so it costs no second pass over the
+    /// section.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_u32s`], plus
+    /// [`StoreError::SectionMalformed`] naming the section and its first
+    /// id not below `bound`. A payload that fails its checksum reports
+    /// [`StoreError::SectionCrc`] instead.
+    pub fn read_ids(&mut self, id: u32, bound: u32) -> Result<Vec<u32>, StoreError> {
+        let mut overrun = None;
+        let ids = self.read_words(id, |start, chunk: &[u32]| {
+            if overrun.is_none() && range::max(chunk) >= bound {
+                overrun = chunk
+                    .iter()
+                    .position(|&v| v >= bound)
+                    .map(|i| (start + i, chunk[i]));
+            }
         })?;
-        Ok(out)
+        match overrun {
+            None => Ok(ids),
+            Some((index, value)) => Err(StoreError::SectionMalformed {
+                section: section_name(id).to_string(),
+                detail: format!("element {index} is id {value}, not below the bound {bound}"),
+            }),
+        }
     }
 
     /// A section decoded as little-endian u64s, checksum-verified.
@@ -783,16 +898,7 @@ impl StoreReader {
     /// [`StoreError::SectionMalformed`] when the payload length is not a
     /// multiple of 8.
     pub fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        let info = self.entry(id, 8)?;
-        let mut out = Vec::with_capacity(info.len as usize / 8);
-        self.stream(info, |chunk| {
-            out.extend(
-                chunk
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-            );
-        })?;
-        Ok(out)
+        self.read_words(id, |_, _: &[u64]| {})
     }
 }
 

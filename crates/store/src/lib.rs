@@ -7,8 +7,9 @@
 //! rebuild dominates cold start. This crate stores the arenas
 //! *themselves* — primaries and derived tables alike — as raw
 //! little-endian sections in one page-aligned, checksummed file, so a
-//! load streams each section once, checksumming and widening each
-//! cache-warm chunk, then runs bounds scans: zero per-row work.
+//! load reads each section once, straight into its final arena, and
+//! checksums each chunk (range-checking the id arenas too) while it is
+//! still in cache: zero per-row work and no second pass.
 //!
 //! Layout (field-by-field spec in `docs/STORE.md`):
 //!
@@ -23,7 +24,8 @@
 //! The container is generic: section encoders write to a [`SectionSink`]
 //! — [`StoreBuilder`], which holds each section in memory, or
 //! [`StoreWriter`], which streams them through one fixed buffer — and
-//! [`StoreReader`] reads them back, with [`crc32`] as the one checksum.
+//! [`StoreReader`] reads them back, with [`crc32`] as the one checksum
+//! and [`StoreReader::read_ids`] as the one id range check.
 //! This crate also ships the workload codec ([`WorkloadStoreExt`]). The
 //! solver-side sections (Stage-1 selection, fleet ledger, serve
 //! metadata) are encoded by `mcss_core::store` on top of the same
@@ -34,6 +36,7 @@
 
 mod crc;
 mod format;
+mod range;
 mod workload;
 
 pub use crc::crc32;

@@ -47,22 +47,31 @@ pub fn write_workload_sections<S: SectionSink>(
     })
 }
 
-/// Reassembles a [`Workload`] from the seven workload sections: one
-/// streamed, checksummed widening pass per section, then the bounds
-/// scans of [`Workload::from_arenas`] — no transpose, no sorting, no
-/// ranking.
+/// Reassembles a [`Workload`] from the seven workload sections. The
+/// meta section comes first, so each section is read once, checksummed
+/// and, for the three id arenas, range-checked against the meta's counts
+/// chunk by chunk as it lands; then [`Workload::from_arenas`] checks the
+/// shapes and offsets. No transpose, no sorting, no ranking.
 ///
 /// # Errors
 ///
 /// Any container error from the reader; [`StoreError::SectionMalformed`]
-/// (naming the section) when the meta counts disagree with the arena
-/// lengths or the arenas fail the structural scans.
+/// naming the section when the meta counts disagree with the arena
+/// lengths, an id is out of range, or the offsets are inconsistent.
 pub fn read_workload_sections(store: &mut StoreReader) -> Result<Workload, StoreError> {
     let meta = store.read_u64s(section::WORKLOAD_META)?;
     let [num_topics, num_subscribers] = meta[..] else {
         return Err(malformed(
             section::WORKLOAD_META,
             format!("expected 2 u64s, found {}", meta.len()),
+        ));
+    };
+    let (Ok(topic_bound), Ok(subscriber_bound)) =
+        (u32::try_from(num_topics), u32::try_from(num_subscribers))
+    else {
+        return Err(malformed(
+            section::WORKLOAD_META,
+            format!("{num_topics} topics or {num_subscribers} subscribers overrun u32 ids"),
         ));
     };
     let rates: Vec<Rate> = store
@@ -89,12 +98,13 @@ pub fn read_workload_sections(store: &mut StoreReader) -> Result<Workload, Store
             ),
         ));
     }
+    // These maps reuse each `Vec` in place and compile to nothing.
     let to_topics = |raw: Vec<u32>| -> Vec<TopicId> { raw.into_iter().map(TopicId::new).collect() };
-    let interest_topics = to_topics(store.read_u32s(section::INTEREST_TOPICS)?);
-    let ranked_topics = to_topics(store.read_u32s(section::RANKED_TOPICS)?);
+    let interest_topics = to_topics(store.read_ids(section::INTEREST_TOPICS, topic_bound)?);
+    let ranked_topics = to_topics(store.read_ids(section::RANKED_TOPICS, topic_bound)?);
     let follower_offsets = store.read_u32s(section::FOLLOWER_OFFSETS)?;
     let follower_ids: Vec<SubscriberId> = store
-        .read_u32s(section::FOLLOWER_IDS)?
+        .read_ids(section::FOLLOWER_IDS, subscriber_bound)?
         .into_iter()
         .map(SubscriberId::new)
         .collect();

@@ -1,8 +1,12 @@
 //! Property tests for the `MCSSTOR1` container and the workload codec:
 //! random workloads round-trip bit-identically, sections land
-//! page-aligned, and header-level damage fails closed.
+//! page-aligned, header-level damage fails closed, and an id arena whose
+//! checksum holds but whose ids overrun their bound is refused by name.
 
-use mcss_store::{crc32, section, StoreBuilder, StoreError, StoreReader, WorkloadStoreExt, PAGE};
+use mcss_store::{
+    crc32, read_workload_sections, section, write_workload_sections, SectionSink, StoreBuilder,
+    StoreError, StoreReader, WorkloadStoreExt, PAGE,
+};
 use proptest::prelude::*;
 use pubsub_model::{Rate, TopicId, Workload};
 use std::path::PathBuf;
@@ -178,5 +182,158 @@ fn unknown_sections_are_preserved_for_future_writers() {
     assert_eq!(reader.sections().len(), 1);
     assert_eq!(reader.sections()[0].name, "unknown");
     assert_eq!(reader.read_bytes(0x7F).unwrap(), [1, 2, 3]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reader's chunk size: an arena past two of them spans three reads.
+const CHUNK: usize = 512 * 1024;
+
+/// 40,000 subscribers of eight topics each over 2,000 topics: 320k pairs,
+/// so each id arena is 1.28 MB, past two reader chunks.
+fn large_workload() -> Workload {
+    let topics = 2_000u32;
+    let rates = (0..topics)
+        .map(|t| Rate::new(1 + u64::from(t % 89)))
+        .collect();
+    let interests = (0..40_000u32)
+        .map(|v| {
+            let first = v.wrapping_mul(2_654_435_761) >> 9;
+            (0..8u32)
+                .map(|k| TopicId::new(first.wrapping_add(k * 241) % topics))
+                .collect()
+        })
+        .collect();
+    Workload::from_parts(rates, interests)
+}
+
+/// `workload`'s seven sections, built from its arenas in the order
+/// `write_workload_sections` writes them, with `ids[index] = value` in
+/// the id arena `target`. Every checksum is valid.
+fn store_with_id(workload: &Workload, target: u32, index: usize, value: u32) -> Vec<u8> {
+    let a = workload.arenas();
+    let ids = |id: u32, mut raw: Vec<u32>| {
+        if id == target {
+            raw[index] = value;
+        }
+        raw
+    };
+    let topics = |t: &[TopicId]| t.iter().map(|t| t.raw()).collect::<Vec<u32>>();
+    let le = |v: &u32| v.to_le_bytes();
+    let mut b = StoreBuilder::new();
+    let shape = [a.rates.len() as u64, (a.interest_offsets.len() - 1) as u64];
+    b.put_section(section::WORKLOAD_META, &shape, |n| n.to_le_bytes())
+        .unwrap();
+    b.put_section(section::RATES, a.rates, |r| r.get().to_le_bytes())
+        .unwrap();
+    b.put_section(section::INTEREST_OFFSETS, a.interest_offsets, le)
+        .unwrap();
+    let interest = ids(section::INTEREST_TOPICS, topics(a.interest_topics));
+    b.put_section(section::INTEREST_TOPICS, &interest, le)
+        .unwrap();
+    let ranked = ids(section::RANKED_TOPICS, topics(a.ranked_topics));
+    b.put_section(section::RANKED_TOPICS, &ranked, le).unwrap();
+    b.put_section(section::FOLLOWER_OFFSETS, a.follower_offsets, le)
+        .unwrap();
+    let followers = a.follower_ids.iter().map(|v| v.raw()).collect();
+    b.put_section(
+        section::FOLLOWER_IDS,
+        &ids(section::FOLLOWER_IDS, followers),
+        le,
+    )
+    .unwrap();
+    b.to_bytes()
+}
+
+/// An id equal to its arena's bound, first in the section, mid-section or
+/// in the last of its three chunks, fails the load with
+/// `SectionMalformed` naming that section and element; the id one below
+/// the bound, last in the section, still loads.
+#[test]
+fn an_id_at_its_bound_fails_closed_with_the_section_named() {
+    let workload = large_workload();
+    let (topics, subscribers) = (
+        workload.num_topics() as u32,
+        workload.num_subscribers() as u32,
+    );
+    let pairs = workload.pair_count() as usize;
+    assert!(
+        pairs * 4 > 2 * CHUNK,
+        "each id arena must span three chunks"
+    );
+
+    let dir = scratch("bounds");
+    let path = dir.join("hostile.mcss");
+    // The helper lays out exactly what the codec writes (section id 0 is
+    // none of the arenas, so nothing is changed).
+    let mut written = StoreBuilder::new();
+    write_workload_sections(&mut written, &workload).unwrap();
+    assert_eq!(store_with_id(&workload, 0, 0, 0), written.to_bytes());
+
+    let arenas = [
+        (section::INTEREST_TOPICS, "interest-topics", topics),
+        (section::RANKED_TOPICS, "ranked-topics", topics),
+        (section::FOLLOWER_IDS, "follower-ids", subscribers),
+    ];
+    for (id, name, bound) in arenas {
+        for index in [0, pairs / 2, pairs - 1] {
+            std::fs::write(&path, store_with_id(&workload, id, index, bound)).unwrap();
+            match Workload::from_store(&path) {
+                Err(StoreError::SectionMalformed { section, detail }) => {
+                    assert_eq!(section, name, "{detail}");
+                    assert!(
+                        detail.contains(&format!("element {index} is id {bound}")),
+                        "`{name}` must name element {index}: {detail}"
+                    );
+                }
+                other => panic!("id {bound} at {index} of `{name}` gave {other:?}"),
+            }
+        }
+        std::fs::write(&path, store_with_id(&workload, id, pairs - 1, bound - 1)).unwrap();
+        let loaded = Workload::from_store(&path)
+            .unwrap_or_else(|e| panic!("id {} last in `{name}`: {e}", bound - 1));
+        assert_eq!(loaded.pair_count(), workload.pair_count());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reader's range check on its own: `read_ids` returns ids all below
+/// their bound and names the first that is not, across chunks; a
+/// workload with no topics (a bound of 0 over empty arenas) loads.
+#[test]
+fn read_ids_names_the_first_id_past_the_bound() {
+    let bound = 1_000u32;
+    let ids: Vec<u32> = (0..(3 * CHUNK / 4) as u32).map(|i| i % bound).collect();
+    let image = |ids: &[u32]| {
+        let mut b = StoreBuilder::new();
+        b.put_section(0x40, ids, |v| v.to_le_bytes()).unwrap();
+        b.to_bytes()
+    };
+    let (dir, reader) = open_image("read-ids", &image(&ids));
+    assert_eq!(reader.unwrap().read_ids(0x40, bound).unwrap(), ids);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Offenders in the second and third chunks: the second's is named.
+    let mut hostile = ids.clone();
+    let (second, third) = (CHUNK / 4 + 3, CHUNK / 2 + 5);
+    hostile[second] = bound;
+    hostile[third] = u32::MAX;
+    let (dir, reader) = open_image("read-ids-hostile", &image(&hostile));
+    let err = reader.unwrap().read_ids(0x40, bound).unwrap_err();
+    assert!(
+        err.to_string().contains(&format!(
+            "element {second} is id {bound}, not below the bound {bound}"
+        )),
+        "got: {err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    let no_topics = Workload::from_parts(Vec::new(), vec![Vec::new()]);
+    let mut b = StoreBuilder::new();
+    write_workload_sections(&mut b, &no_topics).unwrap();
+    let (dir, reader) = open_image("no-topics", &b.to_bytes());
+    assert_eq!(
+        read_workload_sections(&mut reader.unwrap()).unwrap(),
+        no_topics
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
