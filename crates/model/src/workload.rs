@@ -32,9 +32,9 @@ pub enum WorkloadError {
     /// The flat interest arena would exceed `u32::MAX` pairs, which the
     /// packed u32 CSR offsets cannot address.
     TooManyPairs,
-    /// A raw arena handed to [`Workload::from_arenas`] is structurally
-    /// inconsistent (offsets not monotone, mismatched lengths). The
-    /// message names the failing arena.
+    /// A raw arena handed to [`Workload::from_range_checked_arenas`] is
+    /// structurally inconsistent (offsets not monotone, mismatched
+    /// lengths). The message names the failing arena.
     MalformedArenas(&'static str),
 }
 
@@ -156,8 +156,8 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
 /// *and* derived tables — in the exact in-memory layout. This is the
 /// serialization surface for arena-preserving stores: writing these six
 /// slices verbatim (little-endian) and handing them back to
-/// [`Workload::from_arenas`] reconstructs the workload with zero per-row
-/// work. Produced by [`Workload::arenas`].
+/// [`Workload::from_range_checked_arenas`] reconstructs the workload
+/// with zero per-row work. Produced by [`Workload::arenas`].
 #[derive(Clone, Copy, Debug)]
 pub struct WorkloadArenas<'a> {
     /// `ev_t`, indexed by topic.
@@ -282,15 +282,14 @@ impl Workload {
     /// so loading a million-subscriber workload from an arena-preserving
     /// store costs the store's own read and nothing more.
     ///
-    /// The caller vouches for the id ranges: every interest and ranked
-    /// topic id below the rate count, every follower id below the
-    /// subscriber count. `mcss_store`, the one caller, checks them chunk
-    /// by chunk as it reads each arena; debug builds check them again
-    /// here. An id out of range is never undefined behaviour, but later
-    /// lookups with it panic. *Semantic* consistency — rows sorted and
-    /// deduplicated, the follower CSR being the true transpose, the
-    /// ranked arena's rate order — is the writer's contract, normally
-    /// guarded by the store's per-section checksums.
+    /// The caller vouches for the id ranges, as the name says: every
+    /// interest and ranked topic id below the rate count, every follower
+    /// id below the subscriber count. `mcss_store`, the one caller,
+    /// checks them chunk by chunk as it reads each arena. *Semantic*
+    /// consistency — rows sorted and deduplicated, the follower CSR being
+    /// the true transpose, the ranked arena's rate order — is the
+    /// writer's contract, normally guarded by the store's per-section
+    /// checksums.
     ///
     /// # Errors
     ///
@@ -298,8 +297,17 @@ impl Workload {
     /// when offsets are not monotone from 0 to the payload length or an
     /// arena's length disagrees with another's;
     /// [`WorkloadError::TooManyPairs`] or
-    /// [`WorkloadError::TooManyEntities`] past the packed u32 limits.
-    pub fn from_arenas(
+    /// [`WorkloadError::TooManyEntities`] past the packed u32 limits. An
+    /// id out of range is *not* an error.
+    ///
+    /// # Panics
+    ///
+    /// An id out of range is the caller's bug, and the build profile
+    /// decides when it shows: debug builds scan the id arenas and panic
+    /// here; release builds skip the scan and return `Ok`, and the first
+    /// lookup with that id panics later (never undefined behaviour: all
+    /// indexing is checked).
+    pub fn from_range_checked_arenas(
         rates: Vec<Rate>,
         interest_offsets: Vec<u32>,
         interest_topics: Vec<TopicId>,
@@ -569,7 +577,7 @@ impl Workload {
 
     /// Borrows all six raw arenas at once (primaries and derived
     /// tables), in construction layout — the write-side counterpart of
-    /// [`Workload::from_arenas`].
+    /// [`Workload::from_range_checked_arenas`].
     pub fn arenas(&self) -> WorkloadArenas<'_> {
         WorkloadArenas {
             rates: &self.rates,

@@ -50,8 +50,9 @@ pub fn write_workload_sections<S: SectionSink>(
 /// Reassembles a [`Workload`] from the seven workload sections. The
 /// meta section comes first, so each section is read once, checksummed
 /// and, for the three id arenas, range-checked against the meta's counts
-/// chunk by chunk as it lands; then [`Workload::from_arenas`] checks the
-/// shapes and offsets. No transpose, no sorting, no ranking.
+/// chunk by chunk as it lands; then
+/// [`Workload::from_range_checked_arenas`] checks the shapes and offsets.
+/// No transpose, no sorting, no ranking.
 ///
 /// # Errors
 ///
@@ -108,7 +109,7 @@ pub fn read_workload_sections(store: &mut StoreReader) -> Result<Workload, Store
         .into_iter()
         .map(SubscriberId::new)
         .collect();
-    Workload::from_arenas(
+    Workload::from_range_checked_arenas(
         rates,
         interest_offsets,
         interest_topics,

@@ -9,7 +9,7 @@ use mcss_store::{
 };
 use proptest::prelude::*;
 use pubsub_model::{Rate, TopicId, Workload};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -206,42 +206,19 @@ fn large_workload() -> Workload {
     Workload::from_parts(rates, interests)
 }
 
-/// `workload`'s seven sections, built from its arenas in the order
-/// `write_workload_sections` writes them, with `ids[index] = value` in
-/// the id arena `target`. Every checksum is valid.
-fn store_with_id(workload: &Workload, target: u32, index: usize, value: u32) -> Vec<u8> {
-    let a = workload.arenas();
-    let ids = |id: u32, mut raw: Vec<u32>| {
-        if id == target {
-            raw[index] = value;
+/// The store at `pristine` rebuilt section by section with
+/// `ids[index] = value` in the id arena `target`. Every checksum is valid.
+fn store_with_id(pristine: &Path, target: u32, index: usize, value: u32) -> Vec<u8> {
+    let mut reader = StoreReader::open(pristine).unwrap();
+    let mut rebuilt = StoreBuilder::new();
+    for info in reader.sections().to_vec() {
+        let mut bytes = reader.read_bytes(info.id).unwrap();
+        if info.id == target {
+            bytes[index * 4..index * 4 + 4].copy_from_slice(&value.to_le_bytes());
         }
-        raw
-    };
-    let topics = |t: &[TopicId]| t.iter().map(|t| t.raw()).collect::<Vec<u32>>();
-    let le = |v: &u32| v.to_le_bytes();
-    let mut b = StoreBuilder::new();
-    let shape = [a.rates.len() as u64, (a.interest_offsets.len() - 1) as u64];
-    b.put_section(section::WORKLOAD_META, &shape, |n| n.to_le_bytes())
-        .unwrap();
-    b.put_section(section::RATES, a.rates, |r| r.get().to_le_bytes())
-        .unwrap();
-    b.put_section(section::INTEREST_OFFSETS, a.interest_offsets, le)
-        .unwrap();
-    let interest = ids(section::INTEREST_TOPICS, topics(a.interest_topics));
-    b.put_section(section::INTEREST_TOPICS, &interest, le)
-        .unwrap();
-    let ranked = ids(section::RANKED_TOPICS, topics(a.ranked_topics));
-    b.put_section(section::RANKED_TOPICS, &ranked, le).unwrap();
-    b.put_section(section::FOLLOWER_OFFSETS, a.follower_offsets, le)
-        .unwrap();
-    let followers = a.follower_ids.iter().map(|v| v.raw()).collect();
-    b.put_section(
-        section::FOLLOWER_IDS,
-        &ids(section::FOLLOWER_IDS, followers),
-        le,
-    )
-    .unwrap();
-    b.to_bytes()
+        rebuilt.section(info.id, bytes);
+    }
+    rebuilt.to_bytes()
 }
 
 /// An id equal to its arena's bound, first in the section, mid-section or
@@ -262,12 +239,11 @@ fn an_id_at_its_bound_fails_closed_with_the_section_named() {
     );
 
     let dir = scratch("bounds");
-    let path = dir.join("hostile.mcss");
-    // The helper lays out exactly what the codec writes (section id 0 is
-    // none of the arenas, so nothing is changed).
+    let pristine = dir.join("pristine.mcss");
     let mut written = StoreBuilder::new();
     write_workload_sections(&mut written, &workload).unwrap();
-    assert_eq!(store_with_id(&workload, 0, 0, 0), written.to_bytes());
+    written.write(&pristine).unwrap();
+    let path = dir.join("hostile.mcss");
 
     let arenas = [
         (section::INTEREST_TOPICS, "interest-topics", topics),
@@ -276,7 +252,7 @@ fn an_id_at_its_bound_fails_closed_with_the_section_named() {
     ];
     for (id, name, bound) in arenas {
         for index in [0, pairs / 2, pairs - 1] {
-            std::fs::write(&path, store_with_id(&workload, id, index, bound)).unwrap();
+            std::fs::write(&path, store_with_id(&pristine, id, index, bound)).unwrap();
             match Workload::from_store(&path) {
                 Err(StoreError::SectionMalformed { section, detail }) => {
                     assert_eq!(section, name, "{detail}");
@@ -288,7 +264,7 @@ fn an_id_at_its_bound_fails_closed_with_the_section_named() {
                 other => panic!("id {bound} at {index} of `{name}` gave {other:?}"),
             }
         }
-        std::fs::write(&path, store_with_id(&workload, id, pairs - 1, bound - 1)).unwrap();
+        std::fs::write(&path, store_with_id(&pristine, id, pairs - 1, bound - 1)).unwrap();
         let loaded = Workload::from_store(&path)
             .unwrap_or_else(|e| panic!("id {} last in `{name}`: {e}", bound - 1));
         assert_eq!(loaded.pair_count(), workload.pair_count());
