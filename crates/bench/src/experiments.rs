@@ -960,7 +960,7 @@ pub fn fig_failure_drills(
             .expect("feasible scenario");
         let orphans_expected: u64 = kills
             .iter()
-            .map(|&i| d0.allocation.vms()[i].pair_count())
+            .map(|&i| d0.allocation.vm(i).pair_count())
             .sum();
         let budget_pairs = (orphans_expected / 10).max(1);
         let budget = SlaBudget::pairs(budget_pairs);
@@ -1796,11 +1796,10 @@ pub fn fig1_example() -> String {
             a.incoming_volume(&w),
             a.outgoing_volume(&w)
         );
-        for (i, vm) in a.vms().iter().enumerate() {
+        for (i, vm) in a.vms().enumerate() {
             let topics: Vec<String> = vm
-                .placements()
-                .iter()
-                .map(|p| format!("{}×{}", p.topic, p.subscribers.len()))
+                .rows()
+                .map(|(t, vs)| format!("{}×{}", t, vs.len()))
                 .collect();
             let _ = writeln!(out, "  b{}: {} [{}]", i + 1, vm.used(), topics.join(", "));
         }

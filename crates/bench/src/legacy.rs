@@ -193,9 +193,9 @@ pub fn legacy_cbp_allocate(
             false
         } else {
             // Optimization (e): the Alg. 7 cost comparison.
-            let frees: Vec<Bandwidth> = vms.iter().map(|vm| vm.free(capacity)).collect();
+            let mut frees: Vec<Bandwidth> = vms.iter().map(|vm| vm.free(capacity)).collect();
             cheaper_to_distribute(
-                &frees,
+                &mut frees,
                 capacity,
                 rate,
                 remaining.len() as u64,
@@ -341,8 +341,8 @@ mod tests {
                 let mut hosts = vec![0u32; inst.workload().num_topics()];
                 for vm in alloc.vms() {
                     most_rows = most_rows.max(vm.topic_count());
-                    for p in vm.placements() {
-                        hosts[p.topic.index()] += 1;
+                    for (t, _) in vm.rows() {
+                        hosts[t.index()] += 1;
                     }
                 }
                 split_topics = split_topics.max(hosts.iter().filter(|&&n| n > 1).count());

@@ -89,40 +89,18 @@ impl FleetTyping {
     }
 }
 
-/// All pairs of one topic placed on one VM.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TopicPlacement {
-    /// The topic whose stream this VM ingests.
-    pub topic: TopicId,
-    /// The subscribers served from this VM (sorted by id).
-    pub subscribers: Vec<SubscriberId>,
-}
-
-/// One virtual machine and its assigned pairs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VmAllocation {
-    placements: Vec<TopicPlacement>,
+/// One VM of an [`Allocation`], borrowed from its arena: the VM's rows
+/// and its recorded bandwidth.
+#[derive(Clone, Copy, Debug)]
+pub struct VmView<'a> {
+    topics: &'a [TopicId],
+    /// `offsets[i]..offsets[i + 1]` delimits row `i` in `subscribers`.
+    offsets: &'a [u32],
+    subscribers: &'a [SubscriberId],
     used: Bandwidth,
 }
 
-impl VmAllocation {
-    /// Wraps pre-sorted placements with an externally maintained
-    /// bandwidth counter — the [`FleetLedger`](crate::FleetLedger) export
-    /// path, which keeps both invariants (placements sorted by topic,
-    /// subscribers sorted by id, `used` exact per Eq. 2) incrementally
-    /// and must not pay a full re-sort + recompute per epoch.
-    /// [`Allocation::validate`] still cross-checks `used` against the
-    /// placements.
-    pub(crate) fn from_sorted_parts(placements: Vec<TopicPlacement>, used: Bandwidth) -> Self {
-        debug_assert!(placements.windows(2).all(|w| w[0].topic < w[1].topic));
-        debug_assert!(placements
-            .iter()
-            .all(|p| p.subscribers.windows(2).all(|w| w[0] < w[1])));
-        VmAllocation { placements, used }
-    }
-}
-
-impl VmAllocation {
+impl<'a> VmView<'a> {
     /// Bandwidth in use:
     /// `bw_b = Σ_pairs ev_t + Σ_unique-topics ev_t` (paper Eq. 2).
     #[inline]
@@ -130,38 +108,36 @@ impl VmAllocation {
         self.used
     }
 
-    /// The topic placements on this VM, ordered by topic id.
-    #[inline]
-    pub fn placements(&self) -> &[TopicPlacement] {
-        &self.placements
+    /// The VM's `(topic, subscribers)` rows, topics ascending, each row's
+    /// subscribers ascending.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (TopicId, &'a [SubscriberId])> + 'a {
+        let subscribers = self.subscribers;
+        let rows = self.topics.iter().zip(self.offsets.windows(2));
+        rows.map(move |(&t, row)| (t, &subscribers[row[0] as usize..row[1] as usize]))
     }
 
     /// Number of distinct topics (each contributes one incoming stream).
     pub fn topic_count(&self) -> usize {
-        self.placements.len()
+        self.topics.len()
     }
 
     /// Number of pairs (outgoing delivery streams).
     pub fn pair_count(&self) -> u64 {
-        self.placements
-            .iter()
-            .map(|p| p.subscribers.len() as u64)
-            .sum()
+        u64::from(self.offsets[self.topics.len()] - self.offsets[0])
     }
 
-    /// Recomputes outgoing volume from the placements.
+    /// Recomputes outgoing volume from the rows.
     pub fn outgoing_volume(&self, workload: &Workload) -> Bandwidth {
-        self.placements
-            .iter()
-            .map(|p| workload.rate(p.topic) * p.subscribers.len() as u64)
+        self.rows()
+            .map(|(t, vs)| workload.rate(t) * vs.len() as u64)
             .sum()
     }
 
     /// Recomputes incoming volume (one stream per distinct topic).
     pub fn incoming_volume(&self, workload: &Workload) -> Bandwidth {
-        self.placements
+        self.topics
             .iter()
-            .map(|p| Bandwidth::from(workload.rate(p.topic)))
+            .map(|&t| Bandwidth::from(workload.rate(t)))
             .sum()
     }
 }
@@ -276,10 +252,23 @@ impl std::error::Error for AllocationError {}
 
 /// A complete Stage-2 output: the VM set `B` with all pair placements.
 ///
+/// One CSR arena holds the fleet. VM `b` owns rows
+/// `vm_rows[b]..vm_rows[b + 1]`, row `r` places topic `row_topics[r]` for
+/// the subscribers `subscribers[row_offsets[r]..row_offsets[r + 1]]`, and
+/// `used[b]` records the VM's Eq. 2 bandwidth. The layout is canonical:
+/// each VM's rows ascend by topic and each row's subscribers by id, so two
+/// allocations are `==` exactly when they place the same pairs on the same
+/// VMs with the same records. [`Allocation::vm`] lends one VM's rows as a
+/// [`VmView`].
+///
 /// See [`Allocation::validate`] for the invariants.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Allocation {
-    vms: Vec<VmAllocation>,
+    vm_rows: Vec<u32>,
+    row_topics: Vec<TopicId>,
+    row_offsets: Vec<u32>,
+    subscribers: Vec<SubscriberId>,
+    used: Vec<Bandwidth>,
     capacity: Bandwidth,
     /// Per-VM instance typing for mixed fleets; `None` means every VM has
     /// capacity [`Allocation::capacity`] (the homogeneous case).
@@ -287,14 +276,58 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Wraps pre-assembled VMs without re-sorting or recomputing
-    /// bandwidth (see [`VmAllocation::from_sorted_parts`]).
-    pub(crate) fn from_vm_allocations(vms: Vec<VmAllocation>, capacity: Bandwidth) -> Allocation {
+    /// An empty fleet with room for `vms` VMs, `rows` rows and `pairs`
+    /// pairs, which the writers below fill VM by VM in the canonical
+    /// layout.
+    pub(crate) fn with_room(
+        capacity: Bandwidth,
+        vms: usize,
+        rows: usize,
+        pairs: usize,
+    ) -> Allocation {
+        let mut vm_rows = Vec::with_capacity(vms + 1);
+        vm_rows.push(0);
+        let mut row_offsets = Vec::with_capacity(rows + 1);
+        row_offsets.push(0);
         Allocation {
-            vms,
+            vm_rows,
+            row_topics: Vec::with_capacity(rows),
+            row_offsets,
+            subscribers: Vec::with_capacity(pairs),
+            used: Vec::with_capacity(vms),
             capacity,
             typing: None,
         }
+    }
+
+    /// Opens a row of `topic` serving `subscribers` on the VM being
+    /// written.
+    pub(crate) fn push_row(&mut self, topic: TopicId, subscribers: &[SubscriberId]) {
+        self.row_topics.push(topic);
+        self.row_offsets.push(0);
+        self.extend_row(subscribers);
+    }
+
+    /// Appends `subscribers` to the last row.
+    pub(crate) fn extend_row(&mut self, subscribers: &[SubscriberId]) {
+        debug_assert_eq!(self.row_offsets.len(), self.row_topics.len() + 1);
+        self.subscribers.extend_from_slice(subscribers);
+        let end = u32::try_from(self.subscribers.len()).expect("at most u32::MAX pairs");
+        *self.row_offsets.last_mut().expect("a row is open") = end;
+    }
+
+    /// Closes the VM being written, whose recorded bandwidth is `used`.
+    pub(crate) fn close_vm(&mut self, used: Bandwidth) {
+        self.vm_rows
+            .push(u32::try_from(self.row_topics.len()).expect("at most u32::MAX rows"));
+        self.used.push(used);
+    }
+
+    /// Rebases the fleet-wide capacity bound, as the mixed packer does
+    /// when it re-types a homogeneous packing.
+    pub(crate) fn with_capacity_bound(mut self, capacity: Bandwidth) -> Allocation {
+        self.capacity = capacity;
+        self
     }
 
     /// Attaches per-VM instance typing (heterogeneous fleets). The
@@ -308,7 +341,7 @@ impl Allocation {
     pub fn with_typing(mut self, typing: FleetTyping) -> Allocation {
         assert_eq!(
             typing.assignment().len(),
-            self.vms.len(),
+            self.vm_count(),
             "typing must assign a tier to every VM"
         );
         self.typing = Some(typing);
@@ -372,41 +405,46 @@ impl Allocation {
         vm_cost + fleet.bandwidth_cost(self.total_bandwidth())
     }
 
-    /// The VMs in deployment order.
-    #[inline]
-    pub fn vms(&self) -> &[VmAllocation] {
-        &self.vms
+    /// VM `b`, borrowed from the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is out of range.
+    pub fn vm(&self, b: usize) -> VmView<'_> {
+        let (first, last) = (self.vm_rows[b] as usize, self.vm_rows[b + 1] as usize);
+        VmView {
+            topics: &self.row_topics[first..last],
+            offsets: &self.row_offsets[first..=last],
+            subscribers: &self.subscribers,
+            used: self.used[b],
+        }
     }
 
-    /// Consumes the allocation, yielding per-VM `(topic, subscribers)`
-    /// rows sorted by topic id (used by the anytime search and the
-    /// mixed-fleet re-typing to take the fleet over without cloning the
-    /// placement lists).
-    pub(crate) fn into_vm_groups(self) -> Vec<Vec<(TopicId, Vec<SubscriberId>)>> {
-        self.vms
-            .into_iter()
-            .map(|vm| {
-                vm.placements
-                    .into_iter()
-                    .map(|p| (p.topic, p.subscribers))
-                    .collect()
-            })
+    /// The VMs in deployment order.
+    pub fn vms(&self) -> impl ExactSizeIterator<Item = VmView<'_>> + '_ {
+        (0..self.vm_count()).map(|b| self.vm(b))
+    }
+
+    /// The fleet as per-VM `(topic, subscribers)` rows sorted by topic:
+    /// the nested layout the anytime search moves groups in.
+    pub(crate) fn to_vm_groups(&self) -> Vec<Vec<(TopicId, Vec<SubscriberId>)>> {
+        self.vms()
+            .map(|vm| vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect())
             .collect()
     }
 
-    /// Assembles an allocation from per-VM `(topic, subscribers)` rows —
-    /// the ledger-native constructor: the Stage-2 allocators and the
-    /// incremental [`FleetLedger`](crate::FleetLedger) both keep their
-    /// fleets in this layout, so assembly is a sort + bandwidth
-    /// recompute with no hashing pass. No constraint is checked here; call
+    /// Assembles an allocation from per-VM `(topic, subscribers)` rows:
+    /// the constructor for nested input, such as the anytime search's
+    /// fleet, the legacy packer and hand-built test fleets. Each VM's rows
+    /// are sorted by topic and each row's subscribers by id, so the result
+    /// has the canonical layout whatever order the input came in, and each
+    /// VM's bandwidth is the Eq. 2 value of its rows. Each VM must list a
+    /// topic at most once. No constraint is checked here; call
     /// [`Allocation::validate`] afterwards.
     ///
-    /// Rows may come in any order, but each VM must list a topic at most
-    /// once. This is the one place Stage 2's output is ordered: each VM's
-    /// placements are sorted by topic and each placement's subscribers by
-    /// id. The topic-at-a-time packers (CBP, FFD, the mixed-fleet packer)
-    /// rely on it — they finish one topic before starting the next, append
-    /// rows in arrival order, and never sort while packing.
+    /// The Stage-2 packers do not come this way: they write the arena
+    /// through their fleet builder, which orders rows without a comparison
+    /// sort.
     ///
     /// ```
     /// use mcss_core::Allocation;
@@ -424,41 +462,33 @@ impl Allocation {
     /// # Ok(())
     /// # }
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` rows or pairs.
     pub fn from_groups(
         groups: Vec<Vec<(TopicId, Vec<SubscriberId>)>>,
         workload: &Workload,
         capacity: Bandwidth,
     ) -> Allocation {
-        let vms = groups
-            .into_iter()
-            .map(|rows| {
-                let mut placements: Vec<TopicPlacement> = rows
-                    .into_iter()
-                    .map(|(topic, mut subscribers)| {
-                        subscribers.sort_unstable();
-                        TopicPlacement { topic, subscribers }
-                    })
-                    .collect();
-                placements.sort_unstable_by_key(|p| p.topic);
-                let mut used = Bandwidth::ZERO;
-                for p in &placements {
-                    let rate = workload.rate(p.topic);
-                    used += rate * (p.subscribers.len() as u64 + 1);
-                }
-                VmAllocation { placements, used }
-            })
-            .collect();
-        Allocation {
-            vms,
-            capacity,
-            typing: None,
+        let mut allocation = Allocation::with_room(capacity, groups.len(), 0, 0);
+        for mut vm in groups {
+            vm.sort_unstable_by_key(|&(t, _)| t);
+            let mut used = Bandwidth::ZERO;
+            for (topic, mut subscribers) in vm {
+                subscribers.sort_unstable();
+                used += workload.rate(topic) * (subscribers.len() as u64 + 1);
+                allocation.push_row(topic, &subscribers);
+            }
+            allocation.close_vm(used);
         }
+        allocation
     }
 
     /// `|B|` — the number of VMs deployed.
     #[inline]
     pub fn vm_count(&self) -> usize {
-        self.vms.len()
+        self.used.len()
     }
 
     /// The fleet-wide capacity bound this allocation was packed under —
@@ -472,24 +502,24 @@ impl Allocation {
 
     /// `Σ_b bw_b` — total bandwidth consumption.
     pub fn total_bandwidth(&self) -> Bandwidth {
-        self.vms.iter().map(VmAllocation::used).sum()
+        self.used.iter().copied().sum()
     }
 
     /// Total outgoing delivery volume across VMs.
     pub fn outgoing_volume(&self, workload: &Workload) -> Bandwidth {
-        self.vms.iter().map(|vm| vm.outgoing_volume(workload)).sum()
+        self.vms().map(|vm| vm.outgoing_volume(workload)).sum()
     }
 
     /// Total incoming publication volume across VMs. Splitting a topic
     /// over `k` VMs counts its rate `k` times — the replication overhead
     /// the Stage-2 optimizations fight (§II-A).
     pub fn incoming_volume(&self, workload: &Workload) -> Bandwidth {
-        self.vms.iter().map(|vm| vm.incoming_volume(workload)).sum()
+        self.vms().map(|vm| vm.incoming_volume(workload)).sum()
     }
 
     /// Total pairs placed.
     pub fn pair_count(&self) -> u64 {
-        self.vms.iter().map(VmAllocation::pair_count).sum()
+        self.subscribers.len() as u64
     }
 
     /// The objective value `C1(|B|) + C2(Σ_b bw_b)` under a cost model.
@@ -577,11 +607,9 @@ impl Allocation {
 
     /// Calls `f` with every placed pair, VM by VM and row by row.
     fn for_each_pair(&self, mut f: impl FnMut(SubscriberId, TopicId)) {
-        for vm in &self.vms {
-            for p in &vm.placements {
-                for &v in &p.subscribers {
-                    f(v, p.topic);
-                }
+        for (t, vs) in self.vms().flat_map(|vm| vm.rows()) {
+            for &v in vs {
+                f(v, t);
             }
         }
     }
@@ -589,17 +617,19 @@ impl Allocation {
     /// The verdict pass of [`Allocation::validate`]: whether every check
     /// holds, without naming a violation.
     fn holds(&self, workload: &Workload, tau: Rate) -> bool {
-        for (i, vm) in self.vms.iter().enumerate() {
+        for (i, vm) in self.vms().enumerate() {
             let mut prev: Option<TopicId> = None;
             let mut actual = Bandwidth::ZERO;
-            for p in vm.placements() {
+            for (topic, subscribers) in vm.rows() {
                 // A topic past the workload's fails step 3, which the walk
                 // below checks; rejecting it here lets the rate be read.
-                if p.topic.index() >= workload.num_topics() || row_error(i, prev, p).is_some() {
+                if topic.index() >= workload.num_topics()
+                    || row_error(i, prev, topic, subscribers).is_some()
+                {
                     return false;
                 }
-                prev = Some(p.topic);
-                actual += workload.rate(p.topic) * (p.subscribers.len() as u64 + 1);
+                prev = Some(topic);
+                actual += workload.rate(topic) * (subscribers.len() as u64 + 1);
             }
             if self.vm_error(i, actual).is_some() {
                 return false;
@@ -628,32 +658,29 @@ impl Allocation {
     /// The sweep of [`Allocation::validate`]: the checks in their
     /// documented order, returning the first violation.
     fn first_violation(&self, workload: &Workload, tau: Rate) -> Result<(), AllocationError> {
-        for (i, vm) in self.vms.iter().enumerate() {
+        for (i, vm) in self.vms().enumerate() {
             let mut prev: Option<TopicId> = None;
             let mut actual = Bandwidth::ZERO;
-            for p in vm.placements() {
-                if let Some(error) = row_error(i, prev, p) {
+            for (topic, subscribers) in vm.rows() {
+                if let Some(error) = row_error(i, prev, topic, subscribers) {
                     return Err(error);
                 }
-                prev = Some(p.topic);
-                let foreign = p.subscribers.iter().find(|&&v| {
+                prev = Some(topic);
+                let foreign = subscribers.iter().find(|&&v| {
                     v.index() >= workload.num_subscribers()
-                        || workload.interests(v).binary_search(&p.topic).is_err()
+                        || workload.interests(v).binary_search(&topic).is_err()
                 });
-                if let Some(&v) = foreign {
+                if let Some(&subscriber) = foreign {
                     return Err(AllocationError::ForeignPair {
                         vm: i,
-                        topic: p.topic,
-                        subscriber: v,
+                        topic,
+                        subscriber,
                     });
                 }
-                if p.topic.index() >= workload.num_topics() {
-                    return Err(AllocationError::UnknownTopic {
-                        vm: i,
-                        topic: p.topic,
-                    });
+                if topic.index() >= workload.num_topics() {
+                    return Err(AllocationError::UnknownTopic { vm: i, topic });
                 }
-                actual += workload.rate(p.topic) * (p.subscribers.len() as u64 + 1);
+                actual += workload.rate(topic) * (subscribers.len() as u64 + 1);
             }
             if let Some(error) = self.vm_error(i, actual) {
                 return Err(error);
@@ -676,7 +703,7 @@ impl Allocation {
     /// Steps 4–5 of [`Allocation::validate`] for VM `i`, whose rows
     /// total `actual` under Eq. 2.
     fn vm_error(&self, i: usize, actual: Bandwidth) -> Option<AllocationError> {
-        let used = self.vms[i].used();
+        let used = self.used[i];
         if actual != used {
             return Some(AllocationError::BandwidthMismatch {
                 vm: i,
@@ -693,19 +720,24 @@ impl Allocation {
     }
 }
 
-/// Steps 1–2 of [`Allocation::validate`] for row `p` of VM `vm`, whose
-/// previous row placed `prev`.
-fn row_error(vm: usize, prev: Option<TopicId>, p: &TopicPlacement) -> Option<AllocationError> {
+/// Steps 1–2 of [`Allocation::validate`] for VM `vm`'s row placing
+/// `topic` for `subscribers`, whose previous row placed `prev`.
+fn row_error(
+    vm: usize,
+    prev: Option<TopicId>,
+    topic: TopicId,
+    subscribers: &[SubscriberId],
+) -> Option<AllocationError> {
     let duplicate = |subscriber| AllocationError::DuplicatePair {
         vm,
-        topic: p.topic,
+        topic,
         subscriber,
     };
-    if prev == Some(p.topic) {
-        let first = p.subscribers.first().copied();
+    if prev == Some(topic) {
+        let first = subscribers.first().copied();
         return Some(duplicate(first.unwrap_or(SubscriberId::new(0))));
     }
-    p.subscribers
+    subscribers
         .windows(2)
         .find(|pair| pair[0] == pair[1])
         .map(|pair| duplicate(pair[0]))
@@ -901,26 +933,32 @@ mod tests {
         );
     }
 
-    /// A VM built field by field, bypassing `from_groups`' sort and
-    /// bandwidth recompute, so a test can plant any inconsistency.
-    fn vm(rows: &[(u32, &[u32])], used: u64) -> VmAllocation {
-        VmAllocation {
-            placements: rows
-                .iter()
-                .map(|&(t, vs)| TopicPlacement {
-                    topic: TopicId::new(t),
-                    subscribers: vs.iter().map(|&v| SubscriberId::new(v)).collect(),
-                })
-                .collect(),
-            used: Bandwidth::new(used),
+    /// One VM's rows and recorded bandwidth, written as given.
+    type RawVm = (Vec<(TopicId, Vec<SubscriberId>)>, Bandwidth);
+
+    /// A VM that bypasses `from_groups`' sort and bandwidth recompute, so
+    /// a test can plant any inconsistency.
+    fn vm(entries: &[(u32, &[u32])], used: u64) -> RawVm {
+        (rows(entries), Bandwidth::new(used))
+    }
+
+    /// The arena of `vms`, rows in the given order.
+    fn fleet(vms: &[RawVm], capacity: Bandwidth) -> Allocation {
+        let mut a = Allocation::with_room(capacity, 0, 0, 0);
+        for (vm_rows, used) in vms {
+            for (t, vs) in vm_rows {
+                a.push_row(*t, vs);
+            }
+            a.close_vm(*used);
         }
+        a
     }
 
     #[test]
     fn validate_catches_bandwidth_mismatch() {
         let w = workload();
         // (t1, {v0, v1}) costs 10·2 out + 10 in = 30, recorded as 31.
-        let a = Allocation::from_vm_allocations(vec![vm(&[(1, &[0, 1])], 31)], Bandwidth::new(100));
+        let a = fleet(&[vm(&[(1, &[0, 1])], 31)], Bandwidth::new(100));
         assert_eq!(
             a.validate(&w, Rate::ZERO),
             Err(AllocationError::BandwidthMismatch {
@@ -935,10 +973,7 @@ mod tests {
     fn validate_catches_a_topic_placed_twice_on_one_vm() {
         let w = workload();
         // The error names the second row's first subscriber ...
-        let a = Allocation::from_vm_allocations(
-            vec![vm(&[(1, &[0]), (1, &[1])], 40)],
-            Bandwidth::new(100),
-        );
+        let a = fleet(&[vm(&[(1, &[0]), (1, &[1])], 40)], Bandwidth::new(100));
         assert_eq!(
             a.validate(&w, Rate::ZERO),
             Err(AllocationError::DuplicatePair {
@@ -948,8 +983,8 @@ mod tests {
             })
         );
         // ... or subscriber 0 when that row is empty.
-        let a = Allocation::from_vm_allocations(
-            vec![vm(&[(0, &[0]), (1, &[0]), (1, &[])], 70)],
+        let a = fleet(
+            &[vm(&[(0, &[0]), (1, &[0]), (1, &[])], 70)],
             Bandwidth::new(100),
         );
         assert_eq!(
@@ -973,8 +1008,6 @@ mod tests {
                 vec![TopicId::new(0), TopicId::new(1)],
             ],
         );
-        let fleet =
-            |vms: Vec<VmAllocation>| Allocation::from_vm_allocations(vms, Bandwidth::new(60));
         let valid = || vm(&[(1, &[0])], 20);
         // VM 1 holds a foreign pair in its first row and a duplicate
         // subscriber in its second; VM 2 misrecords its bandwidth; VM 3
@@ -986,7 +1019,7 @@ mod tests {
             vm(&[(0, &[0, 2]), (1, &[2])], 80),
         ];
         let tau = Rate::new(10);
-        let error = |vms: &[VmAllocation]| fleet(vms.to_vec()).validate(&w, tau);
+        let error = |vms: &[RawVm]| fleet(vms, Bandwidth::new(60)).validate(&w, tau);
         assert_eq!(
             error(&vms),
             Err(AllocationError::ForeignPair {
@@ -1066,46 +1099,39 @@ mod tests {
         workload: &Workload,
         tau: Rate,
     ) -> Result<(), AllocationError> {
-        for (i, vm) in a.vms.iter().enumerate() {
+        for (i, vm) in a.vms().enumerate() {
             let mut prev: Option<TopicId> = None;
-            for p in vm.placements() {
-                if prev == Some(p.topic) {
+            for (topic, subscribers) in vm.rows() {
+                if prev == Some(topic) {
                     return Err(AllocationError::DuplicatePair {
                         vm: i,
-                        topic: p.topic,
-                        subscriber: p
-                            .subscribers
-                            .first()
-                            .copied()
-                            .unwrap_or(SubscriberId::new(0)),
+                        topic,
+                        subscriber: subscribers.first().copied().unwrap_or(SubscriberId::new(0)),
                     });
                 }
-                prev = Some(p.topic);
-                for pair in p.subscribers.windows(2) {
+                prev = Some(topic);
+                for pair in subscribers.windows(2) {
                     if pair[0] == pair[1] {
                         return Err(AllocationError::DuplicatePair {
                             vm: i,
-                            topic: p.topic,
+                            topic,
                             subscriber: pair[0],
                         });
                     }
                 }
-                for &v in &p.subscribers {
+                for &v in subscribers {
                     if v.index() >= workload.num_subscribers()
-                        || workload.interests(v).binary_search(&p.topic).is_err()
+                        || workload.interests(v).binary_search(&topic).is_err()
                     {
                         return Err(AllocationError::ForeignPair {
                             vm: i,
-                            topic: p.topic,
+                            topic,
                             subscriber: v,
                         });
                     }
                 }
-                if p.subscribers.is_empty() && p.topic.index() >= workload.num_topics() {
-                    return Err(AllocationError::UnknownTopic {
-                        vm: i,
-                        topic: p.topic,
-                    });
+                if subscribers.is_empty() && topic.index() >= workload.num_topics() {
+                    return Err(AllocationError::UnknownTopic { vm: i, topic });
                 }
             }
             let actual = vm.outgoing_volume(workload) + vm.incoming_volume(workload);
@@ -1127,15 +1153,15 @@ mod tests {
         }
         let mut seen = vec![false; workload.pair_count() as usize];
         let mut delivered = vec![Rate::ZERO; workload.num_subscribers()];
-        for vm in &a.vms {
-            for p in vm.placements() {
-                for &v in &p.subscribers {
+        for vm in a.vms() {
+            for (topic, subscribers) in vm.rows() {
+                for &v in subscribers {
                     let i = workload
-                        .pair_index(v, p.topic)
+                        .pair_index(v, topic)
                         .expect("foreign pairs returned above");
                     if !seen[i] {
                         seen[i] = true;
-                        delivered[v.index()] += workload.rate(p.topic);
+                        delivered[v.index()] += workload.rate(topic);
                     }
                 }
             }
@@ -1269,41 +1295,43 @@ mod tests {
             .into_iter()
             .map(|g| g.into_iter().collect())
             .collect();
-        let mut a = Allocation::from_groups(groups, &w, Bandwidth::new(1));
-        let max_used = a
-            .vms
-            .iter()
-            .map(|vm| vm.used())
-            .max()
-            .unwrap_or(Bandwidth::ZERO);
-        a.capacity = max_used + Bandwidth::new(rng.gen_range(1..20u64));
+        let sorted = Allocation::from_groups(groups, &w, Bandwidth::new(1));
+        let mut vms: Vec<RawVm> = sorted
+            .vms()
+            .map(|vm| {
+                let rows = vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect();
+                (rows, vm.used())
+            })
+            .collect();
+        let max_used = sorted.used.iter().copied().max().unwrap_or(Bandwidth::ZERO);
+        let mut capacity = max_used + Bandwidth::new(rng.gen_range(1..20u64));
+        let mut typing = None;
         if rng.gen_bool(0.3) {
             let tiers = vec![
                 (instances::C3_LARGE, max_used + Bandwidth::new(1)),
-                (instances::C3_XLARGE, a.capacity),
+                (instances::C3_XLARGE, capacity),
             ];
-            let assignment = (0..a.vm_count()).map(|_| rng.gen_range(0..2u32)).collect();
-            a = a.with_typing(FleetTyping::new(tiers, assignment));
+            let assignment = (0..vms.len()).map(|_| rng.gen_range(0..2u32)).collect();
+            typing = Some(FleetTyping::new(tiers, assignment));
         }
-        let rows: Vec<(usize, usize)> = a
-            .vms
+        let rows: Vec<(usize, usize)> = vms
             .iter()
             .enumerate()
-            .flat_map(|(b, vm)| (0..vm.placements.len()).map(move |j| (b, j)))
+            .flat_map(|(b, (vm_rows, _))| (0..vm_rows.len()).map(move |j| (b, j)))
             .collect();
         let row = (!rows.is_empty()).then(|| rows[rng.gen_range(0..rows.len())]);
         match (mutation, row) {
-            (2, Some((b, j))) if !a.vms[b].placements[j].subscribers.is_empty() => {
+            (2, Some((b, j))) if !vms[b].0[j].1.is_empty() => {
                 let t = topics as u32 + rng.gen_range(0..3u32);
-                a.vms[b].placements[j].topic = TopicId::new(t);
+                vms[b].0[j].0 = TopicId::new(t);
             }
             (4, Some((b, j))) => {
-                let copy = a.vms[b].placements[j].clone();
-                a.vms[b].placements.insert(j + 1, copy);
+                let copy = vms[b].0[j].clone();
+                vms[b].0.insert(j + 1, copy);
             }
             (5, Some((b, _))) => {
                 let delta = Bandwidth::new(rng.gen_range(1..5u64));
-                let used = &mut a.vms[b].used;
+                let used = &mut vms[b].1;
                 *used = if rng.gen_bool(0.5) && *used >= delta {
                     *used - delta
                 } else {
@@ -1311,27 +1339,28 @@ mod tests {
                 };
             }
             (9, Some((b, j))) => {
-                let unknown = TopicPlacement {
-                    topic: TopicId::new(topics as u32 + rng.gen_range(0..3u32)),
-                    subscribers: Vec::new(),
-                };
-                a.vms[b]
-                    .placements
-                    .insert(j + usize::from(rng.gen_bool(0.5)), unknown);
+                let unknown = TopicId::new(topics as u32 + rng.gen_range(0..3u32));
+                vms[b]
+                    .0
+                    .insert(j + usize::from(rng.gen_bool(0.5)), (unknown, Vec::new()));
             }
             (6, _) => {
                 let shrunk = Bandwidth::new(rng.gen_range(1..=max_used.get().max(1)));
-                match a.typing.take() {
-                    Some(typing) => {
-                        let mut tiers = typing.tiers().to_vec();
+                match typing.take() {
+                    Some(old) => {
+                        let mut tiers = old.tiers().to_vec();
                         let tier = rng.gen_range(0..tiers.len());
                         tiers[tier].1 = shrunk;
-                        a.typing = Some(FleetTyping::new(tiers, typing.assignment().to_vec()));
+                        typing = Some(FleetTyping::new(tiers, old.assignment().to_vec()));
                     }
-                    None => a.capacity = shrunk,
+                    None => capacity = shrunk,
                 }
             }
             _ => {}
+        }
+        let mut a = fleet(&vms, capacity);
+        if let Some(typing) = typing {
+            a = a.with_typing(typing);
         }
         let tau = match rng.gen_range(0..4u32) {
             0 => Rate::ZERO,
@@ -1390,10 +1419,9 @@ mod tests {
             }
             let (w, a, _) = mutated_case(seed, mutation);
             let pairs: BTreeSet<(SubscriberId, TopicId)> = a
-                .vms
-                .iter()
-                .flat_map(|vm| &vm.placements)
-                .flat_map(|p| p.subscribers.iter().map(move |&v| (v, p.topic)))
+                .vms()
+                .flat_map(|vm| vm.rows())
+                .flat_map(|(t, vs)| vs.iter().map(move |&v| (v, t)))
                 .filter(|&(v, _)| v.index() < w.num_subscribers())
                 .collect();
             let mut expected = vec![Rate::ZERO; w.num_subscribers()];
@@ -1410,7 +1438,7 @@ mod tests {
     #[test]
     fn an_empty_row_of_an_unknown_topic_is_reported() {
         let w = workload();
-        let a = Allocation::from_vm_allocations(vec![vm(&[(7, &[])], 0)], Bandwidth::new(100));
+        let a = fleet(&[vm(&[(7, &[])], 0)], Bandwidth::new(100));
         let error = AllocationError::UnknownTopic {
             vm: 0,
             topic: TopicId::new(7),
@@ -1441,6 +1469,41 @@ mod tests {
             })
         );
         assert_eq!(a.delivered_rates(&w), vec![Rate::new(10)]);
+    }
+
+    /// `from_groups` lays any input order out canonically, so `==`
+    /// compares placements, and the view reads the rows back sorted.
+    #[test]
+    fn from_groups_writes_the_canonical_layout() {
+        let w = workload();
+        let sorted = Allocation::from_groups(
+            vec![rows(&[(0, &[0]), (1, &[0, 1])]), rows(&[(1, &[])])],
+            &w,
+            Bandwidth::new(100),
+        );
+        let shuffled = Allocation::from_groups(
+            vec![rows(&[(1, &[1, 0]), (0, &[0])]), rows(&[(1, &[])])],
+            &w,
+            Bandwidth::new(100),
+        );
+        assert_eq!(sorted, shuffled);
+        let vm = shuffled.vm(0);
+        let read: Vec<(TopicId, &[SubscriberId])> = vm.rows().collect();
+        assert_eq!(
+            read,
+            rows(&[(0, &[0]), (1, &[0, 1])])
+                .iter()
+                .map(|(t, vs)| (*t, vs.as_slice()))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (vm.topic_count(), vm.pair_count(), vm.used()),
+            (2, 3, Bandwidth::new(70))
+        );
+        assert_eq!(
+            (shuffled.vm(1).topic_count(), shuffled.vm(1).pair_count()),
+            (1, 0)
+        );
     }
 
     #[test]

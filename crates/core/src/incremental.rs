@@ -935,12 +935,8 @@ impl IncrementalReallocator {
         // then treats missing ones as "added" and re-places them.
         let placed_pairs: std::collections::HashSet<(TopicId, SubscriberId)> = allocation
             .vms()
-            .iter()
-            .flat_map(|vm| {
-                vm.placements()
-                    .iter()
-                    .flat_map(|p| p.subscribers.iter().map(move |&v| (p.topic, v)))
-            })
+            .flat_map(|vm| vm.rows())
+            .flat_map(|(t, vs)| vs.iter().map(move |&v| (t, v)))
             .collect();
         let mut surviving =
             SelectionBuilder::with_capacity(selection.num_subscribers(), placed_pairs.len());
@@ -1565,7 +1561,7 @@ mod tests {
                 .validate(mixed_inst.workload(), mixed_inst.tau())
                 .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
             let typing = m.allocation.typing().expect("mixed epochs stay typed");
-            for (i, vm) in m.allocation.vms().iter().enumerate() {
+            for (i, vm) in m.allocation.vms().enumerate() {
                 assert!(vm.used() <= typing.tier_of(i).1, "epoch {epoch}, vm {i}");
             }
             (w, delta) = drift.evolve_tracked(&w, epoch);
@@ -1625,14 +1621,11 @@ mod tests {
 
         // Drop the first VM (simulated failure) and adopt the remains.
         let degraded = crate::Allocation::from_groups(
-            deployed.allocation.vms()[1..]
-                .iter()
-                .map(|vm| {
-                    vm.placements()
-                        .iter()
-                        .map(|p| (p.topic, p.subscribers.clone()))
-                        .collect()
-                })
+            deployed
+                .allocation
+                .vms()
+                .skip(1)
+                .map(|vm| vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect())
                 .collect(),
             inst.workload(),
             inst.capacity(),
@@ -1759,12 +1752,8 @@ mod tests {
     ) -> Vec<(TopicId, SubscriberId)> {
         let placed: std::collections::HashSet<(TopicId, SubscriberId)> = allocation
             .vms()
-            .iter()
-            .flat_map(|vm| {
-                vm.placements()
-                    .iter()
-                    .flat_map(|p| p.subscribers.iter().map(move |&v| (p.topic, v)))
-            })
+            .flat_map(|vm| vm.rows())
+            .flat_map(|(t, vs)| vs.iter().map(move |&v| (t, v)))
             .collect();
         let mut queue = Vec::new();
         for (vi, row) in selection.rows().enumerate() {

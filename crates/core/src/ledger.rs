@@ -202,12 +202,8 @@ impl FleetLedger {
             }),
             ..FleetLedger::default()
         };
-        for (slot, vm) in allocation.vms().iter().enumerate() {
-            let rows: VmRows = vm
-                .placements()
-                .iter()
-                .map(|p| (p.topic, p.subscribers.clone()))
-                .collect();
+        for (slot, vm) in allocation.vms().enumerate() {
+            let rows: VmRows = vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect();
             for &(t, _) in &rows {
                 ledger.ensure_topics(t.index() + 1);
                 ledger.host_insert(t, slot as u32);
@@ -404,26 +400,22 @@ impl FleetLedger {
 
     /// Snapshots the live VMs as an [`Allocation`], in slot order. The
     /// ledger's rows are already sorted and its used counters exact, so
-    /// the export is a plain clone — no re-sort, no bandwidth recompute.
-    /// Typed ledgers re-attach their [`FleetTyping`](crate::FleetTyping).
+    /// the export writes them straight into the arena — no re-sort, no
+    /// bandwidth recompute. Typed ledgers re-attach their
+    /// [`FleetTyping`](crate::FleetTyping).
     pub fn to_allocation(&self, capacity: Bandwidth) -> Allocation {
         let live_slots: Vec<usize> = (0..self.rows.len())
             .filter(|&slot| !self.rows[slot].is_empty())
             .collect();
-        let vms = live_slots
-            .iter()
-            .map(|&slot| {
-                let placements = self.rows[slot]
-                    .iter()
-                    .map(|(topic, subscribers)| crate::TopicPlacement {
-                        topic: *topic,
-                        subscribers: subscribers.clone(),
-                    })
-                    .collect();
-                crate::VmAllocation::from_sorted_parts(placements, self.used[slot])
-            })
-            .collect();
-        let allocation = Allocation::from_vm_allocations(vms, capacity);
+        let mut allocation = Allocation::with_room(capacity, live_slots.len(), 0, 0);
+        for &slot in &live_slots {
+            debug_assert!(self.rows[slot].windows(2).all(|w| w[0].0 < w[1].0));
+            for (topic, subscribers) in &self.rows[slot] {
+                debug_assert!(subscribers.windows(2).all(|w| w[0] < w[1]));
+                allocation.push_row(*topic, subscribers);
+            }
+            allocation.close_vm(self.used[slot]);
+        }
         match &self.typing {
             Some(typing) => allocation.with_typing(FleetTyping::new(
                 typing.tiers.clone(),
@@ -1112,9 +1104,9 @@ mod tests {
         // Co-host takes 2 (24/10), most-free VM1 takes 4 (58/10 − 1),
         // fresh VM takes the remaining 2.
         assert_eq!(a.vm_count(), 3);
-        assert_eq!(a.vms()[0].pair_count(), 5);
-        assert_eq!(a.vms()[1].pair_count(), 2 + 4);
-        assert_eq!(a.vms()[2].pair_count(), 2);
+        assert_eq!(a.vm(0).pair_count(), 5);
+        assert_eq!(a.vm(1).pair_count(), 2 + 4);
+        assert_eq!(a.vm(2).pair_count(), 2);
         for vm in a.vms() {
             assert!(vm.used() <= cap);
         }
@@ -1291,7 +1283,7 @@ mod tests {
         ledger.place_group(t(0), Rate::new(10), &subs, Bandwidth::new(64));
         let out = ledger.to_allocation(Bandwidth::new(64));
         out.validate(&w, Rate::ZERO).unwrap();
-        for (i, vm) in out.vms().iter().enumerate() {
+        for (i, vm) in out.vms().enumerate() {
             assert!(
                 vm.used() <= out.vm_capacity(i),
                 "vm {i} used {} over its tier cap {}",

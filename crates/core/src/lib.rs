@@ -84,7 +84,7 @@ pub mod stage1;
 pub mod stage2;
 pub mod store;
 
-pub use allocation::{Allocation, AllocationError, FleetTyping, TopicPlacement, VmAllocation};
+pub use allocation::{Allocation, AllocationError, FleetTyping, VmView};
 pub use error::McssError;
 pub use footprint::MemoryFootprint;
 pub use ledger::{FailedSlots, FleetLedger, LedgerSlot, SlotView};

@@ -62,6 +62,7 @@ use crate::dynamic::{DriftModel, WorkloadDelta};
 use crate::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
 use crate::ledger::{FleetLedger, LedgerSlot, SlotView};
 use crate::stage2::SearchBudget;
+use crate::store::{read_ledger_sections, read_selection_sections};
 use crate::{Allocation, McssError, McssInstance, Selection};
 use cloud_cost::{CostModel, Money};
 use mcss_store::{section as store_section, SectionSink, StoreError, StoreReader, StoreWriter};
@@ -873,8 +874,8 @@ impl Snapshot {
             });
         };
         let workload = mcss_store::read_workload_sections(&mut reader).map_err(as_corrupt)?;
-        let selection = crate::store::read_selection_sections(&mut reader).map_err(as_corrupt)?;
-        let slots = crate::store::read_ledger_sections(&mut reader).map_err(as_corrupt)?;
+        let selection = read_selection_sections(&mut reader, &workload).map_err(as_corrupt)?;
+        let slots = read_ledger_sections(&mut reader, &workload).map_err(as_corrupt)?;
         Ok(Snapshot {
             last_seq,
             epochs_applied,

@@ -8,68 +8,84 @@
 //! choosing a smarter per-pair rule. They appear in the ablation bench and
 //! the Stage-2 comparison tests.
 
-use super::Allocator;
+use super::{Allocator, FleetBuilder};
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};
 
-/// A VM being filled pair by pair: `(topic, subscribers)` rows kept
-/// sorted by topic id plus incrementally tracked bandwidth.
-///
-/// The pair-at-a-time packers (FFBP, BFBP, NFBP) place pairs
-/// subscriber-major, so topics interleave and a pair's topic may sit on
-/// any row; a binary search finds it. The topic-at-a-time packers use
-/// [`VmBuild`](super::VmBuild)'s O(1) last-row lookup instead.
+/// The fleet of a pair-at-a-time packer (FFBP, BFBP, NFBP): a
+/// [`FleetBuilder`] whose runs are single pairs, the subscribers they
+/// place, and the topics each VM hosts, sorted, which is all
+/// [`PairFleet::delta`] reads. Pairs come subscriber-major, so topics
+/// interleave and a binary search finds a pair's topic.
 #[derive(Default)]
-pub(super) struct SortedVm {
-    rows: Vec<(TopicId, Vec<SubscriberId>)>,
-    used: Bandwidth,
+pub(super) struct PairFleet {
+    fleet: FleetBuilder,
+    subscribers: Vec<SubscriberId>,
+    hosted: Vec<Vec<TopicId>>,
 }
 
-impl SortedVm {
-    /// Free headroom `BC − bw_b`.
-    #[inline]
-    pub(super) fn free(&self, capacity: Bandwidth) -> Bandwidth {
-        capacity.saturating_sub(self.used)
+impl PairFleet {
+    /// Packs `selection`'s pairs in its subscriber-major order: each pair
+    /// lands on the VM `choose` picks for its topic and rate, or on a new
+    /// VM when it picks none. `choose` must pick a VM with room for the
+    /// pair's [`PairFleet::delta`].
+    ///
+    /// # Errors
+    ///
+    /// [`McssError::InfeasibleTopic`] if a selected topic cannot fit on
+    /// an empty VM.
+    pub(super) fn pack(
+        workload: &Workload,
+        selection: &Selection,
+        capacity: Bandwidth,
+        choose: impl Fn(&PairFleet, TopicId, Rate) -> Option<usize>,
+    ) -> Result<Allocation, McssError> {
+        let mut vms = PairFleet::default();
+        for pair in selection.iter_pairs() {
+            let (t, rate) = (pair.topic, workload.rate(pair.topic));
+            if rate.pair_cost() > capacity {
+                return Err(McssError::InfeasibleTopic {
+                    topic: t,
+                    required: rate.pair_cost(),
+                    capacity,
+                });
+            }
+            let vm = choose(&vms, t, rate).unwrap_or_else(|| {
+                vms.hosted.push(Vec::new());
+                vms.fleet.open()
+            });
+            let bandwidth = vms.delta(vm, t, rate);
+            if let Err(at) = vms.hosted[vm].binary_search(&t) {
+                vms.hosted[vm].insert(at, t);
+            }
+            let at = vms.subscribers.len();
+            vms.fleet.place(vm, t.index(), at..at + 1, bandwidth);
+            vms.subscribers.push(pair.subscriber);
+        }
+        let (fleet, subscribers) = (vms.fleet, vms.subscribers);
+        let topic = |t| TopicId::new(t as u32);
+        Ok(fleet.finish(workload.num_topics(), topic, |_| &subscribers, capacity))
     }
 
-    /// Position of topic `t` in the sorted rows, if hosted.
-    #[inline]
-    fn row_pos(&self, t: TopicId) -> Result<usize, usize> {
-        self.rows.binary_search_by_key(&t, |&(tt, _)| tt)
+    /// Number of VMs opened so far.
+    pub(super) fn vm_count(&self) -> usize {
+        self.hosted.len()
     }
 
-    /// Marginal cost of adding one pair of topic `t`: `2·ev_t` when the
-    /// topic is new to this VM (incoming stream + delivery), `ev_t`
+    /// VM `vm`'s headroom `BC − bw_b`.
+    pub(super) fn free(&self, vm: usize, capacity: Bandwidth) -> Bandwidth {
+        self.fleet.free(vm, capacity)
+    }
+
+    /// Marginal cost of adding one pair of topic `t` to VM `vm`: `2·ev_t`
+    /// when the topic is new to it (incoming stream + delivery), `ev_t`
     /// otherwise.
-    #[inline]
-    pub(super) fn delta(&self, t: TopicId, rate: Rate) -> Bandwidth {
-        if self.row_pos(t).is_ok() {
-            rate.volume()
-        } else {
-            rate.pair_cost()
+    pub(super) fn delta(&self, vm: usize, t: TopicId, rate: Rate) -> Bandwidth {
+        match self.hosted[vm].binary_search(&t) {
+            Ok(_) => rate.volume(),
+            Err(_) => rate.pair_cost(),
         }
-    }
-
-    /// Adds a single pair, updating bandwidth. The caller must have
-    /// checked capacity via [`SortedVm::delta`].
-    pub(super) fn add_pair(&mut self, t: TopicId, rate: Rate, v: SubscriberId) {
-        match self.row_pos(t) {
-            Ok(pos) => {
-                self.used += rate.volume();
-                self.rows[pos].1.push(v);
-            }
-            Err(pos) => {
-                self.used += rate.pair_cost();
-                self.rows.insert(pos, (t, vec![v]));
-            }
-        }
-    }
-
-    /// Consumes the build, yielding the sorted rows for
-    /// [`Allocation::from_groups`].
-    pub(super) fn into_groups(self) -> Vec<(TopicId, Vec<SubscriberId>)> {
-        self.rows
     }
 }
 
@@ -101,41 +117,16 @@ impl Allocator for BestFitBinPacking {
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let mut vms: Vec<SortedVm> = Vec::new();
-        for pair in selection.iter_pairs() {
-            let rate = workload.rate(pair.topic);
-            if rate.pair_cost() > capacity {
-                return Err(McssError::InfeasibleTopic {
-                    topic: pair.topic,
-                    required: rate.pair_cost(),
-                    capacity,
-                });
-            }
+        PairFleet::pack(workload, selection, capacity, |vms, t, rate| {
             let mut best: Option<(Bandwidth, usize)> = None;
-            for (i, vm) in vms.iter().enumerate() {
-                let delta = vm.delta(pair.topic, rate);
-                let free = vm.free(capacity);
-                if delta <= free {
-                    let leftover = free - delta;
-                    if best.is_none_or(|(b, _)| leftover < b) {
-                        best = Some((leftover, i));
-                    }
+            for vm in 0..vms.vm_count() {
+                let (delta, free) = (vms.delta(vm, t, rate), vms.free(vm, capacity));
+                if delta <= free && best.is_none_or(|(b, _)| free - delta < b) {
+                    best = Some((free - delta, vm));
                 }
             }
-            match best {
-                Some((_, i)) => vms[i].add_pair(pair.topic, rate, pair.subscriber),
-                None => {
-                    let mut vm = SortedVm::default();
-                    vm.add_pair(pair.topic, rate, pair.subscriber);
-                    vms.push(vm);
-                }
-            }
-        }
-        Ok(Allocation::from_groups(
-            vms.into_iter().map(SortedVm::into_groups).collect(),
-            workload,
-            capacity,
-        ))
+            best.map(|(_, vm)| vm)
+        })
     }
 }
 
@@ -165,34 +156,10 @@ impl Allocator for NextFitBinPacking {
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let mut vms: Vec<SortedVm> = Vec::new();
-        for pair in selection.iter_pairs() {
-            let rate = workload.rate(pair.topic);
-            if rate.pair_cost() > capacity {
-                return Err(McssError::InfeasibleTopic {
-                    topic: pair.topic,
-                    required: rate.pair_cost(),
-                    capacity,
-                });
-            }
-            let fits_current = vms
-                .last()
-                .map(|vm| vm.delta(pair.topic, rate) <= vm.free(capacity))
-                .unwrap_or(false);
-            if fits_current {
-                let vm = vms.last_mut().expect("checked non-empty");
-                vm.add_pair(pair.topic, rate, pair.subscriber);
-            } else {
-                let mut vm = SortedVm::default();
-                vm.add_pair(pair.topic, rate, pair.subscriber);
-                vms.push(vm);
-            }
-        }
-        Ok(Allocation::from_groups(
-            vms.into_iter().map(SortedVm::into_groups).collect(),
-            workload,
-            capacity,
-        ))
+        PairFleet::pack(workload, selection, capacity, |vms, t, rate| {
+            let last = vms.vm_count().checked_sub(1)?;
+            (vms.delta(last, t, rate) <= vms.free(last, capacity)).then_some(last)
+        })
     }
 }
 
@@ -224,17 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_stay_sorted_by_topic() {
-        let mut vm = SortedVm::default();
-        for i in [5u32, 1, 3, 0, 4] {
-            vm.add_pair(TopicId::new(i), Rate::new(2), SubscriberId::new(i));
-        }
-        let rows = vm.into_groups();
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(rows.len(), 5);
-    }
-
-    #[test]
     fn best_fit_picks_tightest_vm() {
         // Arrange VMs so a later pair fits both but is tighter on one.
         // Pairs in order: t0 (rate 30) -> VM0 (60 used of 100).
@@ -247,9 +203,8 @@ mod tests {
             .allocate(&w, &select_all(&w), Bandwidth::new(100), &nocost())
             .unwrap();
         assert_eq!(a.vm_count(), 2);
-        let vm1 = &a.vms()[1];
         assert!(
-            vm1.placements().iter().any(|p| p.topic == TopicId::new(3)),
+            a.vm(1).rows().any(|(t, _)| t == TopicId::new(3)),
             "rate-4 pair should land on the tighter VM"
         );
         assert!(a.validate(&w, Rate::new(u64::MAX)).is_ok());
@@ -270,16 +225,8 @@ mod tests {
         // FF puts the tiny pair back on VM0; NF puts it on the last VM.
         assert_eq!(ff.vm_count(), 2);
         assert_eq!(nf.vm_count(), 2);
-        let nf_last = &nf.vms()[1];
-        assert!(nf_last
-            .placements()
-            .iter()
-            .any(|p| p.topic == TopicId::new(2)));
-        let ff_first = &ff.vms()[0];
-        assert!(ff_first
-            .placements()
-            .iter()
-            .any(|p| p.topic == TopicId::new(2)));
+        assert!(nf.vm(1).rows().any(|(t, _)| t == TopicId::new(2)));
+        assert!(ff.vm(0).rows().any(|(t, _)| t == TopicId::new(2)));
     }
 
     #[test]

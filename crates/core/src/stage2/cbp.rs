@@ -1,11 +1,10 @@
 //! CustomBinPacking — Alg. 4 with the incremental optimizations (b)–(e).
 
-use super::{cheaper_to_distribute, Allocator, VmBuild};
+use super::{cheaper_to_distribute, Allocator, FleetBuilder};
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
-use pubsub_model::{Bandwidth, SubscriberId, Workload};
+use pubsub_model::{Bandwidth, Workload};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Which "expensive" metric orders topics for optimization (c).
 ///
@@ -95,12 +94,11 @@ impl CbpConfig {
 /// VMs. Grouping keeps each topic on few VMs — each split VM costs one
 /// extra incoming stream — and drops the packing complexity from
 /// `O(|S|·|B|)` to `O(|S| + |T| log |T| + k·|B|)`, the speedup of
-/// Figs. 6–7. A topic that fits whole on the newest VM appends one row
-/// (topic-at-a-time, so no VM ever searches or sorts its rows) and one
-/// heap entry; only the `k` topics that do not fit pay the `O(|B|)`
-/// Alg. 7 scan or first-fit sweep. The `|T| log |T|` term is the
-/// expensive-first order plus the per-VM row sort in
-/// [`Allocation::from_groups`].
+/// Figs. 6–7. A topic that fits whole on the newest VM records one run
+/// of its group, copying no subscriber; only the `k` topics that do not
+/// fit pay the `O(|B|)` Alg. 7 estimate and the most-free scan or
+/// first-fit sweep. The `|T| log |T|` term is the expensive-first order;
+/// two counting sorts and one copy per run then write the [`Allocation`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CustomBinPacking {
     config: CbpConfig,
@@ -146,15 +144,23 @@ impl Allocator for CustomBinPacking {
             }
         };
 
-        let mut vms: Vec<VmBuild> = Vec::new();
-        let mut total_bw = Bandwidth::ZERO;
-        // Lazy max-heap over (free, vm index): every mutation pushes a
-        // fresh entry; stale ones are discarded on pop.
-        let mut free_heap: BinaryHeap<(Bandwidth, Reverse<usize>)> = BinaryHeap::new();
+        // The fleet needs at least ⌈Σ_t (|P_t| + 1)·ev_t / BC⌉ VMs, and at
+        // most one per pair.
+        let volume: Bandwidth = groups
+            .iter()
+            .map(|(t, vs)| workload.rate(t) * (vs.len() as u64 + 1))
+            .sum();
+        let vms = volume
+            .div_ceil_by(capacity.max(Bandwidth::new(1)))
+            .min(groups.pair_count()) as usize;
+        let mut fleet = FleetBuilder::with_room(groups.len(), vms);
+        // Alg. 7's headroom list, refilled for each spill decision.
+        let mut frees: Vec<Bandwidth> = Vec::with_capacity(vms);
 
         for &g in &order {
-            let topic = groups.topic(g as usize);
-            let subscribers = groups.subscribers(g as usize);
+            let g = g as usize;
+            let topic = groups.topic(g);
+            let n = groups.subscribers(g).len();
             let rate = workload.rate(topic);
             if rate.pair_cost() > capacity {
                 return Err(McssError::InfeasibleTopic {
@@ -163,31 +169,33 @@ impl Allocator for CustomBinPacking {
                     capacity,
                 });
             }
+            // Eq. 2: `k` pairs of a topic new to a VM cost `(k + 1)·ev_t`.
+            let charge = |k: usize| rate * (k as u64 + 1);
 
             // Try the most recently deployed VM for the whole group
             // (Alg. 4 line 8's complement).
-            let all = u128::from(rate.get()) * (subscribers.len() as u128 + 1);
-            if let Some(current) = vms.last_mut() {
-                if all <= u128::from(current.free(capacity).get()) {
-                    current.add_batch(topic, rate, subscribers);
-                    total_bw += rate * (subscribers.len() as u64 + 1);
-                    free_heap.push((current.free(capacity), Reverse(vms.len() - 1)));
+            let all = u128::from(rate.get()) * (n as u128 + 1);
+            if let Some(current) = fleet.used().len().checked_sub(1) {
+                if all <= u128::from(fleet.free(current, capacity).get()) {
+                    fleet.place(current, g, 0..n, charge(n));
                     continue;
                 }
             }
 
-            let mut remaining: &[SubscriberId] = subscribers;
-            let distribute = if vms.is_empty() {
+            let mut placed = 0;
+            let deployed = fleet.used().len();
+            let distribute = if deployed == 0 {
                 false
             } else if cfg.cost_based_decision {
-                let frees: Vec<Bandwidth> = vms.iter().map(|vm| vm.free(capacity)).collect();
+                frees.clear();
+                frees.extend(fleet.used().iter().map(|&u| capacity.saturating_sub(u)));
                 cheaper_to_distribute(
-                    &frees,
+                    &mut frees,
                     capacity,
                     rate,
-                    remaining.len() as u64,
-                    vms.len(),
-                    total_bw,
+                    n as u64,
+                    deployed,
+                    fleet.used().iter().copied().sum(),
                     cost,
                     cfg.exact_new_vm_estimate,
                 )
@@ -196,66 +204,41 @@ impl Allocator for CustomBinPacking {
             };
 
             if distribute {
-                if cfg.most_free_vm_first {
-                    while !remaining.is_empty() {
-                        let Some((free, Reverse(idx))) = free_heap.pop() else {
-                            break;
-                        };
-                        if vms[idx].free(capacity) != free {
-                            continue; // stale entry; the fresh one is queued
+                // Most free VM first, or first fit in deployment order.
+                let mut sweep = 0..deployed;
+                while placed < n {
+                    let next = if cfg.most_free_vm_first {
+                        fleet.most_free(capacity)
+                    } else {
+                        sweep.next()
+                    };
+                    let Some(vm) = next else {
+                        break;
+                    };
+                    let free = fleet.free(vm, capacity);
+                    if free < rate.pair_cost() {
+                        if cfg.most_free_vm_first {
+                            break; // the largest headroom cannot take a first pair
                         }
-                        if free < rate.pair_cost() {
-                            // Largest headroom cannot take a first pair.
-                            free_heap.push((free, Reverse(idx)));
-                            break;
-                        }
-                        let fit = free.div_rate(rate) - 1;
-                        let take = (fit as usize).min(remaining.len());
-                        vms[idx].add_batch(topic, rate, &remaining[..take]);
-                        total_bw += rate * (take as u64 + 1);
-                        free_heap.push((vms[idx].free(capacity), Reverse(idx)));
-                        remaining = &remaining[take..];
+                        continue;
                     }
-                } else {
-                    for (idx, vm) in vms.iter_mut().enumerate() {
-                        if remaining.is_empty() {
-                            break;
-                        }
-                        let free = vm.free(capacity);
-                        if free < rate.pair_cost() {
-                            continue;
-                        }
-                        let fit = free.div_rate(rate) - 1;
-                        let take = (fit as usize).min(remaining.len());
-                        vm.add_batch(topic, rate, &remaining[..take]);
-                        total_bw += rate * (take as u64 + 1);
-                        free_heap.push((vm.free(capacity), Reverse(idx)));
-                        remaining = &remaining[take..];
-                    }
+                    let take = (free.div_rate(rate) as usize - 1).min(n - placed);
+                    fleet.place(vm, g, placed..placed + take, charge(take));
+                    placed += take;
                 }
             }
 
             // Fresh VMs for whatever is left (Alg. 4 lines 15–20).
-            while !remaining.is_empty() {
-                let mut vm = VmBuild::new();
+            while placed < n {
+                let vm = fleet.open();
                 let fit = capacity.div_rate(rate) - 1; // ≥ 1 by feasibility
-                let take = (fit as usize).min(remaining.len());
-                vm.add_batch(topic, rate, &remaining[..take]);
-                total_bw += rate * (take as u64 + 1);
-                vms.push(vm);
-                free_heap.push((
-                    vms.last().expect("just pushed").free(capacity),
-                    Reverse(vms.len() - 1),
-                ));
-                remaining = &remaining[take..];
+                let take = (fit as usize).min(n - placed);
+                fleet.place(vm, g, placed..placed + take, charge(take));
+                placed += take;
             }
         }
 
-        Ok(Allocation::from_groups(
-            vms.into_iter().map(VmBuild::into_groups).collect(),
-            workload,
-            capacity,
-        ))
+        Ok(fleet.finish_groups(&groups, capacity))
     }
 }
 
@@ -349,15 +332,9 @@ mod tests {
         // ordering places t0 on VM0 first.
         assert!(by_volume.validate(&w, Rate::new(100)).is_ok());
         assert!(by_rate.validate(&w, Rate::new(100)).is_ok());
-        assert_eq!(by_volume.vms()[0].pair_count(), 10);
-        assert!(by_volume.vms()[0]
-            .placements()
-            .iter()
-            .all(|p| p.topic == TopicId::new(1)));
-        assert!(by_rate.vms()[0]
-            .placements()
-            .iter()
-            .any(|p| p.topic == TopicId::new(0)));
+        assert_eq!(by_volume.vm(0).pair_count(), 10);
+        assert!(by_volume.vm(0).rows().all(|(t, _)| t == TopicId::new(1)));
+        assert!(by_rate.vm(0).rows().any(|(t, _)| t == TopicId::new(0)));
     }
 
     #[test]

@@ -23,8 +23,9 @@ use pubsub_model::{Bandwidth, Rate};
 /// completed estimates, see "Deviations from the paper" in
 /// `docs/PAPER_MAP.md`).
 ///
-/// `free_capacities` is the per-VM headroom of the currently deployed VMs
-/// (order irrelevant), `current_bw` the running `Σ_b bw_b`.
+/// `free_capacities` is the per-VM headroom of the currently deployed VMs,
+/// in any order; it is sorted in place, most free first, so the estimate
+/// needs no copy. `current_bw` is the running `Σ_b bw_b`.
 ///
 /// # Panics
 ///
@@ -32,7 +33,7 @@ use pubsub_model::{Bandwidth, Rate};
 /// infeasible topics before consulting the decision).
 #[allow(clippy::too_many_arguments)]
 pub fn cheaper_to_distribute(
-    free_capacities: &[Bandwidth],
+    free_capacities: &mut [Bandwidth],
     capacity: Bandwidth,
     rate: Rate,
     pairs: u64,
@@ -70,11 +71,10 @@ pub fn cheaper_to_distribute(
 
     // Branch 2: spill most-free-first, then new VMs for leftovers
     // (lines 5–18).
-    let mut frees: Vec<Bandwidth> = free_capacities.to_vec();
-    frees.sort_unstable_by(|a, b| b.cmp(a));
+    free_capacities.sort_unstable_by(|a, b| b.cmp(a));
     let mut remaining = pairs;
     let mut spill_bw = current_bw;
-    for free in frees {
+    for &free in free_capacities.iter() {
         if remaining == 0 {
             break;
         }
@@ -116,9 +116,9 @@ mod tests {
     fn distribute_wins_when_vm_cost_dominates() {
         // 4 pairs of rate 10 fit comfortably in existing headroom; a new
         // VM would cost $10 versus a few micro-dollars of extra volume.
-        let frees = [Bandwidth::new(100), Bandwidth::new(80)];
+        let mut frees = [Bandwidth::new(100), Bandwidth::new(80)];
         assert!(cheaper_to_distribute(
-            &frees,
+            &mut frees,
             Bandwidth::new(200),
             Rate::new(10),
             4,
@@ -138,9 +138,9 @@ mod tests {
         // 9 pairs, rate 10; VMs with 30 of headroom take 2 pairs each →
         // 5 VMs × incoming vs 1 new VM of capacity 200 taking all 9 with
         // one incoming stream.
-        let frees = [Bandwidth::new(30); 5];
+        let mut frees = [Bandwidth::new(30); 5];
         assert!(!cheaper_to_distribute(
-            &frees,
+            &mut frees,
             Bandwidth::new(200),
             Rate::new(10),
             9,
@@ -153,9 +153,9 @@ mod tests {
 
     #[test]
     fn no_existing_capacity_forces_new_vms() {
-        let frees = [Bandwidth::new(5)]; // below pair cost 20
+        let mut frees = [Bandwidth::new(5)]; // below pair cost 20
         assert!(!cheaper_to_distribute(
-            &frees,
+            &mut frees,
             Bandwidth::new(100),
             Rate::new(10),
             3,
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn zero_pairs_never_distribute() {
         assert!(!cheaper_to_distribute(
-            &[Bandwidth::new(100)],
+            &mut [Bandwidth::new(100)],
             Bandwidth::new(100),
             Rate::new(10),
             0,
@@ -190,9 +190,9 @@ mod tests {
         // With no existing VMs both branches resolve to "new VMs"; spill
         // equals new then (not strictly cheaper) -> false either way, so
         // compare through headroom that takes exactly 0 pairs.
-        let frees: [Bandwidth; 0] = [];
+        let mut frees: [Bandwidth; 0] = [];
         let paper = cheaper_to_distribute(
-            &frees,
+            &mut frees,
             Bandwidth::new(30),
             Rate::new(10),
             6,
@@ -202,7 +202,7 @@ mod tests {
             false,
         );
         let exact = cheaper_to_distribute(
-            &frees,
+            &mut frees,
             Bandwidth::new(30),
             Rate::new(10),
             6,
@@ -222,9 +222,9 @@ mod tests {
         // ⌊200/10⌋−1 = 19 pairs on the big VM; 10 pairs all land there,
         // costing (10+1)·10 = 110 volume and zero new VMs → distribute
         // beats a $10 VM.
-        let frees = [Bandwidth::new(50), Bandwidth::new(200)];
+        let mut frees = [Bandwidth::new(50), Bandwidth::new(200)];
         assert!(cheaper_to_distribute(
-            &frees,
+            &mut frees,
             Bandwidth::new(300),
             Rate::new(10),
             10,
@@ -239,7 +239,7 @@ mod tests {
     #[should_panic(expected = "infeasible topic")]
     fn infeasible_topic_panics() {
         let _ = cheaper_to_distribute(
-            &[],
+            &mut [],
             Bandwidth::new(10),
             Rate::new(10),
             1,

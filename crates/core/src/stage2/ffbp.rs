@@ -1,6 +1,6 @@
 //! FFBinPacking — Alg. 3, the first-fit baseline for Stage 2.
 
-use super::baselines::SortedVm;
+use super::baselines::PairFleet;
 use super::Allocator;
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
@@ -40,33 +40,9 @@ impl Allocator for FirstFitBinPacking {
         capacity: Bandwidth,
         _cost: &dyn CostModel,
     ) -> Result<Allocation, McssError> {
-        let mut vms: Vec<SortedVm> = Vec::new();
-        for pair in selection.iter_pairs() {
-            let rate = workload.rate(pair.topic);
-            if rate.pair_cost() > capacity {
-                return Err(McssError::InfeasibleTopic {
-                    topic: pair.topic,
-                    required: rate.pair_cost(),
-                    capacity,
-                });
-            }
-            let slot = vms
-                .iter()
-                .position(|vm| vm.delta(pair.topic, rate) <= vm.free(capacity));
-            match slot {
-                Some(i) => vms[i].add_pair(pair.topic, rate, pair.subscriber),
-                None => {
-                    let mut vm = SortedVm::default();
-                    vm.add_pair(pair.topic, rate, pair.subscriber);
-                    vms.push(vm);
-                }
-            }
-        }
-        Ok(Allocation::from_groups(
-            vms.into_iter().map(SortedVm::into_groups).collect(),
-            workload,
-            capacity,
-        ))
+        PairFleet::pack(workload, selection, capacity, |vms, t, rate| {
+            (0..vms.vm_count()).find(|&vm| vms.delta(vm, t, rate) <= vms.free(vm, capacity))
+        })
     }
 }
 

@@ -8,7 +8,7 @@
 //! the oracle suite checks against
 //! [`ExactSolver`](crate::exact::ExactSolver).
 
-use super::{Allocator, VmBuild};
+use super::{Allocator, FleetBuilder};
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;
 use pubsub_model::{Bandwidth, Workload};
@@ -25,7 +25,8 @@ use std::cmp::Reverse;
 ///
 /// A group too big for an empty VM falls back to pair-by-pair first-fit
 /// (the bound applies to instances where every item fits in a bin;
-/// oversized topics are outside it but must still pack feasibly).
+/// oversized topics are outside it but must still pack feasibly). That
+/// fills each VM's headroom in index order, one run per VM.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FfdBinPacking {}
 
@@ -59,7 +60,7 @@ impl Allocator for FfdBinPacking {
             )
         });
 
-        let mut vms: Vec<VmBuild> = Vec::new();
+        let mut fleet = FleetBuilder::with_room(groups.len(), 0);
         for g in order {
             let topic = groups.topic(g);
             let rate = workload.rate(topic);
@@ -70,40 +71,32 @@ impl Allocator for FfdBinPacking {
                     capacity,
                 });
             }
-            let subs = groups.subscribers(g);
-            let whole = rate * (subs.len() as u64 + 1);
+            let n = groups.subscribers(g).len();
+            let whole = rate * (n as u64 + 1);
             if whole <= capacity {
                 // The analyzed case: the group is one item; first fit.
-                match vms.iter().position(|vm| whole <= vm.free(capacity)) {
-                    Some(i) => vms[i].add_batch(topic, rate, subs),
-                    None => {
-                        let mut vm = VmBuild::new();
-                        vm.add_batch(topic, rate, subs);
-                        vms.push(vm);
-                    }
-                }
+                let vm = (0..fleet.used().len())
+                    .find(|&vm| whole <= fleet.free(vm, capacity))
+                    .unwrap_or_else(|| fleet.open());
+                fleet.place(vm, g, 0..n, whole);
             } else {
                 // Oversized group: split pair by pair, still first-fit.
-                for &v in subs {
-                    match vms
-                        .iter()
-                        .position(|vm| vm.delta(topic, rate) <= vm.free(capacity))
-                    {
-                        Some(i) => vms[i].add_pair(topic, rate, v),
-                        None => {
-                            let mut vm = VmBuild::new();
-                            vm.add_pair(topic, rate, v);
-                            vms.push(vm);
-                        }
+                let (mut vm, mut placed) = (0, 0);
+                while placed < n {
+                    if vm == fleet.used().len() {
+                        fleet.open();
                     }
+                    let free = fleet.free(vm, capacity);
+                    if free >= rate.pair_cost() {
+                        let take = (free.div_rate(rate) as usize - 1).min(n - placed);
+                        fleet.place(vm, g, placed..placed + take, rate * (take as u64 + 1));
+                        placed += take;
+                    }
+                    vm += 1;
                 }
             }
         }
-        Ok(Allocation::from_groups(
-            vms.into_iter().map(VmBuild::into_groups).collect(),
-            workload,
-            capacity,
-        ))
+        Ok(fleet.finish_groups(&groups, capacity))
     }
 }
 

@@ -675,7 +675,7 @@ pub fn improve(
     );
     let start = Instant::now();
     let capacity = allocation.capacity();
-    let groups = allocation.into_vm_groups();
+    let groups = allocation.to_vm_groups();
     let mut search = Search::new(
         workload,
         groups,
@@ -744,7 +744,7 @@ pub fn improve_mixed(
         .map(|&t| tier_map[t as usize])
         .collect();
     let capacity = allocation.capacity();
-    let groups = allocation.into_vm_groups();
+    let groups = allocation.to_vm_groups();
     let mut search = Search::new(
         workload,
         groups,

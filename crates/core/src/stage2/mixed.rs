@@ -15,7 +15,7 @@
 //!    that preserves CBP's grouping advantage. A group too large for any
 //!    tier goes to the largest tier and splits there. Within a tier,
 //!    placement mirrors CBP: the most recently opened VM first, then the
-//!    most-free VM (lazy heap), then fresh VMs.
+//!    most-free VM (an exact scan of the tier's VMs), then fresh VMs.
 //! 2. **Downsize pass.** After packing, every VM is re-homed onto the
 //!    cheapest tier (by absolute window price) whose capacity still holds
 //!    its load. Placements do not move, so the pass is trivially
@@ -61,12 +61,11 @@
 //! # }
 //! ```
 
-use super::{Allocator, CbpConfig, CustomBinPacking, VmBuild};
+use super::{Allocator, CbpConfig, CustomBinPacking, FleetBuilder};
 use crate::{Allocation, FleetTyping, McssError, Selection, TopicGroups};
 use cloud_cost::{FleetCostModel, Money};
-use pubsub_model::{Bandwidth, SubscriberId, TopicId, Workload};
+use pubsub_model::{Bandwidth, Workload};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Stage-2 packing onto a heterogeneous fleet (see the module docs).
 ///
@@ -80,10 +79,7 @@ pub struct MixedFleetPacker;
 /// One tier's in-progress VM pool during density-first packing.
 struct TierPool {
     capacity: Bandwidth,
-    vms: Vec<VmBuild>,
-    /// Lazy max-heap over `(free, Reverse(vm index))`; stale entries are
-    /// discarded on pop (same discipline as CBP's spill heap).
-    free_heap: BinaryHeap<(Bandwidth, Reverse<usize>)>,
+    vms: FleetBuilder,
 }
 
 impl MixedFleetPacker {
@@ -144,7 +140,7 @@ impl MixedFleetPacker {
                 capacity,
                 fleet.tier(tier),
             )?;
-            let candidate = retype_downsized(homogeneous, tier, fleet, workload);
+            let candidate = retype_downsized(homogeneous, tier, fleet);
             let cost = candidate.cost_on_fleet(fleet);
             if cost < best_cost {
                 best = candidate;
@@ -167,8 +163,7 @@ impl MixedFleetPacker {
         let mut pools: Vec<TierPool> = (0..fleet.tier_count())
             .map(|i| TierPool {
                 capacity: fleet.capacity(i),
-                vms: Vec::new(),
-                free_heap: BinaryHeap::new(),
+                vms: FleetBuilder::default(),
             })
             .collect();
         let largest = pools
@@ -179,10 +174,12 @@ impl MixedFleetPacker {
             .expect("fleet is non-empty");
 
         for &g in order {
-            let topic = groups.topic(g as usize);
-            let subscribers = groups.subscribers(g as usize);
+            let g = g as usize;
+            let topic = groups.topic(g);
+            let n = groups.subscribers(g).len();
             let rate = workload.rate(topic);
-            let whole = u128::from(rate.get()) * (subscribers.len() as u128 + 1);
+            let whole = u128::from(rate.get()) * (n as u128 + 1);
+            let charge = |k: usize| rate * (k as u64 + 1);
             // Cheapest-density tier that holds the group whole; groups too
             // large for every tier split across the largest tier's VMs.
             let tier = match u64::try_from(whole)
@@ -192,62 +189,49 @@ impl MixedFleetPacker {
                 Some(tier) => tier,
                 None => largest,
             };
-            let pool = &mut pools[tier];
+            let TierPool { capacity, vms } = &mut pools[tier];
+            let capacity = *capacity;
 
             // Most recently opened VM of the tier first (Alg. 4 line 8).
-            if let Some(current) = pool.vms.last_mut() {
-                if whole <= u128::from(current.free(pool.capacity).get()) {
-                    current.add_batch(topic, rate, subscribers);
-                    let free = current.free(pool.capacity);
-                    pool.free_heap.push((free, Reverse(pool.vms.len() - 1)));
+            if let Some(current) = vms.used().len().checked_sub(1) {
+                if whole <= u128::from(vms.free(current, capacity).get()) {
+                    vms.place(current, g, 0..n, charge(n));
                     continue;
                 }
             }
 
             // Spill onto the most-free VMs of the tier (optimization (d)),
             // then open fresh VMs.
-            let mut remaining: &[SubscriberId] = subscribers;
-            while !remaining.is_empty() {
-                let Some((free, Reverse(idx))) = pool.free_heap.pop() else {
+            let mut placed = 0;
+            while placed < n {
+                let Some(vm) = vms.most_free(capacity) else {
                     break;
                 };
-                if pool.vms[idx].free(pool.capacity) != free {
-                    continue; // stale entry; the fresh one is queued
-                }
+                let free = vms.free(vm, capacity);
                 if free < rate.pair_cost() {
-                    pool.free_heap.push((free, Reverse(idx)));
                     break;
                 }
-                let fit = free.div_rate(rate) - 1;
-                let take = (fit as usize).min(remaining.len());
-                pool.vms[idx].add_batch(topic, rate, &remaining[..take]);
-                pool.free_heap
-                    .push((pool.vms[idx].free(pool.capacity), Reverse(idx)));
-                remaining = &remaining[take..];
+                let take = (free.div_rate(rate) as usize - 1).min(n - placed);
+                vms.place(vm, g, placed..placed + take, charge(take));
+                placed += take;
             }
-            while !remaining.is_empty() {
-                let mut vm = VmBuild::new();
-                let fit = pool.capacity.div_rate(rate) - 1; // ≥ 1 by feasibility
-                let take = (fit as usize).min(remaining.len());
-                vm.add_batch(topic, rate, &remaining[..take]);
-                pool.vms.push(vm);
-                let free = pool.vms.last().expect("just pushed").free(pool.capacity);
-                pool.free_heap.push((free, Reverse(pool.vms.len() - 1)));
-                remaining = &remaining[take..];
+            while placed < n {
+                let vm = vms.open();
+                let fit = capacity.div_rate(rate) - 1; // ≥ 1 by feasibility
+                let take = (fit as usize).min(n - placed);
+                vms.place(vm, g, placed..placed + take, charge(take));
+                placed += take;
             }
         }
 
-        // Flatten tier by tier (deployment order) and downsize each VM to
-        // the cheapest tier that still holds its load.
-        let mut vm_groups: Vec<Vec<(TopicId, Vec<SubscriberId>)>> = Vec::new();
-        let mut assignment: Vec<u32> = Vec::new();
+        // Deploy tier by tier, and downsize each VM to the cheapest tier
+        // that still holds its load.
+        let (mut vms, mut assignment) = (FleetBuilder::default(), Vec::new());
         for (tier, pool) in pools.into_iter().enumerate() {
-            for vm in pool.vms {
-                assignment.push(downsize(tier, vm.used(), fleet));
-                vm_groups.push(vm.into_groups());
-            }
+            assignment.extend(pool.vms.used().iter().map(|&u| downsize(tier, u, fleet)));
+            vms.append(pool.vms);
         }
-        Allocation::from_groups(vm_groups, workload, fleet.max_capacity())
+        vms.finish_groups(groups, fleet.max_capacity())
             .with_typing(typing_for(fleet, assignment))
     }
 }
@@ -274,18 +258,13 @@ pub(crate) fn typing_for(fleet: &FleetCostModel, assignment: Vec<u32>) -> FleetT
 /// Re-types a homogeneous CBP packing as a fleet allocation of `tier`,
 /// applies the downsize pass, and rebases its fleet-wide capacity bound
 /// to the fleet maximum.
-fn retype_downsized(
-    homogeneous: Allocation,
-    tier: usize,
-    fleet: &FleetCostModel,
-    workload: &Workload,
-) -> Allocation {
+fn retype_downsized(homogeneous: Allocation, tier: usize, fleet: &FleetCostModel) -> Allocation {
     let assignment: Vec<u32> = homogeneous
         .vms()
-        .iter()
         .map(|vm| downsize(tier, vm.used(), fleet))
         .collect();
-    Allocation::from_groups(homogeneous.into_vm_groups(), workload, fleet.max_capacity())
+    homogeneous
+        .with_capacity_bound(fleet.max_capacity())
         .with_typing(typing_for(fleet, assignment))
 }
 
@@ -303,7 +282,7 @@ mod tests {
     use crate::stage1::{GreedySelectPairs, PairSelector};
     use crate::McssInstance;
     use cloud_cost::{CostModel, Ec2CostModel};
-    use pubsub_model::Rate;
+    use pubsub_model::{Rate, TopicId};
 
     fn tier(hourly_micros: i64, cap: u64, name: &'static str) -> Ec2CostModel {
         Ec2CostModel::paper_default(cloud_cost::InstanceType::new(name, hourly_micros, 64))
@@ -451,7 +430,7 @@ mod tests {
             .unwrap();
         mixed.validate(&w, Rate::new(10)).unwrap();
         assert_eq!(mixed.pair_count(), 9);
-        for (i, vm) in mixed.vms().iter().enumerate() {
+        for (i, vm) in mixed.vms().enumerate() {
             assert!(vm.used() <= mixed.vm_capacity(i));
         }
     }

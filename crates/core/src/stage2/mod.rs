@@ -22,15 +22,19 @@
 //! (incoming stream + delivery) and `ev_t` otherwise. See
 //! "Deviations from the paper" in `docs/PAPER_MAP.md` for why this departs
 //! from the paper's (looser) pseudocode checks.
+//!
+//! Every packer records its placements as runs in one fleet builder,
+//! which writes the [`Allocation`] arena once at the end: nothing is
+//! copied or sorted while packing.
 
 mod baselines;
 mod cbp;
 mod cheaper;
 mod ffbp;
 mod ffd;
+mod fleet;
 mod improve;
 mod mixed;
-mod vm;
 
 pub use baselines::{BestFitBinPacking, NextFitBinPacking};
 pub use cbp::{CbpConfig, CustomBinPacking, ExpensiveOrder};
@@ -40,7 +44,7 @@ pub use ffd::FfdBinPacking;
 pub use improve::{improve, improve_mixed, ImproveReport, SearchBudget};
 pub use mixed::{mixed_cost_split, MixedFleetPacker};
 
-pub(crate) use vm::VmBuild;
+pub(crate) use fleet::FleetBuilder;
 
 use crate::{Allocation, McssError, Selection};
 use cloud_cost::CostModel;

@@ -8,7 +8,7 @@
 
 use crate::{LedgerSlot, Selection, SlotView};
 use mcss_store::{section, section_name, SectionSink, StoreError, StoreReader};
-use pubsub_model::{Bandwidth, SubscriberId, TopicId};
+use pubsub_model::{Bandwidth, SubscriberId, TopicId, Workload};
 use std::io;
 
 fn malformed(section_id: u32, detail: impl Into<String>) -> StoreError {
@@ -33,17 +33,21 @@ pub fn write_selection_sections<S: SectionSink>(
     store.put_section(section::SELECTION_TOPICS, topics, |t| t.raw().to_le_bytes())
 }
 
-/// Reassembles a [`Selection`] from its two sections.
+/// Reassembles a [`Selection`] over `workload` from its two sections.
 ///
 /// # Errors
 ///
 /// Container errors from the reader, or
 /// [`StoreError::SectionMalformed`] when the CSR is structurally
-/// inconsistent.
-pub fn read_selection_sections(store: &mut StoreReader) -> Result<Selection, StoreError> {
+/// inconsistent or a topic id is not below `workload`'s topic count.
+pub fn read_selection_sections(
+    store: &mut StoreReader,
+    workload: &Workload,
+) -> Result<Selection, StoreError> {
     let offsets = store.read_u32s(section::SELECTION_OFFSETS)?;
+    // A stored workload's counts fit `u32`: its reader checks them.
     let topics: Vec<TopicId> = store
-        .read_u32s(section::SELECTION_TOPICS)?
+        .read_ids(section::SELECTION_TOPICS, workload.num_topics() as u32)?
         .into_iter()
         .map(TopicId::new)
         .collect();
@@ -108,16 +112,20 @@ pub fn write_ledger_sections<'a, S: SectionSink>(
     store.end()
 }
 
-/// Reassembles the slot table written by [`write_ledger_sections`],
-/// suitable for [`crate::FleetLedger::from_slots`].
+/// Reassembles the slot table written by [`write_ledger_sections`] over
+/// `workload`, suitable for [`crate::FleetLedger::from_slots`].
 ///
 /// # Errors
 ///
 /// Container errors from the reader, or
 /// [`StoreError::SectionMalformed`] naming the first section whose
 /// contents are inconsistent (bad state byte, non-monotone row offsets,
-/// row counts that disagree with the arena lengths).
-pub fn read_ledger_sections(store: &mut StoreReader) -> Result<Vec<LedgerSlot>, StoreError> {
+/// row counts that disagree with the arena lengths, a topic or subscriber
+/// id not below `workload`'s count).
+pub fn read_ledger_sections(
+    store: &mut StoreReader,
+    workload: &Workload,
+) -> Result<Vec<LedgerSlot>, StoreError> {
     const SLOT_BYTES: usize = 24;
     let table = store.read_bytes(section::LEDGER_SLOTS)?;
     if table.len() % SLOT_BYTES != 0 {
@@ -126,9 +134,12 @@ pub fn read_ledger_sections(store: &mut StoreReader) -> Result<Vec<LedgerSlot>, 
             format!("{} bytes is not a whole number of slots", table.len()),
         ));
     }
-    let row_topics = store.read_u32s(section::LEDGER_ROW_TOPICS)?;
+    let row_topics = store.read_ids(section::LEDGER_ROW_TOPICS, workload.num_topics() as u32)?;
     let row_offsets = store.read_u32s(section::LEDGER_ROW_OFFSETS)?;
-    let subscribers = store.read_u32s(section::LEDGER_SUBSCRIBERS)?;
+    let subscribers = store.read_ids(
+        section::LEDGER_SUBSCRIBERS,
+        workload.num_subscribers() as u32,
+    )?;
     if row_offsets.len() != row_topics.len() + 1 {
         return Err(malformed(
             section::LEDGER_ROW_OFFSETS,

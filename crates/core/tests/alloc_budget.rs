@@ -1,11 +1,13 @@
-//! Heap allocations of a cold store load, a cold plan, the serve
-//! daemon's event path and its snapshot write, counted by a counting
-//! global allocator. The binary holds this one test, so no other test's
-//! allocations reach the counters.
+//! Heap allocations of a cold store load, a cold plan and its Stage 2,
+//! the serve daemon's event path and its snapshot write, counted by a
+//! counting global allocator. The binary holds this one test, so no other
+//! test's allocations reach the counters.
 
 use cloud_cost::{LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::{Daemon, Driver, ServeConfig};
+use mcss_core::stage1::{GreedySelectPairs, PairSelector};
+use mcss_core::stage2::{Allocator, CbpConfig, CustomBinPacking};
 use mcss_core::{lower_bound, McssInstance, Solver};
 use mcss_store::WorkloadStoreExt;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
@@ -95,7 +97,7 @@ fn loads_plans_submits_and_snapshots_allocate_a_bounded_amount() {
     let store_len = std::fs::metadata(&store).unwrap().len();
     println!("from_store, a {store_len}-byte store: {load} allocations, {load_bytes} bytes");
     assert_eq!(loaded, written);
-    assert!(load <= 12, "{load} allocations for one store load");
+    assert!(load <= 9, "{load} allocations for one store load");
     assert!(
         load_bytes < store_len,
         "{load_bytes} bytes allocated to load a {store_len}-byte store"
@@ -125,7 +127,24 @@ fn loads_plans_submits_and_snapshots_allocate_a_bounded_amount() {
     assert_eq!(bound.volume, outcome.report.lower_bound_volume);
     assert_eq!(bound_allocations, 0, "lower_bound allocated");
     assert!(validate <= 8, "{validate} allocations to validate one plan");
-    drop((instance, outcome));
+
+    // Stage 2 alone records runs of the topic groups and writes the
+    // fleet's arena once: a constant number of buffers, not one per row.
+    let selection = GreedySelectPairs::new().select(&instance).unwrap();
+    let (before, _) = counters();
+    let packed = CustomBinPacking::new(CbpConfig::full())
+        .allocate(instance.workload(), &selection, capacity, &cost)
+        .unwrap();
+    let stage2 = counters().0 - before;
+    let rows: usize = packed.vms().map(|vm| vm.topic_count()).sum();
+    println!(
+        "CBP of {} pairs into {rows} rows on {} VMs: {stage2} allocations",
+        packed.pair_count(),
+        packed.vm_count()
+    );
+    assert_eq!(packed, outcome.allocation);
+    assert!(stage2 <= 24, "{stage2} allocations for one Stage 2");
+    drop((instance, outcome, selection, packed));
 
     // Stable rates and 12% churn: each churned subscriber emits an
     // unsubscribe and a subscribe, ~2,400 events per epoch.

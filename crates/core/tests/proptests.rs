@@ -532,7 +532,7 @@ proptest! {
             .validate(inst.workload(), inst.tau())
             .map_err(|e| TestCaseError::fail(format!("invalid mixed fleet: {e}")))?;
         prop_assert_eq!(mixed.pair_count(), sel.pair_count(), "pairs lost");
-        for (vm, &tier) in mixed.vms().iter().zip(
+        for (vm, &tier) in mixed.vms().zip(
             mixed.typing().unwrap().assignment(),
         ) {
             let (_, cap) = mixed.typing().unwrap().tiers()[tier as usize];

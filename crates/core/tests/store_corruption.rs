@@ -9,9 +9,9 @@
 use cloud_cost::{CostModel, LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
 use mcss_core::serve::{
-    Daemon, Driver, FaultInjector, IoFault, ServeConfig, Snapshot, SNAPSHOT_FILE,
+    Daemon, Driver, FaultInjector, IoFault, ServeConfig, ServeError, Snapshot, SNAPSHOT_FILE,
 };
-use mcss_store::{section, StoreBuilder, StoreReader, WorkloadStoreExt};
+use mcss_store::{section, section_name, StoreBuilder, StoreReader, WorkloadStoreExt};
 use proptest::prelude::*;
 use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 use std::path::{Path, PathBuf};
@@ -66,6 +66,13 @@ fn drifted_workload(seed: u64, batches: usize) -> Workload {
     driver.workload().clone()
 }
 
+/// The configuration of [`daemon_snapshot`]'s session.
+fn snapshot_config() -> ServeConfig {
+    ServeConfig::new(Rate::new(15), Bandwidth::new(2_000))
+        .with_epoch_events(4)
+        .with_snapshot_every(0)
+}
+
 /// Runs a short daemon session and snapshots it, returning the
 /// snapshot path — a store file with *all* section kinds populated
 /// (serve meta, workload, selection, ledger).
@@ -76,10 +83,7 @@ fn daemon_snapshot(dir: &Path) -> PathBuf {
         seed: 42,
     };
     let mut driver = Driver::new(base_workload(), drift);
-    let config = ServeConfig::new(Rate::new(15), Bandwidth::new(2_000))
-        .with_epoch_events(4)
-        .with_snapshot_every(0);
-    let mut daemon = Daemon::create(dir, config, cost()).unwrap();
+    let mut daemon = Daemon::create(dir, snapshot_config(), cost()).unwrap();
     for e in driver.initial_events() {
         daemon.submit(e).unwrap();
     }
@@ -224,33 +228,53 @@ fn multi_chunk_sections_roundtrip_and_fail_closed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A snapshot whose checksums all hold but whose follower arena names
-/// subscriber `|V|`, one past the last, fails to load naming the section:
-/// the reader range-checks every id arena as it reads it.
+/// A snapshot whose checksums all hold but one of whose id arenas names
+/// an id at its bound (subscriber `|V|` or topic `|T|`, one past the
+/// last) fails closed: `Snapshot::load` and `Daemon::resume` both report
+/// it corrupt, naming the section. The reader range-checks the id arenas
+/// of the workload, the selection and the ledger as it reads them.
 #[test]
 fn snapshot_with_an_id_at_its_bound_fails_closed() {
-    let dir = scratch("snapshot-bound");
-    let path = daemon_snapshot(&dir);
-    let subscribers = Snapshot::load(&path).unwrap().workload.num_subscribers() as u32;
-    let mut reader = StoreReader::open(&path).unwrap();
-    let table = reader.sections().to_vec();
-    let mut rebuilt = StoreBuilder::new();
-    for info in table {
-        let mut bytes = reader.read_bytes(info.id).unwrap();
-        if info.id == section::FOLLOWER_IDS {
-            bytes[..4].copy_from_slice(&subscribers.to_le_bytes());
+    let bounds = |w: &Workload| {
+        [
+            (section::FOLLOWER_IDS, w.num_subscribers()),
+            (section::SELECTION_TOPICS, w.num_topics()),
+            (section::LEDGER_ROW_TOPICS, w.num_topics()),
+            (section::LEDGER_SUBSCRIBERS, w.num_subscribers()),
+        ]
+    };
+    for case in 0..4 {
+        let dir = scratch("snapshot-bound");
+        let path = daemon_snapshot(&dir);
+        let (id, bound) = bounds(&Snapshot::load(&path).unwrap().workload)[case];
+        let (name, bound) = (section_name(id), bound as u32);
+        let mut reader = StoreReader::open(&path).unwrap();
+        let table = reader.sections().to_vec();
+        let mut rebuilt = StoreBuilder::new();
+        for info in table {
+            let mut bytes = reader.read_bytes(info.id).unwrap();
+            if info.id == id {
+                assert!(bytes.len() >= 4, "section `{name}` holds no id");
+                bytes[..4].copy_from_slice(&bound.to_le_bytes());
+            }
+            rebuilt.section(info.id, bytes);
         }
-        rebuilt.section(info.id, bytes);
+        rebuilt.write(&path).unwrap();
+        let expected = format!("`{name}` is malformed: element 0 is id {bound}");
+        match Snapshot::load(&path) {
+            Err(ServeError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(&expected), "load: got {detail}")
+            }
+            other => panic!("load with `{name}` at its bound: {:?}", other.map(|_| ())),
+        }
+        match Daemon::resume(&dir, snapshot_config(), cost()) {
+            Err(ServeError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(&expected), "resume: got {detail}")
+            }
+            other => panic!("resume with `{name}` at its bound: {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    rebuilt.write(&path).unwrap();
-    let msg = Snapshot::load(&path)
-        .expect_err("a follower id at the subscriber count must not load")
-        .to_string();
-    assert!(
-        msg.contains("`follower-ids` is malformed: element 0 is id"),
-        "got: {msg}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Header damage (the page before any section) also fails closed.

@@ -59,9 +59,9 @@ impl Simulation {
         // Routing table: topic → [(vm index, subscribers served there)].
         let mut routes: Vec<Vec<(usize, &[SubscriberId])>> =
             vec![Vec::new(); workload.num_topics()];
-        for (vm_idx, vm) in allocation.vms().iter().enumerate() {
-            for placement in vm.placements() {
-                routes[placement.topic.index()].push((vm_idx, &placement.subscribers));
+        for (vm_idx, vm) in allocation.vms().enumerate() {
+            for (topic, subscribers) in vm.rows() {
+                routes[topic.index()].push((vm_idx, subscribers));
             }
         }
 

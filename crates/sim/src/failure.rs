@@ -59,14 +59,9 @@ pub fn fail_vms(
     let mut kept_rows: Vec<Vec<(TopicId, Vec<SubscriberId>)>> = Vec::new();
     let mut pairs_lost = 0;
     let mut volume_lost = 0;
-    for (vm, &kept) in allocation.vms().iter().zip(&keep) {
+    for (vm, &kept) in allocation.vms().zip(&keep) {
         if kept {
-            kept_rows.push(
-                vm.placements()
-                    .iter()
-                    .map(|p| (p.topic, p.subscribers.clone()))
-                    .collect(),
-            );
+            kept_rows.push(vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect());
         } else {
             pairs_lost += vm.pair_count();
             volume_lost += vm.used().get();
@@ -151,7 +146,7 @@ mod tests {
             alloc.pair_count(),
             "lost + surviving pairs must cover the original"
         );
-        assert_eq!(impact.volume_lost, alloc.vms()[0].used().get());
+        assert_eq!(impact.volume_lost, alloc.vm(0).used().get());
     }
 
     #[test]
@@ -163,7 +158,7 @@ mod tests {
         assert_eq!(impact.invalid, vec![999, 1_000], "typos reported, deduped");
         let impact2 = fail_vms(&inst, &alloc, &[0, 0, 0]);
         assert_eq!(impact2.vms_failed, 1, "duplicates collapse to one failure");
-        assert_eq!(impact2.volume_lost, alloc.vms()[0].used().get());
+        assert_eq!(impact2.volume_lost, alloc.vm(0).used().get());
         assert!(impact2.invalid.is_empty());
         // Duplicates must not double-count the loss: one kill of VM 0
         // and three kills of VM 0 are the same event.

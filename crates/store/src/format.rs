@@ -592,10 +592,13 @@ fn validate_header(bytes: &[u8], actual_len: u64) -> Result<Vec<SectionInfo>, St
     if version == 0 || version > VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
-    let mut header = bytes[..PAGE].to_vec();
-    let stored_crc = u32::from_le_bytes(header[24..28].try_into().unwrap());
-    header[24..28].copy_from_slice(&[0; 4]);
-    if crc32(&header) != stored_crc {
+    // The checksum covers the page with its own field zeroed.
+    let stored_crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
+    let crc = crc::update(
+        crc::update(crc::update(!0, &bytes[..24]), &[0; 4]),
+        &bytes[28..PAGE],
+    );
+    if !crc != stored_crc {
         return Err(StoreError::HeaderCorrupt("header checksum mismatch".into()));
     }
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     outcome
         .allocation
         .validate(instance.workload(), instance.tau())?;
-    for (i, vm) in outcome.allocation.vms().iter().enumerate() {
+    for (i, vm) in outcome.allocation.vms().enumerate() {
         println!(
             "vm{i}: {} topics, {} pairs, {} used",
             vm.topic_count(),

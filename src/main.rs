@@ -1085,7 +1085,7 @@ fn run(command: Command) -> Result<(), String> {
                     ranked.len()
                 );
                 for &(vm, starved) in ranked.iter().take(k) {
-                    let m = &outcome.allocation.vms()[vm];
+                    let m = outcome.allocation.vm(vm);
                     println!(
                         "  vm {vm:>4}: {starved:>6} starved  ({} pairs, {} bandwidth)",
                         m.pair_count(),

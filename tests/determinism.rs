@@ -16,8 +16,8 @@ fn solve_fingerprint(params: SolverParams, inst: &McssInstance, cost: &Ec2CostMo
     );
     for vm in outcome.allocation.vms() {
         fp.push_str(&format!("|{}", vm.used()));
-        for p in vm.placements() {
-            fp.push_str(&format!(",{}x{}", p.topic, p.subscribers.len()));
+        for (t, vs) in vm.rows() {
+            fp.push_str(&format!(",{}x{}", t, vs.len()));
         }
     }
     fp
@@ -95,12 +95,12 @@ fn simulation_is_deterministic_per_seed() {
 /// a typed fleet, each VM's tier.
 fn packer_fingerprint(label: &str, allocation: &Allocation) -> String {
     let mut bytes = Vec::new();
-    for (i, vm) in allocation.vms().iter().enumerate() {
-        bytes.extend_from_slice(&(vm.placements().len() as u32).to_le_bytes());
-        for p in vm.placements() {
-            bytes.extend_from_slice(&p.topic.raw().to_le_bytes());
-            bytes.extend_from_slice(&(p.subscribers.len() as u32).to_le_bytes());
-            for v in &p.subscribers {
+    for (i, vm) in allocation.vms().enumerate() {
+        bytes.extend_from_slice(&(vm.topic_count() as u32).to_le_bytes());
+        for (t, vs) in vm.rows() {
+            bytes.extend_from_slice(&t.raw().to_le_bytes());
+            bytes.extend_from_slice(&(vs.len() as u32).to_le_bytes());
+            for v in vs {
                 bytes.extend_from_slice(&v.raw().to_le_bytes());
             }
         }

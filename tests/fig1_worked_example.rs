@@ -170,9 +170,9 @@ fn alg7_decision_on_fig1_capacities() {
     let bw_dominated = LinearCostModel::new(Money::from_micros(1), Money::from_dollars(1));
 
     // The figure's literal capacities: no feasible spill, never cheaper.
-    let literal = [Bandwidth::new(30), Bandwidth::new(50)];
+    let mut literal = [Bandwidth::new(30), Bandwidth::new(50)];
     assert!(!cheaper_to_distribute(
-        &literal,
+        &mut literal,
         capacity,
         rate,
         pairs,
@@ -183,9 +183,9 @@ fn alg7_decision_on_fig1_capacities() {
     ));
 
     // Widened: both pairs fit across the two VMs (one each).
-    let widened = [Bandwidth::new(50), Bandwidth::new(50)];
+    let mut widened = [Bandwidth::new(50), Bandwidth::new(50)];
     assert!(cheaper_to_distribute(
-        &widened,
+        &mut widened,
         capacity,
         rate,
         pairs,
@@ -195,7 +195,7 @@ fn alg7_decision_on_fig1_capacities() {
         false,
     ));
     assert!(!cheaper_to_distribute(
-        &widened,
+        &mut widened,
         capacity,
         rate,
         pairs,
