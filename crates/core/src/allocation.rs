@@ -101,6 +101,23 @@ pub struct VmView<'a> {
 }
 
 impl<'a> VmView<'a> {
+    /// A VM over row `i`'s topic `topics[i]` and subscribers
+    /// `subscribers[offsets[i]..offsets[i + 1]]`.
+    pub(crate) fn new(
+        topics: &'a [TopicId],
+        offsets: &'a [u32],
+        subscribers: &'a [SubscriberId],
+        used: Bandwidth,
+    ) -> VmView<'a> {
+        debug_assert_eq!(offsets.len(), topics.len() + 1);
+        VmView {
+            topics,
+            offsets,
+            subscribers,
+            used,
+        }
+    }
+
     /// Bandwidth in use:
     /// `bw_b = Σ_pairs ev_t + Σ_unique-topics ev_t` (paper Eq. 2).
     #[inline]
@@ -300,6 +317,46 @@ impl Allocation {
         }
     }
 
+    /// An allocation over a finished arena in the canonical layout.
+    pub(crate) fn from_arena(
+        capacity: Bandwidth,
+        vm_rows: Vec<u32>,
+        row_topics: Vec<TopicId>,
+        row_offsets: Vec<u32>,
+        subscribers: Vec<SubscriberId>,
+        used: Vec<Bandwidth>,
+    ) -> Allocation {
+        debug_assert_eq!(vm_rows.len(), used.len() + 1);
+        debug_assert_eq!(vm_rows.last().map(|&r| r as usize), Some(row_topics.len()));
+        debug_assert_eq!(row_offsets.len(), row_topics.len() + 1);
+        debug_assert_eq!(
+            row_offsets.last().map(|&o| o as usize),
+            Some(subscribers.len())
+        );
+        Allocation {
+            vm_rows,
+            row_topics,
+            row_offsets,
+            subscribers,
+            used,
+            capacity,
+            typing: None,
+        }
+    }
+
+    /// The arena: VM row ranges, row topics, row offsets, subscribers and
+    /// each VM's recorded bandwidth.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn arena(&self) -> (&[u32], &[TopicId], &[u32], &[SubscriberId], &[Bandwidth]) {
+        (
+            &self.vm_rows,
+            &self.row_topics,
+            &self.row_offsets,
+            &self.subscribers,
+            &self.used,
+        )
+    }
+
     /// Opens a row of `topic` serving `subscribers` on the VM being
     /// written.
     pub(crate) fn push_row(&mut self, topic: TopicId, subscribers: &[SubscriberId]) {
@@ -483,6 +540,63 @@ impl Allocation {
             allocation.close_vm(used);
         }
         allocation
+    }
+
+    /// The VMs `b` for which `keep(b)` holds, in order: each one's rows
+    /// and recorded bandwidth are copied as they are, with no re-sort and
+    /// no recompute, into an arena sized exactly. A typed allocation keeps
+    /// the kept VMs' tiers.
+    ///
+    /// ```
+    /// use mcss_core::Allocation;
+    /// use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut b = Workload::builder();
+    /// let (t0, t1) = (b.add_topic(Rate::new(10))?, b.add_topic(Rate::new(4))?);
+    /// let v = b.add_subscriber([t0, t1])?;
+    /// let w = b.build();
+    ///
+    /// let a = Allocation::from_groups(vec![vec![(t0, vec![v])], vec![(t1, vec![v])]], &w, Bandwidth::new(100));
+    /// let kept = a.retain_vms(|b| b != 0);
+    /// assert_eq!(kept, Allocation::from_groups(vec![vec![(t1, vec![v])]], &w, Bandwidth::new(100)));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn retain_vms(&self, mut keep: impl FnMut(usize) -> bool) -> Allocation {
+        let kept: Vec<usize> = (0..self.vm_count()).filter(|&b| keep(b)).collect();
+        let rows = |b: usize| self.vm_rows[b] as usize..self.vm_rows[b + 1] as usize;
+        let span = |b: usize| {
+            let rows = rows(b);
+            self.row_offsets[rows.start] as usize..self.row_offsets[rows.end] as usize
+        };
+        let mut out = Allocation::with_room(
+            self.capacity,
+            kept.len(),
+            kept.iter().map(|&b| rows(b).len()).sum(),
+            kept.iter().map(|&b| span(b).len()).sum(),
+        );
+        for &b in &kept {
+            let (rows, span) = (rows(b), span(b));
+            let shift = out.subscribers.len() as u32;
+            let first = self.row_offsets[rows.start];
+            out.row_topics
+                .extend_from_slice(&self.row_topics[rows.clone()]);
+            out.row_offsets.extend(
+                self.row_offsets[rows.start + 1..=rows.end]
+                    .iter()
+                    .map(|&o| o - first + shift),
+            );
+            out.subscribers.extend_from_slice(&self.subscribers[span]);
+            out.close_vm(self.used[b]);
+        }
+        match &self.typing {
+            Some(typing) => out.with_typing(FleetTyping::new(
+                typing.tiers().to_vec(),
+                kept.iter().map(|&b| typing.assignment()[b]).collect(),
+            )),
+            None => out,
+        }
     }
 
     /// `|B|` — the number of VMs deployed.

@@ -442,11 +442,8 @@ impl IncrementalReallocator {
 
         let failed = prev.ledger.fail_slots(failed_slots);
         let vms_failed = failed.failed.len();
-        let mut pairs_orphaned = 0u64;
-        for (t, subs) in failed.orphans {
-            pairs_orphaned += subs.len() as u64;
-            prev.pending.extend(subs.into_iter().map(|v| (t, v)));
-        }
+        let pairs_orphaned = failed.orphans.len() as u64;
+        prev.pending.extend(failed.orphans);
 
         // Re-group the whole queue by topic (the counting-sort CSR
         // inversion yields ascending topic order, keeping the drain
@@ -456,6 +453,7 @@ impl IncrementalReallocator {
         for (topic, _) in groups.iter() {
             let rate = workload.rate(topic);
             if rate.pair_cost() > capacity {
+                prev.ledger.splice();
                 return Err(McssError::InfeasibleTopic {
                     topic,
                     required: rate.pair_cost(),
@@ -487,6 +485,7 @@ impl IncrementalReallocator {
                 rest = tail;
             }
         }
+        prev.ledger.splice();
         prev.pending = deferred;
         Ok(RepairRound {
             vms_failed,
@@ -767,6 +766,9 @@ impl IncrementalReallocator {
             });
         }
 
+        // The fleet is kept: apply the epoch's recorded row edits.
+        prev.ledger.splice();
+
         // Carry deferred repair pairs forward, dropping any the new
         // selection no longer wants (rows are small, so a linear
         // `contains` beats assuming a sort order they don't have).
@@ -775,13 +777,17 @@ impl IncrementalReallocator {
                 && v.index() < n
                 && prev.selection.selected(v).contains(&t)
         });
+        // The next basis reuses this one's rate table.
+        let mut rates = prev.basis.map(|basis| basis.rates).unwrap_or_default();
+        rates.clear();
+        rates.extend_from_slice(workload.rates());
         self.previous = Some(State {
             selection: prev.selection,
             ledger: prev.ledger,
             capacity,
             pending,
             basis: Some(EpochBasis {
-                rates: workload.rates().to_vec(),
+                rates,
                 num_subscribers: n,
                 tau,
             }),
@@ -1783,7 +1789,7 @@ mod tests {
             step_unchanged(&mut live, &inst);
             let slots = live.checkpoint().unwrap().1.snapshot_slots();
             let mut kill: Vec<usize> = (0..slots.len())
-                .filter(|&k| slots[k].rows.iter().any(|(t, _)| *t == ts[0]))
+                .filter(|&k| slots.vm(k).rows().any(|(t, _)| t == ts[0]))
                 .collect();
             assert!(kill.len() >= 3, "the popular topic spans several VMs");
             kill.push((0..slots.len()).find(|k| !kill.contains(k)).unwrap());

@@ -60,7 +60,7 @@
 
 use crate::dynamic::{DriftModel, WorkloadDelta};
 use crate::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
-use crate::ledger::{FleetLedger, LedgerSlot, SlotView};
+use crate::ledger::{FleetLedger, LedgerSlots};
 use crate::stage2::SearchBudget;
 use crate::store::{read_ledger_sections, read_selection_sections};
 use crate::{Allocation, McssError, McssInstance, Selection};
@@ -797,7 +797,7 @@ impl EventLog {
 ///
 /// ```
 /// use mcss_core::serve::Snapshot;
-/// use mcss_core::Selection;
+/// use mcss_core::{LedgerSlots, Selection};
 /// use pubsub_model::{Bandwidth, Rate, TopicId, Workload};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -812,7 +812,7 @@ impl EventLog {
 ///     capacity: Bandwidth::new(50),
 ///     workload: Workload::from_parts(vec![Rate::new(10)], vec![vec![TopicId::new(0)]]),
 ///     selection: Selection::from_csr(vec![0, 1], vec![TopicId::new(0)]),
-///     slots: Vec::new(),
+///     slots: LedgerSlots::default(),
 /// };
 /// snapshot.write(&path)?;   // atomically: tmp file + rename
 /// let loaded = Snapshot::load(&path)?;
@@ -838,8 +838,8 @@ pub struct Snapshot {
     pub workload: Workload,
     /// The Stage-1 selection as of the last applied epoch.
     pub selection: Selection,
-    /// The fleet ledger's slot table, tombstones included.
-    pub slots: Vec<LedgerSlot>,
+    /// The fleet ledger's arena, tombstoned slots included.
+    pub slots: LedgerSlots,
 }
 
 impl Snapshot {
@@ -919,7 +919,7 @@ impl Snapshot {
             capacity: self.capacity,
             workload: &self.workload,
             selection: &self.selection,
-            slots: self.slots.iter().map(LedgerSlot::view),
+            slots: &self.slots,
         }
         .write(path, injector)
     }
@@ -928,18 +928,18 @@ impl Snapshot {
 /// A [`Snapshot`]'s contents by reference: the one encoder behind both
 /// [`Snapshot::write`] and the daemon's periodic snapshot, which streams
 /// its live workload, selection and ledger without copying them.
-struct SnapshotRef<'a, S> {
+struct SnapshotRef<'a> {
     last_seq: u64,
     epochs_applied: u64,
     tau: Rate,
     capacity: Bandwidth,
     workload: &'a Workload,
     selection: &'a Selection,
-    /// The ledger's slots in slot order, walked once per ledger section.
-    slots: S,
+    /// The ledger's arena, written verbatim.
+    slots: &'a LedgerSlots,
 }
 
-impl<'a, S: Iterator<Item = SlotView<'a>> + Clone> SnapshotRef<'a, S> {
+impl SnapshotRef<'_> {
     /// [`Snapshot::write_with_faults`]: the serve metadata and every
     /// arena section stream to the tmp file through one fixed buffer,
     /// the header page goes last, then sync, rename and directory sync.
@@ -1691,7 +1691,7 @@ impl Daemon {
             capacity,
             workload: self.edit.base(),
             selection,
-            slots: ledger.slot_views(),
+            slots: ledger.slots(),
         }
         .write(&path, self.faults.clone())?;
         Ok(path)
@@ -2209,21 +2209,23 @@ mod tests {
     fn corrupt_snapshot_reports_checksum_mismatch() {
         let dir = scratch("corrupt-snap");
         let path = dir.join(SNAPSHOT_FILE);
+        let workload = Workload::from_parts(vec![Rate::new(10)], vec![vec![t(0)]]);
+        // One live slot of capacity 50 using 20: topic 0 for subscriber 0.
+        let fleet = Allocation::from_groups(
+            vec![vec![(t(0), vec![v(0)])]],
+            &workload,
+            Bandwidth::new(50),
+        );
         let snapshot = Snapshot {
             last_seq: 2,
             epochs_applied: 1,
             tau: Rate::new(10),
             capacity: Bandwidth::new(50),
-            workload: Workload::from_parts(vec![Rate::new(10)], vec![vec![t(0)]]),
+            workload,
             selection: Selection::from_csr(vec![0, 1], vec![t(0)]),
-            slots: vec![LedgerSlot {
-                tombstone: false,
-                failed: false,
-                cap: Bandwidth::new(50),
-                used: Bandwidth::new(20),
-                rows: vec![(t(0), vec![v(0)])],
-            }],
+            slots: FleetLedger::from_allocation(&fleet).snapshot_slots(),
         };
+        assert_eq!(snapshot.slots.vm(0).used(), Bandwidth::new(20));
         snapshot.write(&path).unwrap();
         let loaded = Snapshot::load(&path).unwrap();
         assert_eq!(loaded.last_seq, 2);

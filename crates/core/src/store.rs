@@ -1,12 +1,12 @@
 //! Solver-side section codecs for the `MCSSTOR1` store: the Stage-1
-//! [`Selection`] CSR and the [`crate::FleetLedger`] slot table, written
-//! from borrowed [`SlotView`]s and read back as [`LedgerSlot`] rows. The
-//! container itself — header, section table, checksums, atomic writes —
-//! lives in the [`mcss_store`] crate; this module only maps solver types
-//! onto sections, so daemon snapshots and ad-hoc tools share one on-disk
-//! vocabulary (`docs/STORE.md`).
+//! [`Selection`] CSR and the [`crate::FleetLedger`]'s arena
+//! ([`LedgerSlots`]), each written verbatim from memory and read straight
+//! back into its arenas. The container itself — header, section table,
+//! checksums, atomic writes — lives in the [`mcss_store`] crate; this
+//! module only maps solver types onto sections, so daemon snapshots and
+//! ad-hoc tools share one on-disk vocabulary (`docs/STORE.md`).
 
-use crate::{LedgerSlot, Selection, SlotView};
+use crate::{LedgerSlots, Selection, SlotState};
 use mcss_store::{section, section_name, SectionSink, StoreError, StoreReader};
 use pubsub_model::{Bandwidth, SubscriberId, TopicId, Workload};
 use std::io;
@@ -55,77 +55,68 @@ pub fn read_selection_sections(
         .map_err(|detail| malformed(section::SELECTION_OFFSETS, detail))
 }
 
-/// Slot-state encoding: 0 live, 1 tombstoned, 2 failed (failure implies
-/// tombstone).
-fn slot_state(slot: &SlotView<'_>) -> u32 {
-    if slot.failed {
-        2
-    } else {
-        u32::from(slot.tombstone)
+/// Slot-state encoding: 0 live, 1 tombstoned, 2 failed.
+fn slot_state(state: SlotState) -> u32 {
+    match state {
+        SlotState::Live => 0,
+        SlotState::Tombstoned => 1,
+        SlotState::Failed => 2,
     }
 }
 
-/// Writes the four fleet-ledger sections from borrowed slots, in four
-/// passes over them: a fixed-width slot table (`cap`, `used`, state, row
-/// count — two u64s + two u32s per slot), then a three-arena CSR of the
-/// placement rows (one topic id per row, running row offsets into the
-/// flat subscriber arena, the subscribers).
+/// Writes the four fleet-ledger sections verbatim from the ledger's
+/// arena: a fixed-width slot table (`cap`, `used`, state, row count — two
+/// u64s + two u32s per slot), then the row arenas as they lie in memory
+/// (one topic id per row, running row offsets into the subscriber arena,
+/// the subscribers).
 ///
 /// # Errors
 ///
 /// An I/O error from a streaming sink.
-pub fn write_ledger_sections<'a, S: SectionSink>(
-    store: &mut S,
-    slots: impl Iterator<Item = SlotView<'a>> + Clone,
-) -> io::Result<()> {
+pub fn write_ledger_sections<S: SectionSink>(store: &mut S, slots: &LedgerSlots) -> io::Result<()> {
     store.begin(section::LEDGER_SLOTS)?;
-    for slot in slots.clone() {
+    for slot in 0..slots.len() {
+        let rows = slots.slot_rows[slot + 1] - slots.slot_rows[slot];
         let mut record = [0u8; 24];
-        record[0..8].copy_from_slice(&slot.cap.get().to_le_bytes());
-        record[8..16].copy_from_slice(&slot.used.get().to_le_bytes());
-        record[16..20].copy_from_slice(&slot_state(&slot).to_le_bytes());
-        record[20..24].copy_from_slice(&(slot.rows.len() as u32).to_le_bytes());
+        record[0..8].copy_from_slice(&slots.cap[slot].get().to_le_bytes());
+        record[8..16].copy_from_slice(&slots.used[slot].get().to_le_bytes());
+        record[16..20].copy_from_slice(&slot_state(slots.state[slot]).to_le_bytes());
+        record[20..24].copy_from_slice(&rows.to_le_bytes());
         store.put(&[record], |r| *r)?;
     }
     store.end()?;
-    store.begin(section::LEDGER_ROW_TOPICS)?;
-    for slot in slots.clone() {
-        store.put(slot.rows, |(topic, _)| topic.raw().to_le_bytes())?;
-    }
-    store.end()?;
-    store.begin(section::LEDGER_ROW_OFFSETS)?;
-    store.put(&[0u32], |o| o.to_le_bytes())?;
-    let mut offset = 0u32;
-    for slot in slots.clone() {
-        store.put(slot.rows, |(_, subs)| {
-            offset += subs.len() as u32;
-            offset.to_le_bytes()
-        })?;
-    }
-    store.end()?;
-    store.begin(section::LEDGER_SUBSCRIBERS)?;
-    for slot in slots {
-        for (_, subs) in slot.rows {
-            store.put(subs, |v| v.raw().to_le_bytes())?;
-        }
-    }
-    store.end()
+    store.put_section(section::LEDGER_ROW_TOPICS, &slots.row_topics, |t| {
+        t.raw().to_le_bytes()
+    })?;
+    store.put_section(section::LEDGER_ROW_OFFSETS, &slots.row_offsets, |o| {
+        o.to_le_bytes()
+    })?;
+    store.put_section(section::LEDGER_SUBSCRIBERS, &slots.subscribers, |v| {
+        v.raw().to_le_bytes()
+    })
 }
 
-/// Reassembles the slot table written by [`write_ledger_sections`] over
-/// `workload`, suitable for [`crate::FleetLedger::from_slots`].
+/// Reads the ledger written by [`write_ledger_sections`] over `workload`
+/// straight into its arenas, suitable for
+/// [`crate::FleetLedger::from_slots`].
+///
+/// The ledger searches and splices this arena in place, so the reader
+/// also requires its canonical layout: every row non-empty, each slot's
+/// rows strictly ascending by topic and each row's subscribers strictly
+/// ascending, and no rows on a tombstoned or failed slot.
 ///
 /// # Errors
 ///
 /// Container errors from the reader, or
 /// [`StoreError::SectionMalformed`] naming the first section whose
-/// contents are inconsistent (bad state byte, non-monotone row offsets,
-/// row counts that disagree with the arena lengths, a topic or subscriber
-/// id not below `workload`'s count).
+/// contents are inconsistent (bad state byte, row offsets that do not
+/// climb strictly, row counts that disagree with the arena lengths, a
+/// topic or subscriber id not below `workload`'s count, rows out of
+/// order).
 pub fn read_ledger_sections(
     store: &mut StoreReader,
     workload: &Workload,
-) -> Result<Vec<LedgerSlot>, StoreError> {
+) -> Result<LedgerSlots, StoreError> {
     const SLOT_BYTES: usize = 24;
     let table = store.read_bytes(section::LEDGER_SLOTS)?;
     if table.len() % SLOT_BYTES != 0 {
@@ -148,61 +139,80 @@ pub fn read_ledger_sections(
     }
     if row_offsets.first().copied() != Some(0)
         || row_offsets.last().map(|&o| o as usize) != Some(subscribers.len())
-        || row_offsets.windows(2).any(|w| w[0] > w[1])
+        || row_offsets.windows(2).any(|w| w[0] >= w[1])
     {
         return Err(malformed(
             section::LEDGER_ROW_OFFSETS,
-            "row offsets must climb from 0 to the subscriber-arena length",
+            "row offsets must climb strictly (no empty row) from 0 to the subscriber-arena length",
+        ));
+    }
+    let ascending = |ids: &[u32]| ids.windows(2).all(|w| w[0] < w[1]);
+    if let Some(row) = row_offsets
+        .windows(2)
+        .position(|w| !ascending(&subscribers[w[0] as usize..w[1] as usize]))
+    {
+        return Err(malformed(
+            section::LEDGER_SUBSCRIBERS,
+            format!("row {row}'s subscribers are not strictly ascending"),
         ));
     }
 
-    let mut slots = Vec::with_capacity(table.len() / SLOT_BYTES);
+    let slots = table.len() / SLOT_BYTES;
+    let mut ledger = LedgerSlots {
+        cap: Vec::with_capacity(slots),
+        used: Vec::with_capacity(slots),
+        state: Vec::with_capacity(slots),
+        slot_rows: Vec::with_capacity(slots + 1),
+        row_topics: row_topics.into_iter().map(TopicId::new).collect(),
+        row_offsets,
+        subscribers: subscribers.into_iter().map(SubscriberId::new).collect(),
+    };
+    ledger.slot_rows.push(0);
     let mut row = 0usize;
     for record in table.chunks_exact(SLOT_BYTES) {
-        let cap = Bandwidth::new(u64::from_le_bytes(record[0..8].try_into().unwrap()));
-        let used = Bandwidth::new(u64::from_le_bytes(record[8..16].try_into().unwrap()));
+        let field = |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().unwrap());
         let state = u32::from_le_bytes(record[16..20].try_into().unwrap());
         let row_count = u32::from_le_bytes(record[20..24].try_into().unwrap()) as usize;
-        let (tombstone, failed) = match state {
-            0 => (false, false),
-            1 => (true, false),
-            2 => (true, true),
+        ledger.state.push(match state {
+            0 => SlotState::Live,
+            1 => SlotState::Tombstoned,
+            2 => SlotState::Failed,
             other => {
                 return Err(malformed(
                     section::LEDGER_SLOTS,
                     format!("slot state {other} is not live/tombstoned/failed"),
                 ));
             }
-        };
-        if row + row_count > row_topics.len() {
+        });
+        if row + row_count > ledger.row_topics.len() {
             return Err(malformed(
                 section::LEDGER_SLOTS,
                 "slot row counts overrun the row arenas",
             ));
         }
-        let rows = (row..row + row_count)
-            .map(|r| {
-                let subs = subscribers[row_offsets[r] as usize..row_offsets[r + 1] as usize]
-                    .iter()
-                    .map(|&v| SubscriberId::new(v))
-                    .collect();
-                (TopicId::new(row_topics[r]), subs)
-            })
-            .collect();
+        let slot = ledger.state.len() - 1;
+        if ledger.state[slot] != SlotState::Live && row_count > 0 {
+            return Err(malformed(
+                section::LEDGER_SLOTS,
+                format!("slot {slot} is tombstoned or failed but owns rows"),
+            ));
+        }
+        if !ledger.row_topics[row..row + row_count].is_sorted_by(|a, b| a < b) {
+            return Err(malformed(
+                section::LEDGER_ROW_TOPICS,
+                format!("slot {slot}'s rows are not strictly ascending by topic"),
+            ));
+        }
         row += row_count;
-        slots.push(LedgerSlot {
-            tombstone,
-            failed,
-            cap,
-            used,
-            rows,
-        });
+        ledger.cap.push(Bandwidth::new(field(0)));
+        ledger.used.push(Bandwidth::new(field(8)));
+        ledger.slot_rows.push(row as u32);
     }
-    if row != row_topics.len() {
+    if row != ledger.row_topics.len() {
         return Err(malformed(
             section::LEDGER_SLOTS,
             "slot row counts do not cover the row arenas",
         ));
     }
-    Ok(slots)
+    Ok(ledger)
 }

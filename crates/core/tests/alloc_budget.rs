@@ -1,7 +1,8 @@
 //! Heap allocations of a cold store load, a cold plan and its Stage 2,
-//! the serve daemon's event path and its snapshot write, counted by a
-//! counting global allocator. The binary holds this one test, so no other
-//! test's allocations reach the counters.
+//! the serve daemon's event path, epoch close, fleet export, snapshot
+//! write and resume, counted by a counting global allocator. The binary
+//! holds this one test, so no other test's allocations reach the
+//! counters.
 
 use cloud_cost::{LinearCostModel, Money};
 use mcss_core::dynamic::DriftModel;
@@ -74,6 +75,13 @@ fn workload() -> Workload {
     }
     b.build()
 }
+
+/// Ceilings on the serve path's allocation counts, each at most ~10%
+/// above the count measured when it was set: 68 for an epoch close, 5
+/// for an export and 209 for a resume.
+const TICK: u64 = 74;
+const EXPORT: u64 = 5;
+const RESUME: u64 = 229;
 
 #[test]
 fn loads_plans_submits_and_snapshots_allocate_a_bounded_amount() {
@@ -185,11 +193,33 @@ fn loads_plans_submits_and_snapshots_allocate_a_bounded_amount() {
         submit * 20 < EVENTS as u64,
         "{submit} allocations for {EVENTS} submitted events"
     );
+    assert!(tick <= TICK, "{tick} allocations for one epoch close");
+
+    // Exporting the fleet copies the ledger's arenas, each allocated at
+    // its final size: a constant, whatever the fleet's VMs, rows or pairs.
+    let (before, _) = counters();
+    let fleet = daemon.allocation().expect("an epoch was applied");
+    let export = counters().0 - before;
+    println!(
+        "Daemon::allocation of {} pairs in {} rows on {} VMs: {export} allocations",
+        fleet.pair_count(),
+        fleet.vms().map(|vm| vm.topic_count()).sum::<usize>(),
+        fleet.vm_count()
+    );
+    assert!(
+        export <= EXPORT,
+        "{export} allocations for one fleet export"
+    );
+    drop(fleet);
 
     // A snapshot streams the live state through one fixed buffer: its
     // allocations are a constant, not a function of the slots, rows or
     // sections it writes, and its bytes stay well under the file's.
     let (before, before_bytes) = counters();
+    let pairs = daemon
+        .selection()
+        .expect("an epoch was applied")
+        .pair_count();
     let path = daemon.snapshot_now().unwrap();
     let (after, after_bytes) = counters();
     let (snapshot, snapshot_bytes) = (after - before, after_bytes - before_bytes);
@@ -203,5 +233,15 @@ fn loads_plans_submits_and_snapshots_allocate_a_bounded_amount() {
         "{snapshot_bytes} bytes allocated for a {file_len}-byte snapshot"
     );
     drop(daemon);
+
+    // Resuming the state directory loads that snapshot and re-derives the
+    // ledger's index from its arena.
+    let (before, _) = counters();
+    let resumed = Daemon::resume(&dir.join("state"), config, Box::new(cost)).unwrap();
+    let resume = counters().0 - before;
+    println!("Daemon::resume of that snapshot: {resume} allocations");
+    assert_eq!(resumed.selection().map(|s| s.pair_count()), Some(pairs));
+    assert!(resume <= RESUME, "{resume} allocations for one resume");
+    drop(resumed);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -277,6 +277,101 @@ fn snapshot_with_an_id_at_its_bound_fails_closed() {
     }
 }
 
+/// A snapshot whose checksums all hold but whose ledger arena breaks the
+/// canonical layout the ledger searches and splices in place (rows out of
+/// topic order, subscribers out of order, an empty row, rows on a
+/// tombstoned slot) fails closed: `Snapshot::load` and `Daemon::resume`
+/// both report it corrupt, naming the section.
+#[test]
+fn snapshot_with_a_non_canonical_ledger_fails_closed() {
+    // Swaps the u32s at `at` and `at + 1`.
+    let swap = |bytes: &mut [u8], at: usize| {
+        let (a, b) = bytes[at * 4..at * 4 + 8].split_at_mut(4);
+        a.swap_with_slice(b);
+    };
+    for case in 0..4 {
+        let dir = scratch("snapshot-canonical");
+        let path = daemon_snapshot(&dir);
+        // From the valid arena: the first row of the first slot with two
+        // rows, the first pair of the first row with two subscribers, and
+        // the first slot that owns rows.
+        let slots = Snapshot::load(&path).unwrap().slots;
+        let (mut row, mut pair) = (0, 0);
+        let (mut two_rows, mut two_pairs, mut owner) = (None, None, None);
+        for slot in 0..slots.len() {
+            let vm = slots.vm(slot);
+            if vm.topic_count() > 0 {
+                owner.get_or_insert(slot);
+            }
+            if vm.topic_count() >= 2 {
+                two_rows.get_or_insert(row);
+            }
+            for (_, subs) in vm.rows() {
+                if subs.len() >= 2 {
+                    two_pairs.get_or_insert(pair);
+                }
+                row += 1;
+                pair += subs.len();
+            }
+        }
+        let (id, expected) = match case {
+            0 => (
+                section::LEDGER_ROW_TOPICS,
+                "rows are not strictly ascending by topic",
+            ),
+            1 => (
+                section::LEDGER_SUBSCRIBERS,
+                "subscribers are not strictly ascending",
+            ),
+            2 => (
+                section::LEDGER_ROW_OFFSETS,
+                "row offsets must climb strictly",
+            ),
+            _ => (
+                section::LEDGER_SLOTS,
+                "is tombstoned or failed but owns rows",
+            ),
+        };
+        let name = section_name(id);
+        let mut reader = StoreReader::open(&path).unwrap();
+        let table = reader.sections().to_vec();
+        let mut rebuilt = StoreBuilder::new();
+        for info in table {
+            let mut bytes = reader.read_bytes(info.id).unwrap();
+            if info.id == id {
+                match case {
+                    0 => swap(&mut bytes, two_rows.expect("a slot with two rows")),
+                    1 => swap(&mut bytes, two_pairs.expect("a row with two subscribers")),
+                    // Row 0 ends where it starts.
+                    2 => bytes[4..8].copy_from_slice(&0u32.to_le_bytes()),
+                    _ => {
+                        let at = owner.expect("a slot with rows") * 24 + 16;
+                        bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+                    }
+                }
+            }
+            rebuilt.section(info.id, bytes);
+        }
+        rebuilt.write(&path).unwrap();
+        let named = format!("`{name}` is malformed");
+        match Snapshot::load(&path) {
+            Err(ServeError::Corrupt { detail, .. }) => assert!(
+                detail.contains(&named) && detail.contains(expected),
+                "load: got {detail}"
+            ),
+            other => panic!("load with a broken `{name}`: {:?}", other.map(|_| ())),
+        }
+        match Daemon::resume(&dir, snapshot_config(), cost()) {
+            Err(ServeError::Corrupt { detail, .. }) => assert!(
+                detail.contains(&named) && detail.contains(expected),
+                "resume: got {detail}"
+            ),
+            other => panic!("resume with a broken `{name}`: {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Header damage (the page before any section) also fails closed.
 #[test]
 fn header_damage_fails_closed() {

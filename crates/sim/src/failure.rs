@@ -9,7 +9,7 @@
 //! agenda, and gives the test suite a failure-injection axis.
 
 use mcss_core::{Allocation, McssInstance};
-use pubsub_model::{Rate, SubscriberId, TopicId};
+use pubsub_model::{Rate, SubscriberId};
 
 /// The effect of removing a set of VMs from an allocation.
 #[derive(Clone, Debug)]
@@ -56,18 +56,13 @@ pub fn fail_vms(
             invalid.push(i);
         }
     }
-    let mut kept_rows: Vec<Vec<(TopicId, Vec<SubscriberId>)>> = Vec::new();
     let mut pairs_lost = 0;
     let mut volume_lost = 0;
-    for (vm, &kept) in allocation.vms().zip(&keep) {
-        if kept {
-            kept_rows.push(vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect());
-        } else {
-            pairs_lost += vm.pair_count();
-            volume_lost += vm.used().get();
-        }
+    for (vm, _) in allocation.vms().zip(&keep).filter(|(_, &kept)| !kept) {
+        pairs_lost += vm.pair_count();
+        volume_lost += vm.used().get();
     }
-    let degraded = Allocation::from_groups(kept_rows, workload, allocation.capacity());
+    let degraded = allocation.retain_vms(|vm| keep[vm]);
     let delivered = degraded.delivered_rates(workload);
     let starved = workload
         .subscribers()
@@ -97,7 +92,7 @@ mod tests {
     use super::*;
     use cloud_cost::{LinearCostModel, Money};
     use mcss_core::Solver;
-    use pubsub_model::{Bandwidth, Workload};
+    use pubsub_model::{Bandwidth, TopicId, Workload};
 
     fn solved() -> (McssInstance, Allocation) {
         let mut b = Workload::builder();
@@ -177,6 +172,53 @@ mod tests {
         let cost = LinearCostModel::vm_only(Money::from_dollars(1));
         let repaired = Solver::default().solve(&inst, &cost).unwrap().allocation;
         assert!(repaired.validate(inst.workload(), inst.tau()).is_ok());
+    }
+
+    #[test]
+    fn survivors_keep_their_rows_as_the_nested_route_rebuilds_them() {
+        // `fail_vms` keeps surviving VMs by row range; rebuilding them
+        // from nested rows through `Allocation::from_groups` must give the
+        // same fleet, on generated fleets and kill lists with duplicate
+        // and out-of-range indices.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let cost = LinearCostModel::vm_only(Money::from_dollars(1));
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = Workload::builder();
+            let ts: Vec<TopicId> = (0..rng.gen_range(2usize..12))
+                .map(|_| b.add_topic(Rate::new(rng.gen_range(1u64..=9))).unwrap())
+                .collect();
+            for _ in 0..rng.gen_range(1usize..40) {
+                let mut row: Vec<TopicId> = (0..rng.gen_range(1usize..=4))
+                    .map(|_| ts[rng.gen_range(0..ts.len())])
+                    .collect();
+                row.sort_unstable();
+                row.dedup();
+                b.add_subscriber(row).unwrap();
+            }
+            let capacity = Bandwidth::new(rng.gen_range(20u64..=60));
+            let inst = McssInstance::new(b.build(), Rate::new(8), capacity).unwrap();
+            let alloc = Solver::default().solve(&inst, &cost).unwrap().allocation;
+            let vms = alloc.vm_count();
+            let kill: Vec<usize> = (0..rng.gen_range(0usize..=vms + 2))
+                .map(|_| rng.gen_range(0..vms + 3))
+                .collect();
+            let impact = fail_vms(&inst, &alloc, &kill);
+            let kept = alloc
+                .vms()
+                .enumerate()
+                .filter(|(b, _)| !kill.contains(b))
+                .map(|(_, vm)| vm.rows().map(|(t, vs)| (t, vs.to_vec())).collect())
+                .collect();
+            let nested = Allocation::from_groups(kept, inst.workload(), alloc.capacity());
+            assert_eq!(impact.degraded, nested, "seed {seed}, kill {kill:?}");
+            assert_eq!(impact.delivered, nested.delivered_rates(inst.workload()));
+            assert_eq!(
+                impact.pairs_lost + impact.degraded.pair_count(),
+                alloc.pair_count()
+            );
+        }
     }
 
     #[test]

@@ -97,6 +97,23 @@ pub(crate) fn update(c: u32, bytes: &[u8]) -> u32 {
     crc32_update(c, bytes)
 }
 
+/// [`update`] over `bytes`, a whole number of little-endian u32 words,
+/// that also returns the largest word where the folding kernel runs: it
+/// takes the unsigned maximum of each 16-byte lane it loads anyway, and of
+/// the words the table chain folds after them. `None` on other CPUs and
+/// for inputs too short for the kernel; the caller then folds the maximum
+/// in a pass of its own.
+pub(crate) fn update_max(c: u32, bytes: &[u8]) -> (u32, Option<u32>) {
+    debug_assert_eq!(bytes.len() % 4, 0, "whole u32 words");
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= CLMUL_MIN_LEN {
+        if let Some((c, max)) = clmul::update_max(c, bytes) {
+            return (c, Some(max));
+        }
+    }
+    (update(c, bytes), None)
+}
+
 /// CRC32 (IEEE 802.3, the zlib/PNG polynomial) over `bytes`. Long inputs
 /// fold sixteen bytes per carry-less multiply where the CPU has
 /// PCLMULQDQ; the value is identical to the classic one-lookup-per-byte
@@ -115,8 +132,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_max_epu32, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128,
+        _mm_srli_si128, _mm_xor_si128,
     };
 
     // Fold constants, bit-reflected and shifted as the paper tabulates
@@ -141,7 +159,16 @@ mod clmul {
         }
         // SAFETY: `fold` enables exactly `pclmulqdq` and `sse4.1`, and both
         // were detected on this CPU just above.
-        Some(unsafe { fold(c, bytes) })
+        Some(unsafe { fold::<false>(c, bytes) }.0)
+    }
+
+    /// [`update`], plus the largest little-endian u32 word of `bytes`.
+    pub(super) fn update_max(c: u32, bytes: &[u8]) -> Option<(u32, u32)> {
+        if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+            return None;
+        }
+        // SAFETY: as in `update`.
+        Some(unsafe { fold::<true>(c, bytes) })
     }
 
     /// Loads sixteen bytes as one little-endian lane.
@@ -162,26 +189,48 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(next, low), high)
     }
 
-    /// The raw CRC state `c` advanced over `bytes`. Inputs shorter than
-    /// the four lanes take the table chain.
+    /// The raw CRC state `c` advanced over `bytes`, and with `MAX` the
+    /// largest whole little-endian u32 word of `bytes` (0 without). Inputs
+    /// shorter than the four lanes take the table chain.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    fn fold(c: u32, bytes: &[u8]) -> u32 {
+    fn fold<const MAX: bool>(c: u32, bytes: &[u8]) -> (u32, u32) {
+        let words_max = |tail: &[u8]| {
+            let words = tail.chunks_exact(4);
+            words
+                .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+                .max()
+        };
         if bytes.len() < super::CLMUL_MIN_LEN {
-            return super::crc32_update(c, bytes);
+            let max = if MAX {
+                words_max(bytes).unwrap_or(0)
+            } else {
+                0
+            };
+            return (super::crc32_update(c, bytes), max);
         }
+        // Each lane the fold loads also goes into `m`, four unsigned
+        // 32-bit maxima; with `MAX` off the compiler drops them.
+        let mut m = _mm_setzero_si128();
+        let mut load = |bytes: &[u8]| {
+            let l = lane(bytes);
+            if MAX {
+                m = _mm_max_epu32(m, l);
+            }
+            l
+        };
         let (head, rest) = bytes.split_at(64);
-        let mut x3 = _mm_xor_si128(lane(&head[0..16]), _mm_cvtsi32_si128(c as i32));
-        let mut x2 = lane(&head[16..32]);
-        let mut x1 = lane(&head[32..48]);
-        let mut x0 = lane(&head[48..64]);
+        let mut x3 = _mm_xor_si128(load(&head[0..16]), _mm_cvtsi32_si128(c as i32));
+        let mut x2 = load(&head[16..32]);
+        let mut x1 = load(&head[32..48]);
+        let mut x0 = load(&head[48..64]);
 
         let k1k2 = _mm_set_epi64x(K2, K1);
         let mut blocks = rest.chunks_exact(64);
         for block in &mut blocks {
-            x3 = fold_into(x3, lane(&block[0..16]), k1k2);
-            x2 = fold_into(x2, lane(&block[16..32]), k1k2);
-            x1 = fold_into(x1, lane(&block[32..48]), k1k2);
-            x0 = fold_into(x0, lane(&block[48..64]), k1k2);
+            x3 = fold_into(x3, load(&block[0..16]), k1k2);
+            x2 = fold_into(x2, load(&block[16..32]), k1k2);
+            x1 = fold_into(x1, load(&block[32..48]), k1k2);
+            x0 = fold_into(x0, load(&block[48..64]), k1k2);
         }
 
         let k3k4 = _mm_set_epi64x(K4, K3);
@@ -190,8 +239,16 @@ mod clmul {
         x = fold_into(x, x0, k3k4);
         let mut lanes = blocks.remainder().chunks_exact(16);
         for next in &mut lanes {
-            x = fold_into(x, lane(next), k3k4);
+            x = fold_into(x, load(next), k3k4);
         }
+        let max = if MAX {
+            m = _mm_max_epu32(m, _mm_srli_si128(m, 8));
+            m = _mm_max_epu32(m, _mm_srli_si128(m, 4));
+            let lanes_max = _mm_cvtsi128_si32(m) as u32;
+            words_max(lanes.remainder()).map_or(lanes_max, |tail| tail.max(lanes_max))
+        } else {
+            0
+        };
 
         // 128 → 96 → 64 bits: x = (x[0:63] · K4) ^ x[64:127], then
         // x = (x[0:31] · K5) ^ x[32:95].
@@ -207,7 +264,7 @@ mod clmul {
         let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
         let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
         let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
-        super::crc32_update(c, lanes.remainder())
+        (super::crc32_update(c, lanes.remainder()), max)
     }
 }
 
@@ -276,6 +333,42 @@ mod tests {
         matches_reference_everywhere("clmul kernel", |c, bytes| {
             clmul::update(c, bytes).expect("features detected above")
         });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fused_max_matches_the_plain_folds_at_every_length_offset_and_position() {
+        // Every word length 0..=4096 from each of 16 word offsets, with a
+        // planted maximum that moves from the window's first word
+        // (offset 0) to its last (offset 15): the state must equal the
+        // CRC kernel's and the maximum the planted word.
+        if clmul::update_max(!0, &[]).is_none() {
+            eprintln!("skipped: this CPU lacks pclmulqdq or sse4.1");
+            return;
+        }
+        let mut words: Vec<u32> = (0..4096 + 16u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) >> 2)
+            .collect();
+        for offset in 0..16usize {
+            for len in 0..=4096usize {
+                let at = offset + len.saturating_sub(1) * offset / 15;
+                let planted = (1 << 30) + (len * 16 + offset) as u32;
+                let kept = std::mem::replace(&mut words[at], planted);
+                let bytes: Vec<u8> = words[offset..offset + len]
+                    .iter()
+                    .flat_map(|w| w.to_le_bytes())
+                    .collect();
+                let (state, max) = clmul::update_max(!0, &bytes).unwrap();
+                assert_eq!(state, update(!0, &bytes), "offset {offset}, length {len}");
+                assert_eq!(
+                    max,
+                    if len == 0 { 0 } else { planted },
+                    "offset {offset}, length {len}, maximum at {}",
+                    at - offset
+                );
+                words[at] = kept;
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::crc::{self, crc32};
 use crate::range;
+use std::cell::Cell;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -810,6 +811,7 @@ impl StoreReader {
     fn read_words<T: Word>(
         &mut self,
         id: u32,
+        mut checksum: impl FnMut(u32, &[u8]) -> u32,
         mut landed: impl FnMut(usize, &[T]),
     ) -> Result<Vec<T>, StoreError> {
         let width = std::mem::size_of::<T>();
@@ -830,7 +832,7 @@ impl StoreReader {
             let spare = unsafe { std::slice::from_raw_parts_mut(spare.cast(), n * width) };
             let offset = info.offset + (start * width) as u64;
             let bytes = read_exact_at(&self.file, spare, offset)?;
-            state = crc::update(state, bytes);
+            state = checksum(state, bytes);
             if cfg!(target_endian = "big") {
                 for word in bytes.chunks_exact_mut(width) {
                     word.reverse();
@@ -857,7 +859,7 @@ impl StoreReader {
     /// [`StoreError::SectionCrc`] naming the section when its payload
     /// fails the checksum; [`StoreError::Io`] on a failed read.
     pub fn read_bytes(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        self.read_words(id, |_, _: &[u8]| {})
+        self.read_words(id, crc::update, |_, _: &[u8]| {})
     }
 
     /// A section decoded as little-endian u32s, checksum-verified.
@@ -868,13 +870,14 @@ impl StoreReader {
     /// [`StoreError::SectionMalformed`] when the payload length is not a
     /// multiple of 4.
     pub fn read_u32s(&mut self, id: u32) -> Result<Vec<u32>, StoreError> {
-        self.read_words(id, |_, _: &[u32]| {})
+        self.read_words(id, crc::update, |_, _: &[u32]| {})
     }
 
     /// A section of little-endian u32 ids, each below `bound`, checksum-
-    /// and range-checked. The range check folds each chunk's maximum
-    /// while the chunk is in cache, so it costs no second pass over the
-    /// section.
+    /// and range-checked. Where the CRC's folding kernel runs, it takes
+    /// each chunk's maximum from the lanes it loads; elsewhere the range
+    /// check folds the maximum while the chunk is still in cache. Either
+    /// way it costs no second read of the section.
     ///
     /// # Errors
     ///
@@ -884,8 +887,15 @@ impl StoreReader {
     /// [`StoreError::SectionCrc`] instead.
     pub fn read_ids(&mut self, id: u32, bound: u32) -> Result<Vec<u32>, StoreError> {
         let mut overrun = None;
-        let ids = self.read_words(id, |start, chunk: &[u32]| {
-            if overrun.is_none() && range::max(chunk) >= bound {
+        let folded = Cell::new(None);
+        let checksum = |state, bytes: &[u8]| {
+            let (state, max) = crc::update_max(state, bytes);
+            folded.set(max);
+            state
+        };
+        let ids = self.read_words(id, checksum, |start, chunk: &[u32]| {
+            let max = folded.take().unwrap_or_else(|| range::max(chunk));
+            if overrun.is_none() && max >= bound {
                 overrun = chunk
                     .iter()
                     .position(|&v| v >= bound)
@@ -909,7 +919,7 @@ impl StoreReader {
     /// [`StoreError::SectionMalformed`] when the payload length is not a
     /// multiple of 8.
     pub fn read_u64s(&mut self, id: u32) -> Result<Vec<u64>, StoreError> {
-        self.read_words(id, |_, _: &[u64]| {})
+        self.read_words(id, crc::update, |_, _: &[u64]| {})
     }
 }
 

@@ -218,7 +218,7 @@ fn repair_matches_golden() {
     use cloud_cost::instances::{C3_2XLARGE, C3_LARGE, C3_XLARGE};
     use mcss::solver::dynamic::{DriftModel, WorkloadDelta};
     use mcss::solver::incremental::{IncrementalConfig, IncrementalReallocator, SlaBudget};
-    use mcss::solver::SearchBudget;
+    use mcss::solver::{SearchBudget, SlotState};
 
     let drift = DriftModel {
         rate_sigma: 0.1,
@@ -264,12 +264,10 @@ fn repair_matches_golden() {
         // Fail the two slots hosting the most pairs and drain their
         // orphans.
         let (_, ledger, _) = inc.checkpoint().unwrap();
-        let mut live: Vec<(usize, usize)> = ledger
-            .snapshot_slots()
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| !slot.tombstone)
-            .map(|(i, slot)| (slot.rows.iter().map(|(_, subs)| subs.len()).sum(), i))
+        let slots = ledger.snapshot_slots();
+        let mut live: Vec<(u64, usize)> = (0..slots.len())
+            .filter(|&i| slots.state(i) == SlotState::Live)
+            .map(|i| (slots.vm(i).pair_count(), i))
             .collect();
         live.sort_unstable_by_key(|&(pairs, i)| (std::cmp::Reverse(pairs), i));
         let live: Vec<usize> = live.iter().take(2).map(|&(_, i)| i).collect();
@@ -403,7 +401,7 @@ fn store_bytes_match_golden() {
     use cloud_cost::instances::C3_LARGE;
     use mcss::solver::dynamic::DriftModel;
     use mcss::solver::serve::{Daemon, Driver, Event, ServeConfig, Snapshot};
-    use mcss::solver::Selection;
+    use mcss::solver::{LedgerSlots, Selection, SlotState};
     use mcss_store::WorkloadStoreExt;
 
     let dir = std::env::temp_dir().join(format!("mcss-store-golden-{}", std::process::id()));
@@ -437,12 +435,16 @@ fn store_bytes_match_golden() {
         }
         let snapshot = daemon.snapshot_now().unwrap();
         let slots = Snapshot::load(&snapshot).unwrap().slots;
-        assert!(slots[0].failed, "slot 0 stays failed");
-        assert!(
-            slots[1].tombstone && !slots[1].failed,
+        assert_eq!(slots.state(0), SlotState::Failed, "slot 0 stays failed");
+        assert_eq!(
+            slots.state(1),
+            SlotState::Tombstoned,
             "slot 1 is a tombstone"
         );
-        assert!(slots.iter().any(|s| !s.tombstone), "live slots remain");
+        assert!(
+            (0..slots.len()).any(|i| slots.state(i) == SlotState::Live),
+            "live slots remain"
+        );
         out.push_str(&store_fingerprint(
             &format!("daemon snapshot, {subscribers} subscribers"),
             &snapshot,
@@ -463,7 +465,7 @@ fn store_bytes_match_golden() {
             ],
         ),
         selection: Selection::from_csr(vec![0, 1, 2], vec![TopicId::new(0), TopicId::new(1)]),
-        slots: Vec::new(),
+        slots: LedgerSlots::default(),
     }
     .write(&path)
     .unwrap();
