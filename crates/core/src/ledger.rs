@@ -33,10 +33,16 @@
 //! their pair by binary search in the arena row and skip pairs already
 //! removed this epoch; placements read only counters and the index. A
 //! removal or drop after unspliced placements splices them first, so the
-//! recorded removals and drops always name arena rows. The whole-fleet
-//! readers — [`FleetLedger::to_allocation`], [`FleetLedger::slots`] and
-//! [`FleetLedger::snapshot_slots`] — copy the arena and require a spliced
-//! ledger.
+//! recorded removals and drops always name arena rows. The splice frees
+//! the edit lists and its own buffers, so between epochs the ledger keeps
+//! beside the arena only a removal bitmap of one bit per pair.
+//!
+//! The recording methods and the splice are crate-private: the
+//! [`IncrementalReallocator`](crate::incremental::IncrementalReallocator)
+//! splices before each epoch step, repair round or compaction returns, so
+//! the whole-fleet readers — [`FleetLedger::to_allocation`],
+//! [`FleetLedger::slots`] and [`FleetLedger::snapshot_slots`] — always
+//! copy a spliced arena (they assert it).
 //!
 //! The ledger is deliberately policy-free: eviction order and the
 //! three-pass placement (co-host → most-free → fresh VM) mirror the
@@ -72,9 +78,11 @@ pub enum SlotState {
     /// Tombstones must round-trip: slot indices affect the order future
     /// VMs are opened in.
     Tombstoned,
-    /// Quarantined after a VM failure ([`FleetLedger::fail_slots`]):
-    /// empty, and not reusable until [`FleetLedger::recover_slot`] lifts
-    /// the quarantine.
+    /// Quarantined after a VM failure
+    /// ([`IncrementalReallocator::repair_failures`](crate::incremental::IncrementalReallocator::repair_failures)):
+    /// empty, and not reusable until
+    /// [`IncrementalReallocator::recover_slot`](crate::incremental::IncrementalReallocator::recover_slot)
+    /// lifts the quarantine.
     Failed,
 }
 
@@ -172,7 +180,7 @@ impl LedgerSlots {
 /// Outcome of [`FleetLedger::fail_slots`]: the pairs orphaned by the dead
 /// VMs, plus an exact account of which indices were acted on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FailedSlots {
+pub(crate) struct FailedSlots {
     /// Orphaned pairs, exactly as they were hosted: slots ascending, each
     /// slot's rows by topic, each row's subscribers ascending. A topic
     /// repeats when several failed VMs hosted it.
@@ -242,8 +250,6 @@ struct Edits {
     placed: Vec<Placed>,
     /// The placed subscribers.
     added: Vec<SubscriberId>,
-    /// The splice's buffers.
-    scratch: Scratch,
 }
 
 impl Edits {
@@ -266,7 +272,6 @@ impl Edits {
             + bytes(&self.dropped)
             + bytes(&self.placed)
             + bytes(&self.added)
-            + self.scratch.heap_bytes()
     }
 }
 
@@ -281,8 +286,8 @@ struct PlacedRow {
     ids: Range<usize>,
 }
 
-/// Buffers the splice reuses from epoch to epoch.
-#[derive(Clone, Debug, Default)]
+/// The splice's buffers, allocated per splice at the sizes its edits
+/// bound and dropped with it.
 struct Scratch {
     /// Subscriber-arena edits and where each one's new items start in
     /// `ids`.
@@ -297,41 +302,24 @@ struct Scratch {
     topic_fill: Vec<TopicId>,
     /// Row-count change per slot, slots ascending.
     slot_deltas: Vec<(usize, isize)>,
-    /// The next row offsets, swapped with the arena's.
-    offsets: Vec<u32>,
-    /// Placements sorted by slot, swapped with the recorded ones.
-    sorted: Vec<Placed>,
 }
 
 impl Scratch {
-    /// Orders placements by (slot, topic). An epoch places topic by topic,
-    /// so its placements usually arrive in topic order, and then a stable
-    /// counting sort by slot, `O(placements + slots)`, orders them.
-    fn sort_placed(&mut self, placed: &mut Vec<Placed>, slots: usize) {
-        let Some(&first) = placed.first() else {
-            return;
-        };
-        if !placed.is_sorted_by_key(|p| p.topic) {
-            placed.sort_unstable_by_key(|p| (p.slot, p.topic));
-            return;
+    /// Buffers for splicing `e`. Every removal, dropped row and placed
+    /// subscriber makes at most one subscriber-arena edit, and each
+    /// placement at most one new row.
+    fn for_edits(e: &Edits) -> Scratch {
+        let row_edits = e.dropped.len() + e.placed.len();
+        let sub_edits = e.removed.len() + e.dropped.len() + e.added.len();
+        Scratch {
+            sub_edits: Vec::with_capacity(sub_edits),
+            sub_from: Vec::with_capacity(sub_edits),
+            groups: Vec::with_capacity(e.placed.len()),
+            ids: Vec::with_capacity(e.added.len()),
+            topic_edits: Vec::with_capacity(row_edits),
+            topic_fill: Vec::with_capacity(row_edits),
+            slot_deltas: Vec::with_capacity(row_edits),
         }
-        let at = &mut self.slot_deltas; // reused as counters; empty again below
-        at.resize(slots + 1, (0, 0));
-        for p in placed.iter() {
-            at[p.slot as usize + 1].0 += 1;
-        }
-        for slot in 0..slots {
-            at[slot + 1].0 += at[slot].0;
-        }
-        self.sorted.resize(placed.len(), first);
-        for &p in placed.iter() {
-            let next = &mut at[p.slot as usize].0;
-            self.sorted[*next] = p;
-            *next += 1;
-        }
-        at.clear();
-        std::mem::swap(placed, &mut self.sorted);
-        self.sorted.clear();
     }
 
     fn slot_delta(&mut self, slot: u32, delta: isize) {
@@ -339,30 +327,6 @@ impl Scratch {
             Some((last, d)) if *last == slot as usize => *d += delta,
             _ => self.slot_deltas.push((slot as usize, delta)),
         }
-    }
-
-    fn clear(&mut self) {
-        self.sub_edits.clear();
-        self.sub_from.clear();
-        self.groups.clear();
-        self.ids.clear();
-        self.topic_edits.clear();
-        self.topic_fill.clear();
-        self.slot_deltas.clear();
-        self.offsets.clear();
-        self.sorted.clear();
-    }
-
-    fn heap_bytes(&self) -> usize {
-        bytes(&self.sub_edits)
-            + bytes(&self.sub_from)
-            + bytes(&self.groups)
-            + bytes(&self.ids)
-            + bytes(&self.topic_edits)
-            + bytes(&self.topic_fill)
-            + bytes(&self.slot_deltas)
-            + bytes(&self.offsets)
-            + bytes(&self.sorted)
     }
 }
 
@@ -485,8 +449,7 @@ impl FleetLedger {
     ///
     /// Panics on typed (mixed-fleet) ledgers: the serve layer that
     /// snapshots ledgers is homogeneous-only and a silent typing loss
-    /// would corrupt capacities on restore. Panics if edits are recorded
-    /// but not spliced.
+    /// would corrupt capacities on restore.
     pub fn slots(&self) -> &LedgerSlots {
         assert!(self.typing.is_none(), "typed ledgers cannot be snapshotted");
         self.assert_spliced();
@@ -578,7 +541,7 @@ impl FleetLedger {
     /// # Panics
     ///
     /// Panics if the ledger is typed.
-    pub fn reset_capacity(&mut self, capacity: Bandwidth) {
+    pub(crate) fn reset_capacity(&mut self, capacity: Bandwidth) {
         assert!(
             self.typing.is_none(),
             "typed fleets derive capacities from their tiers"
@@ -597,10 +560,6 @@ impl FleetLedger {
     /// the allocation's: they are copied whole, with no re-sort and no
     /// bandwidth recompute. Typed ledgers re-attach their
     /// [`FleetTyping`](crate::FleetTyping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if edits are recorded but not spliced.
     pub fn to_allocation(&self, capacity: Bandwidth) -> Allocation {
         self.assert_spliced();
         let s = &self.slots;
@@ -628,7 +587,7 @@ impl FleetLedger {
     }
 
     /// Grows the host index to cover `num_topics` topics.
-    pub fn ensure_topics(&mut self, num_topics: usize) {
+    pub(crate) fn ensure_topics(&mut self, num_topics: usize) {
         if self.hosts.len() < num_topics {
             self.hosts.resize_with(num_topics, TopicHosts::default);
         }
@@ -740,7 +699,7 @@ impl FleetLedger {
     /// Re-bases every hosting VM's used counter after topic `t`'s rate
     /// changed from `old_rate` to `new_rate` — `O(hosts of t)`, reading
     /// each group's size from the host index.
-    pub fn refresh_rate(&mut self, t: TopicId, old_rate: Rate, new_rate: Rate) {
+    pub(crate) fn refresh_rate(&mut self, t: TopicId, old_rate: Rate, new_rate: Rate) {
         if old_rate == new_rate || t.index() >= self.hosts.len() {
             return;
         }
@@ -788,7 +747,7 @@ impl FleetLedger {
     /// Drops every group of topic `t` (the topic left the workload),
     /// charging usage at `old_rate`. Later [`FleetLedger::remove_pair`]
     /// calls for its pairs become no-ops.
-    pub fn drop_topic(&mut self, t: TopicId, old_rate: Rate) {
+    pub(crate) fn drop_topic(&mut self, t: TopicId, old_rate: Rate) {
         if t.index() >= self.hosts.len() {
             return;
         }
@@ -809,7 +768,7 @@ impl FleetLedger {
     /// the topic's current `rate`. `O(hosts of t · log)` — the host index
     /// names the candidate VMs, binary search finds the subscriber in the
     /// arena row, and the removal is recorded for the next splice.
-    pub fn remove_pair(&mut self, t: TopicId, v: SubscriberId, rate: Rate) -> bool {
+    pub(crate) fn remove_pair(&mut self, t: TopicId, v: SubscriberId, rate: Rate) -> bool {
         if t.index() >= self.hosts.len() {
             return false;
         }
@@ -864,7 +823,7 @@ impl FleetLedger {
 
     /// Queues every live VM for the next overflow check (used when the
     /// capacity constraint itself changed between epochs).
-    pub fn mark_all_for_overflow(&mut self) {
+    pub(crate) fn mark_all_for_overflow(&mut self) {
         for slot in 0..self.slots.len() {
             if !self.tombstoned(slot) && self.live_rows[slot] > 0 {
                 self.overflow_candidates.push(slot);
@@ -876,7 +835,7 @@ impl FleetLedger {
     /// capacity: whole topic groups are evicted cheapest-first (cost
     /// `ev_t · (|group| + 1)`, ties to the lowest topic id) and appended
     /// to `spill` for re-placement. Returns the number of evicted pairs.
-    pub fn evict_overflowing(
+    pub(crate) fn evict_overflowing(
         &mut self,
         workload: &Workload,
         spill: &mut Vec<(TopicId, SubscriberId)>,
@@ -937,7 +896,7 @@ impl FleetLedger {
     /// caller must have checked `rate.pair_cost()` against the fleet's
     /// largest capacity. The placements are recorded for the next
     /// [`FleetLedger::splice`].
-    pub fn place_group(
+    pub(crate) fn place_group(
         &mut self,
         t: TopicId,
         rate: Rate,
@@ -1118,7 +1077,7 @@ impl FleetLedger {
 
     /// Tombstones every VM emptied since the last sweep (their slots are
     /// reused by future fresh VMs). Returns how many were released.
-    pub fn release_empty(&mut self) -> usize {
+    pub(crate) fn release_empty(&mut self) -> usize {
         let mut released = 0usize;
         let pending = std::mem::take(&mut self.maybe_empty);
         for slot in pending {
@@ -1136,7 +1095,7 @@ impl FleetLedger {
     /// [`adopt`](crate::incremental::IncrementalReallocator::adopt), where
     /// no previous-epoch rates exist to delta against. Topics at or above
     /// the workload's topic count must have been dropped first.
-    pub fn recompute_used(&mut self, workload: &Workload) {
+    pub(crate) fn recompute_used(&mut self, workload: &Workload) {
         self.splice_placements();
         self.total_used = 0;
         for slot in 0..self.slots.len() {
@@ -1162,7 +1121,7 @@ impl FleetLedger {
     /// callers pass the previous epoch's rate via
     /// [`FleetLedger::drop_topic`]; this sweep exists for the adopt path
     /// where [`FleetLedger::recompute_used`] follows anyway.
-    pub fn drop_topics_at_or_above(&mut self, num_topics: usize) {
+    pub(crate) fn drop_topics_at_or_above(&mut self, num_topics: usize) {
         self.splice_placements();
         for ti in num_topics..self.hosts.len() {
             let t = TopicId::new(ti as u32);
@@ -1187,7 +1146,7 @@ impl FleetLedger {
     /// resurrected with stale state: a recovered slot re-enters the pool
     /// empty, and reuse by [`FleetLedger::place_group`] always rewrites
     /// its capacity.
-    pub fn fail_slots(&mut self, slots: &[usize]) -> FailedSlots {
+    pub(crate) fn fail_slots(&mut self, slots: &[usize]) -> FailedSlots {
         self.splice_placements();
         let mut wanted: Vec<usize> = slots.to_vec();
         wanted.sort_unstable();
@@ -1226,7 +1185,7 @@ impl FleetLedger {
     /// lowest-first reuse pool (the machine was replaced or came back).
     /// Returns `false` — and does nothing — for indices that are not
     /// currently quarantined.
-    pub fn recover_slot(&mut self, slot: usize) -> bool {
+    pub(crate) fn recover_slot(&mut self, slot: usize) -> bool {
         if slot >= self.slots.len() || self.slots.state[slot] != SlotState::Failed {
             return false;
         }
@@ -1235,7 +1194,7 @@ impl FleetLedger {
         true
     }
 
-    /// Number of slots currently quarantined by [`FleetLedger::fail_slots`].
+    /// Number of slots currently quarantined after VM failures.
     pub fn failed_slot_count(&self) -> usize {
         self.slots
             .state
@@ -1249,10 +1208,7 @@ impl FleetLedger {
     /// in `topics`, in slot order (a topic repeats if several slots host
     /// the pair). A counting sort builds it in two sequential sweeps of
     /// the arena. Subscribers at or past `num_subscribers` are left out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if edits are recorded but not spliced.
+    /// Like every whole-fleet reader, it needs a spliced ledger.
     pub(crate) fn hosted_by_subscriber(&self, num_subscribers: usize) -> (Vec<u32>, Vec<TopicId>) {
         self.assert_spliced();
         let s = &self.slots;
@@ -1294,7 +1250,7 @@ impl FleetLedger {
     /// of subscribers then move as blocks through
     /// [`pubsub_model::csr::splice_in_place`]. `O(edits · log)` to order
     /// the edits plus one pass over the arena past the first one.
-    pub fn splice(&mut self) {
+    pub(crate) fn splice(&mut self) {
         if self.edits.is_empty() {
             return;
         }
@@ -1303,8 +1259,8 @@ impl FleetLedger {
         let e = edits;
         e.removed.sort_unstable_by_key(|&(at, _)| at);
         e.dropped.sort_unstable();
-        let mut scratch = std::mem::take(&mut e.scratch);
-        scratch.sort_placed(&mut e.placed, s.len());
+        e.placed.sort_unstable_by_key(|p| (p.slot, p.topic));
+        let mut scratch = Scratch::for_edits(e);
 
         // The placed rows, one per (slot, topic): where the row is, and
         // its subscribers gathered into `ids` and sorted.
@@ -1340,7 +1296,8 @@ impl FleetLedger {
         // point (insertions first where the two meet), a dropped row
         // replaced whole, a new row opened where it belongs.
         let old = &s.row_offsets;
-        let mut offsets = std::mem::take(&mut scratch.offsets);
+        let new_rows = scratch.groups.iter().filter(|p| !p.existing).count();
+        let mut offsets: Vec<u32> = Vec::with_capacity(old.len() + new_rows);
         offsets.push(0);
         let mut copied = 0;
         let (mut g, mut d, mut r) = (0, 0, 0);
@@ -1431,7 +1388,6 @@ impl FleetLedger {
         }
         let shift = offsets[offsets.len() - 1].wrapping_sub(old[copied]);
         offsets.extend(old[copied + 1..].iter().map(|o| o.wrapping_add(shift)));
-        scratch.offsets = offsets;
 
         // Every set bit is a removed position's, so zeroing their words
         // clears the bitmap.
@@ -1443,30 +1399,33 @@ impl FleetLedger {
             sub_edits,
             sub_from,
             ids,
+            topic_edits,
+            topic_fill,
+            slot_deltas,
             ..
-        } = &scratch;
-        splice_in_place(&mut s.subscribers, sub_edits, |j, slot| {
+        } = scratch;
+        splice_in_place(&mut s.subscribers, &sub_edits, |j, slot| {
             slot.copy_from_slice(&ids[sub_from[j]..sub_from[j] + slot.len()]);
         });
-        splice_in_place(&mut s.row_topics, &scratch.topic_edits, |j, slot| {
-            slot.fill(scratch.topic_fill[j]);
+        splice_in_place(&mut s.row_topics, &topic_edits, |j, slot| {
+            slot.fill(topic_fill[j]);
         });
-        std::mem::swap(&mut s.row_offsets, &mut scratch.offsets);
-        let rows = s.state.len();
-        shift_offsets(&mut s.slot_rows, rows, scratch.slot_deltas.drain(..));
+        s.row_offsets = offsets;
+        shift_offsets(&mut s.slot_rows, s.state.len(), slot_deltas);
         debug_assert_eq!(s.row_offsets.len(), s.row_topics.len() + 1);
         debug_assert_eq!(
             s.row_offsets.last().map(|&o| o as usize),
             Some(s.subscribers.len())
         );
 
-        scratch.clear();
-        e.scratch = scratch;
-        e.removed.clear();
-        e.dropped.clear();
-        e.placed.clear();
-        e.added.clear();
-        e.removed_bits.resize(s.subscribers.len().div_ceil(64), 0);
+        // The edit buffers go with the scratch: between splices the ledger
+        // keeps only the removal bitmap, one bit per arena position.
+        let mut removed_bits = std::mem::take(&mut e.removed_bits);
+        removed_bits.resize(s.subscribers.len().div_ceil(64), 0);
+        *e = Edits {
+            removed_bits,
+            ..Edits::default()
+        };
     }
 }
 

@@ -87,7 +87,7 @@ pub mod store;
 pub use allocation::{Allocation, AllocationError, FleetTyping, VmView};
 pub use error::McssError;
 pub use footprint::MemoryFootprint;
-pub use ledger::{FailedSlots, FleetLedger, LedgerSlots, SlotState};
+pub use ledger::{FleetLedger, LedgerSlots, SlotState};
 pub use lower_bound::{lower_bound, LowerBound};
 pub use pipeline::{
     AllocatorKind, MixedSolveOutcome, MixedSolveReport, SelectorKind, SolveOutcome, SolveReport,
