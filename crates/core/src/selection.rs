@@ -613,7 +613,8 @@ impl SelectionDiff {
     }
 
     /// Calls `on_removed` for topics only in `old` and `on_added` for
-    /// topics only in `new`, in their row order.
+    /// topics only in `new`, in their row order. Equal rows, as most of
+    /// a densely re-rated epoch's dirty rows are, return at once.
     pub fn diff_rows(
         &mut self,
         old: &[TopicId],
@@ -621,6 +622,9 @@ impl SelectionDiff {
         mut on_removed: impl FnMut(TopicId),
         mut on_added: impl FnMut(TopicId),
     ) {
+        if old == new {
+            return;
+        }
         let max_index = old
             .iter()
             .chain(new)

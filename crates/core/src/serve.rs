@@ -65,7 +65,9 @@ use crate::stage2::SearchBudget;
 use crate::store::{read_ledger_sections, read_selection_sections};
 use crate::{Allocation, McssError, McssInstance, Selection};
 use cloud_cost::{CostModel, Money};
-use mcss_store::{section as store_section, SectionSink, StoreError, StoreReader, StoreWriter};
+use mcss_store::{
+    section as store_section, SectionSink, StoreError, StoreFile, StoreReader, StoreWriter,
+};
 use pubsub_model::{Bandwidth, Rate, SubscriberId, TopicId, Workload, WorkloadEdit};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -250,12 +252,18 @@ pub enum IoFault {
         /// How many consecutive sync calls fail before syncs recover.
         times: u32,
     },
+    /// The next snapshot file opened for direct I/O is refused with
+    /// `EINVAL`, as a filesystem without `O_DIRECT` refuses it; the
+    /// writer then opens the file plainly. Nothing is refused on targets
+    /// that never ask for direct I/O.
+    RefuseDirect,
 }
 
 #[derive(Debug, Default)]
 struct FaultState {
     short_write: Option<usize>,
     sync_fails: u32,
+    refuse_direct: bool,
     /// Set after a short write fired: the "device" stays broken.
     dead: bool,
 }
@@ -286,6 +294,7 @@ impl FaultInjector {
         match fault {
             IoFault::ShortWrite { keep } => s.short_write = Some(keep),
             IoFault::SyncFail { times } => s.sync_fails = times,
+            IoFault::RefuseDirect => s.refuse_direct = true,
         }
     }
 
@@ -300,9 +309,10 @@ impl FaultInjector {
 }
 
 /// A [`File`] wrapper that consults a [`FaultInjector`] on every write,
-/// seek and sync. With no injector it is a zero-overhead passthrough — the
-/// production [`EventLog`] always runs through this type so the faulted
-/// and unfaulted paths cannot drift apart.
+/// seek, cut and sync. With no injector it is a zero-overhead
+/// passthrough — the production [`EventLog`] and snapshot writes always
+/// run through this type so the faulted and unfaulted paths cannot drift
+/// apart.
 #[derive(Debug)]
 struct FaultFile {
     file: File,
@@ -310,6 +320,16 @@ struct FaultFile {
 }
 
 impl FaultFile {
+    /// Fails once an injected short write has killed the device.
+    fn alive(&self) -> std::io::Result<()> {
+        match &self.injector {
+            Some(inj) if inj.state.lock().unwrap().dead => {
+                Err(FaultInjector::injected("device failed"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn sync_data(&self) -> std::io::Result<()> {
         if let Some(inj) = &self.injector {
             let mut s = inj.state.lock().unwrap();
@@ -335,8 +355,10 @@ impl std::io::Write for FaultFile {
             if let Some(keep) = s.short_write.take() {
                 s.dead = true;
                 drop(s);
-                let keep = keep.min(buf.len());
-                self.file.write_all(&buf[..keep])?;
+                // A file opened with `O_DIRECT` refuses a write that is
+                // not whole blocks, so the kept prefix may not land; the
+                // caller sees the injected fault either way.
+                let _ = self.file.write_all(&buf[..keep.min(buf.len())]);
                 return Err(FaultInjector::injected("short write"));
             }
         }
@@ -353,13 +375,61 @@ impl Seek for FaultFile {
     /// its header page last). A dead device fails here as it fails every
     /// write.
     fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        if let Some(inj) = &self.injector {
-            if inj.state.lock().unwrap().dead {
-                return Err(FaultInjector::injected("device failed"));
-            }
-        }
+        self.alive()?;
         self.file.seek(pos)
     }
+}
+
+impl StoreFile for FaultFile {
+    /// Cuts the file to `len` bytes (the store writer drops its last
+    /// page's padding). A dead device fails here as it fails every write.
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.alive()?;
+        self.file.set_len(len)
+    }
+}
+
+/// `O_DIRECT` on x86_64 Linux. The value differs by architecture, so
+/// only this target asks for direct I/O.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+const O_DIRECT: i32 = 0o40000;
+
+/// Creates (or truncates) `path` for writing with `O_DIRECT`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn create_direct(path: &Path) -> std::io::Result<File> {
+    use std::os::unix::fs::OpenOptionsExt as _;
+    OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .custom_flags(O_DIRECT)
+        .open(path)
+}
+
+/// Creates `path` for a snapshot's bytes. On Linux x86_64 it asks for
+/// `O_DIRECT`, so the store writer's page-aligned buffer goes straight to
+/// the device and no page of the file enters the page cache, or has to
+/// be freed when the next snapshot's rename replaces it. A filesystem
+/// that refuses the flag with `EINVAL` (tmpfs before Linux 6.6), an
+/// injected [`IoFault::RefuseDirect`], and every other target get the
+/// plain open; the writer is the same either way.
+fn create_snapshot_file(path: &Path, injector: Option<&FaultInjector>) -> std::io::Result<File> {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        /// `EINVAL` on Linux.
+        const EINVAL: i32 = 22;
+        let refused = injector
+            .is_some_and(|inj| std::mem::take(&mut inj.state.lock().unwrap().refuse_direct));
+        if !refused {
+            match create_direct(path) {
+                Err(e) if e.raw_os_error() == Some(EINVAL) => {}
+                opened => return opened,
+            }
+        }
+    }
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    let _ = injector;
+    File::create(path)
 }
 
 // ---------------------------------------------------------------------
@@ -941,12 +1011,15 @@ struct SnapshotRef<'a> {
 
 impl SnapshotRef<'_> {
     /// [`Snapshot::write_with_faults`]: the serve metadata and every
-    /// arena section stream to the tmp file through one fixed buffer,
-    /// the header page goes last, then sync, rename and directory sync.
+    /// arena section stream to the tmp file, opened for direct I/O where
+    /// it can be ([`create_snapshot_file`]), in whole pages through the
+    /// store writer's one aligned buffer; the header page goes last, the
+    /// file is cut to the store's length, then sync, rename and
+    /// directory sync.
     fn write(self, path: &Path, injector: Option<FaultInjector>) -> Result<(), ServeError> {
         let tmp = path.with_extension("bin.tmp");
         let mut store = StoreWriter::new(FaultFile {
-            file: File::create(&tmp)?,
+            file: create_snapshot_file(&tmp, injector.as_ref())?,
             injector,
         })?;
         let meta = [
@@ -2205,18 +2278,50 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn corrupt_snapshot_reports_checksum_mismatch() {
-        let dir = scratch("corrupt-snap");
-        let path = dir.join(SNAPSHOT_FILE);
+    /// Whether `file` was opened with `O_DIRECT`, from the flags
+    /// `/proc/self/fdinfo` lists for it; false where no file is.
+    fn opened_direct(file: &File) -> bool {
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        {
+            use std::os::fd::AsRawFd as _;
+            let info = fs::read_to_string(format!("/proc/self/fdinfo/{}", file.as_raw_fd()))
+                .expect("fdinfo of an open file");
+            let flags = info
+                .lines()
+                .find_map(|line| line.strip_prefix("flags:"))
+                .expect("fdinfo lists the file's flags");
+            i32::from_str_radix(flags.trim(), 8).expect("octal flags") & O_DIRECT != 0
+        }
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        {
+            let _ = file;
+            false
+        }
+    }
+
+    /// Whether the filesystem holding `dir` opens a file with `O_DIRECT`.
+    fn direct_io_supported(dir: &Path) -> bool {
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        {
+            create_direct(&dir.join("direct-probe")).is_ok()
+        }
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        {
+            let _ = dir;
+            false
+        }
+    }
+
+    /// A one-subscriber snapshot: one live slot of capacity 50 using 20,
+    /// topic 0 for subscriber 0.
+    fn small_snapshot() -> Snapshot {
         let workload = Workload::from_parts(vec![Rate::new(10)], vec![vec![t(0)]]);
-        // One live slot of capacity 50 using 20: topic 0 for subscriber 0.
         let fleet = Allocation::from_groups(
             vec![vec![(t(0), vec![v(0)])]],
             &workload,
             Bandwidth::new(50),
         );
-        let snapshot = Snapshot {
+        Snapshot {
             last_seq: 2,
             epochs_applied: 1,
             tau: Rate::new(10),
@@ -2224,7 +2329,124 @@ mod tests {
             workload,
             selection: Selection::from_csr(vec![0, 1], vec![t(0)]),
             slots: FleetLedger::from_allocation(&fleet).snapshot_slots(),
+        }
+    }
+
+    #[test]
+    fn a_store_of_several_buffers_streams_through_the_direct_path() {
+        // Three sections over several of the writer's buffers: 24-byte
+        // records put in uneven pieces (a buffer is no whole number of
+        // them, so records reach each buffer's end and the unfinished
+        // page carries over), u32 words and a short byte section whose
+        // end pads the last page.
+        fn put_all(
+            sink: &mut impl SectionSink,
+            records: &[[u8; 24]],
+            words: &[u32],
+            bytes: &[u8],
+        ) -> std::io::Result<()> {
+            sink.begin(0x40)?;
+            for part in records.chunks(7_001) {
+                sink.put(part, |r| *r)?;
+            }
+            sink.end()?;
+            sink.put_section(0x41, words, |w| w.to_le_bytes())?;
+            sink.put_section(0x42, bytes, |&b| [b])
+        }
+        let records: Vec<[u8; 24]> = (0..20_000u32)
+            .map(|i| {
+                let mut record = [0; 24];
+                for (k, word) in record.chunks_exact_mut(4).enumerate() {
+                    word.copy_from_slice(&(i * 6 + k as u32).to_le_bytes());
+                }
+                record
+            })
+            .collect();
+        let words: Vec<u32> = (0..70_001u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let bytes: Vec<u8> = (0..5_003u32).map(|i| (i % 251) as u8).collect();
+
+        let dir = scratch("direct-store");
+        let path = dir.join("store.bin");
+        let file = create_snapshot_file(&path, None).unwrap();
+        assert_eq!(opened_direct(&file), direct_io_supported(&dir));
+        let mut writer = StoreWriter::new(FaultFile {
+            file,
+            injector: None,
+        })
+        .unwrap();
+        put_all(&mut writer, &records, &words, &bytes).unwrap();
+        writer.finish().unwrap().sync_data().unwrap();
+        let mut builder = mcss_store::StoreBuilder::new();
+        put_all(&mut builder, &records, &words, &bytes).unwrap();
+        let expected = builder.to_bytes();
+        assert!(expected.len() > 5 * 128 * 1024, "{} bytes", expected.len());
+        assert!(
+            fs::read(&path).unwrap() == expected,
+            "streamed file differs"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_direct_open_falls_back_to_the_plain_open() {
+        let dir = scratch("refuse-direct");
+        let injector = FaultInjector::new();
+        // The refusal is spent by the next direct open, and only by it.
+        injector.arm(IoFault::RefuseDirect);
+        let plain = create_snapshot_file(&dir.join("plain"), Some(&injector)).unwrap();
+        assert!(!opened_direct(&plain));
+        let next = create_snapshot_file(&dir.join("next"), Some(&injector)).unwrap();
+        assert_eq!(opened_direct(&next), direct_io_supported(&dir));
+
+        // A snapshot written through the fallback has the direct write's
+        // bytes and loads.
+        let snapshot = small_snapshot();
+        let (direct, fallback) = (dir.join("direct.bin"), dir.join("fallback.bin"));
+        snapshot.write(&direct).unwrap();
+        injector.arm(IoFault::RefuseDirect);
+        snapshot
+            .write_with_faults(&fallback, Some(injector.clone()))
+            .unwrap();
+        let spent = !injector.state.lock().unwrap().refuse_direct;
+        assert_eq!(
+            spent,
+            cfg!(all(target_os = "linux", target_arch = "x86_64")),
+            "only a direct open takes the refusal"
+        );
+        assert_eq!(fs::read(&fallback).unwrap(), fs::read(&direct).unwrap());
+        assert_eq!(Snapshot::load(&fallback).unwrap().slots, snapshot.slots);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_dead_device_fails_the_cut() {
+        let dir = scratch("dead-cut");
+        let injector = FaultInjector::new();
+        let mut file = FaultFile {
+            file: File::create(dir.join("file")).unwrap(),
+            injector: Some(injector.clone()),
         };
+        injector.arm(IoFault::ShortWrite { keep: 5 });
+        let err = file.write(&[0; 4096]).unwrap_err();
+        assert!(
+            err.to_string().contains("injected fault: short write"),
+            "{err}"
+        );
+        let err = file.set_len(3).unwrap_err();
+        assert!(
+            err.to_string().contains("injected fault: device failed"),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_snapshot_reports_checksum_mismatch() {
+        let dir = scratch("corrupt-snap");
+        let path = dir.join(SNAPSHOT_FILE);
+        let snapshot = small_snapshot();
         assert_eq!(snapshot.slots.vm(0).used(), Bandwidth::new(20));
         snapshot.write(&path).unwrap();
         let loaded = Snapshot::load(&path).unwrap();

@@ -23,8 +23,9 @@
 //! move, one memmove per run, only where the edits before them changed
 //! the arena's length, and offsets shift likewise. No arena is copied
 //! whole. Rows that follow a re-rated topic are re-ranked in place; when
-//! they and the changed rows make up more than half the subscribers, the
-//! ranked arena comes from the global counting-sort scatter instead.
+//! the re-rated topics' followers (read from the follower offsets, not
+//! walked) and the changed rows make up more than half the subscribers,
+//! the ranked arena comes from the global counting-sort scatter instead.
 //!
 //! **Rebuild.** When more than half the subscribers changed (a bootstrap
 //! batch), the commit splices the interest rows and rebuilds the derived

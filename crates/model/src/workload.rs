@@ -510,27 +510,12 @@ impl Workload {
 
         // Ranked arena: the changed rows re-rank as they are spliced in,
         // then the other followers of re-rated topics re-rank where they
-        // lie. Mostly-dirty epochs use the scatter.
-        let rank =
-            |row: &mut [TopicId]| row.sort_unstable_by_key(|&t| (Reverse(rates[t.index()]), t));
-        let mut rerank: Vec<usize> = Vec::new();
-        if !rerated.is_empty() {
-            let mut marked = vec![false; n];
-            for v in subs {
-                marked[v.index()] = true;
-            }
-            for &t in &rerated {
-                for &v in self.subscribers_of(t) {
-                    if !std::mem::replace(&mut marked[v.index()], true) {
-                        rerank.push(v.index());
-                    }
-                }
-                if (subs.len() + rerank.len()) * 2 > n {
-                    break;
-                }
-            }
-        }
-        if (subs.len() + rerank.len()) * 2 > n {
+        // lie. When the changed rows and the re-rated topics' followers,
+        // counted from the follower offsets (an upper bound on the rows
+        // they touch), pass half the subscribers, the scatter re-ranks
+        // every row instead. Both paths write the same arena.
+        let followers: usize = rerated.iter().map(|t| self.subscribers_of(*t).len()).sum();
+        if (subs.len() + followers) * 2 > n {
             drop(std::mem::take(&mut self.ranked_topics));
             self.ranked_topics = rank_by_scatter(
                 &self.rates,
@@ -538,15 +523,32 @@ impl Workload {
                 &self.follower_offsets,
                 &self.follower_ids,
             );
-        } else {
-            splice_in_place(&mut self.ranked_topics, &row_edits, |j, slot| {
-                slot.copy_from_slice(row(j));
-                rank(slot);
-            });
-            for vi in rerank {
-                let span =
-                    self.interest_offsets[vi] as usize..self.interest_offsets[vi + 1] as usize;
-                rank(&mut self.ranked_topics[span]);
+            return;
+        }
+        let rank =
+            |row: &mut [TopicId]| row.sort_unstable_by_key(|&t| (Reverse(rates[t.index()]), t));
+        splice_in_place(&mut self.ranked_topics, &row_edits, |j, slot| {
+            slot.copy_from_slice(row(j));
+            rank(slot);
+        });
+        if rerated.is_empty() {
+            return;
+        }
+        let mut marked = vec![false; n];
+        for v in subs {
+            marked[v.index()] = true;
+        }
+        for &t in &rerated {
+            let (from, to) = (
+                self.follower_offsets[t.index()] as usize,
+                self.follower_offsets[t.index() + 1] as usize,
+            );
+            for &v in &self.follower_ids[from..to] {
+                if !std::mem::replace(&mut marked[v.index()], true) {
+                    let span = self.interest_offsets[v.index()] as usize
+                        ..self.interest_offsets[v.index() + 1] as usize;
+                    rank(&mut self.ranked_topics[span]);
+                }
             }
         }
     }

@@ -72,14 +72,40 @@ fn crc_step16(c: u32, chunk: &[u8]) -> u32 {
         ^ t[0][(b >> 56) as usize]
 }
 
-/// Raw (no pre/post inversion) single-chain table update over `bytes`.
+/// Raw (no pre/post inversion) single-chain table update over `bytes`:
+/// sixteen bytes a step, then at most one step of eight, one of four and
+/// three single bytes, so a 13-, 17- or 21-byte log payload takes at
+/// most two table steps and one byte lookup, not up to thirteen serial
+/// byte lookups.
 fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
         c = crc_step16(c, chunk);
     }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut rest = chunks.remainder();
+    if let Some((eight, tail)) = rest.split_first_chunk::<8>() {
+        let a = u64::from_le_bytes(*eight) ^ u64::from(c);
+        c = t[7][(a & 0xFF) as usize]
+            ^ t[6][((a >> 8) & 0xFF) as usize]
+            ^ t[5][((a >> 16) & 0xFF) as usize]
+            ^ t[4][((a >> 24) & 0xFF) as usize]
+            ^ t[3][((a >> 32) & 0xFF) as usize]
+            ^ t[2][((a >> 40) & 0xFF) as usize]
+            ^ t[1][((a >> 48) & 0xFF) as usize]
+            ^ t[0][(a >> 56) as usize];
+        rest = tail;
+    }
+    if let Some((four, tail)) = rest.split_first_chunk::<4>() {
+        let a = u32::from_le_bytes(*four) ^ c;
+        c = t[3][(a & 0xFF) as usize]
+            ^ t[2][((a >> 8) & 0xFF) as usize]
+            ^ t[1][((a >> 16) & 0xFF) as usize]
+            ^ t[0][(a >> 24) as usize];
+        rest = tail;
+    }
+    for &b in rest {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }

@@ -14,7 +14,7 @@ use crate::range;
 use std::cell::Cell;
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Cursor, Read, Seek, SeekFrom, Write};
 use std::mem::MaybeUninit;
 use std::path::Path;
 
@@ -369,10 +369,36 @@ impl SectionSink for StoreBuilder {
     }
 }
 
-/// Bytes a [`StoreWriter`] buffers between writes: each `write` call
-/// hands the kernel this much, and the section CRC folds over the chunk
-/// while it is still cache-warm.
-const WRITE_CHUNK: usize = 64 * 1024;
+/// Bytes a [`StoreWriter`] buffers between writes: 32 whole pages. Each
+/// `write` call hands the device at most this much, and the section CRC
+/// folds over the bytes while they are still cache-warm.
+const WRITE_CHUNK: usize = 128 * 1024;
+
+/// What a [`StoreWriter`] streams to: a seekable byte sink that can be
+/// cut to a length — a [`File`], or a `Cursor<Vec<u8>>` standing in for
+/// one.
+pub trait StoreFile: Write + Seek {
+    /// Cuts (or zero-extends) the sink to exactly `len` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from the sink.
+    fn set_len(&mut self, len: u64) -> io::Result<()>;
+}
+
+impl StoreFile for File {
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        File::set_len(self, len)
+    }
+}
+
+impl StoreFile for Cursor<Vec<u8>> {
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        let len = usize::try_from(len).map_err(|_| io::Error::other("length exceeds memory"))?;
+        self.get_mut().resize(len, 0);
+        Ok(())
+    }
+}
 
 /// The section a [`StoreWriter`] is filling.
 #[derive(Debug)]
@@ -386,14 +412,20 @@ struct OpenSection {
     unfolded: usize,
 }
 
-/// Streams a store to `out` through one fixed 64 KiB buffer, so neither
+/// Streams a store to `out` through one fixed 128 KiB buffer, so neither
 /// a section nor the file image is ever held whole. It reserves the
 /// header page, writes each section at the next page boundary,
 /// converting typed arenas into the buffer a chunk at a time, and folds
 /// each section's CRC32 as the buffer flushes. [`StoreWriter::finish`]
-/// then seeks back and writes the header page last. The bytes are
-/// exactly those [`StoreBuilder::to_bytes`] lays out for the same
-/// sections.
+/// then seeks back, writes the header page last and cuts the file to the
+/// store's length. The bytes are exactly those [`StoreBuilder::to_bytes`]
+/// lays out for the same sections.
+///
+/// Every write is whole pages, from a page-aligned buffer, at a
+/// page-aligned offset, so `out` may be a file opened with `O_DIRECT`: a
+/// flush writes the buffer's whole pages and carries its unfinished page
+/// over to the next, the last write is padded with zeros to a page, and
+/// the cut drops the padding. Every sink takes the same path.
 ///
 /// ```
 /// use mcss_store::{SectionSink, StoreBuilder, StoreWriter};
@@ -411,18 +443,23 @@ struct OpenSection {
 /// # Ok(())
 /// # }
 /// ```
-pub struct StoreWriter<W: Write + Seek> {
+pub struct StoreWriter<W: StoreFile> {
     out: W,
-    buf: Box<[u8]>,
-    /// Bytes of `buf` filled.
+    /// `WRITE_CHUNK + PAGE` bytes, so that a page-aligned buffer of
+    /// `WRITE_CHUNK` bytes lies inside it at `start`.
+    alloc: Box<[u8]>,
+    /// Index in `alloc` of the buffer's first byte.
+    start: usize,
+    /// Bytes of the buffer filled.
     len: usize,
-    /// File offset of `buf[0]`: everything before it has been written.
+    /// File offset of the buffer's first byte, a multiple of [`PAGE`]:
+    /// everything before it has been written.
     flushed: u64,
     sections: Vec<SectionInfo>,
     open: Option<OpenSection>,
 }
 
-impl<W: Write + Seek> fmt::Debug for StoreWriter<W> {
+impl<W: StoreFile> fmt::Debug for StoreWriter<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StoreWriter")
             .field("cursor", &self.cursor())
@@ -432,7 +469,7 @@ impl<W: Write + Seek> fmt::Debug for StoreWriter<W> {
     }
 }
 
-impl<W: Write + Seek> StoreWriter<W> {
+impl<W: StoreFile> StoreWriter<W> {
     /// A writer over `out`, positioned past the header page it reserves.
     ///
     /// # Errors
@@ -440,9 +477,13 @@ impl<W: Write + Seek> StoreWriter<W> {
     /// Any I/O error from seeking `out`.
     pub fn new(mut out: W) -> io::Result<StoreWriter<W>> {
         out.seek(SeekFrom::Start(PAGE as u64))?;
+        let alloc = vec![0; WRITE_CHUNK + PAGE].into_boxed_slice();
+        let start = alloc.as_ptr().align_offset(PAGE);
+        assert!(start < PAGE, "a byte buffer can always be page-aligned");
         Ok(StoreWriter {
             out,
-            buf: vec![0; WRITE_CHUNK].into_boxed_slice(),
+            alloc,
+            start,
             len: 0,
             flushed: PAGE as u64,
             sections: Vec::with_capacity(16),
@@ -455,59 +496,72 @@ impl<W: Write + Seek> StoreWriter<W> {
         self.flushed + self.len as u64
     }
 
-    /// Folds the open section's unfolded bytes into its CRC, then writes
-    /// the buffer out.
+    /// The page-aligned buffer.
+    fn buf(&mut self) -> &mut [u8] {
+        &mut self.alloc[self.start..self.start + WRITE_CHUNK]
+    }
+
+    /// Zero-fills the buffer up to its next page boundary. The buffer
+    /// starts on a page and holds whole pages, so the padding always
+    /// fits.
+    fn pad_to_page(&mut self) {
+        let (len, end) = (self.len, self.len.next_multiple_of(PAGE));
+        self.buf()[len..end].fill(0);
+        self.len = end;
+    }
+
+    /// Folds the open section's unfolded bytes into its CRC, writes the
+    /// buffer's whole pages and moves its unfinished page to the front.
     fn flush(&mut self) -> io::Result<()> {
+        let buf = &mut self.alloc[self.start..self.start + WRITE_CHUNK];
         if let Some(open) = &mut self.open {
-            open.crc = crc::update(open.crc, &self.buf[open.unfolded..self.len]);
-            open.unfolded = 0;
+            open.crc = crc::update(open.crc, &buf[open.unfolded..self.len]);
         }
-        self.out.write_all(&self.buf[..self.len])?;
-        self.flushed += self.len as u64;
-        self.len = 0;
+        let whole = self.len - self.len % PAGE;
+        self.out.write_all(&buf[..whole])?;
+        buf.copy_within(whole..self.len, 0);
+        self.flushed += whole as u64;
+        self.len -= whole;
+        if let Some(open) = &mut self.open {
+            open.unfolded = self.len;
+        }
         Ok(())
     }
 
-    /// Writes the last buffered bytes, then the header page at offset 0
-    /// — section table, file length and header CRC — and hands back the
-    /// sink for the caller to sync. The file ends at the last payload
-    /// byte.
+    /// Writes the last buffered bytes, padded with zeros to a whole page,
+    /// then the header page at offset 0 — section table, file length and
+    /// header CRC — cuts the file to the store's length, which drops the
+    /// padding, and hands back the sink for the caller to sync.
     ///
     /// # Errors
     ///
-    /// Any I/O error from writing or seeking `out`.
+    /// Any I/O error from writing, seeking or cutting `out`.
     ///
     /// # Panics
     ///
     /// If a section is still open.
     pub fn finish(mut self) -> io::Result<W> {
         assert!(self.open.is_none(), "a store section is still open");
+        let file_len = self.cursor();
+        self.pad_to_page();
         self.flush()?;
-        let page = &mut self.buf[..PAGE];
+        let page = &mut self.alloc[self.start..self.start + PAGE];
         page.fill(0);
-        encode_header(page, &self.sections, self.flushed);
+        encode_header(page, &self.sections, file_len);
         self.out.seek(SeekFrom::Start(0))?;
         self.out.write_all(page)?;
+        self.out.set_len(file_len)?;
         self.out.flush()?;
         Ok(self.out)
     }
 }
 
-impl<W: Write + Seek> SectionSink for StoreWriter<W> {
+impl<W: StoreFile> SectionSink for StoreWriter<W> {
     fn begin(&mut self, id: u32) -> io::Result<()> {
         assert!(self.open.is_none(), "a store section is still open");
         admit_section(id, self.sections.iter().map(|s| s.id));
         // Zero padding up to the page boundary, outside every CRC.
-        let mut pad = (self.cursor().next_multiple_of(PAGE as u64) - self.cursor()) as usize;
-        while pad > 0 {
-            if self.len == WRITE_CHUNK {
-                self.flush()?;
-            }
-            let n = pad.min(WRITE_CHUNK - self.len);
-            self.buf[self.len..self.len + n].fill(0);
-            self.len += n;
-            pad -= n;
-        }
+        self.pad_to_page();
         self.open = Some(OpenSection {
             id,
             offset: self.cursor(),
@@ -522,7 +576,9 @@ impl<W: Write + Seek> SectionSink for StoreWriter<W> {
         mut values: &[T],
         mut encode: impl FnMut(&T) -> [u8; N],
     ) -> io::Result<()> {
-        const { assert!(N > 0 && N <= WRITE_CHUNK) };
+        // A flush leaves less than a page buffered, so a value up to a
+        // page long always fits after one.
+        const { assert!(N > 0 && N <= PAGE) };
         assert!(self.open.is_some(), "no store section is open");
         while !values.is_empty() {
             let room = (WRITE_CHUNK - self.len) / N;
@@ -533,8 +589,8 @@ impl<W: Write + Seek> SectionSink for StoreWriter<W> {
             // Convert as many values as fit in one tight loop, with no
             // flush check per value.
             let (now, rest) = values.split_at(room.min(values.len()));
-            let end = self.len + now.len() * N;
-            for (dst, v) in self.buf[self.len..end].chunks_exact_mut(N).zip(now) {
+            let (len, end) = (self.len, self.len + now.len() * N);
+            for (dst, v) in self.buf()[len..end].chunks_exact_mut(N).zip(now) {
                 dst.copy_from_slice(&encode(v));
             }
             self.len = end;
@@ -545,7 +601,8 @@ impl<W: Write + Seek> SectionSink for StoreWriter<W> {
 
     fn end(&mut self) -> io::Result<()> {
         let open = self.open.take().expect("no store section is open");
-        let crc = crc::update(open.crc, &self.buf[open.unfolded..self.len]);
+        let len = self.len;
+        let crc = crc::update(open.crc, &self.buf()[open.unfolded..len]);
         self.sections.push(SectionInfo {
             id: open.id,
             name: section_name(open.id),
@@ -976,18 +1033,48 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// An in-memory sink that holds every write to the `O_DIRECT`
+    /// contract: whole pages, from a page-aligned buffer, at a
+    /// page-aligned offset.
+    struct PagedSink(Cursor<Vec<u8>>);
+
+    impl Write for PagedSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            assert_eq!(buf.len() % PAGE, 0, "a write of {} bytes", buf.len());
+            assert_eq!(buf.as_ptr().align_offset(PAGE), 0, "an unaligned buffer");
+            assert_eq!(self.0.position() % PAGE as u64, 0, "an unaligned offset");
+            self.0.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    impl Seek for PagedSink {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.0.seek(pos)
+        }
+    }
+
+    impl StoreFile for PagedSink {
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.0.set_len(len)
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Streamed through `put` in pieces of 1-, 4- and 24-byte
         /// elements, any run of sections comes out byte-identical to the
-        /// in-memory builder's image.
+        /// in-memory builder's image, written in whole aligned pages.
         #[test]
         fn streamed_bytes_equal_the_builders(
             sections in proptest::collection::vec((arb_len(), 0usize..3, 1usize..4, 0u8..=255), 0..6),
         ) {
             let mut builder = StoreBuilder::new();
-            let mut writer = StoreWriter::new(Cursor::new(Vec::new())).unwrap();
+            let mut writer = StoreWriter::new(PagedSink(Cursor::new(Vec::new()))).unwrap();
             for (i, &(len, width, pieces, seed)) in sections.iter().enumerate() {
                 let width = [1, 4, 24][width];
                 let payload: Vec<u8> = (0..len - len % width)
@@ -1006,7 +1093,7 @@ mod tests {
                 }
                 writer.end().unwrap();
             }
-            let streamed = writer.finish().unwrap().into_inner();
+            let streamed = writer.finish().unwrap().0.into_inner();
             prop_assert!(streamed == builder.to_bytes(), "streamed image differs");
         }
     }

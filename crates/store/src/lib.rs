@@ -23,7 +23,8 @@
 //!
 //! The container is generic: section encoders write to a [`SectionSink`]
 //! — [`StoreBuilder`], which holds each section in memory, or
-//! [`StoreWriter`], which streams them through one fixed buffer — and
+//! [`StoreWriter`], which streams them in whole pages through one
+//! page-aligned buffer, fit for a file opened with `O_DIRECT` — and
 //! [`StoreReader`] reads them back, with [`crc32`] as the one checksum
 //! and [`StoreReader::read_ids`] as the one id range check.
 //! This crate also ships the workload codec ([`WorkloadStoreExt`]). The
@@ -42,6 +43,6 @@ mod workload;
 pub use crc::crc32;
 pub use format::{
     section, section_name, sync_parent, SectionInfo, SectionSink, StoreBuilder, StoreError,
-    StoreReader, StoreWriter, MAGIC, MAX_SECTIONS, PAGE, VERSION,
+    StoreFile, StoreReader, StoreWriter, MAGIC, MAX_SECTIONS, PAGE, VERSION,
 };
 pub use workload::{read_workload_sections, write_workload_sections, WorkloadStoreExt};

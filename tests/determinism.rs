@@ -408,7 +408,8 @@ fn store_bytes_match_golden() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut out = String::new();
-    // At 8k subscribers the arena sections outgrow a 64 KiB write buffer.
+    // At 8k subscribers the snapshot (413,764 bytes) spans several of the
+    // store writer's 128 KiB buffers, so sections straddle its flushes.
     for subscribers in [2_000, 8_000] {
         let scenario = Scenario::spotify(subscribers, 7);
         let cost = scenario.cost_model(C3_LARGE);
